@@ -16,6 +16,29 @@ KINK_TOL = 1e-7        # distance at which a weight counts as at a kink or bound
 TARGET_TOL = 1e-5      # attained volatility / return / tracking error
 REF_TOL = 1e-9         # closed-form reference values, relative
 
+# The errors the library documents as non-convergence (the CLI exits with
+# code 2 on these and with code 1 on every other error).
+NON_CONVERGENCE_ERRORS = ("MaxIterations", "NoConvergence", "NumericalDivergence")
+NOT_CONVERGED = "not converged: "
+
+
+def not_converged(what):
+    """A problem that the program reported itself: a status other than
+    ``converged``, a non-convergence error or CLI exit code 2.  The op
+    failed, but its answer is not wrong."""
+    return NOT_CONVERGED + what
+
+
+def raised(error):
+    text = f"raised {type(error).__name__}: {error}"
+    return not_converged(text) if type(error).__name__ in NON_CONVERGENCE_ERRORS else text
+
+
+def wrong_answer(problems):
+    """True if any problem is not a reported non-convergence: an output
+    that failed its check, an undocumented error or exit code."""
+    return any(not p.startswith(NOT_CONVERGED) for p in problems)
+
 
 def feasibility(x, lower, upper, budget=1.0):
     x = np.asarray(x, float)

@@ -17,7 +17,9 @@ row with both medians and quartiles and a verdict:
   interquartile range;
 - ``no change`` otherwise.
 
-Exit code 1 if any row is a regression.
+A gain does not count when more ops fail: on a workload where the change's
+share of failed ops is higher than the parent's, ``improved`` is replaced by
+``refused (more failed ops)``.  Exit code 1 if any row is a regression.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ def verdict(parent, change, better, bound):
     return "no change"
 
 
+def failures(runs):
+    """Failed and attempted ops over all runs of one side."""
+    return (sum(r["failed"] for r in runs.values()),
+            sum(r["attempted"] for r in runs.values()))
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -63,21 +71,23 @@ def main(argv=None):
         if workload not in parent or workload not in change:
             print(f"{workload:20s} (no runs on {'parent' if workload not in parent else 'change'})")
             continue
+        fp, ap = failures(parent[workload])
+        fc, ac = failures(change[workload])
+        more_failed = fc * ap > fp * ac
         for metric in spec["end_to_end"]:
             name = metric["name"]
             p = {s: r["metrics"][name]["value"] for s, r in parent[workload].items()}
             c = {s: r["metrics"][name]["value"] for s, r in change[workload].items()}
             v = verdict(p, c, metric["better"], metric["bound"])
+            if v == "improved" and more_failed:
+                v = "refused (more failed ops)"
             regressions += v == "regression"
             p1, pm, p3 = quartiles(list(p.values()))
             c1, cm, c3 = quartiles(list(c.values()))
             print(f"{workload:20s} {name:16s} {pm:12.6g} [{p1:10.5g}, {p3:10.5g}] "
                   f"{cm:12.6g} [{c1:10.5g}, {c3:10.5g}]  {len(set(p) & set(c)):5d}  {v}")
-        fp = sum(r["failed"] for r in parent[workload].values())
-        fc = sum(r["failed"] for r in change[workload].values())
-        ap = sum(r["attempted"] for r in parent[workload].values())
-        ac = sum(r["attempted"] for r in change[workload].values())
-        print(f"{workload:20s} failed ops: parent {fp}/{ap}, change {fc}/{ac}")
+        print(f"{workload:20s} failed ops: parent {fp}/{ap}, change {fc}/{ac}"
+              f"{'  MORE FAILED' if more_failed else ''}")
     return 1 if regressions else 0
 
 

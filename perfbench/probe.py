@@ -1,14 +1,21 @@
 """One set-up sample, in a fresh interpreter: import the package (and the
 CLI for advisor_cli), then make one tiny warm-up call on each solver route
-the workload uses.  Building the tiny inputs is not timed.  Prints
-``{"setup_s": ...}``.
+the workload uses.  Building the tiny inputs is not timed.
+
+Import time follows the speed of a shared machine as op times do (it swung
+by 25% between groups of probes, by 7% once scaled), so the sample is
+scaled like them, by the reference kernel timed right after it.  Prints
+``{"setup_s": <scaled>, "raw_setup_s": ..., ...}``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
+
+KERNEL_SAMPLES = 7
 
 
 def main(workload):
@@ -44,7 +51,11 @@ def main(workload):
         call()
     warm = time.perf_counter() - start
 
-    print(json.dumps({"setup_s": imported + warm, "import_s": imported, "warmup_s": warm}))
+    import reference
+    kernel = statistics.median(reference.time_kernel() for _ in range(KERNEL_SAMPLES))
+    raw = imported + warm
+    print(json.dumps({"setup_s": raw * reference.NOMINAL_S / kernel, "raw_setup_s": raw,
+                      "import_s": imported, "warmup_s": warm, "kernel_s": kernel}))
 
 if __name__ == "__main__":
     main(sys.argv[1])

@@ -7,19 +7,21 @@ this fixed kernel, which uses NumPy and SciPy but nothing of the program
 under test, and reported times are scaled to a machine on which the kernel
 takes ``NOMINAL_S``:
 
-    scaled = measured * NOMINAL_S / mean(kernel time just before, just after)
+    scaled = measured * NOMINAL_S / median(kernel times nearest the op)
 
 Raw times are kept in the full result file.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 NOMINAL_S = 0.004
+HALF_WINDOW = 3
 _RNG = np.random.default_rng(12345)
 _MATRIX = _RNG.standard_normal((50, 50)) + 10.0 * np.eye(50)
 _VECTOR = _RNG.standard_normal(50)
@@ -44,13 +46,21 @@ def time_kernel():
 
 
 def scale_factors(kernel_times):
-    """Factor ``NOMINAL_S / kernel time`` for op ``i``, taking the mean of
-    the kernel timed just before it (``i``) and just after it (``i + 1``).
+    """Factor ``NOMINAL_S / kernel time`` for op ``i``, the kernel time being
+    the median of the ``2 * HALF_WINDOW`` runs nearest the op: those timed
+    just before ops ``i - HALF_WINDOW + 1 .. i`` and just after ops
+    ``i .. i + HALF_WINDOW - 1`` (``kernel_times`` holds one run before each
+    op and one after the last).
 
-    A shared machine switches between fast and slow phases within a second, so
-    the kernel next to an op tracks its speed better than any run-wide
+    A shared machine switches between fast and slow phases within a second,
+    so the kernel next to an op tracks its speed better than any run-wide
     average: on nightly_rebalance this cut the within-run interquartile
-    range of op latency from about 45% to about 14%.
+    range of op latency from about 45% to about 14%.  A single 4 ms kernel
+    run is itself sometimes hit by a pause; the median of a few nearby runs
+    ignores that (over ten runs per workload, it cut the widest
+    run-to-run spread, of p90 on nightly_rebalance, from 16% to 11%).
     """
-    return [2.0 * NOMINAL_S / (before + after)
-            for before, after in zip(kernel_times, kernel_times[1:])]
+    n = len(kernel_times) - 1
+    return [NOMINAL_S / statistics.median(
+                kernel_times[max(0, i - HALF_WINDOW + 1):min(n, i + HALF_WINDOW) + 1])
+            for i in range(n)]

@@ -22,7 +22,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9
 DEADLINE_S = 170.0       # the whole run, probes included, ends before this
 
 
@@ -116,12 +116,12 @@ def main(argv=None):
     for name, row in sorted(result.get("by_op", {}).items()):
         iters = f", median iterations {row['median_iterations']}" \
             if "median_iterations" in row else ""
-        print(f"#   op {name}: {row['count']} ops, raw median {row['median_ms']:.3f} ms{iters}")
+        print(f"#   op {name}: {row['count']} ops ({row['failed']} failed), "
+              f"raw median {row['median_ms']:.3f} ms{iters}")
     for problem in result["problems"]:
         print(f"#   failed: {problem}")
     print(f"#   attempted {result['attempted']}, failed {result['failed']}, "
-          f"failure_ratio {result['failed'] / result['attempted']:.4f}, "
-          f"correct {result['correct']}")
+          f"of which wrong {result['wrong']}, correct {result['correct']}")
     for name in wanted:
         m = result["metrics"][name]
         print(f"{name} = {m['value']:.6g} {m['unit']}")

@@ -61,8 +61,7 @@ def summarise(results, spec):
             q1, med, q3 = quartiles(values)
             spread = (q3 - q1) / med
             verdict = "ok" if spread <= bound / 3 else ("within bound" if spread <= bound else "TOO WIDE")
-            if name != "setup_s" and spread > bound:
-                ok = False
+            ok = ok and spread <= bound
             print(f"  {name:16s} median {med:12.6g}  q1 {q1:12.6g}  q3 {q3:12.6g}  "
                   f"spread {spread:6.2%}  bound {bound:.0%}  {verdict}")
     return ok

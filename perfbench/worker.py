@@ -20,11 +20,12 @@ import time
 
 import numpy as np
 
+import checks
 import reference
 from tracer import Tracer, layer_metrics
 from workloads import WORKLOADS
 
-MIN_OPS = 100            # so that p90 has at least 10 samples beyond it
+MIN_OPS = 100            # answered ops, so that p90 has at least 10 samples beyond it
 WALL_LIMIT_S = 140.0     # stop starting new cycles after this much wall time
 
 
@@ -37,9 +38,10 @@ class Loop:
         self.cycles = {}
         self.latencies = []
         self.kernel_times = []   # reference kernel, timed before each op and after the last
-        self.kinds = {}          # op kind -> {"ms": [...], "iterations": [...]}
+        self.kinds = {}          # op kind -> {"ms": [...], "iterations": [...], "failed": n}
         self.failed = 0
-        self.wrong = 0           # ops whose output failed a correctness check
+        self.credits = []        # per op: 1 passed, 0 failed outright, a path op its share passed
+        self.wrong = 0           # failed ops whose failure was not a reported non-convergence
         self.problems = []
 
     def cycle(self, i):
@@ -64,23 +66,41 @@ class Loop:
             if tracer is not None:
                 tracer.enabled = False
             self.latencies.append(elapsed)
-            entry = self.kinds.setdefault(op.kind, {"ms": [], "iterations": []})
+            entry = self.kinds.setdefault(op.kind, {"ms": [], "iterations": [], "failed": 0})
             entry["ms"].append(1e3 * elapsed)
             if error is not None:
-                problems = [f"raised {type(error).__name__}: {error}"]
+                problems, credit = [checks.raised(error)], 0.0
             else:
                 problems = op.check(out)
+                credit = 0.0 if checks.wrong_answer(problems) else \
+                    max(0.0, 1.0 - len(problems) / op.units)
                 if op.iterations is not None:
                     entry["iterations"].append(op.iterations(out))
+            self.credits.append(credit)
             if problems:
                 self.failed += 1
-                self.wrong += error is None and not _honest_failure(problems)
+                entry["failed"] += 1
+                self.wrong += checks.wrong_answer(problems)
                 if len(self.problems) < 20:
-                    self.problems.append(f"cycle {i} {op.kind}: {'; '.join(problems)}")
+                    self.problems.append(f"cycle {i} {op.kind}: {'; '.join(problems)[:300]}")
 
     @property
     def busy(self):
         return sum(self.latencies)
+
+    @property
+    def passed(self):
+        return sum(self.credits)
+
+    @property
+    def answered(self):
+        """Ops that returned a result that passed, at least in part."""
+        return sum(c > 0 for c in self.credits)
+
+    def busy_scaled(self):
+        if not self.kernel_times:
+            return 0.0
+        return self.busy * reference.NOMINAL_S / statistics.median(self.kernel_times)
 
     def scaled(self):
         """Op latencies scaled by the reference kernel around each op."""
@@ -88,20 +108,19 @@ class Loop:
         return [t * f for t, f in zip(self.latencies, reference.scale_factors(self.kernel_times))]
 
 
-def _honest_failure(problems):
-    """A reported non-convergence (status or exit code 2) is a failure, but
-    not a wrong answer."""
-    return all(p.startswith(("status ", "exit code 2")) for p in problems)
-
-
 def measure(loop, seconds, min_ops):
-    """Whole cycles until ``seconds`` of op time and ``min_ops`` ops."""
+    """Whole cycles until ``seconds`` of op time, scaled so that the number
+    of cycles does not follow the machine's speed, and ``min_ops`` ops; a
+    run that reaches ``WALL_LIMIT_S`` first is not comparable and fails."""
     began = time.perf_counter()
     i = 0
-    while (loop.busy < seconds or len(loop.latencies) < min_ops) \
+    while (loop.busy_scaled() < seconds or loop.answered < min_ops) \
             and time.perf_counter() - began < WALL_LIMIT_S:
         loop.run_cycle(i)
         i += 1
+    if loop.answered < min_ops:
+        raise SystemExit(f"only {loop.answered} answered ops in {WALL_LIMIT_S:.0f} s, "
+                         f"fewer than {min_ops}: p90 would rest on too few samples")
 
 
 def percentile_ms(values, q):
@@ -111,7 +130,8 @@ def percentile_ms(values, q):
 def by_op(loop):
     table = {}
     for kind, entry in loop.kinds.items():
-        row = {"count": len(entry["ms"]), "median_ms": statistics.median(entry["ms"])}
+        row = {"count": len(entry["ms"]), "failed": entry["failed"],
+               "median_ms": statistics.median(entry["ms"])}
         if entry["iterations"]:
             row["median_iterations"] = statistics.median(entry["iterations"])
         table[kind] = row
@@ -182,26 +202,34 @@ def main(argv=None):
         else:
             loop = Loop(workload)
             measure(loop, args.seconds, MIN_OPS)
-            raw = loop.latencies
             scaled = loop.scaled()
+            # ops_per_s counts only ops that passed their check, over the
+            # time of all ops, so an op that fails faster is no gain.  The
+            # latencies are those of answered ops: an op that failed outright
+            # gave no result to wait for, and failures are counted, with a
+            # bound, by success_ratio.
+            answered = [c > 0 for c in loop.credits]
+            raw = [t for t, a in zip(loop.latencies, answered) if a]
+            scaled_answered = [t for t, a in zip(scaled, answered) if a]
             metrics = {
-                "ops_per_s": (len(scaled) / sum(scaled), "1/s"),
-                "latency_p50_ms": (percentile_ms(scaled, 50), "ms"),
-                "latency_p90_ms": (percentile_ms(scaled, 90), "ms"),
+                "ops_per_s": (loop.passed / sum(scaled), "1/s"),
+                "success_ratio": (loop.passed / len(scaled), "ratio"),
+                "latency_p50_ms": (percentile_ms(scaled_answered, 50), "ms"),
+                "latency_p90_ms": (percentile_ms(scaled_answered, 90), "ms"),
                 "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
             }
             loops = (loop,)
             result["by_op"] = by_op(loop)
-            result["raw"] = {"ops_per_s": len(raw) / loop.busy,
+            result["raw"] = {"ops_per_s": loop.passed / loop.busy,
                              "latency_p50_ms": percentile_ms(raw, 50),
                              "latency_p90_ms": percentile_ms(raw, 90),
                              "kernel_median_ms": 1e3 * statistics.median(loop.kernel_times),
                              "kernel_nominal_ms": 1e3 * reference.NOMINAL_S,
                              "busy_s": loop.busy,
-                             "latencies_s": raw, "kernel_times_s": loop.kernel_times}
+                             "latencies_s": loop.latencies, "credits": loop.credits,
+                             "kernel_times_s": loop.kernel_times}
         attempted = sum(len(lp.latencies) for lp in loops)
         failed = sum(lp.failed for lp in loops)
-        metrics["ops.failure_ratio"] = (failed / attempted, "ratio")
         result.update({
             "attempted": attempted, "failed": failed,
             "wrong": sum(lp.wrong for lp in loops),
