@@ -57,8 +57,9 @@ def scale_factors(kernel_times):
     average: on nightly_rebalance this cut the within-run interquartile
     range of op latency from about 45% to about 14%.  A single 4 ms kernel
     run is itself sometimes hit by a pause; the median of a few nearby runs
-    ignores that (over ten runs per workload, it cut the widest
-    run-to-run spread, of p90 on nightly_rebalance, from 16% to 11%).
+    ignores that.  On one set of ten runs per workload it cut the widest
+    run-to-run spread, of p90 on nightly_rebalance, from 16% to 11%; on a
+    second, noisier set it made no clear difference.
     """
     n = len(kernel_times) - 1
     return [NOMINAL_S / statistics.median(
