@@ -23,10 +23,10 @@ import numpy as np
 import checks
 import reference
 from tracer import Tracer, layer_metrics
-from workloads import WORKLOADS
+from workloads import WORKLOADS, cycles_for
 
 MIN_OPS = 100            # answered ops, so that p90 has at least 10 samples beyond it
-WALL_LIMIT_S = 140.0     # stop starting new cycles after this much wall time
+WALL_LIMIT_S = 140.0     # a run still short of its cycles after this much wall time fails
 
 
 class Loop:
@@ -97,30 +97,25 @@ class Loop:
         """Ops that returned a result that passed, at least in part."""
         return sum(c > 0 for c in self.credits)
 
-    def busy_scaled(self):
-        if not self.kernel_times:
-            return 0.0
-        return self.busy * reference.NOMINAL_S / statistics.median(self.kernel_times)
-
     def scaled(self):
         """Op latencies scaled by the reference kernel around each op."""
         self.kernel_times.append(reference.time_kernel())  # the one after the last op
         return [t * f for t, f in zip(self.latencies, reference.scale_factors(self.kernel_times))]
 
 
-def measure(loop, seconds, min_ops):
-    """Whole cycles until ``seconds`` of op time, scaled so that the number
-    of cycles does not follow the machine's speed, and ``min_ops`` ops; a
-    run that reaches ``WALL_LIMIT_S`` first is not comparable and fails."""
+def measure(loop, cycles, min_ops):
+    """A fixed number of whole cycles, so that the ops of a run do not
+    follow the machine's speed.  A run that reaches ``WALL_LIMIT_S`` before
+    the last cycle, or answers fewer than ``min_ops`` ops, is not comparable
+    and fails."""
     began = time.perf_counter()
-    i = 0
-    while (loop.busy_scaled() < seconds or loop.answered < min_ops) \
-            and time.perf_counter() - began < WALL_LIMIT_S:
+    for i in range(cycles):
+        if time.perf_counter() - began >= WALL_LIMIT_S:
+            raise SystemExit(f"only {i} of {cycles} cycles in {WALL_LIMIT_S:.0f} s")
         loop.run_cycle(i)
-        i += 1
     if loop.answered < min_ops:
-        raise SystemExit(f"only {loop.answered} answered ops in {WALL_LIMIT_S:.0f} s, "
-                         f"fewer than {min_ops}: p90 would rest on too few samples")
+        raise SystemExit(f"only {loop.answered} answered ops, fewer than {min_ops}: "
+                         f"p90 would rest on too few samples")
 
 
 def percentile_ms(values, q):
@@ -201,7 +196,7 @@ def main(argv=None):
             result["spans"] = len(tracer.spans)
         else:
             loop = Loop(workload)
-            measure(loop, args.seconds, MIN_OPS)
+            measure(loop, cycles_for(workload, args.seconds), MIN_OPS)
             scaled = loop.scaled()
             # ops_per_s counts only ops that passed their check, over the
             # time of all ops, so an op that fails faster is no gain.  The
