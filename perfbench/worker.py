@@ -103,15 +103,21 @@ class Loop:
         return [t * f for t, f in zip(self.latencies, reference.scale_factors(self.kernel_times))]
 
 
-def measure(loop, cycles, min_ops):
-    """A fixed number of whole cycles, so that the ops of a run do not
-    follow the machine's speed.  A run that reaches ``WALL_LIMIT_S`` before
-    the last cycle, or answers fewer than ``min_ops`` ops, is not comparable
-    and fails."""
+def cycle_order(seed, cycles):
+    """The first ``cycles`` cycles of the workload's book, in an order drawn
+    from the seed."""
+    return [int(i) for i in np.random.default_rng(seed).permutation(cycles)]
+
+
+def measure(loop, order, min_ops):
+    """A fixed list of whole cycles, so that the ops of a run do not follow
+    the machine's speed.  A run that reaches ``WALL_LIMIT_S`` before the
+    last cycle, or answers fewer than ``min_ops`` ops, is not comparable and
+    fails."""
     began = time.perf_counter()
-    for i in range(cycles):
+    for done, i in enumerate(order):
         if time.perf_counter() - began >= WALL_LIMIT_S:
-            raise SystemExit(f"only {i} of {cycles} cycles in {WALL_LIMIT_S:.0f} s")
+            raise SystemExit(f"only {done} of {len(order)} cycles in {WALL_LIMIT_S:.0f} s")
         loop.run_cycle(i)
     if loop.answered < min_ops:
         raise SystemExit(f"only {loop.answered} answered ops, fewer than {min_ops}: "
@@ -167,13 +173,13 @@ def main(argv=None):
 
     os.makedirs(args.workdir, exist_ok=True)
     try:
-        workload = WORKLOADS[args.workload](roboalloc, args.seed, args.workdir)
+        workload = WORKLOADS[args.workload](roboalloc, args.workdir)
         result = {"workload": args.workload, "seed": args.seed, "trace": args.trace}
         if args.trace:
             # untraced reference pass, then the same cycles again with wrappers
             untraced = Loop(workload)
-            cycles = workload.trace_cycles
-            for i in range(cycles):
+            order = cycle_order(args.seed, workload.trace_cycles)
+            for i in order:
                 untraced.run_cycle(i)
             untraced_rate = len(untraced.latencies) / sum(untraced.scaled())
             tracer = Tracer()
@@ -181,7 +187,7 @@ def main(argv=None):
             traced = Loop(workload, tracer)
             traced.cycles = untraced.cycles
             try:
-                for i in range(cycles):
+                for i in order:
                     traced.run_cycle(i)
             finally:
                 tracer.uninstall()
@@ -196,7 +202,7 @@ def main(argv=None):
             result["spans"] = len(tracer.spans)
         else:
             loop = Loop(workload)
-            measure(loop, cycles_for(workload, args.seconds), MIN_OPS)
+            measure(loop, cycle_order(args.seed, cycles_for(workload, args.seconds)), MIN_OPS)
             scaled = loop.scaled()
             # ops_per_s counts only ops that passed their check, over the
             # time of all ops, so an op that fails faster is no gain.  The

@@ -1,16 +1,17 @@
 """The three benchmark workloads.
 
-A workload is a sequence of cycles; a cycle is a fixed list of ops.  Cycle
-``i`` draws its inputs from its own stream ``(seed, workload, i)``, so the
-inputs of a cycle never depend on how many cycles ran before it.  Building a
-cycle (input generation) and checking an op's output happen outside the
-timed region; only ``Op.run`` is timed.
+A workload is a book of cycles; a cycle is a fixed list of ops.  Cycle
+``i`` draws its inputs from its own stream ``(workload, i)``, so the inputs
+of a cycle never depend on which cycles ran before it.  Building a cycle
+(input generation) and checking an op's output happen outside the timed
+region; only ``Op.run`` is timed.
 
-A run is a fixed number of cycles, ``cycles_for(seconds)``: at least
-``run_cycles``, enough for 100 answered ops, and more if ``seconds`` of op
-time at the nominal speed (``cycle_seconds`` per cycle, scaled times) asks
-for more.  So the ops of a run, and which of them fail, depend on the seed
-and the arguments only, never on the machine's speed.
+A run is the first ``cycles_for(seconds)`` cycles of the book, in an order
+drawn from --seed: at least ``run_cycles``, enough for 100 answered ops,
+and more if ``seconds`` of op time at the nominal speed (``cycle_seconds``
+per cycle, scaled times) asks for more.  So every run of the same code does
+the same ops and fails the same ones, whatever the seed and the machine's
+speed, and the spread between runs is that of the machine, not of the draw.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ import gen
 # model seeds, and the advisor_cli house document from model seed 0.  ADMM
 # cost is set mostly by the model and is heavy-tailed across models
 # (NOTES.md, "Known findings"): seeds 0-23 include two models whose accounts
-# stop at max_iter, about the share seen over a larger sample.  The nightly
-# accounts are a fixed book and --seed sets only the order they run in, so
-# every run fails the same accounts; on the other workloads --seed draws the
-# problems and data.
+# stop at max_iter, about the share seen over a larger sample.
 HOUSE_MODEL_SEED = 0
 NIGHTLY_MODELS = 24
 
@@ -98,9 +96,8 @@ def cycles_for(workload, seconds):
 
 class NightlyRebalance:
     """Model portfolios (n=50) from NIGHTLY_MODELS fixed model seeds; a
-    cycle is one cold ADMM ``rebalance`` for one account of each model, in
-    an order drawn from --seed.  Account ``i`` of a model is the same in
-    every run: its drift is drawn from ``(i, model)``, not from --seed."""
+    cycle is one cold ADMM ``rebalance`` for one new account of each model,
+    in model order."""
 
     name = "nightly_rebalance"
     n = 50
@@ -109,18 +106,16 @@ class NightlyRebalance:
     cycle_seconds = 4.2      # scaled op time of one cycle on the baseline
     trace_cycles = 2
 
-    def __init__(self, ra, seed, workdir):
+    def __init__(self, ra, workdir):
         self.ra = ra
-        self.seed = seed
         self.models = [gen.model_portfolio(ra, np.random.default_rng([m, self.n]),
                                            self.n, self.upper)
                        for m in range(NIGHTLY_MODELS)]
         self.constraints = _constraints(ra, self.n, self.upper)
 
     def cycle(self, i):
-        order = np.random.default_rng([self.seed, 1, i]).permutation(len(self.models))
-        return [self._account(np.random.default_rng([1, i, m]), *self.models[m])
-                for m in order]
+        return [self._account(np.random.default_rng([1, i, m]), *model)
+                for m, model in enumerate(self.models)]
 
     def _account(self, rng, sigma, mu, strategic):
         ra = self.ra
@@ -148,12 +143,11 @@ class TargetCalibration:
     cycle_seconds = 2.5
     trace_cycles = 3
 
-    def __init__(self, ra, seed, workdir):
+    def __init__(self, ra, workdir):
         self.ra = ra
-        self.seed = seed
 
     def cycle(self, i):
-        rng = np.random.default_rng([self.seed, 2, i])
+        rng = np.random.default_rng([2, i])
         return [self._calibrate(rng, 40, "volatility"),
                 self._te_rebalance(rng, 40),
                 self._calibrate(rng, 20, "return"),
@@ -247,10 +241,9 @@ class AdvisorCli:
     cycle_seconds = 2.3
     trace_cycles = 3
 
-    def __init__(self, ra, seed, workdir):
+    def __init__(self, ra, workdir):
         import roboalloc.cli  # noqa: F401  (binds ra.cli)
         self.ra = ra
-        self.seed = seed
         self.workdir = workdir
         self.assets = [f"A{j + 1}" for j in range(self.n)]
         model_rng = np.random.default_rng([HOUSE_MODEL_SEED, self.n])
@@ -293,7 +286,7 @@ class AdvisorCli:
         return Op(kind, run, checked, units=units)
 
     def cycle(self, i):
-        rng = np.random.default_rng([self.seed, 3, i])
+        rng = np.random.default_rng([3, i])
         d = os.path.join(self.workdir, f"c{i}")
         os.makedirs(d, exist_ok=True)
         f = lambda name: os.path.join(d, name)  # noqa: E731
