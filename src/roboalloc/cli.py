@@ -144,8 +144,11 @@ def _resolve_anchor(spec, doc: dict):
 
 
 def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
+    items = doc.get("penalties", [])
+    if not isinstance(items, list):
+        raise InputError("penalties must be a JSON list")
     out = []
-    for i, item in enumerate(doc.get("penalties", [])):
+    for i, item in enumerate(items):
         _check_keys(item, ("kind", "p", "rho", "gamma", "anchor"), ("kind", "rho"),
                     where=f"penalties[{i}]")
         out.append(PenaltySpec(

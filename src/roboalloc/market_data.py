@@ -110,6 +110,15 @@ class WeightScheme:
         raise InputError(f"unknown weight scheme kind {kind!r}")
 
 
+def _date_order(dates: list) -> list:
+    """Keys that order date labels: numbers when every label is an integer
+    (so ``9 < 10``), otherwise the labels themselves (ISO dates sort as text)."""
+    try:
+        return [int(str(d)) for d in dates]
+    except ValueError:
+        return list(dates)
+
+
 @dataclass
 class ReturnPanel:
     """T x n matrix of per-period decimal returns with labels and dates."""
@@ -135,7 +144,8 @@ class ReturnPanel:
             raise DimensionMismatch("dates do not match panel length")
         if not np.isfinite(self.returns).all():
             raise InputError("panel contains non-finite returns")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
+        order = _date_order(self.dates)
+        if any(a >= b for a, b in zip(order, order[1:])):
             raise InputError("dates must be strictly increasing")
 
     @property

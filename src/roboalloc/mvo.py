@@ -105,11 +105,13 @@ def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_gamma_problem(inputs: MvoInputs, gamma: float,
-                        constraints: ConstraintSet | None = None) -> SolveReport:
+                        constraints: ConstraintSet | None = None, *,
+                        x0: np.ndarray | None = None) -> SolveReport:
     """Minimize ``0.5 x'Sx - gamma x'(mu - r 1)`` over the constraint set.
 
     Without constraints the closed form ``gamma S^-1 (mu - r 1)`` is used;
-    otherwise the QP solver carries the constraints and returns multipliers.
+    otherwise the QP solver carries the constraints and returns multipliers,
+    starting from ``x0`` when it is a feasible point (a warm start).
     """
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
@@ -121,7 +123,7 @@ def solve_gamma_problem(inputs: MvoInputs, gamma: float,
     eq, ineq, lower, upper = constraints.qp_pieces(inputs.n)
     problem = QpProblem(Q=inputs.sigma, c=-gamma * inputs.excess,
                         eq=eq, ineq=ineq, lower=lower, upper=upper)
-    report = solve_qp(problem)
+    report = solve_qp(problem, x0=x0)
     report.gamma = float(gamma)
     return report
 
@@ -141,7 +143,8 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     Closed forms cover the unconstrained case; otherwise the target is
     bracketed by doubling and bisected, which is justified because the
     attained return and volatility are nondecreasing in the trade-off.
-    Returns ``(gamma, report)``; the bisection samples are recorded in
+    Each sample starts the QP from the previous sample's weights.  Returns
+    ``(gamma, report)``; the bisection samples are recorded in
     ``report.meta['calibration']``.
     """
     if (target_return is None) == (target_vol is None):
@@ -161,9 +164,12 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         return gamma, report
 
     history = []
+    last = None
 
     def metric(gam: float):
-        rep = solve_gamma_problem(inputs, gam, constraints)
+        nonlocal last
+        rep = solve_gamma_problem(inputs, gam, constraints, x0=last)
+        last = rep.weights
         value = _portfolio_stats(rep.weights, inputs)[metric_idx]
         history.append((gam, value))
         return value, rep

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import prox
-from .admm import AdmmParams, _constraint_sets, _solve_stacked
+from .admm import AdmmParams, AdmmState, _constraint_sets, _solve_stacked
 from .errors import TargetUnreachable
 from .mvo import ConstraintSet
 from .qp import QpProblem, solve_qp
@@ -124,7 +124,9 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
 
     Both L1 blocks are split off through one stacked coupling so a single
     ADMM run handles them; with no L1 terms the problem is a plain QP and
-    is solved directly.
+    is solved directly.  ``warm`` starts the solve from a nearby problem's
+    answer: its ``meta['state']`` on the ADMM route, or its weights on the
+    QP route.  A warm start meant for the other route is ignored.
     """
     gamma = config.gamma if gamma is None else gamma
     if gamma is None:
@@ -152,7 +154,8 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     if not blocks and not config.extra_sets:
         eq_qp, ineq, lower, upper = config.constraints.qp_pieces(n)
         report = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq_qp, ineq=ineq,
-                                    lower=lower, upper=upper))
+                                    lower=lower, upper=upper),
+                          x0=warm if isinstance(warm, np.ndarray) else None)
         report.gamma = float(gamma)
         report.objective = _full_objective(config, mu, sigma, gamma, report.weights)
         return report
@@ -161,6 +164,7 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         blocks.append((np.eye(n), np.zeros(n),
                        lambda v, _phi: prox.project_intersection(v, sets)))
 
+    warm = warm if isinstance(warm, AdmmState) else None
     report = _solve_stacked(
         p_mat, q_vec, eq, blocks, config.admm, warm=warm,
         x_init=config.current if warm is None else None,
@@ -179,14 +183,18 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float,
     """Trade-off parameter whose solution attains the tracking-error target.
 
     The tracking error is nondecreasing in the trade-off, so the target is
-    bracketed by doubling and bisected.
+    bracketed by doubling and bisected.  On the QP route each sample starts
+    from the previous sample's weights.
     """
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
     base = replace(config, te_target=None)
+    last = None
 
     def te_of(gamma):
-        rep = rebalance(base, mu, sigma, gamma=gamma)
+        nonlocal last
+        rep = rebalance(base, mu, sigma, gamma=gamma, warm=last)
+        last = rep.weights
         return tracking_error(rep.weights, config.strategic, sigma)
 
     te0 = te_of(0.0)

@@ -1,15 +1,26 @@
 """Dense convex quadratic programming with exact multipliers.
 
 Solves ``min 0.5 x'Qx + c'x`` subject to ``A x = b``, ``G x >= h`` and
-bounds, with a primal active-set method.  All iterates stay feasible: steps
-are taken in the nullspace of the working constraints, which also keeps
-degenerate (PSD but singular) Hessians and linearly dependent rows safe.
-A phase-1 run constructs the starting point.  Multipliers follow the
-stationarity convention
+bounds, with a primal active-set method.  The working set is the variables
+fixed at a bound plus the general rows (the equalities and the active
+inequalities).  Active bounds only fix variables, so each step solves the
+KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F with a Cholesky
+factor of ``Q_FF`` and of the Schur complement of the few general rows,
+factored afresh at each iteration (Nocedal & Wright, *Numerical
+Optimization*, 16.5).  When ``Q_FF`` is not positive definite or ``C_F``
+loses rank (the zero blocks of ``augment_l1``, zero-curvature directions
+that end in ``Unbounded``, dependent rows) the step falls back to the
+nullspace of ``C_F`` and an eigendecomposition of the reduced Hessian,
+which handles singular Hessians and flags them in
+``meta['degenerate_hessian']``.  All iterates stay feasible; phase 1
+minimizes elastic slacks on the general rows from a point inside the
+bounds.  Multipliers follow the stationarity convention
 
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
 
-with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative.
+with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
+``lam_ineq`` by least squares over the free block, the bound multipliers
+read off the reduced gradient at the fixed variables.
 """
 
 from __future__ import annotations
@@ -17,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import Infeasible, MaxIterations, NegativeGammaEntries, Unbounded
 from .report import CONVERGED, SolveReport
 
 _FEAS_TOL = 1e-9
+_LOWER, _FREE, _UPPER = -1, 0, 1  # per-variable bound state
 
 
 @dataclass
@@ -71,37 +84,6 @@ class QpProblem:
         return self.c.size
 
 
-def _gather_rows(problem: QpProblem):
-    """Stack general inequalities and finite bounds into rows (g, h, tag, idx)."""
-    n = problem.n
-    rows_g, rows_h, tags = [], [], []
-    if problem.ineq is not None:
-        g, h = problem.ineq
-        for i in range(h.size):
-            rows_g.append(g[i])
-            rows_h.append(h[i])
-            tags.append(("ineq", i))
-    if problem.lower is not None:
-        for j in range(n):
-            if np.isfinite(problem.lower[j]):
-                e = np.zeros(n)
-                e[j] = 1.0
-                rows_g.append(e)
-                rows_h.append(problem.lower[j])
-                tags.append(("lower", j))
-    if problem.upper is not None:
-        for j in range(n):
-            if np.isfinite(problem.upper[j]):
-                e = np.zeros(n)
-                e[j] = -1.0
-                rows_g.append(e)
-                rows_h.append(-problem.upper[j])
-                tags.append(("upper", j))
-    if rows_g:
-        return np.array(rows_g), np.array(rows_h), tags
-    return np.zeros((0, n)), np.zeros(0), tags
-
-
 def _nullspace(a, n):
     """Orthonormal basis of the nullspace of ``a`` (identity if no rows)."""
     if a.shape[0] == 0:
@@ -114,9 +96,10 @@ def _nullspace(a, n):
 def _reduced_step(q, grad, basis):
     """Minimizing step within the working-set manifold.
 
-    Returns ``(p, flat)`` where ``flat`` flags a direction of descent with
-    (numerically) zero curvature, i.e. the subproblem is unbounded until a
-    blocking constraint clamps it.
+    Returns ``(p, flat, degenerate)`` where ``flat`` flags a direction of
+    descent with (numerically) zero curvature, i.e. the subproblem is
+    unbounded until a blocking constraint clamps it, and ``degenerate`` a
+    singular reduced Hessian.
     """
     if basis.shape[1] == 0:
         return np.zeros(q.shape[0]), False, False
@@ -137,107 +120,176 @@ def _reduced_step(q, grad, basis):
     return basis @ y, False, degenerate
 
 
-def _refine_multipliers(q, c, x, a_eq, g_act):
-    """Least-squares multipliers from stationarity at the final point."""
-    n = q.shape[0]
-    me, ma = a_eq.shape[0], g_act.shape[0]
-    if me + ma == 0:
-        return np.zeros(0), np.zeros(0)
-    m = np.hstack([a_eq.T, -g_act.T]) if ma else a_eq.T
-    if me == 0:
-        m = -g_act.T
-    sol, *_ = np.linalg.lstsq(m, -(q @ x + c), rcond=None)
-    return sol[:me], sol[me:]
+def _cholesky(a):
+    """Lower Cholesky factor of ``a``, or ``None`` if ``a`` is not
+    (numerically) positive definite."""
+    factor, info = dpotrf(a, lower=1)
+    if info != 0:
+        return None
+    pivots = np.diag(factor) ** 2
+    return factor if pivots.min() > 1e-12 * max(pivots.max(), 1.0) else None
 
 
-def _active_set(q, c, a_eq, b_eq, g, h, x0, max_iter, tol=_FEAS_TOL):
+def _free_step(q_ff, g_f, c_f):
+    """Step of the equality-constrained subproblem on the free block.
+
+    Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; 0]`` with a Cholesky factor
+    of ``Q_FF`` and the Schur complement ``C_F Q_FF^-1 C_F'``.  When
+    ``Q_FF`` is not positive definite or ``C_F`` loses rank, the nullspace
+    step takes over.  Returns ``(p_F, residual, flat, degenerate)``:
+    ``residual`` is the largest entry of the projected gradient, zero when
+    the current point already solves the subproblem, and ``flat`` and
+    ``degenerate`` are as in ``_reduced_step``.
+    """
+    if g_f.size == 0:
+        return g_f, 0.0, False, False
+    l_ff = _cholesky(q_ff)
+    r = g_f  # stationarity residual g_F + C_F'y
+    if l_ff is not None and c_f.shape[0]:
+        w = dpotrs(l_ff, c_f.T, lower=1)[0]
+        l_s = _cholesky(c_f @ w)
+        r = None if l_s is None else g_f + c_f.T @ dpotrs(l_s, -(w.T @ g_f), lower=1)[0]
+    if l_ff is not None and r is not None:
+        return -dpotrs(l_ff, r, lower=1)[0], np.abs(r).max(), False, False
+    basis = _nullspace(c_f, g_f.size)
+    p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
+    return p, np.abs(basis.T @ g_f).max(initial=0.0), flat, degenerate
+
+
+def _multipliers(grad, a_eq, g_act, free):
+    """Working-set multipliers at the current point.
+
+    ``nu`` and ``lam`` (for the active general inequalities) are least-squares
+    solutions of stationarity over the free variables.  The returned reduced
+    gradient ``grad + A'nu - G_act'lam`` is zero on the free variables and
+    equals ``lam_lo`` at a variable fixed at its lower bound and ``-lam_up``
+    at one fixed at its upper bound.
+    """
+    rows = np.vstack([a_eq, -g_act])
+    if rows.shape[0] and free.any():
+        sol = np.linalg.lstsq(rows[:, free].T, -grad[free], rcond=None)[0]
+    else:
+        sol = np.zeros(rows.shape[0])
+    me = a_eq.shape[0]
+    return sol[:me], sol[me:], grad + rows.T @ sol
+
+
+def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL):
     """Primal active-set loop from a feasible ``x0``.
 
-    Steps are computed in the nullspace of the working rows, so iterates
-    stay on the working-set manifold even when rows are linearly dependent
-    or the reduced Hessian is singular.  After a run of degenerate steps
-    the pivoting switches to Bland's rule to break cycles.
+    The working set is the per-variable bound state ``at`` (``_LOWER``,
+    ``_FREE`` or ``_UPPER``) plus the list ``act`` of active general
+    inequalities; the equalities are always in it.  Constraints are ranked
+    inequalities first, then lower and upper bounds by variable; the ratio
+    test breaks ties by that rank, and after a run of degenerate steps the
+    multiplier test switches to Bland's rule on it to break cycles.
+    Returns ``(x, at, act, iterations, degenerate)``.
     """
-    n = c.size
+    n, m = c.size, h.size
     x = x0.copy()
-    n_rows = h.size
-    work = [i for i in range(n_rows) if abs(g[i] @ x - h[i]) <= tol]
+    at = np.where(np.abs(x - lo) <= tol, _LOWER,
+                  np.where(np.abs(up - x) <= tol, _UPPER, _FREE))
+    act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= tol)]
+    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+    ratios = np.empty(m + 2 * n)   # indexed by rank
     degenerate_run = 0
     bland = False
     saw_degenerate = False
     for it in range(1, max_iter + 1):
-        g_act = g[work] if work else np.zeros((0, n))
-        stacked = np.vstack([a_eq, g_act]) if work or a_eq.shape[0] else np.zeros((0, n))
+        free = at == _FREE
+        idx = np.flatnonzero(free)
+        g_act = g[act]
         grad = q @ x + c
-        basis = _nullspace(stacked, n)
-        p, flat, degenerate = _reduced_step(q, grad, basis)
+        p = np.zeros(n)
+        p[idx], residual, flat, degenerate = _free_step(
+            q.take(idx, 0).take(idx, 1), grad[idx],
+            np.vstack([a_eq, g_act]).take(idx, 1))
         saw_degenerate |= degenerate
-        if not flat and np.linalg.norm(p, np.inf) <= 1e-11 * (1.0 + np.linalg.norm(x, np.inf)):
-            nu, lam = _refine_multipliers(q, c, x, a_eq, g_act)
-            if lam.size == 0 or lam.min() >= -1e-9:
-                return x, work, it, saw_degenerate
-            if bland:  # lowest constraint index among the violators
-                candidates = [k for k, v in enumerate(lam) if v < -1e-9]
-                drop = min(candidates, key=lambda k: work[k])
+        if not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
+                         or residual <= 1e-13 * np.abs(grad).max()):
+            _, lam, reduced = _multipliers(grad, a_eq, g_act, free)
+            fixed = np.flatnonzero(~free)
+            mult = np.concatenate([lam, np.where(at[fixed] == _LOWER,
+                                                 reduced[fixed], -reduced[fixed])])
+            neg = np.flatnonzero(mult < -1e-9)
+            if neg.size == 0:
+                return x, at, act, it, saw_degenerate
+            if bland:  # lowest-ranked constraint among the violators
+                rank = np.concatenate([act, m + fixed + n * (at[fixed] == _UPPER)])
+                drop = neg[np.argmin(rank[neg])]
             else:
-                drop = int(np.argmin(lam))
-            work.pop(drop)
+                drop = int(np.argmin(mult))
+            if drop < len(act):
+                act.pop(drop)
+            else:
+                at[fixed[drop - len(act)]] = _FREE
             continue
-        # line search toward the nearest blocking constraint
+        # ratio test over the inactive rows and the free variables' bounds
+        ratios.fill(np.inf)
+        gp = g @ p
+        rows = gp < -1e-13
+        rows[act] = False
+        np.divide(h - g @ x, gp, out=ratios[:m], where=rows)
+        np.divide(lo - x, p, out=ratios[m:m + n], where=free & has_lo & (p < -1e-13))
+        np.divide(up - x, p, out=ratios[m + n:], where=free & has_up & (p > 1e-13))
+        np.maximum(ratios, 0.0, out=ratios)
         alpha = np.inf if flat else 1.0
         blocking = -1
-        for i in range(n_rows):
-            if i in work:
-                continue
-            gp = g[i] @ p
-            if gp < -1e-13:
-                a_i = max((h[i] - g[i] @ x) / gp, 0.0)
-                if a_i < alpha - 1e-15:
-                    alpha = a_i
-                    blocking = i
-                elif blocking >= 0 and a_i <= alpha + 1e-15 and bland and i < blocking:
-                    blocking = i
+        if ratios.size and ratios.min() < alpha - 1e-15:
+            alpha = ratios.min()
+            blocking = int(np.argmax(ratios <= alpha + 1e-15))  # lowest rank among ties
         if flat and blocking < 0:
             if grad @ p < -1e-12:
                 raise Unbounded("zero-curvature descent with no blocking constraint")
             alpha = 0.0  # numerically flat but not a real descent: stay put
-        if not np.isfinite(alpha):
-            alpha = 0.0
         x = x + alpha * p
-        if blocking >= 0 and (flat or alpha < 1.0 - 1e-15):
-            work.append(blocking)
+        if blocking >= 0:
+            if blocking < m:
+                act.append(blocking)
+            elif blocking < m + n:
+                j = blocking - m
+                at[j], x[j] = _LOWER, lo[j]
+            else:
+                j = blocking - m - n
+                at[j], x[j] = _UPPER, up[j]
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
         if degenerate_run > n + 2:
             bland = True
     raise MaxIterations(f"active set did not terminate in {max_iter} iterations")
 
 
-def _phase1(n, a_eq, b_eq, g, h, max_iter):
-    """Feasible point via slack minimization (near-zero quadratic term)."""
+def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
+    """Feasible point by minimizing elastic slacks on the violated rows.
+
+    The start is the least-squares solution of the equalities clipped into
+    the bounds.  Each general row it violates gets one nonnegative slack
+    that absorbs the violation, so the bounds hold throughout and the
+    problem is feasible exactly when the slacks can reach zero.
+    """
+    n = lo.size
     if a_eq.shape[0]:
         x0, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
         if np.linalg.norm(a_eq @ x0 - b_eq, np.inf) > 1e-7 * max(1.0, np.abs(b_eq).max()):
             raise Infeasible("equality constraints are inconsistent")
     else:
         x0 = np.zeros(n)
-    m = h.size
-    if m == 0:
+    x0 = np.clip(x0, lo, up)
+    r_eq, r_in = b_eq - a_eq @ x0, h - g @ x0
+    bad_eq = np.flatnonzero(np.abs(r_eq) > _FEAS_TOL)
+    bad_in = np.flatnonzero(r_in > _FEAS_TOL)
+    k = bad_eq.size + bad_in.size
+    if k == 0:
         return x0
-    viol = h - g @ x0
-    if viol.max() <= _FEAS_TOL:
-        return x0
-    # variables (x, s): min 1's + eps/2 ||.||^2  s.t.  Gx + s >= h, s >= 0, Ax = b
-    s0 = np.maximum(viol, 0.0)
-    qq = 1e-8 * np.eye(n + m)
-    cc = np.concatenate([np.zeros(n), np.ones(m)])
-    aeq = np.hstack([a_eq, np.zeros((a_eq.shape[0], m))]) if a_eq.shape[0] else np.zeros((0, n + m))
-    rows = np.vstack([
-        np.hstack([g, np.eye(m)]),
-        np.hstack([np.zeros((m, n)), np.eye(m)]),
-    ])
-    rhs = np.concatenate([h, np.zeros(m)])
-    y0 = np.concatenate([x0, s0 + 1e-12])
-    y, *_ = _active_set(qq, cc, aeq, b_eq, rows, rhs, y0, max_iter)
+    # variables (x, s): min 1's + eps/2 ||.||^2  s.t.  Ax + Ds = b, Gx + Es >= h, s >= 0
+    d = np.zeros((a_eq.shape[0], k))
+    d[bad_eq, np.arange(bad_eq.size)] = np.sign(r_eq[bad_eq])
+    e = np.zeros((h.size, k))
+    e[bad_in, bad_eq.size + np.arange(bad_in.size)] = 1.0
+    y0 = np.concatenate([x0, np.abs(r_eq[bad_eq]), r_in[bad_in]])
+    y, *_ = _active_set(1e-8 * np.eye(n + k), np.concatenate([np.zeros(n), np.ones(k)]),
+                        np.hstack([a_eq, d]), np.hstack([g, e]), h,
+                        np.concatenate([lo, np.zeros(k)]),
+                        np.concatenate([up, np.full(k, np.inf)]), y0, max_iter)
     if y[n:].sum() > 1e-7:
         raise Infeasible(f"no feasible point, residual {y[n:].sum():.3e}")
     return y[:n]
@@ -247,42 +299,39 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None,
              max_iter: int | None = None) -> SolveReport:
     """Minimize ``0.5 x'Qx + c'x`` over the problem's constraint set.
 
-    Returns a report whose ``duals`` dict carries multipliers for every
-    declared constraint block, with inactive entries at zero.
+    ``x0`` is an optional starting point (a warm start); it is used only if
+    it is feasible, otherwise phase 1 constructs one.  Returns a report
+    whose ``duals`` dict carries multipliers for every declared constraint
+    block, with inactive entries at zero.
     """
     n = problem.n
     q, c = problem.Q, problem.c
-    if problem.eq is not None:
-        a_eq, b_eq = problem.eq
-    else:
-        a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    g, h, tags = _gather_rows(problem)
-    if max_iter is None:
-        max_iter = 100 * (n + h.size) + 200
+    a_eq, b_eq = problem.eq if problem.eq is not None else (np.zeros((0, n)), np.zeros(0))
+    g, h = problem.ineq if problem.ineq is not None else (np.zeros((0, n)), np.zeros(0))
+    lo = problem.lower if problem.lower is not None else np.full(n, -np.inf)
+    up = problem.upper if problem.upper is not None else np.full(n, np.inf)
+    if max_iter is None:  # every finite bound counts as a row
+        max_iter = 100 * (n + h.size + int(np.isfinite(lo).sum())
+                          + int(np.isfinite(up).sum())) + 200
 
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
-        ok = (a_eq.shape[0] == 0 or np.abs(a_eq @ x0 - b_eq).max() <= _FEAS_TOL) and (
-            h.size == 0 or (g @ x0 - h).min() >= -_FEAS_TOL)
-        if not ok:
+        if x0.size != n or max(np.abs(a_eq @ x0 - b_eq).max(initial=0.0),
+                               (h - g @ x0).max(initial=0.0), (lo - x0).max(initial=0.0),
+                               (x0 - up).max(initial=0.0)) > _FEAS_TOL:
             x0 = None
     if x0 is None:
-        x0 = _phase1(n, a_eq, b_eq, g, h, max_iter)
+        x0 = _phase1(a_eq, b_eq, g, h, lo, up, max_iter)
 
-    x, work, iters, degenerate = _active_set(q, c, a_eq, b_eq, g, h, x0, max_iter)
-    g_act = g[work] if work else np.zeros((0, n))
-    nu, lam_act = _refine_multipliers(q, c, x, a_eq, g_act)
-    lam_act = np.clip(lam_act, 0.0, None)
-
+    x, at, act, iters, degenerate = _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter)
+    nu, lam_act, reduced = _multipliers(q @ x + c, a_eq, g[act], at == _FREE)
     duals = {
         "eq": nu,
-        "ineq": np.zeros(problem.ineq[1].size if problem.ineq is not None else 0),
-        "lower": np.zeros(n),
-        "upper": np.zeros(n),
+        "ineq": np.zeros(h.size),
+        "lower": np.where(at == _LOWER, np.clip(reduced, 0.0, None), 0.0),
+        "upper": np.where(at == _UPPER, np.clip(-reduced, 0.0, None), 0.0),
     }
-    for k, row_idx in enumerate(work):
-        tag, j = tags[row_idx]
-        duals[tag][j] = lam_act[k]
+    duals["ineq"][act] = np.clip(lam_act, 0.0, None)
 
     objective = 0.5 * x @ q @ x + c @ x
     report = SolveReport(weights=x, objective=float(objective), status=CONVERGED,

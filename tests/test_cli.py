@@ -128,6 +128,31 @@ class TestOptimize:
                      "--out", str(tmp_path / "rep.json")])
         assert code == 1
 
+    def test_budget_above_box_capacity_is_input_error(self, four_asset_moments,
+                                                      tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments),
+            "gamma": 0.1,
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 0.2},
+        }))
+        code = main(["optimize", "--problem", str(problem),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "Infeasible" in capsys.readouterr().err
+
+    def test_penalties_not_a_list_is_input_error(self, four_asset_moments, tmp_path,
+                                                 capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "gamma": 0.1, "penalties": 5,
+        }))
+        code = main(["optimize", "--problem", str(problem),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "penalties must be a JSON list" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_unknown_key_rejected(self, four_asset_moments, tmp_path):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({

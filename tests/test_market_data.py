@@ -182,6 +182,24 @@ class TestMomentIO:
         assert panel.assets == ["x", "y"]
         assert panel.returns.shape == (2, 2)
 
+    def test_csv_integer_dates_order_as_numbers(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("date,x,y\n" + "".join(f"{t},0.01,{0.001 * t}\n" for t in range(1, 11)))
+        panel = read_panel_csv(p)
+        assert panel.dates == [str(t) for t in range(1, 11)]
+        assert panel.returns.shape == (10, 2)
+
+    def test_csv_integer_dates_out_of_order_rejected(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("date,x\n1,0.01\n10,0.02\n9,0.03\n")
+        with pytest.raises(errors.InputError, match="strictly increasing"):
+            read_panel_csv(p)
+
+    def test_csv_iso_dates_keep_text_order(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("date,x\n2020-09,0.01\n2020-10,0.02\n2020-11,0.03\n")
+        assert read_panel_csv(p).dates == ["2020-09", "2020-10", "2020-11"]
+
     def test_csv_malformed_row(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("date,x,y\n2020-01,0.01\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roboalloc import errors
+from roboalloc import errors, mvo
 from roboalloc.mvo import (
     ConstraintSet,
     MvoInputs,
@@ -15,6 +15,7 @@ from roboalloc.mvo import (
     stevens_decomposition,
     te_transform,
 )
+from roboalloc.qp import solve_qp
 from tests.conftest import cov_from, random_spd
 
 BUDGET = ConstraintSet(budget=1.0)
@@ -94,6 +95,26 @@ class TestCalibrateGamma:
         vols = [v for _, v in history]
         assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
         assert len(gammas) > 3
+
+    def test_samples_start_from_previous_weights(self, nine_asset, monkeypatch):
+        mu, _, _, sigma = nine_asset
+        inp = MvoInputs(mu=mu, sigma=sigma)
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.25)
+        starts, answers = [], []
+
+        def recording(problem, x0=None, **kwargs):
+            starts.append(x0)
+            answers.append(solve_qp(problem, x0=x0, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(mvo, "solve_qp", recording)
+        gamma, rep = calibrate_gamma(inp, cons, target_vol=0.07)
+        assert len(starts) == len(rep.meta["calibration"]) > 3
+        assert starts[0] is None
+        assert all(s is a.weights for s, a in zip(starts[1:], answers))
+        monkeypatch.undo()
+        cold = solve_gamma_problem(inp, gamma, cons)
+        assert np.allclose(rep.weights, cold.weights, atol=1e-10, rtol=0.0)
 
     def test_unreachable_volatility(self, four_asset):
         mu, _, _, sigma = four_asset

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roboalloc import pipeline
 from roboalloc.admm import AdmmParams
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import (
@@ -125,6 +126,38 @@ class TestTeTargeting:
             rep = rebalance(cfg, mu, sigma, gamma=gamma)
             assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
                 target, abs=1e-6)
+
+
+    def test_qp_route_samples_start_from_previous_weights(self, ten_asset,
+                                                          monkeypatch):
+        _, _, sigma = ten_asset
+        scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
+        _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
+        cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
+                         rho2_turnover=0.01)
+        starts, answers = [], []
+
+        def recording(problem, x0=None, **kwargs):
+            starts.append(x0)
+            answers.append(solve_qp(problem, x0=x0, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(pipeline, "solve_qp", recording)
+        gamma = te_target_to_gamma(cfg, mu, sigma, 0.01)
+        assert len(starts) > 3 and starts[0] is None
+        assert all(s is a.weights for s, a in zip(starts[1:], answers))
+        monkeypatch.undo()
+        rep = rebalance(cfg, mu, sigma, gamma=gamma)
+        assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(0.01, abs=1e-6)
+
+    def test_weights_as_warm_start_leave_admm_route_cold(self, four_asset_alt):
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error",
+                         gamma=0.1, rho1_strategic=1e-3)
+        cold = rebalance(cfg, mu, sigma)
+        rep = rebalance(cfg, mu, sigma, warm=np.full(4, 0.25))
+        assert np.array_equal(rep.weights, cold.weights)
+        assert rep.iterations == cold.iterations
 
 
 class TestRegularizationPath:

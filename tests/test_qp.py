@@ -3,29 +3,52 @@ import itertools
 import numpy as np
 import pytest
 
-from roboalloc import errors
+from roboalloc import errors, qp
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
 from tests.conftest import random_spd
 
 
-def enumerate_active_sets(q, c, a_eq, b_eq, g, h):
-    """Brute-force optimum: try every subset of inequalities as equalities."""
+def enumerate_active_sets(q, c, a_eq, b_eq, g, h, lower=None, upper=None):
+    """Brute-force optimum: try every subset of inequalities as equalities.
+
+    Finite bounds enter as rows ``x_j >= lower_j`` and ``-x_j >= -upper_j``;
+    subsets holding both bounds of one variable are skipped.
+    """
     n = c.size
+    g = np.zeros((0, n)) if g is None else g
+    h = np.zeros(0) if h is None else h
+    rows, rhs, var = list(g), list(h), [-1] * h.size
+    for sign, bound in ((1.0, lower), (-1.0, upper)):
+        if bound is None:
+            continue
+        for j in np.flatnonzero(np.isfinite(bound)):
+            e = np.zeros(n)
+            e[j] = sign
+            rows.append(e)
+            rhs.append(sign * bound[j])
+            var.append(j)
+    g_all = np.array(rows).reshape(-1, n)
+    h_all = np.array(rhs)
     best = None
-    m = h.size
+    m = h_all.size
     for k in range(m + 1):
         for combo in itertools.combinations(range(m), k):
+            fixed = [var[i] for i in combo if var[i] >= 0]
+            if len(fixed) != len(set(fixed)):
+                continue
             rows = [a_eq] if a_eq is not None else []
             rhs = [b_eq] if a_eq is not None else []
             if combo:
-                rows.append(g[list(combo)])
-                rhs.append(h[list(combo)])
+                rows.append(g_all[list(combo)])
+                rhs.append(h_all[list(combo)])
             if rows:
                 a = np.vstack(rows)
                 b = np.concatenate(rhs)
             else:
                 a = np.zeros((0, n))
                 b = np.zeros(0)
+            if a.shape[0] > n:  # more rows than unknowns: the KKT matrix is singular
+                continue
             kkt = np.zeros((n + a.shape[0], n + a.shape[0]))
             kkt[:n, :n] = q
             kkt[:n, n:] = a.T
@@ -35,12 +58,49 @@ def enumerate_active_sets(q, c, a_eq, b_eq, g, h):
             except np.linalg.LinAlgError:
                 continue
             x = sol[:n]
-            if m and (g @ x - h).min() < -1e-9:
+            if np.abs(a @ x - b).max(initial=0.0) > 1e-9:
+                continue
+            if m and (g_all @ x - h_all).min() < -1e-9:
                 continue
             val = 0.5 * x @ q @ x + c @ x
             if best is None or val < best[0] - 1e-12:
                 best = (val, x)
     return best
+
+
+def assert_kkt(problem, rep, tol=1e-8):
+    """Stationarity, complementarity and dual signs of a report's multipliers."""
+    x, duals = rep.weights, rep.duals
+    n = problem.n
+    lower = problem.lower if problem.lower is not None else np.full(n, -np.inf)
+    upper = problem.upper if problem.upper is not None else np.full(n, np.inf)
+    stat = problem.Q @ x + problem.c - duals["lower"] + duals["upper"]
+    scale = max(1.0, np.abs(problem.c).max())
+    if problem.eq is not None:
+        a, b = problem.eq
+        stat = stat + a.T @ duals["eq"]
+        assert np.abs(a @ x - b).max() <= 1e-9
+    if problem.ineq is not None:
+        g, h = problem.ineq
+        stat = stat - g.T @ duals["ineq"]
+        assert (g @ x - h).min() >= -1e-9
+        assert np.abs(duals["ineq"] * (g @ x - h)).max(initial=0.0) <= tol * scale
+        assert duals["ineq"].min(initial=0.0) >= 0.0
+    assert np.abs(stat).max() <= tol * scale
+    assert (x - lower).min() >= -1e-9 and (upper - x).min() >= -1e-9
+    for key, slack in (("lower", x - lower), ("upper", upper - x)):
+        assert duals[key].min() >= 0.0
+        active = duals[key] > 0
+        assert np.abs(duals[key][active] * slack[active]).max(initial=0.0) <= tol * scale
+
+
+def budget_box_problem(rng, n, gamma, upper=0.15, factors=5):
+    """Factor-model covariance, budget 1 and a long-only box."""
+    b = rng.normal(size=(n, factors)) * 0.15
+    sigma = b @ b.T + np.diag(rng.uniform(0.01, 0.04, n))
+    mu = 0.02 + sigma @ rng.uniform(0.5, 1.5, n) / n + rng.normal(0, 0.01, n)
+    return QpProblem(Q=sigma, c=-gamma * mu, eq=(np.ones((1, n)), [1.0]),
+                     lower=0.0, upper=upper)
 
 
 class TestSolveQp:
@@ -114,6 +174,56 @@ class TestSolveQp:
             assert rep.objective - dual <= 1e-7
             assert rep.objective - dual >= -1e-9
 
+    def test_bounds_and_rows_match_exhaustive_enumeration(self):
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            n = int(rng.integers(2, 6))
+            q = random_spd(rng, n)
+            c = rng.normal(size=n)
+            x_feas = rng.dirichlet(np.ones(n))
+            lower = x_feas - rng.uniform(0.0, 0.3, n)
+            upper = x_feas + rng.uniform(0.0, 0.3, n)
+            m = int(rng.integers(0, 3))
+            g = rng.normal(size=(m, n))
+            h = g @ x_feas - rng.random(m)
+            a_eq, b_eq = np.ones((1, n)), np.array([1.0])
+            problem = QpProblem(Q=q, c=c, eq=(a_eq, b_eq), ineq=(g, h) if m else None,
+                                lower=lower, upper=upper)
+            rep = solve_qp(problem)
+            oracle = enumerate_active_sets(q, c, a_eq, b_eq, g, h, lower, upper)
+            assert oracle is not None
+            assert rep.objective == pytest.approx(oracle[0], abs=1e-8)
+            assert np.allclose(rep.weights, oracle[1], atol=1e-6)
+            assert_kkt(problem, rep)
+
+    def test_warm_start_from_neighbouring_gamma(self):
+        rng = np.random.default_rng(3)
+        neighbour = solve_qp(budget_box_problem(np.random.default_rng(3), 40, 0.30))
+        problem = budget_box_problem(rng, 40, 0.33)
+        cold = solve_qp(problem)
+        warm = solve_qp(problem, x0=neighbour.weights)
+        assert np.allclose(warm.weights, cold.weights, atol=1e-10, rtol=0.0)
+        assert warm.iterations < cold.iterations
+        assert_kkt(problem, warm)
+
+    def test_infeasible_warm_start_is_ignored(self):
+        problem = budget_box_problem(np.random.default_rng(4), 10, 0.5)
+        cold = solve_qp(problem)
+        rep = solve_qp(problem, x0=np.full(10, 0.5))
+        assert np.allclose(rep.weights, cold.weights, atol=1e-12, rtol=0.0)
+
+    def test_n200_budget_box_multipliers(self):
+        problem = budget_box_problem(np.random.default_rng(11), 200, 0.8)
+        rep = solve_qp(problem)
+        assert_kkt(problem, rep)
+        assert (rep.duals["upper"] > 0).sum() >= 1
+        assert (rep.duals["lower"] > 0).sum() >= 100
+
+    def test_budget_above_box_capacity_is_infeasible(self):
+        with pytest.raises(errors.Infeasible):
+            solve_qp(QpProblem(Q=np.eye(4), c=np.zeros(4),
+                               eq=(np.ones((1, 4)), [1.0]), lower=0.0, upper=0.2))
+
     def test_infeasible(self):
         with pytest.raises(errors.Infeasible):
             solve_qp(QpProblem(Q=np.eye(2), c=np.zeros(2),
@@ -155,6 +265,27 @@ class TestAugmentL1:
         assert np.abs(dm * dp).max() <= 1e-8
         assert np.allclose(dm, np.maximum(0.0, x0 - x), atol=1e-8)
         assert np.allclose(dp, np.maximum(0.0, x - x0), atol=1e-8)
+
+    def test_zero_curvature_block_takes_the_nullspace_step(self, four_asset_alt,
+                                                         monkeypatch):
+        mu, _, _, sigma = four_asset_alt
+        x0 = np.array([0.4, 0.3, 0.2, 0.1])
+        base = QpProblem(Q=sigma, c=-0.25 * mu, eq=(np.ones((1, 4)), [1.0]))
+        aug = augment_l1(base, np.eye(4), 5e-4, x0)
+        calls = []
+        reduced_step = qp._reduced_step
+
+        def counted(*args):
+            calls.append(1)
+            return reduced_step(*args)
+
+        monkeypatch.setattr(qp, "_reduced_step", counted)
+        # both halves of the split strictly positive: Q_FF has zero blocks
+        rep = solve_qp(aug, x0=np.concatenate([x0, np.full(4, 0.1), np.full(4, 0.1)]))
+        assert calls
+        assert rep.meta["degenerate_hessian"] is True
+        assert np.allclose(rep.weights, solve_qp(aug).weights, atol=1e-9)
+        assert_kkt(aug, rep)
 
     def test_negative_entries_rejected(self):
         base = QpProblem(Q=np.eye(2), c=np.zeros(2))
