@@ -53,7 +53,6 @@ from .pipeline import (
 from .prox import (
     AffineSet,
     Box,
-    CardinalitySet,
     Halfspace,
     Hyperplane,
     Intersection,

@@ -12,6 +12,7 @@ from . import prox
 from .errors import NoConvergence
 from .mvo import ConstraintSet
 from .qp import QpProblem, solve_qp
+from .regularizers import penalty_matrix
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
 _DIVERGE_LIMIT = 1e12
@@ -111,49 +112,6 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
 # --- structured layer --------------------------------------------------------
 
 
-def _constraint_sets(constraints: ConstraintSet | None, extra_sets=()):
-    """Split a constraint set into x-step equalities and z-step projections."""
-    sets = list(extra_sets)
-    eq = None
-    if constraints is not None:
-        eq_rows = []
-        eq_rhs = []
-        if constraints.budget is not None:
-            eq_rows.append(None)  # filled once n is known
-            eq_rhs.append(float(constraints.budget))
-        if constraints.eq is not None:
-            a, b = constraints.eq
-            eq_rows.append(np.atleast_2d(np.asarray(a, float)))
-            eq_rhs.append(np.asarray(b, float).ravel())
-        eq = (eq_rows, eq_rhs) if eq_rows else None
-        lo, up = constraints.lower, constraints.upper
-        if lo is not None or up is not None:
-            sets.append(prox.Box(-np.inf if lo is None else lo,
-                                 np.inf if up is None else up))
-        if constraints.ineq is not None:
-            a, b = constraints.ineq
-            a = np.atleast_2d(np.asarray(a, float))
-            b = np.asarray(b, float).ravel()
-            for i in range(b.size):
-                sets.append(prox.Halfspace(-a[i], -b[i]))  # a_i'x >= b_i
-    return eq, sets
-
-
-def _assemble_eq(eq, n):
-    if eq is None:
-        return np.zeros((0, n)), np.zeros(0)
-    rows, rhs = eq
-    mats, vals = [], []
-    for row, val in zip(rows, rhs):
-        if row is None:  # budget row
-            mats.append(np.ones((1, n)))
-            vals.append(np.atleast_1d(val))
-        else:
-            mats.append(row)
-            vals.append(np.atleast_1d(val))
-    return np.vstack(mats), np.concatenate(vals)
-
-
 class _StackedProblem:
     """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` with
     equality constraints in the x-step and prox/projection blocks in z."""
@@ -211,14 +169,40 @@ class _StackedProblem:
         return np.concatenate([g @ x_init - d for g, d in zip(self.gammas, self.offsets)])
 
 
-def _solve_stacked(p_mat, q_vec, eq, blocks, params, x_init=None, warm=None,
-                   objective=None) -> SolveReport:
+def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
+                    extra_sets=(), params: AdmmParams | None = None, warm=None,
+                    x_init=None, objective=None) -> SolveReport:
+    """Minimize ``0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` over the
+    constraint set intersected with ``extra_sets``.
+
+    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term, where
+    ``step_i(v, phi)`` is the prox of ``g_i / phi``.  With no block and no
+    extra set the problem is a QP, solved exactly by ``solve_qp`` and
+    warm-started from the weights ``warm``.  Otherwise ADMM runs on the
+    blocks in their order with the constraint projection as the last
+    block, starting from the ``AdmmState`` ``warm`` or else from
+    ``x_init``.  A warm start of the other kind is ignored.  ``objective``
+    evaluates the reported objective at the answer.
+    """
     n = q_vec.size
-    a_eq, b_eq = _assemble_eq(eq, n)
+    constraints = ConstraintSet() if constraints is None else constraints
+    if not blocks and not extra_sets:
+        eq, ineq, lower, upper = constraints.qp_pieces(n)
+        report = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq,
+                                    lower=lower, upper=upper),
+                          x0=warm if isinstance(warm, np.ndarray) else None)
+        if objective is not None:
+            report.objective = float(objective(report.weights))
+        return report
+
+    a_eq, b_eq, sets = constraints.admm_pieces(n)
+    sets = [*extra_sets, *sets]
+    blocks = list(blocks)
+    if sets:
+        blocks.append((np.eye(n), np.zeros(n),
+                       lambda v, _phi: prox.project_intersection(v, sets)))
     prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
-    if warm is not None and warm.z.size != prob.c_stack.size:
-        warm = None
-    if warm is not None:
+    if isinstance(warm, AdmmState) and warm.z.size == prob.c_stack.size:
         z0, u0 = warm.z, warm.u
     elif x_init is not None:
         z0, u0 = prob.z_init(np.asarray(x_init, float)), None
@@ -231,19 +215,26 @@ def _solve_stacked(p_mat, q_vec, eq, blocks, params, x_init=None, warm=None,
     return report
 
 
-def _as_matrix(gamma, n):
-    if gamma is None:
-        return np.eye(n)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim == 1:
-        return np.diag(gamma)
-    return gamma
-
-
-def _gram_terms(a1, b1):
+def _least_squares_parts(a1, b1, penalty_l2, default_anchor=None):
+    """P, q and objective of ``0.5 ||a1 x - b1||^2 + rho/2 ||G (x - x0)||^2``
+    for an L2 penalty spec or ``None``; ``x0`` is the penalty's anchor, else
+    ``default_anchor``, else zero."""
     a1 = np.atleast_2d(np.asarray(a1, dtype=float))
     b1 = np.asarray(b1, dtype=float).ravel()
-    return a1, b1, a1.T @ a1, a1.T @ b1
+    n = a1.shape[1]
+    rho2 = 0.0 if penalty_l2 is None else float(penalty_l2.rho)
+    g2 = penalty_matrix(None if penalty_l2 is None else penalty_l2.gamma_matrix, n)
+    anchor = None if penalty_l2 is None else penalty_l2.anchor
+    anchor = default_anchor if anchor is None else anchor
+    x0 = np.zeros(n) if anchor is None else np.asarray(anchor, dtype=float).ravel()
+    p_mat = a1.T @ a1 + rho2 * g2.T @ g2
+    q_vec = a1.T @ b1 + rho2 * (g2.T @ (g2 @ x0))
+
+    def objective(x):
+        res = a1 @ x - b1
+        return 0.5 * res @ res + 0.5 * rho2 * np.sum((g2 @ (x - x0)) ** 2)
+
+    return p_mat, q_vec, objective
 
 
 def solve_tikhonov_constrained(a1, b1, penalty, constraints: ConstraintSet | None = None,
@@ -253,30 +244,12 @@ def solve_tikhonov_constrained(a1, b1, penalty, constraints: ConstraintSet | Non
     sets, with equalities folded into the x-step.
 
     ``penalty`` is an L2 penalty spec (rho, matrix, anchor); the z-step is a
-    projection onto the intersection of the remaining sets.
+    projection onto the intersection of the remaining sets.  Without extra
+    sets the problem is a QP and is solved exactly.
     """
-    params = params or AdmmParams()
-    a1, b1, gram, atb = _gram_terms(a1, b1)
-    n = a1.shape[1]
-    g2 = _as_matrix(getattr(penalty, "gamma_matrix", None), n)
-    rho2 = float(getattr(penalty, "rho", 0.0))
-    x0 = np.zeros(n) if getattr(penalty, "anchor", None) is None \
-        else np.asarray(penalty.anchor, float)
-    p_mat = gram + rho2 * g2.T @ g2
-    q_vec = atb + rho2 * (g2.T @ (g2 @ x0))
-    eq, sets = _constraint_sets(constraints, extra_sets)
-
-    def project_step(v, _phi):
-        return prox.project_intersection(v, sets) if sets else v
-
-    blocks = [(np.eye(n), np.zeros(n), project_step)]
-
-    def objective(x):
-        res = a1 @ x - b1
-        return 0.5 * res @ res + 0.5 * rho2 * np.sum((g2 @ (x - x0)) ** 2)
-
-    return _solve_stacked(p_mat, q_vec, eq, blocks, params, x_init=x_init,
-                          warm=warm, objective=objective)
+    p_mat, q_vec, objective = _least_squares_parts(a1, b1, penalty)
+    return solve_penalized(p_mat, q_vec, [], constraints, extra_sets, params,
+                           warm=warm, x_init=x_init, objective=objective)
 
 
 def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
@@ -289,50 +262,33 @@ def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
     The penalty matrices may carry negative entries, which is what rules out
     the augmented-QP route.
     """
-    params = params or AdmmParams()
-    a1, b1, gram, atb = _gram_terms(a1, b1)
-    n = a1.shape[1]
-    rho2 = float(getattr(penalty_l2, "rho", 0.0)) if penalty_l2 is not None else 0.0
-    g2 = _as_matrix(getattr(penalty_l2, "gamma_matrix", None) if penalty_l2 is not None else None, n)
-    anchor2 = None if penalty_l2 is None else getattr(penalty_l2, "anchor", None)
+    p_mat, q_vec, smooth = _least_squares_parts(a1, b1, penalty_l2, x0)
+    n = q_vec.size
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-    x0_2 = x0 if anchor2 is None else np.asarray(anchor2, float)
     rho_p = float(penalty_lp.rho)
-    p_ord = float(getattr(penalty_lp, "p", 1.0) or 1.0)
-    gp = _as_matrix(getattr(penalty_lp, "gamma_matrix", None), n)
-    anchor_p = getattr(penalty_lp, "anchor", None)
-    x0_p = x0 if anchor_p is None else np.asarray(anchor_p, float)
-
-    p_mat = gram + rho2 * g2.T @ g2
-    q_vec = atb + rho2 * (g2.T @ (g2 @ x0_2))
-    eq, sets = _constraint_sets(constraints, extra_sets)
+    p_ord = float(penalty_lp.p or 1.0)
+    gp = penalty_matrix(penalty_lp.gamma_matrix, n)
+    x0_p = x0 if penalty_lp.anchor is None else np.asarray(penalty_lp.anchor, float)
 
     def lp_step(v, phi):
         return prox.prox_lp(v, rho_p / phi, p_ord)
 
-    blocks = [(gp, gp @ x0_p, lp_step)]
-    if sets:
-        blocks.append((np.eye(n), np.zeros(n),
-                       lambda v, _phi: prox.project_intersection(v, sets)))
-
     def objective(x):
-        res = a1 @ x - b1
-        val = 0.5 * res @ res + 0.5 * rho2 * np.sum((g2 @ (x - x0_2)) ** 2)
         bets = gp @ (x - x0_p)
-        return val + rho_p / p_ord * np.sum(np.abs(bets) ** p_ord)
+        return smooth(x) + rho_p / p_ord * np.sum(np.abs(bets) ** p_ord)
 
-    return _solve_stacked(p_mat, q_vec, eq, blocks, params, x_init=x_init,
-                          warm=warm, objective=objective)
+    return solve_penalized(p_mat, q_vec, [(gp, gp @ x0_p, lp_step)], constraints,
+                           extra_sets, params, warm=warm, x_init=x_init,
+                           objective=objective)
 
 
-def _feasible_points(n, eq, sets, relax, x0, rng):
+def _feasible_points(n, constraints: ConstraintSet, extra_sets, relax, x0, rng):
     """Candidate starts: anchor, equal weights, convex relaxation, random."""
     starts = []
-    regions = list(sets)
-    if eq is not None:
-        a_eq, b_eq = _assemble_eq(eq, n)
-        if a_eq.shape[0]:
-            regions = [prox.AffineSet(a_eq, b_eq)] + regions
+    a_eq, b_eq, sets = constraints.admm_pieces(n)
+    regions = [*extra_sets, *sets]
+    if a_eq.shape[0]:
+        regions = [prox.AffineSet(a_eq, b_eq)] + regions
 
     def feasibilize(v):
         if not regions:
@@ -363,76 +319,48 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     objective.  Per-restart diagnostics land in ``meta['restarts']``.
     """
     params = params or AdmmParams()
-    a1, b1, gram, atb = _gram_terms(a1, b1)
-    n = a1.shape[1]
-    rho2 = float(getattr(penalty_l2, "rho", 0.0)) if penalty_l2 is not None else 0.0
-    g2 = _as_matrix(getattr(penalty_l2, "gamma_matrix", None) if penalty_l2 is not None else None, n)
-    g1 = _as_matrix(gamma1, n)
+    p_mat, q_vec, objective = _least_squares_parts(a1, b1, penalty_l2, x0)
+    n = q_vec.size
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
+    g1 = penalty_matrix(gamma1, n)
     if not 1 <= n1 <= g1.shape[0]:
         raise ValueError(f"n1 must be in [1, {g1.shape[0]}]")
-    p_mat = gram + rho2 * g2.T @ g2
-    q_vec = atb + rho2 * (g2.T @ (g2 @ x0))
-    eq, sets = _constraint_sets(constraints, extra_sets)
+    constraints = ConstraintSet() if constraints is None else constraints
     rng = np.random.default_rng(params.seed)
 
-    def objective(x):
-        res = a1 @ x - b1
-        return 0.5 * res @ res + 0.5 * rho2 * np.sum((g2 @ (x - x0)) ** 2)
+    def exact(pinned=()):
+        """Exact convex solve with the bets ``pinned`` held at zero."""
+        eq, ineq, lower, upper = constraints.qp_pieces(n)
+        if len(pinned):
+            rows, rhs = g1[pinned], g1[pinned] @ x0
+            eq = (rows, rhs) if eq is None else (np.vstack([eq[0], rows]),
+                                                 np.concatenate([eq[1], rhs]))
+        return solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq,
+                                  lower=lower, upper=upper))
 
     # convex relaxation start: drop the cardinality restriction entirely
-    relax = None
     try:
-        eq_rows, eq_rhs = _assemble_eq(eq, n)
-        qp_eq = (eq_rows, eq_rhs) if eq_rows.shape[0] else None
-        lower = constraints.lower if constraints is not None else None
-        upper = constraints.upper if constraints is not None else None
-        ineq = constraints.ineq if constraints is not None else None
-        relax_rep = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=qp_eq, ineq=ineq,
-                                       lower=lower, upper=upper))
-        relax = relax_rep.weights
+        relax = exact().weights
     except Exception:
         relax = None
 
     def sparse_step(v, _phi):
         return prox.project_cardinality(v, n1, z_bounds)
 
-    def polish(support):
-        """Exact solve with off-support bets pinned to zero."""
-        off = [i for i in range(g1.shape[0]) if i not in support]
-        rows = [np.ones((1, n))] if constraints is not None and constraints.budget is not None else []
-        rhs = [np.atleast_1d(float(constraints.budget))] if rows else []
-        if constraints is not None and constraints.eq is not None:
-            rows.append(np.atleast_2d(np.asarray(constraints.eq[0], float)))
-            rhs.append(np.asarray(constraints.eq[1], float).ravel())
-        if off:
-            rows.append(g1[off])
-            rhs.append(g1[off] @ x0)
-        qp_eq2 = (np.vstack(rows), np.concatenate(rhs)) if rows else None
-        rep = solve_qp(QpProblem(
-            Q=p_mat, c=-q_vec, eq=qp_eq2,
-            ineq=constraints.ineq if constraints is not None else None,
-            lower=constraints.lower if constraints is not None else None,
-            upper=constraints.upper if constraints is not None else None))
-        return rep
-
     best = None
     diagnostics = []
-    starts = _feasible_points(n, eq, sets, relax, x0, rng)[:max(params.restarts, 1)]
+    starts = _feasible_points(n, constraints, extra_sets, relax, x0,
+                              rng)[:max(params.restarts, 1)]
+    sub = replace(params, max_iter=min(params.max_iter, 2000))
     for k, start in enumerate(starts):
-        blocks = [(g1, g1 @ x0, sparse_step)]
-        if sets:
-            blocks.append((np.eye(n), np.zeros(n),
-                           lambda v, _phi: prox.project_intersection(v, sets)))
-        sub = replace(params, max_iter=min(params.max_iter, 2000))
-        rep = _solve_stacked(p_mat, q_vec, eq, blocks, sub, x_init=start,
-                             objective=objective)
+        rep = solve_penalized(p_mat, q_vec, [(g1, g1 @ x0, sparse_step)], constraints,
+                              extra_sets, sub, x_init=start, objective=objective)
         bets = g1 @ (rep.weights - x0)
         support = set(np.argsort(-np.abs(bets), kind="stable")[:n1].tolist())
         entry = {"restart": k, "admm_status": rep.status,
                  "iterations": rep.iterations, "support": sorted(support)}
         try:
-            polished = polish(support)
+            polished = exact([i for i in range(g1.shape[0]) if i not in support])
             entry["objective"] = polished.objective
             if best is None or polished.objective < best[0] - 1e-15:
                 best = (polished.objective, polished, sorted(support))

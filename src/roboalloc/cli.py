@@ -10,20 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import calibration, market_data, views as views_mod
-from .admm import AdmmParams, solve_mixed_lp
+from . import calibration, market_data, prox, views as views_mod
+from .admm import AdmmParams, solve_penalized
 from .errors import (
     AllocationError,
     InputError,
     MaxIterations,
     NoConvergence,
-    NumericalDivergence,
 )
 from .mvo import (
     ConstraintSet,
@@ -33,25 +30,13 @@ from .mvo import (
     stevens_decomposition,
 )
 from .pipeline import RoboConfig, rebalance, regularization_path
-from .regularizers import FilterSpec, PenaltySpec, ridge_mvo, spectral_filter
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .regularizers import FilterSpec, PenaltySpec, penalty_matrix, spectral_filter
+from .report import atomic_write
 
 
 def _write_json(path: str, obj, pretty: bool) -> None:
     text = json.dumps(obj, indent=2 if pretty else None, sort_keys=pretty)
-    _atomic_write(path, text + "\n")
+    atomic_write(path, text + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -102,6 +87,40 @@ _PROBLEM_KEYS = (
     "penalties", "filter", "strategic", "current", "objective", "te_target",
     "admm", "assets",
 )
+_PLAIN_KEYS = ("r", "target")
+_REBALANCE_KEYS = ("strategic", "current", "objective", "te_target")
+
+
+def _number(value, where: str, integer: bool = False):
+    """A document number: a finite JSON number (an integer if asked), never
+    null, a string or a boolean."""
+    kinds = int if integer else (int, float)
+    if not isinstance(value, bool) and isinstance(value, kinds):
+        if integer:
+            return value
+        if abs(value) <= sys.float_info.max:  # false for inf, NaN and huge integers
+            return float(value)
+    raise InputError(f"{where} must be {'an integer' if integer else 'a finite number'}")
+
+
+def _array(value, where: str, ndim: int | None = None) -> np.ndarray:
+    """A document array of finite numbers, with ``ndim`` dimensions if given."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"{where} must be a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise InputError(f"{where} must hold finite numbers only")
+    if ndim is not None and arr.ndim != ndim:
+        raise InputError(f"{where} must have {ndim} dimension(s), not {arr.ndim}")
+    return arr.astype(float)
+
+
+def _vector(value, where: str, n: int) -> np.ndarray:
+    arr = _array(value, where, 1)
+    if arr.size != n:
+        raise InputError(f"{where} has {arr.size} entries, expected {n}")
+    return arr
 
 
 def _parse_constraints(obj: dict | None, n: int) -> ConstraintSet:
@@ -109,38 +128,48 @@ def _parse_constraints(obj: dict | None, n: int) -> ConstraintSet:
         return ConstraintSet()
     _check_keys(obj, _CONSTRAINT_KEYS, where="constraints")
 
-    def bound(v):
-        if v is None:
+    def bound(key):
+        if key not in obj:
             return None
-        return np.full(n, float(v)) if np.isscalar(v) else np.asarray(v, float)
+        if isinstance(obj[key], list):
+            return _vector(obj[key], f"constraints.{key}", n)
+        return np.full(n, _number(obj[key], f"constraints.{key}"))
 
-    eq = ineq = None
-    if "eq" in obj:
-        _check_keys(obj["eq"], ("a", "b"), ("a", "b"), where="constraints.eq")
-        eq = (np.asarray(obj["eq"]["a"], float), np.asarray(obj["eq"]["b"], float))
-    if "ineq" in obj:
-        _check_keys(obj["ineq"], ("a", "b"), ("a", "b"), where="constraints.ineq")
-        ineq = (np.asarray(obj["ineq"]["a"], float), np.asarray(obj["ineq"]["b"], float))
-    return ConstraintSet(budget=obj.get("budget"), lower=bound(obj.get("lower")),
-                         upper=bound(obj.get("upper")), eq=eq, ineq=ineq)
+    def rows(key):
+        if key not in obj:
+            return None
+        where = f"constraints.{key}"
+        _check_keys(obj[key], ("a", "b"), ("a", "b"), where=where)
+        a = np.atleast_2d(_array(obj[key]["a"], f"{where}.a"))
+        b = np.atleast_1d(_array(obj[key]["b"], f"{where}.b"))
+        if b.ndim != 1 or a.shape != (b.size, n):
+            raise InputError(f"{where} needs a vector b and a matrix a of {n} columns "
+                             "with one row per entry of b")
+        return a, b
+
+    budget = _number(obj["budget"], "constraints.budget") if "budget" in obj else None
+    return ConstraintSet(budget=budget, lower=bound("lower"), upper=bound("upper"),
+                         eq=rows("eq"), ineq=rows("ineq"))
 
 
-def _resolve_matrix(spec, n: int, sigma: np.ndarray):
-    if spec is None or spec == "identity":
+def _resolve_matrix(spec, n: int, sigma: np.ndarray, where: str):
+    if spec == "identity":
         return None
     if spec == "diag_sigma":
         return np.diag(np.sqrt(np.diag(sigma)))
-    return np.asarray(spec, dtype=float)
+    gamma = np.atleast_2d(_array(spec, where))
+    if gamma.ndim != 2 or gamma.shape[1] != n:
+        raise InputError(f"{where} must be 'identity', 'diag_sigma' or a matrix "
+                         f"of {n} columns")
+    return gamma
 
 
-def _resolve_anchor(spec, doc: dict):
-    if spec is None:
-        return None
-    if spec == "strategic":
-        return np.asarray(doc["strategic"], float)
-    if spec == "current":
-        return np.asarray(doc["current"], float)
-    return np.asarray(spec, dtype=float)
+def _resolve_anchor(spec, doc: dict, n: int, where: str):
+    if spec in ("strategic", "current"):
+        if spec not in doc:
+            raise InputError(f"{where} refers to a missing {spec!r} portfolio")
+        spec = doc[spec]
+    return _vector(spec, where, n)
 
 
 def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
@@ -149,12 +178,21 @@ def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
         raise InputError("penalties must be a JSON list")
     out = []
     for i, item in enumerate(items):
+        where = f"penalties[{i}]"
         _check_keys(item, ("kind", "p", "rho", "gamma", "anchor"), ("kind", "rho"),
-                    where=f"penalties[{i}]")
+                    where=where)
+        kind = item["kind"]
+        if kind not in ("l1", "l2", "lp"):
+            raise InputError(f"{where}.kind must be l1, l2 or lp")
+        if ("p" in item) != (kind == "lp"):
+            raise InputError(f"{where}: p is required for lp penalties and only for them")
         out.append(PenaltySpec(
-            kind=item["kind"], rho=float(item["rho"]), p=item.get("p"),
-            gamma_matrix=_resolve_matrix(item.get("gamma"), n, sigma),
-            anchor=_resolve_anchor(item.get("anchor"), doc)))
+            kind=kind, rho=_number(item["rho"], f"{where}.rho"),
+            p=_number(item["p"], f"{where}.p") if "p" in item else None,
+            gamma_matrix=_resolve_matrix(item["gamma"], n, sigma, f"{where}.gamma")
+            if "gamma" in item else None,
+            anchor=_resolve_anchor(item["anchor"], doc, n, f"{where}.anchor")
+            if "anchor" in item else None))
     return out
 
 
@@ -162,42 +200,51 @@ def _parse_admm(obj: dict | None, tol: float | None = None,
                 seed: int = 0) -> AdmmParams:
     """ADMM parameters from the problem document; the --tol/--seed flags act
     as defaults that explicit document keys override."""
-    obj = obj or {}
+    obj = {} if obj is None else obj
     _check_keys(obj, ("phi0", "mu", "tau", "eps_primal", "eps_dual",
                       "max_iter", "restarts", "seed"), where="admm")
-    tau = float(obj.get("tau", 2.0))
     eps_default = tol if tol is not None else 1e-10
+
+    def get(key, default, integer=False):
+        return _number(obj[key], f"admm.{key}", integer) if key in obj else default
+
+    tau = get("tau", 2.0)
     return AdmmParams(
-        phi0=float(obj.get("phi0", 1.0)), mu=float(obj.get("mu", 1e3)),
-        tau_up=tau, tau_down=tau,
-        eps_primal=float(obj.get("eps_primal", eps_default)),
-        eps_dual=float(obj.get("eps_dual", eps_default)),
-        max_iter=int(obj.get("max_iter", 10000)),
-        restarts=int(obj.get("restarts", 5)), seed=int(obj.get("seed", seed)))
+        phi0=get("phi0", 1.0), mu=get("mu", 1e3), tau_up=tau, tau_down=tau,
+        eps_primal=get("eps_primal", eps_default), eps_dual=get("eps_dual", eps_default),
+        max_iter=get("max_iter", 10000, True), restarts=get("restarts", 5, True),
+        seed=get("seed", seed, True))
 
 
 def _load_problem(path: str):
     doc = _load_json(path)
     _check_keys(doc, _PROBLEM_KEYS, where="problem")
     if "moments_file" in doc:
+        inline = [k for k in ("mu", "sigma", "assets") if k in doc]
+        if inline:
+            raise InputError(f"keys {inline} conflict with moments_file")
+        if not isinstance(doc["moments_file"], str):
+            raise InputError("moments_file must be a file name")
         moments = market_data.load_moments(doc["moments_file"])
         mu, sigma = moments.mu, moments.sigma
         assets = moments.assets
     else:
         if "mu" not in doc or "sigma" not in doc:
             raise InputError("problem needs either moments_file or mu+sigma")
-        mu = np.asarray(doc["mu"], dtype=float)
-        sigma = np.asarray(doc["sigma"], dtype=float)
-        if sigma.ndim == 1:
-            n = mu.size
-            if sigma.size != n * n:
-                raise InputError("row-major sigma has wrong length")
-            sigma = sigma.reshape(n, n)
-        assets = doc.get("assets") or [f"A{i + 1}" for i in range(mu.size)]
+        mu = _array(doc["mu"], "mu", 1)
+        n = mu.size
+        sigma = _array(doc["sigma"], "sigma")
+        if sigma.shape not in ((n * n,), (n, n)):
+            raise InputError(f"sigma must be {n}x{n}, or row-major of length {n * n}")
+        sigma = sigma.reshape(n, n)
+        assets = doc["assets"] if "assets" in doc else [f"A{i + 1}" for i in range(n)]
+        if not (isinstance(assets, list) and len(assets) == n
+                and all(isinstance(a, str) for a in assets)):
+            raise InputError(f"assets must be a list of {n} names")
     if "filter" in doc:
         _check_keys(doc["filter"], ("kind", "rho"), ("kind",), where="filter")
         spec = FilterSpec(kind=doc["filter"]["kind"],
-                          rho=float(doc["filter"].get("rho", 0.0)))
+                          rho=_number(doc["filter"].get("rho", 0.0), "filter.rho"))
         if spec.kind != "none":
             vec, lam = market_data.eigen_decompose(sigma)
             root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
@@ -205,38 +252,67 @@ def _load_problem(path: str):
     return doc, mu, sigma, assets
 
 
+def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray,
+                 tol: float | None, seed: int) -> RoboConfig:
+    """The rebalancing configuration a document describes.  Each penalty
+    fills one of the four (l1 | l2, strategic | current) slots, so an lp
+    penalty, a second penalty on a slot, or an anchor that is neither book
+    is rejected rather than reinterpreted."""
+    n = mu.size
+    for key in ("strategic", "current"):
+        if key not in doc:
+            raise InputError(f"rebalancing problems need {key!r}")
+    unused = [k for k in _PLAIN_KEYS if k in doc]
+    if unused:
+        raise InputError(f"keys {unused} do not apply to rebalancing problems")
+    strategic = _vector(doc["strategic"], "strategic", n)
+    current = _vector(doc["current"], "current", n)
+    penalties = _parse_penalties(doc, n, sigma)
+    slots = {}
+    for i, (item, pen) in enumerate(zip(doc.get("penalties", []), penalties)):
+        where = f"penalties[{i}]"
+        if pen.kind == "lp":
+            raise InputError(f"{where}: rebalancing problems take l1 and l2 penalties only")
+        anchor = item.get("anchor", "strategic")
+        if anchor == "current" or (anchor != "strategic"
+                                   and np.array_equal(pen.anchor, current)):
+            block = "turnover"
+        elif anchor == "strategic" or np.array_equal(pen.anchor, strategic):
+            block = "strategic"
+        else:
+            raise InputError(f"{where}: the anchor must be the strategic or the current book")
+        kind = pen.kind[1]
+        if f"rho{kind}_{block}" in slots:
+            raise InputError(f"{where}: a second {pen.kind} penalty on the {block} anchor")
+        slots[f"rho{kind}_{block}"] = pen.rho
+        slots[f"gamma{kind}_{block}"] = pen.gamma_matrix
+    return RoboConfig(
+        strategic=strategic, current=current,
+        objective=doc.get("objective", "tracking_error"),
+        gamma=_number(doc["gamma"], "gamma") if "gamma" in doc else None,
+        te_target=_number(doc["te_target"], "te_target") if "te_target" in doc else None,
+        constraints=_parse_constraints(doc.get("constraints"), n),
+        admm=_parse_admm(doc.get("admm"), tol=tol, seed=seed), **slots)
+
+
 def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
                    tol: float | None = None, seed: int = 0):
-    n = mu.size
-    constraints = _parse_constraints(doc.get("constraints"), n)
-    admm_params = _parse_admm(doc.get("admm"), tol=tol, seed=seed)
     if "strategic" in doc or "current" in doc:
-        for key in ("strategic", "current"):
-            if key not in doc:
-                raise InputError(f"rebalancing problems need {key!r}")
-        penalties = _parse_penalties(doc, n, sigma)
-        config = RoboConfig(strategic=np.asarray(doc["strategic"], float),
-                            current=np.asarray(doc["current"], float),
-                            objective=doc.get("objective", "tracking_error"),
-                            gamma=doc.get("gamma"),
-                            te_target=doc.get("te_target"),
-                            constraints=constraints, admm=admm_params)
-        for pen in penalties:
-            anchor_is_current = pen.anchor is not None and np.array_equal(
-                pen.anchor, config.current)
-            block = "turnover" if anchor_is_current else "strategic"
-            kind = "1" if pen.kind == "l1" else "2"
-            setattr(config, f"rho{kind}_{block}", pen.rho)
-            setattr(config, f"gamma{kind}_{block}", pen.gamma_matrix)
+        config = _robo_config(doc, mu, sigma, tol, seed)
         return rebalance(config, mu, sigma), config
 
-    inputs = MvoInputs(mu=mu, sigma=sigma, r=float(doc.get("r", 0.0)))
+    n = mu.size
+    unused = [k for k in _REBALANCE_KEYS if k in doc]
+    if unused:
+        raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
+    constraints = _parse_constraints(doc.get("constraints"), n)
+    admm_params = _parse_admm(doc.get("admm"), tol=tol, seed=seed)
+    inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)
-    l1 = [p for p in penalties if p.kind in ("l1", "lp")]
-    l2 = [p for p in penalties if p.kind == "l2"]
     if "target" in doc:
         _check_keys(doc["target"], ("type", "value"), ("type", "value"), where="target")
-        kind, value = doc["target"]["type"], float(doc["target"]["value"])
+        kind = doc["target"]["type"]
+        value = _number(doc["target"]["value"], "target.value")
         if penalties:
             raise InputError("target calibration does not combine with penalties")
         cal_tol = tol if tol is not None else 1e-6
@@ -249,26 +325,33 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
         else:
             raise InputError(f"unknown target type {kind!r}")
         return report, None
-    gamma = float(doc.get("gamma", 0.0))
-    if l1:
-        root = _matrix_root(sigma)
-        b1 = np.linalg.pinv(root.T) @ (gamma * inputs.excess)
-        report = solve_mixed_lp(root, b1, l2[0] if l2 else None, l1[0],
-                                constraints=constraints, params=admm_params)
-        report.gamma = gamma
-        return report, None
-    if l2:
-        pen = l2[0]
-        if pen.gamma_matrix is not None:
-            raise InputError("the direct l2 path only supports identity gamma")
-        return ridge_mvo(inputs.mu, sigma, gamma, pen.rho, x0=pen.anchor,
-                         constraints=constraints), None
-    return solve_gamma_problem(inputs, gamma, constraints), None
+    gamma = _number(doc.get("gamma", 0.0), "gamma")
+    if not penalties:
+        return solve_gamma_problem(inputs, gamma, constraints), None
 
+    # every L2 penalty joins the quadratic part, every L1/Lp one is a prox block
+    p_mat, q_vec, blocks, terms = inputs.sigma, gamma * inputs.excess, [], []
+    for pen in penalties:
+        g = penalty_matrix(pen.gamma_matrix, n)
+        anchor = np.zeros(n) if pen.anchor is None else pen.anchor
+        terms.append((pen, g, anchor))
+        if pen.kind == "l2":
+            p_mat = p_mat + pen.rho * g.T @ g
+            q_vec = q_vec + pen.rho * (g.T @ (g @ anchor))
+        else:
+            blocks.append((g, g @ anchor,
+                           lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
 
-def _matrix_root(sigma: np.ndarray) -> np.ndarray:
-    vec, lam = market_data.eigen_decompose(sigma)
-    return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+    def objective(x):
+        val = 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess
+        for pen, g, anchor in terms:
+            val += pen.rho / pen.p * np.sum(np.abs(g @ (x - anchor)) ** pen.p)
+        return val
+
+    report = solve_penalized(p_mat, q_vec, blocks, constraints, params=admm_params,
+                             objective=objective)
+    report.gamma = gamma
+    return report, None
 
 
 # --- subcommands --------------------------------------------------------------
@@ -291,24 +374,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_path(args) -> int:
     doc, mu, sigma, assets = _load_problem(args.problem)
-    n = mu.size
-    constraints = _parse_constraints(doc.get("constraints"), n)
-    if "strategic" not in doc or "current" not in doc:
-        raise InputError("path problems need strategic and current portfolios")
-    config = RoboConfig(strategic=np.asarray(doc["strategic"], float),
-                        current=np.asarray(doc["current"], float),
-                        objective=doc.get("objective", "tracking_error"),
-                        gamma=doc.get("gamma", 0.0),
-                        constraints=constraints,
-                        admm=_parse_admm(doc.get("admm"), tol=args.tol,
-                                         seed=args.seed))
-    for pen in _parse_penalties(doc, n, sigma):
-        anchor_is_current = pen.anchor is not None and np.array_equal(
-            pen.anchor, config.current)
-        block = "turnover" if anchor_is_current else "strategic"
-        kind = "1" if pen.kind == "l1" else "2"
-        setattr(config, f"rho{kind}_{block}", pen.rho)
-        setattr(config, f"gamma{kind}_{block}", pen.gamma_matrix)
+    config = _robo_config(doc, mu, sigma, args.tol, args.seed)
     grid = _parse_grid(args.grid)
     table = regularization_path(config, mu, sigma, grid, param=args.param,
                                 assets=assets)
@@ -343,7 +409,7 @@ def cmd_calibrate(args) -> int:
         raise InputError(f"unknown method {args.method!r}")
     lines = ["rho2,score"]
     lines += [f"{repr(float(r))},{repr(float(s))}" for r, s in zip(grid, curve)]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"best_rho2={best!r}")
     return 0
 
@@ -419,7 +485,7 @@ def cmd_stevens(args) -> int:
             repr(float(report.omega[i])), repr(float(report.y_star[i])),
             repr(float(report.z_star[i])), repr(float(report.x_star[i]))]
         lines.append(",".join(cells))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -484,7 +550,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MaxIterations, NoConvergence, NumericalDivergence) as exc:
+    except (MaxIterations, NoConvergence) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except AllocationError as exc:

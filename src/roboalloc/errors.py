@@ -97,10 +97,6 @@ class EmptyIntersection(AllocationError):
 
 # --- ADMM -------------------------------------------------------------------
 
-class NumericalDivergence(AllocationError):
-    pass
-
-
 class NoConvergence(AllocationError):
     pass
 

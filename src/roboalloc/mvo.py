@@ -17,11 +17,13 @@ from .errors import (
     ZeroVolatilityPortfolio,
 )
 from .market_data import clip_psd
+from .prox import Box, Halfspace
 from .qp import QpProblem, solve_qp
 from .report import CONVERGED, SolveReport
 
 _CAL_TOL = 1e-6
 _GAMMA_CAP = 1e6
+_BISECTIONS = 100
 
 
 @dataclass
@@ -75,6 +77,20 @@ class ConstraintSet:
             a, b = self.ineq
             ineq = (np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel())
         return eq, ineq, self.lower, self.upper
+
+    def admm_pieces(self, n: int):
+        """Split for ADMM: dense equality rows for the x-step (budget row
+        first) and the projection sets for the z-step (the box, then one
+        halfspace per inequality row).  Returns ``(a_eq, b_eq, sets)``."""
+        eq, ineq, lower, upper = self.qp_pieces(n)
+        a_eq, b_eq = eq if eq is not None else (np.zeros((0, n)), np.zeros(0))
+        sets = []
+        if lower is not None or upper is not None:
+            sets.append(Box(-np.inf if lower is None else lower,
+                            np.inf if upper is None else upper))
+        if ineq is not None:
+            sets += [Halfspace(-a, -b) for a, b in zip(*ineq)]  # a'x >= b
+        return a_eq, b_eq, sets
 
 
 @dataclass
@@ -174,37 +190,47 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         history.append((gam, value))
         return value, rep
 
-    val_lo, rep_lo = metric(0.0)
-    if val_lo >= target - tol:
-        if val_lo > target + tol and target_vol is not None:
-            raise TargetUnreachable(
-                f"volatility target {target} below minimum attainable {val_lo:.6f}")
-        rep_lo.meta["calibration"] = history
-        rep_lo.gamma = 0.0
-        return 0.0, rep_lo
-    hi = 1.0
-    val_hi, rep_hi = metric(hi)
-    while val_hi < target:
-        hi *= 2.0
-        if hi > _GAMMA_CAP:
-            raise TargetUnreachable(f"target not bracketed up to gamma={_GAMMA_CAP:.0e}")
-        val_hi, rep_hi = metric(hi)
-    lo = 0.0
-    gam, val, rep = hi, val_hi, rep_hi
-    for _ in range(200):
-        if abs(val - target) <= tol:
-            break
-        gam = 0.5 * (lo + hi)
-        val, rep = metric(gam)
-        if val < target:
-            lo = gam
-        else:
-            hi = gam
-    else:
-        raise TargetUnreachable("bisection did not reach the target tolerance")
+    gamma, rep = monotone_root(metric, target, tol)
+    if gamma == 0.0 and target_vol is not None and history[0][1] > target + tol:
+        raise TargetUnreachable(
+            f"volatility target {target} below minimum attainable {history[0][1]:.6f}")
     rep.meta["calibration"] = history
-    rep.gamma = float(gam)
-    return float(gam), rep
+    return gamma, rep
+
+
+def monotone_root(sample, target: float, tol: float):
+    """Trade-off parameter at which a metric nondecreasing in it meets a target.
+
+    ``sample(gamma)`` returns ``(value, report)``.  Gamma 0 is returned
+    when its value already reaches ``target - tol``; otherwise the target
+    is bracketed by doubling from 1 up to ``_GAMMA_CAP`` and bisected until
+    the value is within ``tol``.  Each gamma is sampled once.  Returns
+    ``(gamma, report)`` at the final gamma.
+    """
+    value, rep = sample(0.0)
+    gamma = lo = 0.0
+    if value < target - tol:
+        hi = 1.0
+        value, rep = sample(hi)
+        while value < target:
+            hi *= 2.0
+            if hi > _GAMMA_CAP:
+                raise TargetUnreachable(f"target {target} not bracketed up to "
+                                        f"gamma={_GAMMA_CAP:.0e} (reached {value:.6g})")
+            value, rep = sample(hi)
+        gamma = hi
+        for _ in range(_BISECTIONS):
+            if abs(value - target) <= tol:
+                break
+            gamma = 0.5 * (lo + hi)
+            value, rep = sample(gamma)
+            if value < target:
+                lo = gamma
+            else:
+                hi = gamma
+        else:
+            raise TargetUnreachable("bisection did not reach the target tolerance")
+    return gamma, rep
 
 
 def max_sharpe_bound(inputs: MvoInputs) -> float:

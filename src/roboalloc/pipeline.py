@@ -4,28 +4,19 @@ paths and tracking-error targeting."""
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import prox
-from .admm import AdmmParams, AdmmState, _constraint_sets, _solve_stacked
+from .admm import AdmmParams, solve_penalized
 from .errors import TargetUnreachable
-from .mvo import ConstraintSet
-from .qp import QpProblem, solve_qp
-from .report import SolveReport
+from .mvo import ConstraintSet, monotone_root
+from .regularizers import penalty_matrix
+from .report import SolveReport, atomic_write
 
 _TE_TOL = 1e-6
-_GAMMA_CAP = 1e6
-
-
-def _matrix_or_identity(m, n):
-    if m is None:
-        return np.eye(n)
-    m = np.asarray(m, dtype=float)
-    return np.diag(m) if m.ndim == 1 else m
 
 
 @dataclass
@@ -86,8 +77,8 @@ def _quadratic_parts(config: RoboConfig, mu, sigma, gamma):
     n = config.n
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    g2s = _matrix_or_identity(config.gamma2_strategic, n)
-    g2t = _matrix_or_identity(config.gamma2_turnover, n)
+    g2s = penalty_matrix(config.gamma2_strategic, n)
+    g2t = penalty_matrix(config.gamma2_turnover, n)
     p_mat = sigma + config.rho2_strategic * g2s.T @ g2s \
         + config.rho2_turnover * g2t.T @ g2t
     q_vec = gamma * mu
@@ -107,10 +98,10 @@ def _full_objective(config: RoboConfig, mu, sigma, gamma, x):
         val = 0.5 * d @ sigma @ d - gamma * d @ mu
     else:
         val = 0.5 * x @ sigma @ x - gamma * x @ mu
-    g1s = _matrix_or_identity(config.gamma1_strategic, n)
-    g1t = _matrix_or_identity(config.gamma1_turnover, n)
-    g2s = _matrix_or_identity(config.gamma2_strategic, n)
-    g2t = _matrix_or_identity(config.gamma2_turnover, n)
+    g1s = penalty_matrix(config.gamma1_strategic, n)
+    g1t = penalty_matrix(config.gamma1_turnover, n)
+    g2s = penalty_matrix(config.gamma2_strategic, n)
+    g2t = penalty_matrix(config.gamma2_turnover, n)
     val += config.rho1_strategic * np.abs(g1s @ (x - config.strategic)).sum()
     val += config.rho1_turnover * np.abs(g1t @ (x - config.current)).sum()
     val += 0.5 * config.rho2_strategic * np.sum((g2s @ (x - config.strategic)) ** 2)
@@ -126,48 +117,27 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     ADMM run handles them; with no L1 terms the problem is a plain QP and
     is solved directly.  ``warm`` starts the solve from a nearby problem's
     answer: its ``meta['state']`` on the ADMM route, or its weights on the
-    QP route.  A warm start meant for the other route is ignored.
+    QP route.  A warm start meant for the other route is ignored.  With a
+    tracking-error target and no gamma, the report is the one at the
+    gamma the target search ends on.
     """
     gamma = config.gamma if gamma is None else gamma
     if gamma is None:
         if config.te_target is not None:
-            gamma = te_target_to_gamma(config, mu, sigma, config.te_target)
-        else:
-            gamma = 0.0
+            return te_target_to_gamma(config, mu, sigma, config.te_target)[1]
+        gamma = 0.0
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec = _quadratic_parts(config, mu, sigma, gamma)
     n = config.n
-    eq, sets = _constraint_sets(config.constraints, config.extra_sets)
-
     blocks = []
-    if config.rho1_strategic > 0:
-        g1s = _matrix_or_identity(config.gamma1_strategic, n)
-        rho = config.rho1_strategic
-        blocks.append((g1s, g1s @ config.strategic,
-                       lambda v, phi, r=rho: prox.prox_l1(v, r / phi)))
-    if config.rho1_turnover > 0:
-        g1t = _matrix_or_identity(config.gamma1_turnover, n)
-        rho = config.rho1_turnover
-        blocks.append((g1t, g1t @ config.current,
-                       lambda v, phi, r=rho: prox.prox_l1(v, r / phi)))
-
-    if not blocks and not config.extra_sets:
-        eq_qp, ineq, lower, upper = config.constraints.qp_pieces(n)
-        report = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq_qp, ineq=ineq,
-                                    lower=lower, upper=upper),
-                          x0=warm if isinstance(warm, np.ndarray) else None)
-        report.gamma = float(gamma)
-        report.objective = _full_objective(config, mu, sigma, gamma, report.weights)
-        return report
-
-    if sets:
-        blocks.append((np.eye(n), np.zeros(n),
-                       lambda v, _phi: prox.project_intersection(v, sets)))
-
-    warm = warm if isinstance(warm, AdmmState) else None
-    report = _solve_stacked(
-        p_mat, q_vec, eq, blocks, config.admm, warm=warm,
-        x_init=config.current if warm is None else None,
+    for rho, g1, anchor in ((config.rho1_strategic, config.gamma1_strategic, config.strategic),
+                            (config.rho1_turnover, config.gamma1_turnover, config.current)):
+        if rho > 0:
+            g1 = penalty_matrix(g1, n)
+            blocks.append((g1, g1 @ anchor, lambda v, phi, r=rho: prox.prox_l1(v, r / phi)))
+    report = solve_penalized(
+        p_mat, q_vec, blocks, config.constraints, config.extra_sets, config.admm,
+        warm=warm, x_init=config.current,
         objective=lambda x: _full_objective(config, mu, sigma, gamma, x))
     report.gamma = float(gamma)
     return report
@@ -179,12 +149,13 @@ def tracking_error(x, strategic, sigma) -> float:
 
 
 def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float,
-                       tol: float = _TE_TOL) -> float:
+                       tol: float = _TE_TOL):
     """Trade-off parameter whose solution attains the tracking-error target.
 
     The tracking error is nondecreasing in the trade-off, so the target is
     bracketed by doubling and bisected.  On the QP route each sample starts
-    from the previous sample's weights.
+    from the previous sample's weights.  Returns ``(gamma, report)``, the
+    report being the solve at that gamma.
     """
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
@@ -195,30 +166,9 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float,
         nonlocal last
         rep = rebalance(base, mu, sigma, gamma=gamma, warm=last)
         last = rep.weights
-        return tracking_error(rep.weights, config.strategic, sigma)
+        return tracking_error(rep.weights, config.strategic, sigma), rep
 
-    te0 = te_of(0.0)
-    if te_target <= te0 + tol:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    te_hi = te_of(hi)
-    while te_hi < te_target:
-        hi *= 2.0
-        if hi > _GAMMA_CAP:
-            raise TargetUnreachable(
-                f"tracking error saturates at {te_hi:.6f} below target {te_target}")
-        te_hi = te_of(hi)
-    gamma = hi
-    for _ in range(100):
-        value = te_of(gamma)
-        if abs(value - te_target) <= tol:
-            return float(gamma)
-        if value < te_target:
-            lo = gamma
-        else:
-            hi = gamma
-        gamma = 0.5 * (lo + hi)
-    raise TargetUnreachable("bisection did not reach the tracking-error tolerance")
+    return monotone_root(te_of, te_target, tol)
 
 
 @dataclass
@@ -234,22 +184,15 @@ class PathTable:
 
     def to_csv(self, path) -> None:
         names = self.assets or [f"A{i + 1}" for i in range(self.weights.shape[1])]
-        tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                                            suffix=".tmp")
-        try:
-            with os.fdopen(tmp_fd, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["param"] + names + ["objective", "status"])
-                for i, value in enumerate(self.values):
-                    row = [repr(float(value))]
-                    row += [repr(float(w)) for w in self.weights[i]]
-                    row += [repr(float(self.objective[i])), self.status[i]]
-                    writer.writerow(row)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["param"] + names + ["objective", "status"])
+        for i, value in enumerate(self.values):
+            row = [repr(float(value))]
+            row += [repr(float(w)) for w in self.weights[i]]
+            row += [repr(float(self.objective[i])), self.status[i]]
+            writer.writerow(row)
+        atomic_write(path, text.getvalue())
 
 
 _PATH_PARAMS = {

@@ -218,16 +218,6 @@ def project_cardinality(v: np.ndarray, n1: int, bounds=(-np.inf, np.inf)) -> np.
     return out
 
 
-@dataclass(frozen=True)
-class CardinalitySet:
-    n1: int
-    lower: float = -np.inf
-    upper: float = np.inf
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return project_cardinality(v, self.n1, (self.lower, self.upper))
-
-
 def project_intersection(v: np.ndarray, sets, max_sweeps: int = 500,
                          tol: float = 1e-12) -> np.ndarray:
     """Dykstra alternating projections onto an intersection of convex sets."""

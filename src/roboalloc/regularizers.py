@@ -60,16 +60,13 @@ class FilterSpec:
             raise ValueError("rho must be nonnegative")
 
 
-def _gamma_or_identity(penalty: PenaltySpec | None, n: int):
-    if penalty is None or penalty.gamma_matrix is None:
+def penalty_matrix(gamma, n: int) -> np.ndarray:
+    """A penalty matrix as given, the identity for ``None`` and the diagonal
+    matrix of a vector."""
+    if gamma is None:
         return np.eye(n)
-    return penalty.gamma_matrix
-
-
-def _anchor_or_zero(penalty: PenaltySpec | None, n: int):
-    if penalty is None or penalty.anchor is None:
-        return np.zeros(n)
-    return penalty.anchor
+    gamma = np.asarray(gamma, dtype=float)
+    return np.diag(gamma) if gamma.ndim == 1 else gamma
 
 
 def _kkt(block11, a2, rhs1, b2):
@@ -111,8 +108,8 @@ def tikhonov_solve(a1, b1, penalty: PenaltySpec, eq=None):
     a1 = np.atleast_2d(np.asarray(a1, float))
     b1 = np.asarray(b1, float).ravel()
     n = a1.shape[1]
-    g2 = _gamma_or_identity(penalty, n)
-    x0 = _anchor_or_zero(penalty, n)
+    g2 = penalty_matrix(penalty.gamma_matrix, n)
+    x0 = np.zeros(n) if penalty.anchor is None else penalty.anchor
     rho = float(penalty.rho)
     block = a1.T @ a1 + rho * g2.T @ g2
     rhs1 = a1.T @ b1 + rho * (g2.T @ (g2 @ x0))

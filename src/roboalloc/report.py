@@ -1,7 +1,10 @@
-"""Common result container returned by the solvers."""
+"""Common result container returned by the solvers, and the atomic file
+write shared by the writers of results."""
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,3 +54,18 @@ class SolveReport:
         if self.r_norm is not None:
             out["residuals"] = {"primal": float(self.r_norm), "dual": float(self.s_norm)}
         return out
+
+
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so readers see the old file or the whole new one."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -163,6 +163,95 @@ class TestOptimize:
         assert code == 1
 
 
+class TestDocumentNumbers:
+    @pytest.mark.parametrize("change", [
+        {"gamma": None},
+        {"penalties": [{"kind": "l2", "rho": None}]},
+    ], ids=["gamma_null", "rho_null"])
+    def test_null_is_input_error(self, four_asset_moments, tmp_path, capsys, change):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"moments_file": str(four_asset_moments),
+                                       "gamma": 0.1, **change}))
+        code = main(["optimize", "--problem", str(problem),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+
+class TestPlainPenalties:
+    def test_every_penalty_honoured(self, four_asset_moments, tmp_path, four_asset):
+        """Two L2 penalties, one with a full matrix, and an L1 penalty all
+        enter the plain route; the oracle is the augmented QP."""
+        from roboalloc.qp import QpProblem, augment_l1, solve_qp
+        mu, _, _, sigma = four_asset
+        gamma, rho_a, rho_b, rho1 = 0.25, 0.02, 0.05, 1e-3
+        g_b = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        x0 = np.array([0.4, 0.3, 0.2, 0.1])
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "gamma": gamma,
+            "penalties": [
+                {"kind": "l2", "rho": rho_a, "anchor": x0.tolist()},
+                {"kind": "l2", "rho": rho_b, "gamma": g_b.tolist()},
+                {"kind": "l1", "rho": rho1, "anchor": x0.tolist()},
+            ],
+            "constraints": {"budget": 1.0},
+        }))
+        out = tmp_path / "rep.json"
+        code = main(["optimize", "--problem", str(problem), "--out", str(out)])
+        assert code == 0
+        q_mat = sigma + rho_a * np.eye(4) + rho_b * g_b.T @ g_b
+        lin = gamma * mu + rho_a * x0
+        oracle = solve_qp(augment_l1(QpProblem(Q=q_mat, c=-lin, eq=(np.ones((1, 4)), [1.0])),
+                                     np.eye(4), rho1, x0))
+        assert np.abs(np.array(json.loads(out.read_text())["weights"])
+                      - oracle.weights[:4]).max() <= 1e-6
+
+
+class TestRebalanceDocuments:
+    """Whatever the four (l1 | l2, strategic | current) slots of a
+    rebalancing configuration cannot hold is rejected."""
+
+    @pytest.mark.parametrize("change", [
+        {"penalties": [{"kind": "lp", "p": 1.5, "rho": 1e-3, "anchor": "strategic"}]},
+        {"penalties": [{"kind": "l2", "rho": 0.02, "anchor": "strategic"},
+                       {"kind": "l2", "rho": 0.01, "anchor": [0.4, 0.3, 0.2, 0.1]}]},
+        {"penalties": [{"kind": "l1", "rho": 1e-3, "anchor": [0.1, 0.2, 0.3, 0.4]}]},
+        {"r": 0.01},
+        {"mu": [0.1, 0.1, 0.1, 0.1]},
+    ], ids=["lp_penalty", "same_slot_twice", "anchor_neither_book", "plain_key",
+            "inline_moments_beside_file"])
+    def test_rejected(self, four_asset_moments, tmp_path, change):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "gamma": 0.2,
+            "strategic": [0.4, 0.3, 0.2, 0.1], "current": [0.25, 0.25, 0.25, 0.25],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}, **change}))
+        for argv in (["optimize"], ["path", "--grid", "linear:0:1e-3:2"]):
+            code = main(argv + ["--problem", str(problem),
+                                "--out", str(tmp_path / "out")])
+            assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_path_keeps_te_target(self, four_asset_moments, tmp_path, four_asset):
+        from roboalloc.pipeline import tracking_error
+        _, _, _, sigma = four_asset
+        strategic = [0.4, 0.3, 0.2, 0.1]
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "te_target": 0.02,
+            "strategic": strategic, "current": [0.25, 0.25, 0.25, 0.25],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}}))
+        out = tmp_path / "path.csv"
+        code = main(["path", "--problem", str(problem), "--param", "rho2",
+                     "--grid", "linear:0:0.01:3", "--out", str(out)])
+        assert code == 0
+        for line in out.read_text().strip().splitlines()[1:]:
+            x = np.array([float(v) for v in line.split(",")[1:5]])
+            assert tracking_error(x, strategic, sigma) == pytest.approx(0.02, abs=1e-6)
+
+
 class TestPath:
     def test_lasso_sweep_csv(self, four_asset_moments, tmp_path):
         problem = tmp_path / "p.json"

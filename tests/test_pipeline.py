@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roboalloc import pipeline
+from roboalloc import admm, pipeline
 from roboalloc.admm import AdmmParams
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import (
@@ -102,7 +102,7 @@ class TestTeTargeting:
     def test_zero_target_returns_strategic(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error")
-        gamma = te_target_to_gamma(cfg, mu, sigma, 0.0)
+        gamma, _ = te_target_to_gamma(cfg, mu, sigma, 0.0)
         assert gamma == 0.0
         rep = rebalance(cfg, mu, sigma, gamma=0.0)
         assert np.abs(rep.weights - X0).max() <= 1e-7
@@ -122,7 +122,7 @@ class TestTeTargeting:
         _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
         cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error")
         for target in (0.005, 0.01, 0.02):
-            gamma = te_target_to_gamma(cfg, mu, sigma, target)
+            gamma, _ = te_target_to_gamma(cfg, mu, sigma, target)
             rep = rebalance(cfg, mu, sigma, gamma=gamma)
             assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
                 target, abs=1e-6)
@@ -142,12 +142,37 @@ class TestTeTargeting:
             answers.append(solve_qp(problem, x0=x0, **kwargs))
             return answers[-1]
 
-        monkeypatch.setattr(pipeline, "solve_qp", recording)
-        gamma = te_target_to_gamma(cfg, mu, sigma, 0.01)
+        monkeypatch.setattr(admm, "solve_qp", recording)
+        gamma, _ = te_target_to_gamma(cfg, mu, sigma, 0.01)
         assert len(starts) > 3 and starts[0] is None
         assert all(s is a.weights for s, a in zip(starts[1:], answers))
         monkeypatch.undo()
         rep = rebalance(cfg, mu, sigma, gamma=gamma)
+        assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(0.01, abs=1e-6)
+
+    def test_te_target_rebalance_solves_each_gamma_once(self, ten_asset, monkeypatch):
+        _, _, sigma = ten_asset
+        scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
+        _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
+        cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
+                         rho2_turnover=0.01, te_target=0.01)
+        samples, solves = [], []
+
+        def sampled(config, mu, sigma, gamma=None, warm=None):
+            samples.append((gamma, rebalance(config, mu, sigma, gamma=gamma, warm=warm)))
+            return samples[-1][1]
+
+        def solved(problem, x0=None, **kwargs):
+            solves.append(x0)
+            return solve_qp(problem, x0=x0, **kwargs)
+
+        monkeypatch.setattr(pipeline, "rebalance", sampled)
+        monkeypatch.setattr(admm, "solve_qp", solved)
+        rep = rebalance(cfg, mu, sigma)
+        gammas = [g for g, _ in samples]
+        assert len(gammas) == len(set(gammas)) > 3
+        assert len(solves) == len(samples)
+        assert rep is samples[-1][1] and rep.gamma == gammas[-1]
         assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(0.01, abs=1e-6)
 
     def test_weights_as_warm_start_leave_admm_route_cold(self, four_asset_alt):

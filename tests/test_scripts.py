@@ -1,0 +1,38 @@
+"""The example scripts run end to end against the library as it is."""
+
+import csv
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SWEEPS = ("ridge_anchored", "ridge_unanchored", "lasso_anchored",
+          "lasso_unanchored", "elastic_net")
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_penalty_paths_write_every_sweep(tmp_path):
+    proc = run_script("run_penalty_paths.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name in SWEEPS:
+        with open(tmp_path / f"{name}.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["param", "A1", "A2", "A3", "A4", "objective", "status"]
+        assert len(rows) == 42
+        assert all(row[-1] == "converged" for row in rows[1:])
+        assert sum(float(w) for w in rows[-1][1:5]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_allocation_study_runs():
+    proc = run_script("run_allocation_study.py")
+    assert proc.returncode == 0, proc.stderr
+    for section in ("eigen diagnostics", "volatility-targeted allocation",
+                    "nine-asset allocation", "grade blending"):
+        assert section in proc.stdout
