@@ -3,10 +3,12 @@ penalized portfolio problems (smoothed, sparse and cardinality-constrained)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from . import prox
 from .errors import NoConvergence
@@ -49,6 +51,20 @@ class AdmmState:
     iterations: int
 
 
+def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for a float vector ``b`` on ``lu_factor(a)``.
+
+    The same LAPACK ``getrs`` call as ``scipy.linalg.lu_solve``, so the
+    same bits, without its per-call finiteness and shape checks: the ADMM
+    loop validates its data once, on entry.
+    """
+    lu, piv = lu_and_piv
+    x, info = dgetrs(lu, piv, b)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
+
 def adaptive_penalty(phi: float, r_norm: float, s_norm: float,
                      params: AdmmParams) -> float:
     """Rescale the penalty to keep the two squared residuals within a factor."""
@@ -68,28 +84,41 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
     ``x_update(z, u, phi)`` must return the minimizer of
     ``f(x) + phi/2 ||Ax + Bz - c + u||^2`` and ``z_update(x, u, phi)`` the
     analogue for ``g``.  The scaled dual ``u`` is rescaled whenever the
-    penalty changes so the fixed point is preserved.
+    penalty changes so the fixed point is preserved.  ``B`` may be ``None``
+    for ``-I``, the usual ``A x - z = c``; an explicit ``-I`` is recognised
+    once, and the loop then forms the residuals without products by ``B``.
+    ``c`` and the starting ``z0``/``u0`` must be finite (``ValueError``
+    otherwise); what the loop itself produces is guarded by the divergence
+    test, a non-finite primal residual ending it as ``diverged``.
     """
     params = params or AdmmParams()
     a, b, c = coupling
+    c = np.asarray_chkfinite(c, dtype=float)
     m = c.size
-    z = np.zeros(b.shape[1]) if z0 is None else np.asarray(z0, dtype=float).copy()
-    u = np.zeros(m) if u0 is None else np.asarray(u0, dtype=float).copy()
+    if b is not None and b.shape == (m, m) and np.array_equal(b, -np.eye(m)):
+        b = None
+    z = np.zeros(m if b is None else b.shape[1]) if z0 is None \
+        else np.asarray_chkfinite(z0, dtype=float).copy()
+    u = np.zeros(m) if u0 is None else np.asarray_chkfinite(u0, dtype=float).copy()
     phi = params.phi0
     x = None
-    r_norm = s_norm = np.inf
+    r_norm = s_norm = math.inf
     status = MAX_ITER
     it = 0
     for it in range(1, params.max_iter + 1):
         x = x_update(z, u, phi)
         z_new = z_update(x, u, phi)
-        r = a @ x + b @ z_new - c
-        s = phi * (a.T @ (b @ (z_new - z)))
+        if b is None:
+            r = a @ x - z_new - c
+            s = phi * (a.T @ (z - z_new))
+        else:
+            r = a @ x + b @ z_new - c
+            s = phi * (a.T @ (b @ (z_new - z)))
         z = z_new
         u = u + r
-        r_norm = float(np.linalg.norm(r))
-        s_norm = float(np.linalg.norm(s))
-        if not np.isfinite(r_norm) or r_norm > _DIVERGE_LIMIT or s_norm > _DIVERGE_LIMIT:
+        r_norm = math.sqrt(r @ r)
+        s_norm = math.sqrt(s @ s)
+        if not math.isfinite(r_norm) or r_norm > _DIVERGE_LIMIT or s_norm > _DIVERGE_LIMIT:
             status = DIVERGED
             break
         if r_norm <= params.eps_primal and s_norm <= params.eps_dual:
@@ -114,22 +143,25 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
 
 class _StackedProblem:
     """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` with
-    equality constraints in the x-step and prox/projection blocks in z."""
+    equality constraints in the x-step and prox/projection blocks in z.
+    Blocks whose ``G_i`` is the identity skip their products with it."""
 
     def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks):
         self.p = p_mat
         self.q = q_vec
         self.a_eq = a_eq
         self.b_eq = b_eq
-        self.gammas = [g for g, _, _ in blocks]
-        self.offsets = [d for _, d, _ in blocks]
-        self.steppers = [s for _, _, s in blocks]
         self.n = q_vec.size
-        self.gram = sum(g.T @ g for g in self.gammas)
-        self.a_stack = np.vstack(self.gammas)
-        self.b_stack = -np.eye(self.a_stack.shape[0])
-        self.c_stack = np.concatenate(self.offsets)
-        self.sizes = [d.size for d in self.offsets]
+        self.gram = sum(g.T @ g for g, _, _ in blocks)
+        self.a_stack = np.vstack([g for g, _, _ in blocks])
+        self.c_stack = np.concatenate([d for _, d, _ in blocks])
+        eye = np.eye(self.n)
+        self.blocks = []  # (G_i, or None for the identity, d_i, slice of z, step_i)
+        stop = 0
+        for g, d, stepper in blocks:
+            start, stop = stop, stop + d.size
+            identity = g.shape == eye.shape and np.array_equal(g, eye)
+            self.blocks.append((None if identity else g, d, slice(start, stop), stepper))
         self._factors = {}
 
     def _factor(self, phi):
@@ -145,28 +177,22 @@ class _StackedProblem:
 
     def x_update(self, z, u, phi):
         rhs = self.q.copy()
-        start = 0
-        for g, d, size in zip(self.gammas, self.offsets, self.sizes):
-            rhs += phi * (g.T @ (z[start:start + size] + d - u[start:start + size]))
-            start += size
-        me = self.a_eq.shape[0]
-        full = np.concatenate([rhs, self.b_eq]) if me else rhs
-        sol = lu_solve(self._factor(phi), full)
-        self._eq_dual = sol[self.n:] if me else np.zeros(0)
+        for g, d, seg, _ in self.blocks:
+            w = z[seg] + d - u[seg]
+            rhs += phi * (w if g is None else g.T @ w)
+        sol = lu_solve(self._factor(phi), np.concatenate([rhs, self.b_eq]))
+        self._eq_dual = sol[self.n:]
         return sol[:self.n]
 
     def z_update(self, x, u, phi):
         out = np.empty(self.c_stack.size)
-        start = 0
-        for g, d, size, stepper in zip(self.gammas, self.offsets, self.sizes,
-                                       self.steppers):
-            v = g @ x - d + u[start:start + size]
-            out[start:start + size] = stepper(v, phi)
-            start += size
+        for g, d, seg, stepper in self.blocks:
+            out[seg] = stepper((x if g is None else g @ x) - d + u[seg], phi)
         return out
 
     def z_init(self, x_init):
-        return np.concatenate([g @ x_init - d for g, d in zip(self.gammas, self.offsets)])
+        return np.concatenate([(x_init if g is None else g @ x_init) - d
+                               for g, d, _, _ in self.blocks])
 
 
 def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
@@ -182,7 +208,9 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     blocks in their order with the constraint projection as the last
     block, starting from the ``AdmmState`` ``warm`` or else from
     ``x_init``.  A warm start of the other kind is ignored.  ``objective``
-    evaluates the reported objective at the answer.
+    evaluates the reported objective at the answer.  On the ADMM route a
+    non-finite ``q``, offset, equality level or start raises ``ValueError``
+    before the first iteration.
     """
     n = q_vec.size
     constraints = ConstraintSet() if constraints is None else constraints
@@ -196,6 +224,7 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
         return report
 
     a_eq, b_eq, sets = constraints.admm_pieces(n)
+    q_vec, b_eq = np.asarray_chkfinite(q_vec), np.asarray_chkfinite(b_eq)
     sets = [*extra_sets, *sets]
     blocks = list(blocks)
     if sets:
@@ -208,8 +237,7 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
         z0, u0 = prob.z_init(np.asarray(x_init, float)), None
     else:
         z0 = u0 = None
-    report = admm_solve(prob.x_update, prob.z_update,
-                        (prob.a_stack, prob.b_stack, prob.c_stack),
+    report = admm_solve(prob.x_update, prob.z_update, (prob.a_stack, None, prob.c_stack),
                         params, z0=z0, u0=u0, objective=objective)
     report.meta["eq_dual"] = getattr(prob, "_eq_dual", np.zeros(0))
     return report

@@ -26,6 +26,7 @@ from .mvo import (
     ConstraintSet,
     MvoInputs,
     calibrate_gamma,
+    implied_returns,
     solve_gamma_problem,
     stevens_decomposition,
 )
@@ -157,11 +158,11 @@ def _resolve_matrix(spec, n: int, sigma: np.ndarray, where: str):
         return None
     if spec == "diag_sigma":
         return np.diag(np.sqrt(np.diag(sigma)))
-    gamma = np.atleast_2d(_array(spec, where))
-    if gamma.ndim != 2 or gamma.shape[1] != n:
-        raise InputError(f"{where} must be 'identity', 'diag_sigma' or a matrix "
-                         f"of {n} columns")
-    return gamma
+    gamma = _array(spec, where)
+    if gamma.ndim not in (1, 2) or gamma.shape[-1] != n:
+        raise InputError(f"{where} must be 'identity', 'diag_sigma', a matrix "
+                         f"of {n} columns or the vector of a diagonal")
+    return gamma  # PenaltySpec reads a vector as the diagonal
 
 
 def _resolve_anchor(spec, doc: dict, n: int, where: str):
@@ -423,21 +424,31 @@ def cmd_views(args) -> int:
     _check_keys(doc, _VIEWS_KEYS, where="views")
     if args.moments:
         moments = market_data.load_moments(args.moments)
-    elif "moments_file" in doc:
+    elif isinstance(doc.get("moments_file"), str):
         moments = market_data.load_moments(doc["moments_file"])
     else:
         raise InputError("views need a moments file (flag or key)")
     sigma = moments.sigma
+    n = len(moments.assets)
+    strategic = _vector(doc["strategic"], "strategic", n) if "strategic" in doc \
+        else np.full(n, 1.0 / n)
+    r = _number(doc.get("r", 0.0), "r")
+    sharpe = _number(doc.get("sharpe", 0.5), "sharpe")
     if "grades" in doc:
         grades_map = doc["grades"]
-        scores = np.array([float(grades_map.get(a, 0)) for a in moments.assets])
-        n_s = views_mod.scale_range_index(int(doc.get("scale_size", 7)))
-        strategic = np.asarray(doc.get("strategic",
-                                       np.full(len(moments.assets), 1.0 / len(moments.assets))), float)
+        if not isinstance(grades_map, dict):
+            raise InputError("grades must be a JSON object of asset grades")
+        unknown = sorted(set(grades_map) - set(moments.assets))
+        if unknown:
+            raise InputError(f"grades name unknown assets {unknown}")
+        scores = np.array([_number(grades_map.get(a, 0), f"grades.{a}")
+                           for a in moments.assets])
+        n_s = views_mod.scale_range_index(
+            _number(doc.get("scale_size", 7), "scale_size", integer=True))
         mu_implied, mu_manager, mu_blended = views_mod.grades_to_expected_returns(
-            strategic, sigma, float(doc.get("r", 0.0)), float(doc.get("sharpe", 0.5)),
-            scores, delta=float(doc.get("delta", 1.0)),
-            tau=float(doc.get("tau", 1.0)), n_s=n_s)
+            strategic, sigma, r, sharpe, scores,
+            delta=_number(doc.get("delta", 1.0), "delta"),
+            tau=_number(doc.get("tau", 1.0), "tau"), n_s=n_s)
         out = {"assets": list(moments.assets),
                "mu_implied": mu_implied.tolist(),
                "mu_manager": mu_manager.tolist(),
@@ -446,14 +457,12 @@ def cmd_views(args) -> int:
         for key in ("P", "Q", "sigma_eps"):
             if key not in doc:
                 raise InputError("matrix views need P, Q and sigma_eps")
-        vs = views_mod.ViewSet(p=np.asarray(doc["P"], float),
-                               q=np.asarray(doc["Q"], float),
-                               sigma_eps=np.asarray(doc["sigma_eps"], float))
-        strategic = np.asarray(doc.get("strategic",
-                                       np.full(len(moments.assets), 1.0 / len(moments.assets))), float)
-        from .mvo import implied_returns
-        mu_tilde = implied_returns(strategic, sigma, float(doc.get("r", 0.0)),
-                                   float(doc.get("sharpe", 0.5)))
+        p = np.atleast_2d(_array(doc["P"], "P"))
+        if p.ndim != 2 or p.shape[1] != n:
+            raise InputError(f"P must be a matrix of {n} columns")
+        vs = views_mod.ViewSet(p=p, q=_array(doc["Q"], "Q"),
+                               sigma_eps=_array(doc["sigma_eps"], "sigma_eps"))
+        mu_tilde = implied_returns(strategic, sigma, r, sharpe)
         mu_bar, sigma_bar = views_mod.bl_conditional(mu_tilde, sigma, vs)
         out = {"assets": list(moments.assets),
                "mu_implied": mu_tilde.tolist(),

@@ -58,6 +58,8 @@ class RoboConfig:
         if self.objective not in ("tracking_error", "mvo"):
             raise ValueError(f"unknown objective {self.objective!r}")
         for label, w in (("strategic", self.strategic), ("current", self.current)):
+            if not np.isfinite(w).all():
+                raise ValueError(f"{label} portfolio must hold finite weights")
             if np.abs(w).max() == 0.0:
                 continue  # all-zero anchor: penalize the weights themselves
             if abs(w.sum() - 1.0) > 1e-8 or (w < -1e-12).any():

@@ -40,7 +40,7 @@ class PenaltySpec:
         elif self.kind == "l2":
             self.p = 2.0
         if self.gamma_matrix is not None:
-            self.gamma_matrix = np.atleast_2d(np.asarray(self.gamma_matrix, float))
+            self.gamma_matrix = penalty_matrix(self.gamma_matrix)
         if self.anchor is not None:
             self.anchor = np.asarray(self.anchor, dtype=float).ravel()
 
@@ -60,13 +60,17 @@ class FilterSpec:
             raise ValueError("rho must be nonnegative")
 
 
-def penalty_matrix(gamma, n: int) -> np.ndarray:
-    """A penalty matrix as given, the identity for ``None`` and the diagonal
-    matrix of a vector."""
+def penalty_matrix(gamma, n: int | None = None) -> np.ndarray:
+    """A penalty matrix as given, the ``n x n`` identity for ``None`` and the
+    diagonal matrix of a vector; anything else is a ``ValueError``."""
     if gamma is None:
         return np.eye(n)
     gamma = np.asarray(gamma, dtype=float)
-    return np.diag(gamma) if gamma.ndim == 1 else gamma
+    if gamma.ndim == 1:
+        return np.diag(gamma)
+    if gamma.ndim != 2:
+        raise ValueError("a penalty matrix must be a matrix or the vector of its diagonal")
+    return gamma
 
 
 def _kkt(block11, a2, rhs1, b2):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from roboalloc import prox
 from roboalloc.admm import (
     AdmmParams,
+    AdmmState,
     adaptive_penalty,
     admm_solve,
     solve_cardinality,
     solve_mixed_lp,
+    solve_penalized,
     solve_tikhonov_constrained,
 )
 from roboalloc.mvo import ConstraintSet
@@ -274,3 +278,205 @@ class TestCardinality:
         assert np.array_equal(r1.weights, r2.weights)
         assert r1.meta["restarts"] == r2.meta["restarts"]
         assert r1.meta["support"] == r2.meta["support"]
+
+
+# --- reference loop: the ADMM iteration before the B = -I and identity-block
+# shortcuts, with scipy's checked lu_solve and dense products throughout ---
+
+
+def reference_admm_solve(x_update, z_update, coupling, params, z0=None, u0=None):
+    a, b, c = coupling
+    m = c.size
+    z = np.zeros(b.shape[1]) if z0 is None else np.asarray(z0, dtype=float).copy()
+    u = np.zeros(m) if u0 is None else np.asarray(u0, dtype=float).copy()
+    phi = params.phi0
+    x = None
+    r_norm = s_norm = np.inf
+    status = "max_iter"
+    it = 0
+    for it in range(1, params.max_iter + 1):
+        x = x_update(z, u, phi)
+        z_new = z_update(x, u, phi)
+        r = a @ x + b @ z_new - c
+        s = phi * (a.T @ (b @ (z_new - z)))
+        z = z_new
+        u = u + r
+        r_norm = float(np.linalg.norm(r))
+        s_norm = float(np.linalg.norm(s))
+        if not np.isfinite(r_norm) or r_norm > 1e12 or s_norm > 1e12:
+            status = "diverged"
+            break
+        if r_norm <= params.eps_primal and s_norm <= params.eps_dual:
+            status = "converged"
+            break
+        if params.adaptive:
+            phi_new = adaptive_penalty(phi, r_norm, s_norm, params)
+            if phi_new != phi:
+                u *= phi / phi_new
+                phi = phi_new
+    return AdmmState(x=x, z=z, u=u, phi=phi, r_norm=r_norm, s_norm=s_norm,
+                     iterations=it), status
+
+
+class ReferenceStackedProblem:
+    def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks):
+        self.p, self.q, self.a_eq, self.b_eq = p_mat, q_vec, a_eq, b_eq
+        self.gammas = [g for g, _, _ in blocks]
+        self.offsets = [d for _, d, _ in blocks]
+        self.steppers = [s for _, _, s in blocks]
+        self.n = q_vec.size
+        self.gram = sum(g.T @ g for g in self.gammas)
+        self.a_stack = np.vstack(self.gammas)
+        self.b_stack = -np.eye(self.a_stack.shape[0])
+        self.c_stack = np.concatenate(self.offsets)
+        self.sizes = [d.size for d in self.offsets]
+        self._factors = {}
+
+    def _factor(self, phi):
+        if phi not in self._factors:
+            me = self.a_eq.shape[0]
+            kkt = np.zeros((self.n + me, self.n + me))
+            kkt[:self.n, :self.n] = self.p + phi * self.gram
+            if me:
+                kkt[:self.n, self.n:] = self.a_eq.T
+                kkt[self.n:, :self.n] = self.a_eq
+            self._factors[phi] = scipy.linalg.lu_factor(kkt)
+        return self._factors[phi]
+
+    def x_update(self, z, u, phi):
+        rhs = self.q.copy()
+        start = 0
+        for g, d, size in zip(self.gammas, self.offsets, self.sizes):
+            rhs += phi * (g.T @ (z[start:start + size] + d - u[start:start + size]))
+            start += size
+        me = self.a_eq.shape[0]
+        full = np.concatenate([rhs, self.b_eq]) if me else rhs
+        sol = scipy.linalg.lu_solve(self._factor(phi), full)
+        return sol[:self.n]
+
+    def z_update(self, x, u, phi):
+        out = np.empty(self.c_stack.size)
+        start = 0
+        for g, d, size, stepper in zip(self.gammas, self.offsets, self.sizes,
+                                       self.steppers):
+            v = g @ x - d + u[start:start + size]
+            out[start:start + size] = stepper(v, phi)
+            start += size
+        return out
+
+    def z_init(self, x_init):
+        return np.concatenate([g @ x_init - d for g, d in zip(self.gammas, self.offsets)])
+
+
+def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init):
+    """The ADMM route of ``solve_penalized`` on the reference loop."""
+    n = q_vec.size
+    a_eq, b_eq, sets = constraints.admm_pieces(n)
+    blocks = list(blocks)
+    if sets:
+        blocks.append((np.eye(n), np.zeros(n),
+                       lambda v, _phi: prox.project_intersection(v, sets)))
+    prob = ReferenceStackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
+    return reference_admm_solve(prob.x_update, prob.z_update,
+                                (prob.a_stack, prob.b_stack, prob.c_stack), params,
+                                z0=prob.z_init(x_init))
+
+
+def l1_step(rho):
+    return lambda v, phi: prox.prox_l1(v, rho / phi)
+
+
+def rebalance_problem(seed, n, gamma1=None):
+    """Tracking-error rebalance data: P, q, two L1 blocks (strategic and
+    turnover anchors) and the current book."""
+    rng = np.random.default_rng(seed)
+    sigma = random_spd(rng, n, 0.04)
+    mu = rng.normal(0.05, 0.02, n)
+    strategic = rng.dirichlet(np.full(n, 5.0))
+    current = strategic * np.exp(rng.normal(0.0, 0.3, n))
+    current /= current.sum()
+    g = np.eye(n) if gamma1 is None else gamma1
+    p_mat = sigma + 0.02 * np.eye(n)
+    q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
+    blocks = [(g, g @ strategic, l1_step(5e-4)), (g, g @ current, l1_step(2e-4))]
+    return p_mat, q_vec, blocks, current
+
+
+class TestSameIterates:
+    """The loop's shortcuts (``B = -I``, identity blocks, LAPACK x-step)
+    reproduce the dense reference loop."""
+
+    @pytest.mark.parametrize("seed,n", [(0, 6), (1, 12), (2, 20), (3, 30), (4, 9)])
+    def test_identity_blocks_bit_identical(self, seed, n):
+        p_mat, q_vec, blocks, current = rebalance_problem(seed, n)
+        upper = max(0.3, 2.0 / n)
+        cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, upper))
+        params = AdmmParams(max_iter=3000)
+        rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
+        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current)
+        assert rep.iterations == ref.iterations
+        assert rep.status == status
+        assert np.array_equal(rep.weights, ref.x)
+        state = rep.meta["state"]
+        assert np.array_equal(state.z, ref.z) and np.array_equal(state.u, ref.u)
+        assert (rep.r_norm, rep.s_norm, state.phi) == (ref.r_norm, ref.s_norm, ref.phi)
+
+    def test_general_blocks_through_dykstra(self):
+        n = 8
+        rng = np.random.default_rng(11)
+        gamma1 = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        p_mat, q_vec, blocks, current = rebalance_problem(5, n, gamma1)
+        cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, 0.4),
+                             ineq=(np.ones((1, n)) * np.r_[1.0, 1.0, np.zeros(n - 2)],
+                                   np.array([0.5])))
+        params = AdmmParams(max_iter=3000)
+        rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
+        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current)
+        assert len(cons.admm_pieces(n)[2]) == 2  # box and halfspace: Dykstra runs
+        assert rep.iterations == ref.iterations
+        assert rep.status == status
+        assert np.abs(rep.weights - ref.x).max() <= 1e-12
+
+    def test_general_coupling(self):
+        # min 0.5||x - a||^2 + 0.5||z - b||^2  s.t.  x - 2z = 0
+        a, b = np.array([1.0, -0.5, 0.25]), np.array([0.0, 1.0, 2.0])
+
+        def x_update(z, u, phi):
+            return (a + phi * (2.0 * z - u)) / (1.0 + phi)
+
+        def z_update(x, u, phi):
+            return (b + 2.0 * phi * (x + u)) / (1.0 + 4.0 * phi)
+
+        coupling = (np.eye(3), -2.0 * np.eye(3), np.zeros(3))
+        params = AdmmParams()
+        rep = admm_solve(x_update, z_update, coupling, params)
+        ref, status = reference_admm_solve(x_update, z_update, coupling, params)
+        assert rep.converged and status == "converged"
+        assert rep.iterations == ref.iterations
+        assert np.array_equal(rep.weights, ref.x)
+        assert np.abs(rep.weights - 2.0 * (2.0 * a + b) / 5.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("where", ["q", "x_init", "offset"])
+    def test_non_finite_input_rejected(self, where):
+        p_mat, q_vec, blocks, current = rebalance_problem(0, 5)
+        if where == "q":
+            q_vec = q_vec.copy()
+            q_vec[2] = np.nan
+        elif where == "x_init":
+            current = current.copy()
+            current[1] = np.inf
+        else:
+            g, d, step = blocks[0]
+            blocks[0] = (g, np.full_like(d, np.nan), step)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_penalized(p_mat, q_vec, blocks, BUDGET, x_init=current)
+
+    def test_non_finite_warm_start_rejected(self):
+        p_mat, q_vec, blocks, current = rebalance_problem(0, 5)
+        rep = solve_penalized(p_mat, q_vec, blocks, BUDGET, x_init=current)
+        state = rep.meta["state"]
+        bad = AdmmState(x=state.x, z=state.z, u=np.full_like(state.u, np.nan),
+                        phi=state.phi, r_norm=state.r_norm, s_norm=state.s_norm,
+                        iterations=state.iterations)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_penalized(p_mat, q_vec, blocks, BUDGET, warm=bad)

@@ -339,6 +339,46 @@ class TestViews:
                            atol=0.01)
 
 
+class TestViewsDocumentValues:
+    @pytest.mark.parametrize("change", [
+        {"grades": {"a1": None}}, {"grades": {"a1": 1}, "sharpe": None},
+        {"grades": {"a1": 1}, "r": "x"}, {"grades": {"a1": 1}, "delta": True},
+        {"grades": {"a1": 1}, "tau": None}, {"grades": {"a1": 1}, "scale_size": 7.5},
+        {"grades": [1, 0, 0, 0]}, {"grades": {"zz": 1}},
+        {"grades": {"a1": 1}, "strategic": [0.5, 0.5]},
+        {"P": [[1.0, None, 0.0, 0.0]], "Q": [0.02], "sigma_eps": [[1e-4]]},
+        {"P": [[1.0, -1.0]], "Q": [0.02], "sigma_eps": [[1e-4]]},
+        {"P": [[1.0, -1.0, 0.0, 0.0]], "Q": None, "sigma_eps": [[1e-4]]},
+        {"P": [[1.0, -1.0, 0.0, 0.0]], "Q": [0.02], "sigma_eps": "x"},
+    ], ids=["grade_null", "sharpe_null", "r_string", "delta_bool", "tau_null",
+            "scale_not_integer", "grades_list", "grade_unknown_asset", "strategic_short",
+            "P_null_entry", "P_columns", "Q_null", "sigma_eps_string"])
+    def test_bad_value_is_input_error(self, four_asset_moments, tmp_path, change):
+        views = tmp_path / "v.json"
+        views.write_text(json.dumps(change))
+        out = tmp_path / "out.json"
+        code = main(["views", "--views", str(views), "--moments",
+                     str(four_asset_moments), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+
+class TestVectorGamma:
+    def test_vector_gamma_is_its_diagonal(self, four_asset_moments, tmp_path):
+        reports = []
+        for gamma in ([1.0, 2.0, 3.0, 4.0], np.diag([1.0, 2.0, 3.0, 4.0]).tolist()):
+            problem = tmp_path / "p.json"
+            problem.write_text(json.dumps({
+                "moments_file": str(four_asset_moments), "gamma": 0.2,
+                "penalties": [{"kind": "l1", "rho": 1e-3, "gamma": gamma,
+                               "anchor": [0.25, 0.25, 0.25, 0.25]}],
+                "constraints": {"budget": 1.0}}))
+            out = tmp_path / "rep.json"
+            assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["weights"])
+        assert reports[0] == reports[1]
+
+
 class TestMatrixViews:
     def test_linear_view_document(self, tmp_path, four_asset):
         mu, _, _, sigma = four_asset

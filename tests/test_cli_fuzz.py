@@ -1,5 +1,5 @@
-"""Fuzz of problem documents: whatever a known key holds, the CLI exits with
-0, 1 or 2 and never lets an exception escape."""
+"""Fuzz of problem and views documents: whatever a known key holds, the CLI
+exits with 0, 1 or 2 and never lets an exception escape."""
 
 import contextlib
 import copy
@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from roboalloc.cli import main
+from roboalloc.market_data import MomentEstimates, WeightScheme, moments_to_dict
 
 SIGMA = (np.outer([0.15, 0.18, 0.20, 0.25], [0.15, 0.18, 0.20, 0.25])
          * (0.5 * np.eye(4) + 0.5)).tolist()
@@ -40,7 +41,15 @@ REBALANCE = {
     "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0},
     "admm": {"max_iter": 300, "restarts": 1, "seed": 3},
 }
-DOCUMENTS = {"plain": PLAIN, "target": TARGET, "rebalance": REBALANCE}
+GRADES = {"strategic": [0.4, 0.3, 0.2, 0.1], "r": 0.0, "sharpe": 0.5,
+          "grades": {"a": 1, "c": -1}, "delta": 1.0, "tau": 1.0, "scale_size": 7}
+MATRIX_VIEWS = {"P": [[1.0, -1.0, 0.0, 0.0]], "Q": [0.02], "sigma_eps": [[1e-4]],
+                "sharpe": 0.5, "r": 0.0}
+DOCUMENTS = {"plain": PLAIN, "target": TARGET, "rebalance": REBALANCE,
+             "grades": GRADES, "matrix_views": MATRIX_VIEWS}
+MOMENTS = moments_to_dict(MomentEstimates(
+    mu=np.array(PLAIN["mu"]), sigma=np.array(SIGMA), scheme=WeightScheme.uniform(),
+    assets=PLAIN["assets"]))
 
 
 def paths(node, prefix=()):
@@ -76,7 +85,7 @@ def documents(draw):
     return name, doc
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(documents())
 def test_any_value_exits_cleanly(case):
     name, doc = case
@@ -84,12 +93,18 @@ def test_any_value_exits_cleanly(case):
         problem = os.path.join(tmp, "p.json")
         with open(problem, "w") as handle:
             json.dump(doc, handle)
-        verbs = [["optimize"]]
+        verbs = [["optimize", "--problem", problem]]
         if name == "rebalance":
-            verbs.append(["path", "--param", "rho2", "--grid", "linear:0:0.01:2"])
+            verbs.append(["path", "--problem", problem, "--param", "rho2",
+                          "--grid", "linear:0:0.01:2"])
+        if name in ("grades", "matrix_views"):
+            moments = os.path.join(tmp, "m.json")
+            with open(moments, "w") as handle:
+                json.dump(MOMENTS, handle)
+            verbs = [["views", "--views", problem, "--moments", moments]]
         for verb in verbs:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(verb + ["--problem", problem, "--out", os.path.join(tmp, "out")])
+                code = main(verb + ["--out", os.path.join(tmp, "out")])
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()

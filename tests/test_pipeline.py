@@ -98,6 +98,20 @@ class TestRebalance:
         assert all(b >= a - 1e-8 for a, b in zip(weights_at, weights_at[1:]))
 
 
+class TestNonFiniteBooks:
+    """A NaN in a book is rejected up front, on either route, instead of
+    failing inside the x-step or running the QP to its iteration cap."""
+
+    @pytest.mark.parametrize("rho1", [0.0, 5e-4], ids=["qp_route", "admm_route"])
+    @pytest.mark.parametrize("label", ["strategic", "current"])
+    def test_rejected(self, label, rho1):
+        books = {"strategic": X0.copy(), "current": X0.copy()}
+        books[label][2] = np.nan
+        with pytest.raises(ValueError, match=f"{label} portfolio must hold finite"):
+            RoboConfig(**books, objective="tracking_error", gamma=0.1,
+                       rho1_strategic=rho1, rho1_turnover=rho1)
+
+
 class TestTeTargeting:
     def test_zero_target_returns_strategic(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt

@@ -294,3 +294,26 @@ class TestPenaltyLimits:
                                   PenaltySpec(kind="l2", rho=1.0, gamma_matrix=g2,
                                               anchor=x0), eq=eq)
         assert np.abs(rep.weights - limit).max() <= 1e-4
+
+
+class TestPenaltyMatrixVector:
+    def test_vector_is_the_diagonal(self, four_asset_alt):
+        mu, _, _, sigma = four_asset_alt
+        root = np.linalg.cholesky(sigma).T
+        b1 = np.linalg.solve(root.T, 0.25 * mu)
+        x0 = np.array([0.4, 0.3, 0.2, 0.1])
+        diag = [1.0, 2.0, 3.0, 4.0]
+        vector = PenaltySpec(kind="l1", rho=2e-3, gamma_matrix=diag, anchor=x0)
+        matrix = PenaltySpec(kind="l1", rho=2e-3, gamma_matrix=np.diag(diag), anchor=x0)
+        assert vector.gamma_matrix.shape == (4, 4)
+        budget = ConstraintSet(budget=1.0)
+        a = solve_mixed_lp(root, b1, None, vector, x0=x0, constraints=budget)
+        b = solve_mixed_lp(root, b1, None, matrix, x0=x0, constraints=budget)
+        assert a.converged and b.converged
+        assert np.array_equal(a.weights, b.weights)
+        assert np.abs(a.weights - x0).max() > 1e-4  # the penalty leaves room to trade
+
+    def test_other_shapes_rejected(self):
+        for bad in (2.0, np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="penalty matrix"):
+                PenaltySpec(kind="l2", rho=1.0, gamma_matrix=bad)
