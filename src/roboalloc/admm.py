@@ -14,7 +14,7 @@ from . import prox
 from .errors import NoConvergence
 from .mvo import ConstraintSet
 from .qp import QpProblem, solve_qp
-from .regularizers import penalty_matrix
+from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
 _DIVERGE_LIMIT = 1e12
@@ -243,26 +243,22 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     return report
 
 
-def _least_squares_parts(a1, b1, penalty_l2, default_anchor=None):
-    """P, q and objective of ``0.5 ||a1 x - b1||^2 + rho/2 ||G (x - x0)||^2``
-    for an L2 penalty spec or ``None``; ``x0`` is the penalty's anchor, else
-    ``default_anchor``, else zero."""
+def _least_squares_parts(a1, b1, penalties, default_anchor=None):
+    """P, q, prox blocks and objective of ``0.5 ||a1 x - b1||^2`` plus the
+    penalty specs in ``penalties`` (``None`` entries skipped); a penalty
+    without an anchor is anchored at ``default_anchor``, else at zero."""
     a1 = np.atleast_2d(np.asarray(a1, dtype=float))
     b1 = np.asarray(b1, dtype=float).ravel()
-    n = a1.shape[1]
-    rho2 = 0.0 if penalty_l2 is None else float(penalty_l2.rho)
-    g2 = penalty_matrix(None if penalty_l2 is None else penalty_l2.gamma_matrix, n)
-    anchor = None if penalty_l2 is None else penalty_l2.anchor
-    anchor = default_anchor if anchor is None else anchor
-    x0 = np.zeros(n) if anchor is None else np.asarray(anchor, dtype=float).ravel()
-    p_mat = a1.T @ a1 + rho2 * g2.T @ g2
-    q_vec = a1.T @ b1 + rho2 * (g2.T @ (g2 @ x0))
+    penalties = [pen if pen.anchor is not None or default_anchor is None
+                 else replace(pen, anchor=default_anchor)
+                 for pen in penalties if pen is not None]
+    p_mat, q_vec, blocks, penalty = penalty_terms(penalties, a1.T @ a1, a1.T @ b1)
 
     def objective(x):
         res = a1 @ x - b1
-        return 0.5 * res @ res + 0.5 * rho2 * np.sum((g2 @ (x - x0)) ** 2)
+        return 0.5 * res @ res + penalty(x)
 
-    return p_mat, q_vec, objective
+    return p_mat, q_vec, blocks, objective
 
 
 def solve_tikhonov_constrained(a1, b1, penalty, constraints: ConstraintSet | None = None,
@@ -275,8 +271,8 @@ def solve_tikhonov_constrained(a1, b1, penalty, constraints: ConstraintSet | Non
     projection onto the intersection of the remaining sets.  Without extra
     sets the problem is a QP and is solved exactly.
     """
-    p_mat, q_vec, objective = _least_squares_parts(a1, b1, penalty)
-    return solve_penalized(p_mat, q_vec, [], constraints, extra_sets, params,
+    p_mat, q_vec, blocks, objective = _least_squares_parts(a1, b1, [penalty])
+    return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets, params,
                            warm=warm, x_init=x_init, objective=objective)
 
 
@@ -290,24 +286,10 @@ def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
     The penalty matrices may carry negative entries, which is what rules out
     the augmented-QP route.
     """
-    p_mat, q_vec, smooth = _least_squares_parts(a1, b1, penalty_l2, x0)
-    n = q_vec.size
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-    rho_p = float(penalty_lp.rho)
-    p_ord = float(penalty_lp.p or 1.0)
-    gp = penalty_matrix(penalty_lp.gamma_matrix, n)
-    x0_p = x0 if penalty_lp.anchor is None else np.asarray(penalty_lp.anchor, float)
-
-    def lp_step(v, phi):
-        return prox.prox_lp(v, rho_p / phi, p_ord)
-
-    def objective(x):
-        bets = gp @ (x - x0_p)
-        return smooth(x) + rho_p / p_ord * np.sum(np.abs(bets) ** p_ord)
-
-    return solve_penalized(p_mat, q_vec, [(gp, gp @ x0_p, lp_step)], constraints,
-                           extra_sets, params, warm=warm, x_init=x_init,
-                           objective=objective)
+    p_mat, q_vec, blocks, objective = _least_squares_parts(
+        a1, b1, [penalty_l2, penalty_lp], x0)
+    return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets, params,
+                           warm=warm, x_init=x_init, objective=objective)
 
 
 def _feasible_points(n, constraints: ConstraintSet, extra_sets, relax, x0, rng):
@@ -347,7 +329,9 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     objective.  Per-restart diagnostics land in ``meta['restarts']``.
     """
     params = params or AdmmParams()
-    p_mat, q_vec, objective = _least_squares_parts(a1, b1, penalty_l2, x0)
+    if penalty_l2 is not None and penalty_l2.kind != "l2":
+        raise ValueError("penalty_l2 must be an l2 penalty")
+    p_mat, q_vec, _, objective = _least_squares_parts(a1, b1, [penalty_l2], x0)
     n = q_vec.size
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     g1 = penalty_matrix(gamma1, n)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import calibration, market_data, prox, views as views_mod
+from . import calibration, market_data, views as views_mod
 from .admm import AdmmParams, solve_penalized
 from .errors import (
     AllocationError,
@@ -31,7 +31,7 @@ from .mvo import (
     stevens_decomposition,
 )
 from .pipeline import RoboConfig, rebalance, regularization_path
-from .regularizers import FilterSpec, PenaltySpec, penalty_matrix, spectral_filter
+from .regularizers import FilterSpec, PenaltySpec, penalty_terms, spectral_filter
 from .report import atomic_write
 
 
@@ -330,24 +330,11 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
     if not penalties:
         return solve_gamma_problem(inputs, gamma, constraints), None
 
-    # every L2 penalty joins the quadratic part, every L1/Lp one is a prox block
-    p_mat, q_vec, blocks, terms = inputs.sigma, gamma * inputs.excess, [], []
-    for pen in penalties:
-        g = penalty_matrix(pen.gamma_matrix, n)
-        anchor = np.zeros(n) if pen.anchor is None else pen.anchor
-        terms.append((pen, g, anchor))
-        if pen.kind == "l2":
-            p_mat = p_mat + pen.rho * g.T @ g
-            q_vec = q_vec + pen.rho * (g.T @ (g @ anchor))
-        else:
-            blocks.append((g, g @ anchor,
-                           lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
+    p_mat, q_vec, blocks, penalty = penalty_terms(penalties, inputs.sigma,
+                                                  gamma * inputs.excess)
 
     def objective(x):
-        val = 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess
-        for pen, g, anchor in terms:
-            val += pen.rho / pen.p * np.sum(np.abs(g @ (x - anchor)) ** pen.p)
-        return val
+        return 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess + penalty(x)
 
     report = solve_penalized(p_mat, q_vec, blocks, constraints, params=admm_params,
                              objective=objective)

@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import prox
 from .admm import AdmmParams, solve_penalized
 from .errors import TargetUnreachable
 from .mvo import ConstraintSet, monotone_root
-from .regularizers import penalty_matrix
+from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, atomic_write
 
 _TE_TOL = 1e-6
@@ -53,8 +53,9 @@ class RoboConfig:
             raise ValueError("strategic and current portfolios differ in length")
         for name in ("rho1_strategic", "rho2_strategic",
                      "rho1_turnover", "rho2_turnover"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            rho = getattr(self, name)
+            if not math.isfinite(rho) or rho < 0:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.objective not in ("tracking_error", "mvo"):
             raise ValueError(f"unknown objective {self.objective!r}")
         for label, w in (("strategic", self.strategic), ("current", self.current)):
@@ -73,42 +74,16 @@ class RoboConfig:
     def n(self) -> int:
         return self.strategic.size
 
-
-def _quadratic_parts(config: RoboConfig, mu, sigma, gamma):
-    """P and q of the smooth part: objective plus both L2 penalty blocks."""
-    n = config.n
-    mu = np.asarray(mu, dtype=float).ravel()
-    sigma = np.asarray(sigma, dtype=float)
-    g2s = penalty_matrix(config.gamma2_strategic, n)
-    g2t = penalty_matrix(config.gamma2_turnover, n)
-    p_mat = sigma + config.rho2_strategic * g2s.T @ g2s \
-        + config.rho2_turnover * g2t.T @ g2t
-    q_vec = gamma * mu
-    if config.objective == "tracking_error":
-        q_vec = q_vec + sigma @ config.strategic
-    q_vec = q_vec + config.rho2_strategic * (g2s.T @ (g2s @ config.strategic))
-    q_vec = q_vec + config.rho2_turnover * (g2t.T @ (g2t @ config.current))
-    return p_mat, q_vec
-
-
-def _full_objective(config: RoboConfig, mu, sigma, gamma, x):
-    """Value of the complete penalized objective at ``x``."""
-    n = config.n
-    mu = np.asarray(mu, dtype=float).ravel()
-    if config.objective == "tracking_error":
-        d = x - config.strategic
-        val = 0.5 * d @ sigma @ d - gamma * d @ mu
-    else:
-        val = 0.5 * x @ sigma @ x - gamma * x @ mu
-    g1s = penalty_matrix(config.gamma1_strategic, n)
-    g1t = penalty_matrix(config.gamma1_turnover, n)
-    g2s = penalty_matrix(config.gamma2_strategic, n)
-    g2t = penalty_matrix(config.gamma2_turnover, n)
-    val += config.rho1_strategic * np.abs(g1s @ (x - config.strategic)).sum()
-    val += config.rho1_turnover * np.abs(g1t @ (x - config.current)).sum()
-    val += 0.5 * config.rho2_strategic * np.sum((g2s @ (x - config.strategic)) ** 2)
-    val += 0.5 * config.rho2_turnover * np.sum((g2t @ (x - config.current)) ** 2)
-    return float(val)
+    def penalties(self) -> list:
+        """The penalty slots as ``PenaltySpec`` objects, L1 before L2 and the
+        strategic slot (anchored at ``strategic``) before the turnover slot
+        (anchored at ``current``).  Only slots with ``rho > 0`` are listed."""
+        slots = ((1, self.rho1_strategic, self.gamma1_strategic, self.strategic),
+                 (1, self.rho1_turnover, self.gamma1_turnover, self.current),
+                 (2, self.rho2_strategic, self.gamma2_strategic, self.strategic),
+                 (2, self.rho2_turnover, self.gamma2_turnover, self.current))
+        return [PenaltySpec(kind=f"l{k}", rho=rho, gamma_matrix=g, anchor=anchor)
+                for k, rho, g, anchor in slots if rho > 0]
 
 
 def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
@@ -128,19 +103,21 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         if config.te_target is not None:
             return te_target_to_gamma(config, mu, sigma, config.te_target)[1]
         gamma = 0.0
+    mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    p_mat, q_vec = _quadratic_parts(config, mu, sigma, gamma)
-    n = config.n
-    blocks = []
-    for rho, g1, anchor in ((config.rho1_strategic, config.gamma1_strategic, config.strategic),
-                            (config.rho1_turnover, config.gamma1_turnover, config.current)):
-        if rho > 0:
-            g1 = penalty_matrix(g1, n)
-            blocks.append((g1, g1 @ anchor, lambda v, phi, r=rho: prox.prox_l1(v, r / phi)))
-    report = solve_penalized(
-        p_mat, q_vec, blocks, config.constraints, config.extra_sets, config.admm,
-        warm=warm, x_init=config.current,
-        objective=lambda x: _full_objective(config, mu, sigma, gamma, x))
+    tracking = config.objective == "tracking_error"
+    q_vec = gamma * mu
+    if tracking:
+        q_vec = q_vec + sigma @ config.strategic
+    p_mat, q_vec, blocks, penalty = penalty_terms(config.penalties(), sigma, q_vec)
+
+    def objective(x):
+        d = x - config.strategic if tracking else x
+        return float(0.5 * d @ sigma @ d - gamma * d @ mu + penalty(x))
+
+    report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
+                             config.admm, warm=warm, x_init=config.current,
+                             objective=objective)
     report.gamma = float(gamma)
     return report
 

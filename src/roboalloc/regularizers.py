@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import prox
 from .errors import (
     AllSingularValuesFiltered,
     NotPositiveDefinite,
@@ -30,8 +32,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in ("l1", "l2", "lp"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not math.isfinite(self.rho) or self.rho < 0:
+            raise ValueError("rho must be finite and nonnegative")
         if self.kind == "lp":
             if self.p is None or self.p <= 0:
                 raise ValueError("lp penalty needs p > 0")
@@ -73,6 +75,40 @@ def penalty_matrix(gamma, n: int | None = None) -> np.ndarray:
     return gamma
 
 
+def penalty_terms(penalties, P, q):
+    """Fold norm penalties into the problem ``0.5 x'Px - q'x``.
+
+    ``G`` is a penalty's matrix (the identity if unset) and ``a`` its anchor
+    (zero if unset).  An ``l2`` penalty adds ``rho G'G`` to ``P`` and
+    ``rho G'(G a)`` to ``q``, one penalty at a time in list order.  An ``l1``
+    or ``lp`` penalty becomes the prox block ``(G, G a, step)`` of
+    ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
+    ``rho/(p phi) ||.||_p^p``.  Every penalty is honoured, a zero ``rho``
+    included.  Returns ``(P, q, blocks, value)``, where ``value(x)`` is
+    ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.
+    """
+    n = q.size
+    terms, blocks = [], []
+    for pen in penalties:
+        g = penalty_matrix(pen.gamma_matrix, n)
+        anchor = np.zeros(n) if pen.anchor is None else pen.anchor
+        terms.append((pen.rho, pen.p, g, anchor))
+        if pen.kind == "l2":
+            P = P + pen.rho * g.T @ g
+            q = q + pen.rho * (g.T @ (g @ anchor))
+        elif pen.kind == "l1":
+            blocks.append((g, g @ anchor, lambda v, phi, r=pen.rho: prox.prox_l1(v, r / phi)))
+        else:
+            blocks.append((g, g @ anchor,
+                           lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
+
+    def value(x):
+        return sum(rho / p * np.sum(np.abs(g @ (x - anchor)) ** p)
+                   for rho, p, g, anchor in terms)
+
+    return P, q, blocks, value
+
+
 def _kkt(block11, a2, rhs1, b2):
     n = block11.shape[0]
     if a2 is None:
@@ -111,15 +147,12 @@ def tikhonov_solve(a1, b1, penalty: PenaltySpec, eq=None):
     """
     a1 = np.atleast_2d(np.asarray(a1, float))
     b1 = np.asarray(b1, float).ravel()
-    n = a1.shape[1]
-    g2 = penalty_matrix(penalty.gamma_matrix, n)
-    x0 = np.zeros(n) if penalty.anchor is None else penalty.anchor
-    rho = float(penalty.rho)
-    block = a1.T @ a1 + rho * g2.T @ g2
-    rhs1 = a1.T @ b1 + rho * (g2.T @ (g2 @ x0))
-    if eq is None and rho == 0.0:
+    if penalty.kind != "l2":
+        raise ValueError("tikhonov_solve takes an l2 penalty")
+    if eq is None and penalty.rho == 0.0:
         x, *_ = np.linalg.lstsq(a1, b1, rcond=None)
         return x, np.zeros(0)
+    block, rhs1, _, _ = penalty_terms([penalty], a1.T @ a1, a1.T @ b1)
     if eq is None:
         return _kkt(block, None, rhs1, None)
     return _kkt(block, eq[0], rhs1, eq[1])
@@ -130,26 +163,26 @@ def ridge_mvo(mu, sigma, gamma, rho2, x0=None, constraints=None) -> SolveReport:
 
     Unconstrained this blends the raw optimizer with the anchor through the
     weight matrix ``(I + rho2 S^-1)^-1``; with constraints it becomes a QP on
-    ``S + rho2 I`` and shifted expected returns.
+    ``S + rho2 I`` and shifted expected returns.  A negative ``rho2`` is a
+    ``ValueError``.
     """
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    n = mu.size
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-    q_mat = sigma + rho2 * np.eye(n)
-    lin = gamma * mu + rho2 * x0
+    q_mat, lin, _, penalty = penalty_terms([PenaltySpec(kind="l2", rho=rho2, anchor=x0)],
+                                           sigma, gamma * mu)
+
+    def objective(x):
+        return float(0.5 * x @ sigma @ x - gamma * x @ mu + penalty(x))
+
     if constraints is None or constraints.is_empty():
         x = np.linalg.solve(q_mat, lin)
-        obj = 0.5 * x @ sigma @ x - gamma * x @ mu + 0.5 * rho2 * np.sum((x - x0) ** 2)
-        return SolveReport(weights=x, objective=float(obj), status=CONVERGED,
+        return SolveReport(weights=x, objective=objective(x), status=CONVERGED,
                            iterations=0, gamma=float(gamma))
-    eq, ineq, lower, upper = constraints.qp_pieces(n)
+    eq, ineq, lower, upper = constraints.qp_pieces(mu.size)
     report = solve_qp(QpProblem(Q=q_mat, c=-lin, eq=eq, ineq=ineq,
                                 lower=lower, upper=upper))
     report.gamma = float(gamma)
-    report.objective = float(0.5 * report.weights @ sigma @ report.weights
-                             - gamma * report.weights @ mu
-                             + 0.5 * rho2 * np.sum((report.weights - x0) ** 2))
+    report.objective = objective(report.weights)
     return report
 
 
