@@ -253,18 +253,32 @@ def moments_to_dict(moments: MomentEstimates) -> dict:
 
 
 def moments_from_dict(obj: dict) -> MomentEstimates:
+    """Moments from a document: finite ``mu`` and ``sigma`` (a matrix or its
+    row-major entries) and one asset name per entry of ``mu``."""
+    if not isinstance(obj, dict):
+        raise InputError("moments document must be a JSON object")
     for key in ("assets", "mu", "sigma"):
         if key not in obj:
             raise InputError(f"moments document missing key {key!r}")
-    n = len(obj["assets"])
-    sigma = np.asarray(obj["sigma"], dtype=float)
+    try:
+        mu = np.asarray(obj["mu"], dtype=float)
+        sigma = np.asarray(obj["sigma"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"moments mu and sigma must be arrays of numbers ({exc})") from exc
+    if mu.ndim != 1 or not np.isfinite(mu).all() or not np.isfinite(sigma).all():
+        raise InputError("moments mu must be a vector and mu and sigma must hold "
+                         "finite numbers only")
+    n = mu.size
+    assets = obj["assets"]
+    if not (isinstance(assets, list) and len(assets) == n
+            and all(isinstance(a, str) for a in assets)):
+        raise InputError(f"moments assets must be a list of {n} names, one per entry of mu")
     if sigma.ndim == 1:
         if sigma.size != n * n:
             raise InputError("row-major sigma has wrong length")
         sigma = sigma.reshape(n, n)
     scheme = WeightScheme.from_dict(obj.get("scheme", {"kind": "uniform"}))
-    return MomentEstimates(mu=np.asarray(obj["mu"], float), sigma=sigma,
-                           scheme=scheme, assets=list(obj["assets"]))
+    return MomentEstimates(mu=mu, sigma=sigma, scheme=scheme, assets=list(assets))
 
 
 def load_moments(path) -> MomentEstimates:

@@ -105,7 +105,7 @@ class Box:
     upper: np.ndarray | float = np.inf
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
+        return np.minimum(np.maximum(np.asarray(v, dtype=float), self.lower), self.upper)
 
 
 @dataclass(frozen=True)

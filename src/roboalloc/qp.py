@@ -37,6 +37,11 @@ _FEAS_TOL = 1e-9
 _LOWER, _FREE, _UPPER = -1, 0, 1  # per-variable bound state
 
 
+def _check_finite(name: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{name} must hold finite numbers only")
+
+
 @dataclass
 class QpProblem:
     Q: np.ndarray
@@ -53,6 +58,8 @@ class QpProblem:
         n = self.c.size
         if self.Q.shape != (n, n):
             raise ValueError("Q and c dimensions disagree")
+        _check_finite("Q", self.Q)
+        _check_finite("c", self.c)
         if np.abs(self.Q - self.Q.T).max() > 1e-12 * max(1.0, np.abs(self.Q).max()):
             raise ValueError("Q must be symmetric")
         self.Q = 0.5 * (self.Q + self.Q.T)
@@ -61,11 +68,13 @@ class QpProblem:
             self.eq = (np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel())
             if self.eq[0].shape != (self.eq[1].size, n):
                 raise ValueError("equality block dimensions disagree")
+            _check_finite("eq", *self.eq)
         if self.ineq is not None:
             g, h = self.ineq
             self.ineq = (np.atleast_2d(np.asarray(g, float)), np.asarray(h, float).ravel())
             if self.ineq[0].shape != (self.ineq[1].size, n):
                 raise ValueError("inequality block dimensions disagree")
+            _check_finite("ineq", *self.ineq)
         for name in ("lower", "upper"):
             v = getattr(self, name)
             if v is not None:
@@ -74,6 +83,8 @@ class QpProblem:
                     v = np.full(n, v[0])
                 if v.size != n:
                     raise ValueError(f"{name} bound has wrong length")
+                if np.isnan(v).any():
+                    raise ValueError(f"{name} bound must not be NaN")
                 setattr(self, name, v)
         if self.lower is not None and self.upper is not None:
             if (self.lower > self.upper + 1e-15).any():

@@ -449,6 +449,44 @@ class TestStevens:
                            atol=0.01)
 
 
+class TestMomentsDocuments:
+    """A moments file with a non-finite number or an asset list that does not
+    name every entry of mu is an input error (exit 1) for every verb that
+    reads one."""
+
+    @pytest.mark.parametrize("change", [
+        {"mu": [0.07, float("nan"), 0.09, 0.10]},
+        {"mu": [0.07, float("inf"), 0.09, 0.10]},
+        {"sigma_entry": float("nan")},
+        {"sigma_entry": float("-inf")},
+        {"assets": ["a1", "a2", "a3"]},
+        {"assets": ["a1", "a2", "a3", "a4", "a5"]},
+        {"assets": ["a1", "a2", "a3", 4]},
+        {"assets": "a1a2a3a4"},
+        {"mu": "0.07"},
+    ], ids=["mu_nan", "mu_inf", "sigma_nan", "sigma_inf", "short_assets",
+            "long_assets", "non_string_asset", "assets_string", "mu_string"])
+    @pytest.mark.parametrize("verb", ["optimize", "stevens"])
+    def test_rejected(self, four_asset_moments, tmp_path, capsys, change, verb):
+        doc, change = json.loads(four_asset_moments.read_text()), dict(change)
+        if "sigma_entry" in change:
+            doc["sigma"][5] = change.pop("sigma_entry")
+        doc.update(change)
+        moments = tmp_path / "bad_moments.json"
+        moments.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if verb == "optimize":
+            problem = tmp_path / "p.json"
+            problem.write_text(json.dumps({"moments_file": str(moments), "gamma": 0.25,
+                                           "constraints": {"budget": 1.0}}))
+            argv = ["optimize", "--problem", str(problem), "--out", str(out)]
+        else:
+            argv = ["stevens", "--moments", str(moments), "--gamma", "0.25", "--out", str(out)]
+        assert main(argv) == 1
+        assert "moments" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, four_asset_moments, tmp_path):
         problem = tmp_path / "p.json"

@@ -147,6 +147,17 @@ class TestProjections:
         assert np.allclose(project(v, Box(-1.0, 1.0)), [1.0, -1.0, 0.1])
         assert np.allclose(project(v, LinfBall(1.0)), [1.0, -1.0, 0.1])
 
+    def test_box_matches_clip(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            v = rng.normal(size=50)
+            lower = np.where(rng.random(50) < 0.2, -np.inf, rng.normal(size=50) - 0.5)
+            upper = np.where(rng.random(50) < 0.2, np.inf, lower + rng.random(50))
+            for box in (Box(lower, upper), Box(-0.3, 0.4), Box()):
+                assert np.array_equal(project(v, box), np.clip(v, box.lower, box.upper))
+        v = np.array([np.nan, 2.0])
+        assert np.array_equal(Box(0.0, 1.0).project(v), [np.nan, 1.0], equal_nan=True)
+
     def test_simplex_sorted_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

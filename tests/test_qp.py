@@ -236,6 +236,50 @@ class TestSolveQp:
                                upper=np.array([0.0])))
 
 
+class TestNonFiniteData:
+    """A NaN in Q once returned ``converged`` with a NaN objective and a NaN
+    in c ran the active set to its iteration cap; both are input errors."""
+
+    @staticmethod
+    def problem(**change):
+        data = dict(Q=np.eye(2), c=np.zeros(2), eq=(np.ones((1, 2)), [1.0]),
+                    ineq=(np.array([[1.0, -1.0]]), [-1.0]), lower=0.0, upper=1.0)
+        data.update(change)
+        return data
+
+    @pytest.mark.parametrize("field,change", [
+        ("Q", dict(Q=np.array([[1.0, 0.0], [0.0, np.nan]]))),
+        ("Q", dict(Q=np.array([[np.inf, 0.0], [0.0, 1.0]]))),
+        ("c", dict(c=np.array([0.0, np.nan]))),
+        ("eq", dict(eq=(np.array([[1.0, np.nan]]), [1.0]))),
+        ("eq", dict(eq=(np.ones((1, 2)), [np.inf]))),
+        ("ineq", dict(ineq=(np.array([[1.0, -1.0]]), [np.nan]))),
+        ("lower bound", dict(lower=np.array([0.0, np.nan]))),
+        ("upper bound", dict(upper=np.nan)),
+    ], ids=["Q_nan", "Q_inf", "c", "eq_a", "eq_b", "ineq_h", "lower", "upper"])
+    def test_problem_rejects(self, field, change):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            QpProblem(**self.problem(**change))
+
+    def test_infinite_bounds_allowed(self):
+        rep = solve_qp(QpProblem(**self.problem(lower=-np.inf, upper=np.array([np.inf, 1.0]))))
+        assert rep.converged
+
+    def test_solve_penalized_qp_route(self):
+        from roboalloc.admm import solve_penalized
+        from roboalloc.mvo import ConstraintSet
+        cons = ConstraintSet(budget=1.0, lower=np.zeros(4), upper=np.ones(4))
+        with pytest.raises(ValueError, match="^c must"):
+            solve_penalized(np.eye(4), np.array([0.1, np.nan, 0.2, 0.3]), [], cons)
+
+    def test_solve_gamma_problem(self, four_asset):
+        from roboalloc.mvo import ConstraintSet, MvoInputs, solve_gamma_problem
+        mu, _, _, sigma = four_asset
+        with pytest.raises(ValueError, match="^c must"):
+            solve_gamma_problem(MvoInputs(mu=np.where(mu > 0.09, np.nan, mu), sigma=sigma),
+                                0.25, ConstraintSet(budget=1.0))
+
+
 class TestAugmentL1:
     def test_zero_penalty_reduces_to_base(self, four_asset):
         mu, _, _, sigma = four_asset
