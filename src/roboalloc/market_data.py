@@ -265,9 +265,10 @@ def moments_from_dict(obj: dict) -> MomentEstimates:
         sigma = np.asarray(obj["sigma"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"moments mu and sigma must be arrays of numbers ({exc})") from exc
-    if mu.ndim != 1 or not np.isfinite(mu).all() or not np.isfinite(sigma).all():
-        raise InputError("moments mu must be a vector and mu and sigma must hold "
-                         "finite numbers only")
+    if mu.ndim != 1:
+        raise InputError("moments mu must be a vector")
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise InputError("moments mu and sigma must hold finite numbers only")
     n = mu.size
     assets = obj["assets"]
     if not (isinstance(assets, list) and len(assets) == n
