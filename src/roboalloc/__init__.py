@@ -3,7 +3,6 @@
 from .admm import (
     AdmmParams,
     AdmmState,
-    adaptive_penalty,
     admm_solve,
     solve_cardinality,
     solve_mixed_lp,

@@ -1,5 +1,7 @@
-"""Scaled ADMM with adaptive penalty, plus structured solvers for the
-penalized portfolio problems (smoothed, sparse and cardinality-constrained)."""
+"""Scaled ADMM, plus structured solvers for the penalized portfolio problems
+(smoothed, sparse and cardinality-constrained).  The structured solvers start
+at the penalty ``sqrt(lmin lmax)`` of the spectrum of ``P``; the loop rescales
+it in its first ``_BALANCE_ITERATIONS`` iterations only, then holds it fixed."""
 
 from __future__ import annotations
 
@@ -18,26 +20,25 @@ from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
 _DIVERGE_LIMIT = 1e12
+_BALANCE_RATIO = 1e3       # squared-residual ratio that rescales the penalty
+_BALANCE_STEP = 2.0        # by this factor
+_BALANCE_ITERATIONS = 100  # after which the penalty is fixed
+_SPECTRAL_FLOOR = 1e-6     # floor of lmin / lmax in the starting penalty
 
 
 @dataclass
 class AdmmParams:
-    phi0: float = 1.0
-    mu: float = 1e3            # residual balance factor
-    tau_up: float = 2.0
-    tau_down: float = 2.0
     eps_primal: float = 1e-10
     eps_dual: float = 1e-10
     max_iter: int = 10000
-    adaptive: bool = True
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.phi0, self.mu, self.eps_primal, self.eps_dual) <= 0:
-            raise ValueError("phi0, mu and tolerances must be positive")
-        if min(self.tau_up, self.tau_down) < 1.0:
-            raise ValueError("penalty multipliers must be >= 1")
+        if not (self.eps_primal > 0 and self.eps_dual > 0):
+            raise ValueError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -65,28 +66,20 @@ def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def adaptive_penalty(phi: float, r_norm: float, s_norm: float,
-                     params: AdmmParams) -> float:
-    """Rescale the penalty to keep the two squared residuals within a factor."""
-    r2, s2 = r_norm ** 2, s_norm ** 2
-    if r2 > params.mu * s2:
-        return phi * params.tau_up
-    if s2 > params.mu * r2:
-        return phi / params.tau_down
-    return phi
-
-
 def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
                z0: np.ndarray | None = None, u0: np.ndarray | None = None,
-               objective=None) -> SolveReport:
+               objective=None, phi: float = 1.0) -> SolveReport:
     """Generic scaled ADMM on ``min f(x) + g(z)  s.t.  A x + B z = c``.
 
     ``x_update(z, u, phi)`` must return the minimizer of
     ``f(x) + phi/2 ||Ax + Bz - c + u||^2`` and ``z_update(x, u, phi)`` the
-    analogue for ``g``.  The scaled dual ``u`` is rescaled whenever the
-    penalty changes so the fixed point is preserved.  ``B`` may be ``None``
-    for ``-I``, the usual ``A x - z = c``; an explicit ``-I`` is recognised
-    once, and the loop then forms the residuals without products by ``B``.
+    analogue for ``g``.  The loop starts at the penalty ``phi``, the scale
+    of ``u0``.  In its first ``_BALANCE_ITERATIONS`` iterations it doubles
+    (halves) the penalty when the squared primal (dual) residual exceeds
+    the other by ``_BALANCE_RATIO``, rescaling ``u`` to keep the fixed
+    point; then the penalty is fixed.  ``B`` may be ``None`` for ``-I``,
+    the usual ``A x - z = c``; an explicit ``-I`` is recognised once, and
+    the loop then forms the residuals without products by ``B``.
     ``c`` and the starting ``z0``/``u0`` must be finite (``ValueError``
     otherwise); what the loop itself produces is guarded by the divergence
     test, a non-finite primal residual ending it as ``diverged``.
@@ -100,7 +93,6 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
     z = np.zeros(m if b is None else b.shape[1]) if z0 is None \
         else np.asarray_chkfinite(z0, dtype=float).copy()
     u = np.zeros(m) if u0 is None else np.asarray_chkfinite(u0, dtype=float).copy()
-    phi = params.phi0
     x = None
     r_norm = s_norm = math.inf
     status = MAX_ITER
@@ -124,11 +116,13 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
         if r_norm <= params.eps_primal and s_norm <= params.eps_dual:
             status = CONVERGED
             break
-        if params.adaptive:
-            phi_new = adaptive_penalty(phi, r_norm, s_norm, params)
-            if phi_new != phi:
-                u *= phi / phi_new
-                phi = phi_new
+        if it <= _BALANCE_ITERATIONS:
+            if r_norm ** 2 > _BALANCE_RATIO * s_norm ** 2:
+                phi *= _BALANCE_STEP
+                u /= _BALANCE_STEP
+            elif s_norm ** 2 > _BALANCE_RATIO * r_norm ** 2:
+                phi /= _BALANCE_STEP
+                u *= _BALANCE_STEP
     obj = float(objective(x)) if objective is not None else float("nan")
     report = SolveReport(weights=x, objective=obj, status=status, iterations=it,
                          r_norm=r_norm, s_norm=s_norm)
@@ -144,7 +138,9 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
 class _StackedProblem:
     """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` with
     equality constraints in the x-step and prox/projection blocks in z.
-    Blocks whose ``G_i`` is the identity skip their products with it."""
+    Blocks whose ``G_i`` is the identity skip their products with it.
+    ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the spectrum of
+    ``P`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``P`` is zero."""
 
     def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks):
         self.p = p_mat
@@ -163,6 +159,8 @@ class _StackedProblem:
             identity = g.shape == eye.shape and np.array_equal(g, eye)
             self.blocks.append((None if identity else g, d, slice(start, stop), stepper))
         self._factors = {}
+        lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
+        self.phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
 
     def _factor(self, phi):
         if phi not in self._factors:
@@ -206,10 +204,11 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     extra set the problem is a QP, solved exactly by ``solve_qp`` and
     warm-started from the weights ``warm``.  Otherwise ADMM runs on the
     blocks in their order with the constraint projection as the last
-    block, starting from the ``AdmmState`` ``warm`` or else from
-    ``x_init``.  A warm start of the other kind is ignored.  ``objective``
-    evaluates the reported objective at the answer.  On the ADMM route a
-    non-finite ``q``, offset, equality level or start raises ``ValueError``
+    block, starting from the ``AdmmState`` ``warm`` at its own penalty, or
+    else from ``x_init`` at the penalty worked out from ``P``.  A warm
+    start of the other kind is ignored.  ``objective`` evaluates the
+    reported objective at the answer.  On the ADMM route a non-finite
+    ``P``, ``q``, offset, equality level or start raises ``ValueError``
     before the first iteration.
     """
     n = q_vec.size
@@ -224,21 +223,21 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
         return report
 
     a_eq, b_eq, sets = constraints.admm_pieces(n)
-    q_vec, b_eq = np.asarray_chkfinite(q_vec), np.asarray_chkfinite(b_eq)
+    p_mat, q_vec, b_eq = map(np.asarray_chkfinite, (p_mat, q_vec, b_eq))
     sets = [*extra_sets, *sets]
     blocks = list(blocks)
     if sets:
         blocks.append((np.eye(n), np.zeros(n),
                        lambda v, _phi: prox.project_intersection(v, sets)))
     prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
+    z0 = u0 = None
+    phi = prob.phi
     if isinstance(warm, AdmmState) and warm.z.size == prob.c_stack.size:
-        z0, u0 = warm.z, warm.u
+        z0, u0, phi = warm.z, warm.u, warm.phi
     elif x_init is not None:
-        z0, u0 = prob.z_init(np.asarray(x_init, float)), None
-    else:
-        z0 = u0 = None
+        z0 = prob.z_init(np.asarray(x_init, float))
     report = admm_solve(prob.x_update, prob.z_update, (prob.a_stack, None, prob.c_stack),
-                        params, z0=z0, u0=u0, objective=objective)
+                        params, z0=z0, u0=u0, objective=objective, phi=phi)
     report.meta["eq_dual"] = getattr(prob, "_eq_dual", np.zeros(0))
     return report
 

@@ -202,16 +202,14 @@ def _parse_admm(obj: dict | None, tol: float | None = None,
     """ADMM parameters from the problem document; the --tol/--seed flags act
     as defaults that explicit document keys override."""
     obj = {} if obj is None else obj
-    _check_keys(obj, ("phi0", "mu", "tau", "eps_primal", "eps_dual",
-                      "max_iter", "restarts", "seed"), where="admm")
+    _check_keys(obj, ("eps_primal", "eps_dual", "max_iter", "restarts", "seed"),
+                where="admm")
     eps_default = tol if tol is not None else 1e-10
 
     def get(key, default, integer=False):
         return _number(obj[key], f"admm.{key}", integer) if key in obj else default
 
-    tau = get("tau", 2.0)
     return AdmmParams(
-        phi0=get("phi0", 1.0), mu=get("mu", 1e3), tau_up=tau, tau_down=tau,
         eps_primal=get("eps_primal", eps_default), eps_dual=get("eps_dual", eps_default),
         max_iter=get("max_iter", 10000, True), restarts=get("restarts", 5, True),
         seed=get("seed", seed, True))

@@ -58,8 +58,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in ("none", "ridge", "diag_ridge", "hard_threshold"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not math.isfinite(self.rho) or self.rho < 0:
+            raise ValueError("rho must be finite and nonnegative")
 
 
 def penalty_matrix(gamma, n: int | None = None) -> np.ndarray:

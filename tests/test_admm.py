@@ -6,7 +6,6 @@ from roboalloc import prox
 from roboalloc.admm import (
     AdmmParams,
     AdmmState,
-    adaptive_penalty,
     admm_solve,
     solve_cardinality,
     solve_mixed_lp,
@@ -32,20 +31,6 @@ def mvo_ls(mu, sigma, gamma):
     a1 = matrix_root(sigma)
     b1 = np.linalg.solve(a1.T, gamma * np.asarray(mu, float))
     return a1, b1
-
-
-class TestAdaptivePenalty:
-    def test_primal_dominates(self):
-        p = AdmmParams()
-        assert adaptive_penalty(1.0, np.sqrt(10.0), np.sqrt(1e-3), p) == 2.0
-
-    def test_balanced(self):
-        p = AdmmParams()
-        assert adaptive_penalty(1.5, 1.0, 1.0, p) == 1.5
-
-    def test_dual_dominates(self):
-        p = AdmmParams()
-        assert adaptive_penalty(1.0, np.sqrt(1e-3), np.sqrt(10.0), p) == 0.5
 
 
 class TestGenericEngine:
@@ -95,15 +80,29 @@ class TestGenericEngine:
         assert rep.status == "diverged"
 
     def test_penalty_rescaling_transparent(self, four_asset_alt):
+        # the balancing window changes the penalty and rescales u; the
+        # fixed point must stay the exact L1 solution
         mu, _, _, sigma = four_asset_alt
         a1, b1 = mvo_ls(mu, sigma, 0.25)
         pen = PenaltySpec(kind="l1", rho=5e-4, anchor=np.zeros(4))
-        fixed = solve_mixed_lp(a1, b1, None, pen, constraints=BUDGET,
-                               params=AdmmParams(adaptive=False, max_iter=60000))
-        adaptive = solve_mixed_lp(a1, b1, None, pen, constraints=BUDGET,
-                                  params=AdmmParams(adaptive=True))
-        assert fixed.converged and adaptive.converged
-        assert np.abs(fixed.weights - adaptive.weights).max() <= 1e-6
+        rep = solve_mixed_lp(a1, b1, None, pen, constraints=BUDGET)
+        oracle = solve_qp(augment_l1(QpProblem(Q=sigma, c=-0.25 * mu,
+                                               eq=(np.ones((1, 4)), [1.0])),
+                                     np.eye(4), 5e-4, np.zeros(4)))
+        assert rep.converged
+        lam = np.linalg.eigvalsh(a1.T @ a1)
+        assert rep.meta["state"].phi != np.sqrt(lam[0] * lam[-1])  # the penalty moved
+        assert np.abs(rep.weights - oracle.weights[:4]).max() <= 1e-6
+
+
+class TestParams:
+    @pytest.mark.parametrize("change", [
+        {"max_iter": 0}, {"max_iter": -3}, {"eps_primal": 0.0},
+        {"eps_primal": float("nan")}, {"eps_dual": float("nan")},
+    ], ids=["max_iter_0", "max_iter_negative", "eps_zero", "eps_primal_nan", "eps_dual_nan"])
+    def test_rejected(self, change):
+        with pytest.raises(ValueError):
+            AdmmParams(**change)
 
 
 class TestTikhonovConstrained:
@@ -284,12 +283,12 @@ class TestCardinality:
 # shortcuts, with scipy's checked lu_solve and dense products throughout ---
 
 
-def reference_admm_solve(x_update, z_update, coupling, params, z0=None, u0=None):
+def reference_admm_solve(x_update, z_update, coupling, params, z0=None, u0=None,
+                         phi=1.0):
     a, b, c = coupling
     m = c.size
     z = np.zeros(b.shape[1]) if z0 is None else np.asarray(z0, dtype=float).copy()
     u = np.zeros(m) if u0 is None else np.asarray(u0, dtype=float).copy()
-    phi = params.phi0
     x = None
     r_norm = s_norm = np.inf
     status = "max_iter"
@@ -309,11 +308,15 @@ def reference_admm_solve(x_update, z_update, coupling, params, z0=None, u0=None)
         if r_norm <= params.eps_primal and s_norm <= params.eps_dual:
             status = "converged"
             break
-        if params.adaptive:
-            phi_new = adaptive_penalty(phi, r_norm, s_norm, params)
-            if phi_new != phi:
-                u *= phi / phi_new
-                phi = phi_new
+        if it <= 100:  # residual balancing, first 100 iterations only
+            if r_norm ** 2 > 1e3 * s_norm ** 2:
+                phi_new = phi * 2.0
+            elif s_norm ** 2 > 1e3 * r_norm ** 2:
+                phi_new = phi / 2.0
+            else:
+                phi_new = phi
+            u *= phi / phi_new
+            phi = phi_new
     return AdmmState(x=x, z=z, u=u, phi=phi, r_norm=r_norm, s_norm=s_norm,
                      iterations=it), status
 
@@ -331,6 +334,8 @@ class ReferenceStackedProblem:
         self.c_stack = np.concatenate(self.offsets)
         self.sizes = [d.size for d in self.offsets]
         self._factors = {}
+        lam = np.linalg.eigvalsh(p_mat)
+        self.phi = np.sqrt(max(lam[0], 1e-6 * lam[-1]) * lam[-1]) if lam[-1] > 0 else 1.0
 
     def _factor(self, phi):
         if phi not in self._factors:
@@ -379,7 +384,7 @@ def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init):
     prob = ReferenceStackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
     return reference_admm_solve(prob.x_update, prob.z_update,
                                 (prob.a_stack, prob.b_stack, prob.c_stack), params,
-                                z0=prob.z_init(x_init))
+                                z0=prob.z_init(x_init), phi=prob.phi)
 
 
 def l1_step(rho):
@@ -400,6 +405,20 @@ def rebalance_problem(seed, n, gamma1=None):
     q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
     blocks = [(g, g @ strategic, l1_step(5e-4)), (g, g @ current, l1_step(2e-4))]
     return p_mat, q_vec, blocks, current
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed,n", [(0, 30), (1, 12), (3, 50)])
+    def test_resume_at_own_penalty(self, seed, n):
+        # a converged state resumed on the same problem is already the answer
+        p_mat, q_vec, blocks, current = rebalance_problem(seed, n)
+        cons = ConstraintSet(budget=1.0, lower=np.zeros(n),
+                             upper=np.full(n, max(0.3, 2.0 / n)))
+        cold = solve_penalized(p_mat, q_vec, blocks, cons, x_init=current)
+        again = solve_penalized(p_mat, q_vec, blocks, cons, warm=cold.meta["state"])
+        assert cold.converged and again.converged
+        assert again.iterations <= 2
+        assert np.abs(again.weights - cold.weights).max() <= 1e-9
 
 
 class TestSameIterates:

@@ -431,6 +431,28 @@ class TestSolverFailureExit:
         assert len(doc["weights"]) == 4
 
 
+class TestAdmmDocument:
+    """An ``admm`` object that the solver cannot use, or that names a removed
+    penalty setting, is an input error, never a traceback or ignored."""
+
+    @pytest.mark.parametrize("admm", [
+        {"max_iter": 0}, {"max_iter": -3}, {"eps_primal": 0.0},
+        {"phi0": 1.0}, {"mu": 1e3}, {"tau": 2.0},
+    ], ids=["max_iter_0", "max_iter_negative", "eps_zero", "phi0", "mu", "tau"])
+    def test_rejected(self, four_asset_moments, tmp_path, admm):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "gamma": 0.25,
+            "strategic": [0.25, 0.25, 0.25, 0.25], "current": [0.25, 0.25, 0.25, 0.25],
+            "penalties": [{"kind": "l1", "rho": 1e-3, "anchor": "strategic"}],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0},
+            "admm": admm,
+        }))
+        out = tmp_path / "rep.json"
+        assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 class TestStevens:
     def test_csv_columns(self, four_asset_moments, tmp_path):
         out = tmp_path / "stevens.csv"

@@ -26,7 +26,7 @@ PLAIN = {
                     "eq": {"a": [[1.0, 1.0, 0.0, 0.0]], "b": [0.5]},
                     "ineq": {"a": [[0.0, 0.0, 1.0, -1.0]], "b": [-0.2]}},
     "filter": {"kind": "ridge", "rho": 1e-4},
-    "admm": {"max_iter": 300, "eps_primal": 1e-8, "eps_dual": 1e-8, "tau": 2.0},
+    "admm": {"max_iter": 300, "eps_primal": 1e-8, "eps_dual": 1e-8},
 }
 TARGET = {"mu": PLAIN["mu"], "sigma": PLAIN["sigma"],
           "target": {"type": "volatility", "value": 0.17},

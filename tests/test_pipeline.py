@@ -1,6 +1,10 @@
+import pathlib
+import types
+
 import numpy as np
 import pytest
 
+import roboalloc
 from roboalloc import admm, pipeline
 from roboalloc.admm import AdmmParams
 from roboalloc.mvo import ConstraintSet
@@ -280,3 +284,56 @@ class TestPathTableWarmStart:
                                   constraints=ConstraintSet(budget=1.0))
             cold = rebalance(cold_cfg, mu, sigma)
             assert np.abs(row - cold.weights).max() <= 1e-6
+
+
+def benchmark_generators():
+    """The benchmark's input generators, ``perfbench/gen.py``, executed from
+    their source so that nothing is written next to them."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    module = types.ModuleType("benchmark_gen")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def l1_violation(p_mat, q_vec, x, l1_terms, lower, upper, kink=1e-9):
+    """Distance from optimality of ``0.5 x'Px - q'x + sum rho |x - a|_1``
+    over the budget and the box: per coordinate, the subdifferential plus the
+    box normal cone is an interval ``[lo_j + nu, hi_j + nu]``, and the best
+    budget multiplier ``nu`` leaves this violation."""
+    grad = p_mat @ x - q_vec
+    lo, hi = grad.copy(), grad.copy()
+    for anchor, rho in l1_terms:
+        d = x - anchor
+        at_kink = np.abs(d) <= kink
+        lo += np.where(at_kink, -rho, rho * np.sign(d))
+        hi += np.where(at_kink, rho, rho * np.sign(d))
+    lo[x <= lower + kink] = -np.inf
+    hi[x >= upper - kink] = np.inf
+    return max(0.0, 0.5 * (lo.max() - hi.min()))
+
+
+class TestNightlyModels:
+    """Benchmark models 19 and 23 at the nightly penalties: under unbounded
+    residual balancing their penalty kept flipping and every account of the
+    second book stopped at ``max_iter``."""
+
+    @pytest.mark.parametrize("model", [19, 23])
+    def test_converges_to_certified_answer(self, model):
+        gen = benchmark_generators()
+        n, upper = 50, 0.2
+        sigma, mu, strategic = gen.model_portfolio(
+            roboalloc, np.random.default_rng([model, n]), n, upper)
+        current = gen.drifted_book(np.random.default_rng([1, 1, model]), strategic)
+        cfg = RoboConfig(strategic=strategic, current=current, gamma=0.5,
+                         rho1_strategic=5e-4, rho1_turnover=2e-4, rho2_strategic=0.02,
+                         constraints=ConstraintSet(budget=1.0, lower=np.zeros(n),
+                                                   upper=np.full(n, upper)))
+        rep = rebalance(cfg, mu, sigma)
+        assert rep.converged
+        x = rep.weights
+        assert abs(x.sum() - 1.0) <= 1e-8
+        assert x.min() >= -1e-8 and x.max() <= upper + 1e-8
+        p_mat = sigma + 0.02 * np.eye(n)
+        q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
+        assert l1_violation(p_mat, q_vec, x, [(strategic, 5e-4), (current, 2e-4)],
+                            0.0, upper) <= 1e-7

@@ -142,6 +142,11 @@ class TestSpectralFilter:
         pinv, _ = spectral_filter(np.diag([2.0, 1.0]), FilterSpec("hard_threshold", 1.5))
         assert np.allclose(pinv, np.diag([0.5, 0.0]), atol=1e-15)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -1.0])
+    def test_bad_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FilterSpec("ridge", rho)
+
     def test_hard_threshold_everything_raises(self):
         with pytest.raises(errors.AllSingularValuesFiltered):
             spectral_filter(np.diag([0.5, 0.2]), FilterSpec("hard_threshold", 5.0))
