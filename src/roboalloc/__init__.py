@@ -6,7 +6,6 @@ from .admm import (
     admm_solve,
     solve_cardinality,
     solve_mixed_lp,
-    solve_tikhonov_constrained,
 )
 from .calibration import (
     RidgeRegressionData,

@@ -15,7 +15,7 @@ from scipy.linalg.lapack import dgetrs
 from . import prox
 from .errors import NoConvergence
 from .mvo import ConstraintSet
-from .qp import QpProblem, solve_qp
+from .qp import QpProblem, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
@@ -67,22 +67,24 @@ def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
 
 
 def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
-               z0: np.ndarray | None = None, u0: np.ndarray | None = None,
-               objective=None, phi: float = 1.0) -> SolveReport:
+               z0: np.ndarray | None = None, objective=None,
+               phi: float = 1.0) -> SolveReport:
     """Generic scaled ADMM on ``min f(x) + g(z)  s.t.  A x + B z = c``.
 
     ``x_update(z, u, phi)`` must return the minimizer of
     ``f(x) + phi/2 ||Ax + Bz - c + u||^2`` and ``z_update(x, u, phi)`` the
-    analogue for ``g``.  The loop starts at the penalty ``phi``, the scale
-    of ``u0``.  In its first ``_BALANCE_ITERATIONS`` iterations it doubles
-    (halves) the penalty when the squared primal (dual) residual exceeds
-    the other by ``_BALANCE_RATIO``, rescaling ``u`` to keep the fixed
-    point; then the penalty is fixed.  ``B`` may be ``None`` for ``-I``,
+    analogue for ``g``.  The loop starts at ``z0`` (zero if ``None``),
+    ``u = 0`` and the penalty ``phi``.  In its first
+    ``_BALANCE_ITERATIONS`` iterations it doubles (halves) the penalty when
+    the squared primal (dual) residual exceeds the other by
+    ``_BALANCE_RATIO``, rescaling ``u`` to keep the fixed point; then the
+    penalty is fixed.  ``B`` may be ``None`` for ``-I``,
     the usual ``A x - z = c``; an explicit ``-I`` is recognised once, and
     the loop then forms the residuals without products by ``B``.
-    ``c`` and the starting ``z0``/``u0`` must be finite (``ValueError``
-    otherwise); what the loop itself produces is guarded by the divergence
-    test, a non-finite primal residual ending it as ``diverged``.
+    ``c`` and ``z0`` must be finite (``ValueError`` otherwise); what the
+    loop itself produces is guarded by the divergence test, a non-finite
+    primal residual ending it as ``diverged``.  The final iterate is
+    recorded in ``meta['state']``.
     """
     params = params or AdmmParams()
     a, b, c = coupling
@@ -92,7 +94,7 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
         b = None
     z = np.zeros(m if b is None else b.shape[1]) if z0 is None \
         else np.asarray_chkfinite(z0, dtype=float).copy()
-    u = np.zeros(m) if u0 is None else np.asarray_chkfinite(u0, dtype=float).copy()
+    u = np.zeros(m)
     x = None
     r_norm = s_norm = math.inf
     status = MAX_ITER
@@ -194,50 +196,47 @@ class _StackedProblem:
 
 
 def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
-                    extra_sets=(), params: AdmmParams | None = None, warm=None,
-                    x_init=None, objective=None) -> SolveReport:
+                    extra_sets=(), params: AdmmParams | None = None, x_init=None,
+                    objective=None) -> SolveReport:
     """Minimize ``0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` over the
     constraint set intersected with ``extra_sets``.
 
     ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term, where
-    ``step_i(v, phi)`` is the prox of ``g_i / phi``.  With no block and no
-    extra set the problem is a QP, solved exactly by ``solve_qp`` and
-    warm-started from the weights ``warm``.  Otherwise ADMM runs on the
-    blocks in their order with the constraint projection as the last
-    block, starting from the ``AdmmState`` ``warm`` at its own penalty, or
-    else from ``x_init`` at the penalty worked out from ``P``.  A warm
-    start of the other kind is ignored.  ``objective`` evaluates the
-    reported objective at the answer.  On the ADMM route a non-finite
-    ``P``, ``q``, offset, equality level or start raises ``ValueError``
-    before the first iteration.
+    ``step_i(v, phi)`` is the prox of ``g_i / phi``.  ``x_init`` is the one
+    start point, normally the weights of a nearby problem's answer.  With
+    no block and no extra set the problem is a QP, solved exactly by
+    ``solve_qp``, which starts from ``x_init`` only if it is feasible.
+    Otherwise phase 1 of ``solve_qp`` first finds the constraint set
+    nonempty (``Infeasible`` if not), and ADMM runs on the blocks in their
+    order with the constraint projection as the last block, from
+    ``z_i = G_i x_init - d_i``, ``u = 0`` and the penalty worked out from
+    ``P``.  ``objective`` evaluates the reported objective at the answer.
+    On the ADMM route a non-finite ``P``, ``q``, offset, equality level or
+    start raises ``ValueError`` before the first iteration.
     """
     n = q_vec.size
     constraints = ConstraintSet() if constraints is None else constraints
+    eq, ineq, lower, upper = constraints.qp_pieces(n)
     if not blocks and not extra_sets:
-        eq, ineq, lower, upper = constraints.qp_pieces(n)
         report = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq,
-                                    lower=lower, upper=upper),
-                          x0=warm if isinstance(warm, np.ndarray) else None)
+                                    lower=lower, upper=upper), x0=x_init)
         if objective is not None:
             report.objective = float(objective(report.weights))
         return report
 
     a_eq, b_eq, sets = constraints.admm_pieces(n)
     p_mat, q_vec, b_eq = map(np.asarray_chkfinite, (p_mat, q_vec, b_eq))
+    feasible_point(QpProblem(Q=np.zeros((n, n)), c=np.zeros(n), eq=eq, ineq=ineq,
+                             lower=lower, upper=upper))
     sets = [*extra_sets, *sets]
     blocks = list(blocks)
     if sets:
         blocks.append((np.eye(n), np.zeros(n),
                        lambda v, _phi: prox.project_intersection(v, sets)))
     prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
-    z0 = u0 = None
-    phi = prob.phi
-    if isinstance(warm, AdmmState) and warm.z.size == prob.c_stack.size:
-        z0, u0, phi = warm.z, warm.u, warm.phi
-    elif x_init is not None:
-        z0 = prob.z_init(np.asarray(x_init, float))
+    z0 = None if x_init is None else prob.z_init(np.asarray(x_init, float))
     report = admm_solve(prob.x_update, prob.z_update, (prob.a_stack, None, prob.c_stack),
-                        params, z0=z0, u0=u0, objective=objective, phi=phi)
+                        params, z0=z0, objective=objective, phi=prob.phi)
     report.meta["eq_dual"] = getattr(prob, "_eq_dual", np.zeros(0))
     return report
 
@@ -260,35 +259,21 @@ def _least_squares_parts(a1, b1, penalties, default_anchor=None):
     return p_mat, q_vec, blocks, objective
 
 
-def solve_tikhonov_constrained(a1, b1, penalty, constraints: ConstraintSet | None = None,
-                               extra_sets=(), params: AdmmParams | None = None,
-                               x_init=None, warm=None) -> SolveReport:
-    """Quadratically penalized least squares over box / halfspace / norm-ball
-    sets, with equalities folded into the x-step.
-
-    ``penalty`` is an L2 penalty spec (rho, matrix, anchor); the z-step is a
-    projection onto the intersection of the remaining sets.  Without extra
-    sets the problem is a QP and is solved exactly.
-    """
-    p_mat, q_vec, blocks, objective = _least_squares_parts(a1, b1, [penalty])
-    return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets, params,
-                           warm=warm, x_init=x_init, objective=objective)
-
-
 def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
                    constraints: ConstraintSet | None = None, extra_sets=(),
-                   params: AdmmParams | None = None, x_init=None,
-                   warm=None) -> SolveReport:
+                   params: AdmmParams | None = None, x_init=None) -> SolveReport:
     """Least squares with an L2 penalty plus an Lp penalty split off through
     ``Gamma_p (x - x0) = z``; the z-step is the componentwise Lp prox.
 
-    The penalty matrices may carry negative entries, which is what rules out
-    the augmented-QP route.
+    Either penalty may be ``None``: with no Lp penalty and no extra set the
+    problem is a QP and is solved exactly.  The penalty matrices may carry
+    negative entries, which is what rules out the augmented-QP route.
+    ``x_init`` is the start point, as in ``solve_penalized``.
     """
     p_mat, q_vec, blocks, objective = _least_squares_parts(
         a1, b1, [penalty_l2, penalty_lp], x0)
     return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets, params,
-                           warm=warm, x_init=x_init, objective=objective)
+                           x_init=x_init, objective=objective)
 
 
 def _feasible_points(n, constraints: ConstraintSet, extra_sets, relax, x0, rng):

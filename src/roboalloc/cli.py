@@ -197,13 +197,11 @@ def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
     return out
 
 
-def _parse_admm(obj: dict | None, tol: float | None = None,
-                seed: int = 0) -> AdmmParams:
-    """ADMM parameters from the problem document; the --tol/--seed flags act
-    as defaults that explicit document keys override."""
+def _parse_admm(obj: dict | None, tol: float | None = None) -> AdmmParams:
+    """ADMM parameters from the problem document; the --tol flag acts as the
+    default that explicit document keys override."""
     obj = {} if obj is None else obj
-    _check_keys(obj, ("eps_primal", "eps_dual", "max_iter", "restarts", "seed"),
-                where="admm")
+    _check_keys(obj, ("eps_primal", "eps_dual", "max_iter"), where="admm")
     eps_default = tol if tol is not None else 1e-10
 
     def get(key, default, integer=False):
@@ -211,8 +209,7 @@ def _parse_admm(obj: dict | None, tol: float | None = None,
 
     return AdmmParams(
         eps_primal=get("eps_primal", eps_default), eps_dual=get("eps_dual", eps_default),
-        max_iter=get("max_iter", 10000, True), restarts=get("restarts", 5, True),
-        seed=get("seed", seed, True))
+        max_iter=get("max_iter", 10000, True))
 
 
 def _load_problem(path: str):
@@ -252,7 +249,7 @@ def _load_problem(path: str):
 
 
 def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray,
-                 tol: float | None, seed: int) -> RoboConfig:
+                 tol: float | None) -> RoboConfig:
     """The rebalancing configuration a document describes.  Each penalty
     fills one of the four (l1 | l2, strategic | current) slots, so an lp
     penalty, a second penalty on a slot, or an anchor that is neither book
@@ -291,13 +288,13 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray,
         gamma=_number(doc["gamma"], "gamma") if "gamma" in doc else None,
         te_target=_number(doc["te_target"], "te_target") if "te_target" in doc else None,
         constraints=_parse_constraints(doc.get("constraints"), n),
-        admm=_parse_admm(doc.get("admm"), tol=tol, seed=seed), **slots)
+        admm=_parse_admm(doc.get("admm"), tol=tol), **slots)
 
 
 def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
-                   tol: float | None = None, seed: int = 0):
+                   tol: float | None = None):
     if "strategic" in doc or "current" in doc:
-        config = _robo_config(doc, mu, sigma, tol, seed)
+        config = _robo_config(doc, mu, sigma, tol)
         return rebalance(config, mu, sigma), config
 
     n = mu.size
@@ -305,7 +302,7 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
     if unused:
         raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
     constraints = _parse_constraints(doc.get("constraints"), n)
-    admm_params = _parse_admm(doc.get("admm"), tol=tol, seed=seed)
+    admm_params = _parse_admm(doc.get("admm"), tol=tol)
     inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)
     if "target" in doc:
@@ -353,14 +350,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_optimize(args) -> int:
     doc, mu, sigma, _assets = _load_problem(args.problem)
-    report, _config = _solve_problem(doc, mu, sigma, tol=args.tol, seed=args.seed)
+    report, _config = _solve_problem(doc, mu, sigma, tol=args.tol)
     _write_json(args.out, report.to_dict(), args.pretty)
     return 0 if report.converged else 2
 
 
 def cmd_path(args) -> int:
     doc, mu, sigma, assets = _load_problem(args.problem)
-    config = _robo_config(doc, mu, sigma, args.tol, args.seed)
+    config = _robo_config(doc, mu, sigma, args.tol)
     grid = _parse_grid(args.grid)
     table = regularization_path(config, mu, sigma, grid, param=args.param,
                                 assets=assets)
@@ -492,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable JSON output")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="k-fold shuffle seed")
         p.add_argument("--tol", type=float, default=None,
                        help="override solver tolerance")
 

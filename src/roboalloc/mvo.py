@@ -205,8 +205,11 @@ def monotone_root(sample, target: float, tol: float):
     when its value already reaches ``target - tol``; otherwise the target
     is bracketed by doubling from 1 up to ``_GAMMA_CAP`` and bisected until
     the value is within ``tol``.  Each gamma is sampled once.  Returns
-    ``(gamma, report)`` at the final gamma.
+    ``(gamma, report)`` at the final gamma.  A non-finite target raises
+    ``ValueError`` before any sample.
     """
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     value, rep = sample(0.0)
     gamma = lo = 0.0
     if value < target - tol:

@@ -92,11 +92,11 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
 
     Both L1 blocks are split off through one stacked coupling so a single
     ADMM run handles them; with no L1 terms the problem is a plain QP and
-    is solved directly.  ``warm`` starts the solve from a nearby problem's
-    answer: its ``meta['state']`` on the ADMM route, or its weights on the
-    QP route.  A warm start meant for the other route is ignored.  With a
-    tracking-error target and no gamma, the report is the one at the
-    gamma the target search ends on.
+    is solved directly.  ``warm``, the weights of a nearby problem's
+    answer, is the start point on either route (``solve_penalized``'s
+    ``x_init``); without it the solve starts from ``config.current``.
+    With a tracking-error target and no gamma, the report is the one at
+    the gamma the target search ends on.
     """
     gamma = config.gamma if gamma is None else gamma
     if gamma is None:
@@ -116,7 +116,7 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         return float(0.5 * d @ sigma @ d - gamma * d @ mu + penalty(x))
 
     report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
-                             config.admm, warm=warm, x_init=config.current,
+                             config.admm, x_init=config.current if warm is None else warm,
                              objective=objective)
     report.gamma = float(gamma)
     return report
@@ -132,8 +132,8 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float,
     """Trade-off parameter whose solution attains the tracking-error target.
 
     The tracking error is nondecreasing in the trade-off, so the target is
-    bracketed by doubling and bisected.  On the QP route each sample starts
-    from the previous sample's weights.  Returns ``(gamma, report)``, the
+    bracketed by doubling and bisected.  Each sample starts from the
+    previous sample's weights.  Returns ``(gamma, report)``, the
     report being the solve at that gamma.
     """
     if te_target < 0:
@@ -186,9 +186,9 @@ _PATH_PARAMS = {
 
 def regularization_path(config: RoboConfig, mu, sigma, grid,
                         param: str = "rho1", assets=None) -> PathTable:
-    """Re-solve along a sorted penalty grid, warm-starting each point from
-    the previous solution; per-point failures are recorded in the row and
-    the sweep continues."""
+    """Re-solve along a sorted penalty grid, starting each point from the
+    weights of the last converged point (the first from ``config.current``);
+    per-point failures are recorded in the row and the sweep continues."""
     if param not in _PATH_PARAMS:
         raise ValueError(f"unknown path parameter {param!r}")
     attr = _PATH_PARAMS[param]
@@ -207,10 +207,10 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
             weights[i] = rep.weights
             objective[i] = rep.objective
             status.append(rep.status)
-            warm = rep.meta.get("state") if rep.converged else None
+            if rep.converged:
+                warm = rep.weights
         except Exception as exc:  # keep sweeping; the row records the failure
             status.append(f"error:{type(exc).__name__}")
-            warm = None
     return PathTable(param=param, values=grid, weights=weights,
                      objective=objective, status=status,
                      assets=list(assets) if assets else [])

@@ -306,6 +306,26 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
     return y[:n]
 
 
+def _dense_pieces(problem: QpProblem, max_iter: int | None):
+    """``(A, b, G, h, lower, upper, max_iter)``: absent blocks empty, absent
+    bounds infinite, and the default iteration cap filled in."""
+    n = problem.n
+    a_eq, b_eq = problem.eq if problem.eq is not None else (np.zeros((0, n)), np.zeros(0))
+    g, h = problem.ineq if problem.ineq is not None else (np.zeros((0, n)), np.zeros(0))
+    lo = problem.lower if problem.lower is not None else np.full(n, -np.inf)
+    up = problem.upper if problem.upper is not None else np.full(n, np.inf)
+    if max_iter is None:  # every finite bound counts as a row
+        max_iter = 100 * (n + h.size + int(np.isfinite(lo).sum())
+                          + int(np.isfinite(up).sum())) + 200
+    return a_eq, b_eq, g, h, lo, up, max_iter
+
+
+def feasible_point(problem: QpProblem) -> np.ndarray:
+    """A point of the problem's constraint set, from phase 1; raises
+    ``Infeasible`` when the set is empty.  The objective is not read."""
+    return _phase1(*_dense_pieces(problem, None))
+
+
 def solve_qp(problem: QpProblem, x0: np.ndarray | None = None,
              max_iter: int | None = None) -> SolveReport:
     """Minimize ``0.5 x'Qx + c'x`` over the problem's constraint set.
@@ -317,13 +337,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None,
     """
     n = problem.n
     q, c = problem.Q, problem.c
-    a_eq, b_eq = problem.eq if problem.eq is not None else (np.zeros((0, n)), np.zeros(0))
-    g, h = problem.ineq if problem.ineq is not None else (np.zeros((0, n)), np.zeros(0))
-    lo = problem.lower if problem.lower is not None else np.full(n, -np.inf)
-    up = problem.upper if problem.upper is not None else np.full(n, np.inf)
-    if max_iter is None:  # every finite bound counts as a row
-        max_iter = 100 * (n + h.size + int(np.isfinite(lo).sum())
-                          + int(np.isfinite(up).sum())) + 200
+    a_eq, b_eq, g, h, lo, up, max_iter = _dense_pieces(problem, max_iter)
 
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()

@@ -21,7 +21,7 @@ class SolveReport:
     ``duals`` holds per-constraint Lagrange multipliers keyed by
     ``eq`` / ``ineq`` / ``lower`` / ``upper`` when the solve path
     produces them, ``None`` otherwise.  ``meta`` carries diagnostics
-    (warm-start state, calibration history, restart reports) and is
+    (final ADMM iterate, calibration history, restart reports) and is
     not serialized.
     """
 

@@ -10,8 +10,8 @@ from roboalloc.admm import (
     solve_cardinality,
     solve_mixed_lp,
     solve_penalized,
-    solve_tikhonov_constrained,
 )
+from roboalloc.errors import Infeasible
 from roboalloc.mvo import ConstraintSet
 from roboalloc.prox import L1Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
@@ -110,7 +110,7 @@ class TestTikhonovConstrained:
         mu, _, _, sigma = four_asset
         a1, b1 = mvo_ls(mu, sigma, 0.2578)
         cons = ConstraintSet(budget=1.0, lower=0.10, upper=0.40)
-        rep = solve_tikhonov_constrained(a1, b1, PenaltySpec(kind="l2", rho=0.0), cons)
+        rep = solve_mixed_lp(a1, b1, PenaltySpec(kind="l2", rho=0.0), None, constraints=cons)
         oracle = solve_qp(QpProblem(Q=sigma, c=-0.2578 * mu,
                                     eq=(np.ones((1, 4)), [1.0]),
                                     lower=0.10, upper=0.40))
@@ -121,13 +121,13 @@ class TestTikhonovConstrained:
         mu, _, _, sigma = four_asset
         spread = mu - 0.08  # long/short tilt
         a1, b1 = mvo_ls(spread + 0.001, sigma, 2.0)
-        unconstrained = solve_tikhonov_constrained(
-            a1, b1, PenaltySpec(kind="l2", rho=0.0),
-            ConstraintSet(eq=(np.ones((1, 4)), [0.0])))
+        unconstrained = solve_mixed_lp(
+            a1, b1, PenaltySpec(kind="l2", rho=0.0), None,
+            constraints=ConstraintSet(eq=(np.ones((1, 4)), [0.0])))
         assert np.abs(unconstrained.weights).sum() > 1.2
-        capped = solve_tikhonov_constrained(
-            a1, b1, PenaltySpec(kind="l2", rho=0.0),
-            ConstraintSet(eq=(np.ones((1, 4)), [0.0])),
+        capped = solve_mixed_lp(
+            a1, b1, PenaltySpec(kind="l2", rho=0.0), None,
+            constraints=ConstraintSet(eq=(np.ones((1, 4)), [0.0])),
             extra_sets=(L1Ball(1.2),))
         assert capped.converged
         assert np.abs(capped.weights).sum() == pytest.approx(1.2, abs=1e-6)
@@ -136,9 +136,9 @@ class TestTikhonovConstrained:
         mu, _, _, sigma = four_asset_alt
         a1, b1 = mvo_ls(mu, sigma, 0.25)
         anchor = np.full(4, 0.25)
-        rep = solve_tikhonov_constrained(
-            a1, b1, PenaltySpec(kind="l2", rho=1e4, anchor=anchor),
-            ConstraintSet(budget=1.0, lower=0.0, upper=1.0))
+        rep = solve_mixed_lp(
+            a1, b1, PenaltySpec(kind="l2", rho=1e4, anchor=anchor), None,
+            constraints=ConstraintSet(budget=1.0, lower=0.0, upper=1.0))
         assert np.abs(rep.weights - anchor).max() <= 1e-4
 
 
@@ -283,12 +283,11 @@ class TestCardinality:
 # shortcuts, with scipy's checked lu_solve and dense products throughout ---
 
 
-def reference_admm_solve(x_update, z_update, coupling, params, z0=None, u0=None,
-                         phi=1.0):
+def reference_admm_solve(x_update, z_update, coupling, params, z0=None, phi=1.0):
     a, b, c = coupling
     m = c.size
     z = np.zeros(b.shape[1]) if z0 is None else np.asarray(z0, dtype=float).copy()
-    u = np.zeros(m) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.zeros(m)
     x = None
     r_norm = s_norm = np.inf
     status = "max_iter"
@@ -407,18 +406,18 @@ def rebalance_problem(seed, n, gamma1=None):
     return p_mat, q_vec, blocks, current
 
 
-class TestWarmStart:
-    @pytest.mark.parametrize("seed,n", [(0, 30), (1, 12), (3, 50)])
-    def test_resume_at_own_penalty(self, seed, n):
-        # a converged state resumed on the same problem is already the answer
-        p_mat, q_vec, blocks, current = rebalance_problem(seed, n)
-        cons = ConstraintSet(budget=1.0, lower=np.zeros(n),
-                             upper=np.full(n, max(0.3, 2.0 / n)))
-        cold = solve_penalized(p_mat, q_vec, blocks, cons, x_init=current)
-        again = solve_penalized(p_mat, q_vec, blocks, cons, warm=cold.meta["state"])
-        assert cold.converged and again.converged
-        assert again.iterations <= 2
-        assert np.abs(again.weights - cold.weights).max() <= 1e-9
+class TestInfeasible:
+    """An empty constraint set is found by phase 1 before ADMM runs."""
+
+    @pytest.mark.parametrize("cons", [
+        ConstraintSet(budget=1.0, lower=0.0, upper=0.2),
+        ConstraintSet(budget=1.0, lower=0.0, ineq=(np.array([[1.0, 1.0, 0.0, 0.0]]), [1.5])),
+        ConstraintSet(eq=(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]), [1.0, 0.5])),
+    ], ids=["box_below_budget", "halfspace_beyond_budget", "inconsistent_equalities"])
+    def test_raised_before_iterating(self, cons):
+        p_mat, q_vec, blocks, current = rebalance_problem(0, 4)
+        with pytest.raises(Infeasible):
+            solve_penalized(p_mat, q_vec, blocks, cons, x_init=current)
 
 
 class TestSameIterates:
@@ -489,13 +488,3 @@ class TestSameIterates:
             blocks[0] = (g, np.full_like(d, np.nan), step)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_penalized(p_mat, q_vec, blocks, BUDGET, x_init=current)
-
-    def test_non_finite_warm_start_rejected(self):
-        p_mat, q_vec, blocks, current = rebalance_problem(0, 5)
-        rep = solve_penalized(p_mat, q_vec, blocks, BUDGET, x_init=current)
-        state = rep.meta["state"]
-        bad = AdmmState(x=state.x, z=state.z, u=np.full_like(state.u, np.nan),
-                        phi=state.phi, r_norm=state.r_norm, s_norm=state.s_norm,
-                        iterations=state.iterations)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_penalized(p_mat, q_vec, blocks, BUDGET, warm=bad)

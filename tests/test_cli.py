@@ -431,14 +431,32 @@ class TestSolverFailureExit:
         assert len(doc["weights"]) == 4
 
 
+    def test_infeasible_constraints_exit_one(self, four_asset_moments, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments),
+            "gamma": 0.25,
+            "strategic": [0.25, 0.25, 0.25, 0.25],
+            "current": [0.25, 0.25, 0.25, 0.25],
+            "penalties": [{"kind": "l1", "rho": 1e-3, "anchor": "strategic"}],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 0.2},
+        }))
+        out = tmp_path / "rep.json"
+        code = main(["optimize", "--problem", str(problem), "--out", str(out)])
+        assert code == 1
+        assert "Infeasible" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAdmmDocument:
     """An ``admm`` object that the solver cannot use, or that names a removed
     penalty setting, is an input error, never a traceback or ignored."""
 
     @pytest.mark.parametrize("admm", [
         {"max_iter": 0}, {"max_iter": -3}, {"eps_primal": 0.0},
-        {"phi0": 1.0}, {"mu": 1e3}, {"tau": 2.0},
-    ], ids=["max_iter_0", "max_iter_negative", "eps_zero", "phi0", "mu", "tau"])
+        {"phi0": 1.0}, {"mu": 1e3}, {"tau": 2.0}, {"restarts": 1}, {"seed": 3},
+    ], ids=["max_iter_0", "max_iter_negative", "eps_zero", "phi0", "mu", "tau",
+            "restarts", "seed"])
     def test_rejected(self, four_asset_moments, tmp_path, admm):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({

@@ -116,6 +116,19 @@ class TestCalibrateGamma:
         cold = solve_gamma_problem(inp, gamma, cons)
         assert np.allclose(rep.weights, cold.weights, atol=1e-10, rtol=0.0)
 
+    @pytest.mark.parametrize("kind", ["target_vol", "target_return"])
+    def test_non_finite_target_rejected(self, four_asset, kind):
+        mu, _, _, sigma = four_asset
+        with pytest.raises(ValueError, match="target must be finite"):
+            calibrate_gamma(MvoInputs(mu=mu, sigma=sigma), BUDGET, **{kind: np.nan})
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_root_rejects_non_finite_target_unsampled(self, target):
+        samples = []
+        with pytest.raises(ValueError, match="target must be finite"):
+            mvo.monotone_root(samples.append, target, 1e-6)
+        assert samples == []
+
     def test_unreachable_volatility(self, four_asset):
         mu, _, _, sigma = four_asset
         with pytest.raises(errors.TargetUnreachable):

@@ -7,6 +7,7 @@ import pytest
 import roboalloc
 from roboalloc import admm, pipeline
 from roboalloc.admm import AdmmParams
+from roboalloc.errors import Infeasible
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import (
     RoboConfig,
@@ -63,6 +64,17 @@ class TestRebalance:
             assert rep.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert rep.weights.min() >= -1e-9
             assert rep.weights.max() <= 1.0 + 1e-9
+
+    def test_infeasible_box_raises_on_admm_route(self, four_asset_alt):
+        # four names capped at 0.2 cannot hold a budget of 1: phase 1 says so
+        # before ADMM runs, instead of 10,000 iterations ending at max_iter
+        mu, _, _, sigma = four_asset_alt
+        ew = np.full(4, 0.25)
+        cfg = RoboConfig(strategic=ew, current=ew, objective="tracking_error",
+                         gamma=0.1, rho1_strategic=1e-3,
+                         constraints=ConstraintSet(budget=1.0, lower=0.0, upper=0.2))
+        with pytest.raises(Infeasible):
+            rebalance(cfg, mu, sigma)
 
     def test_matched_blocks_are_symmetric(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
@@ -162,7 +174,7 @@ class TestTeTargeting:
 
         monkeypatch.setattr(admm, "solve_qp", recording)
         gamma, _ = te_target_to_gamma(cfg, mu, sigma, 0.01)
-        assert len(starts) > 3 and starts[0] is None
+        assert len(starts) > 3 and np.array_equal(starts[0], cfg.current)
         assert all(s is a.weights for s, a in zip(starts[1:], answers))
         monkeypatch.undo()
         rep = rebalance(cfg, mu, sigma, gamma=gamma)
@@ -193,14 +205,31 @@ class TestTeTargeting:
         assert rep is samples[-1][1] and rep.gamma == gammas[-1]
         assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(0.01, abs=1e-6)
 
-    def test_weights_as_warm_start_leave_admm_route_cold(self, four_asset_alt):
+    @pytest.mark.parametrize("warm", [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
+                                      [1.0, 0.0, 0.0, 0.0]],
+                             ids=["equal", "reversed", "corner"])
+    def test_weights_warm_start_on_admm_route_gives_cold_answer(self, four_asset_alt,
+                                                                warm):
+        # tight residuals: at the default 1e-10 each answer is only within a
+        # few 1e-9 of the exact one, wherever it starts
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error",
-                         gamma=0.1, rho1_strategic=1e-3)
+                         gamma=0.1, rho1_strategic=1e-3,
+                         admm=AdmmParams(eps_primal=1e-12, eps_dual=1e-12))
         cold = rebalance(cfg, mu, sigma)
-        rep = rebalance(cfg, mu, sigma, warm=np.full(4, 0.25))
-        assert np.array_equal(rep.weights, cold.weights)
-        assert rep.iterations == cold.iterations
+        rep = rebalance(cfg, mu, sigma, warm=np.array(warm))
+        assert cold.converged and rep.converged
+        assert np.abs(rep.weights - cold.weights).max() <= 1e-9
+
+    @pytest.mark.parametrize("rho1", [0.0, 1e-3], ids=["qp_route", "admm_route"])
+    def test_non_finite_target_rejected(self, four_asset_alt, rho1):
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error",
+                         rho1_strategic=rho1, te_target=float("nan"))
+        with pytest.raises(ValueError, match="target must be finite"):
+            rebalance(cfg, mu, sigma)
+        with pytest.raises(ValueError, match="target must be finite"):
+            te_target_to_gamma(cfg, mu, sigma, float("inf"))
 
 
 class TestRegularizationPath:
@@ -261,6 +290,25 @@ class TestRegularizationPath:
         assert cells[-1] == "converged"
         total = sum(float(c) for c in cells[1:5])
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_qp_route_points_start_from_previous_weights(self, four_asset_alt,
+                                                         monkeypatch):
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=np.full(4, 0.25), objective="mvo",
+                         gamma=0.25)
+        starts, answers = [], []
+
+        def recording(problem, x0=None, **kwargs):
+            starts.append(x0)
+            answers.append(solve_qp(problem, x0=x0, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(admm, "solve_qp", recording)
+        table = regularization_path(cfg, mu, sigma, np.geomspace(1e-3, 10.0, 6),
+                                    param="rho2")
+        assert table.status == ["converged"] * 6 and len(starts) == 6
+        assert np.array_equal(starts[0], cfg.current)
+        assert all(s is a.weights for s, a in zip(starts[1:], answers))
 
     def test_unknown_parameter_rejected(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
