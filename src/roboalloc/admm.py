@@ -1,7 +1,13 @@
-"""Scaled ADMM, plus structured solvers for the penalized portfolio problems
-(smoothed, sparse and cardinality-constrained).  The structured solvers start
-at the penalty ``sqrt(lmin lmax)`` of the spectrum of ``P``; the loop rescales
-it in its first ``_BALANCE_ITERATIONS`` iterations only, then holds it fixed."""
+"""Scaled, over-relaxed ADMM, plus structured solvers for the penalized
+portfolio problems (smoothed, sparse and cardinality-constrained).
+
+``admm_solve`` is the one ADMM loop.  It runs on the stacked arrays of a
+``_StackedProblem``: ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` split as
+``A x - z = c``, ``A`` stacking the ``G_i`` and ``c`` the ``d_i``.  It starts
+at the penalty ``sqrt(lmin lmax)`` of the spectrum of ``P``, rescales it in
+its first ``_BALANCE_ITERATIONS`` iterations only, then holds it fixed, and
+over-relaxes every iteration by ``_RELAXATION`` (Boyd et al., 2011, §3.4.3;
+the default of OSQP)."""
 
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ _BALANCE_RATIO = 1e3       # squared-residual ratio that rescales the penalty
 _BALANCE_STEP = 2.0        # by this factor
 _BALANCE_ITERATIONS = 100  # after which the penalty is fixed
 _SPECTRAL_FLOOR = 1e-6     # floor of lmin / lmax in the starting penalty
+_RELAXATION = 1.0          # over-relaxation alpha; 1 is plain ADMM
 
 
 @dataclass
@@ -66,50 +73,143 @@ def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
-               z0: np.ndarray | None = None, objective=None,
-               phi: float = 1.0) -> SolveReport:
-    """Generic scaled ADMM on ``min f(x) + g(z)  s.t.  A x + B z = c``.
+class _StackedProblem:
+    """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` subject
+    to ``a_eq x = b_eq`` and ``x`` in every set of ``sets``.
 
-    ``x_update(z, u, phi)`` must return the minimizer of
-    ``f(x) + phi/2 ||Ax + Bz - c + u||^2`` and ``z_update(x, u, phi)`` the
-    analogue for ``g``.  The loop starts at ``z0`` (zero if ``None``),
-    ``u = 0`` and the penalty ``phi``.  In its first
-    ``_BALANCE_ITERATIONS`` iterations it doubles (halves) the penalty when
-    the squared primal (dual) residual exceeds the other by
-    ``_BALANCE_RATIO``, rescaling ``u`` to keep the fixed point; then the
-    penalty is fixed.  ``B`` may be ``None`` for ``-I``,
-    the usual ``A x - z = c``; an explicit ``-I`` is recognised once, and
-    the loop then forms the residuals without products by ``B``.
-    ``c`` and ``z0`` must be finite (``ValueError`` otherwise); what the
-    loop itself produces is guarded by the divergence test, a non-finite
-    primal residual ending it as ``diverged``.  The final iterate is
-    recorded in ``meta['state']``.
+    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term.  The
+    split is ``A x - z = c`` with ``A`` (``a``) stacking the ``G_i`` and ``c``
+    the ``d_i``; when ``sets`` is nonempty an identity block with a zero
+    offset is stacked last and projected onto their intersection.  The
+    x-step is a KKT solve with the equality rows; its right-hand side
+    (``rhs``) carries ``b_eq`` as its tail.  The z-step is one
+    ``prox.prox_l1`` call with a per-row threshold on the rows ``l1`` of the
+    ``prox.SoftThreshold`` blocks, each other block's own step, and one
+    ``prox.project_intersection`` call on the rows ``box`` of the constraint
+    block.  Blocks whose ``G_i`` is the identity skip their products with it.
+    ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the spectrum of
+    ``P`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``P`` is zero.
+    """
+
+    def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks, sets=()):
+        n = q_vec.size
+        self.p, self.q, self.a_eq, self.n = p_mat, q_vec, a_eq, n
+        self.sets = list(sets)
+        eye = np.eye(n)
+        blocks = list(blocks)
+        if self.sets:
+            blocks.append((eye, np.zeros(n), None))
+        self.a = np.vstack([g for g, _, _ in blocks])
+        self.c = np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks]))
+        self.gram = sum(g.T @ g for g, _, _ in blocks)
+        self.rhs = np.concatenate([q_vec, b_eq])
+        self.x_blocks = []    # (rows, G_i or None for the identity), in block order
+        self.steps = []       # (rows, step_i) of the blocks with their own step
+        self.rows = np.zeros(self.c.size, dtype=np.intp)  # x entry of each identity row
+        l1_rows, l1_rho = [], []
+        stop = 0
+        for g, d, step in blocks:
+            start, stop = stop, stop + d.size
+            rows = slice(start, stop)
+            identity = g.shape == eye.shape and np.array_equal(g, eye)
+            self.x_blocks.append((rows, None if identity else g))
+            if identity:
+                self.rows[rows] = np.arange(n)
+            if isinstance(step, prox.SoftThreshold):
+                l1_rows.append(np.arange(start, stop))
+                l1_rho.append(np.full(d.size, step.rho))
+            elif step is not None:
+                self.steps.append((rows, step))
+        self.general = [(rows, g) for rows, g in self.x_blocks if g is not None]
+        self.box = rows if self.sets else None
+        self.l1 = _rows(np.concatenate(l1_rows)) if l1_rows else None
+        self.l1_rho = np.concatenate(l1_rho) if l1_rho else np.zeros(0)
+        self._factors = {}
+        lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
+        self.phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
+
+    def factor(self, phi):
+        if phi not in self._factors:
+            me = self.a_eq.shape[0]
+            kkt = np.zeros((self.n + me, self.n + me))
+            kkt[:self.n, :self.n] = self.p + phi * self.gram
+            if me:
+                kkt[:self.n, self.n:] = self.a_eq.T
+                kkt[self.n:, :self.n] = self.a_eq
+            self._factors[phi] = lu_factor(kkt)
+        return self._factors[phi]
+
+    def times(self, x):
+        """``A x``, without products by identity blocks."""
+        ax = x[self.rows]
+        for rows, g in self.general:
+            ax[rows] = g @ x
+        return ax
+
+
+def _rows(index):
+    """The row index array as a slice when it is one contiguous run."""
+    if index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
+               z0: np.ndarray | None = None, objective=None) -> SolveReport:
+    """Scaled, over-relaxed ADMM on the stacked problem ``prob``.
+
+    The loop starts at ``z0`` (zero if ``None``), ``u = 0`` and the penalty
+    ``prob.phi``.  Each iteration forms ``A x`` once.  With ``alpha =
+    _RELAXATION``, the z-step and the dual update use the relaxed
+    ``alpha A x + (1 - alpha)(z + c)`` in place of ``A x``; the stop test
+    uses the primal residual ``A x - z - c`` and the dual residual
+    ``phi A'(z_old - z)``.  In its first ``_BALANCE_ITERATIONS`` iterations
+    the loop doubles (halves) the penalty when the squared primal (dual)
+    residual exceeds the other by ``_BALANCE_RATIO``, rescaling ``u`` to keep
+    the fixed point; then the penalty is fixed.  ``z0`` must be finite
+    (``ValueError`` otherwise); what the loop itself produces is guarded by
+    the divergence test, a non-finite primal residual ending it as
+    ``diverged``.  The final iterate is recorded in ``meta['state']``, the
+    scaled dual ``phi u`` in ``meta['coupling_dual']`` and the equality
+    multipliers of the last x-step in ``meta['eq_dual']``.
     """
     params = params or AdmmParams()
-    a, b, c = coupling
-    c = np.asarray_chkfinite(c, dtype=float)
-    m = c.size
-    if b is not None and b.shape == (m, m) and np.array_equal(b, -np.eye(m)):
-        b = None
-    z = np.zeros(m if b is None else b.shape[1]) if z0 is None \
-        else np.asarray_chkfinite(z0, dtype=float).copy()
-    u = np.zeros(m)
-    x = None
+    n, c, a, sets = prob.n, prob.c, prob.a, prob.sets
+    l1, box = prob.l1, prob.box
+    alpha, beta = _RELAXATION, 1.0 - _RELAXATION
+    z = np.zeros(c.size) if z0 is None else np.asarray_chkfinite(z0, dtype=float).copy()
+    u = np.zeros(c.size)
+    rhs = prob.rhs
+    rhs_x = rhs[:n]
+    phi = prob.phi
+    factor, thresholds = prob.factor(phi), prob.l1_rho / phi
+    x = sol = None
     r_norm = s_norm = math.inf
     status = MAX_ITER
     it = 0
     for it in range(1, params.max_iter + 1):
-        x = x_update(z, u, phi)
-        z_new = z_update(x, u, phi)
-        if b is None:
-            r = a @ x - z_new - c
-            s = phi * (a.T @ (z - z_new))
-        else:
-            r = a @ x + b @ z_new - c
-            s = phi * (a.T @ (b @ (z_new - z)))
+        zc = z + c
+        w = zc - u
+        pw = phi * w
+        np.copyto(rhs_x, prob.q)
+        for rows, g in prob.x_blocks:
+            rhs_x += pw[rows] if g is None else phi * (g.T @ w[rows])
+        sol = lu_solve(factor, rhs)
+        x = sol[:n]
+        ax = prob.times(x)
+        ax_relaxed = alpha * ax + beta * zc
+        v = ax_relaxed - c + u
+        z_new = np.empty(c.size)
+        if l1 is not None:
+            z_new[l1] = prox.prox_l1(v[l1], thresholds)
+        for rows, step in prob.steps:
+            z_new[rows] = step(v[rows], phi)
+        if box is not None:
+            z_new[box] = prox.project_intersection(v[box], sets)
+        r = ax - z_new - c
+        u += ax_relaxed - z_new - c
+        s = phi * (a.T @ (z - z_new))
         z = z_new
-        u = u + r
         r_norm = math.sqrt(r @ r)
         s_norm = math.sqrt(s @ s)
         if not math.isfinite(r_norm) or r_norm > _DIVERGE_LIMIT or s_norm > _DIVERGE_LIMIT:
@@ -125,74 +225,17 @@ def admm_solve(x_update, z_update, coupling, params: AdmmParams | None = None,
             elif s_norm ** 2 > _BALANCE_RATIO * r_norm ** 2:
                 phi /= _BALANCE_STEP
                 u *= _BALANCE_STEP
+            else:
+                continue
+            factor, thresholds = prob.factor(phi), prob.l1_rho / phi
     obj = float(objective(x)) if objective is not None else float("nan")
     report = SolveReport(weights=x, objective=obj, status=status, iterations=it,
                          r_norm=r_norm, s_norm=s_norm)
     report.meta["state"] = AdmmState(x=x, z=z, u=u, phi=phi, r_norm=r_norm,
                                      s_norm=s_norm, iterations=it)
     report.meta["coupling_dual"] = phi * u
+    report.meta["eq_dual"] = sol[n:]
     return report
-
-
-# --- structured layer --------------------------------------------------------
-
-
-class _StackedProblem:
-    """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` with
-    equality constraints in the x-step and prox/projection blocks in z.
-    Blocks whose ``G_i`` is the identity skip their products with it.
-    ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the spectrum of
-    ``P`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``P`` is zero."""
-
-    def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks):
-        self.p = p_mat
-        self.q = q_vec
-        self.a_eq = a_eq
-        self.b_eq = b_eq
-        self.n = q_vec.size
-        self.gram = sum(g.T @ g for g, _, _ in blocks)
-        self.a_stack = np.vstack([g for g, _, _ in blocks])
-        self.c_stack = np.concatenate([d for _, d, _ in blocks])
-        eye = np.eye(self.n)
-        self.blocks = []  # (G_i, or None for the identity, d_i, slice of z, step_i)
-        stop = 0
-        for g, d, stepper in blocks:
-            start, stop = stop, stop + d.size
-            identity = g.shape == eye.shape and np.array_equal(g, eye)
-            self.blocks.append((None if identity else g, d, slice(start, stop), stepper))
-        self._factors = {}
-        lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
-        self.phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
-
-    def _factor(self, phi):
-        if phi not in self._factors:
-            me = self.a_eq.shape[0]
-            kkt = np.zeros((self.n + me, self.n + me))
-            kkt[:self.n, :self.n] = self.p + phi * self.gram
-            if me:
-                kkt[:self.n, self.n:] = self.a_eq.T
-                kkt[self.n:, :self.n] = self.a_eq
-            self._factors[phi] = lu_factor(kkt)
-        return self._factors[phi]
-
-    def x_update(self, z, u, phi):
-        rhs = self.q.copy()
-        for g, d, seg, _ in self.blocks:
-            w = z[seg] + d - u[seg]
-            rhs += phi * (w if g is None else g.T @ w)
-        sol = lu_solve(self._factor(phi), np.concatenate([rhs, self.b_eq]))
-        self._eq_dual = sol[self.n:]
-        return sol[:self.n]
-
-    def z_update(self, x, u, phi):
-        out = np.empty(self.c_stack.size)
-        for g, d, seg, stepper in self.blocks:
-            out[seg] = stepper((x if g is None else g @ x) - d + u[seg], phi)
-        return out
-
-    def z_init(self, x_init):
-        return np.concatenate([(x_init if g is None else g @ x_init) - d
-                               for g, d, _, _ in self.blocks])
 
 
 def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
@@ -202,19 +245,25 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     constraint set intersected with ``extra_sets``.
 
     ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term, where
-    ``step_i(v, phi)`` is the prox of ``g_i / phi``.  ``x_init`` is the one
-    start point, normally the weights of a nearby problem's answer.  With
-    no block and no extra set the problem is a QP, solved exactly by
-    ``solve_qp``, which starts from ``x_init`` only if it is feasible.
-    Otherwise phase 1 of ``solve_qp`` first finds the constraint set
-    nonempty (``Infeasible`` if not), and ADMM runs on the blocks in their
-    order with the constraint projection as the last block, from
-    ``z_i = G_i x_init - d_i``, ``u = 0`` and the penalty worked out from
-    ``P``.  ``objective`` evaluates the reported objective at the answer.
-    On the ADMM route a non-finite ``P``, ``q``, offset, equality level or
-    start raises ``ValueError`` before the first iteration.
+    ``step_i(v, phi)`` is the prox of ``g_i / phi``; a ``prox.SoftThreshold``
+    step is also read as data, its rows joining one stacked ``prox_l1``
+    call.  ``x_init`` is the one start point, normally the weights of a
+    nearby problem's answer; it must be a finite vector of ``n`` weights
+    (``ValueError`` otherwise).  With no block and no extra set the problem
+    is a QP, solved exactly by ``solve_qp``, which starts from ``x_init``
+    only if it is feasible.  Otherwise phase 1 of ``solve_qp`` first finds
+    the constraint set nonempty (``Infeasible`` if not), and ADMM runs on the
+    blocks in their order with the constraint projection as the last block,
+    from ``z_i = G_i x_init - d_i``, ``u = 0`` and the penalty worked out
+    from ``P``.  ``objective`` evaluates the reported objective at the
+    answer.  On the ADMM route a non-finite ``P``, ``q``, offset or
+    equality level raises ``ValueError`` before the first iteration.
     """
     n = q_vec.size
+    if x_init is not None:
+        x_init = np.asarray_chkfinite(x_init, dtype=float)
+        if x_init.shape != (n,):
+            raise ValueError(f"x_init must be a vector of {n} weights, not shape {x_init.shape}")
     constraints = ConstraintSet() if constraints is None else constraints
     eq, ineq, lower, upper = constraints.qp_pieces(n)
     if not blocks and not extra_sets:
@@ -228,17 +277,9 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     p_mat, q_vec, b_eq = map(np.asarray_chkfinite, (p_mat, q_vec, b_eq))
     feasible_point(QpProblem(Q=np.zeros((n, n)), c=np.zeros(n), eq=eq, ineq=ineq,
                              lower=lower, upper=upper))
-    sets = [*extra_sets, *sets]
-    blocks = list(blocks)
-    if sets:
-        blocks.append((np.eye(n), np.zeros(n),
-                       lambda v, _phi: prox.project_intersection(v, sets)))
-    prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
-    z0 = None if x_init is None else prob.z_init(np.asarray(x_init, float))
-    report = admm_solve(prob.x_update, prob.z_update, (prob.a_stack, None, prob.c_stack),
-                        params, z0=z0, objective=objective, phi=prob.phi)
-    report.meta["eq_dual"] = getattr(prob, "_eq_dual", np.zeros(0))
-    return report
+    prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, [*extra_sets, *sets])
+    z0 = None if x_init is None else prob.times(x_init) - prob.c
+    return admm_solve(prob, params, z0=z0, objective=objective)
 
 
 def _least_squares_parts(a1, b1, penalties, default_anchor=None):

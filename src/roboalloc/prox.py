@@ -22,6 +22,18 @@ def prox_l1(v: np.ndarray, lam: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
+@dataclass(frozen=True)
+class SoftThreshold:
+    """The prox step of ``rho ||.||_1`` held as data: ``step(v, phi)`` is
+    ``prox_l1(v, rho / phi)``.  ADMM reads ``rho`` and soft-thresholds the
+    rows of all such blocks in one ``prox_l1`` call."""
+
+    rho: float
+
+    def __call__(self, v: np.ndarray, phi: float) -> np.ndarray:
+        return prox_l1(v, self.rho / phi)
+
+
 def _power_root(w: float, lam: float, p: float) -> float:
     """Positive root of ``lam x^(p-1) + x = w`` for ``w >= 0``."""
     if w == 0.0 or lam == 0.0:

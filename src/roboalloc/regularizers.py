@@ -83,8 +83,9 @@ def penalty_terms(penalties, P, q):
     ``rho G'(G a)`` to ``q``, one penalty at a time in list order.  An ``l1``
     or ``lp`` penalty becomes the prox block ``(G, G a, step)`` of
     ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
-    ``rho/(p phi) ||.||_p^p``.  Every penalty is honoured, a zero ``rho``
-    included.  Returns ``(P, q, blocks, value)``, where ``value(x)`` is
+    ``rho/(p phi) ||.||_p^p``; an ``l1`` step is ``prox.SoftThreshold(rho)``,
+    data that ADMM stacks with the other L1 rows.  Every penalty is
+    honoured, a zero ``rho`` included.  Returns ``(P, q, blocks, value)``, where ``value(x)`` is
     ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.
     """
     n = q.size
@@ -97,7 +98,7 @@ def penalty_terms(penalties, P, q):
             P = P + pen.rho * g.T @ g
             q = q + pen.rho * (g.T @ (g @ anchor))
         elif pen.kind == "l1":
-            blocks.append((g, g @ anchor, lambda v, phi, r=pen.rho: prox.prox_l1(v, r / phi)))
+            blocks.append((g, g @ anchor, prox.SoftThreshold(pen.rho)))
         else:
             blocks.append((g, g @ anchor,
                            lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
