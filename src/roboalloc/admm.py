@@ -30,7 +30,7 @@ _BALANCE_RATIO = 1e3       # squared-residual ratio that rescales the penalty
 _BALANCE_STEP = 2.0        # by this factor
 _BALANCE_ITERATIONS = 100  # after which the penalty is fixed
 _SPECTRAL_FLOOR = 1e-6     # floor of lmin / lmax in the starting penalty
-_RELAXATION = 1.0          # over-relaxation alpha; 1 is plain ADMM
+_RELAXATION = 1.6          # over-relaxation alpha; 1 is plain ADMM
 
 
 @dataclass
@@ -121,8 +121,9 @@ class _StackedProblem:
             elif step is not None:
                 self.steps.append((rows, step))
         self.general = [(rows, g) for rows, g in self.x_blocks if g is not None]
-        self.box = rows if self.sets else None
-        self.l1 = _rows(np.concatenate(l1_rows)) if l1_rows else None
+        self.box = slice(stop - n, stop) if self.sets else None
+        l1_rows = np.concatenate(l1_rows) if l1_rows else np.zeros(0, dtype=np.intp)
+        self.l1 = _rows(l1_rows) if l1_rows.size else None
         self.l1_rho = np.concatenate(l1_rho) if l1_rho else np.zeros(0)
         self._factors = {}
         lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .admm import AdmmParams, solve_penalized
-from .errors import TargetUnreachable
+from .errors import Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, monotone_root
 from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, atomic_write
@@ -188,7 +188,9 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
                         param: str = "rho1", assets=None) -> PathTable:
     """Re-solve along a sorted penalty grid, starting each point from the
     weights of the last converged point (the first from ``config.current``);
-    per-point failures are recorded in the row and the sweep continues."""
+    per-point failures are recorded in the row and the sweep continues.
+    The constraint set is the same at every point, so ``Infeasible`` is the
+    whole path's answer and is raised, not recorded."""
     if param not in _PATH_PARAMS:
         raise ValueError(f"unknown path parameter {param!r}")
     attr = _PATH_PARAMS[param]
@@ -209,6 +211,8 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
             status.append(rep.status)
             if rep.converged:
                 warm = rep.weights
+        except Infeasible:
+            raise
         except Exception as exc:  # keep sweeping; the row records the failure
             status.append(f"error:{type(exc).__name__}")
     return PathTable(param=param, values=grid, weights=weights,

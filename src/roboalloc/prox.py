@@ -16,8 +16,9 @@ _ROOT_TOL = 1e-12
 # --- proximal operators ------------------------------------------------------
 
 
-def prox_l1(v: np.ndarray, lam: float) -> np.ndarray:
-    """Soft thresholding: componentwise shrink toward zero by ``lam``."""
+def prox_l1(v: np.ndarray, lam) -> np.ndarray:
+    """Soft thresholding: componentwise shrink toward zero by ``lam``, a
+    scalar or one threshold per component."""
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 

@@ -331,7 +331,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None,
     """Minimize ``0.5 x'Qx + c'x`` over the problem's constraint set.
 
     ``x0`` is an optional starting point (a warm start); it is used only if
-    it is feasible, otherwise phase 1 constructs one.  Returns a report
+    it is finite and feasible, otherwise phase 1 constructs one.  Returns a report
     whose ``duals`` dict carries multipliers for every declared constraint
     block, with inactive entries at zero.
     """
@@ -341,9 +341,9 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None,
 
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
-        if x0.size != n or max(np.abs(a_eq @ x0 - b_eq).max(initial=0.0),
-                               (h - g @ x0).max(initial=0.0), (lo - x0).max(initial=0.0),
-                               (x0 - up).max(initial=0.0)) > _FEAS_TOL:
+        if x0.size != n or not np.isfinite(x0).all() or max(
+                np.abs(a_eq @ x0 - b_eq).max(initial=0.0), (h - g @ x0).max(initial=0.0),
+                (lo - x0).max(initial=0.0), (x0 - up).max(initial=0.0)) > _FEAS_TOL:
             x0 = None
     if x0 is None:
         x0 = _phase1(a_eq, b_eq, g, h, lo, up, max_iter)

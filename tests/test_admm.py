@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from roboalloc import prox
+from roboalloc import admm, prox
 from roboalloc.admm import (
     AdmmParams,
     AdmmState,
@@ -18,6 +18,7 @@ from roboalloc.regularizers import PenaltySpec, ridge_mvo
 from tests.conftest import random_spd
 
 BUDGET = ConstraintSet(budget=1.0)
+ALPHA = 1.6  # the loop's over-relaxation
 
 
 def matrix_root(sigma):
@@ -68,11 +69,11 @@ class TestGenericEngine:
         # fixed point must stay the exact L1 solution
         mu, _, _, sigma = four_asset_alt
         a1, b1 = mvo_ls(mu, sigma, 0.25)
-        pen = PenaltySpec(kind="l1", rho=5e-4, anchor=np.zeros(4))
+        pen = PenaltySpec(kind="l1", rho=1e-2, anchor=np.zeros(4))
         rep = solve_mixed_lp(a1, b1, None, pen, constraints=BUDGET)
         oracle = solve_qp(augment_l1(QpProblem(Q=sigma, c=-0.25 * mu,
                                                eq=(np.ones((1, 4)), [1.0])),
-                                     np.eye(4), 5e-4, np.zeros(4)))
+                                     np.eye(4), 1e-2, np.zeros(4)))
         assert rep.converged
         lam = np.linalg.eigvalsh(a1.T @ a1)
         assert rep.meta["state"].phi != np.sqrt(lam[0] * lam[-1])  # the penalty moved
@@ -263,11 +264,13 @@ class TestCardinality:
         assert r1.meta["support"] == r2.meta["support"]
 
 
-# --- reference loop: the ADMM iteration before the B = -I and identity-block
-# shortcuts, with scipy's checked lu_solve and dense products throughout ---
+# --- reference loop: the over-relaxed ADMM iteration (Boyd et al., 2011,
+# §3.4.3) on A x + B z = c, with B = -I held as a dense matrix, scipy's checked
+# lu_solve, dense products throughout and one step call per block ---
 
 
-def reference_admm_solve(x_update, z_update, coupling, params, z0=None, phi=1.0):
+def reference_admm_solve(x_update, z_update, coupling, params, z0=None, phi=1.0,
+                         alpha=1.0):
     a, b, c = coupling
     m = c.size
     z = np.zeros(b.shape[1]) if z0 is None else np.asarray(z0, dtype=float).copy()
@@ -278,11 +281,13 @@ def reference_admm_solve(x_update, z_update, coupling, params, z0=None, phi=1.0)
     it = 0
     for it in range(1, params.max_iter + 1):
         x = x_update(z, u, phi)
-        z_new = z_update(x, u, phi)
-        r = a @ x + b @ z_new - c
+        ax = a @ x
+        ax_relaxed = alpha * ax - (1.0 - alpha) * (b @ z - c)
+        z_new = z_update(ax_relaxed, u, phi)
+        r = ax + b @ z_new - c
         s = phi * (a.T @ (b @ (z_new - z)))
         z = z_new
-        u = u + r
+        u = u + (ax_relaxed + b @ z_new - c)
         r_norm = float(np.linalg.norm(r))
         s_norm = float(np.linalg.norm(s))
         if not np.isfinite(r_norm) or r_norm > 1e12 or s_norm > 1e12:
@@ -342,12 +347,11 @@ class ReferenceStackedProblem:
         sol = scipy.linalg.lu_solve(self._factor(phi), full)
         return sol[:self.n]
 
-    def z_update(self, x, u, phi):
+    def z_update(self, ax, u, phi):
         out = np.empty(self.c_stack.size)
         start = 0
-        for g, d, size, stepper in zip(self.gammas, self.offsets, self.sizes,
-                                       self.steppers):
-            v = g @ x - d + u[start:start + size]
+        for d, size, stepper in zip(self.offsets, self.sizes, self.steppers):
+            v = ax[start:start + size] - d + u[start:start + size]
             out[start:start + size] = stepper(v, phi)
             start += size
         return out
@@ -356,7 +360,7 @@ class ReferenceStackedProblem:
         return np.concatenate([g @ x_init - d for g, d in zip(self.gammas, self.offsets)])
 
 
-def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init):
+def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init, alpha):
     """The ADMM route of ``solve_penalized`` on the reference loop."""
     n = q_vec.size
     a_eq, b_eq, sets = constraints.admm_pieces(n)
@@ -367,11 +371,11 @@ def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init):
     prob = ReferenceStackedProblem(p_mat, q_vec, a_eq, b_eq, blocks)
     return reference_admm_solve(prob.x_update, prob.z_update,
                                 (prob.a_stack, prob.b_stack, prob.c_stack), params,
-                                z0=prob.z_init(x_init), phi=prob.phi)
+                                z0=prob.z_init(x_init), phi=prob.phi, alpha=alpha)
 
 
 def l1_step(rho):
-    return lambda v, phi: prox.prox_l1(v, rho / phi)
+    return prox.SoftThreshold(rho)
 
 
 def rebalance_problem(seed, n, gamma1=None):
@@ -405,17 +409,27 @@ class TestInfeasible:
 
 
 class TestSameIterates:
-    """The loop's shortcuts (``B = -I``, identity blocks, LAPACK x-step)
-    reproduce the dense reference loop."""
+    """The loop's shortcuts (stacked arrays, identity blocks, one ``prox_l1``
+    call for all L1 rows, LAPACK x-step) reproduce the dense reference loop
+    at the module's relaxation, and at none."""
 
     @pytest.mark.parametrize("seed,n", [(0, 6), (1, 12), (2, 20), (3, 30), (4, 9)])
     def test_identity_blocks_bit_identical(self, seed, n):
+        self.check_identity_blocks(seed, n, ALPHA)
+
+    def test_unrelaxed_loop_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(admm, "_RELAXATION", 1.0)
+        self.check_identity_blocks(0, 6, 1.0)
+
+    @staticmethod
+    def check_identity_blocks(seed, n, alpha):
         p_mat, q_vec, blocks, current = rebalance_problem(seed, n)
         upper = max(0.3, 2.0 / n)
         cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, upper))
         params = AdmmParams(max_iter=3000)
         rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
-        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current)
+        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
+                                          alpha)
         assert rep.iterations == ref.iterations
         assert rep.status == status
         assert np.array_equal(rep.weights, ref.x)
@@ -433,11 +447,29 @@ class TestSameIterates:
                                    np.array([0.5])))
         params = AdmmParams(max_iter=3000)
         rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
-        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current)
+        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
+                                          ALPHA)
         assert len(cons.admm_pieces(n)[2]) == 2  # box and halfspace: Dykstra runs
         assert rep.iterations == ref.iterations
         assert rep.status == status
         assert np.abs(rep.weights - ref.x).max() <= 1e-12
+
+    def test_interleaved_l1_blocks_bit_identical(self):
+        # an lp block between the two L1 blocks: the L1 rows are gathered
+        # by an index array, not a slice, for their one prox_l1 call
+        n = 8
+        p_mat, q_vec, blocks, current = rebalance_problem(6, n)
+        blocks.insert(1, (np.eye(n), current.copy(),
+                          lambda v, phi: prox.prox_lp(v, 1e-3 / phi, 3.0)))
+        cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, 0.4))
+        params = AdmmParams(max_iter=3000)
+        rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
+        ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
+                                          ALPHA)
+        assert rep.converged and status == "converged"
+        assert rep.iterations == ref.iterations
+        assert np.array_equal(rep.weights, ref.x)
+        assert np.array_equal(rep.meta["state"].u, ref.u)
 
     @pytest.mark.parametrize("where", ["q", "x_init", "offset"])
     def test_non_finite_input_rejected(self, where):

@@ -447,6 +447,27 @@ class TestSolverFailureExit:
         assert "Infeasible" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["l1", "l2"], ids=["admm_route", "qp_route"])
+    def test_path_on_infeasible_constraints_exits_one(self, four_asset_moments, tmp_path,
+                                                      capsys, kind):
+        # the constraint set is the same at every grid point, so the document
+        # is infeasible: exit 1 as optimize does, not 2 with error rows
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments),
+            "gamma": 0.25,
+            "strategic": [0.25, 0.25, 0.25, 0.25],
+            "current": [0.25, 0.25, 0.25, 0.25],
+            "penalties": [{"kind": kind, "rho": 1e-3, "anchor": "strategic"}],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 0.2},
+        }))
+        out = tmp_path / "path.csv"
+        code = main(["path", "--problem", str(problem), "--param", kind.replace("l", "rho"),
+                     "--grid", "log:1e-4:1e-2:3", "--out", str(out)])
+        assert code == 1
+        assert "Infeasible" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAdmmDocument:
     """An ``admm`` object that the solver cannot use, or that names a removed

@@ -76,6 +76,19 @@ class TestRebalance:
         with pytest.raises(Infeasible):
             rebalance(cfg, mu, sigma)
 
+    @pytest.mark.parametrize("slot", ["rho1_strategic", "rho2_strategic"],
+                             ids=["admm_route", "qp_route"])
+    @pytest.mark.parametrize("warm", [[np.nan, 0.5, 0.25, 0.25], [0.5, 0.5]],
+                             ids=["nan", "wrong_size"])
+    def test_bad_warm_start_rejected(self, four_asset_alt, slot, warm):
+        # a NaN start once passed the QP's feasibility test and spun the
+        # active set to MaxIterations; a short one was ignored on that route
+        mu, _, _, sigma = four_asset_alt
+        ew = np.full(4, 0.25)
+        cfg = RoboConfig(strategic=ew, current=ew, gamma=0.1, **{slot: 1e-3})
+        with pytest.raises(ValueError):
+            rebalance(cfg, mu, sigma, warm=warm)
+
     def test_matched_blocks_are_symmetric(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
         cfg_a = RoboConfig(strategic=X0, current=X0, objective="mvo", gamma=0.2,
@@ -309,6 +322,19 @@ class TestRegularizationPath:
         assert table.status == ["converged"] * 6 and len(starts) == 6
         assert np.array_equal(starts[0], cfg.current)
         assert all(s is a.weights for s, a in zip(starts[1:], answers))
+
+    @pytest.mark.parametrize("slot,param", [("rho1_strategic", "rho1"),
+                                            ("rho2_strategic", "rho2")],
+                             ids=["admm_route", "qp_route"])
+    def test_infeasible_constraint_set_raises(self, four_asset_alt, slot, param):
+        # the constraint set does not change along the grid: no row can be
+        # feasible, so the path raises instead of recording error rows
+        mu, _, _, sigma = four_asset_alt
+        ew = np.full(4, 0.25)
+        cfg = RoboConfig(strategic=ew, current=ew, gamma=0.1, **{slot: 1e-3},
+                         constraints=ConstraintSet(budget=1.0, lower=0.0, upper=0.2))
+        with pytest.raises(Infeasible):
+            regularization_path(cfg, mu, sigma, [1e-4, 1e-3, 1e-2], param=param)
 
     def test_unknown_parameter_rejected(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt

@@ -212,6 +212,17 @@ class TestSolveQp:
         rep = solve_qp(problem, x0=np.full(10, 0.5))
         assert np.allclose(rep.weights, cold.weights, atol=1e-12, rtol=0.0)
 
+    def test_non_finite_warm_start_is_ignored(self):
+        # NaN compares false with the feasibility tolerance: without its own
+        # test such a start passed as feasible and the active set spun
+        problem = budget_box_problem(np.random.default_rng(4), 10, 0.5)
+        cold = solve_qp(problem)
+        x0 = cold.weights.copy()
+        x0[3] = np.nan
+        rep = solve_qp(problem, x0=x0)
+        assert np.array_equal(rep.weights, cold.weights)
+        assert rep.iterations == cold.iterations
+
     def test_n200_budget_box_multipliers(self):
         problem = budget_box_problem(np.random.default_rng(11), 200, 0.8)
         rep = solve_qp(problem)
