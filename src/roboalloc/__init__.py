@@ -3,7 +3,6 @@
 from .admm import (
     AdmmParams,
     AdmmState,
-    admm_solve,
     solve_cardinality,
     solve_mixed_lp,
 )

@@ -19,7 +19,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from . import prox
-from .errors import NoConvergence
+from .errors import AllocationError, NoConvergence
 from .mvo import ConstraintSet
 from .qp import QpProblem, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
@@ -31,6 +31,7 @@ _BALANCE_STEP = 2.0        # by this factor
 _BALANCE_ITERATIONS = 100  # after which the penalty is fixed
 _SPECTRAL_FLOOR = 1e-6     # floor of lmin / lmax in the starting penalty
 _RELAXATION = 1.6          # over-relaxation alpha; 1 is plain ADMM
+_RESTARTS = 5              # starts of the cardinality search
 
 
 @dataclass
@@ -38,7 +39,6 @@ class AdmmParams:
     eps_primal: float = 1e-10
     eps_dual: float = 1e-10
     max_iter: int = 10000
-    restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -303,56 +303,35 @@ def _least_squares_parts(a1, b1, penalties, default_anchor=None):
 
 def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
                    constraints: ConstraintSet | None = None, extra_sets=(),
-                   params: AdmmParams | None = None, x_init=None) -> SolveReport:
+                   params: AdmmParams | None = None) -> SolveReport:
     """Least squares with an L2 penalty plus an Lp penalty split off through
     ``Gamma_p (x - x0) = z``; the z-step is the componentwise Lp prox.
 
     Either penalty may be ``None``: with no Lp penalty and no extra set the
-    problem is a QP and is solved exactly.  The penalty matrices may carry
-    negative entries, which is what rules out the augmented-QP route.
-    ``x_init`` is the start point, as in ``solve_penalized``.
+    problem is a QP and is solved exactly.  ADMM projects onto the
+    constraint set intersected with ``extra_sets`` (norm balls and the
+    like).  The penalty matrices may carry negative entries, which is what
+    rules out the augmented-QP route.  The solve starts cold.
     """
     p_mat, q_vec, blocks, objective = _least_squares_parts(
         a1, b1, [penalty_l2, penalty_lp], x0)
     return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets, params,
-                           x_init=x_init, objective=objective)
-
-
-def _feasible_points(n, constraints: ConstraintSet, extra_sets, relax, x0, rng):
-    """Candidate starts: anchor, equal weights, convex relaxation, random."""
-    starts = []
-    a_eq, b_eq, sets = constraints.admm_pieces(n)
-    regions = [*extra_sets, *sets]
-    if a_eq.shape[0]:
-        regions = [prox.AffineSet(a_eq, b_eq)] + regions
-
-    def feasibilize(v):
-        if not regions:
-            return v
-        try:
-            return prox.project_intersection(v, regions, max_sweeps=200)
-        except Exception:
-            return v
-
-    starts.append(feasibilize(x0.copy()))
-    starts.append(feasibilize(np.full(n, 1.0 / n)))
-    if relax is not None:
-        starts.append(relax)
-    while len(starts) < 5:
-        starts.append(feasibilize(rng.normal(loc=1.0 / n, scale=0.5, size=n)))
-    return starts
+                           objective=objective)
 
 
 def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
-                      constraints: ConstraintSet | None = None, extra_sets=(),
-                      params: AdmmParams | None = None,
-                      z_bounds=(-np.inf, np.inf)) -> SolveReport:
+                      constraints: ConstraintSet | None = None,
+                      params: AdmmParams | None = None) -> SolveReport:
     """Restrict ``gamma1 (x - x0)`` to at most ``n1`` nonzeros.
 
     The z-step projects onto the sparse set, which makes the problem
-    non-convex: the solver restarts from several feasible points, polishes
-    each candidate support with an exact convex solve and reports the best
-    objective.  Per-restart diagnostics land in ``meta['restarts']``.
+    non-convex.  ADMM runs from ``_RESTARTS`` starts, in this order: the
+    anchor ``x0`` and equal weights, each projected onto the constraint set
+    by the exact QP, the convex relaxation, then projected random draws
+    seeded by ``params.seed``.  Each candidate support is polished with an
+    exact convex solve and the best objective is reported.  Per-restart
+    diagnostics land in ``meta['restarts']``; a polish that fails with an
+    ``AllocationError`` is recorded there, and any other error propagates.
     """
     params = params or AdmmParams()
     if penalty_l2 is not None and penalty_l2.kind != "l2":
@@ -376,23 +355,30 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
         return solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq,
                                   lower=lower, upper=upper))
 
+    def feasible(v):
+        """The point of the constraint set nearest ``v``."""
+        return solve_penalized(np.eye(n), v, [], constraints).weights
+
     # convex relaxation start: drop the cardinality restriction entirely
     try:
         relax = exact().weights
-    except Exception:
+    except AllocationError:
         relax = None
+    starts = [feasible(x0), feasible(np.full(n, 1.0 / n))]
+    if relax is not None:
+        starts.append(relax)
+    while len(starts) < _RESTARTS:
+        starts.append(feasible(rng.normal(loc=1.0 / n, scale=0.5, size=n)))
 
     def sparse_step(v, _phi):
-        return prox.project_cardinality(v, n1, z_bounds)
+        return prox.project_cardinality(v, n1)
 
     best = None
     diagnostics = []
-    starts = _feasible_points(n, constraints, extra_sets, relax, x0,
-                              rng)[:max(params.restarts, 1)]
     sub = replace(params, max_iter=min(params.max_iter, 2000))
     for k, start in enumerate(starts):
         rep = solve_penalized(p_mat, q_vec, [(g1, g1 @ x0, sparse_step)], constraints,
-                              extra_sets, sub, x_init=start, objective=objective)
+                              params=sub, x_init=start, objective=objective)
         bets = g1 @ (rep.weights - x0)
         support = set(np.argsort(-np.abs(bets), kind="stable")[:n1].tolist())
         entry = {"restart": k, "admm_status": rep.status,
@@ -402,7 +388,7 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
             entry["objective"] = polished.objective
             if best is None or polished.objective < best[0] - 1e-15:
                 best = (polished.objective, polished, sorted(support))
-        except Exception as exc:  # infeasible support: record and move on
+        except AllocationError as exc:  # infeasible support: record and move on
             entry["error"] = str(exc)
         diagnostics.append(entry)
     if best is None:

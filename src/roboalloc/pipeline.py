@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .admm import AdmmParams, solve_penalized
-from .errors import Infeasible, TargetUnreachable
+from .errors import AllocationError, Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, monotone_root
 from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, atomic_write
@@ -127,14 +127,13 @@ def tracking_error(x, strategic, sigma) -> float:
     return float(np.sqrt(max(d @ np.asarray(sigma, float) @ d, 0.0)))
 
 
-def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float,
-                       tol: float = _TE_TOL):
+def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     """Trade-off parameter whose solution attains the tracking-error target.
 
     The tracking error is nondecreasing in the trade-off, so the target is
-    bracketed by doubling and bisected.  Each sample starts from the
-    previous sample's weights.  Returns ``(gamma, report)``, the
-    report being the solve at that gamma.
+    bracketed by doubling and bisected to within ``_TE_TOL`` of the target.
+    Each sample starts from the previous sample's weights.  Returns
+    ``(gamma, report)``, the report being the solve at that gamma.
     """
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
@@ -147,7 +146,7 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float,
         last = rep.weights
         return tracking_error(rep.weights, config.strategic, sigma), rep
 
-    return monotone_root(te_of, te_target, tol)
+    return monotone_root(te_of, te_target, _TE_TOL)
 
 
 @dataclass
@@ -187,16 +186,20 @@ _PATH_PARAMS = {
 def regularization_path(config: RoboConfig, mu, sigma, grid,
                         param: str = "rho1", assets=None) -> PathTable:
     """Re-solve along a sorted penalty grid, starting each point from the
-    weights of the last converged point (the first from ``config.current``);
-    per-point failures are recorded in the row and the sweep continues.
-    The constraint set is the same at every point, so ``Infeasible`` is the
-    whole path's answer and is raised, not recorded."""
+    weights of the last converged point (the first from ``config.current``).
+    An ``AllocationError`` at one point is recorded in its row and the sweep
+    continues.  ``Infeasible`` and any other error (a ``ValueError`` for
+    non-finite data, say) would recur at every point, so they are raised.
+    A grid that is empty, unsorted, negative or not finite is a
+    ``ValueError`` before the first solve."""
     if param not in _PATH_PARAMS:
         raise ValueError(f"unknown path parameter {param!r}")
     attr = _PATH_PARAMS[param]
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be nonempty and sorted ascending")
+    if not np.isfinite(grid).all() or grid[0] < 0:
+        raise ValueError("grid values must be finite and nonnegative")
     n = config.n
     weights = np.full((grid.size, n), np.nan)
     objective = np.full(grid.size, np.nan)
@@ -213,7 +216,7 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
                 warm = rep.weights
         except Infeasible:
             raise
-        except Exception as exc:  # keep sweeping; the row records the failure
+        except AllocationError as exc:  # keep sweeping; the row records the failure
             status.append(f"error:{type(exc).__name__}")
     return PathTable(param=param, values=grid, weights=weights,
                      objective=objective, status=status,

@@ -10,7 +10,10 @@ from scipy.optimize import brentq
 
 from .errors import EmptyIntersection, EmptySet, NonConvexOrder
 
-_ROOT_TOL = 1e-12
+_ROOT_TOL = 1e-12   # residual at which a root of _power_root stops
+_ROOT_STEPS = 100   # Newton-or-bisection steps of _power_root
+_MAX_SWEEPS = 500   # Dykstra sweeps of project_intersection
+_SWEEP_TOL = 1e-12  # step and violation at which the sweeps stop
 
 
 # --- proximal operators ------------------------------------------------------
@@ -35,36 +38,29 @@ class SoftThreshold:
         return prox_l1(v, self.rho / phi)
 
 
-def _power_root(w: float, lam: float, p: float) -> float:
-    """Positive root of ``lam x^(p-1) + x = w`` for ``w >= 0``."""
-    if w == 0.0 or lam == 0.0:
-        return w
-    lo, hi = 0.0, w
-    if p >= 2.0:
-        x = w  # Newton from the unpenalized point, bisection safeguard
-        for _ in range(100):
-            g = lam * x ** (p - 1.0) + x - w
-            if abs(g) <= _ROOT_TOL:
-                return x
-            if g > 0:
-                hi = x
-            else:
-                lo = x
-            dg = lam * (p - 1.0) * x ** (p - 2.0) + 1.0
-            x_new = x - g / dg
-            if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)
-            x = x_new
-    for _ in range(200):
-        x = 0.5 * (lo + hi)
-        g = lam * x ** (p - 1.0) + x - w
-        if abs(g) <= _ROOT_TOL:
-            return x
-        if g > 0:
-            hi = x
-        else:
-            lo = x
-    return 0.5 * (lo + hi)
+def _power_root(w: np.ndarray, lam: float, p: float) -> np.ndarray:
+    """Positive roots ``x`` of ``lam x^(p-1) + x = w`` for an array ``w >= 0``
+    and ``lam > 0``.
+
+    Newton on the whole array, in ``u`` with ``x = u^b``: ``f(u) = lam u^a +
+    u^b - w`` with ``(a, b) = (p - 1, 1)`` for ``p >= 2`` and ``(1, 1 / (p -
+    1))`` below is convex and increasing, so from the lesser one-term root
+    (where ``f >= 0``) the steps fall to the roots.  A step leaving the
+    bracket of its root is replaced by bisection.  The loop stops when every
+    residual is at most ``_ROOT_TOL``, or after ``_ROOT_STEPS`` steps.
+    """
+    a, b = (p - 1.0, 1.0) if p >= 2.0 else (1.0, 1.0 / (p - 1.0))
+    u = np.minimum((w / lam) ** (1.0 / a), w ** (1.0 / b))
+    lo, hi = np.zeros_like(w), u.copy()
+    for _ in range(_ROOT_STEPS):
+        f = lam * u ** a + u ** b - w
+        if np.abs(f).max(initial=0.0) <= _ROOT_TOL:
+            break
+        np.copyto(lo, u, where=f < 0.0)
+        np.copyto(hi, u, where=f > 0.0)
+        step = u - f / (lam * a * u ** (a - 1.0) + b * u ** (b - 1.0))
+        u = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    return u ** b
 
 
 def prox_lp(v: np.ndarray, lam: float, p: float) -> np.ndarray:
@@ -83,13 +79,13 @@ def prox_lp(v: np.ndarray, lam: float, p: float) -> np.ndarray:
         return prox_l1(v, lam)
     if p == 2.0:
         return v / (1.0 + lam)
+    if lam == 0.0:
+        return v.copy()
     a = np.abs(v)
-    if p == 3.0 and lam > 0:
+    if p == 3.0:
         root = (-0.5 + np.sqrt(0.25 + lam * a)) / lam
         return np.sign(v) * root
-    flat = a.ravel()
-    out = np.array([_power_root(w, lam, p) for w in flat]).reshape(a.shape)
-    return np.sign(v) * out
+    return np.sign(v) * _power_root(a.ravel(), lam, p).reshape(a.shape)
 
 
 def prox_norm_moreau(v: np.ndarray, lam: float, p) -> np.ndarray:
@@ -231,9 +227,13 @@ def project_cardinality(v: np.ndarray, n1: int, bounds=(-np.inf, np.inf)) -> np.
     return out
 
 
-def project_intersection(v: np.ndarray, sets, max_sweeps: int = 500,
-                         tol: float = 1e-12) -> np.ndarray:
-    """Dykstra alternating projections onto an intersection of convex sets."""
+def project_intersection(v: np.ndarray, sets) -> np.ndarray:
+    """Dykstra alternating projections onto an intersection of convex sets.
+
+    The sweeps stop once the iterate moves and every set's violation are
+    both at most ``_SWEEP_TOL``, or after ``_MAX_SWEEPS`` sweeps; a
+    violation still above 1e-8 then raises ``EmptyIntersection``.
+    """
     sets = list(sets)
     if not sets:
         return np.asarray(v, dtype=float).copy()
@@ -242,7 +242,7 @@ def project_intersection(v: np.ndarray, sets, max_sweeps: int = 500,
     x = np.asarray(v, dtype=float).copy()
     increments = [np.zeros_like(x) for _ in sets]
     worst = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         x_prev = x.copy()
         for i, s in enumerate(sets):
             y = s.project(x + increments[i])
@@ -250,7 +250,7 @@ def project_intersection(v: np.ndarray, sets, max_sweeps: int = 500,
             x = y
         # x alone can stall while increments move, so test set violations too
         worst = max(np.linalg.norm(s.project(x) - x, np.inf) for s in sets)
-        if worst <= tol and np.linalg.norm(x - x_prev, np.inf) <= tol:
+        if worst <= _SWEEP_TOL and np.linalg.norm(x - x_prev, np.inf) <= _SWEEP_TOL:
             break
     if worst > 1e-8:
         raise EmptyIntersection(f"alternating projections stalled (violation {worst:.2e})")

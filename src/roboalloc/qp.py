@@ -306,38 +306,39 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
     return y[:n]
 
 
-def _dense_pieces(problem: QpProblem, max_iter: int | None):
+def _dense_pieces(problem: QpProblem):
     """``(A, b, G, h, lower, upper, max_iter)``: absent blocks empty, absent
-    bounds infinite, and the default iteration cap filled in."""
+    bounds infinite, and the iteration cap, 100 per variable and per
+    constraint row (each finite bound counts as a row) plus 200."""
     n = problem.n
     a_eq, b_eq = problem.eq if problem.eq is not None else (np.zeros((0, n)), np.zeros(0))
     g, h = problem.ineq if problem.ineq is not None else (np.zeros((0, n)), np.zeros(0))
     lo = problem.lower if problem.lower is not None else np.full(n, -np.inf)
     up = problem.upper if problem.upper is not None else np.full(n, np.inf)
-    if max_iter is None:  # every finite bound counts as a row
-        max_iter = 100 * (n + h.size + int(np.isfinite(lo).sum())
-                          + int(np.isfinite(up).sum())) + 200
+    max_iter = 100 * (n + h.size + int(np.isfinite(lo).sum())
+                      + int(np.isfinite(up).sum())) + 200
     return a_eq, b_eq, g, h, lo, up, max_iter
 
 
 def feasible_point(problem: QpProblem) -> np.ndarray:
     """A point of the problem's constraint set, from phase 1; raises
     ``Infeasible`` when the set is empty.  The objective is not read."""
-    return _phase1(*_dense_pieces(problem, None))
+    return _phase1(*_dense_pieces(problem))
 
 
-def solve_qp(problem: QpProblem, x0: np.ndarray | None = None,
-             max_iter: int | None = None) -> SolveReport:
+def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     """Minimize ``0.5 x'Qx + c'x`` over the problem's constraint set.
 
     ``x0`` is an optional starting point (a warm start); it is used only if
-    it is finite and feasible, otherwise phase 1 constructs one.  Returns a report
-    whose ``duals`` dict carries multipliers for every declared constraint
-    block, with inactive entries at zero.
+    it is finite and feasible, otherwise phase 1 constructs one.  Phase 1
+    and the active set each stop at the cap ``_dense_pieces`` works out
+    from the problem's size (``MaxIterations``).  Returns a report whose
+    ``duals`` dict carries multipliers for every declared constraint block,
+    with inactive entries at zero.
     """
     n = problem.n
     q, c = problem.Q, problem.c
-    a_eq, b_eq, g, h, lo, up, max_iter = _dense_pieces(problem, max_iter)
+    a_eq, b_eq, g, h, lo, up, max_iter = _dense_pieces(problem)
 
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()

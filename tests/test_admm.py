@@ -263,6 +263,30 @@ class TestCardinality:
         assert r1.meta["restarts"] == r2.meta["restarts"]
         assert r1.meta["support"] == r2.meta["support"]
 
+    def test_starts_are_projected_exactly(self, four_asset, monkeypatch):
+        # five ADMM runs, each from a point of the budget-and-box set: the
+        # anchor, equal weights, the relaxation and two random draws
+        mu, _, _, sigma = four_asset
+        a1, b1 = mvo_ls(mu, sigma, 0.2578)
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.6)
+        starts = []
+
+        def recording(p_mat, q_vec, blocks, constraints=None, extra_sets=(),
+                      params=None, x_init=None, objective=None):
+            if blocks:
+                starts.append(x_init)
+            return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets,
+                                   params, x_init=x_init, objective=objective)
+
+        monkeypatch.setattr(admm, "solve_penalized", recording)
+        rep = solve_cardinality(a1, b1, None, np.eye(4), np.full(4, 0.25), 2, cons)
+        assert len(starts) == len(rep.meta["restarts"]) == 5
+        assert np.allclose(starts[:2], 0.25, rtol=0.0, atol=1e-12)
+        for start in starts:
+            assert start.sum() == pytest.approx(1.0, abs=1e-12)
+            assert start.min() >= 0.0 and start.max() <= 0.6
+        assert np.sum(np.abs(rep.weights - 0.25) > 1e-8) <= 2
+
 
 # --- reference loop: the over-relaxed ADMM iteration (Boyd et al., 2011,
 # §3.4.3) on A x + B z = c, with B = -I held as a dense matrix, scipy's checked

@@ -273,6 +273,23 @@ class TestPath:
         assert len(lines) == 6
         assert all(line.endswith("converged") for line in lines[1:])
 
+    def test_negative_grid_exits_one(self, four_asset_moments, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments),
+            "objective": "mvo",
+            "gamma": 0.25,
+            "strategic": [0.4, 0.3, 0.2, 0.1],
+            "current": [0.4, 0.3, 0.2, 0.1],
+            "constraints": {"budget": 1.0},
+        }))
+        out = tmp_path / "path.csv"
+        code = main(["path", "--problem", str(problem), "--param", "rho1",
+                     "--grid", "linear:-1:1:5", "--out", str(out)])
+        assert code == 1
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def _write_data(self, tmp_path, seed=0):

@@ -16,6 +16,7 @@ from roboalloc.pipeline import (
     te_target_to_gamma,
     tracking_error,
 )
+from roboalloc.prox import L2Ball
 from roboalloc.qp import QpProblem, solve_qp
 from roboalloc.views import grades_to_expected_returns
 
@@ -111,6 +112,23 @@ class TestRebalance:
             rep = rebalance(cfg, mu, sigma)
             turnovers.append(np.abs(rep.weights - current).sum())
         assert all(b <= a + 1e-8 for a, b in zip(turnovers, turnovers[1:]))
+
+    def test_norm_ball_extra_set_binds(self, ten_asset):
+        # ADMM projects onto the constraint set intersected with the extra
+        # sets: an L2 cap below the uncapped answer's norm must bind
+        _, _, sigma = ten_asset
+        scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
+        _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
+        current = np.random.default_rng(0).dirichlet(np.ones(10))
+        slots = dict(strategic=EW10, current=current, objective="mvo", gamma=0.5,
+                     rho1_turnover=1e-3)
+        free = rebalance(RoboConfig(**slots), mu, sigma)
+        cap = 0.5 * (np.linalg.norm(free.weights) + np.linalg.norm(EW10))
+        rep = rebalance(RoboConfig(**slots, extra_sets=(L2Ball(cap),)), mu, sigma)
+        assert rep.converged
+        assert np.linalg.norm(rep.weights) == pytest.approx(cap, abs=1e-8)
+        assert rep.weights.sum() == pytest.approx(1.0, abs=1e-8)
+        assert rep.weights.min() >= -1e-8 and rep.weights.max() <= 1.0 + 1e-8
 
     def test_signal_allocation_grows_with_te_budget(self, ten_asset):
         _, _, sigma = ten_asset
@@ -335,6 +353,30 @@ class TestRegularizationPath:
                          constraints=ConstraintSet(budget=1.0, lower=0.0, upper=0.2))
         with pytest.raises(Infeasible):
             regularization_path(cfg, mu, sigma, [1e-4, 1e-3, 1e-2], param=param)
+
+    @pytest.mark.parametrize("slot,param", [("rho1_strategic", "rho1"),
+                                            ("rho2_strategic", "rho2")],
+                             ids=["admm_route", "qp_route"])
+    def test_input_error_raises(self, four_asset_alt, slot, param):
+        # non-finite data is wrong at every grid point: it is raised, not
+        # recorded as one error row per point
+        mu, _, _, sigma = four_asset_alt
+        mu = mu.copy()
+        mu[1] = np.nan
+        cfg = RoboConfig(strategic=X0, current=X0, gamma=0.1, **{slot: 1e-3})
+        with pytest.raises(ValueError):
+            regularization_path(cfg, mu, sigma, [1e-4, 1e-3, 1e-2], param=param)
+
+    @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 5), [1e-3, np.nan],
+                                      [1e-3, np.inf]], ids=["negative", "nan", "inf"])
+    def test_bad_grid_rejected_before_solving(self, four_asset_alt, monkeypatch, grid):
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=X0, gamma=0.1)
+        solves = []
+        monkeypatch.setattr(pipeline, "rebalance", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            regularization_path(cfg, mu, sigma, grid, param="rho2")
+        assert solves == []
 
     def test_unknown_parameter_rejected(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt

@@ -40,6 +40,31 @@ def random_candidate_oracle(v, region, objective=None, draws=100_000, seed=0):
     return pts[vals.argmin()], vals.min()
 
 
+def scalar_power_root(w, lam, p, tol=1e-12):
+    """Positive root of ``lam x^(p-1) + x = w`` for one ``w >= 0``: Newton
+    from ``x = w`` with a bisection safeguard for ``p >= 2``, bisection on
+    ``[0, w]`` below, each stopping at a residual of ``tol``."""
+    if w == 0.0 or lam == 0.0:
+        return w
+    lo, hi = 0.0, w
+    if p >= 2.0:
+        x = w
+        for _ in range(100):
+            g = lam * x ** (p - 1.0) + x - w
+            if abs(g) <= tol:
+                return x
+            lo, hi = (lo, x) if g > 0 else (x, hi)
+            x_new = x - g / (lam * (p - 1.0) * x ** (p - 2.0) + 1.0)
+            x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        g = lam * x ** (p - 1.0) + x - w
+        if abs(g) <= tol:
+            return x
+        lo, hi = (lo, x) if g > 0 else (x, hi)
+    return 0.5 * (lo + hi)
+
+
 class TestProxL1:
     def test_soft_threshold_spot_values(self):
         assert np.allclose(prox_l1(np.array([2.0, -0.5]), 1.0), [1.0, 0.0])
@@ -95,6 +120,17 @@ class TestProxLp:
         pu, pv = prox_lp(u, lam, p), prox_lp(v, lam, p)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
         assert np.allclose(prox_lp(-v, lam, p), -pv, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.5, 4.0, 7.0])
+    def test_matches_scalar_root(self, p):
+        # both stop at a residual of 1e-12 and the residual's slope is at
+        # least 1, so each is within 1e-12 of the root
+        rng = np.random.default_rng(int(p * 100))
+        for lam in np.geomspace(1e-4, 10.0, 11):
+            v = rng.normal(scale=2.0, size=200)
+            v[:3] = [0.0, 1e-9, -5.0]
+            ref = np.sign(v) * np.array([scalar_power_root(abs(w), lam, p) for w in v])
+            assert np.abs(prox_lp(v, lam, p) - ref).max() <= 2.5e-12
 
     def test_monotone_componentwise(self):
         grid = np.linspace(-4, 4, 200)
