@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridEmpty, InputError, LeverageSingularity, SingularGamma
+from .errors import GridEmpty, InputError, LeverageSingularity, SingularMatrix
 
 _LEVERAGE_TOL = 1e-12
+_RANK_TOL = 1e-13  # eigenvalue ratio at which a Gram matrix counts as singular
 
 
 @dataclass
@@ -43,92 +44,139 @@ class RidgeRegressionData:
         return self.gamma2 @ self.gamma2.T
 
 
-def _smoother(data: RidgeRegressionData, rho2: float) -> np.ndarray:
-    return np.linalg.inv(data.x.T @ data.x + rho2 * data.penalty_gram)
+def _penalties(rho2) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(rho2, dtype=float))
+    if grid.ndim != 1:
+        raise InputError("penalty grid must be a scalar or a flat sequence")
+    if grid.size == 0:
+        raise GridEmpty("penalty grid is empty")
+    if not (np.isfinite(grid).all() and (grid >= 0).all()):
+        raise InputError("penalty rho2 must be finite and nonnegative")
+    return grid
+
+
+def _spectrum(x: np.ndarray, gram: np.ndarray, grid: np.ndarray):
+    """Diagonalize the ridge systems ``X'X + rho G`` of a whole grid at once.
+
+    With ``B = X'X / tr X'X + G / tr G``, ``V'BV = I`` and ``V'GV = diag(g)``,
+    every system is ``V^-T diag(a + rho g) V^-1`` with ``a = diag(V'X'XV)``.
+    Returns ``XV``, ``V`` and the K x n matrix of ``1 / (a + rho g)``; the
+    fit at grid point ``i`` is ``V diag(1 / (a + rho_i g)) (XV)'y``, at O(TK)
+    per point.  Neither G nor X needs full rank: B is singular only when X
+    and Gamma2' share a null vector.
+    """
+    xtx = x.T @ x
+    lam, q = np.linalg.eigh(xtx / (np.trace(xtx) or 1.0) + gram / (np.trace(gram) or 1.0))
+    if lam[-1] <= 0 or lam[0] <= _RANK_TOL * lam[-1]:
+        raise SingularMatrix("X'X + rho2 G is singular at every rho2: "
+                             "X and the penalty matrix share a null vector")
+    root = q / np.sqrt(lam)
+    g, p = np.linalg.eigh(root.T @ gram @ root)
+    v = root @ p
+    w = x @ v
+    d = np.einsum("tk,tk->k", w, w)[:, None] + g[:, None] * grid
+    singular = d.min(axis=0) <= _RANK_TOL * d.max(axis=0)
+    if singular.any():
+        raise SingularMatrix(f"X'X + rho2 G is singular at rho2={float(grid[singular][0])!r}")
+    return w, v, 1.0 / d
+
+
+def _loo_pieces(data: RidgeRegressionData, grid: np.ndarray):
+    """In-sample residuals and leverages (both T x n) of every fit on the grid."""
+    w, _, inv = _spectrum(data.x, data.penalty_gram, grid)
+    resid = data.y[:, None] - w @ ((w.T @ data.y)[:, None] * inv)
+    return resid, (w * w) @ inv
+
+
+def _shaped(rho2, curve: np.ndarray):
+    return float(curve[0]) if np.ndim(rho2) == 0 else curve
+
+
+def best_penalty(grid, curve) -> float:
+    """The penalty with the lowest score; ties (``np.isclose``) go to the
+    smallest penalty."""
+    grid = np.asarray(grid, dtype=float)
+    curve = np.asarray(curve, dtype=float)
+    return float(grid[np.isclose(curve, curve.min())].min())
 
 
 def ridge_fit(data: RidgeRegressionData, rho2: float) -> np.ndarray:
-    return _smoother(data, rho2) @ data.x.T @ data.y
+    """Coefficients minimizing ``||y - X b||^2 + rho2 ||Gamma2' b||^2``."""
+    rho = float(rho2)
+    _penalties(rho)
+    try:
+        return np.linalg.solve(data.x.T @ data.x + rho * data.penalty_gram,
+                               data.x.T @ data.y)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"X'X + rho2 G is singular at rho2={rho!r}") from exc
 
 
-def press(data: RidgeRegressionData, rho2: float) -> float:
+def press(data: RidgeRegressionData, rho2):
     """Leave-one-out squared prediction error without refitting.
 
     Each term divides the in-sample residual by one minus the observation's
     leverage; refitting with the observation removed gives exactly the same
-    number.
+    number.  ``rho2`` is a finite nonnegative scalar (returns a float) or a
+    grid of them (returns the curve); the whole grid is priced from one
+    decomposition of the design and penalty matrices.
     """
-    s = _smoother(data, rho2)
-    beta = s @ data.x.T @ data.y
-    leverage = np.einsum("ti,ij,tj->t", data.x, s, data.x)
+    resid, leverage = _loo_pieces(data, _penalties(rho2))
     denom = 1.0 - leverage
     if denom.min() <= _LEVERAGE_TOL:
         raise LeverageSingularity(f"leverage reaches {leverage.max():.12f}")
-    resid = data.y - data.x @ beta
-    return float(np.sum((resid / denom) ** 2))
+    return _shaped(rho2, np.sum((resid / denom) ** 2, axis=0))
 
 
-def gcv(data: RidgeRegressionData, rho2: float) -> float:
-    """Rotation-invariant leave-one-out surrogate.
+def gcv(data: RidgeRegressionData, rho2):
+    """Generalized cross-validation ``T^2 RSS / tr(I - H)^2``, the
+    rotation-invariant leave-one-out surrogate (Golub, Heath & Wahba, 1979).
 
-    The smoother trace is computed from the eigenvalues of
-    ``X (Gamma2 Gamma2')^-1 X'``, which prices the whole penalty grid from
-    one decomposition.
+    ``rho2`` is a finite nonnegative scalar (returns a float) or a grid of
+    them (returns the curve); the whole grid is priced from one
+    decomposition of the design and penalty matrices, which need not have
+    full rank.
     """
     t = data.x.shape[0]
-    resid = data.y - data.x @ ridge_fit(data, rho2)
-    rss = float(resid @ resid)
-    if rho2 > 0:
-        try:
-            inner = np.linalg.solve(data.penalty_gram, data.x.T)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGamma("penalty matrix is singular") from exc
-        lam = np.linalg.eigvalsh(data.x @ inner)
-        trace = float(np.sum(1.0 / (1.0 + lam / rho2)))
-    else:
-        s = _smoother(data, 0.0)
-        trace = float(np.trace(np.eye(t) - data.x @ s @ data.x.T))
-    if trace <= 0:
-        raise SingularGamma("projection trace is not positive")
-    return t ** 2 * rss / trace ** 2
+    resid, leverage = _loo_pieces(data, _penalties(rho2))
+    trace = t - leverage.sum(axis=0)
+    if trace.min() <= _LEVERAGE_TOL * t:
+        raise LeverageSingularity("mean leverage reaches 1")
+    return _shaped(rho2, t ** 2 * np.sum(resid ** 2, axis=0) / trace ** 2)
 
 
 def kfold_cv(data: RidgeRegressionData, k: int, grid, shuffle_seed: int = 0):
     """Shuffled k-fold validation error over a penalty grid.
 
     Returns ``(best_rho2, error_curve)`` where the curve aligns with the
-    given grid and ties resolve to the smallest penalty.
+    given grid of finite nonnegative penalties and ties resolve to the
+    smallest penalty.  Each fold prices the whole grid from one
+    decomposition of its training rows.
     """
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0:
-        raise GridEmpty("penalty grid is empty")
+    grid = _penalties(list(grid))
     t = data.x.shape[0]
     if not 2 <= k <= t:
         raise InputError(f"k must be in [2, {t}]")
     rng = np.random.default_rng(shuffle_seed)
     order = rng.permutation(t)
     groups = np.array_split(order, k)
+    gram = data.penalty_gram
     errors = np.zeros(grid.size)
-    for j, test_idx in enumerate(groups):
+    for test_idx in groups:
         mask = np.ones(t, dtype=bool)
         mask[test_idx] = False
-        x_tr, y_tr = data.x[mask], data.y[mask]
-        x_te, y_te = data.x[test_idx], data.y[test_idx]
-        xtx = x_tr.T @ x_tr
-        xty = x_tr.T @ y_tr
-        for g_idx, rho2 in enumerate(grid):
-            beta = np.linalg.solve(xtx + rho2 * data.penalty_gram, xty)
-            errors[g_idx] += float(np.sum((y_te - x_te @ beta) ** 2))
+        w, v, inv = _spectrum(data.x[mask], gram, grid)
+        fitted = (data.x[test_idx] @ v) @ ((w.T @ data.y[mask])[:, None] * inv)
+        errors += np.sum((data.y[test_idx, None] - fitted) ** 2, axis=0)
     errors /= t
-    best_value = errors.min()
-    best_rho2 = float(grid[np.isclose(errors, best_value)].min())
-    return best_rho2, errors
+    return best_penalty(grid, errors), errors
 
 
 def make_grid(scale: str, start: float, stop: float, points: int) -> np.ndarray:
     """Penalty grid helper: ``log`` spaces geometrically, ``linear`` evenly."""
     if points < 1:
         raise GridEmpty("grid needs at least one point")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise InputError("grid endpoints must be finite")
     if scale == "log":
         if start <= 0 or stop <= 0:
             raise InputError("log grid needs positive endpoints")

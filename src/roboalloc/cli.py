@@ -374,6 +374,9 @@ def cmd_calibrate(args) -> int:
         if header is None or header[0].strip().lower() != "y":
             raise InputError(f"{args.data}: expected header 'y,<x...>'")
         for line in reader:
+            if len(line) != len(header):
+                raise InputError(f"{args.data}: line {reader.line_num} has {len(line)} "
+                                 f"cells, the header has {len(header)}")
             rows.append([float(v) for v in line])
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
@@ -381,15 +384,14 @@ def cmd_calibrate(args) -> int:
     data = calibration.RidgeRegressionData(x=arr[:, 1:], y=arr[:, 0])
     grid = _parse_grid(args.grid)
     if args.method == "press":
-        curve = np.array([calibration.press(data, r) for r in grid])
-        best = float(grid[np.isclose(curve, curve.min())].min())
+        curve = calibration.press(data, grid)
     elif args.method == "gcv":
-        curve = np.array([calibration.gcv(data, r) for r in grid])
-        best = float(grid[np.isclose(curve, curve.min())].min())
+        curve = calibration.gcv(data, grid)
     elif args.method == "kfold":
-        best, curve = calibration.kfold_cv(data, args.k, grid, shuffle_seed=args.seed)
+        _, curve = calibration.kfold_cv(data, args.k, grid, shuffle_seed=args.seed)
     else:
         raise InputError(f"unknown method {args.method!r}")
+    best = calibration.best_penalty(grid, curve)
     lines = ["rho2,score"]
     lines += [f"{repr(float(r))},{repr(float(s))}" for r, s in zip(grid, curve)]
     atomic_write(args.out, "\n".join(lines) + "\n")

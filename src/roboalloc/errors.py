@@ -107,10 +107,6 @@ class LeverageSingularity(AllocationError):
     pass
 
 
-class SingularGamma(AllocationError):
-    pass
-
-
 class GridEmpty(AllocationError):
     pass
 

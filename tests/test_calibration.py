@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,8 +111,12 @@ class TestGcv:
         rng = np.random.default_rng(6)
         data = RidgeRegressionData(x=rng.normal(size=(10, 2)), y=rng.normal(size=10),
                                    gamma2=np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(errors.SingularGamma):
-            gcv(data, 0.5)
+        for rho2 in (0.0, 0.5, 3.0):
+            hat = data.x @ np.linalg.solve(data.x.T @ data.x + rho2 * data.penalty_gram,
+                                           data.x.T)
+            resid = data.y - hat @ data.y
+            expected = 100 * float(resid @ resid) / np.trace(np.eye(10) - hat) ** 2
+            assert gcv(data, rho2) == pytest.approx(expected, rel=1e-10)
 
 
 class TestKfold:
@@ -155,6 +161,97 @@ class TestKfold:
         grid = [0.5, 0.5, 2.0]  # duplicated point forces a tie
         best, _ = kfold_cv(data, 3, grid, shuffle_seed=0)
         assert best == 0.5
+
+
+def dense_curves(data, grid, k, shuffle_seed):
+    """GCV and PRESS from the T x T hat matrix, k-fold from explicit refits
+    on the documented seeded shuffle."""
+    x, y, gram = data.x, data.y, data.penalty_gram
+    t = x.shape[0]
+    gcv_curve, press_curve = [], []
+    for rho2 in grid:
+        hat = x @ np.linalg.solve(x.T @ x + rho2 * gram, x.T)
+        resid = y - hat @ y
+        gcv_curve.append(t ** 2 * (resid @ resid) / np.trace(np.eye(t) - hat) ** 2)
+        press_curve.append(np.sum((resid / (1.0 - np.diag(hat))) ** 2))
+    folds = np.array_split(np.random.default_rng(shuffle_seed).permutation(t), k)
+    kfold_curve = np.zeros(len(grid))
+    for test in folds:
+        train = np.setdiff1d(np.arange(t), test)
+        for g, rho2 in enumerate(grid):
+            beta = np.linalg.solve(x[train].T @ x[train] + rho2 * gram,
+                                   x[train].T @ y[train])
+            kfold_curve[g] += np.sum((y[test] - x[test] @ beta) ** 2)
+    return np.array(gcv_curve), np.array(press_curve), kfold_curve / t
+
+
+def _penalty_cases():
+    """(name, data, grid): identity, full and singular Gamma2, and T < K."""
+    rng = np.random.default_rng(14)
+    full_rank = [0.0, 1e-3, 0.1, 1.0, 10.0]
+    shapes = [("identity", 20, 4, None, full_rank),
+              ("full", 20, 4, rng.normal(size=(4, 4)), full_rank),
+              ("singular", 20, 4, rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4)), full_rank),
+              ("identity, T < K", 6, 10, None, full_rank[1:])]
+    cases = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # T <= K is flagged
+        for name, t, k, gamma2, grid in shapes:
+            data = RidgeRegressionData(x=rng.normal(size=(t, k)), y=rng.normal(size=t),
+                                       gamma2=gamma2)
+            cases.append(pytest.param(data, grid, id=name))
+    return cases
+
+
+class TestWholeGrid:
+    @pytest.mark.parametrize("data, grid", _penalty_cases())
+    def test_curves_match_dense_formulas(self, data, grid):
+        want_gcv, want_press, want_kfold = dense_curves(data, grid, 3, 5)
+        for got, want in ((gcv(data, grid), want_gcv), (press(data, grid), want_press),
+                          (kfold_cv(data, 3, grid, shuffle_seed=5)[1], want_kfold)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("data, grid", _penalty_cases())
+    def test_grid_equals_scalar_calls(self, data, grid):
+        for f in (gcv, press):
+            curve = f(data, grid)
+            assert isinstance(curve, np.ndarray) and curve.shape == (len(grid),)
+            for rho2, value in zip(grid, curve):
+                scalar = f(data, rho2)
+                assert isinstance(scalar, float)
+                # the same formula in another summation order; at T < K and
+                # small rho2 the leverages approach 1 and 1 - h loses digits
+                assert scalar == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_negative_or_non_finite_penalty(self, bad):
+        data = random_data(np.random.default_rng(15), t=12, k=2)
+        for call in (lambda: gcv(data, bad), lambda: press(data, bad),
+                     lambda: gcv(data, [0.1, bad]), lambda: press(data, [bad, 1.0]),
+                     lambda: kfold_cv(data, 3, [0.1, bad], shuffle_seed=0),
+                     lambda: ridge_fit(data, bad)):
+            with pytest.raises(errors.InputError):
+                call()
+
+    def test_unpenalized_fit_with_more_regressors_than_rows(self):
+        rng = np.random.default_rng(16)
+        with pytest.warns(UserWarning):
+            data = RidgeRegressionData(x=rng.normal(size=(5, 8)), y=rng.normal(size=5))
+        for call in (lambda: gcv(data, 0.0), lambda: press(data, [0.0, 1.0]),
+                     lambda: kfold_cv(data, 2, [1.0, 0.0], shuffle_seed=0),
+                     lambda: ridge_fit(data, 0.0)):
+            with pytest.raises(errors.SingularMatrix):
+                call()
+        assert np.isfinite(gcv(data, [1e-3, 1.0])).all()
+
+    def test_null_space_shared_with_penalty(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(12, 3))
+        x[:, 2] = 0.0
+        data = RidgeRegressionData(x=x, y=rng.normal(size=12),
+                                   gamma2=np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(errors.SingularMatrix):
+            gcv(data, [0.1, 1.0])
 
 
 class TestTeRules:

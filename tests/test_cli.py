@@ -332,6 +332,48 @@ class TestCalibrate:
             assert code == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_every_method_matches_svd_formulas(self, tmp_path, capsys):
+        data_path, x, y = self._write_data(tmp_path, seed=3)
+        t = x.shape[0]
+        grid = np.geomspace(1e-4, 1e2, 13)
+        u, d, _ = np.linalg.svd(x, full_matrices=False)
+        want = {"gcv": [], "press": [], "kfold": np.zeros(grid.size)}
+        for rho2 in grid:
+            shrink = d ** 2 / (d ** 2 + rho2)
+            resid = y - u @ (shrink * (u.T @ y))
+            want["gcv"].append(t ** 2 * (resid @ resid) / (t - shrink.sum()) ** 2)
+            want["press"].append(np.sum((resid / (1.0 - (u ** 2) @ shrink)) ** 2))
+        for test in np.array_split(np.random.default_rng(9).permutation(t), 4):
+            train = np.setdiff1d(np.arange(t), test)
+            for g, rho2 in enumerate(grid):
+                aug_x = np.vstack([x[train], np.sqrt(rho2) * np.eye(3)])
+                aug_y = np.concatenate([y[train], np.zeros(3)])
+                beta = np.linalg.lstsq(aug_x, aug_y, rcond=None)[0]
+                want["kfold"][g] += np.sum((y[test] - x[test] @ beta) ** 2) / t
+        for method, curve in want.items():
+            curve = np.asarray(curve)
+            out = tmp_path / f"{method}.csv"
+            code = main(["calibrate", "--data", str(data_path), "--method", method,
+                         "--grid", "log:1e-4:1e2:13", "--k", "4", "--seed", "9",
+                         "--out", str(out)])
+            assert code == 0
+            got = np.array([float(line.split(",")[1])
+                            for line in out.read_text().strip().splitlines()[1:]])
+            assert np.abs(got - curve).max() <= 1e-9 * np.abs(curve).max()
+            best = float(grid[np.isclose(curve, curve.min())].min())
+            assert capsys.readouterr().out.strip() == f"best_rho2={best!r}"
+
+    @pytest.mark.parametrize("method", ["press", "gcv", "kfold"])
+    @pytest.mark.parametrize("grid", ["linear:-5:1:4", "linear:nan:1:3", "log:1e-3:inf:3"])
+    def test_negative_or_non_finite_grid_exits_1(self, tmp_path, capsys, method, grid):
+        data_path, _, _ = self._write_data(tmp_path)
+        out = tmp_path / "curve.csv"
+        code = main(["calibrate", "--data", str(data_path), "--method", method,
+                     "--grid", grid, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestViews:
     def test_grade_document(self, tmp_path, ten_asset):

@@ -1,5 +1,6 @@
-"""Fuzz of problem and views documents: whatever a known key holds, the CLI
-exits with 0, 1 or 2 and never lets an exception escape."""
+"""Fuzz of problem and views documents, and of calibration grids and
+regression files: whatever they hold, the CLI exits with 0, 1 or 2 and never
+lets an exception escape."""
 
 import contextlib
 import copy
@@ -108,3 +109,46 @@ def test_any_value_exits_cleanly(case):
                 code = main(verb + ["--out", os.path.join(tmp, "out")])
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+
+
+positive = st.floats(1e-6, 1e3)
+grid_ends = st.one_of(positive, positive, numbers, st.sampled_from(["nan", "inf", "-inf", "x"]))
+cells = st.one_of(numbers, numbers, numbers, st.sampled_from(["", "x", "nan", "-inf", "1e400"]))
+
+
+@st.composite
+def calibrations(draw):
+    """Mostly well-formed inputs with a few bad parts: bad grids, ragged or
+    non-numeric rows, too few rows for the fit or for k."""
+    scale = draw(st.sampled_from(["log", "linear", "log", "linear", "lin"]))
+    # few points: make_grid allocates every point it is asked for
+    points = draw(st.one_of(st.integers(1, 6), st.integers(-1, 6), st.sampled_from(["2.5", "x"])))
+    grid = ":".join(str(p) for p in [scale, draw(grid_ends), draw(grid_ends), points])
+    if draw(st.integers(0, 9)) == 0:
+        grid = grid.rsplit(":", 1)[0]
+    width = draw(st.integers(2, 4))
+    header = ",".join(["y"] + [f"x{j}" for j in range(1, width)])
+    if draw(st.integers(0, 3)) == 0:
+        row = st.lists(cells, min_size=1, max_size=5)                    # ragged, non-numeric
+    else:
+        row = st.lists(numbers, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=12))
+    text = "\n".join([header] + [",".join(str(c) for c in r) for r in rows]) + "\n"
+    method = draw(st.sampled_from(["press", "gcv", "kfold"]))
+    return grid, text, method, draw(st.integers(-1, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(calibrations())
+def test_any_calibration_input_exits_cleanly(case):
+    grid, text, method, k = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        with open(data, "w") as handle:
+            handle.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["calibrate", "--data", data, "--method", method, "--grid", grid,
+                         "--k", str(k), "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
