@@ -37,7 +37,8 @@ class RidgeRegressionData:
             if self.gamma2.shape != (k, k):
                 raise InputError("gamma2 must be K x K")
         if t <= k:
-            warnings.warn(f"T={t} <= K={k}: fit is weakly determined", stacklevel=2)
+            # past __post_init__ and the generated __init__, to the caller
+            warnings.warn(f"T={t} <= K={k}: fit is weakly determined", stacklevel=3)
 
     @property
     def penalty_gram(self) -> np.ndarray:
@@ -63,7 +64,9 @@ def _spectrum(x: np.ndarray, gram: np.ndarray, grid: np.ndarray):
     Returns ``XV``, ``V`` and the K x n matrix of ``1 / (a + rho g)``; the
     fit at grid point ``i`` is ``V diag(1 / (a + rho_i g)) (XV)'y``, at O(TK)
     per point.  Neither G nor X needs full rank: B is singular only when X
-    and Gamma2' share a null vector.
+    and Gamma2' share a null vector.  A system counts as singular at a grid
+    point when its diagonal spans more than ``1 / _RANK_TOL`` or its
+    reciprocal would overflow (X'X subnormal at rho2 = 0).
     """
     xtx = x.T @ x
     lam, q = np.linalg.eigh(xtx / (np.trace(xtx) or 1.0) + gram / (np.trace(gram) or 1.0))
@@ -75,7 +78,7 @@ def _spectrum(x: np.ndarray, gram: np.ndarray, grid: np.ndarray):
     v = root @ p
     w = x @ v
     d = np.einsum("tk,tk->k", w, w)[:, None] + g[:, None] * grid
-    singular = d.min(axis=0) <= _RANK_TOL * d.max(axis=0)
+    singular = d.min(axis=0) <= np.maximum(_RANK_TOL * d.max(axis=0), np.finfo(float).tiny)
     if singular.any():
         raise SingularMatrix(f"X'X + rho2 G is singular at rho2={float(grid[singular][0])!r}")
     return w, v, 1.0 / d

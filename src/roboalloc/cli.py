@@ -311,13 +311,10 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
         value = _number(doc["target"]["value"], "target.value")
         if penalties:
             raise InputError("target calibration does not combine with penalties")
-        cal_tol = tol if tol is not None else 1e-6
         if kind in ("volatility", "vol"):
-            gamma, report = calibrate_gamma(inputs, constraints, target_vol=value,
-                                            tol=cal_tol)
+            gamma, report = calibrate_gamma(inputs, constraints, target_vol=value)
         elif kind in ("return", "expected_return"):
-            gamma, report = calibrate_gamma(inputs, constraints,
-                                            target_return=value, tol=cal_tol)
+            gamma, report = calibrate_gamma(inputs, constraints, target_return=value)
         else:
             raise InputError(f"unknown target type {kind!r}")
         return report, None
@@ -493,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="human-readable JSON output")
         p.add_argument("--seed", type=int, default=0, help="k-fold shuffle seed")
         p.add_argument("--tol", type=float, default=None,
-                       help="override solver tolerance")
+                       help="ADMM residual tolerances (eps_primal and eps_dual) "
+                            "for keys the problem document leaves unset")
 
     p = sub.add_parser("estimate", help="CSV panel -> moments JSON")
     p.add_argument("--returns", required=True)

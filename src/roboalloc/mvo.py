@@ -18,10 +18,11 @@ from .errors import (
 )
 from .market_data import clip_psd
 from .prox import Box, Halfspace
-from .qp import QpProblem, solve_qp
+from .qp import QpProblem, parametric_path, solve_qp
 from .report import CONVERGED, SolveReport
 
 _CAL_TOL = 1e-6
+_LEVEL_RTOL = 1e-13  # relative rounding of a volatility or return level
 _GAMMA_CAP = 1e6
 _BISECTIONS = 100
 
@@ -152,20 +153,18 @@ def _portfolio_stats(x: np.ndarray, inputs: MvoInputs):
 
 def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None, *,
                     target_return: float | None = None,
-                    target_vol: float | None = None,
-                    tol: float = _CAL_TOL):
+                    target_vol: float | None = None):
     """Find the trade-off parameter hitting a return or volatility target.
 
-    Closed forms cover the unconstrained case; otherwise the target is
-    bracketed by doubling and bisected, which is justified because the
-    attained return and volatility are nondecreasing in the trade-off.
-    Each sample starts the QP from the previous sample's weights.  Returns
-    ``(gamma, report)``; the bisection samples are recorded in
-    ``report.meta['calibration']``.
+    Closed forms cover the unconstrained case; otherwise ``path_root``
+    walks the solution path from gamma 0 and meets the target exactly
+    within its segment, then solves once at that gamma from the walk's
+    point.  A volatility target below the gamma-0 volatility is
+    ``TargetUnreachable``.  Returns ``(gamma, report)``; the path's
+    ``(gamma, value)`` entries are recorded in ``report.meta['calibration']``.
     """
     if (target_return is None) == (target_vol is None):
         raise ValueError("specify exactly one of target_return / target_vol")
-    metric_idx, target = (0, target_return) if target_vol is None else (1, target_vol)
 
     if constraints is None or constraints.is_empty():
         w = _solve_spd(inputs.sigma, inputs.excess)
@@ -179,21 +178,107 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         report = solve_gamma_problem(inputs, gamma)
         return gamma, report
 
-    history = []
-    last = None
-
-    def metric(gam: float):
-        nonlocal last
-        rep = solve_gamma_problem(inputs, gam, constraints, x0=last)
-        last = rep.weights
-        value = _portfolio_stats(rep.weights, inputs)[metric_idx]
-        history.append((gam, value))
-        return value, rep
-
-    gamma, rep = monotone_root(metric, target, tol)
-    if gamma == 0.0 and target_vol is not None and history[0][1] > target + tol:
+    eq, ineq, lower, upper = constraints.qp_pieces(inputs.n)
+    problem = QpProblem(Q=inputs.sigma, c=np.zeros(inputs.n), eq=eq, ineq=ineq,
+                        lower=lower, upper=upper)
+    if target_vol is None:
+        metric, target = (None, inputs.mu), target_return
+    else:
+        metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
+    gamma, rep = path_root(
+        lambda gam, x0: solve_gamma_problem(inputs, gam, constraints, x0=x0),
+        problem, -inputs.excess, metric, target, _CAL_TOL)
+    lowest = rep.meta["calibration"][0][1]
+    if gamma == 0.0 and target_vol is not None and lowest > target + _CAL_TOL:
         raise TargetUnreachable(
-            f"volatility target {target} below minimum attainable {history[0][1]:.6f}")
+            f"volatility target {target} below minimum attainable {lowest:.6f}")
+    return gamma, rep
+
+
+def _level(metric, x) -> float:
+    """The metric's level at ``x``: the squared volatility
+    ``(x - anchor)' sigma (x - anchor)`` for ``(sigma, anchor)``, the
+    return ``mu'x`` for ``(None, mu)``."""
+    sigma, vec = metric
+    if sigma is None:
+        return float(vec @ x)
+    d = x - vec
+    return float(d @ sigma @ d)
+
+
+def _value(metric, x) -> float:
+    """The metric at ``x``: the volatility or the return."""
+    level = _level(metric, x)
+    return level if metric[0] is None else float(np.sqrt(max(level, 0.0)))
+
+
+def _crossing(metric, x, dx, level: float) -> float:
+    """Least ``s >= 0`` at which the metric's level along ``x + s dx``, a
+    convex quadratic (or linear) function of ``s``, reaches ``level``;
+    infinite if it never does.  A gap within rounding of ``level`` (a
+    target set at a breakpoint's value) counts as reached."""
+    gap = level - _level(metric, x)
+    if gap <= _LEVEL_RTOL * abs(level):
+        return 0.0
+    sigma, vec = metric
+    if sigma is None:
+        a, b = 0.0, float(vec @ dx)
+    else:
+        sd = sigma @ dx
+        a, b = max(float(dx @ sd), 0.0), 2.0 * float((x - vec) @ sd)
+    root = b + np.sqrt(b * b + 4.0 * a * gap)
+    return 2.0 * gap / root if root > 0.0 else np.inf
+
+
+def _not_reached(target: float, value: float) -> TargetUnreachable:
+    return TargetUnreachable(f"target {target} not bracketed up to "
+                             f"gamma={_GAMMA_CAP:.0e} (reached {value:.6g})")
+
+
+def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: float):
+    """Trade-off parameter at which a metric of a QP route's answer meets a
+    target, found on the solution path rather than by search.
+
+    ``problem`` is the route's QP at gamma 0 and ``slope`` the derivative
+    of its linear term in gamma; ``solve(gamma, x0)`` returns the route's
+    report at ``gamma`` started from ``x0`` (``None``: the route's own
+    start).  ``metric`` is ``(sigma, anchor)`` for the volatility
+    ``sqrt((x - anchor)' sigma (x - anchor))`` or ``(None, mu)`` for the
+    return ``mu'x``, nondecreasing in gamma.  Gamma 0 is returned when its
+    value already reaches ``target - tol``.  Otherwise ``qp.parametric_path``
+    walks from the gamma-0 answer; on each piece the metric is a quadratic
+    (or linear) function of the step, so the target is met exactly where it
+    crosses, and one ``solve`` at that gamma from the walk's point gives
+    the report.  A crossing beyond ``_GAMMA_CAP``, including a last segment
+    that stays below the target, is ``TargetUnreachable``; so is a crossing
+    inside a move at fixed gamma (a singular covariance), where the optimum
+    is not unique and no solve at that gamma would answer the target.  The
+    report's ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0,
+    at each breakpoint and at the answer.  Returns ``(gamma, report)``.  A
+    non-finite target raises ``ValueError`` before any solve.
+    """
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    rep = solve(0.0, None)
+    history = [(0.0, _value(metric, rep.weights))]
+    if history[0][1] >= target - tol:
+        rep.meta["calibration"] = history
+        return 0.0, rep
+    level = target if metric[0] is None else target ** 2
+    for k, (t, x, dx, rate, length) in enumerate(parametric_path(problem, slope, rep)):
+        if k:  # a breakpoint
+            history.append((t, _value(metric, x)))
+        s = _crossing(metric, x, dx, level)
+        if rate and t + length > _GAMMA_CAP and s > _GAMMA_CAP - t:
+            raise _not_reached(target, _value(metric, x + (_GAMMA_CAP - t) * dx))
+        if s <= length:
+            break
+    if not rate and s > 0.0:
+        raise TargetUnreachable(f"target {target} falls inside a jump of the path at "
+                                f"gamma={t:.6g}, where the optimum is not unique")
+    gamma = t + rate * s
+    rep = solve(gamma, x + s * dx)
+    history.append((gamma, _value(metric, rep.weights)))
     rep.meta["calibration"] = history
     return gamma, rep
 
@@ -206,7 +291,9 @@ def monotone_root(sample, target: float, tol: float):
     is bracketed by doubling from 1 up to ``_GAMMA_CAP`` and bisected until
     the value is within ``tol``.  Each gamma is sampled once.  Returns
     ``(gamma, report)`` at the final gamma.  A non-finite target raises
-    ``ValueError`` before any sample.
+    ``ValueError`` before any sample.  This is the ADMM route's search
+    (``te_target_to_gamma`` with L1 terms or extra sets); QP routes walk
+    the solution path (``path_root``).
     """
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
@@ -218,8 +305,7 @@ def monotone_root(sample, target: float, tol: float):
         while value < target:
             hi *= 2.0
             if hi > _GAMMA_CAP:
-                raise TargetUnreachable(f"target {target} not bracketed up to "
-                                        f"gamma={_GAMMA_CAP:.0e} (reached {value:.6g})")
+                raise _not_reached(target, value)
             value, rep = sample(hi)
         gamma = hi
         for _ in range(_BISECTIONS):

@@ -12,7 +12,8 @@ import numpy as np
 
 from .admm import AdmmParams, solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
-from .mvo import ConstraintSet, monotone_root
+from .mvo import ConstraintSet, monotone_root, path_root
+from .qp import QpProblem
 from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, atomic_write
 
@@ -105,6 +106,18 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         gamma = 0.0
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
+    p_mat, q_vec, blocks, objective = _terms(config, mu, sigma, gamma)
+    report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
+                             config.admm, x_init=config.current if warm is None else warm,
+                             objective=objective)
+    report.gamma = float(gamma)
+    return report
+
+
+def _terms(config: RoboConfig, mu, sigma, gamma: float):
+    """``(P, q, blocks, objective)`` of the rebalancing problem at ``gamma``,
+    as ``admm.solve_penalized`` takes them; ``q`` is affine in ``gamma``
+    with slope ``mu``."""
     tracking = config.objective == "tracking_error"
     q_vec = gamma * mu
     if tracking:
@@ -115,11 +128,7 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         d = x - config.strategic if tracking else x
         return float(0.5 * d @ sigma @ d - gamma * d @ mu + penalty(x))
 
-    report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
-                             config.admm, x_init=config.current if warm is None else warm,
-                             objective=objective)
-    report.gamma = float(gamma)
-    return report
+    return p_mat, q_vec, blocks, objective
 
 
 def tracking_error(x, strategic, sigma) -> float:
@@ -130,14 +139,27 @@ def tracking_error(x, strategic, sigma) -> float:
 def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     """Trade-off parameter whose solution attains the tracking-error target.
 
-    The tracking error is nondecreasing in the trade-off, so the target is
-    bracketed by doubling and bisected to within ``_TE_TOL`` of the target.
-    Each sample starts from the previous sample's weights.  Returns
-    ``(gamma, report)``, the report being the solve at that gamma.
+    The search takes the tracking error to be nondecreasing in the
+    trade-off, which holds exactly without L2 penalties.  On the QP route
+    (no L1 block and no extra set) ``mvo.path_root`` walks the solution
+    path from gamma 0, meets the target exactly within its segment and
+    solves once more at that gamma from the walk's point.  On the ADMM
+    route the target is bracketed by doubling and bisected to within
+    ``_TE_TOL`` by ``mvo.monotone_root``, each sample starting from the
+    previous sample's weights.  Returns ``(gamma, report)``, the report
+    being the solve at that gamma.
     """
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
     base = replace(config, te_target=None)
+    mu = np.asarray(mu, dtype=float).ravel()
+    sigma = np.asarray(sigma, dtype=float)
+    p_mat, q_vec, blocks, _ = _terms(base, mu, sigma, 0.0)
+    if not blocks and not config.extra_sets:
+        eq, ineq, lower, upper = config.constraints.qp_pieces(config.n)
+        problem = QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper)
+        return path_root(lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
+                         problem, -mu, (sigma, config.strategic), te_target, _TE_TOL)
     last = None
 
     def te_of(gamma):

@@ -174,13 +174,14 @@ def _multipliers(grad, a_eq, g_act, free):
     solutions of stationarity over the free variables.  The returned reduced
     gradient ``grad + A'nu - G_act'lam`` is zero on the free variables and
     equals ``lam_lo`` at a variable fixed at its lower bound and ``-lam_up``
-    at one fixed at its upper bound.
+    at one fixed at its upper bound.  ``grad`` may also be an ``n x k``
+    matrix, one gradient per column.
     """
     rows = np.vstack([a_eq, -g_act])
     if rows.shape[0] and free.any():
         sol = np.linalg.lstsq(rows[:, free].T, -grad[free], rcond=None)[0]
     else:
-        sol = np.zeros(rows.shape[0])
+        sol = np.zeros(rows.shape[:1] + grad.shape[1:])
     me = a_eq.shape[0]
     return sol[:me], sol[me:], grad + rows.T @ sol
 
@@ -334,7 +335,9 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     and the active set each stop at the cap ``_dense_pieces`` works out
     from the problem's size (``MaxIterations``).  Returns a report whose
     ``duals`` dict carries multipliers for every declared constraint block,
-    with inactive entries at zero.
+    with inactive entries at zero, and whose ``meta['working_set']`` is the
+    final ``(bound states, active inequality rows)`` that
+    ``parametric_path`` starts from.
     """
     n = problem.n
     q, c = problem.Q, problem.c
@@ -362,9 +365,93 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     objective = 0.5 * x @ q @ x + c @ x
     report = SolveReport(weights=x, objective=float(objective), status=CONVERGED,
                          iterations=iters, duals=duals)
+    report.meta["working_set"] = (at, act)
     if degenerate:
         report.meta["degenerate_hessian"] = True
     return report
+
+
+def parametric_path(problem: QpProblem, slope, start: SolveReport):
+    """Solution path of ``min 0.5 x'Qx + (c + t slope)'x`` over ``t >= 0``.
+
+    Markowitz's critical line (1956): on a fixed working set the solution
+    and its multipliers are affine in ``t``.  The walk starts from
+    ``start``, the ``solve_qp`` report of ``problem`` (``t = 0``), and its
+    working set.  On each segment the step ``dx`` is ``_free_step``'s KKT
+    solve with ``slope`` in place of the gradient, and the multipliers'
+    slopes are ``_multipliers`` of ``Q dx + slope``.  A segment ends at the
+    first event: a free variable reaches a bound, an inactive inequality
+    becomes active, or a working-set multiplier reaches zero; that
+    constraint joins or leaves the working set, ties going to the lowest
+    rank as in ``_active_set``.  When ``slope`` pulls along a direction of
+    zero curvature the solution at ``t`` is not unique, and x moves along it
+    at fixed ``t`` to the blocking constraint (``Unbounded`` if none).
+
+    Yields ``(t, x, dx, rate, length)`` per piece: the solution at parameter
+    ``t + rate s`` is ``x + s dx`` for ``s`` in ``[0, length]``, ``rate``
+    being 1 on a segment and 0 on a move at fixed ``t``; the last segment
+    has infinite length.  Pivots stop at the cap ``_dense_pieces`` works
+    out (``MaxIterations``).
+    """
+    n = problem.n
+    q, c = problem.Q, problem.c
+    slope = np.asarray(slope, dtype=float).ravel()
+    a_eq, _, g, h, lo, up, max_iter = _dense_pieces(problem)
+    m = h.size
+    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+    at, act = start.meta["working_set"]
+    at, act = at.copy(), list(act)
+    x, t = start.weights.copy(), 0.0
+    dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
+    ratios = np.empty(m + 2 * n)   # indexed by rank, as in _active_set
+    mult = np.empty((m + 2 * n, 2))  # working-set multipliers and their slopes
+    for _ in range(max_iter):
+        free = at == _FREE
+        idx = np.flatnonzero(free)
+        g_act = g[act]
+        dx = np.zeros(n)
+        dx[idx], _, flat, _ = _free_step(q.take(idx, 0).take(idx, 1), slope[idx],
+                                         np.vstack([a_eq, g_act]).take(idx, 1))
+        tiny = 1e-13 * max(1.0, np.abs(dx).max())
+        ratios.fill(np.inf)
+        gd = g @ dx
+        rows = gd < -tiny
+        rows[act] = False
+        np.divide(h - g @ x, gd, out=ratios[:m], where=rows)
+        np.divide(lo - x, dx, out=ratios[m:m + n], where=free & has_lo & (dx < -tiny))
+        np.divide(up - x, dx, out=ratios[m + n:], where=free & has_up & (dx > tiny))
+        np.maximum(ratios, 0.0, out=ratios)
+        if not flat:
+            _, lam, reduced = _multipliers(
+                np.column_stack([q @ x + c + t * slope, q @ dx + slope]), a_eq, g_act, free)
+            mult.fill(0.0)
+            mult[act] = lam
+            mult[m:m + n][at == _LOWER] = reduced[at == _LOWER]
+            mult[m + n:][at == _UPPER] = -reduced[at == _UPPER]
+            np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,
+                      where=mult[:, 1] < -dual_tol)
+        length = ratios.min()
+        if flat and length == np.inf:
+            raise Unbounded("zero-curvature direction with no blocking constraint")
+        yield t, x, dx, 0.0 if flat else 1.0, length
+        if length == np.inf:
+            return
+        k = int(np.argmax(ratios <= length * (1.0 + 1e-14)))  # lowest rank among ties
+        x = x + length * dx
+        if not flat:
+            t += length
+        if k < m:
+            if k in act:
+                act.remove(k)
+            else:
+                act.append(k)
+            continue
+        j, bound = (k - m) % n, _LOWER if k < m + n else _UPPER
+        if at[j] == bound:  # its multiplier reached zero
+            at[j] = _FREE
+        else:
+            at[j], x[j] = bound, (lo if bound == _LOWER else up)[j]
+    raise MaxIterations(f"parametric path did not end in {max_iter} pivots")
 
 
 def augment_l1(problem: QpProblem, gamma1: np.ndarray, rho1: float,

@@ -43,6 +43,12 @@ def random_data(rng, t=None, k=None):
     return RidgeRegressionData(x=x, y=y)
 
 
+def test_weak_design_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="weakly determined") as record:
+        RidgeRegressionData(x=np.ones((2, 3)), y=np.ones(2))
+    assert record[0].filename == __file__
+
+
 class TestPress:
     def test_single_observation_by_hand(self):
         with pytest.warns(UserWarning):  # T <= K is flagged
@@ -243,6 +249,19 @@ class TestWholeGrid:
             with pytest.raises(errors.SingularMatrix):
                 call()
         assert np.isfinite(gcv(data, [1e-3, 1.0])).all()
+
+    def test_subnormal_gram_is_singular_at_zero_penalty(self):
+        # |x| near 1e-160: X'X is subnormal and its inverse overflows; no
+        # RuntimeWarning (an error under this suite's settings) may escape
+        rng = np.random.default_rng(18)
+        data = RidgeRegressionData(x=1e-160 * rng.normal(size=(20, 3)), y=rng.normal(size=20))
+        for call in (lambda: gcv(data, [0.0, 1.0]), lambda: press(data, 0.0),
+                     lambda: kfold_cv(data, 4, [0.0, 1.0], shuffle_seed=0)):
+            with pytest.raises(errors.SingularMatrix):
+                call()
+        curve = gcv(data, [1e-3, 1.0])
+        assert np.isfinite(curve).all()
+        assert curve == pytest.approx(np.full(2, data.y @ data.y), rel=1e-12)  # H = 0
 
     def test_null_space_shared_with_penalty(self):
         rng = np.random.default_rng(17)

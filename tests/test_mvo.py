@@ -87,16 +87,19 @@ class TestCalibrateGamma:
         gamma, rep = calibrate_gamma(inp, target_return=0.06)
         assert rep.weights @ mu == pytest.approx(0.06, abs=1e-12)
 
-    def test_bisection_metric_monotone_at_samples(self, four_asset):
-        mu, _, _, sigma = four_asset
-        _, rep = calibrate_gamma(MvoInputs(mu=mu, sigma=sigma), BUDGET, target_vol=0.16)
-        history = sorted(rep.meta["calibration"])
+    def test_path_metric_monotone_at_breakpoints(self, nine_asset):
+        mu, _, _, sigma = nine_asset
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.25)
+        gamma, rep = calibrate_gamma(MvoInputs(mu=mu, sigma=sigma), cons, target_vol=0.07)
+        history = rep.meta["calibration"]
         gammas = [g for g, _ in history]
         vols = [v for _, v in history]
+        assert len(history) > 3 and gammas[0] == 0.0 and gammas[-1] == gamma
+        assert all(b >= a for a, b in zip(gammas, gammas[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
-        assert len(gammas) > 3
+        assert vols[-1] == pytest.approx(0.07, rel=1e-12, abs=0.0)
 
-    def test_samples_start_from_previous_weights(self, nine_asset, monkeypatch):
+    def test_one_solve_after_walk_from_its_point(self, nine_asset, monkeypatch):
         mu, _, _, sigma = nine_asset
         inp = MvoInputs(mu=mu, sigma=sigma)
         cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.25)
@@ -109,9 +112,11 @@ class TestCalibrateGamma:
 
         monkeypatch.setattr(mvo, "solve_qp", recording)
         gamma, rep = calibrate_gamma(inp, cons, target_vol=0.07)
-        assert len(starts) == len(rep.meta["calibration"]) > 3
-        assert starts[0] is None
-        assert all(s is a.weights for s, a in zip(starts[1:], answers))
+        # the gamma-0 solve, then one certified solve started at the walk's point
+        assert len(starts) == 2 and starts[0] is None and rep is answers[1]
+        assert rep.iterations == 1
+        assert np.abs(starts[1] - answers[0].weights).max() > 0.1
+        assert np.abs(starts[1] - rep.weights).max() <= 1e-12
         monkeypatch.undo()
         cold = solve_gamma_problem(inp, gamma, cons)
         assert np.allclose(rep.weights, cold.weights, atol=1e-10, rtol=0.0)

@@ -189,8 +189,7 @@ class TestTeTargeting:
                 target, abs=1e-6)
 
 
-    def test_qp_route_samples_start_from_previous_weights(self, ten_asset,
-                                                          monkeypatch):
+    def test_qp_route_walks_then_solves_once(self, ten_asset, monkeypatch):
         _, _, sigma = ten_asset
         scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
         _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
@@ -204,31 +203,42 @@ class TestTeTargeting:
             return answers[-1]
 
         monkeypatch.setattr(admm, "solve_qp", recording)
-        gamma, _ = te_target_to_gamma(cfg, mu, sigma, 0.01)
-        assert len(starts) > 3 and np.array_equal(starts[0], cfg.current)
-        assert all(s is a.weights for s, a in zip(starts[1:], answers))
+        gamma, rep = te_target_to_gamma(cfg, mu, sigma, 0.01)
+        # the gamma-0 solve from the current book, then one certified solve
+        # started at the walk's point
+        assert len(starts) == 2 and np.array_equal(starts[0], cfg.current)
+        assert rep is answers[1] and rep.iterations == 1 and rep.gamma == gamma
+        assert np.abs(starts[1] - rep.weights).max() <= 1e-12
+        history = rep.meta["calibration"]
+        assert all(b[0] >= a[0] and b[1] >= a[1] - 1e-12
+                   for a, b in zip(history, history[1:]))
+        assert history[-1] == (gamma, tracking_error(rep.weights, EW10, sigma))
         monkeypatch.undo()
-        rep = rebalance(cfg, mu, sigma, gamma=gamma)
-        assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(0.01, abs=1e-6)
+        assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
+            0.01, rel=1e-12, abs=0.0)
+        cold = rebalance(cfg, mu, sigma, gamma=gamma)
+        assert np.abs(rep.weights - cold.weights).max() <= 1e-10
 
     def test_te_target_rebalance_solves_each_gamma_once(self, ten_asset, monkeypatch):
+        # the ADMM route (an L1 slot) still brackets and bisects
         _, _, sigma = ten_asset
         scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
         _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
         cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
-                         rho2_turnover=0.01, te_target=0.01)
+                         rho1_strategic=1e-4, rho2_turnover=0.01, te_target=0.01)
         samples, solves = [], []
+        admm_solve = admm.admm_solve
 
         def sampled(config, mu, sigma, gamma=None, warm=None):
             samples.append((gamma, rebalance(config, mu, sigma, gamma=gamma, warm=warm)))
             return samples[-1][1]
 
-        def solved(problem, x0=None, **kwargs):
-            solves.append(x0)
-            return solve_qp(problem, x0=x0, **kwargs)
+        def solved(prob, params=None, **kwargs):
+            solves.append(prob)
+            return admm_solve(prob, params, **kwargs)
 
         monkeypatch.setattr(pipeline, "rebalance", sampled)
-        monkeypatch.setattr(admm, "solve_qp", solved)
+        monkeypatch.setattr(admm, "admm_solve", solved)
         rep = rebalance(cfg, mu, sigma)
         gammas = [g for g, _ in samples]
         assert len(gammas) == len(set(gammas)) > 3
