@@ -7,7 +7,9 @@ portfolio problems (smoothed, sparse and cardinality-constrained).
 at the penalty ``sqrt(lmin lmax)`` of the spectrum of ``P``, rescales it in
 its first ``_BALANCE_ITERATIONS`` iterations only, then holds it fixed, and
 over-relaxes every iteration by ``_RELAXATION`` (Boyd et al., 2011, §3.4.3;
-the default of OSQP)."""
+the default of OSQP).  On L1-penalized problems over a box and halfspaces it
+polishes the iterate on a geometric schedule into the exact answer, kept
+only when a certificate of optimality holds (``_Polish``)."""
 
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from . import prox
-from .errors import AllocationError, NoConvergence
+from .errors import AllocationError, Infeasible, NoConvergence
 from .mvo import ConstraintSet
-from .qp import QpProblem, feasible_point, solve_qp
+from .qp import QpProblem, _free_step, _multipliers, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
@@ -32,6 +34,10 @@ _BALANCE_ITERATIONS = 100  # after which the penalty is fixed
 _SPECTRAL_FLOOR = 1e-6     # floor of lmin / lmax in the starting penalty
 _RELAXATION = 1.6          # over-relaxation alpha; 1 is plain ADMM
 _RESTARTS = 5              # starts of the cardinality search
+_POLISH_FIRST = 10         # iteration of the first polish attempt
+_POLISH_GROWTH = 1.5       # each later attempt at ceil(1.5 x) the iteration of the last
+_ACTIVE_TOL = 1e-9         # a Dykstra-projected bound or halfspace this close is active
+_CERT_TOL = 1e-12          # certificate tolerance, relative to the scale of the data
 
 
 @dataclass
@@ -155,6 +161,161 @@ def _rows(index):
     return index
 
 
+class _Polish:
+    """The exact answer of an L1-penalized QP read off an ADMM iterate, kept
+    only under a certificate of optimality (OSQP's solution polishing,
+    Stellato et al., *Math. Prog. Comp.* 2020).
+
+    It applies to a ``_StackedProblem`` whose blocks all soft-threshold and
+    whose sets are at most one ``Box`` plus ``Halfspace``s:
+    ``min 0.5 x'Px - q'x + sum_l rho_l |g_l'x - d_l|`` subject to
+    ``a_eq x = b_eq``, ``h_rows x >= h_rhs`` and the box.  ``attempt`` reads
+    a working set from ``z``: an L1 row whose ``z`` is exactly zero sits at
+    its kink, a box row at a bound is fixed there, and a halfspace within
+    ``_ACTIVE_TOL`` of its boundary is active (the box rows too, when
+    Dykstra projects onto the box and halfspaces together).  A kink on one
+    weight fixes that weight as a bound does; the other kinks and the
+    active halfspaces are equality rows; every other L1 row adds
+    ``rho_l sign(z_l) g_l`` to the linear term.  One KKT solve of the free
+    block (``qp._free_step``) and least-squares multipliers
+    (``qp._multipliers``) give a candidate, which ``certificate`` accepts or
+    refuses from the problem data alone.  Its ``duals`` hold one ``ineq``
+    multiplier per halfspace, in the order of ``prob.sets``.
+    """
+
+    def __init__(self, prob, box, halves):
+        n = prob.n
+        self.p, self.q = prob.p, prob.q
+        self.a_eq, self.b_eq = prob.a_eq, prob.rhs[n:].copy()
+        self.l1 = prob.l1 if prob.l1 is not None else slice(0, 0)
+        self.g, self.d, self.rho = prob.a[self.l1], prob.c[self.l1], prob.l1_rho
+        nonzero = self.g != 0.0
+        count = nonzero.sum(axis=1)
+        self.single = np.flatnonzero(count == 1)   # rows on one weight
+        self.col = nonzero[self.single].argmax(axis=1)
+        self.coef = self.g[self.single, self.col]
+        self.d_single = self.d[self.single]
+        self.pull = self.rho[self.single] * self.coef
+        self.general = np.flatnonzero(count > 1)
+        self.g_general = self.g[self.general]
+        self.rho_general = self.rho[self.general]
+        self.box = prob.box
+        self.lower = np.broadcast_to(np.asarray(box.lower, dtype=float), (n,))
+        self.upper = np.broadcast_to(np.asarray(box.upper, dtype=float), (n,))
+        self.h_rows = -np.array([s.a for s in halves], dtype=float).reshape(len(halves), n)
+        self.h_rhs = -np.array([s.b for s in halves], dtype=float)
+        self.exact_box = not halves
+        self.level = max(1.0, np.abs(self.b_eq).max(initial=0.0),
+                         np.abs(self.h_rhs).max(initial=0.0),
+                         np.abs(self.d).max(initial=0.0))
+        self.force = max(1.0, np.abs(self.q).max(initial=0.0),
+                         (self.rho[:, None] * np.abs(self.g)).max(initial=0.0))
+
+    @classmethod
+    def of(cls, prob):
+        """The polish of ``prob``, or ``None`` when it does not apply."""
+        boxes = [s for s in prob.sets if isinstance(s, prox.Box)]
+        halves = [s for s in prob.sets if isinstance(s, prox.Halfspace)]
+        if prob.steps or len(boxes) > 1 or len(boxes) + len(halves) < len(prob.sets):
+            return None
+        return cls(prob, boxes[0] if boxes else prox.Box(), halves)
+
+    def tolerances(self, x):
+        """Primal and dual tolerances of the certificate at ``x``."""
+        return (_CERT_TOL * max(self.level, np.abs(x).max()),
+                _CERT_TOL * max(self.force, np.abs(self.p @ x).max()))
+
+    def attempt(self, x, z):
+        """``(weights, duals, r_norm, s_norm)`` on the working set read from
+        ``z`` (``x`` the matching ADMM iterate), or ``None`` if the
+        certificate refuses the candidate."""
+        zl = z[self.l1]
+        kink = zl == 0.0
+        fixed = np.full(x.size, np.nan)
+        k1 = kink[self.single]
+        cols, values = self.col[k1], self.d_single[k1] / self.coef[k1]
+        fixed[cols] = values
+        if self.box is not None:
+            zb = z[self.box]
+            near = 0.0 if self.exact_box else _ACTIVE_TOL * self.level
+            at_lo, at_up = zb <= self.lower + near, zb >= self.upper - near
+            fixed[at_lo] = self.lower[at_lo]
+            fixed[at_up] = self.upper[at_up]
+            active = np.flatnonzero(np.abs(self.h_rows @ zb - self.h_rhs) <= near)
+        else:
+            active = np.zeros(0, dtype=np.intp)
+        if np.any(np.abs(values - fixed[cols]) > _CERT_TOL * np.maximum(1.0, np.abs(values))):
+            return None  # two fixings of one weight disagree
+        free = np.isnan(fixed)
+        x = np.where(free, x, fixed)
+        kinks = self.general[kink[self.general]]
+        eq_rows = np.vstack([self.a_eq, self.g[kinks]])
+        h_act = self.h_rows[active]
+        rows = np.vstack([eq_rows, h_act])
+        gap = np.concatenate([self.b_eq, self.d[kinks], self.h_rhs[active]]) - rows @ x
+        lin = self.g.T @ (self.rho * np.sign(zl)) - self.q
+        idx = np.flatnonzero(free)
+        step, _, flat, _ = _free_step(self.p.take(idx, 0).take(idx, 1),
+                                      (self.p @ x + lin)[idx], rows[:, idx], gap)
+        if flat:
+            return None
+        x[idx] += step
+        tol_p, tol_d = self.tolerances(x)
+        if self.infeasibility(x) > tol_p:  # refused before the multipliers are worked out
+            return None
+        nu, lam_act, _ = _multipliers(self.p @ x + lin, eq_rows, h_act, free)
+        me = self.a_eq.shape[0]
+        mu = self.rho_general * np.sign(zl[self.general])
+        mu[kink[self.general]] = nu[me:]
+        lam = np.zeros(self.h_rhs.size)
+        lam[active] = lam_act
+        r_norm, s_norm, lam_lo, lam_up = self.certificate(x, nu[:me], mu, lam)
+        if r_norm > tol_p or s_norm > tol_d:
+            return None
+        return x, {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}, r_norm, s_norm
+
+    def infeasibility(self, x):
+        """The largest violation of the equalities, halfspaces and box at ``x``."""
+        return max(np.abs(self.a_eq @ x - self.b_eq).max(initial=0.0),
+                   (self.h_rhs - self.h_rows @ x).max(initial=0.0),
+                   (self.lower - x).max(initial=0.0), (x - self.upper).max(initial=0.0))
+
+    def certificate(self, x, nu, mu, lam):
+        """``(r_norm, s_norm, lam_lo, lam_up)`` of the point ``x`` with
+        multipliers ``nu`` (equality rows), ``mu`` (the general L1 rows'
+        terms ``rho_l s_l``) and ``lam`` (halfspaces), from the problem data.
+
+        ``r_norm`` is ``infeasibility(x)``.  ``s_norm`` is the largest
+        violation of optimality: a general row off its kink must have
+        ``mu_l = rho_l sign(g_l'x - d_l)``, one at its kink
+        ``|mu_l| <= rho_l``; ``lam`` must be nonnegative and vanish off its
+        halfspace; and for each weight, 0 must lie in its gradient
+        ``(Px - q + a_eq'nu - h_rows'lam + sum_l mu_l g_l)_j`` plus the
+        subdifferential of its own L1 rows plus the box's normal cone.  A row
+        within the primal tolerance of its kink, or a weight of its bound,
+        counts as there.  The bound multipliers are what the normal cone
+        takes up.
+        """
+        tol_p, _ = self.tolerances(x)
+        slack = self.h_rows @ x - self.h_rhs
+        grad = (self.p @ x - self.q + self.a_eq.T @ nu - self.h_rows.T @ lam
+                + self.g_general.T @ mu)
+        off = self.coef * x[self.col] - self.d_single
+        at_kink = np.abs(off) <= tol_p
+        grad += np.bincount(self.col, np.where(at_kink, 0.0, self.pull * np.sign(off)), x.size)
+        width = np.bincount(self.col, np.where(at_kink, np.abs(self.pull), 0.0), x.size)
+        excess = np.sign(grad) * np.maximum(np.abs(grad) - width, 0.0)
+        lam_lo = np.where(x <= self.lower + tol_p, np.maximum(excess, 0.0), 0.0)
+        lam_up = np.where(x >= self.upper - tol_p, np.maximum(-excess, 0.0), 0.0)
+        off = self.g_general @ x - self.d[self.general]
+        side = np.where(np.abs(off) <= tol_p, np.abs(mu) - self.rho_general,
+                        np.abs(mu - self.rho_general * np.sign(off)))
+        s_norm = max(np.abs(excess - lam_lo + lam_up).max(initial=0.0),
+                     side.max(initial=0.0), (-lam).max(initial=0.0),
+                     np.abs(lam * slack).max(initial=0.0))
+        return self.infeasibility(x), s_norm, lam_lo, lam_up
+
+
 def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
                z0: np.ndarray | None = None, objective=None) -> SolveReport:
     """Scaled, over-relaxed ADMM on the stacked problem ``prob``.
@@ -170,9 +331,21 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     the fixed point; then the penalty is fixed.  ``z0`` must be finite
     (``ValueError`` otherwise); what the loop itself produces is guarded by
     the divergence test, a non-finite primal residual ending it as
-    ``diverged``.  The final iterate is recorded in ``meta['state']``, the
-    scaled dual ``phi u`` in ``meta['coupling_dual']`` and the equality
-    multipliers of the last x-step in ``meta['eq_dual']``.
+    ``diverged``.
+
+    When ``_Polish`` applies to ``prob`` (every block soft-thresholds, the
+    sets are a box and halfspaces), the loop tries a polish at iteration
+    ``_POLISH_FIRST`` and then at ``ceil(_POLISH_GROWTH k)`` after an
+    attempt at ``k``, reading the iterate only.  The first certified
+    candidate ends the loop as ``converged``: the report carries its exact
+    weights, its multipliers as ``duals`` (``solve_qp``'s keys), the
+    certificate's residuals as ``r_norm``/``s_norm`` and
+    ``meta['polish'] = {'iteration', 'attempts'}`` (``iteration`` is
+    ``None`` when every attempt was refused).  A refused candidate changes
+    nothing, and the loop runs on under the residual stop test.  The final
+    iterate is recorded in ``meta['state']``, the scaled dual ``phi u`` in
+    ``meta['coupling_dual']`` and the equality multipliers, of the polish or
+    else of the last x-step, in ``meta['eq_dual']``.
     """
     params = params or AdmmParams()
     n, c, a, sets = prob.n, prob.c, prob.a, prob.sets
@@ -184,10 +357,12 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     rhs_x = rhs[:n]
     phi = prob.phi
     factor, thresholds = prob.factor(phi), prob.l1_rho / phi
-    x = sol = None
+    x = sol = polished = None
     r_norm = s_norm = math.inf
     status = MAX_ITER
-    it = 0
+    it = attempts = 0
+    polish = _Polish.of(prob)
+    next_polish = _POLISH_FIRST if polish is not None else math.inf
     for it in range(1, params.max_iter + 1):
         zc = z + c
         w = zc - u
@@ -216,6 +391,13 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
         if not math.isfinite(r_norm) or r_norm > _DIVERGE_LIMIT or s_norm > _DIVERGE_LIMIT:
             status = DIVERGED
             break
+        if it == next_polish:
+            attempts += 1
+            next_polish = math.ceil(it * _POLISH_GROWTH)
+            polished = polish.attempt(x, z)
+            if polished is not None:
+                status = CONVERGED
+                break
         if r_norm <= params.eps_primal and s_norm <= params.eps_dual:
             status = CONVERGED
             break
@@ -229,13 +411,20 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
             else:
                 continue
             factor, thresholds = prob.factor(phi), prob.l1_rho / phi
+    state = AdmmState(x=x, z=z, u=u, phi=phi, r_norm=r_norm, s_norm=s_norm, iterations=it)
+    duals, eq_dual = None, sol[n:]
+    if polished is not None:
+        x, duals, r_norm, s_norm = polished
+        eq_dual = duals["eq"]
     obj = float(objective(x)) if objective is not None else float("nan")
     report = SolveReport(weights=x, objective=obj, status=status, iterations=it,
-                         r_norm=r_norm, s_norm=s_norm)
-    report.meta["state"] = AdmmState(x=x, z=z, u=u, phi=phi, r_norm=r_norm,
-                                     s_norm=s_norm, iterations=it)
+                         duals=duals, r_norm=r_norm, s_norm=s_norm)
+    report.meta["state"] = state
     report.meta["coupling_dual"] = phi * u
-    report.meta["eq_dual"] = sol[n:]
+    report.meta["eq_dual"] = eq_dual
+    if polish is not None:
+        report.meta["polish"] = {"iteration": it if polished is not None else None,
+                                 "attempts": attempts}
     return report
 
 
@@ -332,6 +521,8 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     exact convex solve and the best objective is reported.  Per-restart
     diagnostics land in ``meta['restarts']``; a polish that fails with an
     ``AllocationError`` is recorded there, and any other error propagates.
+    When every support's polish fails, the error is ``Infeasible`` if each
+    of them found its support infeasible, ``NoConvergence`` otherwise.
     """
     params = params or AdmmParams()
     if penalty_l2 is not None and penalty_l2.kind != "l2":
@@ -374,7 +565,7 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
         return prox.project_cardinality(v, n1)
 
     best = None
-    diagnostics = []
+    diagnostics, failures = [], []
     sub = replace(params, max_iter=min(params.max_iter, 2000))
     for k, start in enumerate(starts):
         rep = solve_penalized(p_mat, q_vec, [(g1, g1 @ x0, sparse_step)], constraints,
@@ -390,8 +581,12 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
                 best = (polished.objective, polished, sorted(support))
         except AllocationError as exc:  # infeasible support: record and move on
             entry["error"] = str(exc)
+            failures.append(exc)
         diagnostics.append(entry)
     if best is None:
+        if all(isinstance(exc, Infeasible) for exc in failures):
+            raise Infeasible(f"no support found with at most {n1} bets is feasible: "
+                             f"{diagnostics}")
         raise NoConvergence(f"all {len(starts)} restarts failed: {diagnostics}")
     _, report, support = best
     report.meta["restarts"] = diagnostics

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -363,21 +364,32 @@ def cmd_path(args) -> int:
     return 0 if not bad else 2
 
 
-def cmd_calibrate(args) -> int:
-    rows = []
-    with open(args.data, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "y":
-            raise InputError(f"{args.data}: expected header 'y,<x...>'")
-        for line in reader:
-            if len(line) != len(header):
-                raise InputError(f"{args.data}: line {reader.line_num} has {len(line)} "
-                                 f"cells, the header has {len(header)}")
-            rows.append([float(v) for v in line])
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
+def _read_regression_csv(path) -> np.ndarray:
+    """The rows of a ``y,<x...>`` CSV file as a float array, one row per
+    line after the header; a ragged row or a cell that is not a number is
+    an ``InputError`` naming the file."""
+    with open(path, newline="") as handle:
+        header = next(csv.reader([handle.readline()]), None)
+        if not header or header[0].strip().lower() != "y":
+            raise InputError(f"{path}: expected header 'y,<x...>'")
+        body = handle.read()
+    if not body.strip():
         raise InputError("calibration data needs a response and regressors")
+    try:
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"', comments=None,
+                         ndmin=2)
+    except ValueError as exc:  # a ragged row or a cell that is not a number
+        raise InputError(f"{path}: {str(exc).split(';')[0]}") from None
+    if arr.shape[1] != len(header):
+        raise InputError(f"{path}: the rows have {arr.shape[1]} cells, "
+                         f"the header has {len(header)}")
+    if arr.shape[1] < 2:
+        raise InputError("calibration data needs a response and regressors")
+    return arr
+
+
+def cmd_calibrate(args) -> int:
+    arr = _read_regression_csv(args.data)
     data = calibration.RidgeRegressionData(x=arr[:, 1:], y=arr[:, 0])
     grid = _parse_grid(args.grid)
     if args.method == "press":

@@ -146,8 +146,10 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     solves once more at that gamma from the walk's point.  On the ADMM
     route the target is bracketed by doubling and bisected to within
     ``_TE_TOL`` by ``mvo.monotone_root``, each sample starting from the
-    previous sample's weights.  Returns ``(gamma, report)``, the report
-    being the solve at that gamma.
+    previous sample's weights.  On either route a target below the gamma-0
+    tracking error by more than ``_TE_TOL`` is ``TargetUnreachable``: with
+    L2 or turnover anchors the gamma-0 book is not the strategic one.
+    Returns ``(gamma, report)``, the report being the solve at that gamma.
     """
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
@@ -158,17 +160,25 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     if not blocks and not config.extra_sets:
         eq, ineq, lower, upper = config.constraints.qp_pieces(config.n)
         problem = QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper)
-        return path_root(lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
-                         problem, -mu, (sigma, config.strategic), te_target, _TE_TOL)
-    last = None
+        gamma, rep = path_root(
+            lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
+            problem, -mu, (sigma, config.strategic), te_target, _TE_TOL)
+    else:
+        last = None
 
-    def te_of(gamma):
-        nonlocal last
-        rep = rebalance(base, mu, sigma, gamma=gamma, warm=last)
-        last = rep.weights
-        return tracking_error(rep.weights, config.strategic, sigma), rep
+        def te_of(gamma):
+            nonlocal last
+            rep = rebalance(base, mu, sigma, gamma=gamma, warm=last)
+            last = rep.weights
+            return tracking_error(rep.weights, config.strategic, sigma), rep
 
-    return monotone_root(te_of, te_target, _TE_TOL)
+        gamma, rep = monotone_root(te_of, te_target, _TE_TOL)
+    if gamma == 0.0:
+        lowest = tracking_error(rep.weights, config.strategic, sigma)
+        if lowest > te_target + _TE_TOL:
+            raise TargetUnreachable(f"tracking-error target {te_target} below the minimum "
+                                    f"attainable {lowest:.6f}")
+    return gamma, rep
 
 
 @dataclass

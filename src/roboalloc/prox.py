@@ -230,9 +230,12 @@ def project_cardinality(v: np.ndarray, n1: int, bounds=(-np.inf, np.inf)) -> np.
 def project_intersection(v: np.ndarray, sets) -> np.ndarray:
     """Dykstra alternating projections onto an intersection of convex sets.
 
-    The sweeps stop once the iterate moves and every set's violation are
-    both at most ``_SWEEP_TOL``, or after ``_MAX_SWEEPS`` sweeps; a
-    violation still above 1e-8 then raises ``EmptyIntersection``.
+    The sweeps stop once no increment changes by more than ``_SWEEP_TOL``
+    in a sweep, which leaves every projection of the sweep in place, or
+    after ``_MAX_SWEEPS`` sweeps; a violation still above 1e-8 then raises
+    ``EmptyIntersection``.  The iterate alone can stall for sweeps at a
+    point of every set that is not the projection, while the increments
+    still move.
     """
     sets = list(sets)
     if not sets:
@@ -241,17 +244,17 @@ def project_intersection(v: np.ndarray, sets) -> np.ndarray:
         return sets[0].project(v)
     x = np.asarray(v, dtype=float).copy()
     increments = [np.zeros_like(x) for _ in sets]
-    worst = np.inf
     for _ in range(_MAX_SWEEPS):
-        x_prev = x.copy()
+        change = 0.0
         for i, s in enumerate(sets):
             y = s.project(x + increments[i])
-            increments[i] = x + increments[i] - y
+            step = x + increments[i] - y
+            change = max(change, np.abs(step - increments[i]).max())
+            increments[i] = step
             x = y
-        # x alone can stall while increments move, so test set violations too
-        worst = max(np.linalg.norm(s.project(x) - x, np.inf) for s in sets)
-        if worst <= _SWEEP_TOL and np.linalg.norm(x - x_prev, np.inf) <= _SWEEP_TOL:
+        if change <= _SWEEP_TOL:
             break
+    worst = max(np.linalg.norm(s.project(x) - x, np.inf) for s in sets)
     if worst > 1e-8:
         raise EmptyIntersection(f"alternating projections stalled (violation {worst:.2e})")
     return x

@@ -141,16 +141,18 @@ def _cholesky(a):
     return factor if pivots.min() > 1e-12 * max(pivots.max(), 1.0) else None
 
 
-def _free_step(q_ff, g_f, c_f):
+def _free_step(q_ff, g_f, c_f, gap=None):
     """Step of the equality-constrained subproblem on the free block.
 
-    Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; 0]`` with a Cholesky factor
-    of ``Q_FF`` and the Schur complement ``C_F Q_FF^-1 C_F'``.  When
-    ``Q_FF`` is not positive definite or ``C_F`` loses rank, the nullspace
-    step takes over.  Returns ``(p_F, residual, flat, degenerate)``:
-    ``residual`` is the largest entry of the projected gradient, zero when
-    the current point already solves the subproblem, and ``flat`` and
-    ``degenerate`` are as in ``_reduced_step``.
+    Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
+    ``None``: the current point is on the rows) with a Cholesky factor of
+    ``Q_FF`` and the Schur complement ``C_F Q_FF^-1 C_F'``.  When ``Q_FF``
+    is not positive definite or ``C_F`` loses rank, the nullspace step takes
+    over, from the least-squares step onto the rows when there is a gap.
+    Returns ``(p_F, residual, flat, degenerate)``: ``residual`` is the
+    largest entry of the projected gradient, zero when the current point
+    already solves the subproblem, and ``flat`` and ``degenerate`` are as in
+    ``_reduced_step``.
     """
     if g_f.size == 0:
         return g_f, 0.0, False, False
@@ -159,11 +161,17 @@ def _free_step(q_ff, g_f, c_f):
     if l_ff is not None and c_f.shape[0]:
         w = dpotrs(l_ff, c_f.T, lower=1)[0]
         l_s = _cholesky(c_f @ w)
-        r = None if l_s is None else g_f + c_f.T @ dpotrs(l_s, -(w.T @ g_f), lower=1)[0]
+        rhs = -(w.T @ g_f) if gap is None else -(w.T @ g_f + gap)
+        r = None if l_s is None else g_f + c_f.T @ dpotrs(l_s, rhs, lower=1)[0]
     if l_ff is not None and r is not None:
         return -dpotrs(l_ff, r, lower=1)[0], np.abs(r).max(), False, False
     basis = _nullspace(c_f, g_f.size)
-    p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
+    if gap is None:
+        p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
+    else:
+        onto = np.linalg.lstsq(c_f, gap, rcond=None)[0]
+        p, flat, degenerate = _reduced_step(q_ff, g_f + q_ff @ onto, basis)
+        p = onto + p
     return p, np.abs(basis.T @ g_f).max(initial=0.0), flat, degenerate
 
 

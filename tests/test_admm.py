@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -251,6 +253,15 @@ class TestCardinality:
         # a single bet cannot move the budget, so nothing trades
         assert np.abs(bets).max() <= 1e-8
 
+    def test_no_feasible_support_is_infeasible(self, four_asset):
+        # budget 1 and every weight at most 0.6: no single asset holds the
+        # budget, so every support's polish is infeasible (CLI exit 1)
+        mu, _, _, sigma = four_asset
+        a1, b1 = mvo_ls(mu, sigma, 0.2578)
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.6)
+        with pytest.raises(Infeasible, match="no support"):
+            solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 1, cons)
+
     def test_restart_determinism(self, four_asset):
         mu, _, _, sigma = four_asset
         a1, b1 = mvo_ls(mu, sigma, 0.2578)
@@ -435,7 +446,12 @@ class TestInfeasible:
 class TestSameIterates:
     """The loop's shortcuts (stacked arrays, identity blocks, one ``prox_l1``
     call for all L1 rows, LAPACK x-step) reproduce the dense reference loop
-    at the module's relaxation, and at none."""
+    at the module's relaxation, and at none.  The reference loop has no
+    polish step, so the polish schedule is switched off."""
+
+    @pytest.fixture(autouse=True)
+    def no_polish(self, monkeypatch):
+        monkeypatch.setattr(admm, "_POLISH_FIRST", math.inf)
 
     @pytest.mark.parametrize("seed,n", [(0, 6), (1, 12), (2, 20), (3, 30), (4, 9)])
     def test_identity_blocks_bit_identical(self, seed, n):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from roboalloc import cli
 from roboalloc.cli import main
 from roboalloc.market_data import (
     MomentEstimates,
@@ -362,6 +363,33 @@ class TestCalibrate:
             assert np.abs(got - curve).max() <= 1e-9 * np.abs(curve).max()
             best = float(grid[np.isclose(curve, curve.min())].min())
             assert capsys.readouterr().out.strip() == f"best_rho2={best!r}"
+
+    def test_rows_parse_as_float_of_each_cell(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-8, 9, (30, 4))
+        cells = [[repr(float(v)) for v in row] for row in values]
+        cells[0] = ["1", "-0", " 2.5", "3e-7 "]
+        cells[1] = ["1E+3", "+4", ".5", '"-7."']
+        path = tmp_path / "data.csv"
+        path.write_text("y,x1,x2,x3\n" + "\n".join(",".join(row) for row in cells) + "\n")
+        want = np.array([[float(c.strip('"')) for c in row] for row in cells])
+        got = cli._read_regression_csv(str(path))
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("header,row", [
+        ("y,x1,x2,x3", "1.0,2.0"), ("y,x1,x2,x3", "1.0,2.0,x,4.0"),
+        ("y,x1,x2,x3", "1.0,2.0,3.0,4.0,5.0"), ("y,x1,x2,x3,x4", "1.0,2.0,3.0,4.0")],
+        ids=["short", "non_numeric", "long", "every_row_short"])
+    def test_ragged_or_non_numeric_rows_exit_1(self, tmp_path, capsys, header, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n{row}\n1.0,2.0,3.0,4.0\n")
+        out = tmp_path / "curve.csv"
+        code = main(["calibrate", "--data", str(path), "--method", "gcv",
+                     "--grid", "log:1e-3:1:3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["press", "gcv", "kfold"])
     @pytest.mark.parametrize("grid", ["linear:-5:1:4", "linear:nan:1:3", "log:1e-3:inf:3"])

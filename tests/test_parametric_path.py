@@ -97,7 +97,9 @@ class Case:
             gamma, _ = mvo.monotone_root(sample, target, _TOL)
         except TargetUnreachable:
             return True
-        return self.metric == "vol" and gamma == 0.0 and values[0] > target + _TOL
+        # a volatility or tracking-error target below the gamma-0 value is
+        # unreachable; a return target there is met at gamma 0
+        return self.metric != "return" and gamma == 0.0 and values[0] > target + _TOL
 
     def targets(self, rng):
         """A target inside the attainable range, one above it, one below

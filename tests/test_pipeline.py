@@ -7,7 +7,7 @@ import pytest
 import roboalloc
 from roboalloc import admm, pipeline
 from roboalloc.admm import AdmmParams
-from roboalloc.errors import Infeasible
+from roboalloc.errors import Infeasible, TargetUnreachable
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import (
     RoboConfig,
@@ -188,6 +188,21 @@ class TestTeTargeting:
             assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
                 target, abs=1e-6)
 
+
+    @pytest.mark.parametrize("rho1", [0.0, 1e-4], ids=["qp_route", "admm_route"])
+    def test_target_below_gamma_zero_tracking_error_unreachable(self, ten_asset, rho1):
+        # the turnover anchor keeps the gamma-0 book off the strategic one:
+        # its tracking error is about 0.025, far above the 0.001 target
+        _, _, sigma = ten_asset
+        scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
+        _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
+        cfg = RoboConfig(strategic=EW10, current=np.random.default_rng(0).dirichlet(np.ones(10)),
+                         objective="tracking_error", rho1_strategic=rho1,
+                         rho2_turnover=0.05, te_target=0.001)
+        with pytest.raises(TargetUnreachable, match="below the minimum attainable"):
+            te_target_to_gamma(cfg, mu, sigma, 0.001)
+        with pytest.raises(TargetUnreachable):
+            rebalance(cfg, mu, sigma)
 
     def test_qp_route_walks_then_solves_once(self, ten_asset, monkeypatch):
         _, _, sigma = ten_asset

@@ -210,6 +210,14 @@ class TestProjections:
         out = project(v, Halfspace(np.ones(2), 1.0))
         assert np.array_equal(out, v)
 
+    def test_intersection_runs_through_a_stall(self):
+        # the box sends v to (0, 0) and the halfspace x0 + x1 >= 0.1 lifts it
+        # to (0.05, 0.05), where the next sweeps leave it while the box's
+        # increment still moves; the projection is the corner (0, 0.1)
+        sets = (Box(0.0, 0.3), Halfspace(np.array([-1.0, -1.0]), -0.1))
+        out = project(np.array([-1.27, -0.44]), Intersection(sets))
+        assert np.abs(out - [0.0, 0.1]).max() <= 1e-12
+
 
 class TestHyperplaneIntersection:
     def test_none_inner_reduces_to_hyperplane(self):
