@@ -252,14 +252,16 @@ class _Polish:
         eq_rows = np.vstack([self.a_eq, self.g[kinks]])
         h_act = self.h_rows[active]
         rows = np.vstack([eq_rows, h_act])
-        gap = np.concatenate([self.b_eq, self.d[kinks], self.h_rhs[active]]) - rows @ x
+        rhs = np.concatenate([self.b_eq, self.d[kinks], self.h_rhs[active]])
         lin = self.g.T @ (self.rho * np.sign(zl)) - self.q
         idx = np.flatnonzero(free)
-        step, _, flat, _ = _free_step(self.p.take(idx, 0).take(idx, 1),
-                                      (self.p @ x + lin)[idx], rows[:, idx], gap)
+        p_ff, c_f = self.p.take(idx, 0).take(idx, 1), rows[:, idx]
+        step, _, flat, _ = _free_step(p_ff, (self.p @ x + lin)[idx], c_f, rhs - rows @ x)
         if flat:
             return None
         x[idx] += step
+        # a large rho leaves the step's rows a rounding gap off: close it
+        x[idx] += _free_step(p_ff, np.zeros(idx.size), c_f, rhs - rows @ x)[0]
         tol_p, tol_d = self.tolerances(x)
         if self.infeasibility(x) > tol_p:  # refused before the multipliers are worked out
             return None

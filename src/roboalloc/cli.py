@@ -1,15 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: estimate, optimize, path, calibrate, views, stevens.
-Exit codes: 0 success, 1 input error, 2 solver non-convergence (the report
-is still written).  All outputs are written atomically.
+Exit codes: 0 success, 1 input or usage error, 2 solver non-convergence
+(the report is still written).  All outputs are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -23,6 +21,7 @@ from .errors import (
     MaxIterations,
     NoConvergence,
 )
+from .market_data import _array, _check_keys, _load_json, _number, _read_csv, _vector
 from .mvo import (
     ConstraintSet,
     MvoInputs,
@@ -41,35 +40,13 @@ def _write_json(path: str, obj, pretty: bool) -> None:
     atomic_write(path, text + "\n")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _check_keys(obj: dict, allowed, required=(), where: str = "document") -> None:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise InputError(f"unknown keys {unknown} in {where}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise InputError(f"missing keys {missing} in {where}")
-
-
 def _parse_scheme(text: str) -> market_data.WeightScheme:
     if text == "uniform":
         return market_data.WeightScheme.uniform()
     if text.startswith("ewma:"):
         return market_data.WeightScheme.ewma(float(text.split(":", 1)[1]))
     if text.startswith("explicit:"):
-        payload = _load_json(text.split(":", 1)[1])
-        return market_data.WeightScheme.explicit(payload)
+        return market_data.WeightScheme.explicit(_load_json(text.split(":", 1)[1]))
     raise InputError(f"unknown scheme {text!r} (use uniform | ewma:<decay> | explicit:<file>)")
 
 
@@ -91,38 +68,6 @@ _PROBLEM_KEYS = (
 )
 _PLAIN_KEYS = ("r", "target")
 _REBALANCE_KEYS = ("strategic", "current", "objective", "te_target")
-
-
-def _number(value, where: str, integer: bool = False):
-    """A document number: a finite JSON number (an integer if asked), never
-    null, a string or a boolean."""
-    kinds = int if integer else (int, float)
-    if not isinstance(value, bool) and isinstance(value, kinds):
-        if integer:
-            return value
-        if abs(value) <= sys.float_info.max:  # false for inf, NaN and huge integers
-            return float(value)
-    raise InputError(f"{where} must be {'an integer' if integer else 'a finite number'}")
-
-
-def _array(value, where: str, ndim: int | None = None) -> np.ndarray:
-    """A document array of finite numbers, with ``ndim`` dimensions if given."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise InputError(f"{where} must be a rectangular array of numbers") from exc
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise InputError(f"{where} must hold finite numbers only")
-    if ndim is not None and arr.ndim != ndim:
-        raise InputError(f"{where} must have {ndim} dimension(s), not {arr.ndim}")
-    return arr.astype(float)
-
-
-def _vector(value, where: str, n: int) -> np.ndarray:
-    arr = _array(value, where, 1)
-    if arr.size != n:
-        raise InputError(f"{where} has {arr.size} entries, expected {n}")
-    return arr
 
 
 def _parse_constraints(obj: dict | None, n: int) -> ConstraintSet:
@@ -198,46 +143,32 @@ def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
     return out
 
 
-def _parse_admm(obj: dict | None, tol: float | None = None) -> AdmmParams:
-    """ADMM parameters from the problem document; the --tol flag acts as the
-    default that explicit document keys override."""
+def _parse_admm(obj: dict | None) -> AdmmParams:
+    """ADMM parameters from the problem document."""
     obj = {} if obj is None else obj
     _check_keys(obj, ("eps_primal", "eps_dual", "max_iter"), where="admm")
-    eps_default = tol if tol is not None else 1e-10
 
     def get(key, default, integer=False):
         return _number(obj[key], f"admm.{key}", integer) if key in obj else default
 
     return AdmmParams(
-        eps_primal=get("eps_primal", eps_default), eps_dual=get("eps_dual", eps_default),
+        eps_primal=get("eps_primal", 1e-10), eps_dual=get("eps_dual", 1e-10),
         max_iter=get("max_iter", 10000, True))
 
 
 def _load_problem(path: str):
     doc = _load_json(path)
     _check_keys(doc, _PROBLEM_KEYS, where="problem")
+    inline = {k: doc[k] for k in ("mu", "sigma", "assets") if k in doc}
     if "moments_file" in doc:
-        inline = [k for k in ("mu", "sigma", "assets") if k in doc]
         if inline:
-            raise InputError(f"keys {inline} conflict with moments_file")
+            raise InputError(f"keys {list(inline)} conflict with moments_file")
         if not isinstance(doc["moments_file"], str):
             raise InputError("moments_file must be a file name")
         moments = market_data.load_moments(doc["moments_file"])
-        mu, sigma = moments.mu, moments.sigma
-        assets = moments.assets
     else:
-        if "mu" not in doc or "sigma" not in doc:
-            raise InputError("problem needs either moments_file or mu+sigma")
-        mu = _array(doc["mu"], "mu", 1)
-        n = mu.size
-        sigma = _array(doc["sigma"], "sigma")
-        if sigma.shape not in ((n * n,), (n, n)):
-            raise InputError(f"sigma must be {n}x{n}, or row-major of length {n * n}")
-        sigma = sigma.reshape(n, n)
-        assets = doc["assets"] if "assets" in doc else [f"A{i + 1}" for i in range(n)]
-        if not (isinstance(assets, list) and len(assets) == n
-                and all(isinstance(a, str) for a in assets)):
-            raise InputError(f"assets must be a list of {n} names")
+        moments = market_data.moments_from_dict(inline)
+    mu, sigma, assets = moments.mu, moments.sigma, moments.assets
     if "filter" in doc:
         _check_keys(doc["filter"], ("kind", "rho"), ("kind",), where="filter")
         spec = FilterSpec(kind=doc["filter"]["kind"],
@@ -249,8 +180,7 @@ def _load_problem(path: str):
     return doc, mu, sigma, assets
 
 
-def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray,
-                 tol: float | None) -> RoboConfig:
+def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray) -> RoboConfig:
     """The rebalancing configuration a document describes.  Each penalty
     fills one of the four (l1 | l2, strategic | current) slots, so an lp
     penalty, a second penalty on a slot, or an anchor that is neither book
@@ -289,13 +219,12 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray,
         gamma=_number(doc["gamma"], "gamma") if "gamma" in doc else None,
         te_target=_number(doc["te_target"], "te_target") if "te_target" in doc else None,
         constraints=_parse_constraints(doc.get("constraints"), n),
-        admm=_parse_admm(doc.get("admm"), tol=tol), **slots)
+        admm=_parse_admm(doc.get("admm")), **slots)
 
 
-def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
-                   tol: float | None = None):
+def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
     if "strategic" in doc or "current" in doc:
-        config = _robo_config(doc, mu, sigma, tol)
+        config = _robo_config(doc, mu, sigma)
         return rebalance(config, mu, sigma), config
 
     n = mu.size
@@ -303,7 +232,7 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray,
     if unused:
         raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
     constraints = _parse_constraints(doc.get("constraints"), n)
-    admm_params = _parse_admm(doc.get("admm"), tol=tol)
+    admm_params = _parse_admm(doc.get("admm"))
     inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)
     if "target" in doc:
@@ -348,14 +277,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_optimize(args) -> int:
     doc, mu, sigma, _assets = _load_problem(args.problem)
-    report, _config = _solve_problem(doc, mu, sigma, tol=args.tol)
+    report, _config = _solve_problem(doc, mu, sigma)
     _write_json(args.out, report.to_dict(), args.pretty)
     return 0 if report.converged else 2
 
 
 def cmd_path(args) -> int:
     doc, mu, sigma, assets = _load_problem(args.problem)
-    config = _robo_config(doc, mu, sigma, args.tol)
+    config = _robo_config(doc, mu, sigma)
     grid = _parse_grid(args.grid)
     table = regularization_path(config, mu, sigma, grid, param=args.param,
                                 assets=assets)
@@ -364,33 +293,9 @@ def cmd_path(args) -> int:
     return 0 if not bad else 2
 
 
-def _read_regression_csv(path) -> np.ndarray:
-    """The rows of a ``y,<x...>`` CSV file as a float array, one row per
-    line after the header; a ragged row or a cell that is not a number is
-    an ``InputError`` naming the file."""
-    with open(path, newline="") as handle:
-        header = next(csv.reader([handle.readline()]), None)
-        if not header or header[0].strip().lower() != "y":
-            raise InputError(f"{path}: expected header 'y,<x...>'")
-        body = handle.read()
-    if not body.strip():
-        raise InputError("calibration data needs a response and regressors")
-    try:
-        arr = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"', comments=None,
-                         ndmin=2)
-    except ValueError as exc:  # a ragged row or a cell that is not a number
-        raise InputError(f"{path}: {str(exc).split(';')[0]}") from None
-    if arr.shape[1] != len(header):
-        raise InputError(f"{path}: the rows have {arr.shape[1]} cells, "
-                         f"the header has {len(header)}")
-    if arr.shape[1] < 2:
-        raise InputError("calibration data needs a response and regressors")
-    return arr
-
-
 def cmd_calibrate(args) -> int:
-    arr = _read_regression_csv(args.data)
-    data = calibration.RidgeRegressionData(x=arr[:, 1:], y=arr[:, 0])
+    _, y, x = _read_csv(args.data, "y", float)
+    data = calibration.RidgeRegressionData(x=x, y=y)
     grid = _parse_grid(args.grid)
     if args.method == "press":
         curve = calibration.press(data, grid)
@@ -496,24 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="portfolio allocation engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, pretty=False):
         p.add_argument("--out", required=True, help="output file")
-        p.add_argument("--pretty", action="store_true",
-                       help="human-readable JSON output")
-        p.add_argument("--seed", type=int, default=0, help="k-fold shuffle seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="ADMM residual tolerances (eps_primal and eps_dual) "
-                            "for keys the problem document leaves unset")
+        if pretty:
+            p.add_argument("--pretty", action="store_true", help="human-readable JSON output")
 
     p = sub.add_parser("estimate", help="CSV panel -> moments JSON")
     p.add_argument("--returns", required=True)
     p.add_argument("--scheme", default="uniform")
-    common(p)
+    common(p, pretty=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("optimize", help="problem JSON -> weights report")
     p.add_argument("--problem", required=True)
-    common(p)
+    common(p, pretty=True)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("path", help="penalty sweep -> CSV table")
@@ -528,13 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="gcv", choices=("press", "gcv", "kfold"))
     p.add_argument("--grid", required=True)
     p.add_argument("--k", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="k-fold shuffle seed")
     common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("views", help="grades/views -> expected returns")
     p.add_argument("--views", required=True)
     p.add_argument("--moments", default=None)
-    common(p)
+    common(p, pretty=True)
     p.set_defaults(func=cmd_views)
 
     p = sub.add_parser("stevens", help="hedging-portfolio decomposition CSV")
@@ -546,8 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InputError as exc:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +69,9 @@ class WeightScheme:
 
     @classmethod
     def explicit(cls, values) -> "WeightScheme":
-        w = np.asarray(values, dtype=float)
-        if w.ndim != 1 or (w < 0).any() or not np.isfinite(w).all():
-            raise InputError("explicit weights must be a 1-d nonnegative array")
+        w = _array(values, "explicit weights", 1)
+        if (w < 0).any():
+            raise InputError("explicit weights must be nonnegative")
         if w.sum() <= 0:
             raise InputError("explicit weights must not sum to zero")
         return cls("explicit", values=w)
@@ -100,14 +102,18 @@ class WeightScheme:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "WeightScheme":
-        kind = obj.get("kind")
-        if kind == "uniform":
+        """The scheme of a moments document: ``uniform``, ``ewma`` with a
+        ``decay`` or ``explicit`` with ``weights``, and no other key."""
+        _check_keys(obj, ("kind", "decay", "weights"), ("kind",), where="moments scheme")
+        extra = sorted(set(obj) - {"kind"})
+        if obj["kind"] == "uniform" and not extra:
             return cls.uniform()
-        if kind == "ewma":
-            return cls.ewma(float(obj["decay"]))
-        if kind == "explicit":
+        if obj["kind"] == "ewma" and extra == ["decay"]:
+            return cls.ewma(_number(obj["decay"], "moments scheme decay"))
+        if obj["kind"] == "explicit" and extra == ["weights"]:
             return cls.explicit(obj["weights"])
-        raise InputError(f"unknown weight scheme kind {kind!r}")
+        raise InputError("moments scheme must be uniform, ewma with a decay, "
+                         "or explicit with weights")
 
 
 def _date_order(dates: list) -> list:
@@ -219,26 +225,93 @@ def condition_number(matrix: np.ndarray) -> float:
 
 
 # --- file formats -----------------------------------------------------------
+# One rule per format, shared by every reader: JSON documents (problems,
+# views, moments) and numeric CSV files (return panels, regression data).
+
+
+def _load_json(path):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _check_keys(obj: dict, allowed, required=(), where: str = "document") -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InputError(f"unknown keys {unknown} in {where}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise InputError(f"missing keys {missing} in {where}")
+
+
+def _number(value, where: str, integer: bool = False):
+    """A document number: a finite JSON number (an integer if asked), never
+    null, a string or a boolean."""
+    kinds = int if integer else (int, float)
+    if not isinstance(value, bool) and isinstance(value, kinds):
+        if integer:
+            return value
+        if abs(value) <= sys.float_info.max:  # false for inf, NaN and huge integers
+            return float(value)
+    raise InputError(f"{where} must be {'an integer' if integer else 'a finite number'}")
+
+
+def _array(value, where: str, ndim: int | None = None) -> np.ndarray:
+    """A document array of finite numbers, with ``ndim`` dimensions if given.
+    A boolean is not a number here, though NumPy reads one beside numbers
+    as 0 or 1."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"{where} must be a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
+            or any(v is True or v is False for v in np.asarray(value, dtype=object).flat):
+        raise InputError(f"{where} must hold finite numbers only")
+    if ndim is not None and arr.ndim != ndim:
+        raise InputError(f"{where} must have {ndim} dimension(s), not {arr.ndim}")
+    return arr.astype(float)
+
+
+def _vector(value, where: str, n: int) -> np.ndarray:
+    arr = _array(value, where, 1)
+    if arr.size != n:
+        raise InputError(f"{where} has {arr.size} entries, expected {n}")
+    return arr
+
+
+def _read_csv(path, first: str, label=object):
+    """``(names, labels, values)`` of a ``<first>,<name...>`` CSV file: the
+    header's names after the first, the first column (read as ``label``)
+    and the other cells as a float array of one row per line.  Cells may be
+    quoted; a ragged row or a cell that is not a number is an ``InputError``
+    naming the file."""
+    with open(path, newline="") as handle:
+        header = next(csv.reader([handle.readline()]), [])
+        if len(header) < 2 or header[0].strip().lower() != first:
+            raise InputError(f"{path}: expected header '{first},<name...>'")
+        body = handle.read()
+    if not body.strip():
+        raise InputError(f"{path}: no rows after the header")
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"', comments=None,
+                          ndmin=1, dtype=[("label", label),
+                                          ("values", float, (len(header) - 1,))])
+    except ValueError as exc:  # a ragged row or a cell that is not a number
+        raise InputError(f"{path}: {str(exc).split(';')[0]}") from None
+    return [c.strip() for c in header[1:]], rows["label"], np.ascontiguousarray(rows["values"])
 
 
 def read_panel_csv(path) -> ReturnPanel:
     """Parse ``date,<asset...>`` CSV of decimal per-period returns."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or len(rows[0]) < 2 or rows[0][0].strip().lower() != "date":
-        raise InputError(f"{path}: expected header 'date,<asset...>'")
-    assets = [c.strip() for c in rows[0][1:]]
-    dates, data = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(assets) + 1:
-            raise InputError(f"{path}:{i}: expected {len(assets) + 1} fields, got {len(row)}")
-        dates.append(row[0].strip())
-        try:
-            data.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise InputError(f"{path}:{i}: {exc}") from exc
+    assets, dates, returns = _read_csv(path, "date")
     try:
-        return ReturnPanel(np.array(data), assets=assets, dates=dates)
+        return ReturnPanel(returns, assets=assets, dates=[d.strip() for d in dates])
     except (DegeneratePanel, DimensionMismatch) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -254,38 +327,24 @@ def moments_to_dict(moments: MomentEstimates) -> dict:
 
 def moments_from_dict(obj: dict) -> MomentEstimates:
     """Moments from a document: finite ``mu`` and ``sigma`` (a matrix or its
-    row-major entries) and one asset name per entry of ``mu``."""
-    if not isinstance(obj, dict):
-        raise InputError("moments document must be a JSON object")
-    for key in ("assets", "mu", "sigma"):
-        if key not in obj:
-            raise InputError(f"moments document missing key {key!r}")
-    try:
-        mu = np.asarray(obj["mu"], dtype=float)
-        sigma = np.asarray(obj["sigma"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"moments mu and sigma must be arrays of numbers ({exc})") from exc
-    if mu.ndim != 1:
-        raise InputError("moments mu must be a vector")
-    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-        raise InputError("moments mu and sigma must hold finite numbers only")
+    row-major entries), optional ``assets`` (one name per entry of ``mu``)
+    and ``scheme``, and no other key."""
+    _check_keys(obj, ("assets", "mu", "sigma", "scheme"), ("mu", "sigma"), where="moments")
+    mu = _array(obj["mu"], "moments mu", 1)
     n = mu.size
-    assets = obj["assets"]
-    if not (isinstance(assets, list) and len(assets) == n
-            and all(isinstance(a, str) for a in assets)):
+    if n == 0:
+        raise InputError("moments mu must have at least one entry")
+    sigma = _array(obj["sigma"], "moments sigma")
+    if sigma.shape not in ((n * n,), (n, n)):
+        raise InputError(f"moments sigma must be {n}x{n}, or row-major of length {n * n}")
+    assets = obj.get("assets", [])
+    if "assets" in obj and not (isinstance(assets, list) and len(assets) == n
+                                and all(isinstance(a, str) for a in assets)):
         raise InputError(f"moments assets must be a list of {n} names, one per entry of mu")
-    if sigma.ndim == 1:
-        if sigma.size != n * n:
-            raise InputError("row-major sigma has wrong length")
-        sigma = sigma.reshape(n, n)
     scheme = WeightScheme.from_dict(obj.get("scheme", {"kind": "uniform"}))
-    return MomentEstimates(mu=mu, sigma=sigma, scheme=scheme, assets=list(assets))
+    return MomentEstimates(mu=mu, sigma=sigma.reshape(n, n), scheme=scheme,
+                           assets=list(assets))
 
 
 def load_moments(path) -> MomentEstimates:
-    with open(path) as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    return moments_from_dict(obj)
+    return moments_from_dict(_load_json(path))

@@ -352,6 +352,8 @@ def stevens_decomposition(inputs: MvoInputs, gamma: float,
     ``gamma * alpha_i / s_i^2`` where ``alpha_i`` is the return the hedge
     cannot replicate and ``s_i`` the residual volatility.
     """
+    if not np.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     mu, sigma = inputs.mu, inputs.sigma
     n = inputs.n
     lam = np.linalg.eigvalsh(sigma)

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from roboalloc import cli
 from roboalloc.cli import main
 from roboalloc.market_data import (
     MomentEstimates,
     WeightScheme,
+    _read_csv,
     moments_to_dict,
 )
 
@@ -60,6 +60,20 @@ class TestEstimate:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["scheme"] == {"kind": "ewma", "decay": 0.97}
+
+    @pytest.mark.parametrize("weights,code", [
+        ([1, 2, 3, 4, 5, 6], 0), (["1", "2", "3", "4", "5", "6"], 1),
+        ([1, 2, 3, 4, 5, True], 1)], ids=["numbers", "strings", "boolean"])
+    def test_explicit_scheme_file(self, panel_csv, tmp_path, weights, code):
+        scheme = tmp_path / "w.json"
+        scheme.write_text(json.dumps(weights))
+        out = tmp_path / "m.json"
+        assert main(["estimate", "--returns", str(panel_csv), "--scheme",
+                     f"explicit:{scheme}", "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code == 0:
+            assert json.loads(out.read_text())["scheme"] == {"kind": "explicit",
+                                                             "weights": weights}
 
     def test_malformed_csv_exits_one_without_output(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -373,7 +387,8 @@ class TestCalibrate:
         path = tmp_path / "data.csv"
         path.write_text("y,x1,x2,x3\n" + "\n".join(",".join(row) for row in cells) + "\n")
         want = np.array([[float(c.strip('"')) for c in row] for row in cells])
-        got = cli._read_regression_csv(str(path))
+        _, y, x = _read_csv(str(path), "y", float)
+        got = np.column_stack([y, x])
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -597,10 +612,19 @@ class TestStevens:
                            atol=0.01)
 
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_one(self, four_asset_moments, tmp_path, gamma):
+        out = tmp_path / "stevens.csv"
+        assert main(["stevens", "--moments", str(four_asset_moments), "--gamma", gamma,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 class TestMomentsDocuments:
-    """A moments file with a non-finite number or an asset list that does not
-    name every entry of mu is an input error (exit 1) for every verb that
-    reads one."""
+    """Moments with a non-finite number, a value that is not a JSON number,
+    an unknown key or an asset list that does not name every entry of mu
+    are an input error (exit 1) for every verb that reads them, in a file or
+    inline in a problem document."""
 
     @pytest.mark.parametrize("change", [
         {"mu": [0.07, float("nan"), 0.09, 0.10]},
@@ -612,9 +636,15 @@ class TestMomentsDocuments:
         {"assets": ["a1", "a2", "a3", 4]},
         {"assets": "a1a2a3a4"},
         {"mu": "0.07"},
+        {"mu": [0.07, "0.08", 0.09, 0.10]},
+        {"sigma_entry": True},
+        {"sigma_entry": None},
+        {"junk": 1},
+        {"mu": [], "sigma": [], "assets": []},
     ], ids=["mu_nan", "mu_inf", "sigma_nan", "sigma_inf", "short_assets",
-            "long_assets", "non_string_asset", "assets_string", "mu_string"])
-    @pytest.mark.parametrize("verb", ["optimize", "stevens"])
+            "long_assets", "non_string_asset", "assets_string", "mu_string",
+            "mu_string_entry", "sigma_bool", "sigma_null", "unknown_key", "empty"])
+    @pytest.mark.parametrize("verb", ["optimize", "path", "views", "stevens", "inline"])
     def test_rejected(self, four_asset_moments, tmp_path, capsys, change, verb):
         doc, change = json.loads(four_asset_moments.read_text()), dict(change)
         if "sigma_entry" in change:
@@ -622,17 +652,65 @@ class TestMomentsDocuments:
         doc.update(change)
         moments = tmp_path / "bad_moments.json"
         moments.write_text(json.dumps(doc))
+        del doc["scheme"]  # inline, a problem document takes mu, sigma and assets
+        source = doc if verb == "inline" else {"moments_file": str(moments)}
+        plain = {**source, "gamma": 0.25, "constraints": {"budget": 1.0}}
+        rebalancing = {**plain, "strategic": [0.25] * 4, "current": [0.25] * 4}
+        for name, problem in (("plain.json", plain), ("rebalancing.json", rebalancing)):
+            (tmp_path / name).write_text(json.dumps(problem))
+        views = tmp_path / "v.json"
+        views.write_text(json.dumps({"grades": {"a1": 1}}))
+        optimize = ["optimize", "--problem", str(tmp_path / "plain.json")]
+        path = ["path", "--problem", str(tmp_path / "rebalancing.json"),
+                "--grid", "linear:0:1e-3:2"]
+        argvs = {"optimize": [optimize], "path": [path], "inline": [optimize, path],
+                 "views": [["views", "--views", str(views), "--moments", str(moments)]],
+                 "stevens": [["stevens", "--moments", str(moments), "--gamma", "0.25"]]}[verb]
+        # inline, an unknown key is one of the problem document
+        want = "junk" if verb == "inline" and "junk" in change else "moments"
         out = tmp_path / "out"
-        if verb == "optimize":
+        for argv in argvs:
+            assert main(argv + ["--out", str(out)]) == 1
+            assert want in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_indefinite_inline_sigma(self, tmp_path, capsys):
+        """Inline moments get the PSD check of a moments file, on the
+        rebalancing route too."""
+        sigma = np.eye(4)
+        sigma[0, 1] = sigma[1, 0] = 2.0
+        plain = {"mu": [0.07, 0.08, 0.09, 0.10], "sigma": sigma.tolist(), "gamma": 0.25,
+                 "constraints": {"budget": 1.0}}
+        rebalancing = {**plain, "strategic": [0.25] * 4, "current": [0.25] * 4}
+        for doc in (plain, rebalancing):
             problem = tmp_path / "p.json"
-            problem.write_text(json.dumps({"moments_file": str(moments), "gamma": 0.25,
-                                           "constraints": {"budget": 1.0}}))
-            argv = ["optimize", "--problem", str(problem), "--out", str(out)]
-        else:
-            argv = ["stevens", "--moments", str(moments), "--gamma", "0.25", "--out", str(out)]
+            problem.write_text(json.dumps(doc))
+            out = tmp_path / "out.json"
+            assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 1
+            assert "NotPositiveSemidefinite" in capsys.readouterr().err
+            assert not out.exists()
+
+
+class TestUsage:
+    """A usage error exits 1 (2 is kept for solver non-convergence); --help
+    exits 0; each verb takes only the flags it reads."""
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["calibrate", "--help"]):
+            assert main(argv) == 0
+            assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        [], ["calibrate", "--data", "d.csv", "--out", "c.csv"], ["rebalance"],
+        ["optimize", "--problem", "p.json", "--out", "r.json", "--tol", "1e-8"],
+        ["optimize", "--problem", "p.json", "--out", "r.json", "--seed", "3"],
+        ["path", "--problem", "p.json", "--grid", "linear:0:1:2", "--out", "t.csv",
+         "--pretty"]],
+        ids=["no_verb", "missing_grid", "unknown_verb", "tol", "seed_off_calibrate",
+             "pretty_on_path"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
         assert main(argv) == 1
-        assert "moments" in capsys.readouterr().err
-        assert not out.exists()
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Fuzz of problem and views documents, and of calibration grids and
+"""Fuzz of problem, views and moments documents, and of calibration grids and
 regression files: whatever they hold, the CLI exits with 0, 1 or 2 and never
 lets an exception escape."""
 
@@ -46,11 +46,11 @@ GRADES = {"strategic": [0.4, 0.3, 0.2, 0.1], "r": 0.0, "sharpe": 0.5,
           "grades": {"a": 1, "c": -1}, "delta": 1.0, "tau": 1.0, "scale_size": 7}
 MATRIX_VIEWS = {"P": [[1.0, -1.0, 0.0, 0.0]], "Q": [0.02], "sigma_eps": [[1e-4]],
                 "sharpe": 0.5, "r": 0.0}
-DOCUMENTS = {"plain": PLAIN, "target": TARGET, "rebalance": REBALANCE,
-             "grades": GRADES, "matrix_views": MATRIX_VIEWS}
 MOMENTS = moments_to_dict(MomentEstimates(
-    mu=np.array(PLAIN["mu"]), sigma=np.array(SIGMA), scheme=WeightScheme.uniform(),
+    mu=np.array(PLAIN["mu"]), sigma=np.array(SIGMA), scheme=WeightScheme.ewma(0.97),
     assets=PLAIN["assets"]))
+DOCUMENTS = {"plain": PLAIN, "target": TARGET, "rebalance": REBALANCE,
+             "grades": GRADES, "matrix_views": MATRIX_VIEWS, "moments": MOMENTS}
 
 
 def paths(node, prefix=()):
@@ -103,6 +103,16 @@ def test_any_value_exits_cleanly(case):
             with open(moments, "w") as handle:
                 json.dump(MOMENTS, handle)
             verbs = [["views", "--views", problem, "--moments", moments]]
+        if name == "moments":
+            views, rebalance = os.path.join(tmp, "v.json"), os.path.join(tmp, "r.json")
+            with open(views, "w") as handle:
+                json.dump(GRADES, handle)
+            with open(rebalance, "w") as handle:
+                json.dump({**{k: v for k, v in REBALANCE.items() if k not in ("mu", "sigma")},
+                           "moments_file": problem}, handle)
+            verbs = [["views", "--views", views, "--moments", problem],
+                     ["stevens", "--moments", problem, "--gamma", "0.2"],
+                     ["optimize", "--problem", rebalance]]
         for verb in verbs:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

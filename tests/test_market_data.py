@@ -200,6 +200,21 @@ class TestMomentIO:
         p.write_text("date,x\n2020-09,0.01\n2020-10,0.02\n2020-11,0.03\n")
         assert read_panel_csv(p).dates == ["2020-09", "2020-10", "2020-11"]
 
+    def test_csv_cells_parse_as_float_of_each_cell(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-8, 9, (30, 4))
+        cells = [[repr(float(v)) for v in row] for row in values]
+        cells[0] = ["1", "-0", " 2.5", "3e-7 "]
+        cells[1] = ["1E+3", "+4", ".5", '"-7."']
+        p = tmp_path / "r.csv"
+        p.write_text("date,w,x,y,z\n" + "".join(
+            f'"{t}",' + ",".join(row) + "\n" for t, row in enumerate(cells, start=1)))
+        want = np.array([[float(c.strip('"')) for c in row] for row in cells])
+        panel = read_panel_csv(p)
+        assert panel.dates == [str(t) for t in range(1, 31)]
+        assert np.array_equal(panel.returns, want)
+        assert np.array_equal(np.signbit(panel.returns), np.signbit(want))
+
     def test_csv_malformed_row(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("date,x,y\n2020-01,0.01\n")

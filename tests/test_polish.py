@@ -251,3 +251,17 @@ def test_generic_split_without_constraints_polishes():
     kink = x == 0.0
     assert np.abs(grad[~kink] + 0.3 * np.sign(x[~kink])).max() <= 1e-12
     assert np.abs(grad[kink]).max(initial=0.0) <= 0.3
+
+
+def test_large_rho_unanchored_lasso_polished(four_asset_alt):
+    # acceptance test 09's last lasso point: at rho1 = 1e3 the KKT step left
+    # the budget row 3e-11 off, so every attempt was refused and the residual
+    # stop took 1,126 iterations to land 5e-10 from the answer
+    mu, _, _, sigma = four_asset_alt
+    cfg = RoboConfig(strategic=np.zeros(4), current=np.zeros(4), objective="mvo",
+                     gamma=0.25, constraints=ConstraintSet(budget=1.0), rho1_strategic=1e3)
+    rep = rebalance(cfg, mu, sigma)
+    assert rep.converged and rep.meta["polish"]["iteration"] == rep.iterations
+    long_only = solve_qp(QpProblem(Q=sigma, c=-0.25 * mu, eq=(np.ones((1, 4)), [1.0]),
+                                   lower=0.0))
+    assert np.abs(rep.weights - long_only.weights).max() <= 1e-11
