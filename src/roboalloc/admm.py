@@ -1,5 +1,5 @@
-"""Scaled, over-relaxed ADMM, plus structured solvers for the penalized
-portfolio problems (smoothed, sparse and cardinality-constrained).
+"""Scaled, over-relaxed ADMM for the convex penalized portfolio problems,
+and an exact branch-and-bound on the QP for the cardinality-constrained one.
 
 ``admm_solve`` is the one ADMM loop.  It runs on the stacked arrays of a
 ``_StackedProblem``: ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` split as
@@ -13,6 +13,8 @@ only when a certificate of optimality holds (``_Polish``)."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -21,7 +23,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from . import prox
-from .errors import AllocationError, Infeasible, NoConvergence
+from .errors import Infeasible, NoConvergence
 from .mvo import ConstraintSet
 from .qp import QpProblem, _free_step, _multipliers, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
@@ -33,15 +35,20 @@ _BALANCE_STEP = 2.0        # by this factor
 _BALANCE_ITERATIONS = 100  # after which the penalty is fixed
 _SPECTRAL_FLOOR = 1e-6     # floor of lmin / lmax in the starting penalty
 _RELAXATION = 1.6          # over-relaxation alpha; 1 is plain ADMM
-_RESTARTS = 5              # starts of the cardinality search
 _POLISH_FIRST = 10         # iteration of the first polish attempt
 _POLISH_GROWTH = 1.5       # each later attempt at ceil(1.5 x) the iteration of the last
 _ACTIVE_TOL = 1e-9         # a Dykstra-projected bound or halfspace this close is active
 _CERT_TOL = 1e-12          # certificate tolerance, relative to the scale of the data
+_ZERO_BET = 1e-9           # a node's bet this small, relative to the largest (or 1), is zero
+_GAP_TOL = 1e-12           # relative gap at which the cardinality search stops
 
 
 @dataclass
 class AdmmParams:
+    """Stop tolerances and iteration cap of ``admm_solve``; ``max_iter`` also
+    caps the nodes of ``solve_cardinality``.  Nothing reads ``seed``: it is
+    kept for callers that still pass it (acceptance test 11)."""
+
     eps_primal: float = 1e-10
     eps_dual: float = 1e-10
     max_iter: int = 10000
@@ -513,84 +520,74 @@ def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
 def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
                       constraints: ConstraintSet | None = None,
                       params: AdmmParams | None = None) -> SolveReport:
-    """Restrict ``gamma1 (x - x0)`` to at most ``n1`` nonzeros.
+    """Restrict the bets ``gamma1 (x - x0)`` to at most ``n1`` nonzeros, exactly.
 
-    The z-step projects onto the sparse set, which makes the problem
-    non-convex.  ADMM runs from ``_RESTARTS`` starts, in this order: the
-    anchor ``x0`` and equal weights, each projected onto the constraint set
-    by the exact QP, the convex relaxation, then projected random draws
-    seeded by ``params.seed``.  Each candidate support is polished with an
-    exact convex solve and the best objective is reported.  Per-restart
-    diagnostics land in ``meta['restarts']``; a polish that fails with an
-    ``AllocationError`` is recorded there, and any other error propagates.
-    When every support's polish fails, the error is ``Infeasible`` if each
-    of them found its support infeasible, ``NoConvergence`` otherwise.
+    Best-first branch-and-bound on the exact QP (Bienstock, *Math. Prog.*
+    1996; Bertsimas & Shioda, *Comput. Optim. Appl.* 2009).  A node pins
+    bets to zero as equality rows and keeps others; its ``solve_qp`` answer
+    drops the count, so it bounds every node below.  An answer with at most
+    ``n1`` bets above ``_ZERO_BET`` is queued again with the others pinned,
+    as exact zeros; a node that leaves at most ``n1`` bets unpinned is a
+    candidate.  Other nodes branch on their largest bet neither pinned nor
+    kept: one child pins it, the other keeps it on the parent's answer, or
+    pins all the rest once ``n1`` are kept.  The search stops when no bound
+    is below the incumbent (to ``_GAP_TOL``), so the answer is optimal;
+    ``meta`` holds its ``support`` and the ``nodes`` taken.  A search past
+    ``params.max_iter`` nodes is ``NoConvergence``, naming the bound and the
+    incumbent; no feasible support is ``Infeasible``.
     """
     params = params or AdmmParams()
     if penalty_l2 is not None and penalty_l2.kind != "l2":
         raise ValueError("penalty_l2 must be an l2 penalty")
-    p_mat, q_vec, _, objective = _least_squares_parts(a1, b1, [penalty_l2], x0)
+    p_mat, q_vec, _, _ = _least_squares_parts(a1, b1, [penalty_l2], x0)
     n = q_vec.size
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     g1 = penalty_matrix(gamma1, n)
-    if not 1 <= n1 <= g1.shape[0]:
-        raise ValueError(f"n1 must be in [1, {g1.shape[0]}]")
-    constraints = ConstraintSet() if constraints is None else constraints
-    rng = np.random.default_rng(params.seed)
+    m = g1.shape[0]
+    if not 1 <= n1 <= m:
+        raise ValueError(f"n1 must be in [1, {m}]")
+    eq, ineq, lower, upper = (ConstraintSet() if constraints is None else constraints).qp_pieces(n)
+    eq = eq or (np.zeros((0, n)), np.zeros(0))
+    heap, order = [], itertools.count()
 
-    def exact(pinned=()):
-        """Exact convex solve with the bets ``pinned`` held at zero."""
-        eq, ineq, lower, upper = constraints.qp_pieces(n)
-        if len(pinned):
-            rows, rhs = g1[pinned], g1[pinned] @ x0
-            eq = (rows, rhs) if eq is None else (np.vstack([eq[0], rows]),
-                                                 np.concatenate([eq[1], rhs]))
-        return solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq,
-                                  lower=lower, upper=upper))
+    def push(pinned, kept, rep=None):
+        """Queue a node on its parent's ``rep``, else on its own QP (``False``
+        if infeasible); ties pop the newest node first, so the search dives."""
+        if rep is None:
+            rows = g1[sorted(pinned)]
+            pins = (np.vstack([eq[0], rows]), np.concatenate([eq[1], rows @ x0]))
+            try:
+                rep = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=pins, ineq=ineq,
+                                         lower=lower, upper=upper))
+            except Infeasible:
+                return False
+        heapq.heappush(heap, (rep.objective, -next(order), pinned, kept, rep))
+        return True
 
-    def feasible(v):
-        """The point of the constraint set nearest ``v``."""
-        return solve_penalized(np.eye(n), v, [], constraints).weights
-
-    # convex relaxation start: drop the cardinality restriction entirely
-    try:
-        relax = exact().weights
-    except AllocationError:
-        relax = None
-    starts = [feasible(x0), feasible(np.full(n, 1.0 / n))]
-    if relax is not None:
-        starts.append(relax)
-    while len(starts) < _RESTARTS:
-        starts.append(feasible(rng.normal(loc=1.0 / n, scale=0.5, size=n)))
-
-    def sparse_step(v, _phi):
-        return prox.project_cardinality(v, n1)
-
-    best = None
-    diagnostics, failures = [], []
-    sub = replace(params, max_iter=min(params.max_iter, 2000))
-    for k, start in enumerate(starts):
-        rep = solve_penalized(p_mat, q_vec, [(g1, g1 @ x0, sparse_step)], constraints,
-                              params=sub, x_init=start, objective=objective)
-        bets = g1 @ (rep.weights - x0)
-        support = set(np.argsort(-np.abs(bets), kind="stable")[:n1].tolist())
-        entry = {"restart": k, "admm_status": rep.status,
-                 "iterations": rep.iterations, "support": sorted(support)}
-        try:
-            polished = exact([i for i in range(g1.shape[0]) if i not in support])
-            entry["objective"] = polished.objective
-            if best is None or polished.objective < best[0] - 1e-15:
-                best = (polished.objective, polished, sorted(support))
-        except AllocationError as exc:  # infeasible support: record and move on
-            entry["error"] = str(exc)
-            failures.append(exc)
-        diagnostics.append(entry)
+    push(frozenset(), frozenset())
+    best, cut, nodes = None, math.inf, 0
+    while heap and heap[0][0] < cut:
+        if nodes == params.max_iter:
+            raise NoConvergence(
+                f"branch-and-bound stopped at {nodes} nodes: bound {heap[0][0]:.12g}, "
+                f"incumbent {'none' if best is None else f'{best.objective:.12g}'}")
+        nodes += 1
+        _, _, pinned, kept, rep = heapq.heappop(heap)
+        if m - len(pinned) <= n1:  # a candidate, popped below the cut: the incumbent
+            best, support = rep, sorted(set(range(m)) - pinned)
+            cut = rep.objective - _GAP_TOL * max(1.0, abs(rep.objective))
+            continue
+        bets = np.abs(g1 @ (rep.weights - x0))
+        zero = pinned | set(np.flatnonzero(bets <= _ZERO_BET * max(1.0, bets.max())).tolist())
+        if m - len(zero) <= n1 and push(zero, kept):
+            continue
+        j = max((i for i in range(m) if i not in pinned | kept), key=bets.__getitem__)
+        push(pinned | {j}, kept)
+        if len(kept) + 1 < n1:
+            push(pinned, kept | {j}, rep)
+        else:
+            push(frozenset(range(m)) - kept - {j}, kept | {j})
     if best is None:
-        if all(isinstance(exc, Infeasible) for exc in failures):
-            raise Infeasible(f"no support found with at most {n1} bets is feasible: "
-                             f"{diagnostics}")
-        raise NoConvergence(f"all {len(starts)} restarts failed: {diagnostics}")
-    _, report, support = best
-    report.meta["restarts"] = diagnostics
-    report.meta["support"] = support
-    return report
+        raise Infeasible(f"no support with at most {n1} bets is feasible")
+    best.meta["support"], best.meta["nodes"] = support, nodes
+    return best

@@ -218,7 +218,8 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray) -> RoboConfig:
         objective=doc.get("objective", "tracking_error"),
         gamma=_number(doc["gamma"], "gamma") if "gamma" in doc else None,
         te_target=_number(doc["te_target"], "te_target") if "te_target" in doc else None,
-        constraints=_parse_constraints(doc.get("constraints"), n),
+        constraints=(_parse_constraints(doc["constraints"], n) if "constraints" in doc
+                     else None),
         admm=_parse_admm(doc.get("admm")), **slots)
 
 

@@ -158,10 +158,6 @@ class ReturnPanel:
     def n_obs(self) -> int:
         return self.returns.shape[0]
 
-    @property
-    def n_assets(self) -> int:
-        return self.returns.shape[1]
-
 
 @dataclass
 class MomentEstimates:
@@ -289,8 +285,8 @@ def _read_csv(path, first: str, label=object):
     """``(names, labels, values)`` of a ``<first>,<name...>`` CSV file: the
     header's names after the first, the first column (read as ``label``)
     and the other cells as a float array of one row per line.  Cells may be
-    quoted; a ragged row or a cell that is not a number is an ``InputError``
-    naming the file."""
+    quoted and blank lines are skipped; a ragged row or a cell that is not a
+    number is an ``InputError`` naming the file and its first bad line."""
     with open(path, newline="") as handle:
         header = next(csv.reader([handle.readline()]), [])
         if len(header) < 2 or header[0].strip().lower() != first:
@@ -298,11 +294,17 @@ def _read_csv(path, first: str, label=object):
         body = handle.read()
     if not body.strip():
         raise InputError(f"{path}: no rows after the header")
+    read = dict(delimiter=",", quotechar='"', comments=None, ndmin=1,
+                dtype=[("label", label), ("values", float, (len(header) - 1,))])
     try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"', comments=None,
-                          ndmin=1, dtype=[("label", label),
-                                          ("values", float, (len(header) - 1,))])
+        rows = np.loadtxt(io.StringIO(body), **read)
     except ValueError as exc:  # a ragged row or a cell that is not a number
+        for line, text in enumerate(body.splitlines(), start=2):  # find its line
+            if text.strip():
+                try:
+                    np.loadtxt([text], **read)
+                except ValueError as bad:
+                    raise InputError(f"{path}:{line}: {str(bad).split(' at row')[0]}") from None
         raise InputError(f"{path}: {str(exc).split(';')[0]}") from None
     return [c.strip() for c in header[1:]], rows["label"], np.ascontiguousarray(rows["values"])
 

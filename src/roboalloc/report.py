@@ -20,9 +20,8 @@ class SolveReport:
 
     ``duals`` holds per-constraint Lagrange multipliers keyed by
     ``eq`` / ``ineq`` / ``lower`` / ``upper`` when the solve path
-    produces them, ``None`` otherwise.  ``meta`` carries diagnostics
-    (final ADMM iterate, calibration history, restart reports) and is
-    not serialized.
+    produces them, ``None`` otherwise.  ``meta`` carries diagnostics (final
+    ADMM iterate, calibration history, cardinality nodes), not serialized.
     """
 
     weights: np.ndarray

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from roboalloc.admm import (
     solve_mixed_lp,
     solve_penalized,
 )
-from roboalloc.errors import Infeasible
+from roboalloc.errors import Infeasible, NoConvergence
 from roboalloc.mvo import ConstraintSet
 from roboalloc.prox import L1Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
@@ -262,41 +263,83 @@ class TestCardinality:
         with pytest.raises(Infeasible, match="no support"):
             solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 1, cons)
 
-    def test_restart_determinism(self, four_asset):
+    def test_node_cap_is_no_convergence(self, four_asset):
+        # the relaxation holds four bets, so the root branches and a cap of
+        # one node stops the search before any support is solved
         mu, _, _, sigma = four_asset
         a1, b1 = mvo_ls(mu, sigma, 0.2578)
-        params = AdmmParams(seed=7)
-        r1 = solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 2, BUDGET,
-                               params=params)
-        r2 = solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 2, BUDGET,
-                               params=AdmmParams(seed=7))
-        assert np.array_equal(r1.weights, r2.weights)
-        assert r1.meta["restarts"] == r2.meta["restarts"]
-        assert r1.meta["support"] == r2.meta["support"]
+        with pytest.raises(NoConvergence, match=r"bound -?[0-9.e-]+, incumbent none"):
+            solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 2, BUDGET,
+                              params=AdmmParams(max_iter=1))
+        rep = solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 2, BUDGET)
+        assert rep.converged and rep.meta["nodes"] > 1 and len(rep.meta["support"]) <= 2
 
-    def test_starts_are_projected_exactly(self, four_asset, monkeypatch):
-        # five ADMM runs, each from a point of the budget-and-box set: the
-        # anchor, equal weights, the relaxation and two random draws
+    def test_only_the_qp_runs(self, four_asset, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cardinality must not run ADMM")
+
+        monkeypatch.setattr(admm, "solve_penalized", refuse)
+        monkeypatch.setattr(admm, "admm_solve", refuse)
         mu, _, _, sigma = four_asset
         a1, b1 = mvo_ls(mu, sigma, 0.2578)
         cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.6)
-        starts = []
-
-        def recording(p_mat, q_vec, blocks, constraints=None, extra_sets=(),
-                      params=None, x_init=None, objective=None):
-            if blocks:
-                starts.append(x_init)
-            return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets,
-                                   params, x_init=x_init, objective=objective)
-
-        monkeypatch.setattr(admm, "solve_penalized", recording)
         rep = solve_cardinality(a1, b1, None, np.eye(4), np.full(4, 0.25), 2, cons)
-        assert len(starts) == len(rep.meta["restarts"]) == 5
-        assert np.allclose(starts[:2], 0.25, rtol=0.0, atol=1e-12)
-        for start in starts:
-            assert start.sum() == pytest.approx(1.0, abs=1e-12)
-            assert start.min() >= 0.0 and start.max() <= 0.6
-        assert np.sum(np.abs(rep.weights - 0.25) > 1e-8) <= 2
+        assert rep.converged and np.sum(np.abs(rep.weights - 0.25) > 1e-8) <= 2
+
+
+def _cardinality_case(seed):
+    """A seeded cardinality problem: n in [4, 8], n1 in [1, n - 1], the budget
+    with and without the box [0, 0.6], a zero or Dirichlet anchor, and in
+    every fifth case a non-identity diagonal gamma1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    n1 = int(rng.integers(1, n))
+    sigma = random_spd(rng, n) + 0.01 * np.eye(n)
+    mu = rng.normal(0.05, 0.05, size=n)
+    a1 = np.linalg.cholesky(sigma).T
+    b1 = np.linalg.solve(a1.T, 0.3 * mu)
+    x0 = rng.dirichlet(np.ones(n)) if seed % 4 >= 2 else np.zeros(n)
+    cons = (ConstraintSet(budget=1.0, lower=0.0, upper=0.6) if seed % 2
+            else ConstraintSet(budget=1.0))
+    g1 = np.diag(rng.uniform(0.5, 2.0, size=n)) if seed % 5 == 4 else np.eye(n)
+    return a1, b1, PenaltySpec(kind="l2", rho=0.01), g1, x0, n1, cons
+
+
+def _enumerated_optimum(a1, b1, pen, g1, x0, n1, cons):
+    """The least objective over every support of ``n1`` bets, or ``None``."""
+    n = x0.size
+    eq, ineq, lower, upper = cons.qp_pieces(n)
+    p_mat, q_vec = a1.T @ a1 + pen.rho * np.eye(n), a1.T @ b1 + pen.rho * x0
+    best = None
+    for support in itertools.combinations(range(n), n1):
+        off = [i for i in range(n) if i not in support]
+        rows = np.vstack([eq[0], g1[off]])
+        rhs = np.concatenate([eq[1], g1[off] @ x0])
+        try:
+            rep = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=(rows, rhs), ineq=ineq,
+                                     lower=lower, upper=upper))
+        except Infeasible:
+            continue
+        best = rep.objective if best is None else min(best, rep.objective)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cardinality_matches_support_enumeration(seed):
+    a1, b1, pen, g1, x0, n1, cons = _cardinality_case(seed)
+    best = _enumerated_optimum(a1, b1, pen, g1, x0, n1, cons)
+    if best is None:
+        with pytest.raises(Infeasible, match="no support"):
+            solve_cardinality(a1, b1, pen, g1, x0, n1, cons)
+        return
+    rep = solve_cardinality(a1, b1, pen, g1, x0, n1, cons)
+    assert rep.converged
+    assert abs(rep.objective - best) <= 1e-9 * max(1.0, abs(best))
+    bets = g1 @ (rep.weights - x0)
+    assert np.sum(np.abs(bets) > 1e-14) <= n1
+    assert abs(rep.weights.sum() - 1.0) <= 1e-12
+    if seed % 2:
+        assert rep.weights.min() >= -1e-12 and rep.weights.max() <= 0.6 + 1e-12
 
 
 # --- reference loop: the over-relaxed ADMM iteration (Boyd et al., 2011,

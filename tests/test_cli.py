@@ -75,6 +75,18 @@ class TestEstimate:
             assert json.loads(out.read_text())["scheme"] == {"kind": "explicit",
                                                              "weights": weights}
 
+    @pytest.mark.parametrize("body,line", [
+        ("2021-01,0.1,0.2\n2021-02,x,0.3\n", 3),
+        ("2021-01,0.1,0.2\n2021-02,0.1,0.3,0.4\n", 3),
+        ("2021-01,0.1,0.2\n\n2021-02,0.1,0.2\n2021-03,0.1\n", 5),
+    ], ids=["not_a_number", "one_cell_too_many", "after_a_blank_line"])
+    def test_csv_error_names_the_file_line(self, tmp_path, capsys, body, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,a,b\n" + body)
+        assert main(["estimate", "--returns", str(bad), "--scheme", "uniform",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert f"{bad}:{line}: " in capsys.readouterr().err
+
     def test_malformed_csv_exits_one_without_output(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,x\n2021-01,0.01\n2021-02,oops\n")
@@ -249,6 +261,33 @@ class TestRebalanceDocuments:
             assert code == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("constraints", [None, {}], ids=["absent", "empty"])
+    def test_constraints_default_as_in_rebalance(self, tmp_path, constraints):
+        # without the key, optimize and path solve on RoboConfig's default set
+        # (budget 1, box [0, 1]) as rebalance does; an explicit {} is no
+        # constraint at all, and this problem then invests 400%
+        from roboalloc.mvo import ConstraintSet
+        from roboalloc.pipeline import RoboConfig, rebalance
+        mu, sigma = np.array([0.05, 0.06]), np.array([[0.04, 0.01], [0.01, 0.09]])
+        doc = {"mu": mu.tolist(), "sigma": sigma.tolist(), "strategic": [0.5, 0.5],
+               "current": [0.5, 0.5], "gamma": 2.0,
+               "penalties": [{"kind": "l1", "rho": 0.01}]}
+        if constraints is not None:
+            doc["constraints"] = constraints
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(doc))
+        cfg = RoboConfig(strategic=[0.5, 0.5], current=[0.5, 0.5], gamma=2.0, rho1_strategic=0.01,
+                         constraints=None if constraints is None else ConstraintSet())
+        want = rebalance(cfg, mu, sigma).weights
+        assert np.allclose(want, [0.5, 0.5] if constraints is None else [2.5, 1.5], atol=1e-9)
+        assert main(["optimize", "--problem", str(problem), "--out", str(tmp_path / "o")]) == 0
+        assert np.allclose(json.loads((tmp_path / "o").read_text())["weights"], want,
+                           rtol=0.0, atol=1e-12)
+        assert main(["path", "--problem", str(problem), "--param", "rho1",
+                     "--grid", "linear:0:0.01:2", "--out", str(tmp_path / "p.csv")]) == 0
+        last = (tmp_path / "p.csv").read_text().strip().splitlines()[-1].split(",")
+        assert np.allclose([float(v) for v in last[1:3]], want, rtol=0.0, atol=1e-9)
+
     def test_path_keeps_te_target(self, four_asset_moments, tmp_path, four_asset):
         from roboalloc.pipeline import tracking_error
         _, _, _, sigma = four_asset
@@ -403,8 +442,15 @@ class TestCalibrate:
         code = main(["calibrate", "--data", str(path), "--method", "gcv",
                      "--grid", "log:1e-3:1:3", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
         assert not out.exists()
+
+    def test_bad_cell_after_a_blank_line_names_its_file_line(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("y,x1\n1.0,2.0\n\nx,3.0\n")
+        assert main(["calibrate", "--data", str(path), "--method", "gcv",
+                     "--grid", "log:1e-3:1:3", "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:4: ")
 
     @pytest.mark.parametrize("method", ["press", "gcv", "kfold"])
     @pytest.mark.parametrize("grid", ["linear:-5:1:4", "linear:nan:1:3", "log:1e-3:inf:3"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from roboalloc import admm, prox
-from roboalloc.admm import AdmmParams, solve_cardinality, solve_mixed_lp, solve_penalized
+from roboalloc.admm import solve_mixed_lp, solve_penalized
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import RoboConfig, _terms, rebalance
 from roboalloc.prox import L2Ball
@@ -181,8 +181,8 @@ def test_certificate_refuses_a_moved_point():
 
 
 class TestNeverPolished:
-    """Lp blocks, norm-ball extra sets and cardinality steps are outside the
-    polish: ``_Polish.of`` declines every problem they make."""
+    """Lp blocks and norm-ball extra sets are outside the polish:
+    ``_Polish.of`` declines every problem they make."""
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -209,15 +209,6 @@ class TestNeverPolished:
                          extra_sets=(L2Ball(0.35),))
         rep = rebalance(cfg, np.linspace(0.02, 0.08, 10), sigma)
         assert made == [None] and "polish" not in rep.meta
-
-    def test_cardinality_steps(self, made, four_asset):
-        mu, _, _, sigma = four_asset
-        a1 = np.linalg.cholesky(sigma).T
-        b1 = np.linalg.solve(a1.T, 0.25 * mu)
-        rep = solve_cardinality(a1, b1, None, np.eye(4), np.zeros(4), 2,
-                                ConstraintSet(budget=1.0, lower=0.0, upper=1.0),
-                                params=AdmmParams(max_iter=500))
-        assert len(made) == len(rep.meta["restarts"]) and all(m is None for m in made)
 
 
 def test_ten_asset_mvo_turnover_case_polished_early(ten_asset):
