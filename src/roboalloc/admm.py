@@ -531,10 +531,14 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     candidate.  Other nodes branch on their largest bet neither pinned nor
     kept: one child pins it, the other keeps it on the parent's answer, or
     pins all the rest once ``n1`` are kept.  The search stops when no bound
-    is below the incumbent (to ``_GAP_TOL``), so the answer is optimal;
-    ``meta`` holds its ``support`` and the ``nodes`` taken.  A search past
-    ``params.max_iter`` nodes is ``NoConvergence``, naming the bound and the
-    incumbent; no feasible support is ``Infeasible``.
+    is below the incumbent (to ``_GAP_TOL``), so the answer is optimal.
+    The report's ``objective`` is that QP value, ``0.5 x'Px - q'x``: it
+    leaves out the constants of the least-squares objective that
+    ``solve_mixed_lp`` reports (``0.5 b1'b1``, and the anchor term of an
+    anchored L2 penalty).  ``meta`` holds its ``support`` and the ``nodes``
+    taken.  A search past ``params.max_iter`` nodes is ``NoConvergence``,
+    naming the bound and the incumbent; no feasible support is
+    ``Infeasible``.
     """
     params = params or AdmmParams()
     if penalty_l2 is not None and penalty_l2.kind != "l2":

@@ -70,9 +70,7 @@ _PLAIN_KEYS = ("r", "target")
 _REBALANCE_KEYS = ("strategic", "current", "objective", "te_target")
 
 
-def _parse_constraints(obj: dict | None, n: int) -> ConstraintSet:
-    if obj is None:
-        return ConstraintSet()
+def _parse_constraints(obj: dict, n: int) -> ConstraintSet:
     _check_keys(obj, _CONSTRAINT_KEYS, where="constraints")
 
     def bound(key):
@@ -232,7 +230,8 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
     unused = [k for k in _REBALANCE_KEYS if k in doc]
     if unused:
         raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
-    constraints = _parse_constraints(doc.get("constraints"), n)
+    constraints = (_parse_constraints(doc["constraints"], n) if "constraints" in doc
+                   else ConstraintSet())
     admm_params = _parse_admm(doc.get("admm"))
     inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)

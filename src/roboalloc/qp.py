@@ -12,9 +12,13 @@ loses rank (the zero blocks of ``augment_l1``, zero-curvature directions
 that end in ``Unbounded``, dependent rows) the step falls back to the
 nullspace of ``C_F`` and an eigendecomposition of the reduced Hessian,
 which handles singular Hessians and flags them in
-``meta['degenerate_hessian']``.  All iterates stay feasible; phase 1
-minimizes elastic slacks on the general rows from a point inside the
-bounds.  Multipliers follow the stationarity convention
+``meta['degenerate_hessian']``.  All iterates stay feasible.  A solve
+starts at the caller's ``x0`` when it is feasible; a cold solve with at
+most one equality row starts at the equality-constrained minimizer
+projected onto the box and the row, which already lies on most of the
+optimum's bounds.  When neither start is feasible, phase 1 minimizes
+elastic slacks on the general rows from a point inside the bounds.
+Multipliers follow the stationarity convention
 
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
 
@@ -30,7 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import Infeasible, MaxIterations, NegativeGammaEntries, Unbounded
+from .errors import (
+    EmptyIntersection,
+    Infeasible,
+    MaxIterations,
+    NegativeGammaEntries,
+    Unbounded,
+)
+from .prox import Box, project_hyperplane_intersection
 from .report import CONVERGED, SolveReport
 
 _FEAS_TOL = 1e-9
@@ -315,6 +326,33 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
     return y[:n]
 
 
+def _cold_start(q, c, a_eq, b_eq, lo, up):
+    """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
+    on the equality row (one ``_free_step`` from zero), projected onto the
+    box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991).  It lies on
+    most of the optimum's bounds, where phase 1's point lies on none.
+    ``None`` with two or more equality rows, for a zero-curvature descent,
+    or when the projection finds the row out of the box's reach."""
+    if a_eq.shape[0] > 1:
+        return None
+    v, _, flat, _ = _free_step(q, c, a_eq, b_eq)
+    if flat:
+        return None
+    if not b_eq.size:
+        return Box(lo, up).project(v)
+    try:
+        return project_hyperplane_intersection(v, a_eq[0], b_eq[0], Box(lo, up))
+    except EmptyIntersection:
+        return None
+
+
+def _feasible(x, a_eq, b_eq, g, h, lo, up) -> bool:
+    """Whether ``x`` is finite and meets every constraint to ``_FEAS_TOL``."""
+    return x.size == lo.size and np.isfinite(x).all() and max(
+        np.abs(a_eq @ x - b_eq).max(initial=0.0), (h - g @ x).max(initial=0.0),
+        (lo - x).max(initial=0.0), (x - up).max(initial=0.0)) <= _FEAS_TOL
+
+
 def _dense_pieces(problem: QpProblem):
     """``(A, b, G, h, lower, upper, max_iter)``: absent blocks empty, absent
     bounds infinite, and the iteration cap, 100 per variable and per
@@ -339,7 +377,9 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     """Minimize ``0.5 x'Qx + c'x`` over the problem's constraint set.
 
     ``x0`` is an optional starting point (a warm start); it is used only if
-    it is finite and feasible, otherwise phase 1 constructs one.  Phase 1
+    it is finite and feasible.  Otherwise the solve starts cold at
+    ``_cold_start``'s projected minimizer when that point passes the same
+    test, and at phase 1's point when it does not.  Phase 1
     and the active set each stop at the cap ``_dense_pieces`` works out
     from the problem's size (``MaxIterations``).  Returns a report whose
     ``duals`` dict carries multipliers for every declared constraint block,
@@ -347,18 +387,16 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     final ``(bound states, active inequality rows)`` that
     ``parametric_path`` starts from.
     """
-    n = problem.n
     q, c = problem.Q, problem.c
     a_eq, b_eq, g, h, lo, up, max_iter = _dense_pieces(problem)
 
+    pieces = (a_eq, b_eq, g, h, lo, up)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
-        if x0.size != n or not np.isfinite(x0).all() or max(
-                np.abs(a_eq @ x0 - b_eq).max(initial=0.0), (h - g @ x0).max(initial=0.0),
-                (lo - x0).max(initial=0.0), (x0 - up).max(initial=0.0)) > _FEAS_TOL:
-            x0 = None
-    if x0 is None:
-        x0 = _phase1(a_eq, b_eq, g, h, lo, up, max_iter)
+    if x0 is None or not _feasible(x0, *pieces):
+        x0 = _cold_start(q, c, a_eq, b_eq, lo, up)
+        if x0 is None or not _feasible(x0, *pieces):
+            x0 = _phase1(*pieces, max_iter)
 
     x, at, act, iters, degenerate = _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter)
     nu, lam_act, reduced = _multipliers(q @ x + c, a_eq, g[act], at == _FREE)

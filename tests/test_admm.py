@@ -286,6 +286,17 @@ class TestCardinality:
         rep = solve_cardinality(a1, b1, None, np.eye(4), np.full(4, 0.25), 2, cons)
         assert rep.converged and np.sum(np.abs(rep.weights - 0.25) > 1e-8) <= 2
 
+    def test_objective_is_the_qp_value(self):
+        # with every bet allowed both solvers answer the same least-squares
+        # problem; the cardinality report leaves out the constant 0.5 b1'b1
+        rng = np.random.default_rng(5)
+        a1, b1 = rng.normal(size=(6, 4)), rng.normal(size=6)
+        pen = PenaltySpec(kind="l2", rho=0.1)
+        card = solve_cardinality(a1, b1, pen, np.eye(4), np.zeros(4), 4, BUDGET)
+        mixed = solve_mixed_lp(a1, b1, pen, None, constraints=BUDGET)
+        assert np.abs(card.weights - mixed.weights).max() <= 1e-12
+        assert card.objective + 0.5 * b1 @ b1 == pytest.approx(mixed.objective, rel=1e-12)
+
 
 def _cardinality_case(seed):
     """A seeded cardinality problem: n in [4, 8], n1 in [1, n - 1], the budget

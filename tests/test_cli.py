@@ -206,6 +206,26 @@ class TestDocumentNumbers:
         assert not (tmp_path / "rep.json").exists()
 
 
+    @pytest.mark.parametrize("route", [
+        {},
+        {"strategic": [0.4, 0.3, 0.2, 0.1], "current": [0.25, 0.25, 0.25, 0.25]},
+    ], ids=["plain", "rebalancing"])
+    def test_null_constraints_is_input_error(self, four_asset_moments, tmp_path, capsys,
+                                             route):
+        # without the key each route has its default set; null is not a set
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"moments_file": str(four_asset_moments),
+                                       "gamma": 0.1, "constraints": None, **route}))
+        verbs = [["optimize"]]
+        if route:
+            verbs.append(["path", "--grid", "linear:0:1e-3:2"])
+        for argv in verbs:
+            code = main(argv + ["--problem", str(problem), "--out", str(tmp_path / "out")])
+            assert code == 1
+            assert "constraints must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlainPenalties:
     def test_every_penalty_honoured(self, four_asset_moments, tmp_path, four_asset):
         """Two L2 penalties, one with a full matrix, and an L1 penalty all
@@ -247,8 +267,9 @@ class TestRebalanceDocuments:
         {"penalties": [{"kind": "l1", "rho": 1e-3, "anchor": [0.1, 0.2, 0.3, 0.4]}]},
         {"r": 0.01},
         {"mu": [0.1, 0.1, 0.1, 0.1]},
+        {"constraints": None},
     ], ids=["lp_penalty", "same_slot_twice", "anchor_neither_book", "plain_key",
-            "inline_moments_beside_file"])
+            "inline_moments_beside_file", "constraints_null"])
     def test_rejected(self, four_asset_moments, tmp_path, change):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({

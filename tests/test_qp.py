@@ -247,6 +247,103 @@ class TestSolveQp:
                                upper=np.array([0.0])))
 
 
+def cold_case(kind, seed):
+    """A seeded problem of one family: n 5-40, a factor-model covariance (or
+    a rank-deficient one), gamma from 0 to 100, box caps 0.1-1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 41))
+    b = rng.normal(size=(n, int(rng.integers(1, 6)))) * 0.15
+    sigma = b @ b.T + np.diag(rng.uniform(0.01, 0.04, n))
+    c = -float(rng.choice([0.0, 0.1, 1.0, 10.0, 100.0])) * rng.normal(0.05, 0.03, n)
+    budget = (np.ones((1, n)), [1.0])
+    cap = float(rng.uniform(max(0.1, 1.5 / n), 1.0))
+    if kind == "budget_box":
+        return QpProblem(Q=sigma, c=c, eq=budget, lower=0.0, upper=cap)
+    if kind == "box_only":
+        return QpProblem(Q=sigma, c=c + rng.normal(0.0, 0.05, n), lower=-cap, upper=cap)
+    if kind == "infinite_upper":
+        return QpProblem(Q=sigma, c=c, eq=budget, lower=0.0, upper=np.inf)
+    if kind == "mixed_sign_row":
+        a = rng.normal(size=(1, n))
+        return QpProblem(Q=sigma, c=c, eq=(a, a @ rng.uniform(-cap, cap, n)),
+                         lower=-cap, upper=cap)
+    if kind == "tracking_error":
+        return QpProblem(Q=sigma, c=c - sigma @ rng.dirichlet(np.ones(n)), eq=budget,
+                         lower=0.0, upper=cap)
+    # rank-deficient: odd seeds put c in the range of Q (a start exists),
+    # even seeds leave a zero-curvature descent (phase 1 starts); half the
+    # seeds drop the budget row
+    q = b @ b.T
+    c = q @ rng.normal(size=n) if seed % 2 else rng.normal(0.05, 0.03, n)
+    return QpProblem(Q=q, c=c, eq=budget if seed % 4 < 2 else None, lower=0.0, upper=cap)
+
+
+def count_phase1(monkeypatch):
+    calls = []
+    phase1 = qp._phase1
+
+    def counted(*args):
+        calls.append(1)
+        return phase1(*args)
+
+    monkeypatch.setattr(qp, "_phase1", counted)
+    return calls
+
+
+class TestColdStart:
+    """A cold solve starts at the projected equality-constrained minimizer
+    and ends at the answer a start from phase 1's point reaches."""
+
+    @pytest.mark.parametrize("kind", ["budget_box", "box_only", "infinite_upper",
+                                      "mixed_sign_row", "tracking_error", "rank_deficient"])
+    def test_matches_a_phase1_start(self, kind, monkeypatch):
+        calls = count_phase1(monkeypatch)
+        for seed in range(20):
+            problem = cold_case(kind, seed)
+            ref = solve_qp(problem, x0=qp.feasible_point(problem))
+            del calls[:]
+            cold = solve_qp(problem)
+            flat = kind == "rank_deficient" and seed % 2 == 0
+            assert len(calls) == int(flat)
+            assert_kkt(problem, cold)
+            assert_kkt(problem, ref)
+            if kind == "rank_deficient":  # the weights need not be unique
+                assert cold.objective == pytest.approx(ref.objective, rel=1e-12, abs=1e-15)
+            else:
+                assert np.abs(cold.weights - ref.weights).max() <= 1e-10
+
+    def test_row_the_start_violates_falls_back_to_phase1(self, monkeypatch):
+        calls = count_phase1(monkeypatch)
+        for seed in range(10):
+            base = budget_box_problem(np.random.default_rng(seed), 30, 1.0, upper=0.3)
+            start = qp._cold_start(base.Q, base.c, *base.eq, base.lower, base.upper)
+            j = int(np.argmin(start))
+            problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.3,
+                                ineq=(np.eye(30)[[j]], [start[j] + 0.1]))
+            ref = solve_qp(problem, x0=qp.feasible_point(problem))
+            del calls[:]
+            cold = solve_qp(problem)
+            assert len(calls) == 1
+            assert cold.weights[j] >= start[j] + 0.1 - 1e-9
+            assert np.abs(cold.weights - ref.weights).max() <= 1e-10
+            assert_kkt(problem, cold)
+
+    def test_budget_beyond_the_box_is_still_infeasible(self, monkeypatch):
+        calls = count_phase1(monkeypatch)
+        problem = budget_box_problem(np.random.default_rng(2), 10, 1.0, upper=0.09)
+        with pytest.raises(errors.Infeasible):
+            solve_qp(problem)
+        assert len(calls) == 1
+
+    def test_n200_takes_few_iterations(self):
+        # from phase 1's point (1/n in every weight) all 200 weights are
+        # free and the active set fixes one bound per step: about 190 steps
+        problem = budget_box_problem(np.random.default_rng(0), 200, 1.0, upper=0.15)
+        rep = solve_qp(problem)
+        assert rep.iterations < 100
+        assert_kkt(problem, rep)
+
+
 class TestNonFiniteData:
     """A NaN in Q once returned ``converged`` with a NaN objective and a NaN
     in c ran the active set to its iteration cap; both are input errors."""
