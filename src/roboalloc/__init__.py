@@ -2,7 +2,6 @@
 
 from .admm import (
     AdmmParams,
-    AdmmState,
     solve_cardinality,
     solve_mixed_lp,
 )

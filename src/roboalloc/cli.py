@@ -141,9 +141,8 @@ def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
     return out
 
 
-def _parse_admm(obj: dict | None) -> AdmmParams:
-    """ADMM parameters from the problem document."""
-    obj = {} if obj is None else obj
+def _parse_admm(obj: dict) -> AdmmParams:
+    """ADMM parameters (Lp penalties and norm balls) from an ``admm`` block."""
     _check_keys(obj, ("eps_primal", "eps_dual", "max_iter"), where="admm")
 
     def get(key, default, integer=False):
@@ -218,7 +217,7 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray) -> RoboConfig:
         te_target=_number(doc["te_target"], "te_target") if "te_target" in doc else None,
         constraints=(_parse_constraints(doc["constraints"], n) if "constraints" in doc
                      else None),
-        admm=_parse_admm(doc.get("admm")), **slots)
+        admm=_parse_admm(doc.get("admm", {})), **slots)
 
 
 def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
@@ -232,7 +231,7 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
         raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
     constraints = (_parse_constraints(doc["constraints"], n) if "constraints" in doc
                    else ConstraintSet())
-    admm_params = _parse_admm(doc.get("admm"))
+    admm_params = _parse_admm(doc.get("admm", {}))
     inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)
     if "target" in doc:

@@ -291,9 +291,9 @@ def monotone_root(sample, target: float, tol: float):
     is bracketed by doubling from 1 up to ``_GAMMA_CAP`` and bisected until
     the value is within ``tol``.  Each gamma is sampled once.  Returns
     ``(gamma, report)`` at the final gamma.  A non-finite target raises
-    ``ValueError`` before any sample.  This is the ADMM route's search
-    (``te_target_to_gamma`` with L1 terms or extra sets); QP routes walk
-    the solution path (``path_root``).
+    ``ValueError`` before any sample.  This is ``te_target_to_gamma``'s
+    search with L1 terms or extra sets; problems with neither walk the
+    solution path (``path_root``).
     """
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmParams, solve_penalized
+from .admm import AdmmParams, exact_route, solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, monotone_root, path_root
 from .qp import QpProblem
@@ -91,11 +91,11 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
               warm=None) -> SolveReport:
     """Solve the full rebalancing problem for the next-period weights.
 
-    Both L1 blocks are split off through one stacked coupling so a single
-    ADMM run handles them; with no L1 terms the problem is a plain QP and
-    is solved directly.  ``warm``, the weights of a nearby problem's
-    answer, is the start point on either route (``solve_penalized``'s
-    ``x_init``); without it the solve starts from ``config.current``.
+    Without an extra set ``qp.solve_qp`` solves it exactly, the L1 slots
+    as its L1 rows; with one, ADMM does.  ``warm``, the weights of a nearby
+    problem's answer, is the start point (``solve_penalized``'s ``x_init``);
+    without it an exact solve with L1 slots starts cold, at the projected
+    minimizer of the smooth part, and any other from ``config.current``.
     With a tracking-error target and no gamma, the report is the one at
     the gamma the target search ends on.
     """
@@ -107,9 +107,10 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec, blocks, objective = _terms(config, mu, sigma, gamma)
+    if warm is None and not (blocks and exact_route(blocks, config.extra_sets)):
+        warm = config.current
     report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
-                             config.admm, x_init=config.current if warm is None else warm,
-                             objective=objective)
+                             config.admm, x_init=warm, objective=objective)
     report.gamma = float(gamma)
     return report
 
@@ -140,16 +141,16 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     """Trade-off parameter whose solution attains the tracking-error target.
 
     The search takes the tracking error to be nondecreasing in the
-    trade-off, which holds exactly without L2 penalties.  On the QP route
-    (no L1 block and no extra set) ``mvo.path_root`` walks the solution
-    path from gamma 0, meets the target exactly within its segment and
-    solves once more at that gamma from the walk's point.  On the ADMM
-    route the target is bracketed by doubling and bisected to within
-    ``_TE_TOL`` by ``mvo.monotone_root``, each sample starting from the
-    previous sample's weights.  On either route a target below the gamma-0
-    tracking error by more than ``_TE_TOL`` is ``TargetUnreachable``: with
-    L2 or turnover anchors the gamma-0 book is not the strategic one.
-    Returns ``(gamma, report)``, the report being the solve at that gamma.
+    trade-off, which holds exactly without L2 penalties.  With no L1 slot
+    and no extra set ``mvo.path_root`` walks the solution path from gamma
+    0, meets the target exactly within its segment and solves once more at
+    that gamma from the walk's point.  Otherwise the target is bracketed by
+    doubling and bisected to within ``_TE_TOL`` by ``mvo.monotone_root``,
+    each sample starting from the previous sample's weights.  Either way a
+    target below the gamma-0 tracking error by more than ``_TE_TOL`` is
+    ``TargetUnreachable``: with L2 or turnover anchors the gamma-0 book is
+    not the strategic one.  Returns ``(gamma, report)``, the report being
+    the solve at that gamma.
     """
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")

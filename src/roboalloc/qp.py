@@ -1,12 +1,13 @@
 """Dense convex quadratic programming with exact multipliers.
 
-Solves ``min 0.5 x'Qx + c'x`` subject to ``A x = b``, ``G x >= h`` and
-bounds, with a primal active-set method.  The working set is the variables
-fixed at a bound plus the general rows (the equalities and the active
-inequalities).  Active bounds only fix variables, so each step solves the
-KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F with a Cholesky
-factor of ``Q_FF`` and of the Schur complement of the few general rows,
-factored afresh at each iteration (Nocedal & Wright, *Numerical
+Solves ``min 0.5 x'Qx + c'x + sum_l rho_l |g_l'x - d_l|`` subject to
+``A x = b``, ``G x >= h`` and bounds, with a primal active-set method.  The
+working set is the variables fixed at a bound or at a kink of their own L1
+rows, plus the general rows: the equalities, the active inequalities and
+the other L1 rows at their kinks.  Fixed variables drop out, so each step
+solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F with a
+Cholesky factor of ``Q_FF`` and of the Schur complement of the few general
+rows, factored afresh at each iteration (Nocedal & Wright, *Numerical
 Optimization*, 16.5).  When ``Q_FF`` is not positive definite or ``C_F``
 loses rank (the zero blocks of ``augment_l1``, zero-curvature directions
 that end in ``Unbounded``, dependent rows) the step falls back to the
@@ -24,7 +25,9 @@ Multipliers follow the stationarity convention
 
 with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
 ``lam_ineq`` by least squares over the free block, the bound multipliers
-read off the reduced gradient at the fixed variables.
+read off the reduced gradient at the fixed variables.  With L1 rows the
+report's multipliers and residuals come from ``certificate``, which reads
+the problem data only.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .prox import Box, project_hyperplane_intersection
 from .report import CONVERGED, SolveReport
 
 _FEAS_TOL = 1e-9
-_LOWER, _FREE, _UPPER = -1, 0, 1  # per-variable bound state
+_CERT_TOL = 1e-12  # certificate tolerance, relative to the scale of the data
+_LOWER, _FREE, _UPPER, _KINK = -1, 0, 1, 2  # per-variable state
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -61,6 +65,7 @@ class QpProblem:
     ineq: tuple | None = None    # (G, h) with G x >= h
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    l1: tuple | None = None      # (G, d, rho): + sum_l rho_l |G_l x - d_l|
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -86,6 +91,15 @@ class QpProblem:
             if self.ineq[0].shape != (self.ineq[1].size, n):
                 raise ValueError("inequality block dimensions disagree")
             _check_finite("ineq", *self.ineq)
+        if self.l1 is not None:
+            g, d, rho = self.l1
+            g, d = np.atleast_2d(np.asarray(g, float)), np.asarray(d, float).ravel()
+            self.l1 = (g, d, np.broadcast_to(np.asarray(rho, float), d.shape))
+            if g.shape != (d.size, n):
+                raise ValueError("l1 block dimensions disagree")
+            _check_finite("l1", *self.l1)
+            if (self.l1[2] < 0).any():
+                raise ValueError("l1 weights must be nonnegative")
         for name in ("lower", "upper"):
             v = getattr(self, name)
             if v is not None:
@@ -104,6 +118,49 @@ class QpProblem:
     @property
     def n(self) -> int:
         return self.c.size
+
+
+class _Kinks:
+    """A problem's L1 rows ``rho_l |g_l'x - d_l|``, split into the rows on
+    one weight (``single``: column ``col``, coefficient ``coef``, subgradient
+    half-width ``width = rho_l |coef|``) and the ``general`` rows."""
+
+    def __init__(self, g, d, rho):
+        self.g, self.d, self.rho = g, d, rho
+        self.pull = g.T * rho  # the gradient of the rows at sides s is pull @ s
+        nonzero = g != 0.0
+        count = nonzero.sum(axis=1)
+        self.single = np.flatnonzero(count == 1)
+        self.col = nonzero[self.single].argmax(axis=1)
+        self.coef = g[self.single, self.col]
+        self.width = rho[self.single] * np.abs(self.coef)
+        self.general = np.flatnonzero(count > 1)
+        self.slot = np.full(d.size, -1)  # each single row's place in ``single``
+        self.slot[self.single] = np.arange(self.single.size)
+
+    def cross(self, side, ratios, start, gp, slope, curv):
+        """Pass the kinks a step meets, in the order of their step lengths
+        ``ratios[start:]`` up to the first other event, while the objective
+        falls: along ``x + a p`` its derivative is ``slope + a curv`` plus
+        ``2 rho_l |g_l'p|`` per kink passed.  Returns ``(alpha, blocking)``,
+        ``blocking`` the rank of the constraint the step stops at, -1 between
+        kinks; a descent with no end is ``Unbounded``."""
+        limit = ratios[:start].min(initial=np.inf)
+        order = np.argsort(ratios[start:], kind="stable")
+        for row in order[ratios[start + order] < limit]:
+            a = ratios[start + row]
+            if curv > 0 and slope + a * curv >= 0:
+                return -slope / curv, -1
+            jump = 2.0 * self.rho[row] * abs(gp[row])
+            if slope + a * curv + jump >= 0:
+                return a, start + row
+            side[row], slope = -side[row], slope + jump
+        stop = -slope / curv if curv > 0 else np.inf
+        if stop < limit:
+            return stop, -1
+        if limit == np.inf:
+            raise Unbounded("descent past every kink with no blocking constraint")
+        return limit, int(np.argmax(ratios[:start] <= limit + 1e-15))
 
 
 def _nullspace(a, n):
@@ -143,13 +200,14 @@ def _reduced_step(q, grad, basis):
 
 
 def _cholesky(a):
-    """Lower Cholesky factor of ``a``, or ``None`` if ``a`` is not
-    (numerically) positive definite."""
+    """Lower Cholesky factor of ``a``, or ``None`` if a pivot is below 1e-9
+    of the largest: a singular block of rank-deficient ``Q`` factors with
+    pivots near 1e-10, and a step on that factor leaves the rows."""
     factor, info = dpotrf(a, lower=1)
     if info != 0:
         return None
     pivots = np.diag(factor) ** 2
-    return factor if pivots.min() > 1e-12 * max(pivots.max(), 1.0) else None
+    return factor if pivots.min() > 1e-9 * max(pivots.max(), 1.0) else None
 
 
 def _free_step(q_ff, g_f, c_f, gap=None):
@@ -205,84 +263,153 @@ def _multipliers(grad, a_eq, g_act, free):
     return sol[:me], sol[me:], grad + rows.T @ sol
 
 
-def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL):
+def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=None):
     """Primal active-set loop from a feasible ``x0``.
 
-    The working set is the per-variable bound state ``at`` (``_LOWER``,
-    ``_FREE`` or ``_UPPER``) plus the list ``act`` of active general
-    inequalities; the equalities are always in it.  Constraints are ranked
-    inequalities first, then lower and upper bounds by variable; the ratio
-    test breaks ties by that rank, and after a run of degenerate steps the
-    multiplier test switches to Bland's rule on it to break cycles.
-    Returns ``(x, at, act, iterations, degenerate)``.
+    The working set is the per-variable state ``at`` (``_LOWER``,
+    ``_FREE``, ``_UPPER``, or ``_KINK`` at a kink of its own L1 rows), the
+    list ``act`` of active general inequalities and the general L1 rows at
+    their kinks (equality rows, as the equalities always are).  ``side`` is
+    each L1 row's side of its kink, 0 at it; an L1 row off its kink adds
+    ``rho_l side_l g_l`` to the gradient.  States are read off ``x0`` to
+    ``tol``.  A fixed variable's multiplier is its smaller one-sided
+    derivative, its kinks adding their widths; a general kink row's is
+    ``rho_l - |mu_l|``.  Constraints are ranked inequalities first, then
+    lower and upper bounds by variable, then L1 rows; the ratio test breaks
+    ties by that rank, and after a run of degenerate steps the multiplier
+    test switches to Bland's rule on it to break cycles.
+    Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
+    reduced))``, the last being ``_multipliers`` at ``x``.
     """
     n, m = c.size, h.size
+    k = 0 if kinks is None else kinks.d.size
     x = x0.copy()
     at = np.where(np.abs(x - lo) <= tol, _LOWER,
                   np.where(np.abs(up - x) <= tol, _UPPER, _FREE))
     act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= tol)]
+    side = np.zeros(k)
+    eq_rows, kg, width = a_eq, np.zeros(0, dtype=np.intp), 0.0
+    if k:
+        off = kinks.g @ x - kinks.d
+        side = np.where(np.abs(off) <= tol, 0.0, np.sign(off))
+        cols = kinks.col[side[kinks.single] == 0.0]
+        at[cols] = np.where(at[cols] == _FREE, _KINK, at[cols])
     has_lo, has_up = np.isfinite(lo), np.isfinite(up)
-    ratios = np.empty(m + 2 * n)   # indexed by rank
+    ratios = np.empty(m + 2 * n + k)   # indexed by rank
     degenerate_run = 0
-    bland = False
+    bland = settled = False
     saw_degenerate = False
     for it in range(1, max_iter + 1):
         free = at == _FREE
         idx = np.flatnonzero(free)
         g_act = g[act]
         grad = q @ x + c
+        if k:
+            grad += kinks.pull @ side
+        if k and kinks.general.size:
+            kg = kinks.general[side[kinks.general] == 0.0]
+            eq_rows = np.vstack([a_eq, kinks.g[kg]])
         p = np.zeros(n)
-        p[idx], residual, flat, degenerate = _free_step(
-            q.take(idx, 0).take(idx, 1), grad[idx],
-            np.vstack([a_eq, g_act]).take(idx, 1))
-        saw_degenerate |= degenerate
-        if not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
-                         or residual <= 1e-13 * np.abs(grad).max()):
-            _, lam, reduced = _multipliers(grad, a_eq, g_act, free)
+        if not settled:  # an L1 loop skips the step after a full one: it is zero
+            p[idx], residual, flat, degenerate = _free_step(
+                q.take(idx, 0).take(idx, 1), grad[idx],
+                np.vstack([eq_rows, g_act]).take(idx, 1))
+            saw_degenerate |= degenerate
+        if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
+                                    or residual <= 1e-13 * np.abs(grad).max()):
+            settled = False
+            nu, lam, reduced = _multipliers(grad, eq_rows, g_act, free)
             fixed = np.flatnonzero(~free)
-            mult = np.concatenate([lam, np.where(at[fixed] == _LOWER,
-                                                 reduced[fixed], -reduced[fixed])])
+            if k:
+                width = np.bincount(kinks.col, np.where(side[kinks.single] == 0.0,
+                                                        kinks.width, 0.0), n)[fixed]
+            rise = np.where(at[fixed] == _UPPER, np.inf, reduced[fixed] + width)
+            fall = np.where(at[fixed] == _LOWER, np.inf, width - reduced[fixed])
+            mu = nu[a_eq.shape[0]:]
+            mult = np.concatenate([lam, np.minimum(rise, fall), kinks.rho[kg] - np.abs(mu)
+                                   if k else mu])
             neg = np.flatnonzero(mult < -1e-9)
             if neg.size == 0:
-                return x, at, act, it, saw_degenerate
+                return x, at, act, side, it, saw_degenerate, (nu, lam, reduced)
             if bland:  # lowest-ranked constraint among the violators
-                rank = np.concatenate([act, m + fixed + n * (at[fixed] == _UPPER)])
+                rank = m + fixed + n * (at[fixed] == _UPPER)
+                if k:  # a weight at a kink ranks as its lowest row there
+                    first = np.full(n, m + 2 * n + k)
+                    there = side[kinks.single] == 0.0
+                    np.minimum.at(first, kinks.col[there], m + 2 * n + kinks.single[there])
+                    rank = np.where(at[fixed] == _KINK, first[fixed], rank)
+                rank = np.concatenate([act, rank, m + 2 * n + kg])
                 drop = neg[np.argmin(rank[neg])]
             else:
                 drop = int(np.argmin(mult))
             if drop < len(act):
                 act.pop(drop)
+            elif drop < len(act) + fixed.size:
+                # with L1 rows every violating weight leaves at once (one under
+                # Bland's rule); its rows at a kink take the side it leaves to
+                leave = neg[(neg >= len(act)) & (neg < len(act) + fixed.size)] \
+                    if k and not bland else np.array([drop])
+                for i in leave - len(act):
+                    j = fixed[i]
+                    at[j] = _FREE
+                    if k:
+                        on = kinks.single[(kinks.col == j) & (side[kinks.single] == 0.0)]
+                        side[on] = (1.0 if rise[i] < fall[i] else -1.0) * np.sign(kinks.g[on, j])
             else:
-                at[fixed[drop - len(act)]] = _FREE
+                i = drop - len(act) - fixed.size
+                side[kg[i]] = np.sign(mu[i])
             continue
-        # ratio test over the inactive rows and the free variables' bounds
+        # ratio test over the inactive rows, the free variables' bounds and
+        # the L1 rows off their kinks
         ratios.fill(np.inf)
-        gp = g @ p
-        rows = gp < -1e-13
-        rows[act] = False
-        np.divide(h - g @ x, gp, out=ratios[:m], where=rows)
+        if m:
+            gp = g @ p
+            rows = gp < -1e-13
+            rows[act] = False
+            np.divide(h - g @ x, gp, out=ratios[:m], where=rows)
         np.divide(lo - x, p, out=ratios[m:m + n], where=free & has_lo & (p < -1e-13))
-        np.divide(up - x, p, out=ratios[m + n:], where=free & has_up & (p > 1e-13))
+        np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & has_up & (p > 1e-13))
+        if k:
+            gp = kinks.g @ p
+            np.divide(kinks.d - kinks.g @ x, gp, out=ratios[m + 2 * n:],
+                      where=side * gp < -1e-13)
         np.maximum(ratios, 0.0, out=ratios)
         alpha = np.inf if flat else 1.0
         blocking = -1
         if ratios.size and ratios.min() < alpha - 1e-15:
             alpha = ratios.min()
             blocking = int(np.argmax(ratios <= alpha + 1e-15))  # lowest rank among ties
+        settled = bool(k) and blocking < 0 and not flat
+        if blocking >= m + 2 * n:  # a kink first: pass kinks while the objective falls
+            alpha, blocking = kinks.cross(side, ratios, m + 2 * n, gp, grad @ p,
+                                          0.0 if flat else p @ q @ p)
         if flat and blocking < 0:
             if grad @ p < -1e-12:
                 raise Unbounded("zero-curvature descent with no blocking constraint")
             alpha = 0.0  # numerically flat but not a real descent: stay put
         x = x + alpha * p
-        if blocking >= 0:
-            if blocking < m:
-                act.append(blocking)
-            elif blocking < m + n:
-                j = blocking - m
-                at[j], x[j] = _LOWER, lo[j]
-            else:
-                j = blocking - m - n
-                at[j], x[j] = _UPPER, up[j]
+        fix = []  # the weights the step fixes
+        if 0 <= blocking < m:
+            act.append(blocking)
+        elif 0 <= blocking < m + 2 * n:
+            # a zero L1 step fixes every free weight it would take out of the box
+            for t in (np.flatnonzero(ratios[m:m + 2 * n] == 0.0) if k and alpha == 0.0
+                      else [blocking - m]):
+                j = t % n
+                if at[j] == _FREE:
+                    at[j], x[j] = (_LOWER, lo[j]) if t < n else (_UPPER, up[j])
+                    fix.append(j)
+        elif blocking >= 0:
+            row = blocking - m - 2 * n
+            side[row], i = 0.0, kinks.slot[row]
+            if i >= 0:  # a row on one weight fixes it at the kink
+                fix.append(kinks.col[i])
+                at[fix[0]], x[fix[0]] = _KINK, kinks.d[row] / kinks.coef[i]
+        for j in fix if k else ():  # the sides of its rows at x_j, 0 at a kink (to _CERT_TOL)
+            on = kinks.single[kinks.col == j]
+            off = kinks.g[on, j] * x[j] - kinks.d[on]
+            side[on] = np.where(np.abs(off) <= _CERT_TOL * np.maximum(1.0, np.abs(kinks.d[on])),
+                                0.0, np.sign(off))
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
         if degenerate_run > n + 2:
             bland = True
@@ -356,13 +483,14 @@ def _feasible(x, a_eq, b_eq, g, h, lo, up) -> bool:
 def _dense_pieces(problem: QpProblem):
     """``(A, b, G, h, lower, upper, max_iter)``: absent blocks empty, absent
     bounds infinite, and the iteration cap, 100 per variable and per
-    constraint row (each finite bound counts as a row) plus 200."""
+    constraint row (each finite bound and L1 row counts as one) plus 200."""
     n = problem.n
     a_eq, b_eq = problem.eq if problem.eq is not None else (np.zeros((0, n)), np.zeros(0))
     g, h = problem.ineq if problem.ineq is not None else (np.zeros((0, n)), np.zeros(0))
     lo = problem.lower if problem.lower is not None else np.full(n, -np.inf)
     up = problem.upper if problem.upper is not None else np.full(n, np.inf)
-    max_iter = 100 * (n + h.size + int(np.isfinite(lo).sum())
+    rows = h.size + (0 if problem.l1 is None else problem.l1[1].size)
+    max_iter = 100 * (n + rows + int(np.isfinite(lo).sum())
                       + int(np.isfinite(up).sum())) + 200
     return a_eq, b_eq, g, h, lo, up, max_iter
 
@@ -374,18 +502,21 @@ def feasible_point(problem: QpProblem) -> np.ndarray:
 
 
 def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
-    """Minimize ``0.5 x'Qx + c'x`` over the problem's constraint set.
+    """Minimize ``0.5 x'Qx + c'x``, plus the problem's L1 rows, over its
+    constraint set.
 
     ``x0`` is an optional starting point (a warm start); it is used only if
     it is finite and feasible.  Otherwise the solve starts cold at
-    ``_cold_start``'s projected minimizer when that point passes the same
-    test, and at phase 1's point when it does not.  Phase 1
-    and the active set each stop at the cap ``_dense_pieces`` works out
-    from the problem's size (``MaxIterations``).  Returns a report whose
+    ``_cold_start``'s projected minimizer of the smooth part when that
+    point passes the same test, and at phase 1's point when it does not.
+    The L1 rows' states are read off the start as its bound states are.
+    Phase 1 and the active set each stop at the cap ``_dense_pieces`` works
+    out from the problem's size (``MaxIterations``).  Returns a report whose
     ``duals`` dict carries multipliers for every declared constraint block,
     with inactive entries at zero, and whose ``meta['working_set']`` is the
     final ``(bound states, active inequality rows)`` that
-    ``parametric_path`` starts from.
+    ``parametric_path`` starts from.  With L1 rows the objective includes
+    them, and ``duals``, ``r_norm`` and ``s_norm`` are ``certificate``'s.
     """
     q, c = problem.Q, problem.c
     a_eq, b_eq, g, h, lo, up, max_iter = _dense_pieces(problem)
@@ -398,23 +529,81 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         if x0 is None or not _feasible(x0, *pieces):
             x0 = _phase1(*pieces, max_iter)
 
-    x, at, act, iters, degenerate = _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter)
-    nu, lam_act, reduced = _multipliers(q @ x + c, a_eq, g[act], at == _FREE)
-    duals = {
-        "eq": nu,
-        "ineq": np.zeros(h.size),
-        "lower": np.where(at == _LOWER, np.clip(reduced, 0.0, None), 0.0),
-        "upper": np.where(at == _UPPER, np.clip(-reduced, 0.0, None), 0.0),
-    }
-    duals["ineq"][act] = np.clip(lam_act, 0.0, None)
-
-    objective = 0.5 * x @ q @ x + c @ x
-    report = SolveReport(weights=x, objective=float(objective), status=CONVERGED,
-                         iterations=iters, duals=duals)
+    kinks = None if problem.l1 is None else _Kinks(*problem.l1)
+    x, at, act, side, iters, degenerate, (nu, lam_act, reduced) = _active_set(
+        q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=kinks)
+    report = SolveReport(weights=x, objective=float(0.5 * x @ q @ x + c @ x),
+                         status=CONVERGED, iterations=iters)
+    if kinks is None:
+        report.duals = {
+            "eq": nu,
+            "ineq": np.zeros(h.size),
+            "lower": np.where(at == _LOWER, np.clip(reduced, 0.0, None), 0.0),
+            "upper": np.where(at == _UPPER, np.clip(-reduced, 0.0, None), 0.0),
+        }
+        report.duals["ineq"][act] = np.clip(lam_act, 0.0, None)
+    else:
+        me, general = a_eq.shape[0], kinks.general
+        kg = general[side[general] == 0.0]
+        free = np.flatnonzero(at == _FREE)
+        rows = np.vstack([a_eq, kinks.g[kg], g[act]])
+        gap = np.concatenate([b_eq, kinks.d[kg], h[act]]) - rows @ x
+        # a large rho leaves the rows a rounding gap off: close it on the free block
+        x[free] += np.linalg.lstsq(rows[:, free], gap, rcond=None)[0]
+        report.objective = float(0.5 * x @ q @ x + c @ x
+                                 + kinks.rho @ np.abs(kinks.g @ x - kinks.d))
+        mu = kinks.rho[general] * side[general]
+        mu[side[general] == 0.0] = nu[me:]
+        lam = np.zeros(h.size)
+        lam[act] = np.clip(lam_act, 0.0, None)
+        report.r_norm, report.s_norm, lam_lo, lam_up = certificate(problem, x, nu[:me], mu, lam)
+        report.duals = {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}
     report.meta["working_set"] = (at, act)
     if degenerate:
         report.meta["degenerate_hessian"] = True
     return report
+
+
+def certificate(problem: QpProblem, x, nu, mu, lam):
+    """``(r_norm, s_norm, lam_lo, lam_up)`` of the point ``x`` of a problem
+    with L1 rows, with multipliers ``nu`` (equality rows), ``mu`` (the
+    general L1 rows' terms ``rho_l s_l``) and ``lam`` (inequality rows),
+    from the problem data alone.
+
+    ``r_norm`` is the largest violation of the equalities, inequalities and
+    bounds.  ``s_norm`` is the largest violation of optimality: a general
+    row off its kink must have ``mu_l = rho_l sign(g_l'x - d_l)``, one at
+    its kink ``|mu_l| <= rho_l``; ``lam`` must be nonnegative and vanish off
+    its row; and for each weight, 0 must lie in its gradient
+    ``(Qx + c + A'nu - G'lam + sum_l mu_l g_l)_j`` plus the subdifferential
+    of its own L1 rows plus the bounds' normal cone.  A row within the
+    primal tolerance of its kink, or a weight of its bound, counts as
+    there, to ``_CERT_TOL`` relative to the scale of the data and of ``x``.
+    The bound multipliers are what the normal cone takes up.
+    """
+    a_eq, b_eq, g, h, lo, up, _ = _dense_pieces(problem)
+    kinks = _Kinks(*problem.l1)
+    general = kinks.general
+    level = max(1.0, np.abs(b_eq).max(initial=0.0), np.abs(h).max(initial=0.0),
+                np.abs(kinks.d).max(initial=0.0))
+    tol_p = _CERT_TOL * max(level, np.abs(x).max())
+    r_norm = max(np.abs(a_eq @ x - b_eq).max(initial=0.0), (h - g @ x).max(initial=0.0),
+                 (lo - x).max(initial=0.0), (x - up).max(initial=0.0))
+    slack = g @ x - h
+    off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
+    at_kink = np.abs(off) <= tol_p
+    grad = (problem.Q @ x + problem.c + a_eq.T @ nu - g.T @ lam + kinks.g[general].T @ mu
+            + kinks.pull[:, kinks.single] @ np.where(at_kink, 0.0, np.sign(off)))
+    width = np.bincount(kinks.col, np.where(at_kink, kinks.width, 0.0), x.size)
+    excess = np.sign(grad) * np.maximum(np.abs(grad) - width, 0.0)
+    lam_lo = np.where(x <= lo + tol_p, np.maximum(excess, 0.0), 0.0)
+    lam_up = np.where(x >= up - tol_p, np.maximum(-excess, 0.0), 0.0)
+    off = kinks.g[general] @ x - kinks.d[general]
+    rho = kinks.rho[general]
+    side = np.where(np.abs(off) <= tol_p, np.abs(mu) - rho, np.abs(mu - rho * np.sign(off)))
+    s_norm = max(np.abs(excess - lam_lo + lam_up).max(initial=0.0), side.max(initial=0.0),
+                 (-lam).max(initial=0.0), np.abs(lam * slack).max(initial=0.0))
+    return r_norm, s_norm, lam_lo, lam_up
 
 
 def parametric_path(problem: QpProblem, slope, start: SolveReport):
@@ -509,8 +698,8 @@ def augment_l1(problem: QpProblem, gamma1: np.ndarray, rho1: float,
     penalty term evaluates to ``sum_j colsum_j(gamma1) |x_j - x0_j|``.  For
     the usual diagonal unit-cost matrices this equals
     ``rho1 ||gamma1 (x-x0)||_1`` exactly; a matrix whose rows mix bets of
-    opposite signs only bounds that norm from above, and the splitting
-    solver is the route that prices the composed norm itself.
+    opposite signs only bounds that norm from above, and ``QpProblem``'s
+    ``l1`` rows price the composed norm itself.
     """
     gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
     if (gamma1 < 0).any():

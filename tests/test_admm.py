@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -62,8 +61,10 @@ class TestGenericEngine:
     @pytest.mark.filterwarnings("ignore")
     def test_divergence_flagged(self):
         # P = -I with the starting penalty 1 makes the x-step singular
+        # a plain-callable L1 step keeps the problem on ADMM
         rep = solve_penalized(-np.eye(3), np.ones(3),
-                              [(np.eye(3), np.zeros(3), prox.SoftThreshold(0.1))],
+                              [(np.eye(3), np.zeros(3),
+                                lambda v, phi: prox.prox_l1(v, 0.1 / phi))],
                               params=AdmmParams(max_iter=50))
         assert rep.status == "diverged"
 
@@ -72,7 +73,7 @@ class TestGenericEngine:
         # fixed point must stay the exact L1 solution
         mu, _, _, sigma = four_asset_alt
         a1, b1 = mvo_ls(mu, sigma, 0.25)
-        pen = PenaltySpec(kind="l1", rho=1e-2, anchor=np.zeros(4))
+        pen = PenaltySpec(kind="lp", rho=1e-2, p=1.0, anchor=np.zeros(4))  # L1 on ADMM
         rep = solve_mixed_lp(a1, b1, None, pen, constraints=BUDGET)
         oracle = solve_qp(augment_l1(QpProblem(Q=sigma, c=-0.25 * mu,
                                                eq=(np.ones((1, 4)), [1.0])),
@@ -497,15 +498,18 @@ class TestInfeasible:
             solve_penalized(p_mat, q_vec, blocks, cons, x_init=current)
 
 
-class TestSameIterates:
-    """The loop's shortcuts (stacked arrays, identity blocks, one ``prox_l1``
-    call for all L1 rows, LAPACK x-step) reproduce the dense reference loop
-    at the module's relaxation, and at none.  The reference loop has no
-    polish step, so the polish schedule is switched off."""
+def admm_route(p_mat, q_vec, blocks, cons, params, x_init):
+    """``admm_solve`` on the stacked problem, as ``solve_penalized``'s ADMM
+    route runs it."""
+    a_eq, b_eq, sets = cons.admm_pieces(q_vec.size)
+    prob = admm._StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, sets)
+    return admm.admm_solve(prob, params, z0=prob.times(x_init) - prob.c)
 
-    @pytest.fixture(autouse=True)
-    def no_polish(self, monkeypatch):
-        monkeypatch.setattr(admm, "_POLISH_FIRST", math.inf)
+
+class TestSameIterates:
+    """The loop's shortcuts (stacked arrays, identity blocks, LAPACK x-step)
+    reproduce the dense reference loop at the module's relaxation, and at
+    none.  Each runs ``admm_solve`` on the stacked problem (``admm_route``)."""
 
     @pytest.mark.parametrize("seed,n", [(0, 6), (1, 12), (2, 20), (3, 30), (4, 9)])
     def test_identity_blocks_bit_identical(self, seed, n):
@@ -521,7 +525,7 @@ class TestSameIterates:
         upper = max(0.3, 2.0 / n)
         cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, upper))
         params = AdmmParams(max_iter=3000)
-        rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
+        rep = admm_route(p_mat, q_vec, blocks, cons, params, current)
         ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
                                           alpha)
         assert rep.iterations == ref.iterations
@@ -540,7 +544,7 @@ class TestSameIterates:
                              ineq=(np.ones((1, n)) * np.r_[1.0, 1.0, np.zeros(n - 2)],
                                    np.array([0.5])))
         params = AdmmParams(max_iter=3000)
-        rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
+        rep = admm_route(p_mat, q_vec, blocks, cons, params, current)
         ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
                                           ALPHA)
         assert len(cons.admm_pieces(n)[2]) == 2  # box and halfspace: Dykstra runs
@@ -549,15 +553,14 @@ class TestSameIterates:
         assert np.abs(rep.weights - ref.x).max() <= 1e-12
 
     def test_interleaved_l1_blocks_bit_identical(self):
-        # an lp block between the two L1 blocks: the L1 rows are gathered
-        # by an index array, not a slice, for their one prox_l1 call
+        # an lp block between the two L1 blocks, each block taking its own step
         n = 8
         p_mat, q_vec, blocks, current = rebalance_problem(6, n)
         blocks.insert(1, (np.eye(n), current.copy(),
                           lambda v, phi: prox.prox_lp(v, 1e-3 / phi, 3.0)))
         cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, 0.4))
         params = AdmmParams(max_iter=3000)
-        rep = solve_penalized(p_mat, q_vec, blocks, cons, params=params, x_init=current)
+        rep = admm_route(p_mat, q_vec, blocks, cons, params, current)
         ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
                                           ALPHA)
         assert rep.converged and status == "converged"

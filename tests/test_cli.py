@@ -226,6 +226,27 @@ class TestDocumentNumbers:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("route", [
+        {},
+        {"strategic": [0.4, 0.3, 0.2, 0.1], "current": [0.25, 0.25, 0.25, 0.25]},
+    ], ids=["plain", "rebalancing"])
+    def test_null_admm_is_input_error(self, four_asset_moments, tmp_path, capsys, route):
+        # without the key the ADMM defaults apply; null is not a block
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "gamma": 0.1, "admm": None,
+            "penalties": [{"kind": "l1", "rho": 0.01, "anchor": [0.25, 0.25, 0.25, 0.25]}],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}, **route}))
+        verbs = [["optimize"]]
+        if route:
+            verbs.append(["path", "--grid", "linear:0:1e-3:2"])
+        for argv in verbs:
+            code = main(argv + ["--problem", str(problem), "--out", str(tmp_path / "out")])
+            assert code == 1
+            assert "admm must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlainPenalties:
     def test_every_penalty_honoured(self, four_asset_moments, tmp_path, four_asset):
         """Two L2 penalties, one with a full matrix, and an L1 penalty all
@@ -268,8 +289,9 @@ class TestRebalanceDocuments:
         {"r": 0.01},
         {"mu": [0.1, 0.1, 0.1, 0.1]},
         {"constraints": None},
+        {"admm": None},
     ], ids=["lp_penalty", "same_slot_twice", "anchor_neither_book", "plain_key",
-            "inline_moments_beside_file", "constraints_null"])
+            "inline_moments_beside_file", "constraints_null", "admm_null"])
     def test_rejected(self, four_asset_moments, tmp_path, change):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({
@@ -583,12 +605,12 @@ class TestSolverFailureExit:
     def test_non_convergence_writes_report_and_exits_two(self, four_asset_moments,
                                                          tmp_path):
         problem = tmp_path / "p.json"
+        # an lp penalty still runs ADMM; every rebalancing document is exact
         problem.write_text(json.dumps({
             "moments_file": str(four_asset_moments),
             "gamma": 0.25,
-            "strategic": [0.25, 0.25, 0.25, 0.25],
-            "current": [0.25, 0.25, 0.25, 0.25],
-            "penalties": [{"kind": "l1", "rho": 1e-3, "anchor": "strategic"}],
+            "penalties": [{"kind": "lp", "p": 1.5, "rho": 1e-3,
+                           "anchor": [0.25, 0.25, 0.25, 0.25]}],
             "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0},
             "admm": {"max_iter": 2},
         }))

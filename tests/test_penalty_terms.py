@@ -8,12 +8,11 @@ equal up to summation order.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from roboalloc import admm, cli, prox
+from roboalloc import cli, prox
 from roboalloc.admm import solve_mixed_lp, solve_penalized
 from roboalloc.mvo import ConstraintSet, MvoInputs
 from roboalloc.pipeline import RoboConfig, rebalance
@@ -70,10 +69,10 @@ def reference_rebalance(config, mu, sigma, gamma):
                             (config.rho1_turnover, config.gamma1_turnover, config.current)):
         if rho > 0:
             g1 = penalty_matrix(g1, n)
-            blocks.append((g1, g1 @ anchor, lambda v, phi, r=rho: prox.prox_l1(v, r / phi)))
+            blocks.append((g1, g1 @ anchor, prox.SoftThreshold(rho)))
     return solve_penalized(
         p_mat, q_vec, blocks, config.constraints, config.extra_sets, config.admm,
-        x_init=config.current,
+        x_init=None if blocks else config.current,
         objective=lambda x: reference_full_objective(config, mu, sigma, gamma, x))
 
 
@@ -131,17 +130,14 @@ class TestSameAnswers:
     @pytest.mark.parametrize("objective", ["tracking_error", "mvo"])
     @pytest.mark.parametrize("gamma_kind", ["vector", "matrix"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_four_slot_rebalance(self, seed, gamma_kind, objective, monkeypatch):
-        # the reference's L1 steps are plain callables, which ADMM cannot
-        # polish, so the polish schedule is switched off for both
-        monkeypatch.setattr(admm, "_POLISH_FIRST", math.inf)
+    def test_four_slot_rebalance(self, seed, gamma_kind, objective):
         rng = np.random.default_rng([seed, 6])
         n = 6
         sigma = random_spd(rng, n, 0.04)
         mu = rng.normal(size=n) * 0.05
         config = _four_slot_config(rng, n, gamma_kind, objective)
         mine = rebalance(config, mu, sigma)
-        assert mine.iterations > 0  # the ADMM route, both L1 blocks split off
+        assert mine.iterations > 0  # the L1 active set, both L1 slots as its rows
         assert_same_solve(mine, reference_rebalance(config, mu, sigma, 0.4))
 
     def test_l2_only_rebalance_on_the_qp_route(self):
@@ -177,7 +173,7 @@ class TestSameAnswers:
         ref = reference_plain_route(MvoInputs(mu=mu, sigma=sigma, r=0.01), 0.3,
                                     cli._parse_penalties(doc, n, sigma),
                                     cli._parse_constraints(doc["constraints"], n),
-                                    cli._parse_admm(None))
+                                    cli._parse_admm({}))
         assert_same_solve(mine, ref)
         out = tmp_path / "report.json"
         assert cli.main(["optimize", "--problem", str(path), "--out", str(out)]) == 0

@@ -19,6 +19,7 @@ from roboalloc.pipeline import (
 from roboalloc.prox import L2Ball
 from roboalloc.qp import QpProblem, solve_qp
 from roboalloc.views import grades_to_expected_returns
+from tests.test_polish import oracle
 
 EW10 = np.full(10, 0.1)
 X0 = np.array([0.4, 0.3, 0.2, 0.1])
@@ -235,25 +236,25 @@ class TestTeTargeting:
         assert np.abs(rep.weights - cold.weights).max() <= 1e-10
 
     def test_te_target_rebalance_solves_each_gamma_once(self, ten_asset, monkeypatch):
-        # the ADMM route (an L1 slot) still brackets and bisects
+        # the L1 route still brackets and bisects, one exact solve per gamma
         _, _, sigma = ten_asset
         scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
         _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
         cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
                          rho1_strategic=1e-4, rho2_turnover=0.01, te_target=0.01)
         samples, solves = [], []
-        admm_solve = admm.admm_solve
+        solve_qp = admm.solve_qp
 
         def sampled(config, mu, sigma, gamma=None, warm=None):
             samples.append((gamma, rebalance(config, mu, sigma, gamma=gamma, warm=warm)))
             return samples[-1][1]
 
-        def solved(prob, params=None, **kwargs):
+        def solved(prob, x0=None):
             solves.append(prob)
-            return admm_solve(prob, params, **kwargs)
+            return solve_qp(prob, x0)
 
         monkeypatch.setattr(pipeline, "rebalance", sampled)
-        monkeypatch.setattr(admm, "admm_solve", solved)
+        monkeypatch.setattr(admm, "solve_qp", solved)
         rep = rebalance(cfg, mu, sigma)
         gammas = [g for g, _ in samples]
         assert len(gammas) == len(set(gammas)) > 3
@@ -456,7 +457,8 @@ def l1_violation(p_mat, q_vec, x, l1_terms, lower, upper, kink=1e-9):
 class TestNightlyModels:
     """Benchmark models 19 and 23 at the nightly penalties: under unbounded
     residual balancing their penalty kept flipping and every account of the
-    second book stopped at ``max_iter``."""
+    second book stopped at ``max_iter``.  The weights are those of the lifted
+    ``augment_l1`` QP, solved from the answer without the L1 terms."""
 
     @pytest.mark.parametrize("model", [19, 23])
     def test_converges_to_certified_answer(self, model):
@@ -478,3 +480,8 @@ class TestNightlyModels:
         q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
         assert l1_violation(p_mat, q_vec, x, [(strategic, 5e-4), (current, 2e-4)],
                             0.0, upper) <= 1e-7
+        _, _, blocks, _ = pipeline._terms(cfg, mu, sigma, 0.5)
+        eq, _, lower, up = cfg.constraints.qp_pieces(n)
+        smooth = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, lower=lower, upper=up))
+        exact = oracle(p_mat, q_vec, cfg.constraints, blocks, warm=smooth.weights)
+        assert np.abs(x - exact).max() <= 1e-9

@@ -1,14 +1,14 @@
-"""ADMM polish: on L1-penalized problems over a box and halfspaces the loop
-turns an iterate into the exact answer and keeps it only under a
-certificate of optimality; a refused candidate leaves the loop as it was,
-and problems with other steps or sets never polish."""
-
-import math
+"""The exact L1 route: ``solve_penalized`` sends every problem whose
+penalties are all L1 and whose sets are the constraint set alone to
+``qp.solve_qp``, whose active set handles the L1 rows' kinks.  Its weights
+match the lifted ``augment_l1`` QP, its multipliers pass an independent KKT
+check and the certificate built from the problem data, no ADMM loop runs,
+and problems with Lp blocks or norm balls still run ADMM."""
 
 import numpy as np
 import pytest
 
-from roboalloc import admm, prox
+from roboalloc import admm, prox, qp
 from roboalloc.admm import solve_mixed_lp, solve_penalized
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import RoboConfig, _terms, rebalance
@@ -21,13 +21,28 @@ from tests.conftest import random_spd
 EW10 = np.full(10, 0.1)
 
 
-def oracle(p_mat, q_vec, cons, blocks):
+@pytest.fixture
+def admm_runs(monkeypatch):
+    """The problems ``admm_solve`` is called on."""
+    runs, loop = [], admm.admm_solve
+
+    def recording(prob, *args, **kwargs):
+        runs.append(prob)
+        return loop(prob, *args, **kwargs)
+
+    monkeypatch.setattr(admm, "admm_solve", recording)
+    return runs
+
+
+def oracle(p_mat, q_vec, cons, blocks, warm=None):
     """The exact answer as ``augment_l1``'s QP.
 
     A first block with a nonnegative diagonal ``G`` is split on ``x``
     itself; every other block ``(G, d)`` on a new variable ``y = G x``, so
     ``augment_l1`` prices ``rho ||y - d||_1 = rho ||G x - d||_1`` exactly for
-    any ``G``."""
+    any ``G``.  The solve is cold, or starts at the lift of the feasible
+    weights ``warm``: the active set ends only at an optimum of the lifted
+    QP, wherever it starts."""
     n = q_vec.size
     g0 = blocks[0][0]
     split_x = np.array_equal(g0, np.diag(np.diag(g0))) and (np.diag(g0) > 0).all()
@@ -56,9 +71,13 @@ def oracle(p_mat, q_vec, cons, blocks):
         eq=(np.vstack(rows), np.concatenate(rhs)),
         ineq=None if ineq is None else (np.hstack([ineq[0], np.zeros((ineq[0].shape[0],
                                                                       m - n))]), ineq[1]),
-        lower=np.concatenate([np.broadcast_to(lower, (n,)), -pad]),
-        upper=np.concatenate([np.broadcast_to(upper, (n,)), pad]))
-    return solve_qp(augment_l1(problem, np.diag(weight), 1.0, anchor)).weights[:n]
+        lower=np.concatenate([np.broadcast_to(-np.inf if lower is None else lower, (n,)), -pad]),
+        upper=np.concatenate([np.broadcast_to(np.inf if upper is None else upper, (n,)), pad]))
+    x0 = None
+    if warm is not None:
+        y = np.concatenate([warm] + [g @ warm for g, _, _ in lifted])
+        x0 = np.concatenate([y, np.maximum(anchor - y, 0.0), np.maximum(y - anchor, 0.0)])
+    return solve_qp(augment_l1(problem, np.diag(weight), 1.0, anchor), x0=x0).weights[:n]
 
 
 def kkt_violation(p_mat, q_vec, cons, blocks, x, duals):
@@ -66,12 +85,13 @@ def kkt_violation(p_mat, q_vec, cons, blocks, x, duals):
     for diagonal L1 blocks: feasibility, signs and complementarity of the
     multipliers, and 0 in each weight's interval of stationarity."""
     eq, ineq, lower, upper = cons.qp_pieces(x.size)
-    lower, upper = np.broadcast_to(lower, x.shape), np.broadcast_to(upper, x.shape)
+    lower = np.broadcast_to(-np.inf if lower is None else lower, x.shape)
+    upper = np.broadcast_to(np.inf if upper is None else upper, x.shape)
     grad = p_mat @ x - q_vec + eq[0].T @ duals["eq"] - duals["lower"] + duals["upper"]
     worst = [np.abs(eq[0] @ x - eq[1]).max(), (lower - x).max(), (x - upper).max(),
              -duals["lower"].min(), -duals["upper"].min(),
-             np.abs(duals["lower"] * (x - lower)).max(),
-             np.abs(duals["upper"] * (upper - x)).max()]
+             np.abs(duals["lower"] * np.where(np.isfinite(lower), x - lower, 1.0)).max(),
+             np.abs(duals["upper"] * np.where(np.isfinite(upper), upper - x, 1.0)).max()]
     if ineq is not None:
         slack = ineq[0] @ x - ineq[1]
         grad = grad - ineq[0].T @ duals["ineq"]
@@ -123,10 +143,11 @@ CASES = [(5, "identity", 1, False, False), (5, "identity", 2, True, True),
 @pytest.mark.parametrize("n,gamma1,anchors,l2,general", CASES,
                          ids=[f"{n}-{g}-{a}anchor{'-l2' if l2 else ''}{'-ineq' if i else ''}"
                               for n, g, a, l2, i in CASES])
-def test_polished_weights_are_exact_and_certified(n, gamma1, anchors, l2, general):
+def test_polished_weights_are_exact_and_certified(n, gamma1, anchors, l2, general,
+                                                  admm_runs):
     cfg, mu, sigma = config(n, n, gamma1, anchors, l2, general)
     rep = rebalance(cfg, mu, sigma)
-    assert rep.converged and rep.meta["polish"]["iteration"] == rep.iterations
+    assert rep.converged and admm_runs == []
     assert rep.duals is not None and set(rep.duals) == {"eq", "ineq", "lower", "upper"}
     assert max(rep.r_norm, rep.s_norm) <= 1e-12
     p_mat, q_vec, blocks, _ = _terms(cfg, mu, sigma, cfg.gamma)
@@ -136,83 +157,65 @@ def test_polished_weights_are_exact_and_certified(n, gamma1, anchors, l2, genera
                              rep.duals) <= 1e-12
 
 
-def test_wrong_working_set_is_refused(monkeypatch):
-    # every L1 row read on the wrong side of its kink: each candidate fails
-    # its certificate and the loop ends as it does with no polish at all
+def test_wrong_working_set_is_refused():
+    # a warm start at the current book puts every turnover row at its kink
+    # and no weight at a bound, against a handful of kinks at the answer:
+    # the multiplier test drops the wrong states and the weights are those
+    # of the cold solve
     cfg, mu, sigma = config(3, 20, "identity", 2, False, False)
-    monkeypatch.setattr(admm, "_POLISH_FIRST", math.inf)
-    plain = rebalance(cfg, mu, sigma)
-    monkeypatch.undo()
-    attempt, refused = admm._Polish.attempt, []
+    cold = rebalance(cfg, mu, sigma)
+    warm = rebalance(cfg, mu, sigma, warm=cfg.current)
+    assert warm.converged and (np.abs(warm.weights - cfg.current) > 1e-6).sum() > 10
+    assert np.abs(warm.weights - cold.weights).max() <= 1e-13
+    assert max(warm.r_norm, warm.s_norm) <= 1e-12
 
-    def flipped(self, x, z):
-        z = z.copy()
-        z[self.l1] = -z[self.l1]
-        out = attempt(self, x, z)
-        refused.append(out is None)
-        return out
 
-    monkeypatch.setattr(admm._Polish, "attempt", flipped)
-    rep = rebalance(cfg, mu, sigma)
-    assert refused and all(refused)
-    assert rep.meta["polish"] == {"iteration": None, "attempts": len(refused)}
-    assert rep.duals is None
-    assert (rep.status, rep.iterations, rep.r_norm, rep.s_norm) == \
-        (plain.status, plain.iterations, plain.r_norm, plain.s_norm)
-    assert np.array_equal(rep.weights, plain.weights)
+def l1_problem(cfg, mu, sigma):
+    """The ``QpProblem`` with L1 rows that ``solve_penalized`` builds."""
+    p_mat, q_vec, blocks, _ = _terms(cfg, mu, sigma, cfg.gamma)
+    eq, ineq, lower, upper = cfg.constraints.qp_pieces(cfg.n)
+    rows = (np.vstack([g for g, _, _ in blocks]), np.concatenate([d for _, d, _ in blocks]),
+            np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
+    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=rows)
 
 
 def test_certificate_refuses_a_moved_point():
     # the certificate reads only the problem data: the exact answer passes,
     # the same point nudged along the budget does not
     cfg, mu, sigma = config(4, 20, "identity", 2, True, False)
-    p_mat, q_vec, blocks, _ = _terms(cfg, mu, sigma, cfg.gamma)
-    a_eq, b_eq, sets = cfg.constraints.admm_pieces(20)
-    polish = admm._Polish.of(admm._StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, sets))
+    problem = l1_problem(cfg, mu, sigma)
     rep = rebalance(cfg, mu, sigma)
     args = (rep.duals["eq"], np.zeros(0), rep.duals["ineq"])
-    r_norm, s_norm, lower, upper = polish.certificate(rep.weights, *args)
+    r_norm, s_norm, lower, upper = qp.certificate(problem, rep.weights, *args)
     assert max(r_norm, s_norm) <= 1e-12
     assert np.array_equal(lower, rep.duals["lower"]) and np.array_equal(upper, rep.duals["upper"])
     free = np.flatnonzero((rep.weights > 1e-3) & (rep.weights < 0.29))[:2]
     moved = rep.weights.copy()
     moved[free] += [1e-6, -1e-6]
-    assert polish.certificate(moved, *args)[1] > 1e-8
+    assert qp.certificate(problem, moved, *args)[1] > 1e-8
 
 
 class TestNeverPolished:
-    """Lp blocks and norm-ball extra sets are outside the polish:
-    ``_Polish.of`` declines every problem they make."""
+    """Lp blocks and norm-ball extra sets still run ADMM."""
 
-    @pytest.fixture
-    def made(self, monkeypatch):
-        made, of = [], admm._Polish.of.__func__
-
-        def recording(cls, prob):
-            made.append(of(cls, prob))
-            return made[-1]
-
-        monkeypatch.setattr(admm._Polish, "of", classmethod(recording))
-        return made
-
-    def test_lp_block(self, made):
+    def test_lp_block(self, admm_runs):
         rng = np.random.default_rng(1)
         a1, b1 = rng.normal(size=(8, 5)), rng.normal(size=8)
         rep = solve_mixed_lp(a1, b1, None, PenaltySpec(kind="lp", rho=1e-2, p=1.5),
                              constraints=ConstraintSet(budget=1.0, lower=0.0, upper=0.6))
-        assert rep.converged and made == [None] and "polish" not in rep.meta
+        assert rep.converged and len(admm_runs) == 1 and "state" in rep.meta
 
-    def test_norm_ball_extra_set(self, made, ten_asset):
+    def test_norm_ball_extra_set(self, admm_runs, ten_asset):
         _, _, sigma = ten_asset
         cfg = RoboConfig(strategic=EW10, current=np.random.default_rng(0).dirichlet(np.ones(10)),
                          objective="mvo", gamma=0.5, rho1_turnover=1e-3,
                          extra_sets=(L2Ball(0.35),))
         rep = rebalance(cfg, np.linspace(0.02, 0.08, 10), sigma)
-        assert made == [None] and "polish" not in rep.meta
+        assert len(admm_runs) == 1 and "state" in rep.meta
 
 
-def test_ten_asset_mvo_turnover_case_polished_early(ten_asset):
-    # cond(sigma) about 3,700: the residual stop took 8,496 iterations and
+def test_ten_asset_mvo_turnover_case_polished_early(ten_asset, admm_runs):
+    # cond(sigma) about 3,700: ADMM's residual stop took 8,496 iterations and
     # left the weights 5.5e-9 from the exact answer
     _, _, sigma = ten_asset
     scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
@@ -222,21 +225,21 @@ def test_ten_asset_mvo_turnover_case_polished_early(ten_asset):
                      rho1_turnover=1e-3)
     rep = rebalance(cfg, mu, sigma)
     assert rep.converged and rep.iterations <= 100
-    assert rep.meta["polish"]["iteration"] == rep.iterations
+    assert admm_runs == []
     eq, _, lower, upper = cfg.constraints.qp_pieces(10)
     exact = solve_qp(augment_l1(QpProblem(Q=sigma, c=-0.5 * mu, eq=eq, lower=lower,
                                           upper=upper), np.eye(10), 1e-3, current))
     assert np.abs(rep.weights - exact.weights[:10]).max() <= 1e-12
 
 
-def test_generic_split_without_constraints_polishes():
+def test_generic_split_without_constraints_polishes(admm_runs):
     # no sets at all: the soft-threshold rows alone make the working set
     rng = np.random.default_rng(7)
     p_mat = random_spd(rng, 6)
     q_vec = rng.normal(size=6)
     rep = solve_penalized(p_mat, q_vec, [(np.eye(6), np.zeros(6),
                                           prox.SoftThreshold(0.3))])
-    assert rep.meta["polish"]["iteration"] == rep.iterations
+    assert admm_runs == []
     x = rep.weights
     grad = p_mat @ x - q_vec
     kink = x == 0.0
@@ -244,15 +247,134 @@ def test_generic_split_without_constraints_polishes():
     assert np.abs(grad[kink]).max(initial=0.0) <= 0.3
 
 
-def test_large_rho_unanchored_lasso_polished(four_asset_alt):
-    # acceptance test 09's last lasso point: at rho1 = 1e3 the KKT step left
-    # the budget row 3e-11 off, so every attempt was refused and the residual
+def test_large_rho_unanchored_lasso_polished(four_asset_alt, admm_runs):
+    # acceptance test 09's last lasso point: at rho1 = 1e3 ADMM's residual
     # stop took 1,126 iterations to land 5e-10 from the answer
     mu, _, _, sigma = four_asset_alt
     cfg = RoboConfig(strategic=np.zeros(4), current=np.zeros(4), objective="mvo",
                      gamma=0.25, constraints=ConstraintSet(budget=1.0), rho1_strategic=1e3)
     rep = rebalance(cfg, mu, sigma)
-    assert rep.converged and rep.meta["polish"]["iteration"] == rep.iterations
+    assert rep.converged and admm_runs == []
     long_only = solve_qp(QpProblem(Q=sigma, c=-0.25 * mu, eq=(np.ones((1, 4)), [1.0]),
                                    lower=0.0))
     assert np.abs(rep.weights - long_only.weights).max() <= 1e-11
+
+
+def l1_value(p_mat, q_vec, blocks, x):
+    return 0.5 * x @ p_mat @ x - q_vec @ x + sum(
+        step.rho * np.abs(g @ x - d).sum() for g, d, step in blocks)
+
+
+class TestDegenerateWorkingSets:
+    """Seeded problems whose L1 working sets are degenerate, against the
+    lifted ``augment_l1`` QP: the weights to 1e-10 (the objective to 1e-12
+    relative when ``P`` is singular), the certificate at 1e-12 relative to
+    the scale of the data and, for diagonal blocks, the independent KKT
+    check of the duals."""
+
+    @staticmethod
+    def solve(p_mat, q_vec, blocks, cons, warm=None, unique=True):
+        rep = solve_penalized(p_mat, q_vec, blocks, cons, x_init=warm)
+        x = rep.weights
+        force = max([1.0, np.abs(q_vec).max(), np.abs(p_mat @ x).max()]
+                    + [step.rho * np.abs(g).max() for g, _, step in blocks])
+        assert rep.converged and rep.r_norm <= 1e-12 * max(1.0, np.abs(x).max())
+        assert rep.s_norm <= 1e-12 * force
+        exact = oracle(p_mat, q_vec, cons, blocks)
+        if unique:
+            assert np.abs(rep.weights - exact).max() <= 1e-10
+        else:
+            best = l1_value(p_mat, q_vec, blocks, exact)
+            assert l1_value(p_mat, q_vec, blocks, rep.weights) <= best + 1e-12 * abs(best)
+        if all(np.array_equal(g, np.diag(np.diag(g))) for g, _, _ in blocks):
+            assert kkt_violation(p_mat, q_vec, cons, blocks, x, rep.duals) <= 1e-12 * force
+        return rep
+
+    @staticmethod
+    def rebalance_parts(seed, n, strategic, current, rho1=(2e-3, 1e-3), upper=0.5):
+        rng = np.random.default_rng([seed, n, 7])
+        sigma = random_spd(rng, n, 0.04)
+        cfg = RoboConfig(strategic=strategic, current=current, gamma=0.5,
+                         rho1_strategic=rho1[0], rho1_turnover=rho1[1],
+                         constraints=ConstraintSet(budget=1.0, lower=0.0, upper=upper))
+        p_mat, q_vec, blocks, _ = _terms(cfg, rng.normal(0.05, 0.05, n), sigma, 0.5)
+        return p_mat, q_vec, blocks, cfg.constraints
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kink_on_a_bound(self, seed):
+        # strategic weights of 0 above lower bounds of 0: kink and bound coincide
+        rng = np.random.default_rng([seed, 1])
+        n = 8
+        strategic = rng.dirichlet(np.ones(n))
+        strategic[:4] = 0.0
+        strategic /= strategic.sum()
+        parts = self.rebalance_parts(seed, n, strategic, rng.dirichlet(np.ones(n)),
+                                     rho1=(2e-2, 1e-3))
+        rep = self.solve(*parts)
+        assert (rep.weights[:4] == 0.0).any()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_anchors_equal_on_one_weight(self, seed):
+        rng = np.random.default_rng([seed, 2])
+        n = 8
+        strategic = rng.dirichlet(np.full(n, 5.0))
+        current = strategic.copy()
+        current[[6, 7]] += [0.04, -0.04]  # anchors equal on weights 0-5
+        parts = self.rebalance_parts(seed, n, strategic, current, rho1=(2e-2, 1e-2))
+        rep = self.solve(*parts)
+        assert (rep.weights[:6] == strategic[:6]).any()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_general_rows(self, seed):
+        # rows that mix long and short bets, one of them on its kink
+        rng = np.random.default_rng([seed, 3])
+        n = 7
+        p_mat = random_spd(rng, n, 0.04)
+        q_vec = rng.normal(0.0, 0.05, n)
+        anchor = rng.dirichlet(np.ones(n))
+        g1 = np.eye(n) + 0.4 * rng.normal(size=(n, n))
+        g2 = rng.normal(size=(3, n))
+        blocks = [(g1, g1 @ anchor, prox.SoftThreshold(5e-3)),
+                  (g2, g2 @ anchor, prox.SoftThreshold(2e-2))]
+        cons = ConstraintSet(budget=1.0, lower=-0.2, upper=0.6)
+        self.solve(p_mat, q_vec, blocks, cons)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("anchored", [False, True], ids=["lasso", "anchored"])
+    def test_budget_only_large_rho(self, seed, anchored):
+        # rho1 = 1e3 with the budget row alone: the kinks fix (nearly) every weight
+        rng = np.random.default_rng([seed, 4])
+        n = 6
+        p_mat = random_spd(rng, n, 0.04)
+        q_vec = rng.normal(0.0, 0.05, n)
+        anchor = rng.dirichlet(np.ones(n)) if anchored else np.zeros(n)
+        blocks = [(np.eye(n), anchor, prox.SoftThreshold(1e3))]
+        rep = self.solve(p_mat, q_vec, blocks, ConstraintSet(budget=1.0))
+        if anchored:
+            assert np.abs(rep.weights - anchor).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_p(self, seed):
+        # P of rank 2 on 8 weights: the answer's weights need not be unique
+        rng = np.random.default_rng([seed, 5])
+        n = 8
+        factor = rng.normal(size=(n, 2))
+        p_mat = factor @ factor.T * 0.02
+        q_vec = rng.normal(0.0, 0.02, n)
+        strategic, current = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        blocks = [(np.eye(n), strategic, prox.SoftThreshold(1e-3)),
+                  (np.eye(n), current, prox.SoftThreshold(5e-4))]
+        self.solve(p_mat, q_vec, blocks, ConstraintSet(budget=1.0, lower=0.0, upper=0.4),
+                   unique=False)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("at", ["strategic", "current"])
+    def test_warm_start_on_kinks(self, seed, at):
+        # a warm start at an anchor sits on every kink of that anchor's rows
+        rng = np.random.default_rng([seed, 6])
+        n = 10
+        strategic, current = rng.dirichlet(np.full(n, 2.0)), rng.dirichlet(np.full(n, 2.0))
+        parts = self.rebalance_parts(seed, n, strategic, current)
+        cold = self.solve(*parts)
+        warm = self.solve(*parts, warm={"strategic": strategic, "current": current}[at])
+        assert np.abs(warm.weights - cold.weights).max() <= 1e-12

@@ -235,6 +235,16 @@ class TestSolveQp:
             solve_qp(QpProblem(Q=np.eye(4), c=np.zeros(4),
                                eq=(np.ones((1, 4)), [1.0]), lower=0.0, upper=0.2))
 
+    @pytest.mark.parametrize("seed", [71, 72, 95])
+    def test_rank_two_hessian_keeps_the_rows(self, seed):
+        # a singular Q_FF factors with pivots down to about 1e-10 of the
+        # largest; steps from such a factor broke the budget by 0.04 to 0.17
+        rng = np.random.default_rng([seed, 13])
+        f = rng.standard_normal((13, 2))
+        problem = QpProblem(Q=f @ f.T, c=rng.standard_normal(13),
+                            eq=(np.ones((1, 13)), [1.0]), lower=-0.5, upper=0.8)
+        assert_kkt(problem, solve_qp(problem))
+
     def test_infeasible(self):
         with pytest.raises(errors.Infeasible):
             solve_qp(QpProblem(Q=np.eye(2), c=np.zeros(2),
