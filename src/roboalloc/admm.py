@@ -1,14 +1,15 @@
 """Penalized portfolio problems: ``solve_penalized`` sends those whose
 penalties are all L1, over the constraint set alone, to ``qp.solve_qp``,
-exact on the L1 rows' kinks, and the rest (Lp penalties, norm balls) to
-scaled, over-relaxed ADMM; cardinality is an exact branch-and-bound on the
-QP.  ``admm_solve`` is the one ADMM loop.  It runs on the stacked arrays
-of a ``_StackedProblem``: ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)``
-split as ``A x - z = c``, ``A`` stacking the ``G_i`` and ``c`` the
-``d_i``.  It starts at the penalty ``sqrt(lmin lmax)`` of the spectrum of
-``P``, rescales it in its first ``_BALANCE_ITERATIONS`` iterations only,
-then holds it fixed, and over-relaxes every iteration by ``_RELAXATION``
-(Boyd et al., 2011, §3.4.3; the default of OSQP)."""
+exact on the L1 rows' kinks, and the rest (Lp penalties, norm balls and
+other extra sets) to scaled, over-relaxed ADMM; cardinality is an exact
+branch-and-bound on the QP.  ``admm_solve`` is the one ADMM loop.  It runs
+on a ``_StackedProblem``, one list of blocks for ``min 0.5 x'Px - q'x +
+sum_i g_i(G_i x - d_i)`` split as ``A x - z = c``, ``A`` stacking the
+``G_i`` and ``c`` the ``d_i``, the constraint projection its last block.
+It starts at the penalty ``sqrt(lmin lmax)`` of the spectrum of ``P``,
+rescales it in its first ``_BALANCE_ITERATIONS`` iterations only, then
+holds it fixed, and over-relaxes every iteration by ``_RELAXATION`` (Boyd
+et al., 2011, §3.4.3; the default of OSQP)."""
 
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg import lu_factor, lu_solve
 
 from . import prox
 from .errors import Infeasible, NoConvergence
@@ -67,64 +67,38 @@ class AdmmState:
     iterations: int
 
 
-def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for a float vector ``b`` on ``lu_factor(a)``.
-
-    The same LAPACK ``getrs`` call as ``scipy.linalg.lu_solve``, so the
-    same bits, without its per-call finiteness and shape checks: the ADMM
-    loop validates its data once, on entry.
-    """
-    lu, piv = lu_and_piv
-    x, info = dgetrs(lu, piv, b)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
-
-
 class _StackedProblem:
     """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` subject
     to ``a_eq x = b_eq`` and ``x`` in every set of ``sets``.
 
-    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term.  The
-    split is ``A x - z = c`` with ``A`` (``a``) stacking the ``G_i`` and ``c``
-    the ``d_i``; when ``sets`` is nonempty an identity block with a zero
-    offset is stacked last and projected onto their intersection.  The
-    x-step is a KKT solve with the equality rows; its right-hand side
-    (``rhs``) carries ``b_eq`` as its tail.  The z-step is each block's own
-    step and one ``prox.project_intersection`` call on the rows ``box`` of
-    the constraint block.  Blocks whose ``G_i`` is the identity skip their
-    products with it.  ``phi``, the starting penalty, is ``sqrt(lmin lmax)``
-    of the spectrum of ``P`` (Ghadimi et al., IEEE TAC 2015), or 1 when
-    ``P`` is zero.
+    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term; when
+    ``sets`` is nonempty an identity block with a zero offset is stacked
+    last, its step projecting onto their intersection
+    (``prox.project_intersection``).  The split is ``A x - z = c`` with
+    ``A`` (``a``) stacking the ``G_i`` and ``c`` the ``d_i``.  The x-step is
+    a KKT solve with the equality rows; its right-hand side (``rhs``)
+    carries ``b_eq`` as its tail.  The z-step is each block's own step on
+    its rows.  ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the
+    spectrum of ``P`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``P`` is
+    zero.
     """
 
     def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks, sets=()):
         n = q_vec.size
         self.p, self.q, self.a_eq, self.n = p_mat, q_vec, a_eq, n
-        self.sets = list(sets)
-        eye = np.eye(n)
         blocks = list(blocks)
-        if self.sets:
-            blocks.append((eye, np.zeros(n), None))
+        if sets:
+            blocks.append((np.eye(n), np.zeros(n),
+                           lambda v, _phi: prox.project_intersection(v, sets)))
         self.a = np.vstack([g for g, _, _ in blocks])
         self.c = np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks]))
         self.gram = sum(g.T @ g for g, _, _ in blocks)
         self.rhs = np.concatenate([q_vec, b_eq])
-        self.x_blocks = []    # (rows, G_i or None for the identity), in block order
-        self.steps = []       # (rows, step_i) of the blocks with their own step
-        self.rows = np.zeros(self.c.size, dtype=np.intp)  # x entry of each identity row
+        self.blocks = []      # (rows, G_i, step_i), in block order
         stop = 0
         for g, d, step in blocks:
-            start, stop = stop, stop + d.size
-            rows = slice(start, stop)
-            identity = g.shape == eye.shape and np.array_equal(g, eye)
-            self.x_blocks.append((rows, None if identity else g))
-            if identity:
-                self.rows[rows] = np.arange(n)
-            if step is not None:
-                self.steps.append((rows, step))
-        self.general = [(rows, g) for rows, g in self.x_blocks if g is not None]
-        self.box = slice(stop - n, stop) if self.sets else None
+            self.blocks.append((slice(stop, stop + d.size), g, step))
+            stop += d.size
         self._factors = {}
         lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
         self.phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
@@ -139,13 +113,6 @@ class _StackedProblem:
                 kkt[self.n:, :self.n] = self.a_eq
             self._factors[phi] = lu_factor(kkt)
         return self._factors[phi]
-
-    def times(self, x):
-        """``A x``, without products by identity blocks."""
-        ax = x[self.rows]
-        for rows, g in self.general:
-            ax[rows] = g @ x
-        return ax
 
 
 def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
@@ -170,8 +137,7 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     the last x-step in ``meta['eq_dual']``.
     """
     params = params or AdmmParams()
-    n, c, a, sets = prob.n, prob.c, prob.a, prob.sets
-    box = prob.box
+    n, c, a = prob.n, prob.c, prob.a
     alpha, beta = _RELAXATION, 1.0 - _RELAXATION
     z = np.zeros(c.size) if z0 is None else np.asarray_chkfinite(z0, dtype=float).copy()
     u = np.zeros(c.size)
@@ -186,20 +152,17 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     for it in range(1, params.max_iter + 1):
         zc = z + c
         w = zc - u
-        pw = phi * w
         np.copyto(rhs_x, prob.q)
-        for rows, g in prob.x_blocks:
-            rhs_x += pw[rows] if g is None else phi * (g.T @ w[rows])
-        sol = lu_solve(factor, rhs)
+        for rows, g, _ in prob.blocks:
+            rhs_x += phi * (g.T @ w[rows])
+        sol = lu_solve(factor, rhs, check_finite=False)
         x = sol[:n]
-        ax = prob.times(x)
+        ax = a @ x
         ax_relaxed = alpha * ax + beta * zc
         v = ax_relaxed - c + u
         z_new = np.empty(c.size)
-        for rows, step in prob.steps:
+        for rows, _, step in prob.blocks:
             z_new[rows] = step(v[rows], phi)
-        if box is not None:
-            z_new[box] = prox.project_intersection(v[box], sets)
         r = ax - z_new - c
         u += ax_relaxed - z_new - c
         s = phi * (a.T @ (z - z_new))
@@ -232,13 +195,6 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     return report
 
 
-def exact_route(blocks, extra_sets=()) -> bool:
-    """Whether ``solve_penalized`` solves a problem exactly on ``solve_qp``:
-    it has no extra set and every block is a ``prox.SoftThreshold`` step."""
-    return not extra_sets and all(isinstance(step, prox.SoftThreshold)
-                                  for _, _, step in blocks)
-
-
 def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
                     extra_sets=(), params: AdmmParams | None = None, x_init=None,
                     objective=None) -> SolveReport:
@@ -250,13 +206,14 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     step is also read as data, the L1 term ``rho ||G_i x - d_i||_1``.
     ``x_init`` is the one start point, normally the weights of a nearby
     problem's answer; it must be a finite vector of ``n`` weights
-    (``ValueError`` otherwise).  On the ``exact_route`` (every block an L1
-    term, no extra set) the problem is solved exactly by ``solve_qp``, the
-    blocks' rows becoming its ``l1`` rows; it starts from ``x_init`` only if
-    that is feasible.  Otherwise phase 1 of ``solve_qp`` first finds the
-    constraint set nonempty (``Infeasible`` if not), and ADMM runs on the
-    blocks in their order with the constraint projection as the last block,
-    from ``z_i = G_i x_init - d_i``, ``u = 0`` and the penalty worked out
+    (``ValueError`` otherwise).  When every block is an L1 term and there is
+    no extra set, the problem is solved exactly by ``solve_qp``, the blocks'
+    rows becoming its ``l1`` rows; it starts from ``x_init`` if that is
+    feasible, else at ``solve_qp``'s own cold start.  Otherwise phase 1 of
+    ``solve_qp`` first finds the constraint set nonempty (``Infeasible`` if
+    not), and ADMM runs on the blocks in their order with the constraint
+    projection as the last block, from ``z_i = G_i x_init - d_i`` (``z = 0``
+    without ``x_init``), ``u = 0`` and the penalty worked out
     from ``P``.  ``objective`` evaluates the reported objective at the
     answer.  With any block or extra set, a non-finite ``P``, ``q``, offset
     or equality level raises ``ValueError`` before the first iteration.
@@ -270,7 +227,7 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     eq, ineq, lower, upper = constraints.qp_pieces(n)
     if blocks or extra_sets:
         p_mat, q_vec = map(np.asarray_chkfinite, (p_mat, q_vec))
-    if exact_route(blocks, extra_sets):
+    if not extra_sets and all(isinstance(step, prox.SoftThreshold) for _, _, step in blocks):
         l1 = None
         if blocks:
             l1 = (np.vstack([g for g, _, _ in blocks]),
@@ -287,7 +244,7 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
     feasible_point(QpProblem(Q=np.zeros((n, n)), c=np.zeros(n), eq=eq, ineq=ineq,
                              lower=lower, upper=upper))
     prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, [*extra_sets, *sets])
-    z0 = None if x_init is None else prob.times(x_init) - prob.c
+    z0 = None if x_init is None else prob.a @ x_init - prob.c
     return admm_solve(prob, params, z0=z0, objective=objective)
 
 

@@ -141,8 +141,13 @@ def _parse_penalties(doc: dict, n: int, sigma: np.ndarray):
     return out
 
 
+_NO_ADMM = "admm applies only to plain problems with an lp penalty; this one is solved exactly"
+
+
 def _parse_admm(obj: dict) -> AdmmParams:
-    """ADMM parameters (Lp penalties and norm balls) from an ``admm`` block."""
+    """ADMM parameters from an ``admm`` block.  Only a plain problem with an
+    ``lp`` penalty runs ADMM: on any other document the block could change
+    nothing, and the callers reject it with ``_NO_ADMM``."""
     _check_keys(obj, ("eps_primal", "eps_dual", "max_iter"), where="admm")
 
     def get(key, default, integer=False):
@@ -181,7 +186,8 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray) -> RoboConfig:
     """The rebalancing configuration a document describes.  Each penalty
     fills one of the four (l1 | l2, strategic | current) slots, so an lp
     penalty, a second penalty on a slot, or an anchor that is neither book
-    is rejected rather than reinterpreted."""
+    is rejected rather than reinterpreted.  No rebalancing document runs
+    ADMM, so an ``admm`` block is rejected too."""
     n = mu.size
     for key in ("strategic", "current"):
         if key not in doc:
@@ -189,6 +195,9 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray) -> RoboConfig:
     unused = [k for k in _PLAIN_KEYS if k in doc]
     if unused:
         raise InputError(f"keys {unused} do not apply to rebalancing problems")
+    if "admm" in doc:
+        _parse_admm(doc["admm"])  # a malformed block is named as such
+        raise InputError(_NO_ADMM)
     strategic = _vector(doc["strategic"], "strategic", n)
     current = _vector(doc["current"], "current", n)
     penalties = _parse_penalties(doc, n, sigma)
@@ -217,7 +226,7 @@ def _robo_config(doc: dict, mu: np.ndarray, sigma: np.ndarray) -> RoboConfig:
         te_target=_number(doc["te_target"], "te_target") if "te_target" in doc else None,
         constraints=(_parse_constraints(doc["constraints"], n) if "constraints" in doc
                      else None),
-        admm=_parse_admm(doc.get("admm", {})), **slots)
+        **slots)
 
 
 def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
@@ -231,9 +240,11 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
         raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
     constraints = (_parse_constraints(doc["constraints"], n) if "constraints" in doc
                    else ConstraintSet())
-    admm_params = _parse_admm(doc.get("admm", {}))
     inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)
+    admm_params = _parse_admm(doc.get("admm", {}))
+    if "admm" in doc and not any(pen.kind == "lp" for pen in penalties):
+        raise InputError(_NO_ADMM)
     if "target" in doc:
         _check_keys(doc["target"], ("type", "value"), ("type", "value"), where="target")
         kind = doc["target"]["type"]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmParams, exact_route, solve_penalized
+from .admm import AdmmParams, solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, monotone_root, path_root
 from .qp import QpProblem
@@ -94,8 +94,8 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     Without an extra set ``qp.solve_qp`` solves it exactly, the L1 slots
     as its L1 rows; with one, ADMM does.  ``warm``, the weights of a nearby
     problem's answer, is the start point (``solve_penalized``'s ``x_init``);
-    without it an exact solve with L1 slots starts cold, at the projected
-    minimizer of the smooth part, and any other from ``config.current``.
+    without it an exact solve starts at ``solve_qp``'s cold start and an
+    ADMM solve at ``z = 0``.
     With a tracking-error target and no gamma, the report is the one at
     the gamma the target search ends on.
     """
@@ -107,8 +107,6 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec, blocks, objective = _terms(config, mu, sigma, gamma)
-    if warm is None and not (blocks and exact_route(blocks, config.extra_sets)):
-        warm = config.current
     report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
                              config.admm, x_init=warm, objective=objective)
     report.gamma = float(gamma)
@@ -219,7 +217,8 @@ _PATH_PARAMS = {
 def regularization_path(config: RoboConfig, mu, sigma, grid,
                         param: str = "rho1", assets=None) -> PathTable:
     """Re-solve along a sorted penalty grid, starting each point from the
-    weights of the last converged point (the first from ``config.current``).
+    weights of the last converged point (the first cold, as ``rebalance``
+    starts without ``warm``).
     An ``AllocationError`` at one point is recorded in its row and the sweep
     continues.  ``Infeasible`` and any other error (a ``ValueError`` for
     non-finite data, say) would recur at every point, so they are raised.

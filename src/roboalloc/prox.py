@@ -29,8 +29,9 @@ def prox_l1(v: np.ndarray, lam) -> np.ndarray:
 @dataclass(frozen=True)
 class SoftThreshold:
     """The prox step of ``rho ||.||_1`` held as data: ``step(v, phi)`` is
-    ``prox_l1(v, rho / phi)``.  ADMM reads ``rho`` and soft-thresholds the
-    rows of all such blocks in one ``prox_l1`` call."""
+    ``prox_l1(v, rho / phi)``.  ``admm.solve_penalized`` reads ``rho`` off
+    it and solves a problem whose blocks all hold one exactly, as L1 rows of
+    ``qp.solve_qp``; ADMM calls it as a block's step like any other."""
 
     rho: float
 

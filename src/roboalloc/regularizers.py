@@ -84,9 +84,10 @@ def penalty_terms(penalties, P, q):
     or ``lp`` penalty becomes the prox block ``(G, G a, step)`` of
     ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
     ``rho/(p phi) ||.||_p^p``; an ``l1`` step is ``prox.SoftThreshold(rho)``,
-    data that ADMM stacks with the other L1 rows.  Every penalty is
-    honoured, a zero ``rho`` included.  Returns ``(P, q, blocks, value)``, where ``value(x)`` is
-    ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.
+    data that ``solve_penalized`` reads as the L1 rows of an exact QP.
+    Every penalty is honoured, a zero ``rho`` included.  Returns ``(P, q,
+    blocks, value)``, where ``value(x)`` is ``sum rho/p ||G (x - a)||_p^p``
+    over all the penalties.
     """
     n = q.size
     terms, blocks = [], []

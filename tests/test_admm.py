@@ -503,7 +503,7 @@ def admm_route(p_mat, q_vec, blocks, cons, params, x_init):
     route runs it."""
     a_eq, b_eq, sets = cons.admm_pieces(q_vec.size)
     prob = admm._StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, sets)
-    return admm.admm_solve(prob, params, z0=prob.times(x_init) - prob.c)
+    return admm.admm_solve(prob, params, z0=prob.a @ x_init - prob.c)
 
 
 class TestSameIterates:

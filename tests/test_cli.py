@@ -235,7 +235,8 @@ class TestDocumentNumbers:
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({
             "moments_file": str(four_asset_moments), "gamma": 0.1, "admm": None,
-            "penalties": [{"kind": "l1", "rho": 0.01, "anchor": [0.25, 0.25, 0.25, 0.25]}],
+            "penalties": [{"kind": "lp", "p": 1.5, "rho": 0.01,
+                           "anchor": [0.25, 0.25, 0.25, 0.25]}],
             "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}, **route}))
         verbs = [["optimize"]]
         if route:
@@ -290,8 +291,9 @@ class TestRebalanceDocuments:
         {"mu": [0.1, 0.1, 0.1, 0.1]},
         {"constraints": None},
         {"admm": None},
+        {"admm": {"max_iter": 1}},
     ], ids=["lp_penalty", "same_slot_twice", "anchor_neither_book", "plain_key",
-            "inline_moments_beside_file", "constraints_null", "admm_null"])
+            "inline_moments_beside_file", "constraints_null", "admm_null", "admm_block"])
     def test_rejected(self, four_asset_moments, tmp_path, change):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({
@@ -661,8 +663,9 @@ class TestSolverFailureExit:
 
 
 class TestAdmmDocument:
-    """An ``admm`` object that the solver cannot use, or that names a removed
-    penalty setting, is an input error, never a traceback or ignored."""
+    """An ``admm`` object that the solver cannot use, that names a removed
+    penalty setting, or that sits on a document no ADMM runs on, is an input
+    error, never a traceback or ignored."""
 
     @pytest.mark.parametrize("admm", [
         {"max_iter": 0}, {"max_iter": -3}, {"eps_primal": 0.0},
@@ -673,13 +676,30 @@ class TestAdmmDocument:
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({
             "moments_file": str(four_asset_moments), "gamma": 0.25,
-            "strategic": [0.25, 0.25, 0.25, 0.25], "current": [0.25, 0.25, 0.25, 0.25],
-            "penalties": [{"kind": "l1", "rho": 1e-3, "anchor": "strategic"}],
+            "penalties": [{"kind": "lp", "p": 1.5, "rho": 1e-3,
+                           "anchor": [0.25, 0.25, 0.25, 0.25]}],
             "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0},
             "admm": admm,
         }))
         out = tmp_path / "rep.json"
         assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"penalties": [{"kind": "l1", "rho": 0.01, "anchor": [0.5, 0.5]}], "gamma": 2.0},
+        {"target": {"type": "volatility", "value": 0.25}},
+    ], ids=["plain_l1", "target"])
+    def test_without_an_admm_route(self, tmp_path, capsys, doc):
+        # a valid block where every solve is exact could change nothing
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "mu": [0.05, 0.06], "sigma": [[0.04, 0.01], [0.01, 0.09]],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0},
+            "admm": {"max_iter": 1}, **doc}))
+        out = tmp_path / "rep.json"
+        assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 1
+        assert "admm applies only to plain problems with an lp penalty" in \
+            capsys.readouterr().err
         assert not out.exists()
 
 

@@ -40,7 +40,6 @@ REBALANCE = {
                   {"kind": "l1", "rho": 2e-4, "anchor": [0.25, 0.25, 0.25, 0.25]},
                   {"kind": "l2", "rho": 0.02, "anchor": "current", "gamma": "identity"}],
     "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0},
-    "admm": {"max_iter": 300},
 }
 GRADES = {"strategic": [0.4, 0.3, 0.2, 0.1], "r": 0.0, "sharpe": 0.5,
           "grades": {"a": 1, "c": -1}, "delta": 1.0, "tau": 1.0, "scale_size": 7}

@@ -72,7 +72,7 @@ def reference_rebalance(config, mu, sigma, gamma):
             blocks.append((g1, g1 @ anchor, prox.SoftThreshold(rho)))
     return solve_penalized(
         p_mat, q_vec, blocks, config.constraints, config.extra_sets, config.admm,
-        x_init=None if blocks else config.current,
+        x_init=None,
         objective=lambda x: reference_full_objective(config, mu, sigma, gamma, x))
 
 

@@ -220,9 +220,9 @@ class TestTeTargeting:
 
         monkeypatch.setattr(admm, "solve_qp", recording)
         gamma, rep = te_target_to_gamma(cfg, mu, sigma, 0.01)
-        # the gamma-0 solve from the current book, then one certified solve
-        # started at the walk's point
-        assert len(starts) == 2 and np.array_equal(starts[0], cfg.current)
+        # the gamma-0 solve from the solver's cold start, then one certified
+        # solve started at the walk's point
+        assert len(starts) == 2 and starts[0] is None
         assert rep is answers[1] and rep.iterations == 1 and rep.gamma == gamma
         assert np.abs(starts[1] - rep.weights).max() <= 1e-12
         history = rep.meta["calibration"]
@@ -364,7 +364,7 @@ class TestRegularizationPath:
         table = regularization_path(cfg, mu, sigma, np.geomspace(1e-3, 10.0, 6),
                                     param="rho2")
         assert table.status == ["converged"] * 6 and len(starts) == 6
-        assert np.array_equal(starts[0], cfg.current)
+        assert starts[0] is None
         assert all(s is a.weights for s, a in zip(starts[1:], answers))
 
     @pytest.mark.parametrize("slot,param", [("rho1_strategic", "rho1"),

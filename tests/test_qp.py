@@ -235,6 +235,23 @@ class TestSolveQp:
             solve_qp(QpProblem(Q=np.eye(4), c=np.zeros(4),
                                eq=(np.ones((1, 4)), [1.0]), lower=0.0, upper=0.2))
 
+    def test_full_step_skips_the_next_kkt_solve(self, monkeypatch):
+        # the step after a full one is zero: the loop goes straight to the
+        # multiplier test, so it makes fewer KKT solves (the cold start's
+        # among them) than iterations
+        calls = []
+        free_step = qp._free_step
+
+        def counted(*args):
+            calls.append(1)
+            return free_step(*args)
+
+        monkeypatch.setattr(qp, "_free_step", counted)
+        problem = budget_box_problem(np.random.default_rng(0), 20, 1.0, upper=0.3)
+        rep = solve_qp(problem)
+        assert len(calls) < rep.iterations
+        assert_kkt(problem, rep)
+
     @pytest.mark.parametrize("seed", [71, 72, 95])
     def test_rank_two_hessian_keeps_the_rows(self, seed):
         # a singular Q_FF factors with pivots down to about 1e-10 of the
