@@ -195,6 +195,18 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     return report
 
 
+def exact_problem(p_mat, q_vec, blocks, constraints: ConstraintSet) -> QpProblem:
+    """The exact route's ``QpProblem``: ``0.5 x'Px - q'x`` over the
+    constraint set, each L1 block ``(G_i, d_i, prox.SoftThreshold(rho))``
+    becoming the ``l1`` rows ``rho |G_i x - d_i|``."""
+    eq, ineq, lower, upper = constraints.qp_pieces(q_vec.size)
+    l1 = None if not blocks else (
+        np.vstack([g for g, _, _ in blocks]),
+        np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks])),
+        np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
+    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
+
+
 def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
                     extra_sets=(), params: AdmmParams | None = None, x_init=None,
                     objective=None) -> SolveReport:
@@ -224,25 +236,17 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
         if x_init.shape != (n,):
             raise ValueError(f"x_init must be a vector of {n} weights, not shape {x_init.shape}")
     constraints = ConstraintSet() if constraints is None else constraints
-    eq, ineq, lower, upper = constraints.qp_pieces(n)
     if blocks or extra_sets:
         p_mat, q_vec = map(np.asarray_chkfinite, (p_mat, q_vec))
     if not extra_sets and all(isinstance(step, prox.SoftThreshold) for _, _, step in blocks):
-        l1 = None
-        if blocks:
-            l1 = (np.vstack([g for g, _, _ in blocks]),
-                  np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks])),
-                  np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
-        report = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower,
-                                    upper=upper, l1=l1), x0=x_init)
+        report = solve_qp(exact_problem(p_mat, q_vec, blocks, constraints), x0=x_init)
         if objective is not None:
             report.objective = float(objective(report.weights))
         return report
 
     a_eq, b_eq, sets = constraints.admm_pieces(n)
     b_eq = np.asarray_chkfinite(b_eq)
-    feasible_point(QpProblem(Q=np.zeros((n, n)), c=np.zeros(n), eq=eq, ineq=ineq,
-                             lower=lower, upper=upper))
+    feasible_point(exact_problem(np.zeros((n, n)), np.zeros(n), (), constraints))
     prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, [*extra_sets, *sets])
     z0 = None if x_init is None else prob.a @ x_init - prob.c
     return admm_solve(prob, params, z0=z0, objective=objective)

@@ -24,7 +24,6 @@ from .report import CONVERGED, SolveReport
 _CAL_TOL = 1e-6
 _LEVEL_RTOL = 1e-13  # relative rounding of a volatility or return level
 _GAMMA_CAP = 1e6
-_BISECTIONS = 100
 
 
 @dataclass
@@ -239,16 +238,16 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
     """Trade-off parameter at which a metric of a QP route's answer meets a
     target, found on the solution path rather than by search.
 
-    ``problem`` is the route's QP at gamma 0 and ``slope`` the derivative
-    of its linear term in gamma; ``solve(gamma, x0)`` returns the route's
-    report at ``gamma`` started from ``x0`` (``None``: the route's own
-    start).  ``metric`` is ``(sigma, anchor)`` for the volatility
-    ``sqrt((x - anchor)' sigma (x - anchor))`` or ``(None, mu)`` for the
-    return ``mu'x``, nondecreasing in gamma.  Gamma 0 is returned when its
+    ``problem`` is the route's QP at gamma 0, L1 rows included, and
+    ``slope`` the derivative of its linear term in gamma; ``solve(gamma,
+    x0)`` returns the route's report at ``gamma`` started from ``x0``
+    (``None``: the route's own start).  ``metric`` is ``(sigma, anchor)``
+    for the volatility ``sqrt((x - anchor)' sigma (x - anchor))`` or
+    ``(None, mu)`` for the return ``mu'x``.  Gamma 0 is returned when its
     value already reaches ``target - tol``.  Otherwise ``qp.parametric_path``
     walks from the gamma-0 answer; on each piece the metric is a quadratic
     (or linear) function of the step, so the target is met exactly where it
-    crosses, and one ``solve`` at that gamma from the walk's point gives
+    first crosses, and one ``solve`` at that gamma from the walk's point gives
     the report.  A crossing beyond ``_GAMMA_CAP``, including a last segment
     that stays below the target, is ``TargetUnreachable``; so is a crossing
     inside a move at fixed gamma (a singular covariance), where the optimum
@@ -280,45 +279,6 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
     rep = solve(gamma, x + s * dx)
     history.append((gamma, _value(metric, rep.weights)))
     rep.meta["calibration"] = history
-    return gamma, rep
-
-
-def monotone_root(sample, target: float, tol: float):
-    """Trade-off parameter at which a metric nondecreasing in it meets a target.
-
-    ``sample(gamma)`` returns ``(value, report)``.  Gamma 0 is returned
-    when its value already reaches ``target - tol``; otherwise the target
-    is bracketed by doubling from 1 up to ``_GAMMA_CAP`` and bisected until
-    the value is within ``tol``.  Each gamma is sampled once.  Returns
-    ``(gamma, report)`` at the final gamma.  A non-finite target raises
-    ``ValueError`` before any sample.  This is ``te_target_to_gamma``'s
-    search with L1 terms or extra sets; problems with neither walk the
-    solution path (``path_root``).
-    """
-    if not np.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
-    value, rep = sample(0.0)
-    gamma = lo = 0.0
-    if value < target - tol:
-        hi = 1.0
-        value, rep = sample(hi)
-        while value < target:
-            hi *= 2.0
-            if hi > _GAMMA_CAP:
-                raise _not_reached(target, value)
-            value, rep = sample(hi)
-        gamma = hi
-        for _ in range(_BISECTIONS):
-            if abs(value - target) <= tol:
-                break
-            gamma = 0.5 * (lo + hi)
-            value, rep = sample(gamma)
-            if value < target:
-                lo = gamma
-            else:
-                hi = gamma
-        else:
-            raise TargetUnreachable("bisection did not reach the target tolerance")
     return gamma, rep
 
 

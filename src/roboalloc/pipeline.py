@@ -10,10 +10,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmParams, solve_penalized
+from .admm import AdmmParams, exact_problem, solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
-from .mvo import ConstraintSet, monotone_root, path_root
-from .qp import QpProblem
+from .mvo import ConstraintSet, path_root
 from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, atomic_write
 
@@ -96,8 +95,8 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     problem's answer, is the start point (``solve_penalized``'s ``x_init``);
     without it an exact solve starts at ``solve_qp``'s cold start and an
     ADMM solve at ``z = 0``.
-    With a tracking-error target and no gamma, the report is the one at
-    the gamma the target search ends on.
+    With a tracking-error target and no gamma, the report is the solve at
+    the gamma where ``te_target_to_gamma``'s walk meets the target.
     """
     gamma = config.gamma if gamma is None else gamma
     if gamma is None:
@@ -138,40 +137,28 @@ def tracking_error(x, strategic, sigma) -> float:
 def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     """Trade-off parameter whose solution attains the tracking-error target.
 
-    The search takes the tracking error to be nondecreasing in the
-    trade-off, which holds exactly without L2 penalties.  With no L1 slot
-    and no extra set ``mvo.path_root`` walks the solution path from gamma
-    0, meets the target exactly within its segment and solves once more at
-    that gamma from the walk's point.  Otherwise the target is bracketed by
-    doubling and bisected to within ``_TE_TOL`` by ``mvo.monotone_root``,
-    each sample starting from the previous sample's weights.  Either way a
-    target below the gamma-0 tracking error by more than ``_TE_TOL`` is
-    ``TargetUnreachable``: with L2 or turnover anchors the gamma-0 book is
-    not the strategic one.  Returns ``(gamma, report)``, the report being
-    the solve at that gamma.
+    ``mvo.path_root`` walks the exact QP's solution path from gamma 0 (the
+    L1 slots as its L1 rows), meets the target exactly on the first segment
+    that reaches it and solves once more at that gamma from the walk's
+    point; the tracking error is nondecreasing in gamma without L2
+    penalties.  A target below the gamma-0 tracking error by more than
+    ``_TE_TOL`` is ``TargetUnreachable``: with L2 or turnover anchors the
+    gamma-0 book is not the strategic one.  With extra sets there is no
+    exact path, and a target is a ``ValueError`` before any solve.  Returns
+    ``(gamma, report)``, the report being the solve at that gamma.
     """
+    if config.extra_sets:
+        raise ValueError("a tracking-error target cannot be met with extra sets")
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
     base = replace(config, te_target=None)
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec, blocks, _ = _terms(base, mu, sigma, 0.0)
-    if not blocks and not config.extra_sets:
-        eq, ineq, lower, upper = config.constraints.qp_pieces(config.n)
-        problem = QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper)
-        gamma, rep = path_root(
-            lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
-            problem, -mu, (sigma, config.strategic), te_target, _TE_TOL)
-    else:
-        last = None
-
-        def te_of(gamma):
-            nonlocal last
-            rep = rebalance(base, mu, sigma, gamma=gamma, warm=last)
-            last = rep.weights
-            return tracking_error(rep.weights, config.strategic, sigma), rep
-
-        gamma, rep = monotone_root(te_of, te_target, _TE_TOL)
+    gamma, rep = path_root(
+        lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
+        exact_problem(p_mat, q_vec, blocks, config.constraints), -mu,
+        (sigma, config.strategic), te_target, _TE_TOL)
     if gamma == 0.0:
         lowest = tracking_error(rep.weights, config.strategic, sigma)
         if lowest > te_target + _TE_TOL:

@@ -138,6 +138,25 @@ class _Kinks:
         self.slot = np.full(d.size, -1)  # each single row's place in ``single``
         self.slot[self.single] = np.arange(self.single.size)
 
+    def ratios(self, side, x, p, out, tiny):
+        """Kink-row ratio test: into ``out``, the step along ``p`` to each row's
+        kink that it moves toward by more than ``tiny``.  Returns ``g p``."""
+        gp = self.g @ p
+        np.divide(self.d - self.g @ x, gp, out=out, where=side * gp < -tiny)
+        return gp
+
+    def release(self, side, j, up):
+        """Weight ``j`` leaves its kinks up or down: its rows there follow."""
+        on = self.single[(self.col == j) & (side[self.single] == 0.0)]
+        side[on] = (1.0 if up else -1.0) * np.sign(self.g[on, j])
+
+    def settle(self, side, x, j):
+        """Sides of weight ``j``'s rows at ``x_j``, 0 at a kink (to ``_CERT_TOL``)."""
+        on = self.single[self.col == j]
+        off = self.g[on, j] * x[j] - self.d[on]
+        side[on] = np.where(np.abs(off) <= _CERT_TOL * np.maximum(1.0, np.abs(self.d[on])),
+                            0.0, np.sign(off))
+
     def cross(self, side, ratios, start, gp, slope, curv):
         """Pass the kinks a step meets, in the order of their step lengths
         ``ratios[start:]`` up to the first other event, while the objective
@@ -161,6 +180,18 @@ class _Kinks:
         if limit == np.inf:
             raise Unbounded("descent past every kink with no blocking constraint")
         return limit, int(np.argmax(ratios[:start] <= limit + 1e-15))
+
+
+def _rise_fall(at, fixed, reduced, kinks=None, side=None):
+    """``(rise, fall)``, the objective's one-sided derivatives as the fixed
+    weights ``fixed`` move up and down: the reduced gradient plus the widths
+    of their rows at a kink, infinite out of the box.  A weight leaves to
+    the side whose derivative is negative."""
+    width = 0.0 if kinks is None else np.bincount(
+        kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), at.size)[fixed]
+    state, reduced = at[fixed], reduced[fixed]
+    return (np.where(state == _UPPER, np.inf, reduced + width),
+            np.where(state == _LOWER, np.inf, width - reduced))
 
 
 def _nullspace(a, n):
@@ -288,7 +319,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
                   np.where(np.abs(up - x) <= tol, _UPPER, _FREE))
     act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= tol)]
     side = np.zeros(k)
-    eq_rows, kg, width = a_eq, np.zeros(0, dtype=np.intp), 0.0
+    eq_rows, kg = a_eq, np.zeros(0, dtype=np.intp)
     if k:
         off = kinks.g @ x - kinks.d
         side = np.where(np.abs(off) <= tol, 0.0, np.sign(off))
@@ -320,11 +351,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
             settled = False
             nu, lam, reduced = _multipliers(grad, eq_rows, g_act, free)
             fixed = np.flatnonzero(~free)
-            if k:
-                width = np.bincount(kinks.col, np.where(side[kinks.single] == 0.0,
-                                                        kinks.width, 0.0), n)[fixed]
-            rise = np.where(at[fixed] == _UPPER, np.inf, reduced[fixed] + width)
-            fall = np.where(at[fixed] == _LOWER, np.inf, width - reduced[fixed])
+            rise, fall = _rise_fall(at, fixed, reduced, kinks, side)
             mu = nu[a_eq.shape[0]:]
             mult = np.concatenate([lam, np.minimum(rise, fall), kinks.rho[kg] - np.abs(mu)
                                    if k else mu])
@@ -357,8 +384,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
                     j = fixed[i]
                     at[j] = _FREE
                     if k:
-                        on = kinks.single[(kinks.col == j) & (side[kinks.single] == 0.0)]
-                        side[on] = (1.0 if rise[i] < fall[i] else -1.0) * np.sign(kinks.g[on, j])
+                        kinks.release(side, j, rise[i] < fall[i])
             else:
                 i = drop - len(act) - fixed.size
                 side[kg[i]] = np.sign(mu[i])
@@ -374,9 +400,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
         np.divide(lo - x, p, out=ratios[m:m + n], where=free & has_lo & (p < -1e-13))
         np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & has_up & (p > 1e-13))
         if k:
-            gp = kinks.g @ p
-            np.divide(kinks.d - kinks.g @ x, gp, out=ratios[m + 2 * n:],
-                      where=side * gp < -1e-13)
+            gp = kinks.ratios(side, x, p, ratios[m + 2 * n:], 1e-13)
         np.maximum(ratios, 0.0, out=ratios)
         alpha = np.inf if flat else 1.0
         blocking = -1
@@ -409,11 +433,8 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
             if i >= 0:  # a row on one weight fixes it at the kink
                 fix.append(kinks.col[i])
                 at[fix[0]], x[fix[0]] = _KINK, kinks.d[row] / kinks.coef[i]
-        for j in fix if k else ():  # the sides of its rows at x_j, 0 at a kink (to _CERT_TOL)
-            on = kinks.single[kinks.col == j]
-            off = kinks.g[on, j] * x[j] - kinks.d[on]
-            side[on] = np.where(np.abs(off) <= _CERT_TOL * np.maximum(1.0, np.abs(kinks.d[on])),
-                                0.0, np.sign(off))
+        for j in fix if k else ():
+            kinks.settle(side, x, j)
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
         if degenerate_run > n + 2:
             bland = True
@@ -518,7 +539,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     out from the problem's size (``MaxIterations``).  Returns a report whose
     ``duals`` dict carries multipliers for every declared constraint block,
     with inactive entries at zero, and whose ``meta['working_set']`` is the
-    final ``(bound states, active inequality rows)`` that
+    final ``(states, active inequality rows, L1 row sides)`` that
     ``parametric_path`` starts from.  With L1 rows the objective includes
     them, and ``duals``, ``r_norm`` and ``s_norm`` are ``certificate``'s.
     """
@@ -562,7 +583,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         lam[act] = np.clip(lam_act, 0.0, None)
         report.r_norm, report.s_norm, lam_lo, lam_up = certificate(problem, x, nu[:me], mu, lam)
         report.duals = {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}
-    report.meta["working_set"] = (at, act)
+    report.meta["working_set"] = (at, act, side)
     if degenerate:
         report.meta["degenerate_hessian"] = True
     return report
@@ -611,20 +632,23 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
 
 
 def parametric_path(problem: QpProblem, slope, start: SolveReport):
-    """Solution path of ``min 0.5 x'Qx + (c + t slope)'x`` over ``t >= 0``.
+    """Solution path of ``min 0.5 x'Qx + (c + t slope)'x``, plus the
+    problem's L1 rows, over ``t >= 0``.
 
-    Markowitz's critical line (1956): on a fixed working set the solution
-    and its multipliers are affine in ``t``.  The walk starts from
-    ``start``, the ``solve_qp`` report of ``problem`` (``t = 0``), and its
-    working set.  On each segment the step ``dx`` is ``_free_step``'s KKT
-    solve with ``slope`` in place of the gradient, and the multipliers'
-    slopes are ``_multipliers`` of ``Q dx + slope``.  A segment ends at the
-    first event: a free variable reaches a bound, an inactive inequality
-    becomes active, or a working-set multiplier reaches zero; that
-    constraint joins or leaves the working set, ties going to the lowest
-    rank as in ``_active_set``.  When ``slope`` pulls along a direction of
-    zero curvature the solution at ``t`` is not unique, and x moves along it
-    at fixed ``t`` to the blocking constraint (``Unbounded`` if none).
+    Markowitz's critical line (1956), with L1 rows the lasso homotopy
+    (Osborne, Presnell & Turlach 2000): on a fixed working set the solution
+    and its multipliers are affine in ``t``.  The walk starts from the
+    ``solve_qp`` report ``start`` (``t = 0``) and its working set.  Each
+    segment's ``dx`` is ``_free_step``'s KKT solve with ``slope`` for the
+    gradient, its multipliers' slopes ``_multipliers`` of ``Q dx + slope``.
+    It ends at the first event, ties going to the lowest rank as in
+    ``_active_set``: a free variable reaches a bound, an inequality becomes
+    active, an L1 row reaches its kink (fixing its weight there, or joining
+    the equality rows), or a multiplier ends its interval (zero,
+    ``_rise_fall``, ``+/-rho``) and its constraint leaves, to that side.
+    When ``slope`` pulls along zero curvature, x moves at fixed ``t`` to the
+    blocking constraint (``Unbounded`` if none).  A working set holding
+    dependent constraints takes least-squares multipliers, which can cycle.
 
     Yields ``(t, x, dx, rate, length)`` per piece: the solution at parameter
     ``t + rate s`` is ``x + s dx`` for ``s`` in ``[0, length]``, ``rate``
@@ -636,21 +660,22 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     q, c = problem.Q, problem.c
     slope = np.asarray(slope, dtype=float).ravel()
     a_eq, _, g, h, lo, up, max_iter = _dense_pieces(problem)
-    m = h.size
+    kinks = None if problem.l1 is None else _Kinks(*problem.l1)
+    m, k = h.size, 0 if kinks is None else kinks.d.size
     has_lo, has_up = np.isfinite(lo), np.isfinite(up)
-    at, act = start.meta["working_set"]
-    at, act = at.copy(), list(act)
+    at, act, side = (v.copy() for v in start.meta["working_set"])
     x, t = start.weights.copy(), 0.0
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
-    ratios = np.empty(m + 2 * n)   # indexed by rank, as in _active_set
-    mult = np.empty((m + 2 * n, 2))  # working-set multipliers and their slopes
+    ratios = np.empty(m + 2 * n + k)   # indexed by rank, as in _active_set
+    mult = np.empty((m + 2 * n + k, 2))  # working-set multipliers and their slopes
     for _ in range(max_iter):
         free = at == _FREE
-        idx = np.flatnonzero(free)
-        g_act = g[act]
+        idx, fixed, g_act = np.flatnonzero(free), ~free, g[act]
+        kg = kinks.general[side[kinks.general] == 0.0] if k else None
+        eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
         dx = np.zeros(n)
         dx[idx], _, flat, _ = _free_step(q.take(idx, 0).take(idx, 1), slope[idx],
-                                         np.vstack([a_eq, g_act]).take(idx, 1))
+                                         np.vstack([eq_rows, g_act]).take(idx, 1))
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
         ratios.fill(np.inf)
         gd = g @ dx
@@ -658,15 +683,24 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         rows[act] = False
         np.divide(h - g @ x, gd, out=ratios[:m], where=rows)
         np.divide(lo - x, dx, out=ratios[m:m + n], where=free & has_lo & (dx < -tiny))
-        np.divide(up - x, dx, out=ratios[m + n:], where=free & has_up & (dx > tiny))
+        np.divide(up - x, dx, out=ratios[m + n:m + 2 * n], where=free & has_up & (dx > tiny))
+        if k:
+            kinks.ratios(side, x, dx, ratios[m + 2 * n:], tiny)
         np.maximum(ratios, 0.0, out=ratios)
         if not flat:
-            _, lam, reduced = _multipliers(
-                np.column_stack([q @ x + c + t * slope, q @ dx + slope]), a_eq, g_act, free)
+            grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
+            nu, lam, reduced = _multipliers(np.column_stack([grad, q @ dx + slope]),
+                                            eq_rows, g_act, free)
             mult.fill(0.0)
             mult[act] = lam
-            mult[m:m + n][at == _LOWER] = reduced[at == _LOWER]
-            mult[m + n:][at == _UPPER] = -reduced[at == _UPPER]
+            # a fixed weight's rise ranks as its lower bound, its fall as its upper
+            rise, fall = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
+            drift = reduced[fixed, 1]
+            mult[m:m + n, 0][fixed], mult[m + n:m + 2 * n, 0][fixed] = rise, fall
+            mult[m:m + n, 1][fixed], mult[m + n:m + 2 * n, 1][fixed] = drift, -drift
+            if k:  # a general kink row's multiplier moves toward +/-rho
+                mu = nu[a_eq.shape[0]:]
+                mult[m + 2 * n + kg] = kinks.rho[kg, None] * [1.0, 0.0] - np.sign(mu[:, 1:]) * mu
             np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,
                       where=mult[:, 1] < -dual_tol)
         length = ratios.min()
@@ -675,21 +709,34 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         yield t, x, dx, 0.0 if flat else 1.0, length
         if length == np.inf:
             return
-        k = int(np.argmax(ratios <= length * (1.0 + 1e-14)))  # lowest rank among ties
+        r = int(np.argmax(ratios <= length * (1.0 + 1e-14)))  # lowest rank among ties
         x = x + length * dx
         if not flat:
             t += length
-        if k < m:
-            if k in act:
-                act.remove(k)
+        if r < m:
+            if r in act:
+                act.remove(r)
             else:
-                act.append(k)
-            continue
-        j, bound = (k - m) % n, _LOWER if k < m + n else _UPPER
-        if at[j] == bound:  # its multiplier reached zero
-            at[j] = _FREE
-        else:
-            at[j], x[j] = bound, (lo if bound == _LOWER else up)[j]
+                act.append(r)
+        elif r < m + 2 * n:
+            j, low = (r - m) % n, r < m + n
+            if at[j] == _FREE:  # it reaches a bound
+                at[j], x[j] = (_LOWER, lo[j]) if low else (_UPPER, up[j])
+                if k:
+                    kinks.settle(side, x, j)
+            else:  # its rise (ranked as its lower bound) or fall reached zero
+                at[j] = _FREE
+                if k:
+                    kinks.release(side, j, up=low)
+        elif side[r - m - 2 * n]:  # an L1 row reaches its kink
+            row = r - m - 2 * n
+            side[row], i = 0.0, kinks.slot[row]
+            if i >= 0:  # a row on one weight fixes it there
+                j = kinks.col[i]
+                at[j], x[j] = _KINK, kinks.d[row] / kinks.coef[i]
+                kinks.settle(side, x, j)
+        else:  # a general row leaves its kink to the side its multiplier reached
+            side[r - m - 2 * n] = np.sign(mu[np.searchsorted(kg, r - m - 2 * n), 1])
     raise MaxIterations(f"parametric path did not end in {max_iter} pivots")
 
 

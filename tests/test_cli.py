@@ -338,17 +338,21 @@ class TestRebalanceDocuments:
         _, _, _, sigma = four_asset
         strategic = [0.4, 0.3, 0.2, 0.1]
         problem = tmp_path / "p.json"
-        problem.write_text(json.dumps({
-            "moments_file": str(four_asset_moments), "te_target": 0.02,
-            "strategic": strategic, "current": [0.25, 0.25, 0.25, 0.25],
-            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}}))
-        out = tmp_path / "path.csv"
-        code = main(["path", "--problem", str(problem), "--param", "rho2",
-                     "--grid", "linear:0:0.01:3", "--out", str(out)])
-        assert code == 0
-        for line in out.read_text().strip().splitlines()[1:]:
-            x = np.array([float(v) for v in line.split(",")[1:5]])
-            assert tracking_error(x, strategic, sigma) == pytest.approx(0.02, abs=1e-6)
+        l1 = [{"kind": "l1", "rho": 5e-4, "anchor": "strategic"}]
+        # an L2 sweep, then an L1 sweep: every point meets the target on the walk
+        for param, penalties in (("rho2", []), ("rho1", l1)):
+            problem.write_text(json.dumps({
+                "moments_file": str(four_asset_moments), "te_target": 0.02,
+                "strategic": strategic, "current": [0.25, 0.25, 0.25, 0.25],
+                "penalties": penalties,
+                "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}}))
+            out = tmp_path / f"{param}.csv"
+            code = main(["path", "--problem", str(problem), "--param", param,
+                         "--grid", "linear:0:0.01:3", "--out", str(out)])
+            assert code == 0
+            for line in out.read_text().strip().splitlines()[1:]:
+                x = np.array([float(v) for v in line.split(",")[1:5]])
+                assert tracking_error(x, strategic, sigma) == pytest.approx(0.02, abs=1e-9)
 
 
 class TestPath:

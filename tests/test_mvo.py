@@ -127,13 +127,6 @@ class TestCalibrateGamma:
         with pytest.raises(ValueError, match="target must be finite"):
             calibrate_gamma(MvoInputs(mu=mu, sigma=sigma), BUDGET, **{kind: np.nan})
 
-    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
-    def test_root_rejects_non_finite_target_unsampled(self, target):
-        samples = []
-        with pytest.raises(ValueError, match="target must be finite"):
-            mvo.monotone_root(samples.append, target, 1e-6)
-        assert samples == []
-
     def test_unreachable_volatility(self, four_asset):
         mu, _, _, sigma = four_asset
         with pytest.raises(errors.TargetUnreachable):

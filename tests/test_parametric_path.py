@@ -1,22 +1,54 @@
 """Seeded property test of the gamma-path walk behind `calibrate_gamma` and
-the QP route of `te_target_to_gamma`.
+`te_target_to_gamma`, with and without L1 slots.
 
 Each target is met to rounding, the answer is the cold solve at the gamma
-returned, and a target is unreachable exactly where the doubling-and-
-bisection search (`mvo.monotone_root`, still the ADMM route's search)
-finds it so.
+returned, and a target is unreachable exactly where a doubling-and-
+bisection search (`monotone_root`, the reference oracle below) finds it
+so.
 """
 
 import numpy as np
 import pytest
 
-from roboalloc import mvo
+from roboalloc import admm, mvo, qp
 from roboalloc.errors import TargetUnreachable
 from roboalloc.market_data import clip_psd
 from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma, solve_gamma_problem
 from roboalloc.pipeline import RoboConfig, rebalance, te_target_to_gamma, tracking_error
 
 _TOL = 1e-6  # gamma 0 answers a target it reaches to within this
+_GAMMA_CAP = 1e6
+
+
+def monotone_root(sample, target, tol):
+    """Reference search for the gamma at which a metric nondecreasing in it
+    meets ``target``: gamma 0 when its value already reaches ``target -
+    tol``, else bracketed by doubling from 1 up to ``_GAMMA_CAP`` and
+    bisected until the value is within ``tol``.  ``sample(gamma)`` returns
+    ``(value, report)``; returns ``(gamma, report)`` at the final gamma."""
+    value, rep = sample(0.0)
+    gamma = lo = 0.0
+    if value < target - tol:
+        hi = 1.0
+        value, rep = sample(hi)
+        while value < target:
+            hi *= 2.0
+            if hi > _GAMMA_CAP:
+                raise TargetUnreachable(f"target {target} not bracketed")
+            value, rep = sample(hi)
+        gamma = hi
+        for _ in range(100):
+            if abs(value - target) <= tol:
+                break
+            gamma = 0.5 * (lo + hi)
+            value, rep = sample(gamma)
+            if value < target:
+                lo = gamma
+            else:
+                hi = gamma
+        else:
+            raise TargetUnreachable("bisection did not reach the target tolerance")
+    return gamma, rep
 
 
 def universe(seed, n, kind):
@@ -51,23 +83,26 @@ def constraints(n, general):
 
 class Case:
     """One target problem: volatility or return through `calibrate_gamma`,
-    or tracking error (with L2 anchors) through `te_target_to_gamma`."""
+    or tracking error through `te_target_to_gamma` with L2 anchors
+    (``te``), and with both L1 slots as well (``te_l1``)."""
 
     def __init__(self, seed, n, kind, general, metric):
         sigma, mu, strategic = universe(seed, n, kind)
         cons = constraints(n, general)
         self.sigma, self.mu, self.metric = sigma, mu, metric
-        self.anchor = strategic if metric == "te" else np.zeros(n)
+        self.te = metric.startswith("te")
+        self.anchor = strategic if self.te else np.zeros(n)
         self.inputs = MvoInputs(mu=mu, sigma=sigma)
         self.cons = cons
+        l1 = {"rho1_strategic": 2e-3, "rho1_turnover": 1e-3} if metric == "te_l1" else {}
         self.config = RoboConfig(strategic=strategic, current=np.full(n, 1.0 / n),
                                  objective="tracking_error", rho2_strategic=0.02,
-                                 rho2_turnover=0.01, constraints=cons)
+                                 rho2_turnover=0.01, constraints=cons, **l1)
 
     def solve(self, gamma, x0=None):
-        """The route's solve at ``gamma``, started from ``x0`` (``None``: its
-        own start, cold for `calibrate_gamma`, the current book for TE)."""
-        if self.metric == "te":
+        """The route's solve at ``gamma``, started from ``x0`` (``None``: the
+        solver's own cold start)."""
+        if self.te:
             return rebalance(self.config, self.mu, self.sigma, gamma=gamma, warm=x0)
         return solve_gamma_problem(self.inputs, gamma, self.cons, x0=x0)
 
@@ -77,7 +112,7 @@ class Case:
         return tracking_error(x, self.anchor, self.sigma)
 
     def walk(self, target):
-        if self.metric == "te":
+        if self.te:
             return te_target_to_gamma(self.config, self.mu, self.sigma, target)
         key = "target_return" if self.metric == "return" else "target_vol"
         return calibrate_gamma(self.inputs, self.cons, **{key: target})
@@ -94,7 +129,7 @@ class Case:
             return values[-1], rep
 
         try:
-            gamma, _ = mvo.monotone_root(sample, target, _TOL)
+            gamma, _ = monotone_root(sample, target, _TOL)
         except TargetUnreachable:
             return True
         # a volatility or tracking-error target below the gamma-0 value is
@@ -123,29 +158,40 @@ CASES = [(seed, n, kind, general, metric)
          for seed, (n, kind) in enumerate((n, kind) for n in (5, 20, 40)
                                           for kind in ("full", "singular", "tied"))
          for general in (False, True)
-         for metric in ("vol", "return", "te")]
+         for metric in ("vol", "return", "te", "te_l1")]
 
 
 @pytest.mark.parametrize("seed,n,kind,general,metric", CASES,
                          ids=[f"{n}-{kind}-{'general' if g else 'box'}-{m}"
                               for _, n, kind, g, m in CASES])
-def test_walk_meets_target_like_a_cold_solve(seed, n, kind, general, metric):
+def test_walk_meets_target_like_a_cold_solve(seed, n, kind, general, metric, monkeypatch):
     case = Case(seed, n, kind, general, metric)
+    route = admm if case.te else mvo
+    solves = []
+
+    def counted(problem, x0=None):
+        solves.append(x0)
+        return qp.solve_qp(problem, x0=x0)
+
     for target in case.targets(np.random.default_rng([12, seed, n])):
         expect_raise = case.bisection_raises(target)
         if expect_raise:
             with pytest.raises(TargetUnreachable):
                 case.walk(target)
             continue
-        gamma, rep = case.walk(target)
+        solves.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(route, "solve_qp", counted)
+            gamma, rep = case.walk(target)
         reached = case.value(rep.weights)
-        if gamma > 0.0:
+        if gamma > 0.0:  # the gamma-0 solve and one at the walk's point
             assert abs(reached - target) <= 1e-12 * abs(target)
+            assert len(solves) == 2
         else:
             assert reached >= target - _TOL
         cold = case.solve(gamma)
         assert np.abs(rep.weights - cold.weights).max() <= 1e-9
         history = rep.meta["calibration"]
         assert all(b[0] >= a[0] for a, b in zip(history, history[1:]))
-        if metric != "te":  # the L2 anchors can make the tracking error dip
+        if not case.te:  # the L2 anchors can make the tracking error dip
             assert all(b[1] >= a[1] - 1e-9 for a, b in zip(history, history[1:]))

@@ -34,6 +34,38 @@ def plain_qp_oracle(config, mu, sigma, gamma):
                               lower=lower, upper=upper))
 
 
+def walks_then_solves_once(ten_asset, monkeypatch, **slots):
+    """A TE target is met on the solution path: the gamma-0 solve from the
+    solver's cold start, then one certified solve started at the walk's
+    point, on the target to 1e-12 and within 1e-10 of a cold solve."""
+    _, _, sigma = ten_asset
+    scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
+    _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
+    cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
+                     rho2_turnover=0.01, **slots)
+    starts, answers = [], []
+
+    def recording(problem, x0=None, **kwargs):
+        starts.append(x0)
+        answers.append(solve_qp(problem, x0=x0, **kwargs))
+        return answers[-1]
+
+    monkeypatch.setattr(admm, "solve_qp", recording)
+    gamma, rep = te_target_to_gamma(cfg, mu, sigma, 0.01)
+    assert len(starts) == 2 and starts[0] is None
+    assert rep is answers[1] and rep.iterations == 1 and rep.gamma == gamma
+    assert np.abs(starts[1] - rep.weights).max() <= 1e-12
+    history = rep.meta["calibration"]
+    assert all(b[0] >= a[0] and b[1] >= a[1] - 1e-12
+               for a, b in zip(history, history[1:]))
+    assert history[-1] == (gamma, tracking_error(rep.weights, EW10, sigma))
+    monkeypatch.undo()
+    assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
+        0.01, rel=1e-12, abs=0.0)
+    cold = rebalance(cfg, mu, sigma, gamma=gamma)
+    assert np.abs(rep.weights - cold.weights).max() <= 1e-10
+
+
 class TestRebalance:
     def test_no_penalties_reduces_to_constrained_solve(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
@@ -206,77 +238,40 @@ class TestTeTargeting:
             rebalance(cfg, mu, sigma)
 
     def test_qp_route_walks_then_solves_once(self, ten_asset, monkeypatch):
+        walks_then_solves_once(ten_asset, monkeypatch)
+
+    def test_l1_route_walks_then_solves_once(self, ten_asset, monkeypatch):
+        # both L1 slots anchored at the book: the gamma-0 answer sits on
+        # every kink and the budget row at once
+        walks_then_solves_once(ten_asset, monkeypatch, rho1_strategic=1e-4,
+                               rho1_turnover=1e-4)
+
+    def test_extra_sets_rejected_before_any_solve(self, ten_asset, monkeypatch):
         _, _, sigma = ten_asset
-        scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
-        _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
+        mu = np.linspace(0.02, 0.08, 10)
         cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
-                         rho2_turnover=0.01)
-        starts, answers = [], []
-
-        def recording(problem, x0=None, **kwargs):
-            starts.append(x0)
-            answers.append(solve_qp(problem, x0=x0, **kwargs))
-            return answers[-1]
-
-        monkeypatch.setattr(admm, "solve_qp", recording)
-        gamma, rep = te_target_to_gamma(cfg, mu, sigma, 0.01)
-        # the gamma-0 solve from the solver's cold start, then one certified
-        # solve started at the walk's point
-        assert len(starts) == 2 and starts[0] is None
-        assert rep is answers[1] and rep.iterations == 1 and rep.gamma == gamma
-        assert np.abs(starts[1] - rep.weights).max() <= 1e-12
-        history = rep.meta["calibration"]
-        assert all(b[0] >= a[0] and b[1] >= a[1] - 1e-12
-                   for a, b in zip(history, history[1:]))
-        assert history[-1] == (gamma, tracking_error(rep.weights, EW10, sigma))
-        monkeypatch.undo()
-        assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
-            0.01, rel=1e-12, abs=0.0)
-        cold = rebalance(cfg, mu, sigma, gamma=gamma)
-        assert np.abs(rep.weights - cold.weights).max() <= 1e-10
-
-    def test_te_target_rebalance_solves_each_gamma_once(self, ten_asset, monkeypatch):
-        # the L1 route still brackets and bisects, one exact solve per gamma
-        _, _, sigma = ten_asset
-        scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
-        _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
-        cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error",
-                         rho1_strategic=1e-4, rho2_turnover=0.01, te_target=0.01)
-        samples, solves = [], []
-        solve_qp = admm.solve_qp
-
-        def sampled(config, mu, sigma, gamma=None, warm=None):
-            samples.append((gamma, rebalance(config, mu, sigma, gamma=gamma, warm=warm)))
-            return samples[-1][1]
-
-        def solved(prob, x0=None):
-            solves.append(prob)
-            return solve_qp(prob, x0)
-
-        monkeypatch.setattr(pipeline, "rebalance", sampled)
-        monkeypatch.setattr(admm, "solve_qp", solved)
-        rep = rebalance(cfg, mu, sigma)
-        gammas = [g for g, _ in samples]
-        assert len(gammas) == len(set(gammas)) > 3
-        assert len(solves) == len(samples)
-        assert rep is samples[-1][1] and rep.gamma == gammas[-1]
-        assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(0.01, abs=1e-6)
+                         rho1_strategic=1e-4, extra_sets=(L2Ball(1.0),), te_target=0.01)
+        solves = []
+        monkeypatch.setattr(admm, "admm_solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(admm, "solve_qp", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="extra sets"):
+            rebalance(cfg, mu, sigma)
+        with pytest.raises(ValueError, match="extra sets"):
+            te_target_to_gamma(cfg, mu, sigma, 0.01)
+        assert solves == []
 
     @pytest.mark.parametrize("warm", [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
                                       [1.0, 0.0, 0.0, 0.0]],
                              ids=["equal", "reversed", "corner"])
     def test_weights_warm_start_on_admm_route_gives_cold_answer(self, four_asset_alt,
                                                                 warm):
-        # tight residuals: at the default 1e-10 each answer is only within a
-        # few 1e-9 of the exact one, wherever it starts
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error",
-                         gamma=0.1, rho1_strategic=1e-3,
-                         admm=AdmmParams(eps_primal=1e-12, eps_dual=1e-12))
+                         gamma=0.1, rho1_strategic=1e-3)
         cold = rebalance(cfg, mu, sigma)
         rep = rebalance(cfg, mu, sigma, warm=np.array(warm))
         assert cold.converged and rep.converged
-        assert np.abs(rep.weights - cold.weights).max() <= 1e-9
+        assert np.abs(rep.weights - cold.weights).max() <= 1e-12
 
     @pytest.mark.parametrize("rho1", [0.0, 1e-3], ids=["qp_route", "admm_route"])
     def test_non_finite_target_rejected(self, four_asset_alt, rho1):
