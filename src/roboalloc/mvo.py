@@ -229,11 +229,6 @@ def _crossing(metric, x, dx, level: float) -> float:
     return 2.0 * gap / root if root > 0.0 else np.inf
 
 
-def _not_reached(target: float, value: float) -> TargetUnreachable:
-    return TargetUnreachable(f"target {target} not bracketed up to "
-                             f"gamma={_GAMMA_CAP:.0e} (reached {value:.6g})")
-
-
 def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: float):
     """Trade-off parameter at which a metric of a QP route's answer meets a
     target, found on the solution path rather than by search.
@@ -269,7 +264,8 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
             history.append((t, _value(metric, x)))
         s = _crossing(metric, x, dx, level)
         if rate and t + length > _GAMMA_CAP and s > _GAMMA_CAP - t:
-            raise _not_reached(target, _value(metric, x + (_GAMMA_CAP - t) * dx))
+            raise TargetUnreachable(f"target {target} not bracketed up to gamma={_GAMMA_CAP:.0e} "
+                                    f"(reached {_value(metric, x + (_GAMMA_CAP - t) * dx):.6g})")
         if s <= length:
             break
     if not rate and s > 0.0:

@@ -79,18 +79,14 @@ class QpProblem:
         if np.abs(self.Q - self.Q.T).max() > 1e-12 * max(1.0, np.abs(self.Q).max()):
             raise ValueError("Q must be symmetric")
         self.Q = 0.5 * (self.Q + self.Q.T)
-        if self.eq is not None:
-            a, b = self.eq
-            self.eq = (np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel())
-            if self.eq[0].shape != (self.eq[1].size, n):
-                raise ValueError("equality block dimensions disagree")
-            _check_finite("eq", *self.eq)
-        if self.ineq is not None:
-            g, h = self.ineq
-            self.ineq = (np.atleast_2d(np.asarray(g, float)), np.asarray(h, float).ravel())
-            if self.ineq[0].shape != (self.ineq[1].size, n):
-                raise ValueError("inequality block dimensions disagree")
-            _check_finite("ineq", *self.ineq)
+        for name, what in (("eq", "equality"), ("ineq", "inequality")):
+            if getattr(self, name) is not None:
+                a, b = getattr(self, name)
+                a, b = np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel()
+                if a.shape != (b.size, n):
+                    raise ValueError(f"{what} block dimensions disagree")
+                _check_finite(name, a, b)
+                setattr(self, name, (a, b))
         if self.l1 is not None:
             g, d, rho = self.l1
             g, d = np.atleast_2d(np.asarray(g, float)), np.asarray(d, float).ravel()
@@ -138,13 +134,6 @@ class _Kinks:
         self.slot = np.full(d.size, -1)  # each single row's place in ``single``
         self.slot[self.single] = np.arange(self.single.size)
 
-    def ratios(self, side, x, p, out, tiny):
-        """Kink-row ratio test: into ``out``, the step along ``p`` to each row's
-        kink that it moves toward by more than ``tiny``.  Returns ``g p``."""
-        gp = self.g @ p
-        np.divide(self.d - self.g @ x, gp, out=out, where=side * gp < -tiny)
-        return gp
-
     def release(self, side, j, up):
         """Weight ``j`` leaves its kinks up or down: its rows there follow."""
         on = self.single[(self.col == j) & (side[self.single] == 0.0)]
@@ -180,6 +169,27 @@ class _Kinks:
         if limit == np.inf:
             raise Unbounded("descent past every kink with no blocking constraint")
         return limit, int(np.argmax(ratios[:start] <= limit + 1e-15))
+
+
+def _ratio_test(ratios, x, p, tiny, free, g, h, act, lo, up, kinks=None, side=None):
+    """Into ``ratios``, indexed by rank, the step along ``p`` to each
+    inactive row, free variable's bound and L1 row's kink that it moves
+    toward by more than ``tiny``, at least zero; infinite for the others.
+    Returns the L1 rows' ``g p``."""
+    m, n = h.size, x.size
+    ratios.fill(np.inf)
+    gp = g @ p
+    if m:
+        hit = gp < -tiny
+        hit[act] = False
+        np.divide(h - g @ x, gp, out=ratios[:m], where=hit)
+    np.divide(lo - x, p, out=ratios[m:m + n], where=free & np.isfinite(lo) & (p < -tiny))
+    np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & np.isfinite(up) & (p > tiny))
+    if kinks is not None:
+        gp = kinks.g @ p
+        np.divide(kinks.d - kinks.g @ x, gp, out=ratios[m + 2 * n:], where=side * gp < -tiny)
+    np.maximum(ratios, 0.0, out=ratios)
+    return gp
 
 
 def _rise_fall(at, fixed, reduced, kinks=None, side=None):
@@ -325,7 +335,6 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
         side = np.where(np.abs(off) <= tol, 0.0, np.sign(off))
         cols = kinks.col[side[kinks.single] == 0.0]
         at[cols] = np.where(at[cols] == _FREE, _KINK, at[cols])
-    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
     ratios = np.empty(m + 2 * n + k)   # indexed by rank
     degenerate_run = 0
     bland = settled = False
@@ -389,19 +398,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
                 i = drop - len(act) - fixed.size
                 side[kg[i]] = np.sign(mu[i])
             continue
-        # ratio test over the inactive rows, the free variables' bounds and
-        # the L1 rows off their kinks
-        ratios.fill(np.inf)
-        if m:
-            gp = g @ p
-            rows = gp < -1e-13
-            rows[act] = False
-            np.divide(h - g @ x, gp, out=ratios[:m], where=rows)
-        np.divide(lo - x, p, out=ratios[m:m + n], where=free & has_lo & (p < -1e-13))
-        np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & has_up & (p > 1e-13))
-        if k:
-            gp = kinks.ratios(side, x, p, ratios[m + 2 * n:], 1e-13)
-        np.maximum(ratios, 0.0, out=ratios)
+        gp = _ratio_test(ratios, x, p, 1e-13, free, g, h, act, lo, up, kinks, side)
         alpha = np.inf if flat else 1.0
         blocking = -1
         if ratios.size and ratios.min() < alpha - 1e-15:
@@ -647,8 +644,12 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     the equality rows), or a multiplier ends its interval (zero,
     ``_rise_fall``, ``+/-rho``) and its constraint leaves, to that side.
     When ``slope`` pulls along zero curvature, x moves at fixed ``t`` to the
-    blocking constraint (``Unbounded`` if none).  A working set holding
-    dependent constraints takes least-squares multipliers, which can cycle.
+    blocking constraint (``Unbounded`` if none).  Rows dependent on the free
+    block (as at a start on a weight's and its general rows' kinks) leave
+    the multipliers free along a null direction: at fixed ``x`` and ``t``
+    they move along it until one ends its interval and that constraint
+    leaves, so pieces have unique multipliers.  Rows that pin the free block
+    leave it still.
 
     Yields ``(t, x, dx, rate, length)`` per piece: the solution at parameter
     ``t + rate s`` is ``x + s dx`` for ``s`` in ``[0, length]``, ``rate``
@@ -662,7 +663,6 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     a_eq, _, g, h, lo, up, max_iter = _dense_pieces(problem)
     kinks = None if problem.l1 is None else _Kinks(*problem.l1)
     m, k = h.size, 0 if kinks is None else kinks.d.size
-    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
     at, act, side = (v.copy() for v in start.meta["working_set"])
     x, t = start.weights.copy(), 0.0
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
@@ -673,46 +673,50 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         idx, fixed, g_act = np.flatnonzero(free), ~free, g[act]
         kg = kinks.general[side[kinks.general] == 0.0] if k else None
         eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
-        dx = np.zeros(n)
-        dx[idx], _, flat, _ = _free_step(q.take(idx, 0).take(idx, 1), slope[idx],
-                                         np.vstack([eq_rows, g_act]).take(idx, 1))
+        rows = np.vstack([eq_rows, -g_act])  # signed as in _multipliers
+        c_f, dx, flat, null = rows.take(idx, 1), np.zeros(n), False, None
+        if c_f.shape[0] >= idx.size or k and kg.size:  # a null direction of the rows
+            basis = _nullspace(c_f.T, c_f.shape[0])    # that moves a bounded multiplier
+            moves = np.abs(np.vstack([basis[a_eq.shape[0]:], rows.T[fixed] @ basis]))
+            moves = moves.max(axis=0, initial=0.0)
+            null = basis[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
+        if null is None and c_f.shape[0] < idx.size:  # else the rows pin the free block
+            dx[idx], _, flat, _ = _free_step(q.take(idx, 0).take(idx, 1), slope[idx], c_f)
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
-        ratios.fill(np.inf)
-        gd = g @ dx
-        rows = gd < -tiny
-        rows[act] = False
-        np.divide(h - g @ x, gd, out=ratios[:m], where=rows)
-        np.divide(lo - x, dx, out=ratios[m:m + n], where=free & has_lo & (dx < -tiny))
-        np.divide(up - x, dx, out=ratios[m + n:m + 2 * n], where=free & has_up & (dx > tiny))
-        if k:
-            kinks.ratios(side, x, dx, ratios[m + 2 * n:], tiny)
-        np.maximum(ratios, 0.0, out=ratios)
+        _ratio_test(ratios, x, dx, tiny, free, g, h, act, lo, up, kinks, side)
         if not flat:
             grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
             nu, lam, reduced = _multipliers(np.column_stack([grad, q @ dx + slope]),
                                             eq_rows, g_act, free)
-            mult.fill(0.0)
-            mult[act] = lam
-            # a fixed weight's rise ranks as its lower bound, its fall as its upper
-            rise, fall = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
-            drift = reduced[fixed, 1]
-            mult[m:m + n, 0][fixed], mult[m + n:m + 2 * n, 0][fixed] = rise, fall
-            mult[m:m + n, 1][fixed], mult[m + n:m + 2 * n, 1][fixed] = drift, -drift
-            if k:  # a general kink row's multiplier moves toward +/-rho
-                mu = nu[a_eq.shape[0]:]
-                mult[m + 2 * n + kg] = kinks.rho[kg, None] * [1.0, 0.0] - np.sign(mu[:, 1:]) * mu
-            np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,
-                      where=mult[:, 1] < -dual_tol)
+            for turn in (1.0, -1.0):
+                if null is not None:  # one way or the other along the null direction
+                    nu[:, 1], lam[:, 1] = np.split(turn * null, [len(nu)])
+                    reduced[:, 1] = rows.T @ (turn * null)
+                mult.fill(0.0)
+                mult[act] = lam
+                # a fixed weight's rise ranks as its lower bound, its fall as its upper
+                rise, fall = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
+                drift = reduced[fixed, 1]
+                mult[m:m + n, 0][fixed], mult[m + n:m + 2 * n, 0][fixed] = rise, fall
+                mult[m:m + n, 1][fixed], mult[m + n:m + 2 * n, 1][fixed] = drift, -drift
+                if k:  # a general kink row's multiplier moves toward +/-rho
+                    mu = nu[a_eq.shape[0]:]
+                    mult[m + 2 * n + kg] = (kinks.rho[kg, None] * [1.0, 0.0]
+                                            - np.sign(mu[:, 1:]) * mu)
+                np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,
+                          where=mult[:, 1] < -dual_tol)
+                if null is None or ratios.min() < np.inf:
+                    break
         length = ratios.min()
-        if flat and length == np.inf:
-            raise Unbounded("zero-curvature direction with no blocking constraint")
-        yield t, x, dx, 0.0 if flat else 1.0, length
-        if length == np.inf:
-            return
         r = int(np.argmax(ratios <= length * (1.0 + 1e-14)))  # lowest rank among ties
-        x = x + length * dx
-        if not flat:
-            t += length
+        if null is None:  # a piece; otherwise a constraint leaves at fixed x and t
+            if flat and length == np.inf:
+                raise Unbounded("zero-curvature direction with no blocking constraint")
+            yield t, x, dx, 0.0 if flat else 1.0, length
+            if length == np.inf:
+                return
+            x = x + length * dx
+            t += 0.0 if flat else length
         if r < m:
             if r in act:
                 act.remove(r)
@@ -783,6 +787,4 @@ def augment_l1(problem: QpProblem, gamma1: np.ndarray, rho1: float,
         problem.upper if problem.upper is not None else np.full(n, np.inf),
         np.full(2 * n, np.inf),
     ])
-    out = QpProblem(Q=q, c=c, eq=eq, ineq=ineq, lower=lower, upper=upper)
-    out.meta["augmented_from"] = n
-    return out
+    return QpProblem(Q=q, c=c, eq=eq, ineq=ineq, lower=lower, upper=upper)

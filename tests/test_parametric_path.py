@@ -84,7 +84,10 @@ def constraints(n, general):
 class Case:
     """One target problem: volatility or return through `calibrate_gamma`,
     or tracking error through `te_target_to_gamma` with L2 anchors
-    (``te``), and with both L1 slots as well (``te_l1``)."""
+    (``te``), with both L1 slots as well (``te_l1``), and with a strategic
+    L1 slot whose rows mix weights (``te_l1_mixed``: a seeded matrix of
+    ``n`` rows, about half its entries zero, so the walk meets general rows
+    joining and leaving their kinks)."""
 
     def __init__(self, seed, n, kind, general, metric):
         sigma, mu, strategic = universe(seed, n, kind)
@@ -94,7 +97,10 @@ class Case:
         self.anchor = strategic if self.te else np.zeros(n)
         self.inputs = MvoInputs(mu=mu, sigma=sigma)
         self.cons = cons
-        l1 = {"rho1_strategic": 2e-3, "rho1_turnover": 1e-3} if metric == "te_l1" else {}
+        l1 = {"rho1_strategic": 2e-3, "rho1_turnover": 1e-3} if "l1" in metric else {}
+        if metric == "te_l1_mixed":
+            rng = np.random.default_rng([13, seed, n])
+            l1["gamma1_strategic"] = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
         self.config = RoboConfig(strategic=strategic, current=np.full(n, 1.0 / n),
                                  objective="tracking_error", rho2_strategic=0.02,
                                  rho2_turnover=0.01, constraints=cons, **l1)
@@ -158,7 +164,7 @@ CASES = [(seed, n, kind, general, metric)
          for seed, (n, kind) in enumerate((n, kind) for n in (5, 20, 40)
                                           for kind in ("full", "singular", "tied"))
          for general in (False, True)
-         for metric in ("vol", "return", "te", "te_l1")]
+         for metric in ("vol", "return", "te", "te_l1", "te_l1_mixed")]
 
 
 @pytest.mark.parametrize("seed,n,kind,general,metric", CASES,
@@ -195,3 +201,35 @@ def test_walk_meets_target_like_a_cold_solve(seed, n, kind, general, metric, mon
         assert all(b[0] >= a[0] for a, b in zip(history, history[1:]))
         if not case.te:  # the L2 anchors can make the tracking error dip
             assert all(b[1] >= a[1] - 1e-9 for a, b in zip(history, history[1:]))
+
+
+def test_walk_from_dependent_start_meets_target(monkeypatch):
+    """A 12-weight book whose gamma-0 answer is its strategic book, on the
+    budget row and the kinks of all 24 rows of a strategic L1 slot that
+    mixes weights: the walk starts on a dependent working set.  It still
+    meets the target with two solves, at the cold solve's weights."""
+    n = 12
+    sigma, mu, strategic = universe(22, n, "full")
+    rng = np.random.default_rng([6, 22])
+    current = rng.dirichlet(np.ones(n))
+    gamma1 = rng.standard_normal((2 * n, n)) * (rng.random((2 * n, n)) < 0.5)
+    config = RoboConfig(strategic=strategic, current=current, rho1_strategic=1e-3,
+                        gamma1_strategic=gamma1, rho1_turnover=5e-4,
+                        constraints=ConstraintSet(budget=1.0, lower=0.0, upper=2.5 / n))
+    low, high = (tracking_error(rebalance(config, mu, sigma, gamma=g).weights, strategic, sigma)
+                 for g in (0.0, 1e4))
+    assert low <= 1e-12
+    target = low + 0.37 * (high - low)
+    solves = []
+
+    def counted(problem, x0=None):
+        solves.append(x0)
+        return qp.solve_qp(problem, x0=x0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(admm, "solve_qp", counted)
+        gamma, rep = te_target_to_gamma(config, mu, sigma, target)
+    assert abs(tracking_error(rep.weights, strategic, sigma) - target) <= 1e-12 * target
+    assert len(solves) == 2
+    cold = rebalance(config, mu, sigma, gamma=gamma)
+    assert np.abs(rep.weights - cold.weights).max() <= 1e-9
