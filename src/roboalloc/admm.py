@@ -23,8 +23,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import prox
 from .errors import Infeasible, NoConvergence
-from .mvo import ConstraintSet
-from .qp import QpProblem, feasible_point, solve_qp
+from .mvo import ConstraintSet, exact_problem
+from .qp import feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
@@ -195,18 +195,6 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     return report
 
 
-def exact_problem(p_mat, q_vec, blocks, constraints: ConstraintSet) -> QpProblem:
-    """The exact route's ``QpProblem``: ``0.5 x'Px - q'x`` over the
-    constraint set, each L1 block ``(G_i, d_i, prox.SoftThreshold(rho))``
-    becoming the ``l1`` rows ``rho |G_i x - d_i|``."""
-    eq, ineq, lower, upper = constraints.qp_pieces(q_vec.size)
-    l1 = None if not blocks else (
-        np.vstack([g for g, _, _ in blocks]),
-        np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks])),
-        np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
-    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
-
-
 def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
                     extra_sets=(), params: AdmmParams | None = None, x_init=None,
                     objective=None) -> SolveReport:
@@ -322,8 +310,8 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     m = g1.shape[0]
     if not 1 <= n1 <= m:
         raise ValueError(f"n1 must be in [1, {m}]")
-    eq, ineq, lower, upper = (ConstraintSet() if constraints is None else constraints).qp_pieces(n)
-    eq = eq or (np.zeros((0, n)), np.zeros(0))
+    base = exact_problem(p_mat, q_vec, (), ConstraintSet() if constraints is None else constraints)
+    eq = base.eq or (np.zeros((0, n)), np.zeros(0))
     heap, order = [], itertools.count()
 
     def push(pinned, kept, rep=None):
@@ -333,8 +321,7 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
             rows = g1[sorted(pinned)]
             pins = (np.vstack([eq[0], rows]), np.concatenate([eq[1], rows @ x0]))
             try:
-                rep = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=pins, ineq=ineq,
-                                         lower=lower, upper=upper))
+                rep = solve_qp(replace(base, eq=pins))
             except Infeasible:
                 return False
         heapq.heappush(heap, (rep.objective, -next(order), pinned, kept, rep))

@@ -93,6 +93,18 @@ class ConstraintSet:
         return a_eq, b_eq, sets
 
 
+def exact_problem(p_mat, q_vec, blocks, constraints: ConstraintSet) -> QpProblem:
+    """The ``QpProblem`` of ``0.5 x'Px - q'x`` over the constraint set, each
+    L1 block ``(G_i, d_i, prox.SoftThreshold(rho))`` becoming the ``l1`` rows
+    ``rho |G_i x - d_i|``: every QP built from a ``ConstraintSet`` is built here."""
+    eq, ineq, lower, upper = constraints.qp_pieces(q_vec.size)
+    l1 = None if not blocks else (
+        np.vstack([g for g, _, _ in blocks]),
+        np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks])),
+        np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
+    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
+
+
 @dataclass
 class StevensReport:
     """Per-asset hedging regression quantities and the implied optimal weights."""
@@ -136,10 +148,8 @@ def solve_gamma_problem(inputs: MvoInputs, gamma: float,
         obj = 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess
         return SolveReport(weights=x, objective=float(obj), status=CONVERGED,
                            iterations=0, gamma=float(gamma))
-    eq, ineq, lower, upper = constraints.qp_pieces(inputs.n)
-    problem = QpProblem(Q=inputs.sigma, c=-gamma * inputs.excess,
-                        eq=eq, ineq=ineq, lower=lower, upper=upper)
-    report = solve_qp(problem, x0=x0)
+    report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, (), constraints),
+                      x0=x0)
     report.gamma = float(gamma)
     return report
 
@@ -159,7 +169,7 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     walks the solution path from gamma 0 and meets the target exactly
     within its segment, then solves once at that gamma from the walk's
     point.  A volatility target below the gamma-0 volatility is
-    ``TargetUnreachable``.  Returns ``(gamma, report)``; the path's
+    ``TargetUnreachable`` (``path_root``).  Returns ``(gamma, report)``; the path's
     ``(gamma, value)`` entries are recorded in ``report.meta['calibration']``.
     """
     if (target_return is None) == (target_vol is None):
@@ -177,21 +187,14 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         report = solve_gamma_problem(inputs, gamma)
         return gamma, report
 
-    eq, ineq, lower, upper = constraints.qp_pieces(inputs.n)
-    problem = QpProblem(Q=inputs.sigma, c=np.zeros(inputs.n), eq=eq, ineq=ineq,
-                        lower=lower, upper=upper)
+    problem = exact_problem(inputs.sigma, np.zeros(inputs.n), (), constraints)
     if target_vol is None:
         metric, target = (None, inputs.mu), target_return
     else:
         metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
-    gamma, rep = path_root(
+    return path_root(
         lambda gam, x0: solve_gamma_problem(inputs, gam, constraints, x0=x0),
         problem, -inputs.excess, metric, target, _CAL_TOL)
-    lowest = rep.meta["calibration"][0][1]
-    if gamma == 0.0 and target_vol is not None and lowest > target + _CAL_TOL:
-        raise TargetUnreachable(
-            f"volatility target {target} below minimum attainable {lowest:.6f}")
-    return gamma, rep
 
 
 def _level(metric, x) -> float:
@@ -243,10 +246,11 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
     walks from the gamma-0 answer; on each piece the metric is a quadratic
     (or linear) function of the step, so the target is met exactly where it
     first crosses, and one ``solve`` at that gamma from the walk's point gives
-    the report.  A crossing beyond ``_GAMMA_CAP``, including a last segment
-    that stays below the target, is ``TargetUnreachable``; so is a crossing
-    inside a move at fixed gamma (a singular covariance), where the optimum
-    is not unique and no solve at that gamma would answer the target.  The
+    the report.  A volatility above ``target + tol`` at gamma 0 is
+    ``TargetUnreachable``; so is a crossing beyond ``_GAMMA_CAP``, including
+    a last segment that stays below the target, and a crossing inside a
+    move at fixed gamma (a singular covariance), where the optimum is not
+    unique and no solve at that gamma would answer the target.  The
     report's ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0,
     at each breakpoint and at the answer.  Returns ``(gamma, report)``.  A
     non-finite target raises ``ValueError`` before any solve.
@@ -255,6 +259,9 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
         raise ValueError(f"target must be finite, got {target}")
     rep = solve(0.0, None)
     history = [(0.0, _value(metric, rep.weights))]
+    if metric[0] is not None and history[0][1] > target + tol:
+        raise TargetUnreachable(f"target {target} below the minimum attainable "
+                                f"{history[0][1]:.6f}, at gamma 0")
     if history[0][1] >= target - tol:
         rep.meta["calibration"] = history
         return 0.0, rep

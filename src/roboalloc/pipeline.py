@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmParams, exact_problem, solve_penalized
+from .admm import AdmmParams, solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
-from .mvo import ConstraintSet, path_root
+from .mvo import ConstraintSet, exact_problem, path_root
 from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, atomic_write
 
@@ -155,16 +155,10 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec, blocks, _ = _terms(base, mu, sigma, 0.0)
-    gamma, rep = path_root(
+    return path_root(
         lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
         exact_problem(p_mat, q_vec, blocks, config.constraints), -mu,
         (sigma, config.strategic), te_target, _TE_TOL)
-    if gamma == 0.0:
-        lowest = tracking_error(rep.weights, config.strategic, sigma)
-        if lowest > te_target + _TE_TOL:
-            raise TargetUnreachable(f"tracking-error target {te_target} below the minimum "
-                                    f"attainable {lowest:.6f}")
-    return gamma, rep
 
 
 @dataclass

@@ -28,11 +28,17 @@ with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
 read off the reduced gradient at the fixed variables.  With L1 rows the
 report's multipliers and residuals come from ``certificate``, which reads
 the problem data only.
+
+The active set and the path walk share one working set and rank each of
+``m`` inequalities, ``n`` weights and the L1 rows: inequality ``i`` ranks
+``i``, weight ``j``'s lower bound or rise ``m + j``, its upper bound or
+fall ``m + n + j``, L1 row ``l`` ``m + 2n + l``.  Step lengths and
+multipliers are read by rank, and ``_pivot`` applies the event at a rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -66,7 +72,6 @@ class QpProblem:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     l1: tuple | None = None      # (G, d, rho): + sum_l rho_l |G_l x - d_l|
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
@@ -204,6 +209,50 @@ def _rise_fall(at, fixed, reduced, kinks=None, side=None):
             np.where(state == _LOWER, np.inf, width - reduced))
 
 
+def _pivot(r, m, at, act, side, x, lo, up, kinks=None, lean=0.0):
+    """Apply the event at rank ``r`` to the working set ``(at, act, side)``
+    and ``x``: a constraint outside it joins, one inside leaves.  A free
+    weight is fixed at its bound, a fixed one freed up at its rise rank or
+    down at its fall rank; an L1 row off its kink reaches it (a row on one
+    weight fixing that weight there), a general row at its kink leaves to
+    the side ``lean``."""
+    n = x.size
+    if r < m:
+        (act.remove if r in act else act.append)(r)
+    elif r < m + 2 * n:
+        j, low = (r - m) % n, r < m + n
+        if at[j] == _FREE:
+            at[j], x[j] = (_LOWER, lo[j]) if low else (_UPPER, up[j])
+            if kinks is not None:
+                kinks.settle(side, x, j)
+        else:
+            at[j] = _FREE
+            if kinks is not None:
+                kinks.release(side, j, up=low)
+    elif side[r - m - 2 * n]:
+        row = r - m - 2 * n
+        side[row], i = 0.0, kinks.slot[row]
+        if i >= 0:
+            j = kinks.col[i]
+            at[j], x[j] = _KINK, kinks.d[row] / kinks.coef[i]
+            kinks.settle(side, x, j)
+    else:
+        side[r - m - 2 * n] = lean
+
+
+def _bland(neg, m, at, side, kinks=None):
+    """Bland's rule: the lowest of the violating ranks ``neg``, a weight at
+    a kink ranking as its lowest row there, as in the ratio test."""
+    key = neg
+    if kinks is not None:
+        n, there = at.size, side[kinks.single] == 0.0
+        first = np.full(n, m + 2 * n + kinks.d.size)
+        np.minimum.at(first, kinks.col[there], m + 2 * n + kinks.single[there])
+        j = (neg - m) % n
+        key = np.where((neg >= m) & (neg < m + 2 * n) & (at[j] == _KINK), first[j], neg)
+    return int(neg[np.argmin(key)])
+
+
 def _nullspace(a, n):
     """Orthonormal basis of the nullspace of ``a`` (identity if no rows)."""
     if a.shape[0] == 0:
@@ -313,12 +362,12 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
     their kinks (equality rows, as the equalities always are).  ``side`` is
     each L1 row's side of its kink, 0 at it; an L1 row off its kink adds
     ``rho_l side_l g_l`` to the gradient.  States are read off ``x0`` to
-    ``tol``.  A fixed variable's multiplier is its smaller one-sided
-    derivative, its kinks adding their widths; a general kink row's is
-    ``rho_l - |mu_l|``.  Constraints are ranked inequalities first, then
-    lower and upper bounds by variable, then L1 rows; the ratio test breaks
-    ties by that rank, and after a run of degenerate steps the multiplier
-    test switches to Bland's rule on it to break cycles.
+    ``tol``.  The multiplier test writes the working set's multipliers by
+    rank, +inf off it: an active inequality's, a fixed variable's one-sided
+    derivatives at its rise and fall ranks (its kinks adding their widths),
+    a general kink row's ``rho_l - |mu_l|``.  ``_pivot`` applies the most
+    negative and the ratio test's blocking constraint, ties going to the
+    lowest rank; after a run of degenerate steps ``_bland`` picks instead.
     Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
     reduced))``, the last being ``_multipliers`` at ``x``.
     """
@@ -336,9 +385,9 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
         cols = kinks.col[side[kinks.single] == 0.0]
         at[cols] = np.where(at[cols] == _FREE, _KINK, at[cols])
     ratios = np.empty(m + 2 * n + k)   # indexed by rank
+    mult = np.empty(m + 2 * n + k)     # working-set multipliers by rank, +inf off it
     degenerate_run = 0
-    bland = settled = False
-    saw_degenerate = False
+    bland = settled = saw_degenerate = False
     for it in range(1, max_iter + 1):
         free = at == _FREE
         idx = np.flatnonzero(free)
@@ -360,43 +409,27 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
             settled = False
             nu, lam, reduced = _multipliers(grad, eq_rows, g_act, free)
             fixed = np.flatnonzero(~free)
-            rise, fall = _rise_fall(at, fixed, reduced, kinks, side)
+            mult.fill(np.inf)
+            mult[act] = lam
+            mult[m + fixed], mult[m + n + fixed] = _rise_fall(at, fixed, reduced, kinks, side)
             mu = nu[a_eq.shape[0]:]
-            mult = np.concatenate([lam, np.minimum(rise, fall), kinks.rho[kg] - np.abs(mu)
-                                   if k else mu])
+            mult[m + 2 * n + kg] = kinks.rho[kg] - np.abs(mu) if k else mu
             neg = np.flatnonzero(mult < -1e-9)
             if neg.size == 0:
                 return x, at, act, side, it, saw_degenerate, (nu, lam, reduced)
-            if bland:  # lowest-ranked constraint among the violators
-                rank = m + fixed + n * (at[fixed] == _UPPER)
-                if k:  # a weight at a kink ranks as its lowest row there
-                    first = np.full(n, m + 2 * n + k)
-                    there = side[kinks.single] == 0.0
-                    np.minimum.at(first, kinks.col[there], m + 2 * n + kinks.single[there])
-                    rank = np.where(at[fixed] == _KINK, first[fixed], rank)
-                rank = np.concatenate([act, rank, m + 2 * n + kg])
-                drop = neg[np.argmin(rank[neg])]
-            else:
-                drop = int(np.argmin(mult))
-            if drop < len(act):
-                act.pop(drop)
-            elif drop < len(act) + fixed.size:
-                # with L1 rows every violating weight leaves at once (one under
-                # Bland's rule); its rows at a kink take the side it leaves to.
-                # Keyed on L1 rows as measured on the benchmark's traced runs:
-                # on plain QPs it raises target_calibration's active-set
-                # iterations from 137 to 217, and dropping one weight at a
-                # time raises nightly_rebalance's L1 ones from 561 to 736
-                leave = neg[(neg >= len(act)) & (neg < len(act) + fixed.size)] \
-                    if k and not bland else np.array([drop])
-                for i in leave - len(act):
-                    j = fixed[i]
-                    at[j] = _FREE
-                    if k:
-                        kinks.release(side, j, rise[i] < fall[i])
-            else:
-                i = drop - len(act) - fixed.size
-                side[kg[i]] = np.sign(mu[i])
+            drop = _bland(neg, m, at, side, kinks) if bland else int(np.argmin(mult))
+            leave = [drop]
+            if k and not bland and m <= drop < m + 2 * n:
+                # with L1 rows every violating weight leaves at once; its rows at
+                # a kink take the side it leaves to.  Keyed on L1 rows as measured
+                # on the benchmark's traced runs: on plain QPs it raises
+                # target_calibration's active-set iterations from 137 to 217, and
+                # dropping one weight at a time raises nightly_rebalance's L1
+                # ones from 561 to 736
+                leave = neg[(neg >= m) & (neg < m + 2 * n)]
+            lean = np.sign(mu[np.searchsorted(kg, drop - m - 2 * n)]) if drop >= m + 2 * n else 0.0
+            for r in leave:
+                _pivot(r, m, at, act, side, x, lo, up, kinks, lean)
             continue
         gp = _ratio_test(ratios, x, p, 1e-13, free, g, h, act, lo, up, kinks, side)
         alpha = np.inf if flat else 1.0
@@ -413,25 +446,12 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
                 raise Unbounded("zero-curvature descent with no blocking constraint")
             alpha = 0.0  # numerically flat but not a real descent: stay put
         x = x + alpha * p
-        fix = []  # the weights the step fixes
-        if 0 <= blocking < m:
-            act.append(blocking)
-        elif 0 <= blocking < m + 2 * n:
+        join = [blocking] if blocking >= 0 else []
+        if alpha == 0.0 and m <= blocking < m + 2 * n:
             # a zero step fixes every free weight it would take out of the box
-            for t in (np.flatnonzero(ratios[m:m + 2 * n] == 0.0) if alpha == 0.0
-                      else [blocking - m]):
-                j = t % n
-                if at[j] == _FREE:
-                    at[j], x[j] = (_LOWER, lo[j]) if t < n else (_UPPER, up[j])
-                    fix.append(j)
-        elif blocking >= 0:
-            row = blocking - m - 2 * n
-            side[row], i = 0.0, kinks.slot[row]
-            if i >= 0:  # a row on one weight fixes it at the kink
-                fix.append(kinks.col[i])
-                at[fix[0]], x[fix[0]] = _KINK, kinks.d[row] / kinks.coef[i]
-        for j in fix if k else ():
-            kinks.settle(side, x, j)
+            join = m + np.flatnonzero(ratios[m:m + 2 * n] == 0.0)
+        for r in join:
+            _pivot(r, m, at, act, side, x, lo, up, kinks)
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
         if degenerate_run > n + 2:
             bland = True
@@ -638,11 +658,12 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     ``solve_qp`` report ``start`` (``t = 0``) and its working set.  Each
     segment's ``dx`` is ``_free_step``'s KKT solve with ``slope`` for the
     gradient, its multipliers' slopes ``_multipliers`` of ``Q dx + slope``.
-    It ends at the first event, ties going to the lowest rank as in
-    ``_active_set``: a free variable reaches a bound, an inequality becomes
-    active, an L1 row reaches its kink (fixing its weight there, or joining
-    the equality rows), or a multiplier ends its interval (zero,
-    ``_rise_fall``, ``+/-rho``) and its constraint leaves, to that side.
+    It ends at the first event, ties going to the lowest rank of the layout
+    that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
+    reaches a bound, an inequality becomes active, an L1 row reaches its
+    kink (fixing its weight there, or joining the equality rows), or a
+    multiplier ends its interval (zero, ``_rise_fall``, ``+/-rho``) and its
+    constraint leaves, to that side.
     When ``slope`` pulls along zero curvature, x moves at fixed ``t`` to the
     blocking constraint (``Unbounded`` if none).  Rows dependent on the free
     block (as at a start on a weight's and its general rows' kinks) leave
@@ -666,11 +687,11 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     at, act, side = (v.copy() for v in start.meta["working_set"])
     x, t = start.weights.copy(), 0.0
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
-    ratios = np.empty(m + 2 * n + k)   # indexed by rank, as in _active_set
+    ratios = np.empty(m + 2 * n + k)   # indexed by rank
     mult = np.empty((m + 2 * n + k, 2))  # working-set multipliers and their slopes
     for _ in range(max_iter):
         free = at == _FREE
-        idx, fixed, g_act = np.flatnonzero(free), ~free, g[act]
+        idx, fixed, g_act = np.flatnonzero(free), np.flatnonzero(~free), g[act]
         kg = kinks.general[side[kinks.general] == 0.0] if k else None
         eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
         rows = np.vstack([eq_rows, -g_act])  # signed as in _multipliers
@@ -694,11 +715,9 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
                     reduced[:, 1] = rows.T @ (turn * null)
                 mult.fill(0.0)
                 mult[act] = lam
-                # a fixed weight's rise ranks as its lower bound, its fall as its upper
                 rise, fall = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
-                drift = reduced[fixed, 1]
-                mult[m:m + n, 0][fixed], mult[m + n:m + 2 * n, 0][fixed] = rise, fall
-                mult[m:m + n, 1][fixed], mult[m + n:m + 2 * n, 1][fixed] = drift, -drift
+                mult[m + fixed] = np.column_stack([rise, reduced[fixed, 1]])
+                mult[m + n + fixed] = np.column_stack([fall, -reduced[fixed, 1]])
                 if k:  # a general kink row's multiplier moves toward +/-rho
                     mu = nu[a_eq.shape[0]:]
                     mult[m + 2 * n + kg] = (kinks.rho[kg, None] * [1.0, 0.0]
@@ -717,30 +736,9 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
                 return
             x = x + length * dx
             t += 0.0 if flat else length
-        if r < m:
-            if r in act:
-                act.remove(r)
-            else:
-                act.append(r)
-        elif r < m + 2 * n:
-            j, low = (r - m) % n, r < m + n
-            if at[j] == _FREE:  # it reaches a bound
-                at[j], x[j] = (_LOWER, lo[j]) if low else (_UPPER, up[j])
-                if k:
-                    kinks.settle(side, x, j)
-            else:  # its rise (ranked as its lower bound) or fall reached zero
-                at[j] = _FREE
-                if k:
-                    kinks.release(side, j, up=low)
-        elif side[r - m - 2 * n]:  # an L1 row reaches its kink
-            row = r - m - 2 * n
-            side[row], i = 0.0, kinks.slot[row]
-            if i >= 0:  # a row on one weight fixes it there
-                j = kinks.col[i]
-                at[j], x[j] = _KINK, kinks.d[row] / kinks.coef[i]
-                kinks.settle(side, x, j)
-        else:  # a general row leaves its kink to the side its multiplier reached
-            side[r - m - 2 * n] = np.sign(mu[np.searchsorted(kg, r - m - 2 * n), 1])
+        row = r - m - 2 * n
+        lean = np.sign(mu[np.searchsorted(kg, row), 1]) if row >= 0 and not side[row] else 0.0
+        _pivot(r, m, at, act, side, x, lo, up, kinks, lean)
     raise MaxIterations(f"parametric path did not end in {max_iter} pivots")
 
 

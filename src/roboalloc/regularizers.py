@@ -13,7 +13,8 @@ from .errors import (
     NotPositiveDefinite,
     SingularKKT,
 )
-from .qp import QpProblem, solve_qp
+from .mvo import exact_problem
+from .qp import solve_qp
 from .report import CONVERGED, SolveReport
 
 _RANK_CUTOFF = 1e-12  # singular values below cutoff * s_max count as zero
@@ -180,9 +181,7 @@ def ridge_mvo(mu, sigma, gamma, rho2, x0=None, constraints=None) -> SolveReport:
         x = np.linalg.solve(q_mat, lin)
         return SolveReport(weights=x, objective=objective(x), status=CONVERGED,
                            iterations=0, gamma=float(gamma))
-    eq, ineq, lower, upper = constraints.qp_pieces(mu.size)
-    report = solve_qp(QpProblem(Q=q_mat, c=-lin, eq=eq, ineq=ineq,
-                                lower=lower, upper=upper))
+    report = solve_qp(exact_problem(q_mat, lin, (), constraints))
     report.gamma = float(gamma)
     report.objective = objective(report.weights)
     return report

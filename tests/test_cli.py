@@ -644,7 +644,7 @@ class TestSolverFailureExit:
         assert "Infeasible" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["l1", "l2"], ids=["admm_route", "qp_route"])
+    @pytest.mark.parametrize("kind", ["l1", "l2"], ids=["l1_route", "qp_route"])
     def test_path_on_infeasible_constraints_exits_one(self, four_asset_moments, tmp_path,
                                                       capsys, kind):
         # the constraint set is the same at every grid point, so the document

@@ -99,9 +99,9 @@ class TestRebalance:
             assert rep.weights.min() >= -1e-9
             assert rep.weights.max() <= 1.0 + 1e-9
 
-    def test_infeasible_box_raises_on_admm_route(self, four_asset_alt):
+    def test_infeasible_box_raises_on_l1_route(self, four_asset_alt):
         # four names capped at 0.2 cannot hold a budget of 1: phase 1 says so
-        # before ADMM runs, instead of 10,000 iterations ending at max_iter
+        # before the L1 active set takes a step
         mu, _, _, sigma = four_asset_alt
         ew = np.full(4, 0.25)
         cfg = RoboConfig(strategic=ew, current=ew, objective="tracking_error",
@@ -111,7 +111,7 @@ class TestRebalance:
             rebalance(cfg, mu, sigma)
 
     @pytest.mark.parametrize("slot", ["rho1_strategic", "rho2_strategic"],
-                             ids=["admm_route", "qp_route"])
+                             ids=["l1_route", "qp_route"])
     @pytest.mark.parametrize("warm", [[np.nan, 0.5, 0.25, 0.25], [0.5, 0.5]],
                              ids=["nan", "wrong_size"])
     def test_bad_warm_start_rejected(self, four_asset_alt, slot, warm):
@@ -179,10 +179,10 @@ class TestRebalance:
 
 
 class TestNonFiniteBooks:
-    """A NaN in a book is rejected up front, on either route, instead of
-    failing inside the x-step or running the QP to its iteration cap."""
+    """A NaN in a book is rejected up front, on either route, with an error
+    that names the book, before any problem is built."""
 
-    @pytest.mark.parametrize("rho1", [0.0, 5e-4], ids=["qp_route", "admm_route"])
+    @pytest.mark.parametrize("rho1", [0.0, 5e-4], ids=["qp_route", "l1_route"])
     @pytest.mark.parametrize("label", ["strategic", "current"])
     def test_rejected(self, label, rho1):
         books = {"strategic": X0.copy(), "current": X0.copy()}
@@ -222,7 +222,7 @@ class TestTeTargeting:
                 target, abs=1e-6)
 
 
-    @pytest.mark.parametrize("rho1", [0.0, 1e-4], ids=["qp_route", "admm_route"])
+    @pytest.mark.parametrize("rho1", [0.0, 1e-4], ids=["qp_route", "l1_route"])
     def test_target_below_gamma_zero_tracking_error_unreachable(self, ten_asset, rho1):
         # the turnover anchor keeps the gamma-0 book off the strategic one:
         # its tracking error is about 0.025, far above the 0.001 target
@@ -263,8 +263,7 @@ class TestTeTargeting:
     @pytest.mark.parametrize("warm", [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
                                       [1.0, 0.0, 0.0, 0.0]],
                              ids=["equal", "reversed", "corner"])
-    def test_weights_warm_start_on_admm_route_gives_cold_answer(self, four_asset_alt,
-                                                                warm):
+    def test_weights_warm_start_on_l1_route_gives_cold_answer(self, four_asset_alt, warm):
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error",
                          gamma=0.1, rho1_strategic=1e-3)
@@ -273,7 +272,7 @@ class TestTeTargeting:
         assert cold.converged and rep.converged
         assert np.abs(rep.weights - cold.weights).max() <= 1e-12
 
-    @pytest.mark.parametrize("rho1", [0.0, 1e-3], ids=["qp_route", "admm_route"])
+    @pytest.mark.parametrize("rho1", [0.0, 1e-3], ids=["qp_route", "l1_route"])
     def test_non_finite_target_rejected(self, four_asset_alt, rho1):
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error",
@@ -364,7 +363,7 @@ class TestRegularizationPath:
 
     @pytest.mark.parametrize("slot,param", [("rho1_strategic", "rho1"),
                                             ("rho2_strategic", "rho2")],
-                             ids=["admm_route", "qp_route"])
+                             ids=["l1_route", "qp_route"])
     def test_infeasible_constraint_set_raises(self, four_asset_alt, slot, param):
         # the constraint set does not change along the grid: no row can be
         # feasible, so the path raises instead of recording error rows
@@ -377,7 +376,7 @@ class TestRegularizationPath:
 
     @pytest.mark.parametrize("slot,param", [("rho1_strategic", "rho1"),
                                             ("rho2_strategic", "rho2")],
-                             ids=["admm_route", "qp_route"])
+                             ids=["l1_route", "qp_route"])
     def test_input_error_raises(self, four_asset_alt, slot, param):
         # non-finite data is wrong at every grid point: it is raised, not
         # recorded as one error row per point

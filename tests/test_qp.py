@@ -273,6 +273,31 @@ class TestSolveQp:
             solve_qp(QpProblem(Q=np.zeros((1, 1)), c=np.array([1.0]),
                                upper=np.array([0.0])))
 
+    def test_degenerate_vertex_switches_to_blands_rule(self, monkeypatch):
+        # fourteen rows through one vertex of five weights: the walk into the
+        # vertex makes more than n + 2 zero steps in a row there, and the
+        # multiplier test then picks by Bland's rule
+        calls = []
+        bland = qp._bland
+
+        def counted(*args):
+            calls.append(1)
+            return bland(*args)
+
+        monkeypatch.setattr(qp, "_bland", counted)
+        rng = np.random.default_rng([333, 0])
+        vertex = rng.normal(size=5)
+        inward = rng.normal(size=5)
+        inward /= np.linalg.norm(inward)
+        g = rng.normal(size=(14, 5))
+        g *= np.sign(g @ inward)[:, None]
+        target = vertex - 3.0 * inward + 0.5 * rng.normal(size=5)
+        rep = solve_qp(QpProblem(Q=np.eye(5), c=-target, ineq=(g, g @ vertex)),
+                       x0=vertex + inward)
+        assert calls
+        _, ref = enumerate_active_sets(np.eye(5), -target, None, None, g, g @ vertex)
+        np.testing.assert_allclose(rep.weights, ref, atol=1e-9)
+
 
 def cold_case(kind, seed):
     """A seeded problem of one family: n 5-40, a factor-model covariance (or
