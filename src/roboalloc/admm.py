@@ -1,15 +1,16 @@
-"""Penalized portfolio problems: ``solve_penalized`` sends those whose
-penalties are all L1, over the constraint set alone, to ``qp.solve_qp``,
-exact on the L1 rows' kinks, and the rest (Lp penalties, norm balls and
-other extra sets) to scaled, over-relaxed ADMM; cardinality is an exact
-branch-and-bound on the QP.  ``admm_solve`` is the one ADMM loop.  It runs
-on a ``_StackedProblem``, one list of blocks for ``min 0.5 x'Px - q'x +
-sum_i g_i(G_i x - d_i)`` split as ``A x - z = c``, ``A`` stacking the
-``G_i`` and ``c`` the ``d_i``, the constraint projection its last block.
-It starts at the penalty ``sqrt(lmin lmax)`` of the spectrum of ``P``,
-rescales it in its first ``_BALANCE_ITERATIONS`` iterations only, then
-holds it fixed, and over-relaxes every iteration by ``_RELAXATION`` (Boyd
-et al., 2011, §3.4.3; the default of OSQP)."""
+"""Penalized portfolio problems: ``solve_penalized`` takes L1 penalties as
+rows and the others as prox blocks.  Without a prox block or an extra set
+the problem goes to ``qp.solve_qp``, exact on the L1 rows' kinks; the rest
+(Lp penalties, norm balls and other extra sets) go to scaled, over-relaxed
+ADMM, the L1 rows one soft-thresholding block there.  Cardinality is an
+exact branch-and-bound on the QP.  ``admm_solve`` is the one ADMM loop.
+It runs on a ``_StackedProblem``, one list of blocks for ``min 0.5 x'Px -
+q'x + sum_i g_i(G_i x - d_i)`` split as ``A x - z = c``, ``A`` stacking
+the ``G_i`` and ``c`` the ``d_i``, the constraint projection its last
+block.  It starts at the penalty ``sqrt(lmin lmax)`` of the spectrum of
+``P``, rescales it in its first ``_BALANCE_ITERATIONS`` iterations only,
+then holds it fixed, and over-relaxes every iteration by ``_RELAXATION``
+(Boyd et al., 2011, §3.4.3; the default of OSQP)."""
 
 from __future__ import annotations
 
@@ -195,28 +196,29 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
     return report
 
 
-def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = None,
+def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None = None,
                     extra_sets=(), params: AdmmParams | None = None, x_init=None,
                     objective=None) -> SolveReport:
-    """Minimize ``0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` over the
-    constraint set intersected with ``extra_sets``.
+    """Minimize ``0.5 x'Px - q'x + sum_l rho_l |G_l x - d_l| + sum_i
+    g_i(G_i x - d_i)`` over the constraint set intersected with
+    ``extra_sets``.
 
-    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term, where
-    ``step_i(v, phi)`` is the prox of ``g_i / phi``; a ``prox.SoftThreshold``
-    step is also read as data, the L1 term ``rho ||G_i x - d_i||_1``.
-    ``x_init`` is the one start point, normally the weights of a nearby
-    problem's answer; it must be a finite vector of ``n`` weights
-    (``ValueError`` otherwise).  When every block is an L1 term and there is
-    no extra set, the problem is solved exactly by ``solve_qp``, the blocks'
-    rows becoming its ``l1`` rows; it starts from ``x_init`` if that is
-    feasible, else at ``solve_qp``'s own cold start.  Otherwise phase 1 of
-    ``solve_qp`` first finds the constraint set nonempty (``Infeasible`` if
-    not), and ADMM runs on the blocks in their order with the constraint
-    projection as the last block, from ``z_i = G_i x_init - d_i`` (``z = 0``
-    without ``x_init``), ``u = 0`` and the penalty worked out
-    from ``P``.  ``objective`` evaluates the reported objective at the
-    answer.  With any block or extra set, a non-finite ``P``, ``q``, offset
-    or equality level raises ``ValueError`` before the first iteration.
+    ``l1`` holds the L1 rows ``(G, d, rho)`` as ``qp.QpProblem`` takes them
+    (``None`` for none); ``blocks`` holds one ``(G_i, d_i, step_i)`` per
+    other non-smooth term, where ``step_i(v, phi)`` is the prox of ``g_i /
+    phi``.  ``x_init`` is the one start point, normally the weights of a
+    nearby problem's answer; it must be a finite vector of ``n`` weights
+    (``ValueError`` otherwise).  Without a block or an extra set the problem
+    is solved exactly by ``solve_qp`` on the L1 rows; it starts from
+    ``x_init`` if that is feasible, else at ``solve_qp``'s own cold start.
+    Otherwise phase 1 of ``solve_qp`` first finds the constraint set
+    nonempty (``Infeasible`` if not), and ADMM runs on the L1 rows as one
+    soft-thresholding block, then the blocks in their order, then the
+    constraint projection, from ``z_i = G_i x_init - d_i`` (``z = 0``
+    without ``x_init``), ``u = 0`` and the penalty worked out from ``P``.
+    ``objective`` evaluates the reported objective at the answer.  With L1
+    rows, any block or extra set, a non-finite ``P``, ``q``, offset or
+    equality level raises ``ValueError`` before the first iteration.
     """
     n = q_vec.size
     if x_init is not None:
@@ -224,38 +226,44 @@ def solve_penalized(p_mat, q_vec, blocks, constraints: ConstraintSet | None = No
         if x_init.shape != (n,):
             raise ValueError(f"x_init must be a vector of {n} weights, not shape {x_init.shape}")
     constraints = ConstraintSet() if constraints is None else constraints
-    if blocks or extra_sets:
+    if l1 is not None or blocks or extra_sets:
         p_mat, q_vec = map(np.asarray_chkfinite, (p_mat, q_vec))
-    if not extra_sets and all(isinstance(step, prox.SoftThreshold) for _, _, step in blocks):
-        report = solve_qp(exact_problem(p_mat, q_vec, blocks, constraints), x0=x_init)
+    if l1 is not None:
+        g, d, rho = l1
+        l1 = g, np.asarray_chkfinite(d), rho
+    if not blocks and not extra_sets:
+        report = solve_qp(exact_problem(p_mat, q_vec, l1, constraints), x0=x_init)
         if objective is not None:
             report.objective = float(objective(report.weights))
         return report
 
+    if l1 is not None:
+        blocks = [(g, d, lambda v, phi: prox.prox_l1(v, rho / phi)), *blocks]
     a_eq, b_eq, sets = constraints.admm_pieces(n)
     b_eq = np.asarray_chkfinite(b_eq)
-    feasible_point(exact_problem(np.zeros((n, n)), np.zeros(n), (), constraints))
+    feasible_point(exact_problem(np.zeros((n, n)), np.zeros(n), None, constraints))
     prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, [*extra_sets, *sets])
     z0 = None if x_init is None else prob.a @ x_init - prob.c
     return admm_solve(prob, params, z0=z0, objective=objective)
 
 
 def _least_squares_parts(a1, b1, penalties, default_anchor=None):
-    """P, q, prox blocks and objective of ``0.5 ||a1 x - b1||^2`` plus the
-    penalty specs in ``penalties`` (``None`` entries skipped); a penalty
-    without an anchor is anchored at ``default_anchor``, else at zero."""
+    """P, q, L1 rows, prox blocks and objective of ``0.5 ||a1 x - b1||^2``
+    plus the penalty specs in ``penalties`` (``None`` entries skipped); a
+    penalty without an anchor is anchored at ``default_anchor``, else at
+    zero."""
     a1 = np.atleast_2d(np.asarray(a1, dtype=float))
     b1 = np.asarray(b1, dtype=float).ravel()
     penalties = [pen if pen.anchor is not None or default_anchor is None
                  else replace(pen, anchor=default_anchor)
                  for pen in penalties if pen is not None]
-    p_mat, q_vec, blocks, penalty = penalty_terms(penalties, a1.T @ a1, a1.T @ b1)
+    p_mat, q_vec, l1, blocks, penalty = penalty_terms(penalties, a1.T @ a1, a1.T @ b1)
 
     def objective(x):
         res = a1 @ x - b1
         return 0.5 * res @ res + penalty(x)
 
-    return p_mat, q_vec, blocks, objective
+    return p_mat, q_vec, l1, blocks, objective
 
 
 def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
@@ -264,16 +272,17 @@ def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
     """Least squares with an L2 penalty plus an Lp penalty split off through
     ``Gamma_p (x - x0) = z``; the z-step is the componentwise Lp prox.
 
-    Either penalty may be ``None``.  Without an extra set, a problem whose
-    second penalty is absent or ``l1`` goes to ``solve_qp`` and is solved
-    exactly (an ``l1`` penalty as its L1 rows); otherwise ADMM projects
-    onto the constraint set intersected with ``extra_sets`` (norm balls and
-    the like).  The penalty matrices may carry negative entries, which is
-    what rules out the augmented-QP route.  The solve starts cold.
+    Either penalty may be ``None``.  ``solve_penalized`` routes the problem:
+    an ``l1`` second penalty is L1 rows, solved exactly by ``solve_qp``
+    without an extra set; an ``lp`` one (``p = 1`` included) is a prox block
+    and runs ADMM, which projects onto the constraint set intersected with
+    ``extra_sets`` (norm balls and the like).  The penalty matrices may
+    carry negative entries, which is what rules out the augmented-QP route.
+    The solve starts cold.
     """
-    p_mat, q_vec, blocks, objective = _least_squares_parts(
+    p_mat, q_vec, l1, blocks, objective = _least_squares_parts(
         a1, b1, [penalty_l2, penalty_lp], x0)
-    return solve_penalized(p_mat, q_vec, blocks, constraints, extra_sets, params,
+    return solve_penalized(p_mat, q_vec, l1, blocks, constraints, extra_sets, params,
                            objective=objective)
 
 
@@ -303,14 +312,15 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     params = params or AdmmParams()
     if penalty_l2 is not None and penalty_l2.kind != "l2":
         raise ValueError("penalty_l2 must be an l2 penalty")
-    p_mat, q_vec, _, _ = _least_squares_parts(a1, b1, [penalty_l2], x0)
+    p_mat, q_vec, _, _, _ = _least_squares_parts(a1, b1, [penalty_l2], x0)
     n = q_vec.size
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     g1 = penalty_matrix(gamma1, n)
     m = g1.shape[0]
     if not 1 <= n1 <= m:
         raise ValueError(f"n1 must be in [1, {m}]")
-    base = exact_problem(p_mat, q_vec, (), ConstraintSet() if constraints is None else constraints)
+    base = exact_problem(p_mat, q_vec, None,
+                         ConstraintSet() if constraints is None else constraints)
     eq = base.eq or (np.zeros((0, n)), np.zeros(0))
     heap, order = [], itertools.count()
 

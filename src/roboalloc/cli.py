@@ -262,13 +262,13 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
     if not penalties:
         return solve_gamma_problem(inputs, gamma, constraints), None
 
-    p_mat, q_vec, blocks, penalty = penalty_terms(penalties, inputs.sigma,
-                                                  gamma * inputs.excess)
+    p_mat, q_vec, l1, blocks, penalty = penalty_terms(penalties, inputs.sigma,
+                                                      gamma * inputs.excess)
 
     def objective(x):
         return 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess + penalty(x)
 
-    report = solve_penalized(p_mat, q_vec, blocks, constraints, params=admm_params,
+    report = solve_penalized(p_mat, q_vec, l1, blocks, constraints, params=admm_params,
                              objective=objective)
     report.gamma = gamma
     return report, None

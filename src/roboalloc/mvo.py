@@ -93,15 +93,11 @@ class ConstraintSet:
         return a_eq, b_eq, sets
 
 
-def exact_problem(p_mat, q_vec, blocks, constraints: ConstraintSet) -> QpProblem:
-    """The ``QpProblem`` of ``0.5 x'Px - q'x`` over the constraint set, each
-    L1 block ``(G_i, d_i, prox.SoftThreshold(rho))`` becoming the ``l1`` rows
-    ``rho |G_i x - d_i|``: every QP built from a ``ConstraintSet`` is built here."""
+def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:
+    """The ``QpProblem`` of ``0.5 x'Px - q'x`` over the constraint set, with
+    the L1 rows ``l1 = (G, d, rho)`` (``None`` for none): every QP built
+    from a ``ConstraintSet`` is built here."""
     eq, ineq, lower, upper = constraints.qp_pieces(q_vec.size)
-    l1 = None if not blocks else (
-        np.vstack([g for g, _, _ in blocks]),
-        np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks])),
-        np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
     return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
 
 
@@ -148,7 +144,7 @@ def solve_gamma_problem(inputs: MvoInputs, gamma: float,
         obj = 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess
         return SolveReport(weights=x, objective=float(obj), status=CONVERGED,
                            iterations=0, gamma=float(gamma))
-    report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, (), constraints),
+    report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, None, constraints),
                       x0=x0)
     report.gamma = float(gamma)
     return report
@@ -187,7 +183,7 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         report = solve_gamma_problem(inputs, gamma)
         return gamma, report
 
-    problem = exact_problem(inputs.sigma, np.zeros(inputs.n), (), constraints)
+    problem = exact_problem(inputs.sigma, np.zeros(inputs.n), None, constraints)
     if target_vol is None:
         metric, target = (None, inputs.mu), target_return
     else:

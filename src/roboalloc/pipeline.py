@@ -105,28 +105,28 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         gamma = 0.0
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    p_mat, q_vec, blocks, objective = _terms(config, mu, sigma, gamma)
-    report = solve_penalized(p_mat, q_vec, blocks, config.constraints, config.extra_sets,
+    p_mat, q_vec, l1, blocks, objective = _terms(config, mu, sigma, gamma)
+    report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
                              config.admm, x_init=warm, objective=objective)
     report.gamma = float(gamma)
     return report
 
 
 def _terms(config: RoboConfig, mu, sigma, gamma: float):
-    """``(P, q, blocks, objective)`` of the rebalancing problem at ``gamma``,
-    as ``admm.solve_penalized`` takes them; ``q`` is affine in ``gamma``
-    with slope ``mu``."""
+    """``(P, q, l1, blocks, objective)`` of the rebalancing problem at
+    ``gamma``, as ``admm.solve_penalized`` takes them; ``q`` is affine in
+    ``gamma`` with slope ``mu``."""
     tracking = config.objective == "tracking_error"
     q_vec = gamma * mu
     if tracking:
         q_vec = q_vec + sigma @ config.strategic
-    p_mat, q_vec, blocks, penalty = penalty_terms(config.penalties(), sigma, q_vec)
+    p_mat, q_vec, l1, blocks, penalty = penalty_terms(config.penalties(), sigma, q_vec)
 
     def objective(x):
         d = x - config.strategic if tracking else x
         return float(0.5 * d @ sigma @ d - gamma * d @ mu + penalty(x))
 
-    return p_mat, q_vec, blocks, objective
+    return p_mat, q_vec, l1, blocks, objective
 
 
 def tracking_error(x, strategic, sigma) -> float:
@@ -154,10 +154,10 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     base = replace(config, te_target=None)
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    p_mat, q_vec, blocks, _ = _terms(base, mu, sigma, 0.0)
+    p_mat, q_vec, l1, _, _ = _terms(base, mu, sigma, 0.0)
     return path_root(
         lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
-        exact_problem(p_mat, q_vec, blocks, config.constraints), -mu,
+        exact_problem(p_mat, q_vec, l1, config.constraints), -mu,
         (sigma, config.strategic), te_target, _TE_TOL)
 
 

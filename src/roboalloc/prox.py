@@ -26,19 +26,6 @@ def prox_l1(v: np.ndarray, lam) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-@dataclass(frozen=True)
-class SoftThreshold:
-    """The prox step of ``rho ||.||_1`` held as data: ``step(v, phi)`` is
-    ``prox_l1(v, rho / phi)``.  ``admm.solve_penalized`` reads ``rho`` off
-    it and solves a problem whose blocks all hold one exactly, as L1 rows of
-    ``qp.solve_qp``; ADMM calls it as a block's step like any other."""
-
-    rho: float
-
-    def __call__(self, v: np.ndarray, phi: float) -> np.ndarray:
-        return prox_l1(v, self.rho / phi)
-
-
 def _power_root(w: np.ndarray, lam: float, p: float) -> np.ndarray:
     """Positive roots ``x`` of ``lam x^(p-1) + x = w`` for an array ``w >= 0``
     and ``lam > 0``.

@@ -305,9 +305,11 @@ def _free_step(q_ff, g_f, c_f, gap=None):
 
     Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
     ``None``: the current point is on the rows) with a Cholesky factor of
-    ``Q_FF`` and the Schur complement ``C_F Q_FF^-1 C_F'``.  When ``Q_FF``
-    is not positive definite or ``C_F`` loses rank, the nullspace step takes
-    over, from the least-squares step onto the rows when there is a gap.
+    ``Q_FF`` and the Schur complement ``C_F Q_FF^-1 C_F'``.  The nullspace
+    step, exactly zero when the rows pin the block, takes over when ``C_F``
+    has as many rows as the block has weights or more, loses rank, or
+    ``Q_FF`` is not positive definite; with a gap it starts from the
+    least-squares step onto the rows.
     Returns ``(p_F, residual, flat, degenerate)``: ``residual`` is the
     largest entry of the projected gradient, zero when the current point
     already solves the subproblem, and ``flat`` and ``degenerate`` are as in
@@ -315,7 +317,7 @@ def _free_step(q_ff, g_f, c_f, gap=None):
     """
     if g_f.size == 0:
         return g_f, 0.0, False, False
-    l_ff = _cholesky(q_ff)
+    l_ff = _cholesky(q_ff) if c_f.shape[0] < g_f.size else None
     r = g_f  # stationarity residual g_F + C_F'y
     if l_ff is not None and c_f.shape[0]:
         w = dpotrs(l_ff, c_f.T, lower=1)[0]
@@ -353,7 +355,7 @@ def _multipliers(grad, a_eq, g_act, free):
     return sol[:me], sol[me:], grad + rows.T @ sol
 
 
-def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=None):
+def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
     """Primal active-set loop from a feasible ``x0``.
 
     The working set is the per-variable state ``at`` (``_LOWER``,
@@ -362,26 +364,27 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, tol=_FEAS_TOL, kinks=Non
     their kinks (equality rows, as the equalities always are).  ``side`` is
     each L1 row's side of its kink, 0 at it; an L1 row off its kink adds
     ``rho_l side_l g_l`` to the gradient.  States are read off ``x0`` to
-    ``tol``.  The multiplier test writes the working set's multipliers by
-    rank, +inf off it: an active inequality's, a fixed variable's one-sided
-    derivatives at its rise and fall ranks (its kinks adding their widths),
-    a general kink row's ``rho_l - |mu_l|``.  ``_pivot`` applies the most
-    negative and the ratio test's blocking constraint, ties going to the
-    lowest rank; after a run of degenerate steps ``_bland`` picks instead.
+    ``_FEAS_TOL``.  The multiplier test writes the working set's multipliers
+    by rank, +inf off it: an active inequality's, a fixed variable's
+    one-sided derivatives at its rise and fall ranks (its kinks adding their
+    widths), a general kink row's ``rho_l - |mu_l|``.  ``_pivot`` applies
+    the most negative and the ratio test's blocking constraint, ties going
+    to the lowest rank; after a run of degenerate steps ``_bland`` picks
+    instead.
     Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
     reduced))``, the last being ``_multipliers`` at ``x``.
     """
     n, m = c.size, h.size
     k = 0 if kinks is None else kinks.d.size
     x = x0.copy()
-    at = np.where(np.abs(x - lo) <= tol, _LOWER,
-                  np.where(np.abs(up - x) <= tol, _UPPER, _FREE))
-    act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= tol)]
+    at = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
+                  np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
+    act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= _FEAS_TOL)]
     side = np.zeros(k)
     eq_rows, kg = a_eq, np.zeros(0, dtype=np.intp)
     if k:
         off = kinks.g @ x - kinks.d
-        side = np.where(np.abs(off) <= tol, 0.0, np.sign(off))
+        side = np.where(np.abs(off) <= _FEAS_TOL, 0.0, np.sign(off))
         cols = kinks.col[side[kinks.single] == 0.0]
         at[cols] = np.where(at[cols] == _FREE, _KINK, at[cols])
     ratios = np.empty(m + 2 * n + k)   # indexed by rank
@@ -701,7 +704,7 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
             moves = np.abs(np.vstack([basis[a_eq.shape[0]:], rows.T[fixed] @ basis]))
             moves = moves.max(axis=0, initial=0.0)
             null = basis[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
-        if null is None and c_f.shape[0] < idx.size:  # else the rows pin the free block
+        if null is None:
             dx[idx], _, flat, _ = _free_step(q.take(idx, 0).take(idx, 1), slope[idx], c_f)
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
         _ratio_test(ratios, x, dx, tiny, free, g, h, act, lo, up, kinks, side)

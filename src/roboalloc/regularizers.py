@@ -81,17 +81,18 @@ def penalty_terms(penalties, P, q):
 
     ``G`` is a penalty's matrix (the identity if unset) and ``a`` its anchor
     (zero if unset).  An ``l2`` penalty adds ``rho G'G`` to ``P`` and
-    ``rho G'(G a)`` to ``q``, one penalty at a time in list order.  An ``l1``
-    or ``lp`` penalty becomes the prox block ``(G, G a, step)`` of
-    ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
-    ``rho/(p phi) ||.||_p^p``; an ``l1`` step is ``prox.SoftThreshold(rho)``,
-    data that ``solve_penalized`` reads as the L1 rows of an exact QP.
-    Every penalty is honoured, a zero ``rho`` included.  Returns ``(P, q,
-    blocks, value)``, where ``value(x)`` is ``sum rho/p ||G (x - a)||_p^p``
-    over all the penalties.
+    ``rho G'(G a)`` to ``q``, one penalty at a time in list order.  The
+    ``l1`` penalties become the L1 rows ``l1 = (G, d, rho)`` of
+    ``qp.QpProblem``: their ``G`` and ``d = G a`` stacked in list order,
+    ``rho`` given per row, or ``None`` without an ``l1`` penalty.  An ``lp``
+    penalty (``p = 1`` included) becomes the prox block ``(G, G a, step)``
+    of ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
+    ``rho/(p phi) ||.||_p^p``.  Every penalty is honoured, a zero ``rho``
+    included.  Returns ``(P, q, l1, blocks, value)``, where ``value(x)`` is
+    ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.
     """
     n = q.size
-    terms, blocks = [], []
+    terms, rows, blocks = [], [], []
     for pen in penalties:
         g = penalty_matrix(pen.gamma_matrix, n)
         anchor = np.zeros(n) if pen.anchor is None else pen.anchor
@@ -100,16 +101,17 @@ def penalty_terms(penalties, P, q):
             P = P + pen.rho * g.T @ g
             q = q + pen.rho * (g.T @ (g @ anchor))
         elif pen.kind == "l1":
-            blocks.append((g, g @ anchor, prox.SoftThreshold(pen.rho)))
+            rows.append((g, g @ anchor, np.full(g.shape[0], pen.rho)))
         else:
             blocks.append((g, g @ anchor,
                            lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
+    l1 = tuple(map(np.concatenate, zip(*rows))) if rows else None
 
     def value(x):
         return sum(rho / p * np.sum(np.abs(g @ (x - anchor)) ** p)
                    for rho, p, g, anchor in terms)
 
-    return P, q, blocks, value
+    return P, q, l1, blocks, value
 
 
 def _kkt(block11, a2, rhs1, b2):
@@ -155,7 +157,7 @@ def tikhonov_solve(a1, b1, penalty: PenaltySpec, eq=None):
     if eq is None and penalty.rho == 0.0:
         x, *_ = np.linalg.lstsq(a1, b1, rcond=None)
         return x, np.zeros(0)
-    block, rhs1, _, _ = penalty_terms([penalty], a1.T @ a1, a1.T @ b1)
+    block, rhs1, _, _, _ = penalty_terms([penalty], a1.T @ a1, a1.T @ b1)
     if eq is None:
         return _kkt(block, None, rhs1, None)
     return _kkt(block, eq[0], rhs1, eq[1])
@@ -171,8 +173,8 @@ def ridge_mvo(mu, sigma, gamma, rho2, x0=None, constraints=None) -> SolveReport:
     """
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    q_mat, lin, _, penalty = penalty_terms([PenaltySpec(kind="l2", rho=rho2, anchor=x0)],
-                                           sigma, gamma * mu)
+    q_mat, lin, _, _, penalty = penalty_terms([PenaltySpec(kind="l2", rho=rho2, anchor=x0)],
+                                              sigma, gamma * mu)
 
     def objective(x):
         return float(0.5 * x @ sigma @ x - gamma * x @ mu + penalty(x))
@@ -181,7 +183,7 @@ def ridge_mvo(mu, sigma, gamma, rho2, x0=None, constraints=None) -> SolveReport:
         x = np.linalg.solve(q_mat, lin)
         return SolveReport(weights=x, objective=objective(x), status=CONVERGED,
                            iterations=0, gamma=float(gamma))
-    report = solve_qp(exact_problem(q_mat, lin, (), constraints))
+    report = solve_qp(exact_problem(q_mat, lin, None, constraints))
     report.gamma = float(gamma)
     report.objective = objective(report.weights)
     return report

@@ -41,7 +41,7 @@ class TestGenericEngine:
     def test_consensus_to_anchor(self):
         # min 0.5||x - a||^2 split as x - z = 0, with a zero L1 penalty on z
         a = np.array([0.3, -0.7, 1.2])
-        rep = solve_penalized(np.eye(3), a, [(np.eye(3), np.zeros(3), prox.SoftThreshold(0.0))])
+        rep = solve_penalized(np.eye(3), a, (np.eye(3), np.zeros(3), 0.0), [])
         assert rep.converged
         assert np.abs(rep.weights - a).max() <= 1e-9
 
@@ -52,7 +52,7 @@ class TestGenericEngine:
         def z_step(v, phi):  # prox of 0.5||z - b||^2 / phi
             return (b + phi * v) / (1.0 + phi)
 
-        rep = solve_penalized(np.eye(2), a, [(np.eye(2), np.zeros(2), z_step)])
+        rep = solve_penalized(np.eye(2), a, None, [(np.eye(2), np.zeros(2), z_step)])
         x = rep.weights
         lam = rep.meta["coupling_dual"]
         # stationarity in x gives lam = a - x at the optimum
@@ -61,8 +61,8 @@ class TestGenericEngine:
     @pytest.mark.filterwarnings("ignore")
     def test_divergence_flagged(self):
         # P = -I with the starting penalty 1 makes the x-step singular
-        # a plain-callable L1 step keeps the problem on ADMM
-        rep = solve_penalized(-np.eye(3), np.ones(3),
+        # an L1 prox block, not L1 rows, keeps the problem on ADMM
+        rep = solve_penalized(-np.eye(3), np.ones(3), None,
                               [(np.eye(3), np.zeros(3),
                                 lambda v, phi: prox.prox_l1(v, 0.1 / phi))],
                               params=AdmmParams(max_iter=50))
@@ -465,12 +465,13 @@ def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init, alpha
 
 
 def l1_step(rho):
-    return prox.SoftThreshold(rho)
+    return lambda v, phi: prox.prox_l1(v, rho / phi)
 
 
 def rebalance_problem(seed, n, gamma1=None):
-    """Tracking-error rebalance data: P, q, two L1 blocks (strategic and
-    turnover anchors) and the current book."""
+    """Tracking-error rebalance data: P, q, two L1 terms (strategic and
+    turnover anchors) as ADMM blocks and as the L1 rows of
+    ``solve_penalized``, and the current book."""
     rng = np.random.default_rng(seed)
     sigma = random_spd(rng, n, 0.04)
     mu = rng.normal(0.05, 0.02, n)
@@ -481,7 +482,9 @@ def rebalance_problem(seed, n, gamma1=None):
     p_mat = sigma + 0.02 * np.eye(n)
     q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
     blocks = [(g, g @ strategic, l1_step(5e-4)), (g, g @ current, l1_step(2e-4))]
-    return p_mat, q_vec, blocks, current
+    l1 = (np.vstack([g, g]), np.concatenate([g @ strategic, g @ current]),
+          np.repeat([5e-4, 2e-4], n))
+    return p_mat, q_vec, blocks, l1, current
 
 
 class TestInfeasible:
@@ -493,9 +496,9 @@ class TestInfeasible:
         ConstraintSet(eq=(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]), [1.0, 0.5])),
     ], ids=["box_below_budget", "halfspace_beyond_budget", "inconsistent_equalities"])
     def test_raised_before_iterating(self, cons):
-        p_mat, q_vec, blocks, current = rebalance_problem(0, 4)
+        p_mat, q_vec, _, l1, current = rebalance_problem(0, 4)
         with pytest.raises(Infeasible):
-            solve_penalized(p_mat, q_vec, blocks, cons, x_init=current)
+            solve_penalized(p_mat, q_vec, l1, [], cons, x_init=current)
 
 
 def admm_route(p_mat, q_vec, blocks, cons, params, x_init):
@@ -507,21 +510,23 @@ def admm_route(p_mat, q_vec, blocks, cons, params, x_init):
 
 
 class TestSameIterates:
-    """The loop's shortcuts (stacked arrays, identity blocks, LAPACK x-step)
-    reproduce the dense reference loop at the module's relaxation, and at
-    none.  Each runs ``admm_solve`` on the stacked problem (``admm_route``)."""
+    """The loop's stacked arrays (one ``A`` for all blocks, each block's
+    step on its own rows) and its LAPACK x-step reproduce the dense
+    reference loop, which runs block by block, at the module's relaxation
+    and at none.  Each runs ``admm_solve`` on the stacked problem
+    (``admm_route``)."""
 
     @pytest.mark.parametrize("seed,n", [(0, 6), (1, 12), (2, 20), (3, 30), (4, 9)])
-    def test_identity_blocks_bit_identical(self, seed, n):
-        self.check_identity_blocks(seed, n, ALPHA)
+    def test_stacked_loop_bit_identical(self, seed, n):
+        self.check_stacked_loop(seed, n, ALPHA)
 
     def test_unrelaxed_loop_bit_identical(self, monkeypatch):
         monkeypatch.setattr(admm, "_RELAXATION", 1.0)
-        self.check_identity_blocks(0, 6, 1.0)
+        self.check_stacked_loop(0, 6, 1.0)
 
     @staticmethod
-    def check_identity_blocks(seed, n, alpha):
-        p_mat, q_vec, blocks, current = rebalance_problem(seed, n)
+    def check_stacked_loop(seed, n, alpha):
+        p_mat, q_vec, blocks, _, current = rebalance_problem(seed, n)
         upper = max(0.3, 2.0 / n)
         cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, upper))
         params = AdmmParams(max_iter=3000)
@@ -539,7 +544,7 @@ class TestSameIterates:
         n = 8
         rng = np.random.default_rng(11)
         gamma1 = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-        p_mat, q_vec, blocks, current = rebalance_problem(5, n, gamma1)
+        p_mat, q_vec, blocks, _, current = rebalance_problem(5, n, gamma1)
         cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, 0.4),
                              ineq=(np.ones((1, n)) * np.r_[1.0, 1.0, np.zeros(n - 2)],
                                    np.array([0.5])))
@@ -555,7 +560,7 @@ class TestSameIterates:
     def test_interleaved_l1_blocks_bit_identical(self):
         # an lp block between the two L1 blocks, each block taking its own step
         n = 8
-        p_mat, q_vec, blocks, current = rebalance_problem(6, n)
+        p_mat, q_vec, blocks, _, current = rebalance_problem(6, n)
         blocks.insert(1, (np.eye(n), current.copy(),
                           lambda v, phi: prox.prox_lp(v, 1e-3 / phi, 3.0)))
         cons = ConstraintSet(budget=1.0, lower=np.zeros(n), upper=np.full(n, 0.4))
@@ -570,7 +575,7 @@ class TestSameIterates:
 
     @pytest.mark.parametrize("where", ["q", "x_init", "offset"])
     def test_non_finite_input_rejected(self, where):
-        p_mat, q_vec, blocks, current = rebalance_problem(0, 5)
+        p_mat, q_vec, _, l1, current = rebalance_problem(0, 5)
         if where == "q":
             q_vec = q_vec.copy()
             q_vec[2] = np.nan
@@ -578,7 +583,7 @@ class TestSameIterates:
             current = current.copy()
             current[1] = np.inf
         else:
-            g, d, step = blocks[0]
-            blocks[0] = (g, np.full_like(d, np.nan), step)
+            g, d, rho = l1
+            l1 = (g, np.full_like(d, np.nan), rho)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_penalized(p_mat, q_vec, blocks, BUDGET, x_init=current)
+            solve_penalized(p_mat, q_vec, l1, [], BUDGET, x_init=current)

@@ -1,7 +1,7 @@
 """``regularizers.penalty_terms`` is the one penalty assembler.
 
 The reference functions below are the assemblies it replaced: the
-rebalancing smooth part, objective and L1 blocks, and the CLI's plain-route
+rebalancing smooth part, objective and L1 rows, and the CLI's plain-route
 loop.  Routed through ``penalty_terms`` the same problems must give the
 same weights bit for bit, the same iterations and status, and objectives
 equal up to summation order.
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from roboalloc import cli, prox
+from roboalloc import admm, cli, prox
 from roboalloc.admm import solve_mixed_lp, solve_penalized
 from roboalloc.mvo import ConstraintSet, MvoInputs
 from roboalloc.pipeline import RoboConfig, rebalance
@@ -64,14 +64,15 @@ def reference_rebalance(config, mu, sigma, gamma):
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec = reference_quadratic_parts(config, mu, sigma, gamma)
     n = config.n
-    blocks = []
+    rows = []
     for rho, g1, anchor in ((config.rho1_strategic, config.gamma1_strategic, config.strategic),
                             (config.rho1_turnover, config.gamma1_turnover, config.current)):
         if rho > 0:
             g1 = penalty_matrix(g1, n)
-            blocks.append((g1, g1 @ anchor, prox.SoftThreshold(rho)))
+            rows.append((g1, g1 @ anchor, np.full(g1.shape[0], rho)))
+    l1 = tuple(np.concatenate(part) for part in zip(*rows)) if rows else None
     return solve_penalized(
-        p_mat, q_vec, blocks, config.constraints, config.extra_sets, config.admm,
+        p_mat, q_vec, l1, [], config.constraints, config.extra_sets, config.admm,
         x_init=None,
         objective=lambda x: reference_full_objective(config, mu, sigma, gamma, x))
 
@@ -96,7 +97,7 @@ def reference_plain_route(inputs, gamma, penalties, constraints, params):
             val += pen.rho / pen.p * np.sum(np.abs(g @ (x - anchor)) ** pen.p)
         return val
 
-    return solve_penalized(p_mat, q_vec, blocks, constraints, params=params,
+    return solve_penalized(p_mat, q_vec, None, blocks, constraints, params=params,
                            objective=objective)
 
 
@@ -192,21 +193,56 @@ class TestPenaltyTerms:
         x = rng.normal(size=n)
         specs = [PenaltySpec("l1", 0.5, gamma_matrix=g, anchor=a),
                  PenaltySpec("l2", 0.25, anchor=a),
-                 PenaltySpec("lp", 0.75, p=3.0, gamma_matrix=g)]
-        p_mat, q_vec, blocks, value = penalty_terms(specs, np.eye(n), np.ones(n))
+                 PenaltySpec("lp", 0.75, p=3.0, gamma_matrix=g),
+                 PenaltySpec("l1", 0.125, anchor=2.0 * a)]
+        p_mat, q_vec, l1, blocks, value = penalty_terms(specs, np.eye(n), np.ones(n))
         assert np.allclose(p_mat, 1.25 * np.eye(n))
         assert np.allclose(q_vec, 1.0 + 0.25 * a)
-        assert [len(b[1]) for b in blocks] == [3, 3]
-        assert np.allclose(blocks[0][1], g @ a) and np.allclose(blocks[1][1], 0.0)
+        # the L1 rows, stacked in penalty order, each with its penalty's rho
+        g1, d1, rho1 = l1
+        assert np.array_equal(g1, np.vstack([g, np.eye(n)]))
+        assert np.allclose(d1, np.concatenate([g @ a, 2.0 * a]))
+        assert np.array_equal(rho1, np.repeat([0.5, 0.125], [3, n]))
+        # only the lp penalty is a prox block
+        assert len(blocks) == 1 and np.array_equal(blocks[0][0], g)
+        assert np.allclose(blocks[0][1], 0.0)
         v = rng.normal(size=3)
-        assert np.array_equal(blocks[0][2](v, 2.0), prox.prox_l1(v, 0.25))
-        assert np.array_equal(blocks[1][2](v, 2.0), prox.prox_lp(v, 0.375, 3.0))
+        assert np.array_equal(blocks[0][2](v, 2.0), prox.prox_lp(v, 0.375, 3.0))
         expected = (0.5 * np.abs(g @ (x - a)).sum() + 0.125 * np.sum((x - a) ** 2)
-                    + 0.25 * np.sum(np.abs(g @ x) ** 3))
+                    + 0.25 * np.sum(np.abs(g @ x) ** 3) + 0.125 * np.abs(x - 2.0 * a).sum())
         assert value(x) == pytest.approx(expected, rel=1e-14)
 
+    def test_no_l1_penalty_gives_no_rows(self):
+        specs = [PenaltySpec("l2", 0.25), PenaltySpec("lp", 0.5, p=1.5)]
+        _, _, l1, blocks, _ = penalty_terms(specs, np.eye(3), np.zeros(3))
+        assert l1 is None and len(blocks) == 1
+
+    def test_lp_of_order_one_stays_on_admm(self, monkeypatch):
+        """An lp penalty with p = 1 prices the same norm as an l1 one, but
+        it is a prox block, so ADMM runs it; the l1 penalty is solved on the
+        active set.  Both reach the same weights."""
+        runs, loop = [], admm.admm_solve
+
+        def recording(prob, *args, **kwargs):
+            runs.append(prob)
+            return loop(prob, *args, **kwargs)
+
+        monkeypatch.setattr(admm, "admm_solve", recording)
+        rng = np.random.default_rng(12)
+        a1, b1 = rng.normal(size=(8, 4)), rng.normal(size=8)
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.7)
+        _, _, l1, blocks, _ = penalty_terms([PenaltySpec("lp", 0.05, p=1.0)],
+                                            np.eye(4), np.zeros(4))
+        assert l1 is None and len(blocks) == 1
+        lp = solve_mixed_lp(a1, b1, None, PenaltySpec("lp", 0.05, p=1.0), constraints=cons)
+        assert len(runs) == 1 and "state" in lp.meta
+        exact = solve_mixed_lp(a1, b1, None, PenaltySpec("l1", 0.05), constraints=cons)
+        assert len(runs) == 1 and exact.duals is not None
+        assert lp.converged and np.abs(lp.weights - exact.weights).max() <= 1e-6
+
     def test_zero_rho_penalty_is_honoured(self):
-        _, _, blocks, _ = penalty_terms([PenaltySpec("lp", 0.0, p=2.0)], np.eye(3), np.zeros(3))
+        _, _, _, blocks, _ = penalty_terms([PenaltySpec("lp", 0.0, p=2.0)], np.eye(3),
+                                           np.zeros(3))
         assert len(blocks) == 1
 
     def test_zero_rho_lp_keeps_the_admm_route(self, four_asset_alt):

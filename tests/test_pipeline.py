@@ -474,8 +474,8 @@ class TestNightlyModels:
         q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
         assert l1_violation(p_mat, q_vec, x, [(strategic, 5e-4), (current, 2e-4)],
                             0.0, upper) <= 1e-7
-        _, _, blocks, _ = pipeline._terms(cfg, mu, sigma, 0.5)
+        _, _, l1, _, _ = pipeline._terms(cfg, mu, sigma, 0.5)
         eq, _, lower, up = cfg.constraints.qp_pieces(n)
         smooth = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, lower=lower, upper=up))
-        exact = oracle(p_mat, q_vec, cfg.constraints, blocks, warm=smooth.weights)
+        exact = oracle(p_mat, q_vec, cfg.constraints, l1, warm=smooth.weights)
         assert np.abs(x - exact).max() <= 1e-9

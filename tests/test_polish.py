@@ -1,6 +1,6 @@
-"""The exact L1 route: ``solve_penalized`` sends every problem whose
-penalties are all L1 and whose sets are the constraint set alone to
-``qp.solve_qp``, whose active set handles the L1 rows' kinks.  Its weights
+"""The exact L1 route: ``solve_penalized`` sends every problem with L1
+rows, no prox block and no set but the constraint set to ``qp.solve_qp``,
+whose active set handles the L1 rows' kinks.  Its weights
 match the lifted ``augment_l1`` QP, its multipliers pass an independent KKT
 check and the certificate built from the problem data, no ADMM loop runs,
 and problems with Lp blocks or norm balls still run ADMM."""
@@ -8,7 +8,7 @@ and problems with Lp blocks or norm balls still run ADMM."""
 import numpy as np
 import pytest
 
-from roboalloc import admm, prox, qp
+from roboalloc import admm, qp
 from roboalloc.admm import solve_mixed_lp, solve_penalized
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import RoboConfig, _terms, rebalance
@@ -34,55 +34,51 @@ def admm_runs(monkeypatch):
     return runs
 
 
-def oracle(p_mat, q_vec, cons, blocks, warm=None):
+def oracle(p_mat, q_vec, cons, l1, warm=None):
     """The exact answer as ``augment_l1``'s QP.
 
-    A first block with a nonnegative diagonal ``G`` is split on ``x``
-    itself; every other block ``(G, d)`` on a new variable ``y = G x``, so
-    ``augment_l1`` prices ``rho ||y - d||_1 = rho ||G x - d||_1`` exactly for
-    any ``G``.  The solve is cold, or starts at the lift of the feasible
-    weights ``warm``: the active set ends only at an optimum of the lifted
-    QP, wherever it starts."""
+    When the first ``n`` of the L1 rows ``l1 = (G, d, rho)`` make a
+    positive diagonal matrix they are split on ``x`` itself; every other
+    row ``(g, d)`` on a new variable ``y = g x``, so ``augment_l1`` prices
+    ``rho |y - d| = rho |g x - d|`` exactly for any ``g``.  The solve is
+    cold, or starts at the lift of the feasible weights ``warm``: the active
+    set ends only at an optimum of the lifted QP, wherever it starts."""
     n = q_vec.size
-    g0 = blocks[0][0]
-    split_x = np.array_equal(g0, np.diag(np.diag(g0))) and (np.diag(g0) > 0).all()
-    lifted = blocks[1:] if split_x else blocks
-    m = n + sum(g.shape[0] for g, _, _ in lifted)
+    g, d, rho = l1
+    g0 = g[:n]
+    split_x = (g0.shape[0] == n and np.array_equal(g0, np.diag(np.diag(g0)))
+               and (np.diag(g0) > 0).all())
+    first = n if split_x else 0
+    k = d.size - first
+    m = n + k
     weight, anchor = np.zeros(m), np.zeros(m)
     if split_x:
-        weight[:n] = blocks[0][2].rho * np.diag(g0)
-        anchor[:n] = blocks[0][1] / np.diag(g0)
+        weight[:n] = rho[:n] * np.diag(g0)
+        anchor[:n] = d[:n] / np.diag(g0)
     eq, ineq, lower, upper = cons.qp_pieces(n)
-    rows, rhs = [np.hstack([eq[0], np.zeros((eq[0].shape[0], m - n))])], [eq[1]]
-    start = n
-    for g, d, step in lifted:
-        k = g.shape[0]
-        block = np.zeros((k, m))
-        block[:, :n], block[:, start:start + k] = g, -np.eye(k)
-        rows.append(block)
-        rhs.append(np.zeros(k))
-        weight[start:start + k], anchor[start:start + k] = step.rho, d
-        start += k
+    rows = np.vstack([np.hstack([eq[0], np.zeros((eq[0].shape[0], k))]),
+                      np.hstack([g[first:], -np.eye(k)])])
+    weight[n:], anchor[n:] = rho[first:], d[first:]
     q_mat = np.zeros((m, m))
     q_mat[:n, :n] = p_mat
     pad = np.full(m - n, np.inf)
     problem = QpProblem(
         Q=q_mat, c=np.concatenate([-q_vec, np.zeros(m - n)]),
-        eq=(np.vstack(rows), np.concatenate(rhs)),
+        eq=(rows, np.concatenate([eq[1], np.zeros(k)])),
         ineq=None if ineq is None else (np.hstack([ineq[0], np.zeros((ineq[0].shape[0],
                                                                       m - n))]), ineq[1]),
         lower=np.concatenate([np.broadcast_to(-np.inf if lower is None else lower, (n,)), -pad]),
         upper=np.concatenate([np.broadcast_to(np.inf if upper is None else upper, (n,)), pad]))
     x0 = None
     if warm is not None:
-        y = np.concatenate([warm] + [g @ warm for g, _, _ in lifted])
+        y = np.concatenate([warm, g[first:] @ warm])
         x0 = np.concatenate([y, np.maximum(anchor - y, 0.0), np.maximum(y - anchor, 0.0)])
     return solve_qp(augment_l1(problem, np.diag(weight), 1.0, anchor), x0=x0).weights[:n]
 
 
-def kkt_violation(p_mat, q_vec, cons, blocks, x, duals):
+def kkt_violation(p_mat, q_vec, cons, l1, x, duals):
     """Largest violation of optimality of ``x`` with the reported ``duals``,
-    for diagonal L1 blocks: feasibility, signs and complementarity of the
+    for L1 rows on one weight each: feasibility, signs and complementarity of the
     multipliers, and 0 in each weight's interval of stationarity."""
     eq, ineq, lower, upper = cons.qp_pieces(x.size)
     lower = np.broadcast_to(-np.inf if lower is None else lower, x.shape)
@@ -97,12 +93,14 @@ def kkt_violation(p_mat, q_vec, cons, blocks, x, duals):
         grad = grad - ineq[0].T @ duals["ineq"]
         worst += [-slack.min(), -duals["ineq"].min(), np.abs(duals["ineq"] * slack).max()]
     low, high = grad.copy(), grad.copy()
-    for g, d, step in blocks:
-        w = step.rho * np.diag(g)
-        off = np.diag(g) * x - d
-        kink = np.abs(off) <= 1e-12
-        low += np.where(kink, -w, w * np.sign(off))
-        high += np.where(kink, w, w * np.sign(off))
+    g, d, rho = l1
+    col = np.abs(g).argmax(axis=1)
+    coef = g[np.arange(d.size), col]
+    off = coef * x[col] - d
+    kink = np.abs(off) <= 1e-12
+    slope = rho * coef * np.sign(off)
+    np.add.at(low, col, np.where(kink, -rho * np.abs(coef), slope))
+    np.add.at(high, col, np.where(kink, rho * np.abs(coef), slope))
     worst.append(np.maximum(low, -high).max())
     return max(worst)
 
@@ -150,10 +148,10 @@ def test_polished_weights_are_exact_and_certified(n, gamma1, anchors, l2, genera
     assert rep.converged and admm_runs == []
     assert rep.duals is not None and set(rep.duals) == {"eq", "ineq", "lower", "upper"}
     assert max(rep.r_norm, rep.s_norm) <= 1e-12
-    p_mat, q_vec, blocks, _ = _terms(cfg, mu, sigma, cfg.gamma)
-    assert np.abs(rep.weights - oracle(p_mat, q_vec, cfg.constraints, blocks)).max() <= 1e-10
+    p_mat, q_vec, l1, _, _ = _terms(cfg, mu, sigma, cfg.gamma)
+    assert np.abs(rep.weights - oracle(p_mat, q_vec, cfg.constraints, l1)).max() <= 1e-10
     if gamma1 != "general":
-        assert kkt_violation(p_mat, q_vec, cfg.constraints, blocks, rep.weights,
+        assert kkt_violation(p_mat, q_vec, cfg.constraints, l1, rep.weights,
                              rep.duals) <= 1e-12
 
 
@@ -172,11 +170,9 @@ def test_wrong_working_set_is_refused():
 
 def l1_problem(cfg, mu, sigma):
     """The ``QpProblem`` with L1 rows that ``solve_penalized`` builds."""
-    p_mat, q_vec, blocks, _ = _terms(cfg, mu, sigma, cfg.gamma)
+    p_mat, q_vec, l1, _, _ = _terms(cfg, mu, sigma, cfg.gamma)
     eq, ineq, lower, upper = cfg.constraints.qp_pieces(cfg.n)
-    rows = (np.vstack([g for g, _, _ in blocks]), np.concatenate([d for _, d, _ in blocks]),
-            np.concatenate([np.full(d.size, step.rho) for _, d, step in blocks]))
-    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=rows)
+    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
 
 
 def test_certificate_refuses_a_moved_point():
@@ -237,8 +233,7 @@ def test_generic_split_without_constraints_polishes(admm_runs):
     rng = np.random.default_rng(7)
     p_mat = random_spd(rng, 6)
     q_vec = rng.normal(size=6)
-    rep = solve_penalized(p_mat, q_vec, [(np.eye(6), np.zeros(6),
-                                          prox.SoftThreshold(0.3))])
+    rep = solve_penalized(p_mat, q_vec, (np.eye(6), np.zeros(6), 0.3), [])
     assert admm_runs == []
     x = rep.weights
     grad = p_mat @ x - q_vec
@@ -260,34 +255,43 @@ def test_large_rho_unanchored_lasso_polished(four_asset_alt, admm_runs):
     assert np.abs(rep.weights - long_only.weights).max() <= 1e-11
 
 
-def l1_value(p_mat, q_vec, blocks, x):
-    return 0.5 * x @ p_mat @ x - q_vec @ x + sum(
-        step.rho * np.abs(g @ x - d).sum() for g, d, step in blocks)
+def l1_value(p_mat, q_vec, l1, x):
+    g, d, rho = l1
+    return 0.5 * x @ p_mat @ x - q_vec @ x + rho @ np.abs(g @ x - d)
+
+
+def l1_rows(terms):
+    """The L1 terms ``(G, d, rho)``, one per penalty, stacked as the rows
+    that ``solve_penalized`` takes."""
+    g, d, rho = zip(*terms)
+    return (np.vstack(g), np.concatenate(d),
+            np.concatenate([np.full(di.size, r) for di, r in zip(d, rho)]))
 
 
 class TestDegenerateWorkingSets:
     """Seeded problems whose L1 working sets are degenerate, against the
     lifted ``augment_l1`` QP: the weights to 1e-10 (the objective to 1e-12
     relative when ``P`` is singular), the certificate at 1e-12 relative to
-    the scale of the data and, for diagonal blocks, the independent KKT
-    check of the duals."""
+    the scale of the data and, for rows on one weight each, the independent
+    KKT check of the duals."""
 
     @staticmethod
-    def solve(p_mat, q_vec, blocks, cons, warm=None, unique=True):
-        rep = solve_penalized(p_mat, q_vec, blocks, cons, x_init=warm)
+    def solve(p_mat, q_vec, l1, cons, warm=None, unique=True):
+        rep = solve_penalized(p_mat, q_vec, l1, [], cons, x_init=warm)
         x = rep.weights
-        force = max([1.0, np.abs(q_vec).max(), np.abs(p_mat @ x).max()]
-                    + [step.rho * np.abs(g).max() for g, _, step in blocks])
+        g, _, rho = l1
+        force = max(1.0, np.abs(q_vec).max(), np.abs(p_mat @ x).max(),
+                    (rho * np.abs(g).max(axis=1)).max())
         assert rep.converged and rep.r_norm <= 1e-12 * max(1.0, np.abs(x).max())
         assert rep.s_norm <= 1e-12 * force
-        exact = oracle(p_mat, q_vec, cons, blocks)
+        exact = oracle(p_mat, q_vec, cons, l1)
         if unique:
             assert np.abs(rep.weights - exact).max() <= 1e-10
         else:
-            best = l1_value(p_mat, q_vec, blocks, exact)
-            assert l1_value(p_mat, q_vec, blocks, rep.weights) <= best + 1e-12 * abs(best)
-        if all(np.array_equal(g, np.diag(np.diag(g))) for g, _, _ in blocks):
-            assert kkt_violation(p_mat, q_vec, cons, blocks, x, rep.duals) <= 1e-12 * force
+            best = l1_value(p_mat, q_vec, l1, exact)
+            assert l1_value(p_mat, q_vec, l1, rep.weights) <= best + 1e-12 * abs(best)
+        if (np.count_nonzero(g, axis=1) == 1).all():
+            assert kkt_violation(p_mat, q_vec, cons, l1, x, rep.duals) <= 1e-12 * force
         return rep
 
     @staticmethod
@@ -297,8 +301,8 @@ class TestDegenerateWorkingSets:
         cfg = RoboConfig(strategic=strategic, current=current, gamma=0.5,
                          rho1_strategic=rho1[0], rho1_turnover=rho1[1],
                          constraints=ConstraintSet(budget=1.0, lower=0.0, upper=upper))
-        p_mat, q_vec, blocks, _ = _terms(cfg, rng.normal(0.05, 0.05, n), sigma, 0.5)
-        return p_mat, q_vec, blocks, cfg.constraints
+        p_mat, q_vec, l1, _, _ = _terms(cfg, rng.normal(0.05, 0.05, n), sigma, 0.5)
+        return p_mat, q_vec, l1, cfg.constraints
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kink_on_a_bound(self, seed):
@@ -334,10 +338,9 @@ class TestDegenerateWorkingSets:
         anchor = rng.dirichlet(np.ones(n))
         g1 = np.eye(n) + 0.4 * rng.normal(size=(n, n))
         g2 = rng.normal(size=(3, n))
-        blocks = [(g1, g1 @ anchor, prox.SoftThreshold(5e-3)),
-                  (g2, g2 @ anchor, prox.SoftThreshold(2e-2))]
+        l1 = l1_rows([(g1, g1 @ anchor, 5e-3), (g2, g2 @ anchor, 2e-2)])
         cons = ConstraintSet(budget=1.0, lower=-0.2, upper=0.6)
-        self.solve(p_mat, q_vec, blocks, cons)
+        self.solve(p_mat, q_vec, l1, cons)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("anchored", [False, True], ids=["lasso", "anchored"])
@@ -348,8 +351,8 @@ class TestDegenerateWorkingSets:
         p_mat = random_spd(rng, n, 0.04)
         q_vec = rng.normal(0.0, 0.05, n)
         anchor = rng.dirichlet(np.ones(n)) if anchored else np.zeros(n)
-        blocks = [(np.eye(n), anchor, prox.SoftThreshold(1e3))]
-        rep = self.solve(p_mat, q_vec, blocks, ConstraintSet(budget=1.0))
+        l1 = (np.eye(n), anchor, np.full(n, 1e3))
+        rep = self.solve(p_mat, q_vec, l1, ConstraintSet(budget=1.0))
         if anchored:
             assert np.abs(rep.weights - anchor).max() <= 1e-12
 
@@ -362,9 +365,8 @@ class TestDegenerateWorkingSets:
         p_mat = factor @ factor.T * 0.02
         q_vec = rng.normal(0.0, 0.02, n)
         strategic, current = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-        blocks = [(np.eye(n), strategic, prox.SoftThreshold(1e-3)),
-                  (np.eye(n), current, prox.SoftThreshold(5e-4))]
-        self.solve(p_mat, q_vec, blocks, ConstraintSet(budget=1.0, lower=0.0, upper=0.4),
+        l1 = l1_rows([(np.eye(n), strategic, 1e-3), (np.eye(n), current, 5e-4)])
+        self.solve(p_mat, q_vec, l1, ConstraintSet(budget=1.0, lower=0.0, upper=0.4),
                    unique=False)
 
     @pytest.mark.parametrize("seed", range(6))

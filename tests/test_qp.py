@@ -273,6 +273,23 @@ class TestSolveQp:
             solve_qp(QpProblem(Q=np.zeros((1, 1)), c=np.array([1.0]),
                                upper=np.array([0.0])))
 
+    @staticmethod
+    def solve_at_degenerate_vertex(seed, n, rows):
+        """``rows`` rows ``g x >= g v`` through one vertex ``v`` of ``n``
+        weights, solved from ``v + inward`` toward a target beyond the
+        vertex; the answer and ``enumerate_active_sets``' answer."""
+        rng = np.random.default_rng([seed, 0])
+        vertex = rng.normal(size=n)
+        inward = rng.normal(size=n)
+        inward /= np.linalg.norm(inward)
+        g = rng.normal(size=(rows, n))
+        g *= np.sign(g @ inward)[:, None]
+        target = vertex - 3.0 * inward + 0.5 * rng.normal(size=n)
+        rep = solve_qp(QpProblem(Q=np.eye(n), c=-target, ineq=(g, g @ vertex)),
+                       x0=vertex + inward)
+        _, ref = enumerate_active_sets(np.eye(n), -target, None, None, g, g @ vertex)
+        return rep.weights, ref
+
     def test_degenerate_vertex_switches_to_blands_rule(self, monkeypatch):
         # fourteen rows through one vertex of five weights: the walk into the
         # vertex makes more than n + 2 zero steps in a row there, and the
@@ -285,18 +302,17 @@ class TestSolveQp:
             return bland(*args)
 
         monkeypatch.setattr(qp, "_bland", counted)
-        rng = np.random.default_rng([333, 0])
-        vertex = rng.normal(size=5)
-        inward = rng.normal(size=5)
-        inward /= np.linalg.norm(inward)
-        g = rng.normal(size=(14, 5))
-        g *= np.sign(g @ inward)[:, None]
-        target = vertex - 3.0 * inward + 0.5 * rng.normal(size=5)
-        rep = solve_qp(QpProblem(Q=np.eye(5), c=-target, ineq=(g, g @ vertex)),
-                       x0=vertex + inward)
+        x, ref = self.solve_at_degenerate_vertex(311, 5, 14)
         assert calls
-        _, ref = enumerate_active_sets(np.eye(5), -target, None, None, g, g @ vertex)
-        np.testing.assert_allclose(rep.weights, ref, atol=1e-9)
+        np.testing.assert_allclose(x, ref, atol=1e-9)
+
+    @pytest.mark.parametrize("seed,n,rows", [(194, 4, 14), (330, 5, 12)])
+    def test_rows_pinning_the_free_weights_stop_the_step(self, seed, n, rows):
+        # once n rows pin x at the vertex the free step is exactly zero: a
+        # rounded step there let the ratio test add a dependent row at a
+        # zero step and the multiplier test drop it again, until MaxIterations
+        x, ref = self.solve_at_degenerate_vertex(seed, n, rows)
+        np.testing.assert_allclose(x, ref, atol=1e-9)
 
 
 def cold_case(kind, seed):
@@ -430,7 +446,7 @@ class TestNonFiniteData:
         from roboalloc.mvo import ConstraintSet
         cons = ConstraintSet(budget=1.0, lower=np.zeros(4), upper=np.ones(4))
         with pytest.raises(ValueError, match="^c must"):
-            solve_penalized(np.eye(4), np.array([0.1, np.nan, 0.2, 0.3]), [], cons)
+            solve_penalized(np.eye(4), np.array([0.1, np.nan, 0.2, 0.3]), None, [], cons)
 
     def test_solve_gamma_problem(self, four_asset):
         from roboalloc.mvo import ConstraintSet, MvoInputs, solve_gamma_problem
