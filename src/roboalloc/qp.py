@@ -24,10 +24,11 @@ Multipliers follow the stationarity convention
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
 
 with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
-``lam_ineq`` by least squares over the free block, the bound multipliers
-read off the reduced gradient at the fixed variables.  With L1 rows the
-report's multipliers and residuals come from ``certificate``, which reads
-the problem data only.
+``lam_ineq`` are the row multipliers that the factored KKT solve of the
+step returns with it (least squares over the free block on the nullspace
+route), the bound multipliers read off the reduced gradient at the fixed
+variables.  With L1 rows the report's multipliers and residuals come from
+``certificate``, which reads the problem data only.
 
 The active set and the path walk share one working set and rank each of
 ``m`` inequalities, ``n`` weights and the L1 rows: inequality ``i`` ranks
@@ -39,6 +40,7 @@ multipliers are read by rank, and ``_pivot`` applies the event at a rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -120,6 +122,12 @@ class QpProblem:
     def n(self) -> int:
         return self.c.size
 
+    @cached_property
+    def _kinks(self):
+        """The L1 rows' ``_Kinks``, built once and shared by the solve, its
+        certificate and walks (``None`` without L1 rows)."""
+        return None if self.l1 is None else _Kinks(*self.l1)
+
 
 class _Kinks:
     """A problem's L1 rows ``rho_l |g_l'x - d_l|``, split into the rows on
@@ -139,15 +147,22 @@ class _Kinks:
         self.slot = np.full(d.size, -1)  # each single row's place in ``single``
         self.slot[self.single] = np.arange(self.single.size)
 
-    def release(self, side, j, up):
-        """Weight ``j`` leaves its kinks up or down: its rows there follow."""
-        on = self.single[(self.col == j) & (side[self.single] == 0.0)]
-        side[on] = (1.0 if up else -1.0) * np.sign(self.g[on, j])
+    def release(self, side, cols, up):
+        """Weights ``cols`` leave their kinks, up where ``up`` and down
+        elsewhere: their rows there follow."""
+        move = np.zeros(self.g.shape[1])
+        move[cols] = np.where(up, 1.0, -1.0)
+        rows = (move[self.col] != 0.0) & (side[self.single] == 0.0)
+        side[self.single[rows]] = move[self.col[rows]] * np.sign(self.coef[rows])
 
-    def settle(self, side, x, j):
-        """Sides of weight ``j``'s rows at ``x_j``, 0 at a kink (to ``_CERT_TOL``)."""
-        on = self.single[self.col == j]
-        off = self.g[on, j] * x[j] - self.d[on]
+    def settle(self, side, x, cols):
+        """Sides of the weights ``cols``' rows at ``x``, 0 at a kink (to
+        ``_CERT_TOL``)."""
+        hit = np.zeros(self.g.shape[1], dtype=bool)
+        hit[cols] = True
+        rows = hit[self.col]
+        on = self.single[rows]
+        off = self.coef[rows] * x[self.col[rows]] - self.d[on]
         side[on] = np.where(np.abs(off) <= _CERT_TOL * np.maximum(1.0, np.abs(self.d[on])),
                             0.0, np.sign(off))
 
@@ -209,26 +224,28 @@ def _rise_fall(at, fixed, reduced, kinks=None, side=None):
             np.where(state == _LOWER, np.inf, width - reduced))
 
 
-def _pivot(r, m, at, act, side, x, lo, up, kinks=None, lean=0.0):
-    """Apply the event at rank ``r`` to the working set ``(at, act, side)``
-    and ``x``: a constraint outside it joins, one inside leaves.  A free
-    weight is fixed at its bound, a fixed one freed up at its rise rank or
-    down at its fall rank; an L1 row off its kink reaches it (a row on one
-    weight fixing that weight there), a general row at its kink leaves to
-    the side ``lean``."""
-    n = x.size
+def _pivot(ranks, m, at, act, side, x, lo, up, kinks=None, lean=0.0):
+    """Apply the events at ``ranks``, one constraint's or several weights'
+    (all free or all fixed), to the working set ``(at, act, side)`` and
+    ``x``: a constraint outside it joins, one inside leaves.  Free weights
+    are fixed at their bounds, fixed ones freed up at their rise ranks or
+    down at their fall ranks, their rows at kinks updated by one call; an
+    L1 row off its kink reaches it (a row on one weight fixing that weight
+    there), a general row at its kink leaves to the side ``lean``."""
+    n, r = x.size, ranks[0]
     if r < m:
         (act.remove if r in act else act.append)(r)
     elif r < m + 2 * n:
-        j, low = (r - m) % n, r < m + n
-        if at[j] == _FREE:
-            at[j], x[j] = (_LOWER, lo[j]) if low else (_UPPER, up[j])
+        cols = [(rank - m) % n for rank in ranks]
+        if at[cols[0]] == _FREE:
+            for rank, j in zip(ranks, cols):
+                at[j], x[j] = (_LOWER, lo[j]) if rank < m + n else (_UPPER, up[j])
             if kinks is not None:
-                kinks.settle(side, x, j)
+                kinks.settle(side, x, cols)
         else:
-            at[j] = _FREE
+            at[cols] = _FREE
             if kinks is not None:
-                kinks.release(side, j, up=low)
+                kinks.release(side, cols, [rank < m + n for rank in ranks])
     elif side[r - m - 2 * n]:
         row = r - m - 2 * n
         side[row], i = 0.0, kinks.slot[row]
@@ -300,32 +317,60 @@ def _cholesky(a):
     return factor if pivots.min() > 1e-9 * max(pivots.max(), 1.0) else None
 
 
+def _kkt_factor(q_ff, c_f):
+    """Factors ``(L_FF, W, L_S)`` of the free block's KKT matrix
+    ``[Q_FF C_F'; C_F 0]``: the Cholesky factor of ``Q_FF``,
+    ``W = Q_FF^-1 C_F'`` and the Cholesky factor of the Schur complement
+    ``C_F W`` (``W`` and ``L_S`` ``None`` without rows).  ``None`` when
+    ``C_F`` has as many rows as the block has weights or more, loses rank,
+    or ``Q_FF`` is not positive definite."""
+    if c_f.shape[0] >= c_f.shape[1]:
+        return None
+    l_ff = _cholesky(q_ff)
+    if l_ff is None:
+        return None
+    if not c_f.shape[0]:
+        return l_ff, None, None
+    w = dpotrs(l_ff, c_f.T, lower=1)[0]
+    l_s = _cholesky(c_f @ w)
+    return None if l_s is None else (l_ff, w, l_s)
+
+
+def _kkt_solve(kkt, c_f, g_f, gap=None):
+    """``(p_F, y, r)`` solving ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]``
+    on ``_kkt_factor``'s factors ``kkt`` (``gap`` zero when ``None``), with
+    ``r = g_F + C_F'y``.  ``g_F`` may have several columns, one solve each.
+    ``y`` are the rows' multipliers at the point ``x + p``: there the
+    gradient is ``g_F - r`` on the free block, and ``g_F - r + C_F'y = 0``."""
+    l_ff, w, l_s = kkt
+    r, y = g_f, np.zeros((0,) + g_f.shape[1:])
+    if w is not None:
+        rhs = -(w.T @ g_f) if gap is None else -(w.T @ g_f + gap)
+        y = dpotrs(l_s, rhs, lower=1)[0]
+        r = g_f + c_f.T @ y
+    return -dpotrs(l_ff, r, lower=1)[0], y, r
+
+
 def _free_step(q_ff, g_f, c_f, gap=None):
     """Step of the equality-constrained subproblem on the free block.
 
     Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
-    ``None``: the current point is on the rows) with a Cholesky factor of
-    ``Q_FF`` and the Schur complement ``C_F Q_FF^-1 C_F'``.  The nullspace
-    step, exactly zero when the rows pin the block, takes over when ``C_F``
-    has as many rows as the block has weights or more, loses rank, or
-    ``Q_FF`` is not positive definite; with a gap it starts from the
+    ``None``: the current point is on the rows) on ``_kkt_factor``'s
+    factors.  The nullspace step, exactly zero when the rows pin the block,
+    takes over where they fail; with a gap it starts from the
     least-squares step onto the rows.
-    Returns ``(p_F, residual, flat, degenerate)``: ``residual`` is the
-    largest entry of the projected gradient, zero when the current point
-    already solves the subproblem, and ``flat`` and ``degenerate`` are as in
-    ``_reduced_step``.
+    Returns ``(p_F, y, residual, flat, degenerate)``: ``y`` the rows'
+    multipliers at ``x + p`` (``_kkt_solve``), ``None`` on the nullspace
+    route; ``residual`` is the largest entry of the projected gradient,
+    zero when the current point already solves the subproblem, and ``flat``
+    and ``degenerate`` are as in ``_reduced_step``.
     """
     if g_f.size == 0:
-        return g_f, 0.0, False, False
-    l_ff = _cholesky(q_ff) if c_f.shape[0] < g_f.size else None
-    r = g_f  # stationarity residual g_F + C_F'y
-    if l_ff is not None and c_f.shape[0]:
-        w = dpotrs(l_ff, c_f.T, lower=1)[0]
-        l_s = _cholesky(c_f @ w)
-        rhs = -(w.T @ g_f) if gap is None else -(w.T @ g_f + gap)
-        r = None if l_s is None else g_f + c_f.T @ dpotrs(l_s, rhs, lower=1)[0]
-    if l_ff is not None and r is not None:
-        return -dpotrs(l_ff, r, lower=1)[0], np.abs(r).max(), False, False
+        return g_f, np.zeros(c_f.shape[0]), 0.0, False, False
+    kkt = _kkt_factor(q_ff, c_f)
+    if kkt is not None:
+        p, y, r = _kkt_solve(kkt, c_f, g_f, gap)
+        return p, y, np.abs(r).max(), False, False
     basis = _nullspace(c_f, g_f.size)
     if gap is None:
         p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
@@ -333,26 +378,18 @@ def _free_step(q_ff, g_f, c_f, gap=None):
         onto = np.linalg.lstsq(c_f, gap, rcond=None)[0]
         p, flat, degenerate = _reduced_step(q_ff, g_f + q_ff @ onto, basis)
         p = onto + p
-    return p, np.abs(basis.T @ g_f).max(initial=0.0), flat, degenerate
+    return p, None, np.abs(basis.T @ g_f).max(initial=0.0), flat, degenerate
 
 
-def _multipliers(grad, a_eq, g_act, free):
-    """Working-set multipliers at the current point.
-
-    ``nu`` and ``lam`` (for the active general inequalities) are least-squares
-    solutions of stationarity over the free variables.  The returned reduced
-    gradient ``grad + A'nu - G_act'lam`` is zero on the free variables and
-    equals ``lam_lo`` at a variable fixed at its lower bound and ``-lam_up``
-    at one fixed at its upper bound.  ``grad`` may also be an ``n x k``
-    matrix, one gradient per column.
+def _multipliers(grad, rows, free):
+    """Least-squares multipliers ``y`` of the working-set ``rows`` at the
+    current point, ``grad + rows'y = 0`` over the free variables: the
+    nullspace route's, where no factored KKT solve gives them.  ``grad``
+    may also be an ``n x k`` matrix, one gradient per column.
     """
-    rows = np.vstack([a_eq, -g_act])
     if rows.shape[0] and free.any():
-        sol = np.linalg.lstsq(rows[:, free].T, -grad[free], rcond=None)[0]
-    else:
-        sol = np.zeros(rows.shape[:1] + grad.shape[1:])
-    me = a_eq.shape[0]
-    return sol[:me], sol[me:], grad + rows.T @ sol
+        return np.linalg.lstsq(rows[:, free].T, -grad[free], rcond=None)[0]
+    return np.zeros(rows.shape[:1] + grad.shape[1:])
 
 
 def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
@@ -367,12 +404,16 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
     ``_FEAS_TOL``.  The multiplier test writes the working set's multipliers
     by rank, +inf off it: an active inequality's, a fixed variable's
     one-sided derivatives at its rise and fall ranks (its kinks adding their
-    widths), a general kink row's ``rho_l - |mu_l|``.  ``_pivot`` applies
-    the most negative and the ratio test's blocking constraint, ties going
-    to the lowest rank; after a run of degenerate steps ``_bland`` picks
-    instead.
+    widths), a general kink row's ``rho_l - |mu_l|``.  It takes ``nu`` and
+    ``lam`` from the KKT solve that made ``x`` stationary: the zero step's
+    at ``x``, or the last full step's, exact at ``x`` since a full step
+    leaves the working set as it was; ``_multipliers``' least squares on
+    the nullspace route.  ``_pivot`` applies the most negative and the ratio
+    test's blocking constraint, ties going to the lowest rank; after a run
+    of degenerate steps ``_bland`` picks instead.
     Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
-    reduced))``, the last being ``_multipliers`` at ``x``.
+    reduced))``, the last being those multipliers and the reduced gradient
+    ``grad + A'nu - G_act'lam`` at ``x``.
     """
     n, m = c.size, h.size
     k = 0 if kinks is None else kinks.d.size
@@ -401,16 +442,18 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
         if k and kinks.general.size:
             kg = kinks.general[side[kinks.general] == 0.0]
             eq_rows = np.vstack([a_eq, kinks.g[kg]])
+        me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
         p = np.zeros(n)
-        if not settled:  # the step after a full one is zero: skip it
-            p[idx], residual, flat, degenerate = _free_step(
-                q.take(idx, 0).take(idx, 1), grad[idx],
-                np.vstack([eq_rows, g_act]).take(idx, 1))
+        if not settled:  # the step after a full one is zero, and y exact: skip it
+            p[idx], y, residual, flat, degenerate = _free_step(
+                q.take(idx, 0).take(idx, 1), grad[idx], rows.take(idx, 1))
             saw_degenerate |= degenerate
         if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
                                     or residual <= 1e-13 * np.abs(grad).max()):
             settled = False
-            nu, lam, reduced = _multipliers(grad, eq_rows, g_act, free)
+            if y is None:
+                y = _multipliers(grad, rows, free)
+            nu, lam, reduced = y[:me], y[me:], grad + rows.T @ y
             fixed = np.flatnonzero(~free)
             mult.fill(np.inf)
             mult[act] = lam
@@ -431,8 +474,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
                 # ones from 561 to 736
                 leave = neg[(neg >= m) & (neg < m + 2 * n)]
             lean = np.sign(mu[np.searchsorted(kg, drop - m - 2 * n)]) if drop >= m + 2 * n else 0.0
-            for r in leave:
-                _pivot(r, m, at, act, side, x, lo, up, kinks, lean)
+            _pivot(leave, m, at, act, side, x, lo, up, kinks, lean)
             continue
         gp = _ratio_test(ratios, x, p, 1e-13, free, g, h, act, lo, up, kinks, side)
         alpha = np.inf if flat else 1.0
@@ -449,12 +491,12 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
                 raise Unbounded("zero-curvature descent with no blocking constraint")
             alpha = 0.0  # numerically flat but not a real descent: stay put
         x = x + alpha * p
-        join = [blocking] if blocking >= 0 else []
         if alpha == 0.0 and m <= blocking < m + 2 * n:
             # a zero step fixes every free weight it would take out of the box
-            join = m + np.flatnonzero(ratios[m:m + 2 * n] == 0.0)
-        for r in join:
-            _pivot(r, m, at, act, side, x, lo, up, kinks)
+            _pivot(m + np.flatnonzero(ratios[m:m + 2 * n] == 0.0), m, at, act, side, x, lo, up,
+                   kinks)
+        elif blocking >= 0:
+            _pivot([blocking], m, at, act, side, x, lo, up, kinks)
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
         if degenerate_run > n + 2:
             bland = True
@@ -507,7 +549,7 @@ def _cold_start(q, c, a_eq, b_eq, lo, up):
     or when the projection finds the row out of the box's reach."""
     if a_eq.shape[0] > 1:
         return None
-    v, _, flat, _ = _free_step(q, c, a_eq, b_eq)
+    v, _, _, flat, _ = _free_step(q, c, a_eq, b_eq)
     if flat:
         return None
     if not b_eq.size:
@@ -574,7 +616,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         if x0 is None or not _feasible(x0, *pieces):
             x0 = _phase1(*pieces, max_iter)
 
-    kinks = None if problem.l1 is None else _Kinks(*problem.l1)
+    kinks = problem._kinks
     x, at, act, side, iters, degenerate, (nu, lam_act, reduced) = _active_set(
         q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=kinks)
     report = SolveReport(weights=x, objective=float(0.5 * x @ q @ x + c @ x),
@@ -627,7 +669,7 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     The bound multipliers are what the normal cone takes up.
     """
     a_eq, b_eq, g, h, lo, up, _ = _dense_pieces(problem)
-    kinks = _Kinks(*problem.l1)
+    kinks = problem._kinks
     general = kinks.general
     level = max(1.0, np.abs(b_eq).max(initial=0.0), np.abs(h).max(initial=0.0),
                 np.abs(kinks.d).max(initial=0.0))
@@ -659,8 +701,10 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     (Osborne, Presnell & Turlach 2000): on a fixed working set the solution
     and its multipliers are affine in ``t``.  The walk starts from the
     ``solve_qp`` report ``start`` (``t = 0``) and its working set.  Each
-    segment's ``dx`` is ``_free_step``'s KKT solve with ``slope`` for the
-    gradient, its multipliers' slopes ``_multipliers`` of ``Q dx + slope``.
+    segment's ``dx``, its multipliers and their slopes come from one KKT
+    solve on ``_kkt_factor``'s factors, with the gradient and ``slope`` as
+    its two columns; where the factors fail, from ``_free_step``'s
+    nullspace step and ``_multipliers``' least squares.
     It ends at the first event, ties going to the lowest rank of the layout
     that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
     reaches a bound, an inequality becomes active, an L1 row reaches its
@@ -685,7 +729,7 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     q, c = problem.Q, problem.c
     slope = np.asarray(slope, dtype=float).ravel()
     a_eq, _, g, h, lo, up, max_iter = _dense_pieces(problem)
-    kinks = None if problem.l1 is None else _Kinks(*problem.l1)
+    kinks = problem._kinks
     m, k = h.size, 0 if kinks is None else kinks.d.size
     at, act, side = (v.copy() for v in start.meta["working_set"])
     x, t = start.weights.copy(), 0.0
@@ -697,21 +741,28 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         idx, fixed, g_act = np.flatnonzero(free), np.flatnonzero(~free), g[act]
         kg = kinks.general[side[kinks.general] == 0.0] if k else None
         eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
-        rows = np.vstack([eq_rows, -g_act])  # signed as in _multipliers
+        me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
         c_f, dx, flat, null = rows.take(idx, 1), np.zeros(n), False, None
         if c_f.shape[0] >= idx.size or k and kg.size:  # a null direction of the rows
             basis = _nullspace(c_f.T, c_f.shape[0])    # that moves a bounded multiplier
             moves = np.abs(np.vstack([basis[a_eq.shape[0]:], rows.T[fixed] @ basis]))
             moves = moves.max(axis=0, initial=0.0)
             null = basis[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
-        if null is None:
-            dx[idx], _, flat, _ = _free_step(q.take(idx, 0).take(idx, 1), slope[idx], c_f)
+        grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
+        q_ff = q.take(idx, 0).take(idx, 1)
+        kkt = _kkt_factor(q_ff, c_f) if null is None else None
+        if kkt is not None:  # one solve: dx, and the multipliers and their slopes
+            p, y, _ = _kkt_solve(kkt, c_f, np.column_stack([grad[idx], slope[idx]]))
+            dx[idx] = p[:, 1]
+        elif null is None:
+            dx[idx], _, _, flat, _ = _free_step(q_ff, slope[idx], c_f)
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
         _ratio_test(ratios, x, dx, tiny, free, g, h, act, lo, up, kinks, side)
         if not flat:
-            grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
-            nu, lam, reduced = _multipliers(np.column_stack([grad, q @ dx + slope]),
-                                            eq_rows, g_act, free)
+            grads = np.column_stack([grad, q @ dx + slope])
+            if kkt is None:
+                y = _multipliers(grads, rows, free)
+            nu, lam, reduced = y[:me], y[me:], grads + rows.T @ y
             for turn in (1.0, -1.0):
                 if null is not None:  # one way or the other along the null direction
                     nu[:, 1], lam[:, 1] = np.split(turn * null, [len(nu)])
@@ -741,7 +792,7 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
             t += 0.0 if flat else length
         row = r - m - 2 * n
         lean = np.sign(mu[np.searchsorted(kg, row), 1]) if row >= 0 and not side[row] else 0.0
-        _pivot(r, m, at, act, side, x, lo, up, kinks, lean)
+        _pivot([r], m, at, act, side, x, lo, up, kinks, lean)
     raise MaxIterations(f"parametric path did not end in {max_iter} pivots")
 
 

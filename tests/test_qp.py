@@ -103,6 +103,19 @@ def budget_box_problem(rng, n, gamma, upper=0.15, factors=5):
                      lower=0.0, upper=upper)
 
 
+def count_calls(monkeypatch, name):
+    """A list that grows by one entry per call of ``qp``'s function ``name``."""
+    calls = []
+    function = getattr(qp, name)
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    monkeypatch.setattr(qp, name, counted)
+    return calls
+
+
 class TestSolveQp:
     def test_two_asset_budget_by_hand(self):
         rep = solve_qp(QpProblem(Q=np.eye(2), c=np.zeros(2),
@@ -238,29 +251,35 @@ class TestSolveQp:
     def test_full_step_skips_the_next_kkt_solve(self, monkeypatch):
         # the step after a full one is zero: the loop goes straight to the
         # multiplier test, so it makes fewer KKT solves (the cold start's
-        # among them) than iterations
-        calls = []
+        # among them) than iterations, and reads the last step's row
+        # multipliers, exact at the point it reached, with no least squares
+        steps, least_squares = [], count_calls(monkeypatch, "_multipliers")
         free_step = qp._free_step
 
-        def counted(*args):
-            calls.append(1)
-            return free_step(*args)
+        def recorded(*args):
+            steps.append(free_step(*args))
+            return steps[-1]
 
-        monkeypatch.setattr(qp, "_free_step", counted)
+        monkeypatch.setattr(qp, "_free_step", recorded)
         problem = budget_box_problem(np.random.default_rng(0), 20, 1.0, upper=0.3)
         rep = solve_qp(problem)
-        assert len(calls) < rep.iterations
+        assert len(steps) < rep.iterations
+        assert not least_squares
+        assert np.array_equal(rep.duals["eq"], steps[-1][1])
         assert_kkt(problem, rep)
 
     @pytest.mark.parametrize("seed", [71, 72, 95])
-    def test_rank_two_hessian_keeps_the_rows(self, seed):
+    def test_rank_two_hessian_keeps_the_rows(self, seed, monkeypatch):
         # a singular Q_FF factors with pivots down to about 1e-10 of the
-        # largest; steps from such a factor broke the budget by 0.04 to 0.17
+        # largest; steps from such a factor broke the budget by 0.04 to 0.17.
+        # The solve takes the nullspace step and least-squares multipliers
         rng = np.random.default_rng([seed, 13])
         f = rng.standard_normal((13, 2))
         problem = QpProblem(Q=f @ f.T, c=rng.standard_normal(13),
                             eq=(np.ones((1, 13)), [1.0]), lower=-0.5, upper=0.8)
+        least_squares = count_calls(monkeypatch, "_multipliers")
         assert_kkt(problem, solve_qp(problem))
+        assert least_squares
 
     def test_infeasible(self):
         with pytest.raises(errors.Infeasible):
@@ -294,14 +313,7 @@ class TestSolveQp:
         # fourteen rows through one vertex of five weights: the walk into the
         # vertex makes more than n + 2 zero steps in a row there, and the
         # multiplier test then picks by Bland's rule
-        calls = []
-        bland = qp._bland
-
-        def counted(*args):
-            calls.append(1)
-            return bland(*args)
-
-        monkeypatch.setattr(qp, "_bland", counted)
+        calls = count_calls(monkeypatch, "_bland")
         x, ref = self.solve_at_degenerate_vertex(311, 5, 14)
         assert calls
         np.testing.assert_allclose(x, ref, atol=1e-9)
@@ -313,6 +325,117 @@ class TestSolveQp:
         # zero step and the multiplier test drop it again, until MaxIterations
         x, ref = self.solve_at_degenerate_vertex(seed, n, rows)
         np.testing.assert_allclose(x, ref, atol=1e-9)
+
+
+class TestFactoredMultipliers:
+    """A factored KKT solve returns the rows' multipliers with the step,
+    exact at the point the step reaches, so the active set and the walk
+    need no least-squares solve for them."""
+
+    @staticmethod
+    def working_set(kind, seed):
+        """``(Q, rows, free)``: a seeded working set of 12 weights, the rows
+        signed as ``_active_set`` stacks them (equalities, general L1 rows
+        at their kinks, then the active inequalities negated)."""
+        rng = np.random.default_rng([seed, 21])
+        n = 12
+        rows, free = np.ones((1, n)), np.ones(n, dtype=bool)
+        if kind == "box":
+            free[rng.choice(n, 5, replace=False)] = False
+        elif kind == "inequalities":
+            rows = np.vstack([rows, -rng.normal(size=(3, n))])
+            free[rng.choice(n, 2, replace=False)] = False
+        elif kind == "l1_kinks":
+            general = rng.normal(size=(3, n)) * (rng.random((3, n)) < 0.5)
+            rows = np.vstack([rows, general])
+            free[rng.choice(n, 3, replace=False)] = False
+        return random_spd(rng, n), rows, free
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["budget", "box", "inequalities", "l1_kinks"])
+    def test_match_least_squares(self, kind, seed):
+        q, rows, free = self.working_set(kind, seed)
+        grads = np.random.default_rng([seed, 22]).normal(size=(q.shape[0], 2))
+        idx = np.flatnonzero(free)
+        c_f = rows[:, idx]
+        kkt = qp._kkt_factor(q[np.ix_(idx, idx)], c_f)
+        p, y, _ = qp._kkt_solve(kkt, c_f, grads[idx])
+        # the least squares at the points the steps reach, one per column
+        ref = qp._multipliers(grads + q[:, idx] @ p, rows, free)
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        # the active set's one-column step gives the same multipliers
+        step, y_step, *_ = qp._free_step(q[np.ix_(idx, idx)], grads[idx, 0], c_f)
+        np.testing.assert_allclose(step, p[:, 0], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(y_step, y[:, 0], rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    def test_calibrate_gamma_takes_no_least_squares_solve(self, monkeypatch):
+        from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma, solve_gamma_problem
+        base = budget_box_problem(np.random.default_rng(40), 40, 1.0)
+        inputs = MvoInputs(mu=-base.c, sigma=base.Q)
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.15)
+        x = solve_gamma_problem(inputs, 1.0, cons).weights
+        target = float(np.sqrt(x @ base.Q @ x))
+        least_squares = count_calls(monkeypatch, "_multipliers")
+        solves = count_calls(monkeypatch, "_kkt_solve")
+        _, rep = calibrate_gamma(inputs, cons, target_vol=target)
+        assert not least_squares and solves
+        x = rep.weights
+        assert np.sqrt(x @ base.Q @ x) == pytest.approx(target, abs=1e-9)
+
+
+class TestKinks:
+    @staticmethod
+    def settle_one(kinks, side, x, j):
+        """One weight's rule, the reference for ``_Kinks.settle``."""
+        on = kinks.single[kinks.col == j]
+        off = kinks.g[on, j] * x[j] - kinks.d[on]
+        side[on] = np.where(np.abs(off) <= qp._CERT_TOL * np.maximum(1.0, np.abs(kinks.d[on])),
+                            0.0, np.sign(off))
+
+    @staticmethod
+    def release_one(kinks, side, j, up):
+        """One weight's rule, the reference for ``_Kinks.release``."""
+        on = kinks.single[(kinks.col == j) & (side[kinks.single] == 0.0)]
+        side[on] = (1.0 if up else -1.0) * np.sign(kinks.g[on, j])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_several_weights_at_once_match_one_at_a_time(self, seed):
+        # up to three single rows per weight, of either sign, and general rows
+        rng = np.random.default_rng([seed, 23])
+        n = 10
+        cols = rng.integers(0, n, 20)
+        g = np.zeros((24, n))
+        g[np.arange(20), cols] = rng.choice([-2.0, -1.0, 0.5, 1.0], 20)
+        g[20:] = rng.normal(size=(4, n))
+        d = rng.normal(size=24)
+        kinks = qp._Kinks(g, d, rng.uniform(0.1, 1.0, 24))
+        x = rng.normal(size=n)
+        x[cols[:5]] = d[:5] / g[np.arange(5), cols[:5]]  # weights at a kink of theirs
+        side = rng.choice([-1.0, 0.0, 1.0], 24)
+        moved = rng.choice(n, 6, replace=False)
+        up = rng.random(6) < 0.5
+        batch, loop = side.copy(), side.copy()
+        kinks.settle(batch, x, moved)
+        for j in moved:
+            self.settle_one(kinks, loop, x, j)
+        assert np.array_equal(batch, loop)
+        assert (batch[:20] == 0.0).any()
+        kinks.release(batch, moved, up)
+        for j, u in zip(moved, up):
+            self.release_one(kinks, loop, j, u)
+        assert np.array_equal(batch, loop)
+
+    def test_one_build_per_problem(self, monkeypatch):
+        # the solve, its certificate and a walk share the problem's instance
+        rng = np.random.default_rng(24)
+        base = budget_box_problem(rng, 12, 1.0, upper=0.3)
+        anchor = rng.dirichlet(np.ones(12))
+        problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.3,
+                            l1=(np.eye(12), anchor, 1e-3))
+        builds = count_calls(monkeypatch, "_Kinks")
+        rep = solve_qp(problem)
+        pieces = list(qp.parametric_path(problem, base.c, rep))
+        assert len(builds) == 1 and pieces[-1][4] == np.inf
 
 
 def cold_case(kind, seed):
@@ -346,18 +469,6 @@ def cold_case(kind, seed):
     return QpProblem(Q=q, c=c, eq=budget if seed % 4 < 2 else None, lower=0.0, upper=cap)
 
 
-def count_phase1(monkeypatch):
-    calls = []
-    phase1 = qp._phase1
-
-    def counted(*args):
-        calls.append(1)
-        return phase1(*args)
-
-    monkeypatch.setattr(qp, "_phase1", counted)
-    return calls
-
-
 class TestColdStart:
     """A cold solve starts at the projected equality-constrained minimizer
     and ends at the answer a start from phase 1's point reaches."""
@@ -365,7 +476,7 @@ class TestColdStart:
     @pytest.mark.parametrize("kind", ["budget_box", "box_only", "infinite_upper",
                                       "mixed_sign_row", "tracking_error", "rank_deficient"])
     def test_matches_a_phase1_start(self, kind, monkeypatch):
-        calls = count_phase1(monkeypatch)
+        calls = count_calls(monkeypatch, "_phase1")
         for seed in range(20):
             problem = cold_case(kind, seed)
             ref = solve_qp(problem, x0=qp.feasible_point(problem))
@@ -381,7 +492,7 @@ class TestColdStart:
                 assert np.abs(cold.weights - ref.weights).max() <= 1e-10
 
     def test_row_the_start_violates_falls_back_to_phase1(self, monkeypatch):
-        calls = count_phase1(monkeypatch)
+        calls = count_calls(monkeypatch, "_phase1")
         for seed in range(10):
             base = budget_box_problem(np.random.default_rng(seed), 30, 1.0, upper=0.3)
             start = qp._cold_start(base.Q, base.c, *base.eq, base.lower, base.upper)
@@ -397,7 +508,7 @@ class TestColdStart:
             assert_kkt(problem, cold)
 
     def test_budget_beyond_the_box_is_still_infeasible(self, monkeypatch):
-        calls = count_phase1(monkeypatch)
+        calls = count_calls(monkeypatch, "_phase1")
         problem = budget_box_problem(np.random.default_rng(2), 10, 1.0, upper=0.09)
         with pytest.raises(errors.Infeasible):
             solve_qp(problem)
@@ -492,14 +603,7 @@ class TestAugmentL1:
         x0 = np.array([0.4, 0.3, 0.2, 0.1])
         base = QpProblem(Q=sigma, c=-0.25 * mu, eq=(np.ones((1, 4)), [1.0]))
         aug = augment_l1(base, np.eye(4), 5e-4, x0)
-        calls = []
-        reduced_step = qp._reduced_step
-
-        def counted(*args):
-            calls.append(1)
-            return reduced_step(*args)
-
-        monkeypatch.setattr(qp, "_reduced_step", counted)
+        calls = count_calls(monkeypatch, "_reduced_step")
         # both halves of the split strictly positive: Q_FF has zero blocks
         rep = solve_qp(aug, x0=np.concatenate([x0, np.full(4, 0.1), np.full(4, 0.1)]))
         assert calls
