@@ -17,8 +17,11 @@ which handles singular Hessians and flags them in
 starts at the caller's ``x0`` when it is feasible; a cold solve with at
 most one equality row starts at the equality-constrained minimizer
 projected onto the box and the row, which already lies on most of the
-optimum's bounds.  When neither start is feasible, phase 1 minimizes
-elastic slacks on the general rows from a point inside the bounds.
+optimum's bounds, refined by a few primal-dual active-set rounds on the
+box and the row (Hintermüller, Ito & Kunisch 2002), which predict the
+bound set from the multipliers and fix many bounds at once.  When neither
+start is feasible, phase 1 minimizes elastic slacks on the general rows
+from a point inside the bounds.
 Multipliers follow the stationarity convention
 
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .errors import (
     EmptyIntersection,
@@ -58,6 +61,7 @@ from .report import CONVERGED, SolveReport
 _FEAS_TOL = 1e-9
 _CERT_TOL = 1e-12  # certificate tolerance, relative to the scale of the data
 _LOWER, _FREE, _UPPER, _KINK = -1, 0, 1, 2  # per-variable state
+_REFINE_ROUNDS = 8  # cap on the cold start's primal-dual active-set rounds
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -356,9 +360,11 @@ def _free_step(q_ff, g_f, c_f, gap=None):
 
     Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
     ``None``: the current point is on the rows) on ``_kkt_factor``'s
-    factors.  The nullspace step, exactly zero when the rows pin the block,
-    takes over where they fail; with a gap it starts from the
-    least-squares step onto the rows.
+    factors.  Where they fail because the rows pin the block (``C_F``
+    square and nonsingular), the step is ``C_F^-1 gap``, zero without a
+    gap, and ``y`` solves ``C_F'y = -(g_F + Q_FF p)`` on the same LU
+    factor.  Otherwise the nullspace step takes over; with a gap it starts
+    from the least-squares step onto the rows.
     Returns ``(p_F, y, residual, flat, degenerate)``: ``y`` the rows'
     multipliers at ``x + p`` (``_kkt_solve``), ``None`` on the nullspace
     route; ``residual`` is the largest entry of the projected gradient,
@@ -371,6 +377,12 @@ def _free_step(q_ff, g_f, c_f, gap=None):
     if kkt is not None:
         p, y, r = _kkt_solve(kkt, c_f, g_f, gap)
         return p, y, np.abs(r).max(), False, False
+    if c_f.shape[0] == g_f.size:  # rows that pin the block: one LU of C_F
+        lu, piv, info = dgetrf(c_f)
+        pivots = np.abs(np.diag(lu))
+        if info == 0 and pivots.min() > 1e-11 * max(pivots.max(), 1.0):
+            p = np.zeros(g_f.size) if gap is None else dgetrs(lu, piv, gap)[0]
+            return p, dgetrs(lu, piv, -(g_f + q_ff @ p), trans=1)[0], 0.0, False, False
     basis = _nullspace(c_f, g_f.size)
     if gap is None:
         p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
@@ -544,7 +556,8 @@ def _cold_start(q, c, a_eq, b_eq, lo, up):
     """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
     on the equality row (one ``_free_step`` from zero), projected onto the
     box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991).  It lies on
-    most of the optimum's bounds, where phase 1's point lies on none.
+    most of the optimum's bounds, where phase 1's point lies on none, but
+    it ignores curvature: ``_refine_start`` corrects its bound set.
     ``None`` with two or more equality rows, for a zero-curvature descent,
     or when the projection finds the row out of the box's reach."""
     if a_eq.shape[0] > 1:
@@ -558,6 +571,49 @@ def _cold_start(q, c, a_eq, b_eq, lo, up):
         return project_hyperplane_intersection(v, a_eq[0], b_eq[0], Box(lo, up))
     except EmptyIntersection:
         return None
+
+
+def _refine_start(q, c, x, a_eq, b_eq, g, h, lo, up):
+    """Primal-dual active-set rounds from ``_cold_start``'s point ``x`` on the
+    box and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
+    2002), which fix many bounds at once where the active set fixes one per
+    step.  A round predicts each weight's state from ``x - r / diag(Q)``
+    against its bounds, ``r = Qx + c + A'nu`` the reduced gradient (``nu``
+    the least squares over ``x``'s free weights at first).  Unless that
+    repeats the states of ``x`` (read off the start, then those of the last
+    solve), it fixes the predicted weights at their bounds and solves the
+    free block's KKT system with the row's gap for the next ``x`` and
+    ``nu``.  The rounds end when the prediction repeats, ``_kkt_factor``
+    fails, or after ``_REFINE_ROUNDS``.  Inequality rows are not seen:
+    returns the last iterate that is ``_feasible`` against every row, else
+    ``x`` itself."""
+    pieces = (a_eq, b_eq, g, h, lo, up)
+    scale = np.diag(q)
+    scale = np.where(scale > 0.0, scale, 1.0)  # any positive scale predicts
+    state = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
+                     np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
+    grad, free = q @ x + c, state == _FREE
+    a_f = a_eq[:, free]  # at most one row: its least squares is a ratio
+    nu = -(a_f @ grad[free]) / max((a_f * a_f).sum(), np.finfo(float).tiny)
+    best = x
+    for _ in range(_REFINE_ROUNDS):
+        z = x - (grad + a_eq.T @ nu) / scale
+        predicted = np.where(z <= lo, _LOWER, np.where(z >= up, _UPPER, _FREE))
+        if np.array_equal(predicted, state):
+            break
+        state = predicted
+        x = np.where(state == _LOWER, lo, np.where(state == _UPPER, up, x))
+        idx = np.flatnonzero(state == _FREE)
+        a_f = a_eq.take(idx, 1)
+        kkt = _kkt_factor(q.take(idx, 0).take(idx, 1), a_f)
+        if kkt is None:
+            break
+        p, nu, _ = _kkt_solve(kkt, a_f, q[idx] @ x + c[idx], b_eq - a_eq @ x)
+        x[idx] += p
+        grad = q @ x + c
+        if _feasible(x, *pieces):
+            best = x
+    return best
 
 
 def _feasible(x, a_eq, b_eq, g, h, lo, up) -> bool:
@@ -593,9 +649,12 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     constraint set.
 
     ``x0`` is an optional starting point (a warm start); it is used only if
-    it is finite and feasible.  Otherwise the solve starts cold at
-    ``_cold_start``'s projected minimizer of the smooth part when that
-    point passes the same test, and at phase 1's point when it does not.
+    it is finite and feasible, and as it is.  Otherwise the solve starts
+    cold at ``_cold_start``'s projected minimizer of the smooth part,
+    refined by ``_refine_start``'s primal-dual active-set rounds on the box
+    and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
+    2002), when that point passes the same test, and at phase 1's point
+    when it does not; the active set then finishes and certifies.
     The L1 rows' states are read off the start as its bound states are.
     Phase 1 and the active set each stop at the cap ``_dense_pieces`` works
     out from the problem's size (``MaxIterations``).  Returns a report whose
@@ -613,6 +672,8 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         x0 = np.asarray(x0, dtype=float).ravel()
     if x0 is None or not _feasible(x0, *pieces):
         x0 = _cold_start(q, c, a_eq, b_eq, lo, up)
+        if x0 is not None:
+            x0 = _refine_start(q, c, x0, *pieces)
         if x0 is None or not _feasible(x0, *pieces):
             x0 = _phase1(*pieces, max_iter)
 

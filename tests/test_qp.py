@@ -213,7 +213,9 @@ class TestSolveQp:
         rng = np.random.default_rng(3)
         neighbour = solve_qp(budget_box_problem(np.random.default_rng(3), 40, 0.30))
         problem = budget_box_problem(rng, 40, 0.33)
-        cold = solve_qp(problem)
+        # from equal weights, a feasible start that is not optimal: the
+        # refined cold start is already at the answer
+        cold = solve_qp(problem, x0=np.full(40, 1 / 40))
         warm = solve_qp(problem, x0=neighbour.weights)
         assert np.allclose(warm.weights, cold.weights, atol=1e-10, rtol=0.0)
         assert warm.iterations < cold.iterations
@@ -250,9 +252,10 @@ class TestSolveQp:
 
     def test_full_step_skips_the_next_kkt_solve(self, monkeypatch):
         # the step after a full one is zero: the loop goes straight to the
-        # multiplier test, so it makes fewer KKT solves (the cold start's
-        # among them) than iterations, and reads the last step's row
-        # multipliers, exact at the point it reached, with no least squares
+        # multiplier test, so it makes fewer KKT solves than iterations, and
+        # reads the last step's row multipliers, exact at the point it
+        # reached, with no least squares.  It starts at equal weights, which
+        # are feasible but not optimal: the refined cold start is optimal
         steps, least_squares = [], count_calls(monkeypatch, "_multipliers")
         free_step = qp._free_step
 
@@ -262,7 +265,7 @@ class TestSolveQp:
 
         monkeypatch.setattr(qp, "_free_step", recorded)
         problem = budget_box_problem(np.random.default_rng(0), 20, 1.0, upper=0.3)
-        rep = solve_qp(problem)
+        rep = solve_qp(problem, x0=np.full(20, 0.05))
         assert len(steps) < rep.iterations
         assert not least_squares
         assert np.array_equal(rep.duals["eq"], steps[-1][1])
@@ -367,6 +370,27 @@ class TestFactoredMultipliers:
         step, y_step, *_ = qp._free_step(q[np.ix_(idx, idx)], grads[idx, 0], c_f)
         np.testing.assert_allclose(step, p[:, 0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(y_step, y[:, 0], rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("free", [1, 3])
+    def test_rows_pinning_the_block_take_one_lu(self, free, seed, monkeypatch):
+        # one free weight under the budget row, or three under three rows:
+        # the step is zero, or lands on the rows with a gap, and y solves
+        # C_F'y = -g_F at the point it reaches, with no SVD
+        rng = np.random.default_rng([seed, 25])
+        q_ff, g_f = random_spd(rng, free), rng.normal(size=free)
+        c_f = np.ones((1, 1)) if free == 1 else rng.normal(size=(3, 3))
+        nullspace = count_calls(monkeypatch, "_nullspace")
+        p, y, residual, flat, degenerate = qp._free_step(q_ff, g_f, c_f)
+        assert not p.any() and (residual, flat, degenerate) == (0.0, False, False)
+        ref = qp._multipliers(g_f, c_f, np.ones(free, dtype=bool))
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        gap = rng.normal(size=free)
+        p, y, *_ = qp._free_step(q_ff, g_f, c_f, gap)
+        np.testing.assert_allclose(c_f @ p, gap, rtol=0.0, atol=1e-12)
+        ref = qp._multipliers(g_f + q_ff @ p, c_f, np.ones(free, dtype=bool))
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        assert not nullspace
 
     def test_calibrate_gamma_takes_no_least_squares_solve(self, monkeypatch):
         from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma, solve_gamma_problem
@@ -521,6 +545,98 @@ class TestColdStart:
         rep = solve_qp(problem)
         assert rep.iterations < 100
         assert_kkt(problem, rep)
+
+
+def l1_rebalance(seed, n):
+    """A nightly-like rebalance: a tracking-error objective with an L2 pull
+    to the strategic book and L1 rows on the strategic and current books,
+    budget 1 and a long-only box."""
+    rng = np.random.default_rng([seed, 26])
+    base = budget_box_problem(rng, n, 0.5, upper=0.2)
+    strategic = rng.dirichlet(np.full(n, 5.0))
+    current = strategic * np.exp(rng.normal(0.0, 0.3, n))
+    current /= current.sum()
+    q = base.Q + 0.02 * np.eye(n)
+    c = base.c - base.Q @ strategic - 0.02 * strategic
+    l1 = (np.vstack([np.eye(n), np.eye(n)]), np.concatenate([strategic, current]),
+          np.repeat([5e-4, 2e-4], n))
+    return QpProblem(Q=q, c=c, eq=base.eq, lower=0.0, upper=0.2, l1=l1)
+
+
+class TestRefinedStart:
+    """Primal-dual active-set rounds refine the projected cold start; the
+    active set still finishes and certifies from the refined point."""
+
+    @pytest.mark.parametrize("n", [5, 20, 50, 200])
+    def test_budget_box_matches_a_phase1_start(self, n):
+        for seed in range(5):
+            problem = budget_box_problem(np.random.default_rng([seed, n]), n, 1.0,
+                                         upper=max(0.15, 1.5 / n))
+            cold = solve_qp(problem)
+            ref = solve_qp(problem, x0=qp.feasible_point(problem))
+            assert np.abs(cold.weights - ref.weights).max() <= 1e-10
+            assert_kkt(problem, cold)
+
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_l1_rebalance_matches_a_phase1_start(self, n):
+        for seed in range(5):
+            problem = l1_rebalance(seed, n)
+            cold = solve_qp(problem)
+            ref = solve_qp(problem, x0=qp.feasible_point(problem))
+            assert np.abs(cold.weights - ref.weights).max() <= 1e-10
+            assert max(cold.r_norm, cold.s_norm) <= 1e-12
+
+    def test_n200_takes_one_step(self, monkeypatch):
+        # the rounds reach the answer's bound set; from the projected start
+        # alone the active set takes 36 steps
+        problem = budget_box_problem(np.random.default_rng(0), 200, 1.0)
+        rep = solve_qp(problem)
+        assert rep.iterations <= 3
+        assert_kkt(problem, rep)
+        monkeypatch.setattr(qp, "_refine_start", lambda q, c, x, *pieces: x)
+        assert solve_qp(problem).iterations > 3
+
+    def test_start_whose_prediction_holds_makes_no_solve(self, monkeypatch):
+        # with Q a multiple of the identity the projected start is the answer,
+        # and the first prediction repeats its states
+        rng = np.random.default_rng(27)
+        problem = QpProblem(Q=0.04 * np.eye(30), c=rng.normal(0.0, 0.01, 30),
+                            eq=(np.ones((1, 30)), [1.0]), lower=0.0, upper=0.2)
+        a_eq, b_eq, g, h, lo, up, _ = qp._dense_pieces(problem)
+        start = qp._cold_start(problem.Q, problem.c, a_eq, b_eq, lo, up)
+        assert ((start > 0.0) & (start < 0.2)).any() and (start == 0.0).any()
+        factors = count_calls(monkeypatch, "_kkt_factor")
+        assert qp._refine_start(problem.Q, problem.c, start, a_eq, b_eq, g, h, lo, up) is start
+        assert not factors
+        rep = solve_qp(problem)
+        assert rep.iterations == 1
+        assert_kkt(problem, rep)
+
+    def test_row_the_refined_start_breaks_keeps_the_projected_start(self, monkeypatch):
+        # a row through the projected start that the refined point breaks:
+        # the active set starts at the projected point, with no phase 1
+        base = budget_box_problem(np.random.default_rng(28), 30, 1.0, upper=0.3)
+        a_eq, b_eq, g, h, lo, up, _ = qp._dense_pieces(base)
+        start = qp._cold_start(base.Q, base.c, a_eq, b_eq, lo, up)
+        refined = qp._refine_start(base.Q, base.c, start, a_eq, b_eq, g, h, lo, up)
+        j = int(np.argmax(start - refined))
+        assert refined[j] < start[j] - 1e-3
+        problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.3,
+                            ineq=(np.eye(30)[[j]], [start[j]]))
+        phase1, starts = count_calls(monkeypatch, "_phase1"), []
+        active_set = qp._active_set
+
+        def recorded(q, c, a_eq, g, h, lo, up, x0, *args, **kwargs):
+            starts.append(x0)
+            return active_set(q, c, a_eq, g, h, lo, up, x0, *args, **kwargs)
+
+        monkeypatch.setattr(qp, "_active_set", recorded)
+        cold = solve_qp(problem)
+        assert not phase1 and np.array_equal(starts[0], start)
+        monkeypatch.undo()
+        ref = solve_qp(problem, x0=qp.feasible_point(problem))
+        assert np.abs(cold.weights - ref.weights).max() <= 1e-10
+        assert_kkt(problem, cold)
 
 
 class TestNonFiniteData:
