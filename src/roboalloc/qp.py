@@ -5,20 +5,20 @@ Solves ``min 0.5 x'Qx + c'x + sum_l rho_l |g_l'x - d_l|`` subject to
 working set is the variables fixed at a bound or at a kink of their own L1
 rows, plus the general rows: the equalities, the active inequalities and
 the other L1 rows at their kinks.  Fixed variables drop out, so each step
-solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F with a
-Cholesky factor of ``Q_FF`` and of the Schur complement of the few general
-rows, factored afresh at each iteration (Nocedal & Wright, *Numerical
-Optimization*, 16.5).  When ``Q_FF`` is not positive definite or ``C_F``
-loses rank (the zero blocks of ``augment_l1``, zero-curvature directions
-that end in ``Unbounded``, dependent rows) the step falls back to the
+solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F with one
+LU factor of that bordered matrix, factored afresh at each iteration
+(Nocedal & Wright, *Numerical Optimization*, 16.2), which also covers rows
+that pin the block and a singular ``Q_FF`` whose null directions the rows
+take up.  When the KKT matrix is singular (dependent rows, or zero
+curvature along the rows, as in the zero blocks of ``augment_l1``, which
+ends in ``Unbounded`` if nothing blocks it) the step falls back to the
 nullspace of ``C_F`` and an eigendecomposition of the reduced Hessian,
-which handles singular Hessians and flags them in
-``meta['degenerate_hessian']``.  All iterates stay feasible.  A solve
-starts at the caller's ``x0`` when it is feasible; a cold solve with at
-most one equality row starts at the equality-constrained minimizer
-projected onto the box and the row, which already lies on most of the
-optimum's bounds, refined by a few primal-dual active-set rounds on the
-box and the row (Hintermüller, Ito & Kunisch 2002), which predict the
+which flags it in ``meta['degenerate_hessian']``.  All iterates stay
+feasible.  A solve starts at the caller's ``x0`` when it is feasible; a
+cold solve with at most one equality row starts at the equality-constrained
+minimizer projected onto the box and the row, which already lies on most
+of the optimum's bounds, refined by a few primal-dual active-set rounds on
+the box and the row (Hintermüller, Ito & Kunisch 2002), which predict the
 bound set from the multipliers and fix many bounds at once.  When neither
 start is feasible, phase 1 minimizes elastic slacks on the general rows
 from a point inside the bounds.
@@ -31,7 +31,8 @@ with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
 step returns with it (least squares over the free block on the nullspace
 route), the bound multipliers read off the reduced gradient at the fixed
 variables.  With L1 rows the report's multipliers and residuals come from
-``certificate``, which reads the problem data only.
+``certificate``, which reads the problem data only, and the status is
+``converged`` only when it passes.
 
 The active set and the path walk share one working set and rank each of
 ``m`` inequalities, ``n`` weights and the L1 rows: inequality ``i`` ranks
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     EmptyIntersection,
@@ -56,12 +57,13 @@ from .errors import (
     Unbounded,
 )
 from .prox import Box, project_hyperplane_intersection
-from .report import CONVERGED, SolveReport
+from .report import CONVERGED, UNCERTIFIED, SolveReport
 
 _FEAS_TOL = 1e-9
 _CERT_TOL = 1e-12  # certificate tolerance, relative to the scale of the data
 _LOWER, _FREE, _UPPER, _KINK = -1, 0, 1, 2  # per-variable state
 _REFINE_ROUNDS = 8  # cap on the cold start's primal-dual active-set rounds
+_SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is zero
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -279,7 +281,7 @@ def _nullspace(a, n):
     if a.shape[0] == 0:
         return np.eye(n)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > 1e-11 * max(s[0], 1.0))) if s.size else 0
+    rank = int(np.sum(s > _SINGULAR * max(s[0], 1.0))) if s.size else 0
     return vt[rank:].T
 
 
@@ -310,79 +312,61 @@ def _reduced_step(q, grad, basis):
     return basis @ y, False, degenerate
 
 
-def _cholesky(a):
-    """Lower Cholesky factor of ``a``, or ``None`` if a pivot is below 1e-9
-    of the largest: a singular block of rank-deficient ``Q`` factors with
-    pivots near 1e-10, and a step on that factor leaves the rows."""
-    factor, info = dpotrf(a, lower=1)
-    if info != 0:
-        return None
-    pivots = np.diag(factor) ** 2
-    return factor if pivots.min() > 1e-9 * max(pivots.max(), 1.0) else None
-
-
 def _kkt_factor(q_ff, c_f):
-    """Factors ``(L_FF, W, L_S)`` of the free block's KKT matrix
-    ``[Q_FF C_F'; C_F 0]``: the Cholesky factor of ``Q_FF``,
-    ``W = Q_FF^-1 C_F'`` and the Cholesky factor of the Schur complement
-    ``C_F W`` (``W`` and ``L_S`` ``None`` without rows).  ``None`` when
-    ``C_F`` has as many rows as the block has weights or more, loses rank,
-    or ``Q_FF`` is not positive definite."""
-    if c_f.shape[0] >= c_f.shape[1]:
+    """LU factors ``(lu, piv)`` of the free block's KKT matrix
+    ``[Q_FF C_F'; C_F 0]``, one ``dgetrf``.  ``None`` for an empty block,
+    for more rows than weights, or for a pivot at most ``_SINGULAR`` of the
+    largest: dependent rows, or zero curvature along the rows."""
+    rows, free = c_f.shape
+    if rows > free or not free:
         return None
-    l_ff = _cholesky(q_ff)
-    if l_ff is None:
-        return None
-    if not c_f.shape[0]:
-        return l_ff, None, None
-    w = dpotrs(l_ff, c_f.T, lower=1)[0]
-    l_s = _cholesky(c_f @ w)
-    return None if l_s is None else (l_ff, w, l_s)
+    kkt = np.zeros((free + rows, free + rows), order="F")
+    kkt[:free, :free], kkt[free:, :free], kkt[:free, free:] = q_ff, c_f, c_f.T
+    lu, piv, info = dgetrf(kkt, overwrite_a=1)
+    pivots = np.abs(np.diag(lu))
+    return None if info or pivots.min() <= _SINGULAR * max(pivots.max(), 1.0) else (lu, piv)
 
 
 def _kkt_solve(kkt, c_f, g_f, gap=None):
     """``(p_F, y, r)`` solving ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]``
     on ``_kkt_factor``'s factors ``kkt`` (``gap`` zero when ``None``), with
-    ``r = g_F + C_F'y``.  ``g_F`` may have several columns, one solve each.
-    ``y`` are the rows' multipliers at the point ``x + p``: there the
-    gradient is ``g_F - r`` on the free block, and ``g_F - r + C_F'y = 0``."""
-    l_ff, w, l_s = kkt
-    r, y = g_f, np.zeros((0,) + g_f.shape[1:])
-    if w is not None:
-        rhs = -(w.T @ g_f) if gap is None else -(w.T @ g_f + gap)
-        y = dpotrs(l_s, rhs, lower=1)[0]
-        r = g_f + c_f.T @ y
-    return -dpotrs(l_ff, r, lower=1)[0], y, r
+    ``r = g_F + C_F'y``.  ``g_F`` may have several columns, one solve for
+    all.  Rows that pin the block leave it still without a gap: ``p`` is
+    exactly zero.  ``y`` are the rows' multipliers at the point ``x + p``:
+    there the gradient is ``g_F - r`` on the free block, and
+    ``g_F - r + C_F'y = 0``."""
+    rows, free = c_f.shape
+    rhs = np.zeros((free + rows,) + g_f.shape[1:])
+    rhs[:free] = -g_f
+    if gap is not None:
+        rhs[free:] = gap
+    p, y = np.split(dgetrs(*kkt, rhs)[0], [free])
+    if gap is None and rows == free:
+        p = np.zeros_like(p)
+    return p, y, g_f + c_f.T @ y
 
 
 def _free_step(q_ff, g_f, c_f, gap=None):
     """Step of the equality-constrained subproblem on the free block.
 
     Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
-    ``None``: the current point is on the rows) on ``_kkt_factor``'s
-    factors.  Where they fail because the rows pin the block (``C_F``
-    square and nonsingular), the step is ``C_F^-1 gap``, zero without a
-    gap, and ``y`` solves ``C_F'y = -(g_F + Q_FF p)`` on the same LU
-    factor.  Otherwise the nullspace step takes over; with a gap it starts
-    from the least-squares step onto the rows.
+    ``None``: the current point is on the rows) on ``_kkt_factor``'s LU
+    factors.  Where the KKT matrix is singular (dependent rows, or a
+    direction of zero curvature), the nullspace step takes over; with a gap
+    it starts from the least-squares step onto the rows.
     Returns ``(p_F, y, residual, flat, degenerate)``: ``y`` the rows'
     multipliers at ``x + p`` (``_kkt_solve``), ``None`` on the nullspace
     route; ``residual`` is the largest entry of the projected gradient,
-    zero when the current point already solves the subproblem, and ``flat``
-    and ``degenerate`` are as in ``_reduced_step``.
+    zero when the current point already solves the subproblem or the rows
+    pin the block (its nullspace is empty), and ``flat`` and
+    ``degenerate`` are as in ``_reduced_step``.
     """
     if g_f.size == 0:
         return g_f, np.zeros(c_f.shape[0]), 0.0, False, False
     kkt = _kkt_factor(q_ff, c_f)
     if kkt is not None:
         p, y, r = _kkt_solve(kkt, c_f, g_f, gap)
-        return p, y, np.abs(r).max(), False, False
-    if c_f.shape[0] == g_f.size:  # rows that pin the block: one LU of C_F
-        lu, piv, info = dgetrf(c_f)
-        pivots = np.abs(np.diag(lu))
-        if info == 0 and pivots.min() > 1e-11 * max(pivots.max(), 1.0):
-            p = np.zeros(g_f.size) if gap is None else dgetrs(lu, piv, gap)[0]
-            return p, dgetrs(lu, piv, -(g_f + q_ff @ p), trans=1)[0], 0.0, False, False
+        return p, y, 0.0 if c_f.shape[0] == g_f.size else np.abs(r).max(), False, False
     basis = _nullspace(c_f, g_f.size)
     if gap is None:
         p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
@@ -493,7 +477,8 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
         blocking = -1
         if ratios.size and ratios.min() < alpha - 1e-15:
             alpha = ratios.min()
-            blocking = int(np.argmax(ratios <= alpha + 1e-15))  # lowest rank among ties
+            tied = ratios <= alpha + 1e-15
+            blocking = int(np.argmax(tied))  # lowest rank among ties
         settled = blocking < 0 and not flat
         if blocking >= m + 2 * n:  # a kink first: pass kinks while the objective falls
             alpha, blocking = kinks.cross(side, ratios, m + 2 * n, gp, grad @ p,
@@ -504,9 +489,9 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
             alpha = 0.0  # numerically flat but not a real descent: stay put
         x = x + alpha * p
         if alpha == 0.0 and m <= blocking < m + 2 * n:
-            # a zero step fixes every free weight it would take out of the box
-            _pivot(m + np.flatnonzero(ratios[m:m + 2 * n] == 0.0), m, at, act, side, x, lo, up,
-                   kinks)
+            # a zero step fixes every free weight it would take out of the box,
+            # tied as the blocking one is
+            _pivot(m + np.flatnonzero(tied[m:m + 2 * n]), m, at, act, side, x, lo, up, kinks)
         elif blocking >= 0:
             _pivot([blocking], m, at, act, side, x, lo, up, kinks)
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
@@ -662,7 +647,9 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     with inactive entries at zero, and whose ``meta['working_set']`` is the
     final ``(states, active inequality rows, L1 row sides)`` that
     ``parametric_path`` starts from.  With L1 rows the objective includes
-    them, and ``duals``, ``r_norm`` and ``s_norm`` are ``certificate``'s.
+    them, and ``duals``, ``r_norm`` and ``s_norm`` are ``certificate``'s;
+    the status is ``uncertified`` when either norm exceeds ``_FEAS_TOL``
+    relative to the scale of the data and of the answer.
     """
     q, c = problem.Q, problem.c
     a_eq, b_eq, g, h, lo, up, max_iter = _dense_pieces(problem)
@@ -705,6 +692,10 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         lam = np.zeros(h.size)
         lam[act] = np.clip(lam_act, 0.0, None)
         report.r_norm, report.s_norm, lam_lo, lam_up = certificate(problem, x, nu[:me], mu, lam)
+        scale = max(1.0, np.abs(x).max(), np.abs(q).max() * np.abs(x).max(), np.abs(c).max(),
+                    np.abs(kinks.pull).max(initial=0.0))
+        if max(report.r_norm, report.s_norm) > _FEAS_TOL * scale:
+            report.status = UNCERTIFIED
         report.duals = {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}
     report.meta["working_set"] = (at, act, side)
     if degenerate:

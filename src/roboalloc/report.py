@@ -12,6 +12,7 @@ import numpy as np
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
+UNCERTIFIED = "uncertified"  # the solve ended, but its optimality certificate failed
 
 
 @dataclass

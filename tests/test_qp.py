@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from roboalloc import errors, qp
+from roboalloc.cli import main
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
 from tests.conftest import random_spd
 
@@ -271,18 +273,28 @@ class TestSolveQp:
         assert np.array_equal(rep.duals["eq"], steps[-1][1])
         assert_kkt(problem, rep)
 
-    @pytest.mark.parametrize("seed", [71, 72, 95])
-    def test_rank_two_hessian_keeps_the_rows(self, seed, monkeypatch):
-        # a singular Q_FF factors with pivots down to about 1e-10 of the
-        # largest; steps from such a factor broke the budget by 0.04 to 0.17.
-        # The solve takes the nullspace step and least-squares multipliers
+    @pytest.mark.parametrize("seed,rows,lifted", [
+        pytest.param(71, 1, False, id="71"), pytest.param(72, 1, False, id="72"),
+        pytest.param(95, 1, False, id="95"), pytest.param(71, 2, False, id="71-two_rows"),
+        pytest.param(72, 3, False, id="72-three_rows"), pytest.param(95, 1, True, id="95-lifted"),
+        pytest.param(71, 2, True, id="71-two_rows-lifted"),
+        pytest.param(72, 3, True, id="72-three_rows-lifted")])
+    def test_rank_two_hessian_keeps_the_rows(self, seed, rows, lifted):
+        # a singular Q_FF whose KKT matrix is nonsingular factors on the
+        # bordered LU; a Cholesky factor of Q_FF alone had pivots down to
+        # about 1e-10 of the largest, and its steps broke the budget by 0.04
+        # to 0.17.  Extra equality rows pass through an interior point, and
+        # ``augment_l1`` adds a zero-curvature block of 26 split variables
         rng = np.random.default_rng([seed, 13])
         f = rng.standard_normal((13, 2))
+        a = np.vstack([np.ones((1, 13)), rng.standard_normal((rows - 1, 13))])
+        inside = np.full(13, 1.0 / 13) + 0.05 * rng.standard_normal(13)
+        inside -= (inside.sum() - 1.0) / 13
         problem = QpProblem(Q=f @ f.T, c=rng.standard_normal(13),
-                            eq=(np.ones((1, 13)), [1.0]), lower=-0.5, upper=0.8)
-        least_squares = count_calls(monkeypatch, "_multipliers")
+                            eq=(a, a @ inside), lower=-0.5, upper=0.8)
+        if lifted:
+            problem = augment_l1(problem, np.eye(13), 0.1, inside + 0.05 * rng.standard_normal(13))
         assert_kkt(problem, solve_qp(problem))
-        assert least_squares
 
     def test_infeasible(self):
         with pytest.raises(errors.Infeasible):
@@ -391,6 +403,16 @@ class TestFactoredMultipliers:
         ref = qp._multipliers(g_f + q_ff @ p, c_f, np.ones(free, dtype=bool))
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
         assert not nullspace
+
+    def test_one_free_weight_under_the_budget_row_factors(self):
+        # the bordered matrix [[q, 1], [1, 0]] is nonsingular: the step is
+        # exactly zero and the budget multiplier is -g
+        c_f = np.ones((1, 1))
+        kkt = qp._kkt_factor(np.array([[0.04]]), c_f)
+        assert kkt is not None
+        p, y, _ = qp._kkt_solve(kkt, c_f, np.array([0.3]))
+        assert p.tolist() == [0.0]
+        np.testing.assert_allclose(y, [-0.3], rtol=1e-15)
 
     def test_calibrate_gamma_takes_no_least_squares_solve(self, monkeypatch):
         from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma, solve_gamma_problem
@@ -637,6 +659,51 @@ class TestRefinedStart:
         ref = solve_qp(problem, x0=qp.feasible_point(problem))
         assert np.abs(cold.weights - ref.weights).max() <= 1e-10
         assert_kkt(problem, cold)
+
+
+class TestCertifiedStatus:
+    """A report on the L1 route is ``converged`` only when its certificate
+    passes; otherwise its status is ``uncertified``."""
+
+    @staticmethod
+    def seeded_l1_problem():
+        # a single-weight L1 QP on which a Cholesky-and-Schur solve reported
+        # ``converged`` at s_norm 3.3e-4, 6.7e-9 above the optimum
+        rng = np.random.default_rng([337, 7])
+        n = rng.integers(3, 30)
+        r = rng.integers(1, n + 1)
+        f = rng.standard_normal((n, r))
+        q, c = f @ f.T / r, rng.standard_normal(n)
+        k = rng.integers(1, 2 * n)
+        g = np.eye(n)[rng.integers(0, n, k)]
+        d, rho = 0.05 * rng.standard_normal(k), 0.05 * rng.random(k)
+        return QpProblem(Q=q, c=c, eq=(np.ones((1, n)), [1.0]), lower=-0.2, upper=0.5,
+                         l1=(g, d, rho))
+
+    def test_seeded_problem_is_certified_or_not_converged(self):
+        rep = solve_qp(self.seeded_l1_problem())
+        assert max(rep.r_norm, rep.s_norm) <= 1e-12 or not rep.converged
+
+    def test_failing_certificate_is_not_converged(self, monkeypatch, tmp_path):
+        certificate = qp.certificate
+
+        def failing(*args):
+            r_norm, _, lam_lo, lam_up = certificate(*args)
+            return r_norm, 1e-3, lam_lo, lam_up
+
+        monkeypatch.setattr(qp, "certificate", failing)
+        rep = solve_qp(self.seeded_l1_problem())
+        assert rep.status == "uncertified" and not rep.converged
+        # the CLI writes the report and exits 2, as on any non-convergence
+        problem, out = tmp_path / "p.json", tmp_path / "rep.json"
+        problem.write_text(json.dumps({
+            "mu": [0.05, 0.07, 0.09], "gamma": 0.5,
+            "sigma": [[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 0.8},
+            "penalties": [{"kind": "l1", "rho": 0.01}]}))
+        assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "uncertified" and doc["residuals"]["dual"] == 1e-3
 
 
 class TestNonFiniteData:
