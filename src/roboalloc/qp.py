@@ -11,14 +11,16 @@ LU factor of that bordered matrix, factored afresh at each iteration
 that pin the block and a singular ``Q_FF`` whose null directions the rows
 take up.  When the KKT matrix is singular (dependent rows, or zero
 curvature along the rows, as in the zero blocks of ``augment_l1``, which
-ends in ``Unbounded`` if nothing blocks it) the step falls back to the
-nullspace of ``C_F`` and an eigendecomposition of the reduced Hessian,
-which flags it in ``meta['degenerate_hessian']``.  All iterates stay
-feasible.  A solve starts at the caller's ``x0`` when it is feasible; a
-cold solve with at most one equality row starts at the equality-constrained
-minimizer projected onto the box and the row, which already lies on most
-of the optimum's bounds, refined by a few primal-dual active-set rounds on
-the box and the row (Hintermüller, Ito & Kunisch 2002), which predict the
+ends in ``Unbounded`` if nothing blocks it) one SVD of the same matrix
+gives its minimum-norm least squares (Golub & Van Loan, *Matrix
+Computations*, 5.5): the step, the multipliers, the descent along zero
+curvature and the rows' null directions; zero curvature is flagged in
+``meta['degenerate_hessian']``.  All iterates stay feasible.  A solve
+starts at the caller's ``x0`` when it is feasible; a cold solve with at
+most one equality row starts at the equality-constrained minimizer
+projected onto the box and the row, which already lies on most of the
+optimum's bounds, refined by a few primal-dual active-set rounds on the
+box and the row (Hintermüller, Ito & Kunisch 2002), which predict the
 bound set from the multipliers and fix many bounds at once.  When neither
 start is feasible, phase 1 minimizes elastic slacks on the general rows
 from a point inside the bounds.
@@ -27,12 +29,11 @@ Multipliers follow the stationarity convention
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
 
 with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
-``lam_ineq`` are the row multipliers that the factored KKT solve of the
-step returns with it (least squares over the free block on the nullspace
-route), the bound multipliers read off the reduced gradient at the fixed
-variables.  With L1 rows the report's multipliers and residuals come from
-``certificate``, which reads the problem data only, and the status is
-``converged`` only when it passes.
+``lam_ineq`` are the row multipliers that the KKT solve of the step
+returns with it, the bound multipliers read off the reduced gradient at
+the fixed variables.  With L1 rows the report's multipliers and residuals
+come from ``certificate``, which reads the problem data only, and the
+status is ``converged`` only when it passes.
 
 The active set and the path walk share one working set and rank each of
 ``m`` inequalities, ``n`` weights and the L1 rows: inequality ``i`` ranks
@@ -276,42 +277,6 @@ def _bland(neg, m, at, side, kinks=None):
     return int(neg[np.argmin(key)])
 
 
-def _nullspace(a, n):
-    """Orthonormal basis of the nullspace of ``a`` (identity if no rows)."""
-    if a.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > _SINGULAR * max(s[0], 1.0))) if s.size else 0
-    return vt[rank:].T
-
-
-def _reduced_step(q, grad, basis):
-    """Minimizing step within the working-set manifold.
-
-    Returns ``(p, flat, degenerate)`` where ``flat`` flags a direction of
-    descent with (numerically) zero curvature, i.e. the subproblem is
-    unbounded until a blocking constraint clamps it, and ``degenerate`` a
-    singular reduced Hessian.
-    """
-    if basis.shape[1] == 0:
-        return np.zeros(q.shape[0]), False, False
-    h = basis.T @ q @ basis
-    h = 0.5 * (h + h.T)
-    g_r = basis.T @ grad
-    lam, vec = np.linalg.eigh(h)
-    scale = max(lam.max(), 1.0) if lam.size else 1.0
-    positive = lam > 1e-12 * scale
-    degenerate = not positive.all()
-    g_modes = vec.T @ g_r
-    flat_component = np.where(positive, 0.0, g_modes)
-    if np.linalg.norm(flat_component) > 1e-10 * max(1.0, np.linalg.norm(g_r)):
-        # zero-curvature descent: pure direction, length set by the line search
-        direction = -vec @ flat_component
-        return basis @ direction, True, degenerate
-    y = -vec @ np.where(positive, g_modes / np.where(positive, lam, 1.0), 0.0)
-    return basis @ y, False, degenerate
-
-
 def _kkt_factor(q_ff, c_f):
     """LU factors ``(lu, piv)`` of the free block's KKT matrix
     ``[Q_FF C_F'; C_F 0]``, one ``dgetrf``.  ``None`` for an empty block,
@@ -346,20 +311,57 @@ def _kkt_solve(kkt, c_f, g_f, gap=None):
     return p, y, g_f + c_f.T @ y
 
 
+def _kkt_lstsq(q_ff, c_f, g_f, gap=None):
+    """The minimum-norm least squares of ``_kkt_solve``'s system, for a block
+    that ``_kkt_factor`` refuses, from one SVD of the bordered matrix
+    (Golub & Van Loan, *Matrix Computations*, 5.5).  Its rows are scaled by
+    ``w = max|Q_FF| / max|C_F|`` (1 when either block is zero), so that both
+    blocks weigh alike in the singular values, of which those at most
+    ``_SINGULAR`` of the largest count as zero; ``y = w y'``.  The null
+    space splits into directions of zero curvature ``(u, 0)``, ``Q_FF u =
+    C_F u = 0``, and dependent rows ``(0, v)``, ``C_F'v = 0``, and the
+    residual's p-part is minus the gradient's component along the first.
+    Returns ``(p, y, flat, degenerate, null)``: ``p`` and ``y`` as
+    ``_kkt_solve``'s, except in a column whose zero-curvature component
+    exceeds 1e-10 of its gradient (``flat``, per column), where ``p`` is that
+    descent alone and the ratio test sets its length; where the rows pin the
+    block only the gap moves it.  ``degenerate`` flags directions of zero
+    curvature, and ``null``'s columns, the y-parts of the null vectors, span
+    the rows' null directions.
+    """
+    rows, free = c_f.shape
+    top_q, top_c = np.abs(q_ff).max(initial=0.0), np.abs(c_f).max(initial=0.0)
+    w = top_q / top_c if top_q and top_c else 1.0
+    kkt = np.zeros((free + rows, free + rows))
+    kkt[:free, :free], kkt[free:, :free], kkt[:free, free:] = q_ff, w * c_f, w * c_f.T
+    rhs = np.zeros((free + rows,) + g_f.shape[1:])
+    rhs[:free] = -g_f
+    if gap is not None:
+        rhs[free:] = w * gap
+    u, s, vt = np.linalg.svd(kkt)
+    rank = int(np.sum(s > _SINGULAR * s[0])) if s.size else 0
+    pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    p, y = np.split(pinv @ rhs, [free])
+    null_p, null_y = np.split(vt[rank:].T, [free])
+    descent = -null_p @ (null_p.T @ g_f)
+    flat = np.linalg.norm(descent, axis=0) > 1e-10 * np.maximum(1.0, np.linalg.norm(g_f, axis=0))
+    p = np.where(flat, descent, p)
+    if rank == 2 * free:  # rows that pin the block: only the gap moves it
+        p = pinv[:free, free:] @ rhs[free:]
+    return p, w * y, flat, bool((null_p ** 2).sum() > 0.5), null_y
+
+
 def _free_step(q_ff, g_f, c_f, gap=None):
     """Step of the equality-constrained subproblem on the free block.
 
     Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
     ``None``: the current point is on the rows) on ``_kkt_factor``'s LU
-    factors.  Where the KKT matrix is singular (dependent rows, or a
-    direction of zero curvature), the nullspace step takes over; with a gap
-    it starts from the least-squares step onto the rows.
+    factors, or, where they are refused (dependent rows, or a direction of
+    zero curvature), by ``_kkt_lstsq``'s minimum-norm least squares.
     Returns ``(p_F, y, residual, flat, degenerate)``: ``y`` the rows'
-    multipliers at ``x + p`` (``_kkt_solve``), ``None`` on the nullspace
-    route; ``residual`` is the largest entry of the projected gradient,
-    zero when the current point already solves the subproblem or the rows
-    pin the block (its nullspace is empty), and ``flat`` and
-    ``degenerate`` are as in ``_reduced_step``.
+    multipliers at ``x + p`` (``_kkt_solve``), ``residual`` the largest
+    entry of ``g_F + C_F'y``, zero when the current point already solves the
+    subproblem, and ``flat`` and ``degenerate`` as in ``_kkt_lstsq``.
     """
     if g_f.size == 0:
         return g_f, np.zeros(c_f.shape[0]), 0.0, False, False
@@ -367,25 +369,8 @@ def _free_step(q_ff, g_f, c_f, gap=None):
     if kkt is not None:
         p, y, r = _kkt_solve(kkt, c_f, g_f, gap)
         return p, y, 0.0 if c_f.shape[0] == g_f.size else np.abs(r).max(), False, False
-    basis = _nullspace(c_f, g_f.size)
-    if gap is None:
-        p, flat, degenerate = _reduced_step(q_ff, g_f, basis)
-    else:
-        onto = np.linalg.lstsq(c_f, gap, rcond=None)[0]
-        p, flat, degenerate = _reduced_step(q_ff, g_f + q_ff @ onto, basis)
-        p = onto + p
-    return p, None, np.abs(basis.T @ g_f).max(initial=0.0), flat, degenerate
-
-
-def _multipliers(grad, rows, free):
-    """Least-squares multipliers ``y`` of the working-set ``rows`` at the
-    current point, ``grad + rows'y = 0`` over the free variables: the
-    nullspace route's, where no factored KKT solve gives them.  ``grad``
-    may also be an ``n x k`` matrix, one gradient per column.
-    """
-    if rows.shape[0] and free.any():
-        return np.linalg.lstsq(rows[:, free].T, -grad[free], rcond=None)[0]
-    return np.zeros(rows.shape[:1] + grad.shape[1:])
+    p, y, flat, degenerate, _ = _kkt_lstsq(q_ff, c_f, g_f, gap)
+    return p, y, np.abs(g_f + c_f.T @ y).max(), flat, degenerate
 
 
 def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
@@ -403,10 +388,9 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
     widths), a general kink row's ``rho_l - |mu_l|``.  It takes ``nu`` and
     ``lam`` from the KKT solve that made ``x`` stationary: the zero step's
     at ``x``, or the last full step's, exact at ``x`` since a full step
-    leaves the working set as it was; ``_multipliers``' least squares on
-    the nullspace route.  ``_pivot`` applies the most negative and the ratio
-    test's blocking constraint, ties going to the lowest rank; after a run
-    of degenerate steps ``_bland`` picks instead.
+    leaves the working set as it was.  ``_pivot`` applies the most negative
+    and the ratio test's blocking constraint, ties going to the lowest rank;
+    after a run of degenerate steps ``_bland`` picks instead.
     Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
     reduced))``, the last being those multipliers and the reduced gradient
     ``grad + A'nu - G_act'lam`` at ``x``.
@@ -447,8 +431,6 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
         if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
                                     or residual <= 1e-13 * np.abs(grad).max()):
             settled = False
-            if y is None:
-                y = _multipliers(grad, rows, free)
             nu, lam, reduced = y[:me], y[me:], grad + rows.T @ y
             fixed = np.flatnonzero(~free)
             mult.fill(np.inf)
@@ -464,10 +446,10 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
             if k and not bland and m <= drop < m + 2 * n:
                 # with L1 rows every violating weight leaves at once; its rows at
                 # a kink take the side it leaves to.  Keyed on L1 rows as measured
-                # on the benchmark's traced runs: on plain QPs it raises
-                # target_calibration's active-set iterations from 137 to 217, and
-                # dropping one weight at a time raises nightly_rebalance's L1
-                # ones from 561 to 736
+                # in summed solve_qp iterations over the benchmark's cycles: on
+                # plain QPs too it raises target_calibration's from 1,176 to 1,443
+                # (17 cycles), and never leaving at once raises nightly_rebalance's
+                # from 345 to 372 and advisor_cli's from 577 to 667 (5 cycles each)
                 leave = neg[(neg >= m) & (neg < m + 2 * n)]
             lean = np.sign(mu[np.searchsorted(kg, drop - m - 2 * n)]) if drop >= m + 2 * n else 0.0
             _pivot(leave, m, at, act, side, x, lo, up, kinks, lean)
@@ -755,8 +737,9 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     ``solve_qp`` report ``start`` (``t = 0``) and its working set.  Each
     segment's ``dx``, its multipliers and their slopes come from one KKT
     solve on ``_kkt_factor``'s factors, with the gradient and ``slope`` as
-    its two columns; where the factors fail, from ``_free_step``'s
-    nullspace step and ``_multipliers``' least squares.
+    its two columns; where the factors are refused, from ``_kkt_lstsq``'s
+    least squares of the same columns, which also gives the rows' null
+    directions.
     It ends at the first event, ties going to the lowest rank of the layout
     that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
     reaches a bound, an inequality becomes active, an L1 row reaches its
@@ -795,25 +778,25 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
         me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
         c_f, dx, flat, null = rows.take(idx, 1), np.zeros(n), False, None
-        if c_f.shape[0] >= idx.size or k and kg.size:  # a null direction of the rows
-            basis = _nullspace(c_f.T, c_f.shape[0])    # that moves a bounded multiplier
+        grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
+        q_ff, grads_f = q.take(idx, 0).take(idx, 1), np.column_stack([grad[idx], slope[idx]])
+        kkt = _kkt_factor(q_ff, c_f)
+        if kkt is not None:  # one solve: dx, and the multipliers and their slopes
+            p, y, _ = _kkt_solve(kkt, c_f, grads_f)
+        else:  # one least squares, which also finds a null direction of the rows
+            p, y, flat, _, null_y = _kkt_lstsq(q_ff, c_f, grads_f)
+            basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
+            basis = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier
             moves = np.abs(np.vstack([basis[a_eq.shape[0]:], rows.T[fixed] @ basis]))
             moves = moves.max(axis=0, initial=0.0)
             null = basis[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
-        grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
-        q_ff = q.take(idx, 0).take(idx, 1)
-        kkt = _kkt_factor(q_ff, c_f) if null is None else None
-        if kkt is not None:  # one solve: dx, and the multipliers and their slopes
-            p, y, _ = _kkt_solve(kkt, c_f, np.column_stack([grad[idx], slope[idx]]))
+            flat = flat[1] and null is None
+        if null is None:
             dx[idx] = p[:, 1]
-        elif null is None:
-            dx[idx], _, _, flat, _ = _free_step(q_ff, slope[idx], c_f)
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
         _ratio_test(ratios, x, dx, tiny, free, g, h, act, lo, up, kinks, side)
         if not flat:
             grads = np.column_stack([grad, q @ dx + slope])
-            if kkt is None:
-                y = _multipliers(grads, rows, free)
             nu, lam, reduced = y[:me], y[me:], grads + rows.T @ y
             for turn in (1.0, -1.0):
                 if null is not None:  # one way or the other along the null direction

@@ -105,6 +105,14 @@ def budget_box_problem(rng, n, gamma, upper=0.15, factors=5):
                      lower=0.0, upper=upper)
 
 
+def least_squares_multipliers(grad, rows, free):
+    """The least-squares multipliers ``y`` of ``grad + rows'y = 0`` over the
+    ``free`` variables, one column per column of ``grad``."""
+    if rows.shape[0] and free.any():
+        return np.linalg.lstsq(rows[:, free].T, -grad[free], rcond=None)[0]
+    return np.zeros(rows.shape[:1] + grad.shape[1:])
+
+
 def count_calls(monkeypatch, name):
     """A list that grows by one entry per call of ``qp``'s function ``name``."""
     calls = []
@@ -258,7 +266,7 @@ class TestSolveQp:
         # reads the last step's row multipliers, exact at the point it
         # reached, with no least squares.  It starts at equal weights, which
         # are feasible but not optimal: the refined cold start is optimal
-        steps, least_squares = [], count_calls(monkeypatch, "_multipliers")
+        steps, least_squares = [], count_calls(monkeypatch, "_kkt_lstsq")
         free_step = qp._free_step
 
         def recorded(*args):
@@ -376,7 +384,7 @@ class TestFactoredMultipliers:
         kkt = qp._kkt_factor(q[np.ix_(idx, idx)], c_f)
         p, y, _ = qp._kkt_solve(kkt, c_f, grads[idx])
         # the least squares at the points the steps reach, one per column
-        ref = qp._multipliers(grads + q[:, idx] @ p, rows, free)
+        ref = least_squares_multipliers(grads + q[:, idx] @ p, rows, free)
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
         # the active set's one-column step gives the same multipliers
         step, y_step, *_ = qp._free_step(q[np.ix_(idx, idx)], grads[idx, 0], c_f)
@@ -392,17 +400,17 @@ class TestFactoredMultipliers:
         rng = np.random.default_rng([seed, 25])
         q_ff, g_f = random_spd(rng, free), rng.normal(size=free)
         c_f = np.ones((1, 1)) if free == 1 else rng.normal(size=(3, 3))
-        nullspace = count_calls(monkeypatch, "_nullspace")
+        least_squares = count_calls(monkeypatch, "_kkt_lstsq")
         p, y, residual, flat, degenerate = qp._free_step(q_ff, g_f, c_f)
         assert not p.any() and (residual, flat, degenerate) == (0.0, False, False)
-        ref = qp._multipliers(g_f, c_f, np.ones(free, dtype=bool))
+        ref = least_squares_multipliers(g_f, c_f, np.ones(free, dtype=bool))
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
         gap = rng.normal(size=free)
         p, y, *_ = qp._free_step(q_ff, g_f, c_f, gap)
         np.testing.assert_allclose(c_f @ p, gap, rtol=0.0, atol=1e-12)
-        ref = qp._multipliers(g_f + q_ff @ p, c_f, np.ones(free, dtype=bool))
+        ref = least_squares_multipliers(g_f + q_ff @ p, c_f, np.ones(free, dtype=bool))
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
-        assert not nullspace
+        assert not least_squares
 
     def test_one_free_weight_under_the_budget_row_factors(self):
         # the bordered matrix [[q, 1], [1, 0]] is nonsingular: the step is
@@ -421,12 +429,125 @@ class TestFactoredMultipliers:
         cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.15)
         x = solve_gamma_problem(inputs, 1.0, cons).weights
         target = float(np.sqrt(x @ base.Q @ x))
-        least_squares = count_calls(monkeypatch, "_multipliers")
+        least_squares = count_calls(monkeypatch, "_kkt_lstsq")
         solves = count_calls(monkeypatch, "_kkt_solve")
         _, rep = calibrate_gamma(inputs, cons, target_vol=target)
         assert not least_squares and solves
         x = rep.weights
         assert np.sqrt(x @ base.Q @ x) == pytest.approx(target, abs=1e-9)
+
+
+def reference_nullspace(a, n):
+    """Orthonormal basis of the nullspace of ``a`` (identity if no rows),
+    with ``qp``'s singularity tolerance on the singular values."""
+    if a.shape[0] == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > qp._SINGULAR * max(s[0], 1.0))) if s.size else 0
+    return vt[rank:].T
+
+
+def reference_reduced_step(q, grad, basis):
+    """Minimizing step within the nullspace ``basis`` of the rows, from an
+    eigendecomposition of the reduced Hessian: ``(p, flat, degenerate)``,
+    ``flat`` for a zero-curvature descent (the direction alone) and
+    ``degenerate`` for a singular reduced Hessian."""
+    if basis.shape[1] == 0:
+        return np.zeros(q.shape[0]), False, False
+    h = basis.T @ q @ basis
+    h = 0.5 * (h + h.T)
+    g_r = basis.T @ grad
+    lam, vec = np.linalg.eigh(h)
+    scale = max(lam.max(), 1.0) if lam.size else 1.0
+    positive = lam > 1e-12 * scale
+    degenerate = not positive.all()
+    g_modes = vec.T @ g_r
+    flat_component = np.where(positive, 0.0, g_modes)
+    if np.linalg.norm(flat_component) > 1e-10 * max(1.0, np.linalg.norm(g_r)):
+        return basis @ (-vec @ flat_component), True, degenerate
+    y = -vec @ np.where(positive, g_modes / np.where(positive, lam, 1.0), 0.0)
+    return basis @ y, False, degenerate
+
+
+def nullspace_step(q_ff, g_f, c_f, gap=None):
+    """The free step by the nullspace method, ``(p, flat, degenerate)``: with
+    a gap, the least-squares step onto the rows and the reduced step from
+    there.  A flat step is the zero-curvature direction alone, read off
+    ``g_f`` (``Q_FF`` adds nothing along zero curvature)."""
+    basis = reference_nullspace(c_f, g_f.size)
+    p, flat, degenerate = reference_reduced_step(q_ff, g_f, basis)
+    if flat or gap is None:
+        return p, flat, degenerate
+    onto = np.linalg.lstsq(c_f, gap, rcond=None)[0]
+    return onto + reference_reduced_step(q_ff, g_f + q_ff @ onto, basis)[0], flat, degenerate
+
+
+def singular_block(kind, scale, seed):
+    """``(Q_FF, C_F)``, a seeded free block whose bordered KKT matrix is
+    singular, ``Q_FF`` times ``scale`` against unit-scale rows."""
+    rng = np.random.default_rng([seed, 31])
+    if kind == "dependent_rows":  # a fourth row in the span of three
+        c_f = rng.normal(size=(3, 8))
+        c_f, q_ff = np.vstack([c_f, rng.normal(size=3) @ c_f]), random_spd(rng, 8)
+    elif kind == "pinning_rows":  # six rows of rank four on four weights
+        c_f = rng.normal(size=(6, 4))
+        c_f, q_ff = np.vstack([c_f[:4], rng.normal(size=(2, 4)) @ c_f[:4]]), random_spd(rng, 4)
+    elif kind == "zero_curvature":  # rank-two Q_FF under two rows: four flat directions
+        f = rng.normal(size=(8, 2))
+        q_ff, c_f = f @ f.T, rng.normal(size=(2, 8))
+    elif kind == "lifted":  # augment_l1's rows over (x, d-, d+) and the budget
+        q_ff = np.zeros((12, 12))
+        q_ff[:4, :4] = random_spd(rng, 4)
+        c_f = np.vstack([np.hstack([np.eye(4), np.eye(4), -np.eye(4)]),
+                         np.concatenate([np.ones(4), np.zeros(8)])])
+    else:  # "zero_block": augment_l1's split weights alone, the budget row zero on them
+        q_ff = np.zeros((8, 8))
+        c_f = np.vstack([np.hstack([np.eye(4), -np.eye(4)]), np.zeros((1, 8))])
+    return scale * q_ff, c_f
+
+
+class TestSingularKkt:
+    """Where ``_kkt_factor`` refuses the block, ``_kkt_lstsq``'s minimum-norm
+    least squares of the bordered matrix gives the nullspace method's step,
+    the least-squares multipliers at the point it reaches, its zero-curvature
+    descent and the rows' null directions."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("gradient,gap", [
+        ("any", False), ("curved", False), ("any", True), ("curved", True), ("two", False)])
+    @pytest.mark.parametrize("kind,scale", [
+        (kind, scale) for kind in ("dependent_rows", "pinning_rows", "zero_curvature", "lifted")
+        for scale in (1.0, 1e8, 1e-8)] + [("zero_block", 1.0)])
+    def test_matches_the_nullspace_method(self, kind, scale, gradient, gap, seed):
+        q_ff, c_f = singular_block(kind, scale, seed)
+        rows, free = c_f.shape
+        assert qp._kkt_factor(q_ff, c_f) is None
+        rng = np.random.default_rng([seed, 32])
+        # a curved gradient has no part along zero curvature: Q_FF a + C_F'b
+        curved = q_ff @ rng.normal(size=free) / scale + c_f.T @ rng.normal(size=rows)
+        g_f = {"any": rng.normal(size=free), "curved": curved,
+               "two": np.column_stack([rng.normal(size=free), curved])}[gradient]
+        gap = rng.normal(size=rows) if gap else None
+        p, y, flat, degenerate, null_y = qp._kkt_lstsq(q_ff, c_f, g_f, gap)
+        p, y, flat = p.reshape(free, -1), y.reshape(rows, -1), np.atleast_1d(flat)
+        for j, g in enumerate(g_f.reshape(free, -1).T):
+            ref, ref_flat, ref_degenerate = nullspace_step(q_ff, g, c_f, gap)
+            assert (flat[j], degenerate) == (ref_flat, ref_degenerate)
+            np.testing.assert_allclose(p[:, j], ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
+            if ref_flat:  # a descent of zero curvature along the rows
+                size = np.abs(p[:, j]).max()
+                assert np.abs(c_f @ p[:, j]).max() <= 1e-10 * size * np.abs(c_f).max()
+                assert np.abs(q_ff @ p[:, j]).max() <= 1e-10 * size * np.abs(q_ff).max()
+                assert g @ p[:, j] < 0.0
+            else:  # the multipliers at the point the step reaches, to 1e-10 of
+                # the terms they balance in C_F'y = -(g + Q_FF p) before these cancel
+                terms = max(np.abs(g).max(), np.abs(q_ff).max() * np.abs(p[:, j]).max())
+                ref = least_squares_multipliers(g + q_ff @ p[:, j], c_f, np.ones(free, dtype=bool))
+                np.testing.assert_allclose(y[:, j], ref, rtol=0.0,
+                                           atol=1e-10 * max(np.abs(ref).max(), terms))
+        # the y-parts of the null vectors span the rows' null directions
+        basis = reference_nullspace(c_f.T, rows)
+        np.testing.assert_allclose(null_y @ null_y.T, basis @ basis.T, rtol=0.0, atol=1e-10)
 
 
 class TestKinks:
@@ -786,7 +907,7 @@ class TestAugmentL1:
         x0 = np.array([0.4, 0.3, 0.2, 0.1])
         base = QpProblem(Q=sigma, c=-0.25 * mu, eq=(np.ones((1, 4)), [1.0]))
         aug = augment_l1(base, np.eye(4), 5e-4, x0)
-        calls = count_calls(monkeypatch, "_reduced_step")
+        calls = count_calls(monkeypatch, "_kkt_lstsq")
         # both halves of the split strictly positive: Q_FF has zero blocks
         rep = solve_qp(aug, x0=np.concatenate([x0, np.full(4, 0.1), np.full(4, 0.1)]))
         assert calls
