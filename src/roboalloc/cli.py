@@ -30,7 +30,7 @@ from .mvo import (
     solve_gamma_problem,
     stevens_decomposition,
 )
-from .pipeline import RoboConfig, rebalance, regularization_path
+from .pipeline import _PATH_PARAMS, RoboConfig, rebalance, regularization_path
 from .regularizers import FilterSpec, PenaltySpec, penalty_terms, spectral_filter
 from .report import atomic_write
 
@@ -429,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path", help="penalty sweep -> CSV table")
     p.add_argument("--problem", required=True)
-    p.add_argument("--param", default="rho1", help="rho1 | rho2 (strategic block)")
+    p.add_argument("--param", default="rho1", choices=_PATH_PARAMS,
+                   help="the penalty swept; rho1 and rho2 name the strategic block's")
     p.add_argument("--grid", required=True, help="log:lo:hi:points or linear:lo:hi:points")
     common(p)
     p.set_defaults(func=cmd_path)

@@ -5,13 +5,16 @@ Solves ``min 0.5 x'Qx + c'x + sum_l rho_l |g_l'x - d_l|`` subject to
 working set is the variables fixed at a bound or at a kink of their own L1
 rows, plus the general rows: the equalities, the active inequalities and
 the other L1 rows at their kinks.  Fixed variables drop out, so each step
-solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F with one
-LU factor of that bordered matrix, factored afresh at each iteration
+solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F in
+``_kkt``.  Its rows are scaled by ``max|Q_FF| / max|C_F|``, so that the
+test for a singular matrix does not depend on the units of the data, and
+the scaled matrix has one LU factor, factored afresh at each iteration
 (Nocedal & Wright, *Numerical Optimization*, 16.2), which also covers rows
 that pin the block and a singular ``Q_FF`` whose null directions the rows
-take up.  When the KKT matrix is singular (dependent rows, or zero
-curvature along the rows, as in the zero blocks of ``augment_l1``, which
-ends in ``Unbounded`` if nothing blocks it) one SVD of the same matrix
+take up.  A pivot at most ``_SINGULAR`` of the largest refuses the LU.
+When the KKT matrix is singular (dependent rows, or zero curvature along
+the rows, as in the zero blocks of ``augment_l1``, which ends in
+``Unbounded`` if nothing blocks it) one SVD of the same scaled matrix
 gives its minimum-norm least squares (Golub & Van Loan, *Matrix
 Computations*, 5.5): the step, the multipliers, the descent along zero
 curvature and the rows' null directions; zero curvature is flagged in
@@ -110,7 +113,7 @@ class QpProblem:
             _check_finite("l1", *self.l1)
             if (self.l1[2] < 0).any():
                 raise ValueError("l1 weights must be nonnegative")
-        for name in ("lower", "upper"):
+        for name, beyond in (("lower", np.inf), ("upper", -np.inf)):
             v = getattr(self, name)
             if v is not None:
                 v = np.asarray(v, dtype=float).ravel()
@@ -120,6 +123,8 @@ class QpProblem:
                     raise ValueError(f"{name} bound has wrong length")
                 if np.isnan(v).any():
                     raise ValueError(f"{name} bound must not be NaN")
+                if (v == beyond).any():
+                    raise Infeasible(f"{name} bound of {beyond}: no weight lies there")
                 setattr(self, name, v)
         if self.lower is not None and self.upper is not None:
             if (self.lower > self.upper + 1e-15).any():
@@ -277,69 +282,57 @@ def _bland(neg, m, at, side, kinks=None):
     return int(neg[np.argmin(key)])
 
 
-def _kkt_factor(q_ff, c_f):
-    """LU factors ``(lu, piv)`` of the free block's KKT matrix
-    ``[Q_FF C_F'; C_F 0]``, one ``dgetrf``.  ``None`` for an empty block,
-    for more rows than weights, or for a pivot at most ``_SINGULAR`` of the
-    largest: dependent rows, or zero curvature along the rows."""
-    rows, free = c_f.shape
-    if rows > free or not free:
-        return None
-    kkt = np.zeros((free + rows, free + rows), order="F")
-    kkt[:free, :free], kkt[free:, :free], kkt[:free, free:] = q_ff, c_f, c_f.T
-    lu, piv, info = dgetrf(kkt, overwrite_a=1)
-    pivots = np.abs(np.diag(lu))
-    return None if info or pivots.min() <= _SINGULAR * max(pivots.max(), 1.0) else (lu, piv)
+def _kkt(q_ff, c_f, g_f, gap=None):
+    """``(p, y, flat, degenerate, null)`` solving the free block's KKT system
+    ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when ``None``),
+    one solve for all of ``g_F``'s columns.  ``y`` are the rows'
+    multipliers at the point ``x + p``, where ``g_F + Q_FF p + C_F'y = 0``.
 
-
-def _kkt_solve(kkt, c_f, g_f, gap=None):
-    """``(p_F, y, r)`` solving ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]``
-    on ``_kkt_factor``'s factors ``kkt`` (``gap`` zero when ``None``), with
-    ``r = g_F + C_F'y``.  ``g_F`` may have several columns, one solve for
-    all.  Rows that pin the block leave it still without a gap: ``p`` is
-    exactly zero.  ``y`` are the rows' multipliers at the point ``x + p``:
-    there the gradient is ``g_F - r`` on the free block, and
-    ``g_F - r + C_F'y = 0``."""
-    rows, free = c_f.shape
-    rhs = np.zeros((free + rows,) + g_f.shape[1:])
-    rhs[:free] = -g_f
-    if gap is not None:
-        rhs[free:] = gap
-    p, y = np.split(dgetrs(*kkt, rhs)[0], [free])
-    if gap is None and rows == free:
-        p = np.zeros_like(p)
-    return p, y, g_f + c_f.T @ y
-
-
-def _kkt_lstsq(q_ff, c_f, g_f, gap=None):
-    """The minimum-norm least squares of ``_kkt_solve``'s system, for a block
-    that ``_kkt_factor`` refuses, from one SVD of the bordered matrix
-    (Golub & Van Loan, *Matrix Computations*, 5.5).  Its rows are scaled by
-    ``w = max|Q_FF| / max|C_F|`` (1 when either block is zero), so that both
-    blocks weigh alike in the singular values, of which those at most
-    ``_SINGULAR`` of the largest count as zero; ``y = w y'``.  The null
+    The rows are scaled by ``w = max|Q_FF| / max|C_F|`` (1 when either block
+    is zero; ``max|Q_FF|`` is the largest diagonal entry, exact for a
+    positive semidefinite ``Q_FF``), so that both blocks weigh alike
+    whatever the units of the data, and ``y = w y'``.  One LU factors the
+    scaled matrix (Nocedal & Wright, *Numerical Optimization*, 16.2); more
+    rows than weights, or a pivot at most ``_SINGULAR`` of the largest,
+    refuses it.  Then one SVD of the same matrix gives its minimum-norm
+    least squares (Golub & Van Loan, *Matrix Computations*, 5.5), singular
+    values at most ``_SINGULAR`` of the largest counting as zero.  Its null
     space splits into directions of zero curvature ``(u, 0)``, ``Q_FF u =
     C_F u = 0``, and dependent rows ``(0, v)``, ``C_F'v = 0``, and the
     residual's p-part is minus the gradient's component along the first.
-    Returns ``(p, y, flat, degenerate, null)``: ``p`` and ``y`` as
-    ``_kkt_solve``'s, except in a column whose zero-curvature component
-    exceeds 1e-10 of its gradient (``flat``, per column), where ``p`` is that
-    descent alone and the ratio test sets its length; where the rows pin the
-    block only the gap moves it.  ``degenerate`` flags directions of zero
-    curvature, and ``null``'s columns, the y-parts of the null vectors, span
-    the rows' null directions.
+    In a column whose zero-curvature component exceeds 1e-10 of its gradient
+    (``flat``, per column), ``p`` is that descent alone and the ratio test
+    sets its length.  ``degenerate`` flags directions of zero curvature, and
+    ``null``'s columns, the y-parts of the null vectors, span the rows' null
+    directions; ``null`` is ``None`` exactly when the LU solved the system.
+    Where the rows pin the block only the gap moves it: without one, ``p``
+    is exactly zero.  With no weight free, ``p`` is empty, ``y`` zero and
+    every ``y`` a null direction.
     """
     rows, free = c_f.shape
-    top_q, top_c = np.abs(q_ff).max(initial=0.0), np.abs(c_f).max(initial=0.0)
-    w = top_q / top_c if top_q and top_c else 1.0
-    kkt = np.zeros((free + rows, free + rows))
-    kkt[:free, :free], kkt[free:, :free], kkt[:free, free:] = q_ff, w * c_f, w * c_f.T
+    flat = np.zeros(g_f.shape[1:], dtype=bool)
+    if not free:
+        return g_f, np.zeros((rows,) + g_f.shape[1:]), flat, False, np.eye(rows)
+    top_q, top_c = q_ff.diagonal().max(initial=0.0), np.abs(c_f).max(initial=0.0)
+    w = top_q / top_c if top_q > 0.0 and top_c else 1.0
+    c_w = w * c_f
+    kkt = np.zeros((free + rows, free + rows), order="F")
+    kkt[:free, :free], kkt[free:, :free], kkt[:free, free:] = q_ff, c_w, c_w.T
     rhs = np.zeros((free + rows,) + g_f.shape[1:])
     rhs[:free] = -g_f
     if gap is not None:
         rhs[free:] = w * gap
+    if rows <= free:
+        lu, piv, _ = dgetrf(kkt)
+        pivots = np.abs(lu.diagonal())
+        if pivots.min() > _SINGULAR * pivots.max():
+            p, y = np.split(dgetrs(lu, piv, rhs)[0], [free])
+            if rows == free:  # rows that pin the block: only the gap moves it
+                rhs[:free] = 0.0
+                p = dgetrs(lu, piv, rhs)[0][:free]
+            return p, w * y, flat, False, None
     u, s, vt = np.linalg.svd(kkt)
-    rank = int(np.sum(s > _SINGULAR * s[0])) if s.size else 0
+    rank = int(np.sum(s > _SINGULAR * s[0]))
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     p, y = np.split(pinv @ rhs, [free])
     null_p, null_y = np.split(vt[rank:].T, [free])
@@ -349,28 +342,6 @@ def _kkt_lstsq(q_ff, c_f, g_f, gap=None):
     if rank == 2 * free:  # rows that pin the block: only the gap moves it
         p = pinv[:free, free:] @ rhs[free:]
     return p, w * y, flat, bool((null_p ** 2).sum() > 0.5), null_y
-
-
-def _free_step(q_ff, g_f, c_f, gap=None):
-    """Step of the equality-constrained subproblem on the free block.
-
-    Solves ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when
-    ``None``: the current point is on the rows) on ``_kkt_factor``'s LU
-    factors, or, where they are refused (dependent rows, or a direction of
-    zero curvature), by ``_kkt_lstsq``'s minimum-norm least squares.
-    Returns ``(p_F, y, residual, flat, degenerate)``: ``y`` the rows'
-    multipliers at ``x + p`` (``_kkt_solve``), ``residual`` the largest
-    entry of ``g_F + C_F'y``, zero when the current point already solves the
-    subproblem, and ``flat`` and ``degenerate`` as in ``_kkt_lstsq``.
-    """
-    if g_f.size == 0:
-        return g_f, np.zeros(c_f.shape[0]), 0.0, False, False
-    kkt = _kkt_factor(q_ff, c_f)
-    if kkt is not None:
-        p, y, r = _kkt_solve(kkt, c_f, g_f, gap)
-        return p, y, 0.0 if c_f.shape[0] == g_f.size else np.abs(r).max(), False, False
-    p, y, flat, degenerate, _ = _kkt_lstsq(q_ff, c_f, g_f, gap)
-    return p, y, np.abs(g_f + c_f.T @ y).max(), flat, degenerate
 
 
 def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
@@ -425,8 +396,9 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
         me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
         p = np.zeros(n)
         if not settled:  # the step after a full one is zero, and y exact: skip it
-            p[idx], y, residual, flat, degenerate = _free_step(
-                q.take(idx, 0).take(idx, 1), grad[idx], rows.take(idx, 1))
+            g_f, c_f = grad[idx], rows.take(idx, 1)
+            p[idx], y, flat, degenerate, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f)
+            residual = np.abs(g_f + c_f.T @ y).max(initial=0.0)
             saw_degenerate |= degenerate
         if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
                                     or residual <= 1e-13 * np.abs(grad).max()):
@@ -521,7 +493,7 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
 
 def _cold_start(q, c, a_eq, b_eq, lo, up):
     """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
-    on the equality row (one ``_free_step`` from zero), projected onto the
+    on the equality row (one ``_kkt`` solve from zero), projected onto the
     box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991).  It lies on
     most of the optimum's bounds, where phase 1's point lies on none, but
     it ignores curvature: ``_refine_start`` corrects its bound set.
@@ -529,7 +501,7 @@ def _cold_start(q, c, a_eq, b_eq, lo, up):
     or when the projection finds the row out of the box's reach."""
     if a_eq.shape[0] > 1:
         return None
-    v, _, _, flat, _ = _free_step(q, c, a_eq, b_eq)
+    v, _, flat, _, _ = _kkt(q, a_eq, c, b_eq)
     if flat:
         return None
     if not b_eq.size:
@@ -550,8 +522,8 @@ def _refine_start(q, c, x, a_eq, b_eq, g, h, lo, up):
     repeats the states of ``x`` (read off the start, then those of the last
     solve), it fixes the predicted weights at their bounds and solves the
     free block's KKT system with the row's gap for the next ``x`` and
-    ``nu``.  The rounds end when the prediction repeats, ``_kkt_factor``
-    fails, or after ``_REFINE_ROUNDS``.  Inequality rows are not seen:
+    ``nu``.  The rounds end when the prediction repeats, ``_kkt``'s LU is
+    refused, or after ``_REFINE_ROUNDS``.  Inequality rows are not seen:
     returns the last iterate that is ``_feasible`` against every row, else
     ``x`` itself."""
     pieces = (a_eq, b_eq, g, h, lo, up)
@@ -572,10 +544,10 @@ def _refine_start(q, c, x, a_eq, b_eq, g, h, lo, up):
         x = np.where(state == _LOWER, lo, np.where(state == _UPPER, up, x))
         idx = np.flatnonzero(state == _FREE)
         a_f = a_eq.take(idx, 1)
-        kkt = _kkt_factor(q.take(idx, 0).take(idx, 1), a_f)
-        if kkt is None:
+        p, nu, _, _, null = _kkt(q.take(idx, 0).take(idx, 1), a_f, q[idx] @ x + c[idx],
+                                 b_eq - a_eq @ x)
+        if null is not None:
             break
-        p, nu, _ = _kkt_solve(kkt, a_f, q[idx] @ x + c[idx], b_eq - a_eq @ x)
         x[idx] += p
         grad = q @ x + c
         if _feasible(x, *pieces):
@@ -735,10 +707,9 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     (Osborne, Presnell & Turlach 2000): on a fixed working set the solution
     and its multipliers are affine in ``t``.  The walk starts from the
     ``solve_qp`` report ``start`` (``t = 0``) and its working set.  Each
-    segment's ``dx``, its multipliers and their slopes come from one KKT
-    solve on ``_kkt_factor``'s factors, with the gradient and ``slope`` as
-    its two columns; where the factors are refused, from ``_kkt_lstsq``'s
-    least squares of the same columns, which also gives the rows' null
+    segment's ``dx``, its multipliers and their slopes come from one
+    ``_kkt`` solve, with the gradient and ``slope`` as its two columns;
+    where its LU is refused, the least squares also gives the rows' null
     directions.
     It ends at the first event, ties going to the lowest rank of the layout
     that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
@@ -777,20 +748,18 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         kg = kinks.general[side[kinks.general] == 0.0] if k else None
         eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
         me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
-        c_f, dx, flat, null = rows.take(idx, 1), np.zeros(n), False, None
+        c_f, dx, null = rows.take(idx, 1), np.zeros(n), None
         grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
         q_ff, grads_f = q.take(idx, 0).take(idx, 1), np.column_stack([grad[idx], slope[idx]])
-        kkt = _kkt_factor(q_ff, c_f)
-        if kkt is not None:  # one solve: dx, and the multipliers and their slopes
-            p, y, _ = _kkt_solve(kkt, c_f, grads_f)
-        else:  # one least squares, which also finds a null direction of the rows
-            p, y, flat, _, null_y = _kkt_lstsq(q_ff, c_f, grads_f)
+        # one solve: dx, and the multipliers and their slopes
+        p, y, flat, _, null_y = _kkt(q_ff, c_f, grads_f)
+        if null_y is not None:  # the rows' null directions
             basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
             basis = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier
             moves = np.abs(np.vstack([basis[a_eq.shape[0]:], rows.T[fixed] @ basis]))
             moves = moves.max(axis=0, initial=0.0)
             null = basis[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
-            flat = flat[1] and null is None
+        flat = flat[1] and null is None
         if null is None:
             dx[idx] = p[:, 1]
         tiny = 1e-13 * max(1.0, np.abs(dx).max())

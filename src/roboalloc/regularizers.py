@@ -14,7 +14,7 @@ from .errors import (
     SingularKKT,
 )
 from .mvo import exact_problem
-from .qp import solve_qp
+from .qp import _check_finite, _kkt, solve_qp
 from .report import CONVERGED, SolveReport
 
 _RANK_CUTOFF = 1e-12  # singular values below cutoff * s_max count as zero
@@ -114,33 +114,26 @@ def penalty_terms(penalties, P, q):
     return P, q, l1, blocks, value
 
 
-def _kkt(block11, a2, rhs1, b2):
-    n = block11.shape[0]
-    if a2 is None:
-        try:
-            x = np.linalg.solve(block11, rhs1)
-        except np.linalg.LinAlgError as exc:
-            raise SingularKKT(str(exc)) from exc
-        resid = np.linalg.norm(block11 @ x - rhs1, np.inf)
-        if resid > 1e-10 * max(1.0, np.abs(rhs1).max()):
-            raise SingularKKT(f"normal equations residual {resid:.2e}")
-        return x, np.zeros(0)
-    a2 = np.atleast_2d(np.asarray(a2, float))
-    b2 = np.asarray(b2, float).ravel()
-    m = a2.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = block11
-    kkt[:n, n:] = a2.T
-    kkt[n:, :n] = a2
-    rhs = np.concatenate([rhs1, b2])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKKT(str(exc)) from exc
-    resid = np.linalg.norm(kkt @ sol - rhs, np.inf)
-    if resid > 1e-10 * max(1.0, np.abs(rhs).max()):
-        raise SingularKKT(f"block system residual {resid:.2e}")
-    return sol[:n], sol[n:]
+def _checked(a1, b1, eq):
+    """``(a1, b1, eq)`` as float arrays, ``eq = (A, b)`` or ``None``; a
+    non-finite entry is a ``ValueError``."""
+    a1, b1 = np.atleast_2d(np.asarray(a1, float)), np.asarray(b1, float).ravel()
+    _check_finite("a1 and b1", a1, b1)
+    if eq is not None:
+        eq = np.atleast_2d(np.asarray(eq[0], float)), np.asarray(eq[1], float).ravel()
+        _check_finite("eq", *eq)
+    return a1, b1, eq
+
+
+def _block_solve(block, rhs1, eq):
+    """``(x, lam)`` solving ``[block A'; A 0] [x; lam] = [rhs1; b]`` for
+    ``eq = (A, b)``, or ``block x = rhs1`` without ``eq``, by ``qp._kkt``;
+    ``SingularKKT`` where its LU is refused."""
+    a2, b2 = (np.zeros((0, rhs1.size)), None) if eq is None else eq
+    x, lam, _, _, null = _kkt(block, a2, -rhs1, b2)
+    if null is not None:
+        raise SingularKKT("the block system is singular")
+    return x, lam
 
 
 def tikhonov_solve(a1, b1, penalty: PenaltySpec, eq=None):
@@ -148,19 +141,17 @@ def tikhonov_solve(a1, b1, penalty: PenaltySpec, eq=None):
 
     Returns ``(x, lam)`` from the block system whose (1,1) block is
     ``A1'A1 + rho Gamma'Gamma`` and whose off-diagonal blocks carry the
-    equality constraints.
+    equality constraints.  A non-finite entry of ``a1``, ``b1`` or ``eq`` is
+    a ``ValueError``, and a singular block system is ``SingularKKT``.
     """
-    a1 = np.atleast_2d(np.asarray(a1, float))
-    b1 = np.asarray(b1, float).ravel()
     if penalty.kind != "l2":
         raise ValueError("tikhonov_solve takes an l2 penalty")
+    a1, b1, eq = _checked(a1, b1, eq)
     if eq is None and penalty.rho == 0.0:
         x, *_ = np.linalg.lstsq(a1, b1, rcond=None)
         return x, np.zeros(0)
     block, rhs1, _, _, _ = penalty_terms([penalty], a1.T @ a1, a1.T @ b1)
-    if eq is None:
-        return _kkt(block, None, rhs1, None)
-    return _kkt(block, eq[0], rhs1, eq[1])
+    return _block_solve(block, rhs1, eq)
 
 
 def ridge_mvo(mu, sigma, gamma, rho2, x0=None, constraints=None) -> SolveReport:
@@ -279,10 +270,10 @@ def filtered_normal_solve(a1, b1, filt, eq=None, gram_rule: str = "g_dagger_sq")
 
     The (1,1) block is the regularized gram matrix and the right-hand side
     uses the componentwise reciprocal gains, so a trivial filter recovers
-    the plain least-squares normal equations.
+    the plain least-squares normal equations.  Non-finite data and a
+    singular block system fail as in ``tikhonov_solve``.
     """
-    a1 = np.atleast_2d(np.asarray(a1, float))
-    b1 = np.asarray(b1, float).ravel()
+    a1, b1, eq = _checked(a1, b1, eq)
     u, s, vt = _svd_retained(a1)
     g = _filter_values(s, filt)
     if not np.any(g != 0):
@@ -290,9 +281,7 @@ def filtered_normal_solve(a1, b1, filt, eq=None, gram_rule: str = "g_dagger_sq")
     s2 = _gram_spectrum(s, g, filt, gram_rule)
     block = (vt.T * s2) @ vt
     rhs1 = vt.T @ (_pinv_comp(g) * (u.T @ b1))
-    if eq is None:
-        return _kkt(block, None, rhs1, None)
-    return _kkt(block, eq[0], rhs1, eq[1])
+    return _block_solve(block, rhs1, eq)
 
 
 def ledoit_wolf_to_tikhonov(alpha_star: float, phi_hat) -> PenaltySpec:

@@ -376,6 +376,23 @@ class TestPath:
         assert len(lines) == 6
         assert all(line.endswith("converged") for line in lines[1:])
 
+    def test_param_names_every_swept_penalty(self, four_asset_moments, tmp_path, capsys):
+        from roboalloc.pipeline import _PATH_PARAMS
+        assert main(["path", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert all(name in usage for name in _PATH_PARAMS)
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "moments_file": str(four_asset_moments), "gamma": 0.25,
+            "strategic": [0.4, 0.3, 0.2, 0.1], "current": [0.25, 0.25, 0.25, 0.25],
+            "penalties": [{"kind": "l1", "rho": 1e-4, "anchor": "current"}],
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}}))
+        out = tmp_path / "path.csv"
+        for param, code in (("rho1_turnover", 0), ("bogus", 1)):
+            assert main(["path", "--problem", str(problem), "--param", param,
+                         "--grid", "log:1e-5:1e-1:3", "--out", str(out)]) == code
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_negative_grid_exits_one(self, four_asset_moments, tmp_path, capsys):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({

@@ -59,6 +59,52 @@ class TestTikhonovSolve:
             tikhonov_solve(a1, np.ones(2), PenaltySpec(kind="l2", rho=0.0),
                            eq=(np.zeros((1, 2)), np.array([1.0])))
 
+    @pytest.mark.parametrize("case", ["singular_block", "dependent_rows", "rows_miss_null"])
+    def test_singular_block_system_raises(self, case):
+        # a penalty and data that leave a direction free, equality rows that
+        # repeat, or rows that do not take up the block's null direction
+        a1, b1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.ones(2)
+        pen, eq = PenaltySpec(kind="l2", rho=0.5, gamma_matrix=[1.0, 1.0, 0.0]), None
+        if case == "dependent_rows":
+            pen = PenaltySpec(kind="l2", rho=0.5)
+            eq = (np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]), np.array([1.0, 2.0]))
+        elif case == "rows_miss_null":
+            eq = (np.array([[1.0, 1.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(errors.SingularKKT):
+            tikhonov_solve(a1, b1, pen, eq=eq)
+
+    def test_units_of_the_data_do_not_decide_singularity(self):
+        # the same problem with a1 and b1 in units 1e-6 times as large, rho
+        # scaled to match: the same answer, with the multipliers scaled
+        rng = np.random.default_rng(3)
+        a1, b1 = rng.normal(size=(9, 4)), rng.normal(size=9)
+        eq = (np.ones((1, 4)), np.array([1.0]))
+        x, lam = tikhonov_solve(a1, b1, PenaltySpec(kind="l2", rho=0.3), eq=eq)
+        xs, lams = tikhonov_solve(1e-6 * a1, 1e-6 * b1, PenaltySpec(kind="l2", rho=0.3e-12), eq=eq)
+        assert np.abs(xs - x).max() <= 1e-10
+        assert np.abs(lams - 1e-12 * lam).max() <= 1e-10 * 1e-12 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("where", ["a1", "b1", "eq_rows", "eq_level"])
+    @pytest.mark.parametrize("solve", ["tikhonov", "filtered"])
+    def test_non_finite_data_rejected(self, solve, where):
+        # NaN in the data once came back as NaN weights
+        rng = np.random.default_rng(4)
+        data = dict(a1=rng.normal(size=(6, 3)), b1=rng.normal(size=6),
+                    eq=(np.ones((1, 3)), np.array([1.0])))
+        if where in ("a1", "b1"):
+            data[where][1] = np.nan
+        elif where == "eq_rows":
+            data["eq"][0][0, 1] = np.nan
+        else:
+            data["eq"][1][0] = np.nan
+        with pytest.raises(ValueError, match="must hold finite numbers only"):
+            if solve == "tikhonov":
+                tikhonov_solve(data["a1"], data["b1"], PenaltySpec(kind="l2", rho=0.1),
+                               eq=data["eq"])
+            else:
+                filtered_normal_solve(data["a1"], data["b1"], FilterSpec("ridge", 0.1),
+                                      eq=data["eq"])
+
 
 class TestRidgeMvo:
     def test_zero_penalty_is_plain_solution(self, four_asset_alt):
@@ -282,9 +328,10 @@ class TestLedoitWolfBridge:
 
 
 class TestPenaltyLimits:
-    def test_dominant_quadratic_term_reaches_formal_limit(self):
-        # with the Lp weight fixed and the quadratic weight huge, the solution
-        # approaches  argmin ||g2 (x - x0)||  s.t.  A2 x = b2
+    @staticmethod
+    def dominant_quadratic_term():
+        """``(solve_mixed_lp report, g2, x0, eq)`` with the quadratic weight
+        1e8 and the L1 weight 0.05."""
         rng = np.random.default_rng(9)
         a1 = rng.normal(size=(6, 4))
         b1 = rng.normal(size=6)
@@ -295,10 +342,24 @@ class TestPenaltyLimits:
         penp = PenaltySpec(kind="l1", rho=0.05, anchor=x0)
         rep = solve_mixed_lp(a1, b1, pen2, penp, x0=x0,
                              constraints=ConstraintSet(eq=eq))
+        return rep, g2, x0, eq
+
+    def test_dominant_quadratic_term_reaches_formal_limit(self):
+        # with the Lp weight fixed and the quadratic weight huge, the solution
+        # approaches  argmin ||g2 (x - x0)||  s.t.  A2 x = b2
+        rep, g2, x0, eq = self.dominant_quadratic_term()
         limit, _ = tikhonov_solve(np.zeros((1, 4)), np.zeros(1),
                                   PenaltySpec(kind="l2", rho=1.0, gamma_matrix=g2,
                                               anchor=x0), eq=eq)
         assert np.abs(rep.weights - limit).max() <= 1e-4
+
+    def test_dominant_quadratic_term_takes_no_svd(self, monkeypatch):
+        # a curvature of 1e8 against unit rows: a pivot test against
+        # max(pivot, 1) refused both KKT solves of this problem
+        from tests.test_qp import record_kkt
+        svd = record_kkt(monkeypatch)
+        rep, *_ = self.dominant_quadratic_term()
+        assert rep.converged and svd and not any(svd)
 
 
 class TestPenaltyMatrixVector:
