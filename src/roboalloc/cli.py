@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input or usage error, 2 solver non-convergence
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -406,7 +407,12 @@ def cmd_stevens(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``main`` runs the verb
+    ``command`` names as ``cmd_<command>``, looked up when it runs, so a
+    wrapper installed on a ``cmd_*`` function after the parser was built
+    still runs."""
     parser = argparse.ArgumentParser(prog="roboalloc",
                                      description="portfolio allocation engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -420,12 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--returns", required=True)
     p.add_argument("--scheme", default="uniform")
     common(p, pretty=True)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("optimize", help="problem JSON -> weights report")
     p.add_argument("--problem", required=True)
     common(p, pretty=True)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("path", help="penalty sweep -> CSV table")
     p.add_argument("--problem", required=True)
@@ -433,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the penalty swept; rho1 and rho2 name the strategic block's")
     p.add_argument("--grid", required=True, help="log:lo:hi:points or linear:lo:hi:points")
     common(p)
-    p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("calibrate", help="penalty selection curve")
     p.add_argument("--data", required=True, help="CSV with header y,<x...>")
@@ -442,19 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="k-fold shuffle seed")
     common(p)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("views", help="grades/views -> expected returns")
     p.add_argument("--views", required=True)
     p.add_argument("--moments", default=None)
     common(p, pretty=True)
-    p.set_defaults(func=cmd_views)
 
     p = sub.add_parser("stevens", help="hedging-portfolio decomposition CSV")
     p.add_argument("--moments", required=True)
     p.add_argument("--gamma", type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_stevens)
     return parser
 
 
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

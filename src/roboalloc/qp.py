@@ -18,15 +18,23 @@ the rows, as in the zero blocks of ``augment_l1``, which ends in
 gives its minimum-norm least squares (Golub & Van Loan, *Matrix
 Computations*, 5.5): the step, the multipliers, the descent along zero
 curvature and the rows' null directions; zero curvature is flagged in
-``meta['degenerate_hessian']``.  All iterates stay feasible.  A solve
-starts at the caller's ``x0`` when it is feasible; a cold solve with at
-most one equality row starts at the equality-constrained minimizer
-projected onto the box and the row, which already lies on most of the
-optimum's bounds, refined by a few primal-dual active-set rounds on the
-box and the row (Hintermüller, Ito & Kunisch 2002), which predict the
-bound set from the multipliers and fix many bounds at once.  When neither
+``meta['degenerate_hessian']``.  Each solve carries the working rows' gap
+``b - C x`` on its right-hand side, and at a stationary ``x`` the small
+step that closes it is still taken, so the rounding error that a cold
+start can leave in the rows (eps times the entries near 1e6 of the
+minimizer it projects when ``|c|`` is large) does not stay in the answer.
+All iterates stay feasible.  A solve starts at the caller's ``x0`` when it
+is feasible; a cold solve with at most one equality row starts at the
+equality-constrained minimizer projected onto the box and the row, which
+already lies on most of the optimum's bounds, refined by a few
+primal-dual active-set rounds on the box and the row (Hintermüller, Ito &
+Kunisch 2002), which predict the bound set from the multipliers and fix
+many bounds at once.  When neither
 start is feasible, phase 1 minimizes elastic slacks on the general rows
-from a point inside the bounds.
+from a point inside the bounds.  The cold start reads ``Q``, ``c``, the
+rows and the box but not the L1 rows, and ``_StartCache`` keeps the last
+``_START_CACHE`` of them: the accounts of one model, whose L1 rows alone
+differ, share one start, and the answer is the one an empty cache gives.
 Multipliers follow the stationarity convention
 
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
@@ -47,6 +55,9 @@ multipliers are read by rank, and ``_pivot`` applies the event at a rank.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +79,9 @@ _CERT_TOL = 1e-12  # certificate tolerance, relative to the scale of the data
 _LOWER, _FREE, _UPPER, _KINK = -1, 0, 1, 2  # per-variable state
 _REFINE_ROUNDS = 8  # cap on the cold start's primal-dual active-set rounds
 _SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is zero
+# cold starts kept: at least the models a nightly run interleaves, each entry
+# n floats (at most 0.5 MB in all at n = 200)
+_START_CACHE = 256
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -344,7 +358,7 @@ def _kkt(q_ff, c_f, g_f, gap=None):
     return p, w * y, flat, bool((null_p ** 2).sum() > 0.5), null_y
 
 
-def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
+def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
     """Primal active-set loop from a feasible ``x0``.
 
     The working set is the per-variable state ``at`` (``_LOWER``,
@@ -361,7 +375,11 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
     at ``x``, or the last full step's, exact at ``x`` since a full step
     leaves the working set as it was.  ``_pivot`` applies the most negative
     and the ratio test's blocking constraint, ties going to the lowest rank;
-    after a run of degenerate steps ``_bland`` picks instead.
+    after a run of degenerate steps ``_bland`` picks instead.  Each KKT
+    solve carries the working rows' gap at ``x``: ``b_eq``, the kinks and
+    the active inequalities' levels less the rows' values.  Where ``x`` is
+    stationary that step, a small one that closes the gap, is taken within
+    the box before the multiplier test.
     Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
     reduced))``, the last being those multipliers and the reduced gradient
     ``grad + A'nu - G_act'lam`` at ``x``.
@@ -373,7 +391,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
                   np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
     act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= _FEAS_TOL)]
     side = np.zeros(k)
-    eq_rows, kg = a_eq, np.zeros(0, dtype=np.intp)
+    eq_rows, eq_rhs, kg = a_eq, b_eq, np.zeros(0, dtype=np.intp)
     if k:
         off = kinks.g @ x - kinks.d
         side = np.where(np.abs(off) <= _FEAS_TOL, 0.0, np.sign(off))
@@ -393,16 +411,19 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None):
         if k and kinks.general.size:
             kg = kinks.general[side[kinks.general] == 0.0]
             eq_rows = np.vstack([a_eq, kinks.g[kg]])
+            eq_rhs = np.concatenate([b_eq, kinks.d[kg]])
         me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
         p = np.zeros(n)
         if not settled:  # the step after a full one is zero, and y exact: skip it
             g_f, c_f = grad[idx], rows.take(idx, 1)
-            p[idx], y, flat, degenerate, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f)
+            gap = np.concatenate([eq_rhs, -h[act]]) - rows @ x
+            p[idx], y, flat, degenerate, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f, gap)
             residual = np.abs(g_f + c_f.T @ y).max(initial=0.0)
             saw_degenerate |= degenerate
         if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
                                     or residual <= 1e-13 * np.abs(grad).max()):
             settled = False
+            x[idx] = np.clip(x[idx] + p[idx], lo[idx], up[idx])  # the rows' gap, if any
             nu, lam, reduced = y[:me], y[me:], grad + rows.T @ y
             fixed = np.flatnonzero(~free)
             mult.fill(np.inf)
@@ -485,7 +506,7 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
     y, *_ = _active_set(1e-8 * np.eye(n + k), np.concatenate([np.zeros(n), np.ones(k)]),
                         np.hstack([a_eq, d]), np.hstack([g, e]), h,
                         np.concatenate([lo, np.zeros(k)]),
-                        np.concatenate([up, np.full(k, np.inf)]), y0, max_iter)
+                        np.concatenate([up, np.full(k, np.inf)]), y0, max_iter, b_eq=b_eq)
     if y[n:].sum() > 1e-7:
         raise Infeasible(f"no feasible point, residual {y[n:].sum():.3e}")
     return y[:n]
@@ -555,6 +576,62 @@ def _refine_start(q, c, x, a_eq, b_eq, g, h, lo, up):
     return best
 
 
+def _start(q, c, pieces, max_iter):
+    """The cold start: ``_cold_start``'s point refined by ``_refine_start``
+    when it passes ``_feasible``, else phase 1's point."""
+    a_eq, b_eq, _, _, lo, up = pieces
+    x0 = _cold_start(q, c, a_eq, b_eq, lo, up)
+    if x0 is not None:
+        x0 = _refine_start(q, c, x0, *pieces)
+    if x0 is None or not _feasible(x0, *pieces):
+        x0 = _phase1(*pieces, max_iter)
+    return x0
+
+
+class _StartCache:
+    """The last ``_START_CACHE`` cold starts, least recently used first out.
+
+    The start reads ``Q``, ``c``, the equality and inequality rows, the
+    bounds and phase 1's iteration cap, and not the L1 rows: the accounts of
+    one model, which differ only in the L1 rows around their books, share
+    an entry, and so does the first point of an L1 penalty's path.  An
+    entry is keyed by the SHA-256 digest of the shapes and bytes of those
+    inputs and holds the digest and a read-only start of ``n`` floats,
+    never the inputs; a hit is the start a miss would compute, so the
+    answer is bit-identical.  A lock guards the table; two threads that
+    miss on one key both compute it.
+    """
+
+    def __init__(self):
+        self._table = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, q, c, pieces, max_iter):
+        digest = hashlib.sha256(str(max_iter).encode())
+        for a in (q, c, *pieces):
+            digest.update(str(a.shape).encode())
+            digest.update(np.ascontiguousarray(a))
+        key = digest.digest()
+        with self._lock:
+            if key in self._table:
+                self._table.move_to_end(key)
+                return self._table[key]
+        x0 = _start(q, c, pieces, max_iter).copy()
+        x0.setflags(write=False)
+        with self._lock:
+            self._table[key] = x0
+            if len(self._table) > _START_CACHE:
+                self._table.popitem(last=False)
+        return x0
+
+    def clear(self):
+        with self._lock:
+            self._table.clear()
+
+
+_starts = _StartCache()
+
+
 def _feasible(x, a_eq, b_eq, g, h, lo, up) -> bool:
     """Whether ``x`` is finite and meets every constraint to ``_FEAS_TOL``."""
     return x.size == lo.size and np.isfinite(x).all() and max(
@@ -593,7 +670,10 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     refined by ``_refine_start``'s primal-dual active-set rounds on the box
     and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
     2002), when that point passes the same test, and at phase 1's point
-    when it does not; the active set then finishes and certifies.
+    when it does not; the active set then finishes and certifies.  The cold
+    start is taken from ``_StartCache`` when a problem with the same
+    ``Q``, ``c``, rows and box, whatever its L1 rows, was solved cold
+    lately, which gives the same start and so the same answer.
     The L1 rows' states are read off the start as its bound states are.
     Phase 1 and the active set each stop at the cap ``_dense_pieces`` works
     out from the problem's size (``MaxIterations``).  Returns a report whose
@@ -612,15 +692,11 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
     if x0 is None or not _feasible(x0, *pieces):
-        x0 = _cold_start(q, c, a_eq, b_eq, lo, up)
-        if x0 is not None:
-            x0 = _refine_start(q, c, x0, *pieces)
-        if x0 is None or not _feasible(x0, *pieces):
-            x0 = _phase1(*pieces, max_iter)
+        x0 = _starts.get(q, c, pieces, max_iter)
 
     kinks = problem._kinks
     x, at, act, side, iters, degenerate, (nu, lam_act, reduced) = _active_set(
-        q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=kinks)
+        q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=kinks, b_eq=b_eq)
     report = SolveReport(weights=x, objective=float(0.5 * x @ q @ x + c @ x),
                          status=CONVERGED, iterations=iters)
     if kinks is None:

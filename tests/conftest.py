@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from roboalloc import qp
+
+
+@pytest.fixture(autouse=True)
+def fresh_start_cache():
+    """Each test starts with no cached cold start, so counts of the start's
+    calls and of phase 1 do not depend on the tests run before it."""
+    qp._starts.clear()
+
 
 def cov_from(vols, corr):
     vols = np.asarray(vols, dtype=float)

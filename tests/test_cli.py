@@ -843,6 +843,93 @@ class TestUsage:
         assert "usage:" in capsys.readouterr().err
 
 
+    def test_parser_is_built_once_and_runs_the_verb_bound_now(self, monkeypatch, tmp_path):
+        # a wrapper installed on a cmd_* function after the parser was built
+        # (as a tracer does) is the one that runs
+        from roboalloc import cli
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        calls = []
+        monkeypatch.setattr(cli, "cmd_stevens", lambda args: calls.append(args.gamma) or 0)
+        assert main(["stevens", "--moments", "m.json", "--gamma", "2",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [2.0]
+
+
+SMALL = {"mu": [0.05, 0.07, 0.09],
+         "sigma": [[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]]}
+BOXED = {"gamma": 0.5, "constraints": {"budget": 1.0, "lower": 0.0, "upper": 0.8}}
+
+
+def optimize(tmp_path, name, doc):
+    """``roboalloc optimize`` on the document ``doc``: its report."""
+    problem, out = tmp_path / f"{name}.json", tmp_path / f"{name}_report.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestSmallDocuments:
+    """Three-asset documents through ``optimize`` and ``path``, each pinning
+    one route or one property of the solver."""
+
+    def test_te_target_with_l1_penalties_is_met(self, tmp_path):
+        # a tracking-error target with an l1 penalty is met on the solution path
+        strategic = [0.5, 0.3, 0.2]
+        r = optimize(tmp_path, "te", {
+            **SMALL, "strategic": strategic, "current": [0.4, 0.4, 0.2], "te_target": 0.03,
+            "penalties": [{"kind": "l1", "rho": 5e-4, "anchor": "strategic"},
+                          {"kind": "l1", "rho": 2e-4, "anchor": "current"}]})
+        x = np.array(r["weights"]) - strategic
+        te = float(np.sqrt(x @ np.array(SMALL["sigma"]) @ x))
+        assert abs(te - 0.03) <= 1e-9, te
+
+    def test_lp_penalty_runs_admm_and_l1_the_active_set(self, tmp_path):
+        # an lp penalty is a prox block and runs ADMM, which reports no duals;
+        # the same document with an l1 penalty is solved on the active set
+        r = optimize(tmp_path, "lp", {
+            **SMALL, **BOXED, "penalties": [{"kind": "lp", "p": 1.5, "rho": 0.01}],
+            "admm": {"max_iter": 20000}})
+        assert r["status"] == "converged" and r["duals"] is None, r
+        r = optimize(tmp_path, "l1", {**SMALL, **BOXED,
+                                      "penalties": [{"kind": "l1", "rho": 0.01}]})
+        assert r["status"] == "converged" and r["duals"] is not None, r
+
+    def test_rank_one_covariance(self, tmp_path):
+        # a rank-one covariance (sigma = v v', v = (0.2, 0.3, 0.1)) makes the free
+        # block's KKT matrix singular: its steps and multipliers come from the
+        # minimum-norm least squares of the bordered matrix
+        sigma = [[0.04, 0.06, 0.02], [0.06, 0.09, 0.03], [0.02, 0.03, 0.01]]
+        r = optimize(tmp_path, "rank1", {"mu": SMALL["mu"], "sigma": sigma, **BOXED})
+        d = r["duals"]
+        assert r["status"] == "converged", r
+        assert max(abs(a - b) for a, b in zip(r["weights"], [0.2, 0.0, 0.8])) <= 1e-12, r
+        assert max(abs(d["eq"][0] - 0.001), abs(d["lower"][1] - 0.002),
+                   abs(d["upper"][2] - 0.032)) <= 1e-12, d
+
+    def test_units_of_the_moments_do_not_move_the_weights(self, tmp_path):
+        # mu and sigma in units 1e-8 as large: the KKT matrix's rows are scaled to
+        # its curvature, so the same weights come from the same LU
+        u = optimize(tmp_path, "unit", {**SMALL, **BOXED})
+        t = optimize(tmp_path, "tiny", {
+            "mu": [0.05e-8, 0.07e-8, 0.09e-8],
+            "sigma": [[0.04e-8, 0.01e-8, 0.0], [0.01e-8, 0.09e-8, 0.02e-8],
+                      [0.0, 0.02e-8, 0.16e-8]], **BOXED})
+        assert t["status"] == "converged"
+        assert max(abs(a - b) for a, b in zip(u["weights"], t["weights"])) <= 1e-12, (u, t)
+
+    def test_path_param_takes_a_swept_penalty_name(self, tmp_path):
+        # path --param takes every swept penalty's name; an unknown one exits 1
+        problem = tmp_path / "turnover.json"
+        problem.write_text(json.dumps({
+            **SMALL, **BOXED, "strategic": [0.5, 0.3, 0.2], "current": [0.4, 0.4, 0.2],
+            "penalties": [{"kind": "l1", "rho": 2e-4, "anchor": "current"}]}))
+        for param, code in (("rho1_turnover", 0), ("bogus", 1)):
+            assert main(["path", "--problem", str(problem), "--param", param,
+                         "--grid", "log:1e-5:1e-1:5",
+                         "--out", str(tmp_path / f"{param}.csv")]) == code
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, four_asset_moments, tmp_path):
         problem = tmp_path / "p.json"

@@ -1,5 +1,7 @@
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -782,6 +784,7 @@ class TestRefinedStart:
         assert rep.iterations <= 3
         assert_kkt(problem, rep)
         monkeypatch.setattr(qp, "_refine_start", lambda q, c, x, *pieces: x)
+        qp._starts.clear()
         assert solve_qp(problem).iterations > 3
 
     def test_start_whose_prediction_holds_makes_no_solve(self, monkeypatch):
@@ -825,6 +828,122 @@ class TestRefinedStart:
         ref = solve_qp(problem, x0=qp.feasible_point(problem))
         assert np.abs(cold.weights - ref.weights).max() <= 1e-10
         assert_kkt(problem, cold)
+
+
+def same_answer(a, b):
+    """Whether two reports carry the same weights, duals, status and
+    iterations, bit for bit."""
+    return (a.status == b.status and a.iterations == b.iterations
+            and np.array_equal(a.weights, b.weights)
+            and a.duals.keys() == b.duals.keys()
+            and all(np.array_equal(a.duals[k], b.duals[k]) for k in a.duals))
+
+
+def fresh(problem):
+    """``solve_qp``'s answer with no cached cold start."""
+    qp._starts.clear()
+    return solve_qp(problem)
+
+
+def with_current(problem, current):
+    """The rebalance ``problem`` of ``l1_rebalance`` around another book."""
+    g, d, rho = problem.l1
+    n = problem.n
+    return QpProblem(Q=problem.Q, c=problem.c, eq=problem.eq, lower=problem.lower,
+                     upper=problem.upper, l1=(g, np.concatenate([d[:n], current]), rho))
+
+
+class TestStartCache:
+    """Cold solves of problems that agree in everything the start reads
+    share one cached start; the answers are those of an empty cache."""
+
+    def test_accounts_of_one_model_share_one_start(self, monkeypatch):
+        model = l1_rebalance(0, 30)
+        rng = np.random.default_rng(5)
+        accounts = [with_current(model, rng.dirichlet(np.ones(30))) for _ in range(5)]
+        expected = [fresh(problem) for problem in accounts]
+        qp._starts.clear()
+        refines = count_calls(monkeypatch, "_refine_start")
+        reports = [solve_qp(problem) for problem in accounts]
+        assert len(refines) == 1
+        assert all(same_answer(a, b) for a, b in zip(reports, expected))
+
+    @pytest.mark.parametrize("change", ["c", "lower", "upper", "b"])
+    def test_a_changed_input_misses(self, monkeypatch, change):
+        base = budget_box_problem(np.random.default_rng(3), 20, 1.0)
+        c, lower, upper, b = base.c.copy(), np.zeros(20), np.full(20, 0.15), np.ones(1)
+        {"c": c, "lower": lower, "upper": upper, "b": b}[change][0] += 0.01
+        problem = QpProblem(Q=base.Q, c=c, eq=(base.eq[0], b), lower=lower, upper=upper)
+        expected = fresh(problem)
+        qp._starts.clear()
+        solve_qp(base)
+        starts = count_calls(monkeypatch, "_start")
+        assert same_answer(solve_qp(problem), expected)
+        assert len(starts) == 1
+
+    def test_mutated_weights_leave_a_later_hit_alone(self, monkeypatch):
+        problem = budget_box_problem(np.random.default_rng(4), 20, 1.0)
+        first = solve_qp(problem)
+        expected = first.weights.copy()
+        first.weights[:] = 0.0
+        starts = count_calls(monkeypatch, "_start")
+        again = solve_qp(problem)
+        assert not starts
+        assert np.array_equal(again.weights, expected)
+
+    def test_one_problem_more_than_the_capacity_evicts_the_oldest(self, monkeypatch):
+        problems = [QpProblem(Q=np.eye(3), c=[0.0, 0.0, -1e-3 * i], eq=(np.ones((1, 3)), [1.0]),
+                              lower=0.0) for i in range(qp._START_CACHE + 1)]
+        for problem in problems:
+            solve_qp(problem)
+        starts = count_calls(monkeypatch, "_start")
+        solve_qp(problems[-1])
+        solve_qp(problems[1])
+        assert not starts
+        solve_qp(problems[0])
+        assert len(starts) == 1
+
+    def test_threads_get_the_serial_answers(self):
+        models = [l1_rebalance(seed, 20) for seed in range(4)]
+        rng = np.random.default_rng(6)
+        problems = [with_current(models[i % 4], rng.dirichlet(np.ones(20))) for i in range(24)]
+        expected = [fresh(problem) for problem in problems]
+        qp._starts.clear()
+        answers = [[None] * len(problems) for _ in range(4)]
+
+        def work(t):
+            for i in range(len(problems)):
+                i = (i + 5 * t) % len(problems)  # each thread in its own order
+                answers[t][i] = solve_qp(problems[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(same_answer(a, b) for row in answers for a, b in zip(row, expected))
+
+
+class TestRowGap:
+    """The active set's KKT solves carry the equality rows' gap, so a cold
+    answer ends on its budget row even when the unconstrained minimizer of a
+    large ``|c|`` lies far outside the box."""
+
+    @pytest.mark.parametrize("gamma", [1e4, 1e5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_high_gamma_answer_ends_on_the_budget_row(self, seed, gamma):
+        problem = budget_box_problem(np.random.default_rng([seed, 40]), 40, gamma)
+        rep = solve_qp(problem)
+        assert abs(rep.weights.sum() - 1.0) <= 1e-14
+        assert_kkt(problem, rep)
+        ref = solve_qp(problem, x0=qp.feasible_point(problem))
+        assert np.abs(rep.weights - ref.weights).max() <= 1e-10
 
 
 class TestCertifiedStatus:
