@@ -321,7 +321,6 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
         raise ValueError(f"n1 must be in [1, {m}]")
     base = exact_problem(p_mat, q_vec, None,
                          ConstraintSet() if constraints is None else constraints)
-    eq = base.eq or (np.zeros((0, n)), np.zeros(0))
     heap, order = [], itertools.count()
 
     def push(pinned, kept, rep=None):
@@ -329,7 +328,7 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
         if infeasible); ties pop the newest node first, so the search dives."""
         if rep is None:
             rows = g1[sorted(pinned)]
-            pins = (np.vstack([eq[0], rows]), np.concatenate([eq[1], rows @ x0]))
+            pins = (np.vstack([base.eq[0], rows]), np.concatenate([base.eq[1], rows @ x0]))
             try:
                 rep = solve_qp(replace(base, eq=pins))
             except Infeasible:

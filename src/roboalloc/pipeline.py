@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmParams, solve_penalized
+from .admm import solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, exact_problem, path_root
 from .regularizers import PenaltySpec, penalty_terms
@@ -44,7 +44,6 @@ class RoboConfig:
     gamma2_turnover: np.ndarray | None = None
     constraints: ConstraintSet | None = None
     extra_sets: tuple = ()
-    admm: AdmmParams = field(default_factory=AdmmParams)
 
     def __post_init__(self):
         self.strategic = np.asarray(self.strategic, dtype=float).ravel()
@@ -107,7 +106,7 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     sigma = np.asarray(sigma, dtype=float)
     p_mat, q_vec, l1, blocks, objective = _terms(config, mu, sigma, gamma)
     report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
-                             config.admm, x_init=warm, objective=objective)
+                             x_init=warm, objective=objective)
     report.gamma = float(gamma)
     return report
 

@@ -301,6 +301,18 @@ class TestJagannathanMa:
                                   target_return=0.09)
         assert np.abs(back.weights - rep.weights).max() <= 1e-6
 
+    def test_min_variance_with_binding_row(self, four_asset):
+        # the budget-only minimizer holds 5.4% in assets 3 and 4; the row asks
+        # for half
+        mu, _, _, sigma = four_asset
+        cons = ConstraintSet(budget=1.0, ineq=(np.array([[0.0, 0.0, 1.0, 1.0]]), [0.5]))
+        rep = solve_gamma_problem(MvoInputs(mu=mu, sigma=sigma), 0.0, cons)
+        assert rep.weights[2:].sum() == pytest.approx(0.5, abs=1e-12)
+        assert rep.duals["ineq"][0] > 1e-3
+        st, _, _ = jagannathan_ma_shrinkage(sigma, cons, rep)
+        back = solve_gamma_problem(MvoInputs(mu=mu, sigma=st), 0.0, BUDGET)
+        assert np.abs(back.weights - rep.weights).max() <= 1e-6
+
     def test_inactive_constraints_leave_covariance_alone(self, four_asset):
         mu, _, _, sigma = four_asset
         cons = ConstraintSet(budget=1.0, lower=-10.0, upper=10.0)

@@ -72,7 +72,7 @@ def reference_rebalance(config, mu, sigma, gamma):
             rows.append((g1, g1 @ anchor, np.full(g1.shape[0], rho)))
     l1 = tuple(np.concatenate(part) for part in zip(*rows)) if rows else None
     return solve_penalized(
-        p_mat, q_vec, l1, [], config.constraints, config.extra_sets, config.admm,
+        p_mat, q_vec, l1, [], config.constraints, config.extra_sets, None,
         x_init=None,
         objective=lambda x: reference_full_objective(config, mu, sigma, gamma, x))
 

@@ -6,7 +6,6 @@ import pytest
 
 import roboalloc
 from roboalloc import admm, pipeline
-from roboalloc.admm import AdmmParams
 from roboalloc.errors import Infeasible, TargetUnreachable
 from roboalloc.mvo import ConstraintSet
 from roboalloc.pipeline import (
@@ -410,8 +409,7 @@ class TestPathTableWarmStart:
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="mvo", gamma=0.25,
                          rho1_strategic=1e-3,
-                         constraints=ConstraintSet(budget=1.0),
-                         admm=AdmmParams())
+                         constraints=ConstraintSet(budget=1.0))
         grid = np.geomspace(1e-4, 1e-1, 6)
         table = regularization_path(cfg, mu, sigma, grid, param="rho1")
         for value, row in zip(grid, table.weights):

@@ -83,11 +83,11 @@ def assert_kkt(problem, rep, tol=1e-8):
     if problem.eq is not None:
         a, b = problem.eq
         stat = stat + a.T @ duals["eq"]
-        assert np.abs(a @ x - b).max() <= 1e-9
+        assert np.abs(a @ x - b).max(initial=0.0) <= 1e-9
     if problem.ineq is not None:
         g, h = problem.ineq
         stat = stat - g.T @ duals["ineq"]
-        assert (g @ x - h).min() >= -1e-9
+        assert (g @ x - h).min(initial=0.0) >= -1e-9
         assert np.abs(duals["ineq"] * (g @ x - h)).max(initial=0.0) <= tol * scale
         assert duals["ineq"].min(initial=0.0) >= 0.0
     assert np.abs(stat).max() <= tol * scale
@@ -651,6 +651,25 @@ class TestKinks:
         pieces = list(qp.parametric_path(problem, base.c, rep))
         assert len(builds) == 1 and pieces[-1][4] == np.inf
 
+    def test_bland_ranks_a_weight_at_a_kink_as_its_kink_row(self):
+        # m = 1, n = 3: weight 0 at the kink of row 0 ranks as row 0's rank 7,
+        # after weight 1's fall rank 5, though its own rise rank 1 is lower
+        at = np.array([qp._KINK, qp._LOWER, qp._FREE])
+        kinks = qp._Kinks(np.eye(3)[[0, 1]], np.zeros(2), np.ones(2))
+        side = np.array([0.0, 1.0])
+        assert qp._bland(np.array([1, 5]), 1, at, side, kinks) == 5
+        assert qp._bland(np.array([1, 5]), 1, at, side) == 1
+
+    def test_bland_picks_the_weight_whose_kink_row_ranks_lower(self):
+        # rows 1 and 3 hold weight 0 at its kink and row 2 weight 1; row 0 on
+        # weight 1 is off its kink and does not count: weight 0 ranks as row 1
+        # (8), weight 1 as row 2 (9), so weight 0's fall rank 4 goes before
+        # weight 1's rise rank 2
+        at = np.array([qp._KINK, qp._KINK, qp._FREE])
+        kinks = qp._Kinks(np.eye(3)[[1, 0, 1, 0]], np.zeros(4), np.ones(4))
+        side = np.array([1.0, 0.0, 0.0, 0.0])
+        assert qp._bland(np.array([2, 4]), 1, at, side, kinks) == 4
+
 
 def cold_case(kind, seed):
     """A seeded problem of one family: n 5-40, a factor-model covariance (or
@@ -793,7 +812,7 @@ class TestRefinedStart:
         rng = np.random.default_rng(27)
         problem = QpProblem(Q=0.04 * np.eye(30), c=rng.normal(0.0, 0.01, 30),
                             eq=(np.ones((1, 30)), [1.0]), lower=0.0, upper=0.2)
-        a_eq, b_eq, g, h, lo, up, _ = qp._dense_pieces(problem)
+        (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
         start = qp._cold_start(problem.Q, problem.c, a_eq, b_eq, lo, up)
         assert ((start > 0.0) & (start < 0.2)).any() and (start == 0.0).any()
         solves = count_calls(monkeypatch, "_kkt")
@@ -807,7 +826,7 @@ class TestRefinedStart:
         # a row through the projected start that the refined point breaks:
         # the active set starts at the projected point, with no phase 1
         base = budget_box_problem(np.random.default_rng(28), 30, 1.0, upper=0.3)
-        a_eq, b_eq, g, h, lo, up, _ = qp._dense_pieces(base)
+        (a_eq, b_eq), (g, h), lo, up = base.eq, base.ineq, base.lower, base.upper
         start = qp._cold_start(base.Q, base.c, a_eq, b_eq, lo, up)
         refined = qp._refine_start(base.Q, base.c, start, a_eq, b_eq, g, h, lo, up)
         j = int(np.argmax(start - refined))
@@ -944,6 +963,21 @@ class TestRowGap:
         assert_kkt(problem, rep)
         ref = solve_qp(problem, x0=qp.feasible_point(problem))
         assert np.abs(rep.weights - ref.weights).max() <= 1e-10
+
+    @pytest.mark.parametrize("rho", [1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("gamma", [1e4, 1e5])
+    def test_l1_answer_ends_on_the_budget_row(self, gamma, rho):
+        # kinks at a strategic and a current book
+        for seed in range(3):
+            rng = np.random.default_rng([seed, 41])
+            base = budget_box_problem(rng, 40, gamma)
+            books = np.concatenate([rng.dirichlet(np.full(40, 5.0)),
+                                    rng.dirichlet(np.full(40, 2.0))])
+            problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.15,
+                                l1=(np.vstack([np.eye(40), np.eye(40)]), books, rho))
+            rep = solve_qp(problem)
+            assert abs(rep.weights.sum() - 1.0) <= 1e-14
+            assert rep.status == "converged"
 
 
 class TestCertifiedStatus:
