@@ -79,18 +79,15 @@ class ConstraintSet:
         return eq, ineq, self.lower, self.upper
 
     def admm_pieces(self, n: int):
-        """Split for ADMM: dense equality rows for the x-step (budget row
-        first) and the projection sets for the z-step (the box, then one
+        """Split for ADMM, read off ``exact_problem``'s dense form: the
+        equality rows for the x-step (budget row first) and the projection
+        sets for the z-step (the box when a bound is finite, then one
         halfspace per inequality row).  Returns ``(a_eq, b_eq, sets)``."""
-        eq, ineq, lower, upper = self.qp_pieces(n)
-        a_eq, b_eq = eq if eq is not None else (np.zeros((0, n)), np.zeros(0))
-        sets = []
-        if lower is not None or upper is not None:
-            sets.append(Box(-np.inf if lower is None else lower,
-                            np.inf if upper is None else upper))
-        if ineq is not None:
-            sets += [Halfspace(-a, -b) for a, b in zip(*ineq)]  # a'x >= b
-        return a_eq, b_eq, sets
+        problem = exact_problem(np.zeros((n, n)), np.zeros(n), None, self)
+        bounded = np.isfinite(problem.lower).any() or np.isfinite(problem.upper).any()
+        sets = [Box(problem.lower, problem.upper)] if bounded else []
+        sets += [Halfspace(-g, -h) for g, h in zip(*problem.ineq)]  # g'x >= h
+        return (*problem.eq, sets)
 
 
 def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:

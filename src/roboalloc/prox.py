@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import EmptyIntersection, EmptySet, NonConvexOrder
 
@@ -263,35 +262,47 @@ def project(v: np.ndarray, region) -> np.ndarray:
 
 def project_hyperplane_intersection(v: np.ndarray, a: np.ndarray, b: float,
                                     inner=None) -> np.ndarray:
-    """Project onto ``{a'x = b}`` intersected with a convex set.
-
-    Strong duality reduces the problem to the scalar root of
-    ``a' P_inner(v - lam a) = b``, which is nonincreasing in ``lam``.
-    """
+    """Project onto ``{a'x = b}`` intersected with ``inner``, a ``Box`` or
+    ``None`` for the whole space: ``x(lam) = clip(v - lam a, lower, upper)``
+    where the gap ``a'x(lam) - b``, piecewise linear and nonincreasing, is
+    zero (the breakpoint search of Helgason, Kennington & Lall, *Math.
+    Program.* 1980, and Kiwiel, *Math. Program.* 2008).  A sweep over the
+    sorted breakpoints, adding up the slopes, finds the segment where the
+    gap changes sign; beyond the outermost ones the slope is ``-sum a_i^2``
+    over the weights unbounded on that side.  ``lam`` is then exact, in
+    closed form from the segment's free and fixed weights.
+    ``EmptyIntersection`` when the box cannot reach the level."""
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
     if inner is None:
         return Hyperplane(a, b).project(v)
-
-    def gap(lam: float) -> float:
-        return float(a @ inner.project(v - lam * a) - b)
-
-    g0 = gap(0.0)
-    if abs(g0) <= 1e-14:
-        x = inner.project(v)
-        return x
-    lo, hi = (0.0, 1.0) if g0 > 0 else (-1.0, 0.0)
-    width = 1.0
-    while gap(hi) > 0 if g0 > 0 else gap(lo) < 0:
-        width *= 2.0
-        if width > 1e12:
-            raise EmptyIntersection("hyperplane level is outside the reachable range")
-        if g0 > 0:
-            lo, hi = hi, hi + width
-        else:
-            lo, hi = lo - width, lo
-    lam = brentq(gap, lo, hi, xtol=1e-15, maxiter=300)
+    if not isinstance(inner, Box):
+        raise TypeError(f"inner must be a Box or None, not {type(inner).__name__}")
+    lo, up = inner.lower, inner.upper
+    # weight i is free for enter[i] < lam < leave[i]; a zero a_i is divided by
+    # 1 and read as positive: it adds no slope and is fixed only at a finite bound
+    ends = (v - up) / (a + (a == 0.0)), (v - lo) / (a + (a == 0.0))
+    enter, leave = np.minimum(*ends), np.maximum(*ends)
+    t, slope = np.concatenate(ends), np.concatenate([-a * np.abs(a), a * np.abs(a)])
+    order = t.argsort()  # -inf first: the slope starts with the unbounded weights
+    t, slope = t[order], slope[order].cumsum()  # the gap's slope right of t
+    finite = np.isfinite(t)
+    t, slope, k = t[finite], slope[finite], 0
+    if t.size:  # k: the first breakpoint where the gap is at most zero
+        gap = a @ inner.project(v - t[0] * a) - b
+        fall = -(slope[:-1] * (t[1:] - t[:-1])).cumsum()
+        k = fall.searchsorted(gap) + 1 if gap > 0.0 else 0
+    left, right = (t[k - 1] if k else -np.inf), (t[k] if k < t.size else np.inf)
+    free = (enter <= left) & (leave >= right)
+    den = (a * a) @ free
+    if den > 0.0:  # a fixed weight sits at the bound it reached by the segment
+        at = np.where(free, v, np.where((a >= 0.0) == (leave <= left), lo, up))
+        lam = (a @ at - b) / den
+    else:  # a flat gap: the level is met at the segment's edge or nowhere
+        lam = right if k < t.size else left if k else 0.0
     x = inner.project(v - lam * a)
-    if abs(a @ x - b) > 1e-10 * max(1.0, abs(b)):
-        raise EmptyIntersection(f"root found but level not met ({a @ x - b:.2e})")
+    if den > 0.0:  # a step on the free weights, zero but for lam's rounding
+        x = inner.project(x - ((a @ x - b) / den) * (a * free))
+    if not abs(a @ x - b) <= 1e-10 * max(1.0, abs(b)):  # NaN data included
+        raise EmptyIntersection(f"hyperplane level is outside the box's reach ({a @ x - b:.2e})")
     return x

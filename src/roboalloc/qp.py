@@ -25,11 +25,11 @@ start can leave in the rows (eps times the entries near 1e6 of the
 minimizer it projects when ``|c|`` is large) does not stay in the answer.
 All iterates stay feasible.  A solve starts at the caller's ``x0`` when it
 is feasible; a cold solve with at most one equality row starts at the
-equality-constrained minimizer projected onto the box and the row, which
-already lies on most of the optimum's bounds, refined by a few
-primal-dual active-set rounds on the box and the row (Hintermüller, Ito &
-Kunisch 2002), which predict the bound set from the multipliers and fix
-many bounds at once.  When neither
+equality-constrained minimizer projected exactly onto the box and the row
+(a breakpoint search), which lies on most of the optimum's bounds, refined
+by a few primal-dual active-set rounds on the box and the row (Hintermüller,
+Ito & Kunisch 2002), which predict the bound set from the multipliers and
+fix many bounds at once.  When neither
 start is feasible, phase 1 minimizes elastic slacks on the general rows
 from a point inside the bounds.  The cold start reads ``Q``, ``c``, the
 rows and the box but not the L1 rows, and ``_StartCache`` keeps the last
@@ -537,12 +537,13 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
 
 def _cold_start(q, c, a_eq, b_eq, lo, up):
     """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
-    on the equality row (one ``_kkt`` solve from zero), projected onto the
-    box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991).  It lies on
-    most of the optimum's bounds, where phase 1's point lies on none, but
-    it ignores curvature: ``_refine_start`` corrects its bound set.
-    ``None`` with two or more equality rows, for a zero-curvature descent,
-    or when the projection finds the row out of the box's reach."""
+    on the equality row (one ``_kkt`` solve from zero), projected exactly
+    onto the box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991) by
+    ``project_hyperplane_intersection``'s breakpoint search.  It lies on
+    most of the optimum's bounds, where phase 1's point lies on none, but it
+    ignores curvature: ``_refine_start`` corrects its bound set.  ``None``
+    with two or more equality rows, for a zero-curvature descent, or when
+    the row is out of the box's reach."""
     if a_eq.shape[0] > 1:
         return None
     v, _, flat, _, _ = _kkt(q, a_eq, c, b_eq)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -946,3 +949,39 @@ class TestDeterminism:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# In a fresh interpreter: import the package and the CLI, then solve once on
+# each route a CLI process or the benchmark's warm-up takes (an L1 rebalance,
+# a gamma calibration, a TE-target rebalance and a penalty path), and list
+# the scipy.optimize modules loaded.
+FOOTPRINT = """
+import sys
+import numpy as np
+import roboalloc, roboalloc.cli
+sigma = np.diag([0.04, 0.05, 0.06, 0.07]) + 0.01
+mu = np.array([0.05, 0.06, 0.07, 0.08])
+strategic, current = np.full(4, 0.25), np.array([0.4, 0.3, 0.2, 0.1])
+box = roboalloc.ConstraintSet(budget=1.0, lower=np.zeros(4), upper=np.full(4, 0.6))
+l1 = roboalloc.RoboConfig(strategic=strategic, current=current, gamma=0.5,
+                          rho1_strategic=5e-4, rho1_turnover=2e-4,
+                          rho2_strategic=0.02, constraints=box)
+te = roboalloc.RoboConfig(strategic=strategic, current=current, te_target=0.02,
+                          rho2_strategic=0.02, rho2_turnover=0.01, constraints=box)
+assert roboalloc.rebalance(l1, mu, sigma).converged
+roboalloc.calibrate_gamma(roboalloc.MvoInputs(mu=mu, sigma=sigma), box, target_vol=0.2)
+assert roboalloc.rebalance(te, mu, sigma).converged
+roboalloc.regularization_path(l1, mu, sigma, [1e-4, 1e-3])
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"]))
+"""
+
+
+class TestImportFootprint:
+    def test_solving_loads_no_scipy_optimize(self):
+        # scipy serves the package only through scipy.linalg's LU factors
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 
 from roboalloc import errors
 from roboalloc.prox import (
@@ -63,6 +64,84 @@ def scalar_power_root(w, lam, p, tol=1e-12):
             return x
         lo, hi = (lo, x) if g > 0 else (x, hi)
     return 0.5 * (lo + hi)
+
+
+def brute_force_projection(v, a, b, lo, up):
+    """Nearest point of ``{a'x = b, lo <= x <= up}`` over every pattern of
+    weights held at a finite bound or free, the free ones moved along ``a``
+    onto the level; ``None`` when no pattern is feasible."""
+    best, best_val = None, np.inf
+    tol = 1e-12 * max(1.0, np.abs(v).max(), abs(b))
+    for pattern in itertools.product((None, 0, 1), repeat=v.size):
+        bounds = [(lo, up)[p][i] for i, p in enumerate(pattern) if p is not None]
+        if not np.isfinite(bounds).all():
+            continue
+        x = np.array([v[i] if p is None else (lo, up)[p][i] for i, p in enumerate(pattern)])
+        free = np.array([p is None for p in pattern])
+        if a[free] @ a[free] > 0.0:
+            x[free] -= (a @ x - b) / (a[free] @ a[free]) * a[free]
+        if abs(a @ x - b) > tol or (x < lo - tol).any() or (x > up + tol).any():
+            continue
+        val = ((x - v) ** 2).sum()
+        if val < best_val:
+            best, best_val = x, val
+    return best
+
+
+def brent_projection(v, a, b, box):
+    """The breakpoint search's reference: Brent's root of the gap ``a'P(v -
+    lam a) - b`` in a bracket doubled from ``lam = 0``, then the same level
+    check."""
+    def gap(lam):
+        return float(a @ box.project(v - lam * a) - b)
+
+    g0 = gap(0.0)
+    if abs(g0) <= 1e-14:
+        return box.project(v)
+    (lo, hi), width = ((0.0, 1.0) if g0 > 0 else (-1.0, 0.0)), 1.0
+    while gap(hi) > 0 if g0 > 0 else gap(lo) < 0:
+        width *= 2.0
+        if width > 1e12:
+            raise errors.EmptyIntersection("bracket")
+        lo, hi = (hi, hi + width) if g0 > 0 else (lo - width, lo)
+    x = box.project(v - brentq(gap, lo, hi, xtol=1e-15, maxiter=300) * a)
+    if abs(a @ x - b) > 1e-10 * max(1.0, abs(b)):
+        raise errors.EmptyIntersection("level")
+    return x
+
+
+def box_case(rng, n, scale):
+    """``v``, ``a`` and box bounds on coarse grids, so that breakpoints repeat:
+    ``a`` of mixed signs with zeros, some boxes of zero width and, below
+    ``|v|`` of 1e6, some bounds infinite on one side or both."""
+    a = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n) if rng.random() < 0.5 \
+        else rng.normal(size=n)
+    lo = rng.integers(-3, 1, n) / 2.0
+    up = lo + rng.integers(0, 4, n) / 2.0
+    if scale < 1e6:
+        lo[rng.random(n) < 0.2] = -np.inf
+        up[rng.random(n) < 0.2] = np.inf
+    v = scale * (rng.integers(-8, 9, n) / 4.0 if rng.random() < 0.5 else rng.normal(size=n))
+    return v, a, lo, up
+
+
+def reachable_range(a, lo, up):
+    """``[sum min a_i x_i, sum max a_i x_i]`` over the box."""
+    nz = a != 0.0
+    return ((a[nz] * np.where(a[nz] > 0, lo[nz], up[nz])).sum(),
+            (a[nz] * np.where(a[nz] > 0, up[nz], lo[nz])).sum())
+
+
+def case_level(rng, a, lo, up):
+    """A level inside the reachable range, on a half-integer grid (often the
+    gap's value at a breakpoint), or beyond the range's finite end."""
+    low, high = reachable_range(a, lo, up)
+    draw = rng.random()
+    if draw < 0.6 and np.isfinite(low) and np.isfinite(high):
+        return low + rng.random() * (high - low)
+    if draw < 0.8 or not np.isfinite(high) and not np.isfinite(low):
+        return rng.integers(-12, 13) / 2.0
+    return high + 1.0 if np.isfinite(high) else low - 1.0
 
 
 class TestProxL1:
@@ -236,29 +315,82 @@ class TestHyperplaneIntersection:
                                               1.0, Box(0.0, 0.4))
         assert np.allclose(out, [0.4, 0.3, 0.3], atol=1e-9)
         # brute force over active sets of the box
-        best, best_val = None, np.inf
-        v = np.array([1.0, 0.0, 0.0])
-        for pattern in itertools.product([None, 0.0, 0.4], repeat=3):
-            free = [i for i, p in enumerate(pattern) if p is None]
-            fixed_sum = sum(p for p in pattern if p is not None)
-            if not free:
-                if abs(fixed_sum - 1.0) > 1e-12:
-                    continue
-                x = np.array(pattern, dtype=float)
-            else:
-                x = np.array([0.0 if p is None else p for p in pattern])
-                shift = (1.0 - fixed_sum - v[free].sum()) / len(free)
-                x[free] = v[free] + shift
-                if (x[free] < -1e-12).any() or (x[free] > 0.4 + 1e-12).any():
-                    continue
-            val = ((x - v) ** 2).sum()
-            if val < best_val:
-                best, best_val = x, val
+        best = brute_force_projection(np.array([1.0, 0.0, 0.0]), np.ones(3), 1.0,
+                                      np.zeros(3), np.full(3, 0.4))
         assert np.allclose(out, best, atol=1e-9)
 
     def test_unreachable_level(self):
         with pytest.raises(errors.EmptyIntersection):
             project_hyperplane_intersection(np.zeros(2), np.ones(2), 5.0, Box(0.0, 1.0))
+
+    def test_matches_brute_force_on_small_boxes(self):
+        rng = np.random.default_rng(28)
+        raised = 0
+        for _ in range(300):
+            v, a, lo, up = box_case(rng, int(rng.integers(1, 7)), 1.0)
+            b = case_level(rng, a, lo, up)
+            best = brute_force_projection(v, a, b, lo, up)
+            if best is None:
+                raised += 1
+                with pytest.raises(errors.EmptyIntersection):
+                    project_hyperplane_intersection(v, a, b, Box(lo, up))
+            else:
+                out = project_hyperplane_intersection(v, a, b, Box(lo, up))
+                assert np.abs(out - best).max() <= 1e-9, (v, a, b, lo, up)
+        assert 20 <= raised <= 150
+
+    def test_reaches_every_level_in_range_and_agrees_with_brent(self):
+        # feasible exactly on the box's reachable range, and where Brent's
+        # root passes the level check the same point; from |v| = 1e5 Brent's
+        # root can miss a level in range by more than the check allows
+        rng = np.random.default_rng(2008)
+        brent = 0
+        for _ in range(3000):
+            n, scale = int(rng.integers(1, 31)), 10.0 ** rng.integers(0, 7)
+            v, a, lo, up = box_case(rng, n, scale)
+            b = case_level(rng, a, lo, up)
+            low, high = reachable_range(a, lo, up)
+            if not low <= b <= high:
+                for project in (project_hyperplane_intersection, brent_projection):
+                    with pytest.raises(errors.EmptyIntersection):
+                        project(v, a, b, Box(lo, up))
+                continue
+            out = project_hyperplane_intersection(v, a, b, Box(lo, up))
+            assert abs(a @ out - b) <= 1e-10 * max(1.0, abs(b))
+            assert (lo <= out).all() and (out <= up).all()
+            try:
+                ref = brent_projection(v, a, b, Box(lo, up))
+            except errors.EmptyIntersection:
+                assert scale >= 1e5
+                continue
+            brent += 1
+            assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(v).max())
+        assert brent >= 2000
+
+    def test_level_at_a_repeated_breakpoint(self):
+        # weights 0 and 1 meet a bound at lam = 0.5 together, where the gap is 0
+        out = project_hyperplane_intersection(np.array([1.5, 0.5, 0.25]), np.ones(3), 1.0,
+                                              Box(0.0, 1.0))
+        assert np.abs(out - [1.0, 0.0, 0.0]).max() <= 1e-15
+
+    def test_level_at_the_end_of_the_range(self):
+        # the most the box reaches: every weight with a_i != 0 at its far bound
+        a = np.array([1.0, -2.0, 0.0, 0.5])
+        lo, up = np.array([0.0, -1.0, -np.inf, 0.0]), np.array([1.0, 0.5, np.inf, 2.0])
+        v = np.array([0.3, 0.1, 7.0, -0.4])
+        out = project_hyperplane_intersection(v, a, 4.0, Box(lo, up))
+        assert np.abs(out - [1.0, -1.0, 7.0, 2.0]).max() <= 1e-15
+
+    def test_zero_row(self):
+        v, box = np.array([2.0, -0.5, 0.3]), Box(0.0, 1.0)
+        out = project_hyperplane_intersection(v, np.zeros(3), 0.0, box)
+        assert np.array_equal(out, box.project(v))
+        with pytest.raises(errors.EmptyIntersection):
+            project_hyperplane_intersection(v, np.zeros(3), 0.5, box)
+
+    def test_inner_other_than_a_box_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            project_hyperplane_intersection(np.zeros(2), np.ones(2), 1.0, L2Ball(1.0))
 
 
 class TestCardinality:
