@@ -69,50 +69,53 @@ class AdmmState:
 
 
 class _StackedProblem:
-    """ADMM data for ``min 0.5 x'Px - q'x + sum_i g_i(G_i x - d_i)`` subject
-    to ``a_eq x = b_eq`` and ``x`` in every set of ``sets``.
+    """ADMM data for a ``qp.QpProblem`` with prox blocks and extra sets.
 
-    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term; when
-    ``sets`` is nonempty an identity block with a zero offset is stacked
-    last, its step projecting onto their intersection
+    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term: the
+    problem's L1 rows as one soft-thresholding block, then ``blocks``, then,
+    when any set is left (``extra_sets``, a ``Box`` when a bound is finite,
+    one ``Halfspace`` per inequality row), an identity block with a zero
+    offset whose step projects onto their intersection
     (``prox.project_intersection``).  The split is ``A x - z = c`` with
     ``A`` (``a``) stacking the ``G_i`` and ``c`` the ``d_i``.  The x-step is
-    a KKT solve with the equality rows; its right-hand side (``rhs``)
-    carries ``b_eq`` as its tail.  The z-step is each block's own step on
-    its rows.  ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the
-    spectrum of ``P`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``P`` is
+    a KKT solve with the equality rows, their levels the tail of its
+    right-hand side ``rhs``; the z-step is each block's own step on its
+    rows.  ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the
+    spectrum of ``Q`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``Q`` is
     zero.
     """
 
-    def __init__(self, p_mat, q_vec, a_eq, b_eq, blocks, sets=()):
-        n = q_vec.size
-        self.p, self.q, self.a_eq, self.n = p_mat, q_vec, a_eq, n
-        blocks = list(blocks)
+    def __init__(self, problem, blocks, extra_sets=()):
+        n = self.n = problem.n
+        (self.a_eq, b_eq), self.p, self.q = problem.eq, problem.Q, -problem.c
+        if problem.l1 is not None:
+            g, d, rho = problem.l1
+            blocks = [(g, d, lambda v, phi: prox.prox_l1(v, rho / phi)), *blocks]
+        sets = list(extra_sets)
+        if np.isfinite(problem.lower).any() or np.isfinite(problem.upper).any():
+            sets.append(prox.Box(problem.lower, problem.upper))
+        sets += [prox.Halfspace(-g, -h) for g, h in zip(*problem.ineq)]  # g'x >= h
         if sets:
-            blocks.append((np.eye(n), np.zeros(n),
-                           lambda v, _phi: prox.project_intersection(v, sets)))
+            blocks = [*blocks, (np.eye(n), np.zeros(n),
+                                lambda v, _phi: prox.project_intersection(v, sets))]
         self.a = np.vstack([g for g, _, _ in blocks])
         self.c = np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks]))
         self.gram = sum(g.T @ g for g, _, _ in blocks)
-        self.rhs = np.concatenate([q_vec, b_eq])
+        self.rhs = np.concatenate([self.q, b_eq])
         self.blocks = []      # (rows, G_i, step_i), in block order
         stop = 0
         for g, d, step in blocks:
             self.blocks.append((slice(stop, stop + d.size), g, step))
             stop += d.size
         self._factors = {}
-        lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
+        lo, top = np.linalg.eigvalsh(self.p)[[0, -1]]
         self.phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
 
     def factor(self, phi):
         if phi not in self._factors:
             me = self.a_eq.shape[0]
-            kkt = np.zeros((self.n + me, self.n + me))
-            kkt[:self.n, :self.n] = self.p + phi * self.gram
-            if me:
-                kkt[:self.n, self.n:] = self.a_eq.T
-                kkt[self.n:, :self.n] = self.a_eq
-            self._factors[phi] = lu_factor(kkt)
+            self._factors[phi] = lu_factor(np.block([[self.p + phi * self.gram, self.a_eq.T],
+                                                     [self.a_eq, np.zeros((me, me))]]))
         return self._factors[phi]
 
 
@@ -216,33 +219,26 @@ def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None 
     soft-thresholding block, then the blocks in their order, then the
     constraint projection, from ``z_i = G_i x_init - d_i`` (``z = 0``
     without ``x_init``), ``u = 0`` and the penalty worked out from ``P``.
-    ``objective`` evaluates the reported objective at the answer.  With L1
-    rows, any block or extra set, a non-finite ``P``, ``q``, offset or
-    equality level raises ``ValueError`` before the first iteration.
+    ``objective`` evaluates the reported objective at the answer.  Both
+    routes read the one ``QpProblem`` of ``mvo.exact_problem``, so malformed
+    ``P``, ``q``, L1 rows or constraints are the same ``ValueError`` on
+    either; a non-finite block offset is one before ADMM's first iteration.
     """
     n = q_vec.size
     if x_init is not None:
         x_init = np.asarray_chkfinite(x_init, dtype=float)
         if x_init.shape != (n,):
             raise ValueError(f"x_init must be a vector of {n} weights, not shape {x_init.shape}")
-    constraints = ConstraintSet() if constraints is None else constraints
-    if l1 is not None or blocks or extra_sets:
-        p_mat, q_vec = map(np.asarray_chkfinite, (p_mat, q_vec))
-    if l1 is not None:
-        g, d, rho = l1
-        l1 = g, np.asarray_chkfinite(d), rho
+    problem = exact_problem(p_mat, q_vec, l1,
+                            ConstraintSet() if constraints is None else constraints)
     if not blocks and not extra_sets:
-        report = solve_qp(exact_problem(p_mat, q_vec, l1, constraints), x0=x_init)
+        report = solve_qp(problem, x0=x_init)
         if objective is not None:
             report.objective = float(objective(report.weights))
         return report
 
-    if l1 is not None:
-        blocks = [(g, d, lambda v, phi: prox.prox_l1(v, rho / phi)), *blocks]
-    a_eq, b_eq, sets = constraints.admm_pieces(n)
-    b_eq = np.asarray_chkfinite(b_eq)
-    feasible_point(exact_problem(np.zeros((n, n)), np.zeros(n), None, constraints))
-    prob = _StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, [*extra_sets, *sets])
+    feasible_point(problem)
+    prob = _StackedProblem(problem, blocks, extra_sets)
     z0 = None if x_init is None else prob.a @ x_init - prob.c
     return admm_solve(prob, params, z0=z0, objective=objective)
 

@@ -17,7 +17,6 @@ from .errors import (
     ZeroVolatilityPortfolio,
 )
 from .market_data import clip_psd
-from .prox import Box, Halfspace
 from .qp import QpProblem, parametric_path, solve_qp
 from .report import CONVERGED, SolveReport
 
@@ -61,41 +60,18 @@ class ConstraintSet:
         return all(v is None for v in (self.budget, self.lower, self.upper,
                                        self.eq, self.ineq))
 
-    def qp_pieces(self, n: int):
-        """Assemble (eq, ineq, lower, upper) blocks for the QP solver."""
-        eq_rows, eq_rhs = [], []
-        if self.budget is not None:
-            eq_rows.append(np.ones((1, n)))
-            eq_rhs.append(np.array([float(self.budget)]))
-        if self.eq is not None:
-            a, b = self.eq
-            eq_rows.append(np.atleast_2d(np.asarray(a, float)))
-            eq_rhs.append(np.asarray(b, float).ravel())
-        eq = (np.vstack(eq_rows), np.concatenate(eq_rhs)) if eq_rows else None
-        ineq = None
-        if self.ineq is not None:
-            a, b = self.ineq
-            ineq = (np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel())
-        return eq, ineq, self.lower, self.upper
-
-    def admm_pieces(self, n: int):
-        """Split for ADMM, read off ``exact_problem``'s dense form: the
-        equality rows for the x-step (budget row first) and the projection
-        sets for the z-step (the box when a bound is finite, then one
-        halfspace per inequality row).  Returns ``(a_eq, b_eq, sets)``."""
-        problem = exact_problem(np.zeros((n, n)), np.zeros(n), None, self)
-        bounded = np.isfinite(problem.lower).any() or np.isfinite(problem.upper).any()
-        sets = [Box(problem.lower, problem.upper)] if bounded else []
-        sets += [Halfspace(-g, -h) for g, h in zip(*problem.ineq)]  # g'x >= h
-        return (*problem.eq, sets)
-
 
 def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:
     """The ``QpProblem`` of ``0.5 x'Px - q'x`` over the constraint set, with
-    the L1 rows ``l1 = (G, d, rho)`` (``None`` for none): every QP built
-    from a ``ConstraintSet`` is built here."""
-    eq, ineq, lower, upper = constraints.qp_pieces(q_vec.size)
-    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
+    the L1 rows ``l1 = (G, d, rho)`` (``None`` for none): the one reading of
+    a ``ConstraintSet``.  The budget row goes over ``eq``; ``QpProblem``
+    checks the blocks and fills in the absent ones."""
+    eq = constraints.eq
+    if constraints.budget is not None:
+        a, b = (np.zeros((0, q_vec.size)), ()) if eq is None else eq
+        eq = np.vstack([np.ones(q_vec.size), a]), np.r_[float(constraints.budget), np.ravel(b)]
+    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=constraints.ineq, lower=constraints.lower,
+                     upper=constraints.upper, l1=l1)
 
 
 @dataclass
@@ -116,12 +92,16 @@ class StevensReport:
     assets: list = field(default_factory=list)
 
 
-def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _check_spd(sigma: np.ndarray) -> None:
+    """``SingularCovariance`` when the eigenvalue ratio of ``sigma`` is below 1e-12."""
     lam = np.linalg.eigvalsh(sigma)
     if lam.min() < 1e-12 * max(lam.max(), 1e-300):
-        raise SingularCovariance(
-            f"covariance nearly singular (eig ratio {lam.min():.2e}/{lam.max():.2e})"
-        )
+        raise SingularCovariance(f"covariance nearly singular (eig ratio "
+                                 f"{lam.min():.2e}/{lam.max():.2e})")
+
+
+def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    _check_spd(sigma)
     return np.linalg.solve(sigma, rhs)
 
 
@@ -312,9 +292,7 @@ def stevens_decomposition(inputs: MvoInputs, gamma: float,
         raise ValueError("gamma must be finite")
     mu, sigma = inputs.mu, inputs.sigma
     n = inputs.n
-    lam = np.linalg.eigvalsh(sigma)
-    if lam.min() < 1e-12 * max(lam.max(), 1e-300):
-        raise SingularCovariance("covariance not invertible")
+    _check_spd(sigma)
     alpha = np.zeros(n)
     beta = np.zeros((n, max(n - 1, 0)))
     r2 = np.zeros(n)

@@ -303,6 +303,7 @@ def project_hyperplane_intersection(v: np.ndarray, a: np.ndarray, b: float,
     x = inner.project(v - lam * a)
     if den > 0.0:  # a step on the free weights, zero but for lam's rounding
         x = inner.project(x - ((a @ x - b) / den) * (a * free))
-    if not abs(a @ x - b) <= 1e-10 * max(1.0, abs(b)):  # NaN data included
-        raise EmptyIntersection(f"hyperplane level is outside the box's reach ({a @ x - b:.2e})")
+    gap = a @ x - b  # to the rounding of the terms a'x sums; NaN data and inf fail
+    if not abs(gap) <= 1e-10 * max(1.0, abs(b), np.abs(a) @ np.abs(x)) < np.inf:
+        raise EmptyIntersection(f"hyperplane level is outside the box's reach ({gap:.2e})")
     return x

@@ -247,6 +247,16 @@ def _gram_spectrum(s, g, filt, rule: str):
     raise ValueError(f"unknown gram rule {rule!r}")
 
 
+def _filtered_spectrum(a1, filt, gram_rule):
+    """The retained SVD factors ``u, vt`` of ``a1``, the filter's gains ``g``
+    (``AllSingularValuesFiltered`` if all are zero) and the regularized gram."""
+    u, s, vt = _svd_retained(a1)
+    g = _filter_values(s, filt)
+    if not np.any(g != 0):
+        raise AllSingularValuesFiltered("filter removed every singular value")
+    return u, g, vt, (vt.T * _gram_spectrum(s, g, filt, gram_rule)) @ vt
+
+
 def spectral_filter(a1, filt, gram_rule: str = "g_dagger_sq"):
     """Filtered pseudo-inverse and regularized gram matrix of ``a1``.
 
@@ -255,14 +265,8 @@ def spectral_filter(a1, filt, gram_rule: str = "g_dagger_sq"):
     ``V diag(s2) V'`` with ``s2`` given by the chosen reconstruction rule
     (default: squared reciprocal gains).
     """
-    u, s, vt = _svd_retained(a1)
-    g = _filter_values(s, filt)
-    if not np.any(g != 0):
-        raise AllSingularValuesFiltered("filter removed every singular value")
-    pinv_reg = (vt.T * g) @ u.T
-    s2 = _gram_spectrum(s, g, filt, gram_rule)
-    gram_reg = (vt.T * s2) @ vt
-    return pinv_reg, gram_reg
+    u, g, vt, gram_reg = _filtered_spectrum(a1, filt, gram_rule)
+    return (vt.T * g) @ u.T, gram_reg
 
 
 def filtered_normal_solve(a1, b1, filt, eq=None, gram_rule: str = "g_dagger_sq"):
@@ -274,14 +278,8 @@ def filtered_normal_solve(a1, b1, filt, eq=None, gram_rule: str = "g_dagger_sq")
     singular block system fail as in ``tikhonov_solve``.
     """
     a1, b1, eq = _checked(a1, b1, eq)
-    u, s, vt = _svd_retained(a1)
-    g = _filter_values(s, filt)
-    if not np.any(g != 0):
-        raise AllSingularValuesFiltered("filter removed every singular value")
-    s2 = _gram_spectrum(s, g, filt, gram_rule)
-    block = (vt.T * s2) @ vt
-    rhs1 = vt.T @ (_pinv_comp(g) * (u.T @ b1))
-    return _block_solve(block, rhs1, eq)
+    u, g, vt, block = _filtered_spectrum(a1, filt, gram_rule)
+    return _block_solve(block, vt.T @ (_pinv_comp(g) * (u.T @ b1)), eq)
 
 
 def ledoit_wolf_to_tikhonov(alpha_star: float, phi_hat) -> PenaltySpec:

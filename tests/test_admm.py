@@ -13,7 +13,7 @@ from roboalloc.admm import (
     solve_penalized,
 )
 from roboalloc.errors import Infeasible, NoConvergence
-from roboalloc.mvo import ConstraintSet
+from roboalloc.mvo import ConstraintSet, exact_problem
 from roboalloc.prox import L1Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
 from roboalloc.regularizers import PenaltySpec, ridge_mvo
@@ -320,16 +320,16 @@ def _cardinality_case(seed):
 def _enumerated_optimum(a1, b1, pen, g1, x0, n1, cons):
     """The least objective over every support of ``n1`` bets, or ``None``."""
     n = x0.size
-    eq, ineq, lower, upper = cons.qp_pieces(n)
     p_mat, q_vec = a1.T @ a1 + pen.rho * np.eye(n), a1.T @ b1 + pen.rho * x0
+    base = exact_problem(p_mat, q_vec, None, cons)
     best = None
     for support in itertools.combinations(range(n), n1):
         off = [i for i in range(n) if i not in support]
-        rows = np.vstack([eq[0], g1[off]])
-        rhs = np.concatenate([eq[1], g1[off] @ x0])
+        rows = np.vstack([base.eq[0], g1[off]])
+        rhs = np.concatenate([base.eq[1], g1[off] @ x0])
         try:
-            rep = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=(rows, rhs), ineq=ineq,
-                                     lower=lower, upper=upper))
+            rep = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=(rows, rhs), ineq=base.ineq,
+                                     lower=base.lower, upper=base.upper))
         except Infeasible:
             continue
         best = rep.objective if best is None else min(best, rep.objective)
@@ -451,9 +451,14 @@ class ReferenceStackedProblem:
 
 
 def reference_penalized(p_mat, q_vec, blocks, constraints, params, x_init, alpha):
-    """The ADMM route of ``solve_penalized`` on the reference loop."""
+    """The ADMM route of ``solve_penalized`` on the reference loop, its box
+    and halfspaces read off the constraints' dense ``QpProblem`` blocks."""
     n = q_vec.size
-    a_eq, b_eq, sets = constraints.admm_pieces(n)
+    problem = exact_problem(p_mat, q_vec, None, constraints)
+    (a_eq, b_eq), lower, upper = problem.eq, problem.lower, problem.upper
+    bounded = np.isfinite(lower).any() or np.isfinite(upper).any()
+    sets = [prox.Box(lower, upper)] if bounded else []
+    sets += [prox.Halfspace(-g, -h) for g, h in zip(*problem.ineq)]  # g'x >= h
     blocks = list(blocks)
     if sets:
         blocks.append((np.eye(n), np.zeros(n),
@@ -501,11 +506,45 @@ class TestInfeasible:
             solve_penalized(p_mat, q_vec, l1, [], cons, x_init=current)
 
 
+class TestOneProblem:
+    """``solve_penalized`` builds one ``QpProblem`` per call, before it
+    picks a route, and both routes read it: malformed data is the same
+    ``ValueError`` on either."""
+
+    @staticmethod
+    def call(route, p_mat, q_vec, blocks, l1, current):
+        cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.5)
+        if route == "qp":  # L1 rows only
+            return solve_penalized(p_mat, q_vec, l1, [], cons, x_init=current)
+        return solve_penalized(p_mat, q_vec, None, blocks, cons, x_init=current)
+
+    @pytest.mark.parametrize("route", ["qp", "admm"])
+    def test_one_problem_per_call(self, route, monkeypatch):
+        built, init = [], QpProblem.__post_init__
+
+        def counting(problem):
+            built.append(problem)
+            init(problem)
+
+        monkeypatch.setattr(QpProblem, "__post_init__", counting)
+        rep = self.call(route, *rebalance_problem(0, 6))
+        assert rep.converged and len(built) == 1
+
+    @pytest.mark.parametrize("route", ["qp", "admm"])
+    @pytest.mark.parametrize("defect,message", [
+        ("asymmetric", "Q must be symmetric"), ("nan", "Q must hold finite numbers only")])
+    def test_malformed_p_rejected_alike(self, route, defect, message):
+        p_mat, q_vec, blocks, l1, current = rebalance_problem(1, 5)
+        p_mat = p_mat.copy()
+        p_mat[0, 1] = p_mat[0, 1] + 1e-3 if defect == "asymmetric" else np.nan
+        with pytest.raises(ValueError, match=message):
+            self.call(route, p_mat, q_vec, blocks, l1, current)
+
+
 def admm_route(p_mat, q_vec, blocks, cons, params, x_init):
     """``admm_solve`` on the stacked problem, as ``solve_penalized``'s ADMM
     route runs it."""
-    a_eq, b_eq, sets = cons.admm_pieces(q_vec.size)
-    prob = admm._StackedProblem(p_mat, q_vec, a_eq, b_eq, blocks, sets)
+    prob = admm._StackedProblem(exact_problem(p_mat, q_vec, None, cons), blocks)
     return admm.admm_solve(prob, params, z0=prob.a @ x_init - prob.c)
 
 
@@ -540,7 +579,7 @@ class TestSameIterates:
         assert np.array_equal(state.z, ref.z) and np.array_equal(state.u, ref.u)
         assert (rep.r_norm, rep.s_norm, state.phi) == (ref.r_norm, ref.s_norm, ref.phi)
 
-    def test_general_blocks_through_dykstra(self):
+    def test_general_blocks_through_dykstra(self, monkeypatch):
         n = 8
         rng = np.random.default_rng(11)
         gamma1 = np.eye(n) + 0.3 * rng.standard_normal((n, n))
@@ -549,10 +588,13 @@ class TestSameIterates:
                              ineq=(np.ones((1, n)) * np.r_[1.0, 1.0, np.zeros(n - 2)],
                                    np.array([0.5])))
         params = AdmmParams(max_iter=3000)
+        sizes, project = [], prox.project_intersection
+        monkeypatch.setattr(prox, "project_intersection",
+                            lambda v, sets: sizes.append(len(sets)) or project(v, sets))
         rep = admm_route(p_mat, q_vec, blocks, cons, params, current)
         ref, status = reference_penalized(p_mat, q_vec, blocks, cons, params, current,
                                           ALPHA)
-        assert len(cons.admm_pieces(n)[2]) == 2  # box and halfspace: Dykstra runs
+        assert set(sizes) == {2}  # box and halfspace, on both loops: Dykstra runs
         assert rep.iterations == ref.iterations
         assert rep.status == status
         assert np.abs(rep.weights - ref.x).max() <= 1e-12
@@ -575,6 +617,9 @@ class TestSameIterates:
 
     @pytest.mark.parametrize("where", ["q", "x_init", "offset"])
     def test_non_finite_input_rejected(self, where):
+        # x_init is checked at the boundary, q and the L1 rows by QpProblem
+        message = {"q": "c must hold finite numbers only", "x_init": "infs or NaNs",
+                   "offset": "l1 must hold finite numbers only"}[where]
         p_mat, q_vec, _, l1, current = rebalance_problem(0, 5)
         if where == "q":
             q_vec = q_vec.copy()
@@ -585,5 +630,5 @@ class TestSameIterates:
         else:
             g, d, rho = l1
             l1 = (g, np.full_like(d, np.nan), rho)
-        with pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(ValueError, match=message):
             solve_penalized(p_mat, q_vec, l1, [], BUDGET, x_init=current)

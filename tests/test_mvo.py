@@ -246,6 +246,13 @@ class TestStevens:
             direct = gamma * np.linalg.solve(sigma, mu)
             assert np.abs(direct - rep.x_star).max() <= 1e-8 * max(1.0, np.abs(direct).max())
 
+    def test_singular_covariance_rejected(self):
+        # a third asset duplicating the first: the covariance check of the
+        # closed form runs before any hedging regression
+        sigma = np.array([[0.04, 0.01, 0.04], [0.01, 0.09, 0.01], [0.04, 0.01, 0.04]])
+        with pytest.raises(errors.SingularCovariance, match="covariance nearly singular"):
+            stevens_decomposition(MvoInputs(mu=[0.05, 0.06, 0.05], sigma=sigma), 0.5)
+
     def test_perfect_collinearity_detected(self):
         off = 0.04 * (1.0 - 2.5e-12)
         base = np.array([[0.04, off], [off, 0.04]])

@@ -6,8 +6,8 @@ import pytest
 
 import roboalloc
 from roboalloc import admm, pipeline
-from roboalloc.errors import Infeasible, TargetUnreachable
-from roboalloc.mvo import ConstraintSet
+from roboalloc.errors import Infeasible, MaxIterations, TargetUnreachable
+from roboalloc.mvo import ConstraintSet, exact_problem
 from roboalloc.pipeline import (
     RoboConfig,
     rebalance,
@@ -28,9 +28,7 @@ def plain_qp_oracle(config, mu, sigma, gamma):
     q_vec = gamma * np.asarray(mu, float)
     if config.objective == "tracking_error":
         q_vec = q_vec + sigma @ config.strategic
-    eq, ineq, lower, upper = config.constraints.qp_pieces(config.n)
-    return solve_qp(QpProblem(Q=sigma, c=-q_vec, eq=eq, ineq=ineq,
-                              lower=lower, upper=upper))
+    return solve_qp(exact_problem(sigma, q_vec, None, config.constraints))
 
 
 def walks_then_solves_once(ten_asset, monkeypatch, **slots):
@@ -360,6 +358,31 @@ class TestRegularizationPath:
         assert starts[0] is None
         assert all(s is a.weights for s, a in zip(starts[1:], answers))
 
+    def test_failed_point_is_recorded_and_the_sweep_goes_on(self, four_asset_alt,
+                                                             monkeypatch):
+        # an AllocationError at one point is its row, with NaN weights and
+        # objective; the next point starts from the last converged weights
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=np.full(4, 0.25), objective="mvo",
+                         gamma=0.25)
+        grid = np.geomspace(1e-3, 10.0, 5)
+        starts, solve = [], pipeline.rebalance
+
+        def failing_at_the_third(point, mu, sigma, warm=None):
+            starts.append(warm)
+            if point.rho2_strategic == grid[2]:
+                raise MaxIterations("stopped at the cap")
+            return solve(point, mu, sigma, warm=warm)
+
+        monkeypatch.setattr(pipeline, "rebalance", failing_at_the_third)
+        table = regularization_path(cfg, mu, sigma, grid, param="rho2")
+        assert table.status == ["converged"] * 2 + ["error:MaxIterations"] + ["converged"] * 2
+        assert np.isnan(table.weights[2]).all() and np.isnan(table.objective[2])
+        assert np.isfinite(table.weights[[0, 1, 3, 4]]).all()
+        assert np.isfinite(table.objective[[0, 1, 3, 4]]).all()
+        assert starts[0] is None and starts[3] is starts[2]
+        assert np.array_equal(starts[3], table.weights[1])
+
     @pytest.mark.parametrize("slot,param", [("rho1_strategic", "rho1"),
                                             ("rho2_strategic", "rho2")],
                              ids=["l1_route", "qp_route"])
@@ -473,7 +496,6 @@ class TestNightlyModels:
         assert l1_violation(p_mat, q_vec, x, [(strategic, 5e-4), (current, 2e-4)],
                             0.0, upper) <= 1e-7
         _, _, l1, _, _ = pipeline._terms(cfg, mu, sigma, 0.5)
-        eq, _, lower, up = cfg.constraints.qp_pieces(n)
-        smooth = solve_qp(QpProblem(Q=p_mat, c=-q_vec, eq=eq, lower=lower, upper=up))
+        smooth = solve_qp(exact_problem(p_mat, q_vec, None, cfg.constraints))
         exact = oracle(p_mat, q_vec, cfg.constraints, l1, warm=smooth.weights)
         assert np.abs(x - exact).max() <= 1e-9

@@ -10,7 +10,7 @@ import pytest
 
 from roboalloc import admm, qp
 from roboalloc.admm import solve_mixed_lp, solve_penalized
-from roboalloc.mvo import ConstraintSet
+from roboalloc.mvo import ConstraintSet, exact_problem
 from roboalloc.pipeline import RoboConfig, _terms, rebalance
 from roboalloc.prox import L2Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
@@ -55,7 +55,8 @@ def oracle(p_mat, q_vec, cons, l1, warm=None):
     if split_x:
         weight[:n] = rho[:n] * np.diag(g0)
         anchor[:n] = d[:n] / np.diag(g0)
-    eq, ineq, lower, upper = cons.qp_pieces(n)
+    base = exact_problem(np.zeros((n, n)), np.zeros(n), None, cons)
+    eq, ineq = base.eq, base.ineq
     rows = np.vstack([np.hstack([eq[0], np.zeros((eq[0].shape[0], k))]),
                       np.hstack([g[first:], -np.eye(k)])])
     weight[n:], anchor[n:] = rho[first:], d[first:]
@@ -65,10 +66,8 @@ def oracle(p_mat, q_vec, cons, l1, warm=None):
     problem = QpProblem(
         Q=q_mat, c=np.concatenate([-q_vec, np.zeros(m - n)]),
         eq=(rows, np.concatenate([eq[1], np.zeros(k)])),
-        ineq=None if ineq is None else (np.hstack([ineq[0], np.zeros((ineq[0].shape[0],
-                                                                      m - n))]), ineq[1]),
-        lower=np.concatenate([np.broadcast_to(-np.inf if lower is None else lower, (n,)), -pad]),
-        upper=np.concatenate([np.broadcast_to(np.inf if upper is None else upper, (n,)), pad]))
+        ineq=(np.hstack([ineq[0], np.zeros((ineq[1].size, m - n))]), ineq[1]),
+        lower=np.concatenate([base.lower, -pad]), upper=np.concatenate([base.upper, pad]))
     x0 = None
     if warm is not None:
         y = np.concatenate([warm, g[first:] @ warm])
@@ -80,15 +79,14 @@ def kkt_violation(p_mat, q_vec, cons, l1, x, duals):
     """Largest violation of optimality of ``x`` with the reported ``duals``,
     for L1 rows on one weight each: feasibility, signs and complementarity of the
     multipliers, and 0 in each weight's interval of stationarity."""
-    eq, ineq, lower, upper = cons.qp_pieces(x.size)
-    lower = np.broadcast_to(-np.inf if lower is None else lower, x.shape)
-    upper = np.broadcast_to(np.inf if upper is None else upper, x.shape)
+    base = exact_problem(np.zeros((x.size, x.size)), np.zeros(x.size), None, cons)
+    eq, ineq, lower, upper = base.eq, base.ineq, base.lower, base.upper
     grad = p_mat @ x - q_vec + eq[0].T @ duals["eq"] - duals["lower"] + duals["upper"]
     worst = [np.abs(eq[0] @ x - eq[1]).max(), (lower - x).max(), (x - upper).max(),
              -duals["lower"].min(), -duals["upper"].min(),
              np.abs(duals["lower"] * np.where(np.isfinite(lower), x - lower, 1.0)).max(),
              np.abs(duals["upper"] * np.where(np.isfinite(upper), upper - x, 1.0)).max()]
-    if ineq is not None:
+    if ineq[1].size:
         slack = ineq[0] @ x - ineq[1]
         grad = grad - ineq[0].T @ duals["ineq"]
         worst += [-slack.min(), -duals["ineq"].min(), np.abs(duals["ineq"] * slack).max()]
@@ -171,8 +169,7 @@ def test_wrong_working_set_is_refused():
 def l1_problem(cfg, mu, sigma):
     """The ``QpProblem`` with L1 rows that ``solve_penalized`` builds."""
     p_mat, q_vec, l1, _, _ = _terms(cfg, mu, sigma, cfg.gamma)
-    eq, ineq, lower, upper = cfg.constraints.qp_pieces(cfg.n)
-    return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=ineq, lower=lower, upper=upper, l1=l1)
+    return exact_problem(p_mat, q_vec, l1, cfg.constraints)
 
 
 def test_certificate_refuses_a_moved_point():
@@ -222,9 +219,8 @@ def test_ten_asset_mvo_turnover_case_polished_early(ten_asset, admm_runs):
     rep = rebalance(cfg, mu, sigma)
     assert rep.converged and rep.iterations <= 100
     assert admm_runs == []
-    eq, _, lower, upper = cfg.constraints.qp_pieces(10)
-    exact = solve_qp(augment_l1(QpProblem(Q=sigma, c=-0.5 * mu, eq=eq, lower=lower,
-                                          upper=upper), np.eye(10), 1e-3, current))
+    exact = solve_qp(augment_l1(exact_problem(sigma, 0.5 * mu, None, cfg.constraints),
+                                np.eye(10), 1e-3, current))
     assert np.abs(rep.weights - exact.weights[:10]).max() <= 1e-12
 
 

@@ -367,6 +367,56 @@ class TestHyperplaneIntersection:
             assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(v).max())
         assert brent >= 2000
 
+    @staticmethod
+    def large_case(rng, reach_high=False):
+        """``|v|`` from 1e5 to 1e7 over a box with each bound infinite with
+        probability 1/2; with ``reach_high`` the bounds that face the top of
+        the reachable range are finite, so that the range ends there."""
+        n = int(rng.integers(2, 12))
+        a, lo = rng.normal(size=n), rng.normal(size=n)
+        up = lo + rng.uniform(0.0, 2.0, n)
+        lo[(rng.random(n) < 0.5) & ~(reach_high & (a < 0))] = -np.inf
+        up[(rng.random(n) < 0.5) & ~(reach_high & (a > 0))] = np.inf
+        return 10.0 ** rng.uniform(5, 7) * rng.normal(size=n), a, lo, up
+
+    def test_small_level_among_large_free_entries(self):
+        # the free entries are as large as v, so a'x sums terms near 1e6 to a
+        # level near 1: the level check is relative to those terms, and every
+        # level inside the reachable range is projected, onto the brute-force
+        # point (n <= 6) and, where Brent's root passes its own level check,
+        # onto that point too
+        rng = np.random.default_rng(29)
+        cases = 0
+        while cases < 300:
+            v, a, lo, up = self.large_case(rng)
+            b = rng.normal()
+            low, high = reachable_range(a, lo, up)
+            if not low < b < high:
+                continue
+            cases += 1
+            out = project_hyperplane_intersection(v, a, b, Box(lo, up))
+            scale = np.abs(v).max()
+            assert (lo <= out).all() and (out <= up).all()
+            assert abs(a @ out - b) <= 1e-14 * (np.abs(a) @ np.abs(out))
+            refs = [brute_force_projection(v, a, b, lo, up)] if v.size <= 6 else []
+            try:
+                refs.append(brent_projection(v, a, b, Box(lo, up)))
+            except errors.EmptyIntersection:
+                pass
+            for ref in refs:
+                assert np.abs(out - ref).max() <= 1e-12 * scale
+
+    def test_level_beyond_reach_among_large_free_entries(self):
+        # a level past the top of the reachable range, by 1e-6 to 1, still
+        # raises however large v is
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            v, a, lo, up = self.large_case(rng, reach_high=True)
+            high = reachable_range(a, lo, up)[1]
+            with pytest.raises(errors.EmptyIntersection):
+                project_hyperplane_intersection(v, a, high + 10.0 ** rng.uniform(-6, 0),
+                                                Box(lo, up))
+
     def test_level_at_a_repeated_breakpoint(self):
         # weights 0 and 1 meet a bound at lam = 0.5 together, where the gap is 0
         out = project_hyperplane_intersection(np.array([1.5, 0.5, 0.25]), np.ones(3), 1.0,

@@ -299,6 +299,14 @@ class TestFilteredNormalSolve:
         x_filt, _ = filtered_normal_solve(a1, b1, gain)
         assert np.abs(x_pen - x_filt).max() <= 1e-8
 
+    def test_hard_threshold_everything_raises(self):
+        # the filter leaves no singular value: nothing to solve on, as in
+        # spectral_filter, and no block system is built
+        eq = (np.ones((1, 2)), np.array([1.0]))
+        with pytest.raises(errors.AllSingularValuesFiltered, match="every singular value"):
+            filtered_normal_solve(np.diag([0.5, 0.2]), np.ones(2),
+                                  FilterSpec("hard_threshold", 5.0), eq=eq)
+
 
 class TestLedoitWolfBridge:
     def test_alpha_one_means_no_penalty(self):
