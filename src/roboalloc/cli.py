@@ -33,7 +33,7 @@ from .mvo import (
 )
 from .pipeline import _PATH_PARAMS, RoboConfig, rebalance, regularization_path
 from .regularizers import FilterSpec, PenaltySpec, penalty_terms, spectral_filter
-from .report import atomic_write
+from .report import atomic_write, write_csv
 
 
 def _write_json(path: str, obj, pretty: bool) -> None:
@@ -317,9 +317,8 @@ def cmd_calibrate(args) -> int:
     else:
         raise InputError(f"unknown method {args.method!r}")
     best = calibration.best_penalty(grid, curve)
-    lines = ["rho2,score"]
-    lines += [f"{repr(float(r))},{repr(float(s))}" for r, s in zip(grid, curve)]
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    write_csv(args.out, ["rho2", "score"],
+              [[repr(float(r)), repr(float(s))] for r, s in zip(grid, curve)])
     print(f"best_rho2={best!r}")
     return 0
 
@@ -385,25 +384,15 @@ def cmd_stevens(args) -> int:
     moments = market_data.load_moments(args.moments)
     inputs = MvoInputs(mu=moments.mu, sigma=moments.sigma)
     report = stevens_decomposition(inputs, args.gamma, assets=moments.assets)
-    n = len(moments.assets)
-    lines = ["asset,alpha," + ",".join(f"beta_{a}" for a in moments.assets)
-             + ",r2,mu_hat,sigma_hat,s,omega,y_star,z_star,x_star"]
+    tail = ("r2", "mu_hat", "sigma_hat", "s", "omega", "y_star", "z_star", "x_star")
+    rows = []
     for i, name in enumerate(moments.assets):
-        betas = []
-        k = 0
-        for j in range(n):
-            if j == i:
-                betas.append("")
-            else:
-                betas.append(repr(float(report.beta[i, k])))
-                k += 1
-        cells = [name, repr(float(report.alpha[i]))] + betas + [
-            repr(float(report.r2[i])), repr(float(report.mu_hat[i])),
-            repr(float(report.sigma_hat[i])), repr(float(report.s[i])),
-            repr(float(report.omega[i])), repr(float(report.y_star[i])),
-            repr(float(report.z_star[i])), repr(float(report.x_star[i]))]
-        lines.append(",".join(cells))
-    atomic_write(args.out, "\n".join(lines) + "\n")
+        betas = [repr(float(b)) for b in report.beta[i]]
+        betas.insert(i, "")  # the asset's own column stays empty
+        rows.append([name, repr(float(report.alpha[i]))] + betas
+                    + [repr(float(getattr(report, k)[i])) for k in tail])
+    header = ["asset", "alpha"] + [f"beta_{a}" for a in moments.assets] + list(tail)
+    write_csv(args.out, header, rows)
     return 0
 
 

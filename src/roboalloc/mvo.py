@@ -69,7 +69,8 @@ def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:
     eq = constraints.eq
     if constraints.budget is not None:
         a, b = (np.zeros((0, q_vec.size)), ()) if eq is None else eq
-        eq = np.vstack([np.ones(q_vec.size), a]), np.r_[float(constraints.budget), np.ravel(b)]
+        a = np.atleast_2d(np.asarray(a, dtype=float))  # a wrong width reaches QpProblem's check
+        eq = np.vstack([np.ones(a.shape[1]), a]), np.r_[float(constraints.budget), np.ravel(b)]
     return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=constraints.ineq, lower=constraints.lower,
                      upper=constraints.upper, l1=l1)
 
@@ -92,16 +93,13 @@ class StevensReport:
     assets: list = field(default_factory=list)
 
 
-def _check_spd(sigma: np.ndarray) -> None:
-    """``SingularCovariance`` when the eigenvalue ratio of ``sigma`` is below 1e-12."""
+def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``sigma^-1 rhs``; ``SingularCovariance`` when the eigenvalue ratio of
+    ``sigma`` is below 1e-12."""
     lam = np.linalg.eigvalsh(sigma)
     if lam.min() < 1e-12 * max(lam.max(), 1e-300):
         raise SingularCovariance(f"covariance nearly singular (eig ratio "
                                  f"{lam.min():.2e}/{lam.max():.2e})")
-
-
-def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    _check_spd(sigma)
     return np.linalg.solve(sigma, rhs)
 
 
@@ -284,34 +282,28 @@ def stevens_decomposition(inputs: MvoInputs, gamma: float,
                           assets: list | None = None) -> StevensReport:
     """Express the unconstrained optimum through per-asset hedging regressions.
 
-    Asset ``i`` is regressed on the other assets; the optimal weight is
-    ``gamma * alpha_i / s_i^2`` where ``alpha_i`` is the return the hedge
-    cannot replicate and ``s_i`` the residual volatility.
+    Asset ``i``'s hedge, its regression on the other assets, is read off row
+    ``i`` of the precision matrix ``P = S^-1`` (Stevens, *J. Finance* 1998):
+    the coefficients are ``-P_ij / P_ii``, so one solve gives every hedge.
+    The optimal weight is ``gamma * alpha_i / s_i^2`` where ``alpha_i`` is
+    the return the hedge cannot replicate and ``s_i`` the residual volatility.
     """
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    mu, sigma = inputs.mu, inputs.sigma
-    n = inputs.n
-    _check_spd(sigma)
-    alpha = np.zeros(n)
-    beta = np.zeros((n, max(n - 1, 0)))
-    r2 = np.zeros(n)
-    s = np.zeros(n)
-    mu_hat = np.zeros(n)
-    for i in range(n):
-        idx = [j for j in range(n) if j != i]
-        sxx = sigma[np.ix_(idx, idx)]
-        sxy = sigma[idx, i]
-        b = np.linalg.solve(sxx, sxy)
-        r2_i = float(b @ sxy / sigma[i, i])
-        if r2_i >= 1.0 - 1e-10:
-            raise PerfectCollinearity(f"asset {i} is replicated by the others (R2={r2_i:.12f})")
-        beta[i] = b
-        mu_hat[i] = b @ mu[idx]
-        alpha[i] = mu[i] - mu_hat[i]
-        r2[i] = r2_i
-        s[i] = np.sqrt(sigma[i, i] * (1.0 - r2_i))
+    mu, sigma, n = inputs.mu, inputs.sigma, inputs.n
+    prec = _solve_spd(sigma, np.eye(n))
+    b = 0.0 - prec / np.diag(prec)[:, None]  # 0.0 - x, not -x: an exact zero stays +0.0
+    np.fill_diagonal(b, 0.0)
     diag = np.diag(sigma)
+    r2 = (b * sigma.T).sum(axis=1) / diag
+    collinear = np.flatnonzero(r2 >= 1.0 - 1e-10)
+    if collinear.size:
+        i = collinear[0]
+        raise PerfectCollinearity(f"asset {i} is replicated by the others (R2={r2[i]:.12f})")
+    beta = b[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    mu_hat = b @ mu
+    alpha = mu - mu_hat
+    s = np.sqrt(diag * (1.0 - r2))
     sigma_hat = np.sqrt(diag * r2)
     omega = r2 / (1.0 - r2)
     y_star = gamma * mu / diag

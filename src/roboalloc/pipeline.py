@@ -3,8 +3,6 @@ paths and tracking-error targeting."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -14,7 +12,7 @@ from .admm import solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, exact_problem, path_root
 from .regularizers import PenaltySpec, penalty_terms
-from .report import SolveReport, atomic_write
+from .report import SolveReport, write_csv
 
 _TE_TOL = 1e-6
 
@@ -173,15 +171,10 @@ class PathTable:
 
     def to_csv(self, path) -> None:
         names = self.assets or [f"A{i + 1}" for i in range(self.weights.shape[1])]
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow(["param"] + names + ["objective", "status"])
-        for i, value in enumerate(self.values):
-            row = [repr(float(value))]
-            row += [repr(float(w)) for w in self.weights[i]]
-            row += [repr(float(self.objective[i])), self.status[i]]
-            writer.writerow(row)
-        atomic_write(path, text.getvalue())
+        rows = [[repr(float(value))] + [repr(float(w)) for w in self.weights[i]]
+                + [repr(float(self.objective[i])), self.status[i]]
+                for i, value in enumerate(self.values)]
+        write_csv(path, ["param"] + names + ["objective", "status"], rows)
 
 
 _PATH_PARAMS = {

@@ -148,6 +148,14 @@ class AffineSet:
         return v - pinv @ (a @ v - b)
 
 
+def _radius(radius: float) -> float:
+    """A ball's radius or a simplex's budget: zero leaves the set ``{0}``, a
+    negative one leaves it empty (``EmptySet``)."""
+    if radius < 0.0:
+        raise EmptySet(f"negative radius or budget {radius}: the set is empty")
+    return radius
+
+
 @dataclass(frozen=True)
 class L2Ball:
     radius: float = 1.0
@@ -155,7 +163,7 @@ class L2Ball:
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         nrm = np.linalg.norm(v)
-        if nrm <= self.radius:
+        if nrm <= _radius(self.radius):
             return v.copy()
         return (self.radius / nrm) * v
 
@@ -165,11 +173,13 @@ class LinfBall:
     radius: float = 1.0
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(v, dtype=float), -self.radius, self.radius)
+        return np.clip(np.asarray(v, dtype=float), -_radius(self.radius), self.radius)
 
 
 def _project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     """Exact sort-based projection onto ``{x >= 0, 1'x = budget}``."""
+    if _radius(budget) == 0.0:
+        return np.zeros_like(v)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - budget
     idx = np.arange(1, v.size + 1)
@@ -193,7 +203,7 @@ class L1Ball:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if np.abs(v).sum() <= self.radius:
+        if np.abs(v).sum() <= _radius(self.radius):
             return v.copy()
         return np.sign(v) * _project_simplex(np.abs(v), self.radius)
 

@@ -1,8 +1,10 @@
 """Common result container returned by the solvers, and the atomic file
-write shared by the writers of results."""
+writes shared by the writers of results."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -69,3 +71,13 @@ def atomic_write(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV through ``atomic_write``: a cell holding
+    a comma, quote or line break is quoted, and every line ends with ``\\n``."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, text.getvalue())

@@ -7,6 +7,7 @@ from roboalloc.mvo import (
     MvoInputs,
     calibrate_gamma,
     constant_correlation_r2,
+    exact_problem,
     implied_returns,
     jagannathan_ma_shrinkage,
     max_sharpe_bound,
@@ -260,6 +261,48 @@ class TestStevens:
             stevens_decomposition(MvoInputs(mu=[0.05, 0.06], sigma=base), 0.5)
 
 
+def stevens_by_regressions(inputs, gamma):
+    """The hedging decomposition by one regression per asset: asset ``i`` on
+    the other assets, ``b = S_xx^-1 S_xy``, then the weights built from it."""
+    mu, sigma, n = inputs.mu, inputs.sigma, inputs.n
+    alpha, beta, r2, s, mu_hat = (np.zeros(n), np.zeros((n, n - 1)), np.zeros(n),
+                                  np.zeros(n), np.zeros(n))
+    for i in range(n):
+        idx = [j for j in range(n) if j != i]
+        sxy = sigma[idx, i]
+        beta[i] = np.linalg.solve(sigma[np.ix_(idx, idx)], sxy)
+        r2[i] = beta[i] @ sxy / sigma[i, i]
+        mu_hat[i] = beta[i] @ mu[idx]
+        alpha[i] = mu[i] - mu_hat[i]
+        s[i] = np.sqrt(sigma[i, i] * (1.0 - r2[i]))
+    diag = np.diag(sigma)
+    return {"alpha": alpha, "beta": beta, "r2": r2, "s": s, "mu_hat": mu_hat,
+            "sigma_hat": np.sqrt(diag * r2), "omega": r2 / (1.0 - r2),
+            "y_star": gamma * mu / diag, "z_star": gamma * mu_hat / (diag - s ** 2),
+            "x_star": gamma * alpha / s ** 2}
+
+
+class TestStevensOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_asset_regressions(self, seed):
+        # every field read off the precision matrix matches the regressions.
+        # Both carry rounding of order cond(S) * eps, so the covariances are
+        # sample covariances of 4n draws at volatilities of 5-30%: a
+        # condition number in the hundreds
+        rng = np.random.default_rng(seed)
+        for n in range(2, 41):
+            vols = rng.uniform(0.05, 0.3, n)
+            draws = rng.standard_normal((4 * n, n)) * vols
+            inputs = MvoInputs(mu=rng.normal(size=n) * 0.05, sigma=draws.T @ draws / (4 * n))
+            gamma = float(rng.random() + 0.1)
+            rep = stevens_decomposition(inputs, gamma)
+            for name, want in stevens_by_regressions(inputs, gamma).items():
+                got = getattr(rep, name)
+                assert got.shape == want.shape, (n, name)
+                err = np.abs(got - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), (n, name, err)
+
+
 class TestConstantCorrelation:
     def test_two_assets(self):
         assert constant_correlation_r2(2, 0.5) == pytest.approx(0.25, abs=1e-15)
@@ -332,6 +375,16 @@ class TestJagannathanMa:
         rep = solve_gamma_problem(MvoInputs(mu=mu, sigma=sigma), 0.1)  # analytic path
         with pytest.raises(errors.MissingDuals):
             jagannathan_ma_shrinkage(sigma, BUDGET, rep)
+
+
+class TestExactProblem:
+    def test_wrong_eq_width_is_one_error_with_or_without_budget(self):
+        # the budget row is stacked over eq; a block of the wrong width still
+        # reaches QpProblem's check rather than numpy's concatenation error
+        eq = (np.ones((1, 3)), [0.0])
+        for budget in (None, 1.0):
+            with pytest.raises(ValueError, match="equality block dimensions disagree"):
+                exact_problem(np.eye(4), np.zeros(4), None, ConstraintSet(budget=budget, eq=eq))
 
 
 class TestTeTransform:

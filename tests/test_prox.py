@@ -284,6 +284,16 @@ class TestProjections:
             alt = project_hyperplane_intersection(v, np.ones(5), 1.0, Box(0.0, np.inf))
             assert np.allclose(out, alt, atol=1e-9)
 
+    @pytest.mark.parametrize("region", [Simplex, L1Ball, L2Ball, LinfBall])
+    def test_zero_and_negative_radius(self, region):
+        # a zero budget or radius leaves the set {0}; a negative one leaves it empty
+        v = np.array([0.3, -2.0, 0.0])
+        assert np.array_equal(region(0.0).project(v), np.zeros(3))
+        assert np.array_equal(region(0.0).project(np.zeros(3)), np.zeros(3))
+        for w in (v, np.zeros(3)):
+            with pytest.raises(errors.EmptySet):
+                region(-1.0).project(w)
+
     def test_halfspace_inactive_is_identity(self):
         v = np.array([0.1, 0.2])
         out = project(v, Halfspace(np.ones(2), 1.0))
