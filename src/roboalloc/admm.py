@@ -1,22 +1,21 @@
 """Penalized portfolio problems: ``solve_penalized`` takes L1 penalties as
 rows and the others as prox blocks.  Without a prox block or an extra set
 the problem goes to ``qp.solve_qp``, exact on the L1 rows' kinks; the rest
-(Lp penalties, norm balls and other extra sets) go to scaled, over-relaxed
-ADMM, the L1 rows one soft-thresholding block there.  Cardinality is an
-exact branch-and-bound on the QP.  ``admm_solve`` is the one ADMM loop.
-It runs on a ``_StackedProblem``, one list of blocks for ``min 0.5 x'Px -
-q'x + sum_i g_i(G_i x - d_i)`` split as ``A x - z = c``, ``A`` stacking
-the ``G_i`` and ``c`` the ``d_i``, the constraint projection its last
-block.  It starts at the penalty ``sqrt(lmin lmax)`` of the spectrum of
-``P``, rescales it in its first ``_BALANCE_ITERATIONS`` iterations only,
-then holds it fixed, and over-relaxes every iteration by ``_RELAXATION``
-(Boyd et al., 2011, §3.4.3; the default of OSQP)."""
+(Lp penalties, norm balls and other extra sets) go to ``admm_solve``,
+scaled, over-relaxed ADMM on the same ``qp.QpProblem``, the L1 rows one
+soft-thresholding block there.  Cardinality is an exact branch-and-bound
+on the QP.  ``admm_solve`` is the one ADMM loop: it starts at the penalty
+``sqrt(lmin lmax)`` of the spectrum of ``P``, rescales it in its first
+``_BALANCE_ITERATIONS`` iterations only, then holds it fixed, and
+over-relaxes every iteration by ``_RELAXATION`` (Boyd et al., 2011,
+§3.4.3; the default of OSQP)."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.linalg import lu_factor, lu_solve
 from . import prox
 from .errors import Infeasible, NoConvergence
 from .mvo import ConstraintSet, exact_problem
-from .qp import feasible_point, solve_qp
+from .qp import QpProblem, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
@@ -42,8 +41,10 @@ _GAP_TOL = 1e-12           # relative gap at which the cardinality search stops
 @dataclass
 class AdmmParams:
     """Stop tolerances and iteration cap of ``admm_solve``; ``max_iter`` also
-    caps the nodes of ``solve_cardinality``.  Nothing reads ``seed``: it is
-    kept for callers that still pass it (acceptance test 11)."""
+    caps the nodes of ``solve_cardinality``.  The tolerances must be finite
+    and positive and ``max_iter`` an integer of at least 1 (``ValueError``
+    otherwise).  Nothing reads ``seed``: it is kept for callers that still
+    pass it (acceptance test 11)."""
 
     eps_primal: float = 1e-10
     eps_dual: float = 1e-10
@@ -51,121 +52,91 @@ class AdmmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.eps_primal > 0 and self.eps_dual > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not all(0 < eps < math.inf for eps in (self.eps_primal, self.eps_dual)):
+            raise ValueError("tolerances must be finite and positive")
+        m = self.max_iter
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, not {m!r}")
 
 
-@dataclass
-class AdmmState:
-    x: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    phi: float
-    r_norm: float
-    s_norm: float
-    iterations: int
+def admm_solve(problem: QpProblem, blocks=(), extra_sets=(), params: AdmmParams | None = None,
+               x_init=None) -> SolveReport:
+    """Scaled, over-relaxed ADMM on ``problem`` with prox ``blocks`` and
+    ``extra_sets``.
 
+    The problem ``min 0.5 x'Qx + c'x + sum_i g_i(G_i x - d_i)`` is split as
+    ``A x - z = c_s``, ``A`` stacking the ``G_i`` and ``c_s`` the ``d_i`` of
+    one list of blocks ``(G_i, d_i, step_i)``: the L1 rows first as one
+    soft-thresholding block (``prox.prox_l1``), then ``blocks``, where
+    ``step_i(v, phi)`` is the prox of ``g_i / phi``, then, when any set is
+    left (``extra_sets``, a ``Box`` when a bound is finite, one
+    ``Halfspace`` per inequality row), an identity block with a zero offset
+    whose step projects onto their intersection
+    (``prox.project_intersection``).  The x-step is one LU solve of the KKT
+    matrix with the equality rows, factored once per penalty ``phi``; the
+    z-step is each block's own step on its rows.
 
-class _StackedProblem:
-    """ADMM data for a ``qp.QpProblem`` with prox blocks and extra sets.
-
-    ``blocks`` holds one ``(G_i, d_i, step_i)`` per non-smooth term: the
-    problem's L1 rows as one soft-thresholding block, then ``blocks``, then,
-    when any set is left (``extra_sets``, a ``Box`` when a bound is finite,
-    one ``Halfspace`` per inequality row), an identity block with a zero
-    offset whose step projects onto their intersection
-    (``prox.project_intersection``).  The split is ``A x - z = c`` with
-    ``A`` (``a``) stacking the ``G_i`` and ``c`` the ``d_i``.  The x-step is
-    a KKT solve with the equality rows, their levels the tail of its
-    right-hand side ``rhs``; the z-step is each block's own step on its
-    rows.  ``phi``, the starting penalty, is ``sqrt(lmin lmax)`` of the
+    The loop starts at ``z_i = G_i x_init - d_i`` (``z = 0`` without
+    ``x_init``), ``u = 0`` and the penalty ``sqrt(lmin lmax)`` of the
     spectrum of ``Q`` (Ghadimi et al., IEEE TAC 2015), or 1 when ``Q`` is
-    zero.
-    """
-
-    def __init__(self, problem, blocks, extra_sets=()):
-        n = self.n = problem.n
-        (self.a_eq, b_eq), self.p, self.q = problem.eq, problem.Q, -problem.c
-        if problem.l1 is not None:
-            g, d, rho = problem.l1
-            blocks = [(g, d, lambda v, phi: prox.prox_l1(v, rho / phi)), *blocks]
-        sets = list(extra_sets)
-        if np.isfinite(problem.lower).any() or np.isfinite(problem.upper).any():
-            sets.append(prox.Box(problem.lower, problem.upper))
-        sets += [prox.Halfspace(-g, -h) for g, h in zip(*problem.ineq)]  # g'x >= h
-        if sets:
-            blocks = [*blocks, (np.eye(n), np.zeros(n),
-                                lambda v, _phi: prox.project_intersection(v, sets))]
-        self.a = np.vstack([g for g, _, _ in blocks])
-        self.c = np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks]))
-        self.gram = sum(g.T @ g for g, _, _ in blocks)
-        self.rhs = np.concatenate([self.q, b_eq])
-        self.blocks = []      # (rows, G_i, step_i), in block order
-        stop = 0
-        for g, d, step in blocks:
-            self.blocks.append((slice(stop, stop + d.size), g, step))
-            stop += d.size
-        self._factors = {}
-        lo, top = np.linalg.eigvalsh(self.p)[[0, -1]]
-        self.phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
-
-    def factor(self, phi):
-        if phi not in self._factors:
-            me = self.a_eq.shape[0]
-            self._factors[phi] = lu_factor(np.block([[self.p + phi * self.gram, self.a_eq.T],
-                                                     [self.a_eq, np.zeros((me, me))]]))
-        return self._factors[phi]
-
-
-def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
-               z0: np.ndarray | None = None, objective=None) -> SolveReport:
-    """Scaled, over-relaxed ADMM on the stacked problem ``prob``.
-
-    The loop starts at ``z0`` (zero if ``None``), ``u = 0`` and the penalty
-    ``prob.phi``.  Each iteration forms ``A x`` once.  With ``alpha =
-    _RELAXATION``, the z-step and the dual update use the relaxed
-    ``alpha A x + (1 - alpha)(z + c)`` in place of ``A x``; the stop test
-    uses the primal residual ``A x - z - c`` and the dual residual
-    ``phi A'(z_old - z)``.  In its first ``_BALANCE_ITERATIONS`` iterations
-    the loop doubles (halves) the penalty when the squared primal (dual)
-    residual exceeds the other by ``_BALANCE_RATIO``, rescaling ``u`` to keep
-    the fixed point; then the penalty is fixed.  ``z0`` must be finite
-    (``ValueError`` otherwise); what the loop itself produces is guarded by
-    the divergence test, a non-finite primal residual ending it as
-    ``diverged``.
-
-    The final iterate is recorded in ``meta['state']``, the scaled dual
-    ``phi u`` in ``meta['coupling_dual']`` and the equality multipliers of
-    the last x-step in ``meta['eq_dual']``.
+    zero.  Each iteration forms ``A x`` once.  With ``alpha =
+    _RELAXATION``, the z-step and the dual update use the relaxed ``alpha A
+    x + (1 - alpha)(z + c_s)`` in place of ``A x``; the stop test uses the
+    primal residual ``A x - z - c_s`` and the dual residual ``phi A'(z_old -
+    z)``.  In its first ``_BALANCE_ITERATIONS`` iterations the loop doubles
+    (halves) the penalty when the squared primal (dual) residual exceeds the
+    other by ``_BALANCE_RATIO``, rescaling ``u`` to keep the fixed point;
+    then the penalty is fixed.  A non-finite block offset is a
+    ``ValueError``; what the loop itself produces is guarded by the
+    divergence test, a non-finite primal residual ending it as
+    ``diverged``.  The report holds the last ``x``, the status, the
+    iterations and both residual norms; its ``objective`` is NaN.
     """
     params = params or AdmmParams()
-    n, c, a = prob.n, prob.c, prob.a
-    alpha, beta = _RELAXATION, 1.0 - _RELAXATION
-    z = np.zeros(c.size) if z0 is None else np.asarray_chkfinite(z0, dtype=float).copy()
-    u = np.zeros(c.size)
-    rhs = prob.rhs
+    n, (a_eq, b_eq), p_mat, q = problem.n, problem.eq, problem.Q, -problem.c
+    if problem.l1 is not None:
+        g, d, rho = problem.l1
+        blocks = [(g, d, lambda v, phi: prox.prox_l1(v, rho / phi)), *blocks]
+    sets = list(extra_sets)
+    if np.isfinite(problem.lower).any() or np.isfinite(problem.upper).any():
+        sets.append(prox.Box(problem.lower, problem.upper))
+    sets += [prox.Halfspace(-g, -h) for g, h in zip(*problem.ineq)]  # g'x >= h
+    if sets:
+        blocks = [*blocks, (np.eye(n), np.zeros(n),
+                            lambda v, _phi: prox.project_intersection(v, sets))]
+    a = np.vstack([g for g, _, _ in blocks])
+    c = np.asarray_chkfinite(np.concatenate([d for _, d, _ in blocks]))
+    gram = sum(g.T @ g for g, _, _ in blocks)
+    stops = [0, *itertools.accumulate(d.size for _, d, _ in blocks)]
+    split = [(slice(i, j), g, step) for i, j, (g, _, step) in zip(stops, stops[1:], blocks)]
+    me = a_eq.shape[0]
+    rhs = np.concatenate([q, b_eq])
     rhs_x = rhs[:n]
-    phi = prob.phi
-    factor = prob.factor(phi)
-    x = sol = None
+    lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
+    phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
+    factors = {}  # phi -> LU of the x-step's KKT matrix
+    alpha, beta = _RELAXATION, 1.0 - _RELAXATION
+    z = np.zeros(c.size) if x_init is None else a @ x_init - c
+    u = np.zeros(c.size)
+    x = None
     r_norm = s_norm = math.inf
     status = MAX_ITER
     it = 0
     for it in range(1, params.max_iter + 1):
+        if phi not in factors:
+            factors[phi] = lu_factor(np.block([[p_mat + phi * gram, a_eq.T],
+                                               [a_eq, np.zeros((me, me))]]))
         zc = z + c
         w = zc - u
-        np.copyto(rhs_x, prob.q)
-        for rows, g, _ in prob.blocks:
+        np.copyto(rhs_x, q)
+        for rows, g, _ in split:
             rhs_x += phi * (g.T @ w[rows])
-        sol = lu_solve(factor, rhs, check_finite=False)
-        x = sol[:n]
+        x = lu_solve(factors[phi], rhs, check_finite=False)[:n]
         ax = a @ x
         ax_relaxed = alpha * ax + beta * zc
         v = ax_relaxed - c + u
         z_new = np.empty(c.size)
-        for rows, _, step in prob.blocks:
+        for rows, _, step in split:
             z_new[rows] = step(v[rows], phi)
         r = ax - z_new - c
         u += ax_relaxed - z_new - c
@@ -186,17 +157,8 @@ def admm_solve(prob: _StackedProblem, params: AdmmParams | None = None,
             elif s_norm ** 2 > _BALANCE_RATIO * r_norm ** 2:
                 phi /= _BALANCE_STEP
                 u *= _BALANCE_STEP
-            else:
-                continue
-            factor = prob.factor(phi)
-    state = AdmmState(x=x, z=z, u=u, phi=phi, r_norm=r_norm, s_norm=s_norm, iterations=it)
-    obj = float(objective(x)) if objective is not None else float("nan")
-    report = SolveReport(weights=x, objective=obj, status=status, iterations=it,
-                         r_norm=r_norm, s_norm=s_norm)
-    report.meta["state"] = state
-    report.meta["coupling_dual"] = phi * u
-    report.meta["eq_dual"] = sol[n:]
-    return report
+    return SolveReport(weights=x, objective=math.nan, status=status, iterations=it,
+                       r_norm=r_norm, s_norm=s_norm)
 
 
 def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None = None,
@@ -215,14 +177,12 @@ def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None 
     is solved exactly by ``solve_qp`` on the L1 rows; it starts from
     ``x_init`` if that is feasible, else at ``solve_qp``'s own cold start.
     Otherwise phase 1 of ``solve_qp`` first finds the constraint set
-    nonempty (``Infeasible`` if not), and ADMM runs on the L1 rows as one
-    soft-thresholding block, then the blocks in their order, then the
-    constraint projection, from ``z_i = G_i x_init - d_i`` (``z = 0``
-    without ``x_init``), ``u = 0`` and the penalty worked out from ``P``.
-    ``objective`` evaluates the reported objective at the answer.  Both
-    routes read the one ``QpProblem`` of ``mvo.exact_problem``, so malformed
-    ``P``, ``q``, L1 rows or constraints are the same ``ValueError`` on
-    either; a non-finite block offset is one before ADMM's first iteration.
+    nonempty (``Infeasible`` if not), and ``admm_solve`` runs from
+    ``x_init``.  ``objective`` evaluates the reported objective at the
+    answer of either route.  Both routes read the one ``QpProblem`` of
+    ``mvo.exact_problem``, so malformed ``P``, ``q``, L1 rows or constraints
+    are the same ``ValueError`` on either; a non-finite block offset is one
+    before ADMM's first iteration.
     """
     n = q_vec.size
     if x_init is not None:
@@ -233,14 +193,12 @@ def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None 
                             ConstraintSet() if constraints is None else constraints)
     if not blocks and not extra_sets:
         report = solve_qp(problem, x0=x_init)
-        if objective is not None:
-            report.objective = float(objective(report.weights))
-        return report
-
-    feasible_point(problem)
-    prob = _StackedProblem(problem, blocks, extra_sets)
-    z0 = None if x_init is None else prob.a @ x_init - prob.c
-    return admm_solve(prob, params, z0=z0, objective=objective)
+    else:
+        feasible_point(problem)
+        report = admm_solve(problem, blocks, extra_sets, params, x_init)
+    if objective is not None:
+        report.objective = float(objective(report.weights))
+    return report
 
 
 def _least_squares_parts(a1, b1, penalties, default_anchor=None):

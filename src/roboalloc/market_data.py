@@ -33,9 +33,11 @@ def clip_psd(sigma: np.ndarray) -> np.ndarray:
     """Zero out round-off negative eigenvalues; reject genuinely indefinite input.
 
     Eigenvalues in [-1e-10 * lam_max, 0) are clipped to 0, anything more
-    negative raises.
+    negative raises.  A NaN or infinite entry is a ``ValueError``.
     """
     sigma = np.asarray(sigma, dtype=float)
+    if not np.isfinite(sigma).all():
+        raise ValueError("sigma must hold finite numbers only")
     _check_symmetric(sigma)
     lam, vec = np.linalg.eigh(sigma)
     lam_max = max(lam.max(), 0.0)
@@ -170,6 +172,8 @@ class MomentEstimates:
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
+        if not np.isfinite(self.mu).all():
+            raise ValueError("mu must hold finite numbers only")
         self.sigma = clip_psd(np.asarray(self.sigma, dtype=float))
         if self.sigma.shape != (self.mu.size, self.mu.size):
             raise DimensionMismatch("mu and sigma dimensions disagree")

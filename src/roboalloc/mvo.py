@@ -33,6 +33,8 @@ class MvoInputs:
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float).ravel()
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.r)):
+            raise ValueError("mu and r must hold finite numbers only")
         self.sigma = clip_psd(np.asarray(self.sigma, dtype=float))
         if self.sigma.shape != (self.mu.size, self.mu.size):
             raise ValueError("mu and sigma dimensions disagree")

@@ -112,7 +112,12 @@ class Hyperplane:
     def project(self, v: np.ndarray) -> np.ndarray:
         a = np.asarray(self.a, dtype=float)
         v = np.asarray(v, dtype=float)
-        return v - ((a @ v - self.b) / (a @ a)) * a
+        aa = a @ a
+        if aa == 0.0:  # 0'x = b: all of space for b = 0, else empty
+            if self.b != 0:
+                raise EmptySet(f"zero normal with level {self.b}: the set is empty")
+            return v.copy()
+        return v - ((a @ v - self.b) / aa) * a
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,10 @@ class Halfspace:
         excess = a @ v - self.b
         if excess <= 0:
             return v.copy()
-        return v - (excess / (a @ a)) * a
+        aa = a @ a
+        if aa == 0.0:  # 0'x <= b with b < 0
+            raise EmptySet(f"zero normal with level {self.b}: the set is empty")
+        return v - (excess / aa) * a
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ class PenaltySpec:
         if not math.isfinite(self.rho) or self.rho < 0:
             raise ValueError("rho must be finite and nonnegative")
         if self.kind == "lp":
-            if self.p is None or self.p <= 0:
-                raise ValueError("lp penalty needs p > 0")
+            if self.p is None or not 0 < self.p < math.inf:
+                raise ValueError("lp penalty needs a finite p > 0")
         elif self.kind == "l1":
             self.p = 1.0
         elif self.kind == "l2":

@@ -8,6 +8,7 @@ from roboalloc.market_data import (
     MomentEstimates,
     ReturnPanel,
     WeightScheme,
+    clip_psd,
     condition_number,
     eigen_decompose,
     estimate_moments,
@@ -225,6 +226,13 @@ class TestMomentIO:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(errors.NotPositiveSemidefinite):
             MomentEstimates(mu=np.zeros(2), sigma=bad, scheme=WeightScheme.uniform())
+        # a NaN or inf entry is rejected, not eigen-decomposed into NaN
+        for sigma in ([[np.nan, 0.0], [0.0, 0.09]], np.diag([np.inf, 0.09])):
+            with pytest.raises(ValueError, match="sigma must hold finite numbers only"):
+                clip_psd(sigma)
+        with pytest.raises(ValueError, match="mu must hold finite numbers only"):
+            MomentEstimates(mu=[np.nan, 0.0], sigma=np.diag([0.04, 0.09]),
+                            scheme=WeightScheme.uniform())
 
 
 @settings(max_examples=30, deadline=None)

@@ -57,6 +57,16 @@ class TestGammaProblem:
             solve_gamma_problem(MvoInputs(mu=[0.05, 0.06], sigma=sigma), 1.0)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("mu", [np.nan, 0.06]), ("mu", [0.05, np.inf]), ("r", np.nan),
+        ("sigma", [[np.nan, 0.0], [0.0, 0.09]])], ids=["mu_nan", "mu_inf", "r_nan", "sigma_nan"])
+    def test_non_finite_inputs_rejected(self, field, value):
+        # a NaN mu once solved to NaN weights reported as converged
+        data = {"mu": [0.05, 0.06], "sigma": np.diag([0.04, 0.09]), "r": 0.0, field: value}
+        with pytest.raises(ValueError, match="must hold finite numbers only"):
+            solve_gamma_problem(MvoInputs(**data), 1.0)
+
+
 class TestCalibrateGamma:
     def test_volatility_target_budget_only(self, four_asset):
         mu, _, _, sigma = four_asset

@@ -196,7 +196,7 @@ class TestNeverPolished:
         a1, b1 = rng.normal(size=(8, 5)), rng.normal(size=8)
         rep = solve_mixed_lp(a1, b1, None, PenaltySpec(kind="lp", rho=1e-2, p=1.5),
                              constraints=ConstraintSet(budget=1.0, lower=0.0, upper=0.6))
-        assert rep.converged and len(admm_runs) == 1 and "state" in rep.meta
+        assert rep.converged and len(admm_runs) == 1 and rep.duals is None
 
     def test_norm_ball_extra_set(self, admm_runs, ten_asset):
         _, _, sigma = ten_asset
@@ -204,7 +204,7 @@ class TestNeverPolished:
                          objective="mvo", gamma=0.5, rho1_turnover=1e-3,
                          extra_sets=(L2Ball(0.35),))
         rep = rebalance(cfg, np.linspace(0.02, 0.08, 10), sigma)
-        assert len(admm_runs) == 1 and "state" in rep.meta
+        assert len(admm_runs) == 1 and rep.duals is None
 
 
 def test_ten_asset_mvo_turnover_case_polished_early(ten_asset, admm_runs):

@@ -294,6 +294,20 @@ class TestProjections:
             with pytest.raises(errors.EmptySet):
                 region(-1.0).project(w)
 
+    @pytest.mark.parametrize("region,b,holds", [
+        (Hyperplane, 0.0, True), (Hyperplane, 1.0, False), (Hyperplane, -1.0, False),
+        (Halfspace, 0.0, True), (Halfspace, 1.0, True), (Halfspace, -1.0, False)])
+    def test_zero_normal(self, region, b, holds):
+        # {x : 0'x = b} and {x : 0'x <= b} are all of space where the level
+        # holds, and empty otherwise
+        v = np.array([0.3, -2.0])
+        if holds:
+            out = region(np.zeros(2), b).project(v)
+            assert np.array_equal(out, v) and out is not v
+        else:
+            with pytest.raises(errors.EmptySet):
+                region(np.zeros(2), b).project(v)
+
     def test_halfspace_inactive_is_identity(self):
         v = np.array([0.1, 0.2])
         out = project(v, Halfspace(np.ones(2), 1.0))

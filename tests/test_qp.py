@@ -1080,7 +1080,8 @@ class TestNonFiniteData:
     def test_solve_gamma_problem(self, four_asset):
         from roboalloc.mvo import ConstraintSet, MvoInputs, solve_gamma_problem
         mu, _, _, sigma = four_asset
-        with pytest.raises(ValueError, match="^c must"):
+        # MvoInputs rejects the NaN before any QP is built
+        with pytest.raises(ValueError, match="^mu and r must hold finite numbers only"):
             solve_gamma_problem(MvoInputs(mu=np.where(mu > 0.09, np.nan, mu), sigma=sigma),
                                 0.25, ConstraintSet(budget=1.0))
 
