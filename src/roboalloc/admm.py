@@ -19,12 +19,11 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import prox
 from .errors import Infeasible, NoConvergence
 from .mvo import ConstraintSet, exact_problem
-from .qp import QpProblem, feasible_point, solve_qp
+from .qp import QpProblem, _linalg, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
 from .report import CONVERGED, DIVERGED, MAX_ITER, SolveReport
 
@@ -57,6 +56,18 @@ class AdmmParams:
         m = self.max_iter
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, not {m!r}")
+
+
+def lu_factor(a):
+    """``scipy.linalg.lu_factor(a)``, scipy being imported at the first
+    factorization (``qp._linalg``)."""
+    return _linalg().lu_factor(a)
+
+
+def lu_solve(factors, b):
+    """``scipy.linalg.lu_solve`` of ``b`` on ``lu_factor``'s ``factors``,
+    without its finiteness check."""
+    return _linalg().lu_solve(factors, b, check_finite=False)
 
 
 def admm_solve(problem: QpProblem, blocks=(), extra_sets=(), params: AdmmParams | None = None,
@@ -131,7 +142,7 @@ def admm_solve(problem: QpProblem, blocks=(), extra_sets=(), params: AdmmParams 
         np.copyto(rhs_x, q)
         for rows, g, _ in split:
             rhs_x += phi * (g.T @ w[rows])
-        x = lu_solve(factors[phi], rhs, check_finite=False)[:n]
+        x = lu_solve(factors[phi], rhs)[:n]
         ax = a @ x
         ax_relaxed = alpha * ax + beta * zc
         v = ax_relaxed - c + u

@@ -72,7 +72,8 @@ def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:
     if constraints.budget is not None:
         a, b = (np.zeros((0, q_vec.size)), ()) if eq is None else eq
         a = np.atleast_2d(np.asarray(a, dtype=float))  # a wrong width reaches QpProblem's check
-        eq = np.vstack([np.ones(a.shape[1]), a]), np.r_[float(constraints.budget), np.ravel(b)]
+        b = np.concatenate(([float(constraints.budget)], np.ravel(b)))
+        eq = np.vstack([np.ones(a.shape[1]), a]), b
     return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=constraints.ineq, lower=constraints.lower,
                      upper=constraints.upper, l1=l1)
 
@@ -181,18 +182,17 @@ def _level(metric, x) -> float:
     return float(d @ sigma @ d)
 
 
-def _value(metric, x) -> float:
-    """The metric at ``x``: the volatility or the return."""
-    level = _level(metric, x)
+def _value(metric, level: float) -> float:
+    """The metric at the level ``level``: the volatility or the return."""
     return level if metric[0] is None else float(np.sqrt(max(level, 0.0)))
 
 
-def _crossing(metric, x, dx, level: float) -> float:
+def _crossing(metric, x, dx, level: float, now: float) -> float:
     """Least ``s >= 0`` at which the metric's level along ``x + s dx``, a
-    convex quadratic (or linear) function of ``s``, reaches ``level``;
-    infinite if it never does.  A gap within rounding of ``level`` (a
-    target set at a breakpoint's value) counts as reached."""
-    gap = level - _level(metric, x)
+    convex quadratic (or linear) function of ``s`` that is ``now`` at ``x``,
+    reaches ``level``; infinite if it never does.  A gap within rounding of
+    ``level`` (a target set at a breakpoint's value) counts as reached."""
+    gap = level - now
     if gap <= _LEVEL_RTOL * abs(level):
         return 0.0
     sigma, vec = metric
@@ -231,7 +231,7 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     rep = solve(0.0, None)
-    history = [(0.0, _value(metric, rep.weights))]
+    history = [(0.0, _value(metric, _level(metric, rep.weights)))]
     if metric[0] is not None and history[0][1] > target + tol:
         raise TargetUnreachable(f"target {target} below the minimum attainable "
                                 f"{history[0][1]:.6f}, at gamma 0")
@@ -240,12 +240,14 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
         return 0.0, rep
     level = target if metric[0] is None else target ** 2
     for k, (t, x, dx, rate, length) in enumerate(parametric_path(problem, slope, rep)):
+        now = _level(metric, x)
         if k:  # a breakpoint
-            history.append((t, _value(metric, x)))
-        s = _crossing(metric, x, dx, level)
+            history.append((t, _value(metric, now)))
+        s = _crossing(metric, x, dx, level, now)
         if rate and t + length > _GAMMA_CAP and s > _GAMMA_CAP - t:
+            reached = _value(metric, _level(metric, x + (_GAMMA_CAP - t) * dx))
             raise TargetUnreachable(f"target {target} not bracketed up to gamma={_GAMMA_CAP:.0e} "
-                                    f"(reached {_value(metric, x + (_GAMMA_CAP - t) * dx):.6g})")
+                                    f"(reached {reached:.6g})")
         if s <= length:
             break
     if not rate and s > 0.0:
@@ -253,7 +255,7 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
                                 f"gamma={t:.6g}, where the optimum is not unique")
     gamma = t + rate * s
     rep = solve(gamma, x + s * dx)
-    history.append((gamma, _value(metric, rep.weights)))
+    history.append((gamma, _value(metric, _level(metric, rep.weights))))
     rep.meta["calibration"] = history
     return gamma, rep
 

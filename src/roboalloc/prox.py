@@ -97,8 +97,16 @@ def prox_norm_moreau(v: np.ndarray, lam: float, p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
+    """``lower <= x <= upper``; a lower bound above its upper bound by more
+    than 1e-15 (``QpProblem``'s slack) leaves it empty (``EmptySet``)."""
+
     lower: np.ndarray | float = -np.inf
     upper: np.ndarray | float = np.inf
+
+    def __post_init__(self):
+        lower, upper = np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
+        if (lower > upper + 1e-15).any():
+            raise EmptySet("lower bound exceeds upper bound: the box is empty")
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(np.asarray(v, dtype=float), self.lower), self.upper)

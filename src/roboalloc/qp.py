@@ -59,10 +59,9 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     EmptyIntersection,
@@ -82,6 +81,16 @@ _SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is ze
 # cold starts kept: at least the models a nightly run interleaves, each entry
 # n floats (at most 0.5 MB in all at n = 200)
 _START_CACHE = 256
+
+
+@cache
+def _linalg():
+    """``scipy.linalg``, imported at the first factorization: it is most of
+    the package's import time, and the calls that never factor a matrix
+    (the ``estimate``, ``views``, ``stevens`` and ``calibrate`` verbs among
+    them) never load it."""
+    import scipy.linalg
+    return scipy.linalg
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -243,17 +252,19 @@ class _Kinks:
 def _ratio_test(ratios, x, p, tiny, free, g, h, act, lo, up, kinks=None, side=None):
     """Into ``ratios``, indexed by rank, the step along ``p`` to each
     inactive row, free variable's bound and L1 row's kink that it moves
-    toward by more than ``tiny``, at least zero; infinite for the others.
-    Returns the L1 rows' ``g p``."""
+    toward by more than ``tiny``, at least zero; infinite for the others
+    (an infinite bound's ratio is +inf too).  Returns the L1 rows' ``g p``,
+    ``None`` without L1 rows."""
     m, n = h.size, x.size
     ratios.fill(np.inf)
-    gp = g @ p
     if m:
+        gp = g @ p
         hit = gp < -tiny
         hit[act] = False
         np.divide(h - g @ x, gp, out=ratios[:m], where=hit)
-    np.divide(lo - x, p, out=ratios[m:m + n], where=free & np.isfinite(lo) & (p < -tiny))
-    np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & np.isfinite(up) & (p > tiny))
+    np.divide(lo - x, p, out=ratios[m:m + n], where=free & (p < -tiny))
+    np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & (p > tiny))
+    gp = None
     if kinks is not None:
         gp = kinks.g @ p
         np.divide(kinks.d - kinks.g @ x, gp, out=ratios[m + 2 * n:], where=side * gp < -tiny)
@@ -352,27 +363,30 @@ def _kkt(q_ff, c_f, g_f, gap=None):
         return g_f, np.zeros((rows,) + g_f.shape[1:]), flat, False, np.eye(rows)
     top_q, top_c = q_ff.diagonal().max(initial=0.0), np.abs(c_f).max(initial=0.0)
     w = top_q / top_c if top_q > 0.0 and top_c else 1.0
-    c_w = w * c_f
     kkt = np.zeros((free + rows, free + rows), order="F")
-    kkt[:free, :free], kkt[free:, :free], kkt[:free, free:] = q_ff, c_w, c_w.T
+    kkt[:free, :free] = q_ff
+    np.multiply(w, c_f, out=kkt[free:, :free])
+    kkt[:free, free:] = kkt[free:, :free].T
     rhs = np.zeros((free + rows,) + g_f.shape[1:])
-    rhs[:free] = -g_f
+    np.negative(g_f, out=rhs[:free])
     if gap is not None:
-        rhs[free:] = w * gap
+        np.multiply(w, gap, out=rhs[free:])
     if rows <= free:
-        lu, piv, _ = dgetrf(kkt)
+        lapack = _linalg().lapack
+        lu, piv, _ = lapack.dgetrf(kkt)
         pivots = np.abs(lu.diagonal())
         if pivots.min() > _SINGULAR * pivots.max():
-            p, y = np.split(dgetrs(lu, piv, rhs)[0], [free])
+            sol = lapack.dgetrs(lu, piv, rhs)[0]
+            p = sol[:free]
             if rows == free:  # rows that pin the block: only the gap moves it
                 rhs[:free] = 0.0
-                p = dgetrs(lu, piv, rhs)[0][:free]
-            return p, w * y, flat, False, None
+                p = lapack.dgetrs(lu, piv, rhs)[0][:free]
+            return p, w * sol[free:], flat, False, None
     u, s, vt = np.linalg.svd(kkt)
     rank = int(np.sum(s > _SINGULAR * s[0]))
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
-    p, y = np.split(pinv @ rhs, [free])
-    null_p, null_y = np.split(vt[rank:].T, [free])
+    sol, null = pinv @ rhs, vt[rank:].T
+    p, y, null_p, null_y = sol[:free], sol[free:], null[:free], null[free:]
     descent = -null_p @ (null_p.T @ g_f)
     flat = np.linalg.norm(descent, axis=0) > 1e-10 * np.maximum(1.0, np.linalg.norm(g_f, axis=0))
     p = np.where(flat, descent, p)
@@ -825,17 +839,22 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
     ratios = np.empty(m + 2 * n + k)   # indexed by rank
     mult = np.empty((m + 2 * n + k, 2))  # working-set multipliers and their slopes
+    rises, falls = mult[m:m + n], mult[m + n:m + 2 * n]  # the weights' rise and fall ranks
+    grads = np.empty((n, 2))  # the gradient and its slope in t
     for _ in range(problem.max_iter):
         free = at == _FREE
-        idx, fixed, g_act = np.flatnonzero(free), np.flatnonzero(~free), g[act]
+        idx, fixed = free.nonzero()[0], (~free).nonzero()[0]
         kg = kinks.general[side[kinks.general] == 0.0] if k else None
-        eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k else a_eq
-        me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
+        eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k and kg.size else a_eq
+        me = eq_rows.shape[0]
+        rows = np.vstack([eq_rows, -g[act]]) if act else eq_rows  # y = (nu, lam)
         c_f, dx, null = rows.take(idx, 1), np.zeros(n), None
-        grad = q @ x + c + t * slope + (kinks.pull @ side if k else 0.0)
-        q_ff, grads_f = q.take(idx, 0).take(idx, 1), np.column_stack([grad[idx], slope[idx]])
+        grad = q @ x + c + t * slope
+        if k:
+            grad += kinks.pull @ side
+        grads[:, 0], grads[:, 1] = grad, slope
         # one solve: dx, and the multipliers and their slopes
-        p, y, flat, _, null_y = _kkt(q_ff, c_f, grads_f)
+        p, y, flat, _, null_y = _kkt(q.take(idx, 0).take(idx, 1), c_f, grads[idx])
         if null_y is not None:  # the rows' null directions
             basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
             basis = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier
@@ -848,17 +867,17 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
         _ratio_test(ratios, x, dx, tiny, free, g, h, act, lo, up, kinks, side)
         if not flat:
-            grads = np.column_stack([grad, q @ dx + slope])
+            grads[:, 1] = q @ dx + slope
             nu, lam, reduced = y[:me], y[me:], grads + rows.T @ y
             for turn in (1.0, -1.0):
                 if null is not None:  # one way or the other along the null direction
-                    nu[:, 1], lam[:, 1] = np.split(turn * null, [len(nu)])
+                    nu[:, 1], lam[:, 1] = turn * null[:me], turn * null[me:]
                     reduced[:, 1] = rows.T @ (turn * null)
                 mult.fill(0.0)
                 mult[act] = lam
-                rise, fall = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
-                mult[m + fixed] = np.column_stack([rise, reduced[fixed, 1]])
-                mult[m + n + fixed] = np.column_stack([fall, -reduced[fixed, 1]])
+                rises[fixed, 0], falls[fixed, 0] = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
+                rises[fixed, 1] = reduced[fixed, 1]
+                falls[fixed, 1] = -rises[fixed, 1]
                 if k:  # a general kink row's multiplier moves toward +/-rho
                     mu = nu[a_eq.shape[0]:]
                     mult[m + 2 * n + kg] = (kinks.rho[kg, None] * [1.0, 0.0]
@@ -868,7 +887,7 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
                 if null is None or ratios.min() < np.inf:
                     break
         length = ratios.min()
-        r = int(np.argmax(ratios <= length * (1.0 + 1e-14)))  # lowest rank among ties
+        r = int((ratios <= length * (1.0 + 1e-14)).argmax())  # lowest rank among ties
         if null is None:  # a piece; otherwise a constraint leaves at fixed x and t
             if flat and length == np.inf:
                 raise Unbounded("zero-curvature direction with no blocking constraint")

@@ -12,7 +12,7 @@ from roboalloc.admm import (
     solve_mixed_lp,
     solve_penalized,
 )
-from roboalloc.errors import Infeasible, NoConvergence
+from roboalloc.errors import EmptySet, Infeasible, NoConvergence
 from roboalloc.mvo import ConstraintSet, exact_problem
 from roboalloc.prox import L1Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
@@ -84,6 +84,21 @@ class TestGenericEngine:
         assert rep.converged
         assert len(factored) > 1  # the penalty moved: one LU per penalty
         assert np.abs(rep.weights - oracle.weights[:4]).max() <= 1e-6
+
+
+    def test_empty_extra_box_raises_before_iterating(self, monkeypatch):
+        # an empty extra set raises EmptySet before any x-step, where ADMM
+        # would spin to max_iter projecting onto it
+        factored, lu_factor = [], admm.lu_factor
+        monkeypatch.setattr(admm, "lu_factor",
+                            lambda kkt: factored.append(kkt) or lu_factor(kkt))
+        rng = np.random.default_rng(0)
+        a1, b1 = rng.normal(size=(8, 4)), rng.normal(size=8)
+        pen = PenaltySpec(kind="lp", rho=0.1, p=1.5)
+        box = ConstraintSet(budget=1.0, lower=0.0, upper=1.0)
+        with pytest.raises(EmptySet):
+            solve_mixed_lp(a1, b1, None, pen, constraints=box, extra_sets=(prox.Box(0.5, 0.2),))
+        assert factored == []
 
 
 class TestParams:

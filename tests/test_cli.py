@@ -976,12 +976,55 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"]
 """
 
 
+# In a fresh interpreter: import the CLI and run the four verbs that never
+# factor a matrix, then one QP solve, printing after each whether
+# scipy.linalg is loaded.
+VERBS_FOOTPRINT = """
+import json, sys
+import numpy as np
+import roboalloc, roboalloc.cli
+rng = np.random.default_rng(0)
+returns, x = rng.normal(0.005, 0.02, size=(12, 4)), rng.normal(size=(24, 3))
+y = x @ np.array([1.0, -0.5, 0.2]) + 0.1 * rng.normal(size=24)
+with open("panel.csv", "w") as h:
+    h.write("date,a,b,c,d\\n" + "".join(f"2020-{i + 1:02d}," + ",".join(repr(float(v)) for v in r)
+                                       + "\\n" for i, r in enumerate(returns)))
+with open("data.csv", "w") as h:
+    h.write("y,x1,x2,x3\\n" + "".join(",".join(repr(float(v)) for v in [yi, *xi]) + "\\n"
+                                    for yi, xi in zip(y, x)))
+with open("views.json", "w") as h:
+    json.dump({"grades": {"a": 1, "d": -1}, "sharpe": 0.5, "r": 0.0, "delta": 1.0, "tau": 1.0}, h)
+main = roboalloc.cli.main
+codes = [main(["estimate", "--returns", "panel.csv", "--out", "moments.json"]),
+         main(["views", "--views", "views.json", "--moments", "moments.json", "--out", "v.json"]),
+         main(["stevens", "--moments", "moments.json", "--gamma", "0.5", "--out", "s.csv"])]
+codes += [main(["calibrate", "--data", "data.csv", "--method", method,
+                "--grid", "log:1e-4:1e2:10", "--out", method + ".csv"])
+          for method in ("gcv", "press", "kfold")]
+print(codes, "scipy.linalg" in sys.modules)
+box = roboalloc.ConstraintSet(budget=1.0, lower=0.0, upper=0.6)
+inputs = roboalloc.MvoInputs(mu=[0.05, 0.06, 0.07], sigma=0.04 * np.eye(3))
+assert roboalloc.solve_gamma_problem(inputs, 0.5, box).converged
+print("scipy.linalg" in sys.modules)
+"""
+
+
 class TestImportFootprint:
-    def test_solving_loads_no_scipy_optimize(self):
-        # scipy serves the package only through scipy.linalg's LU factors
+    @staticmethod
+    def run(script, cwd=None):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip().splitlines()
+
+    def test_solving_loads_no_scipy_optimize(self):
+        # scipy serves the package only through scipy.linalg's LU factors
+        assert self.run(FOOTPRINT) == ["[]"]
+
+    def test_scipy_linalg_loads_at_the_first_factorization(self, tmp_path):
+        # estimate, views, stevens and calibrate never factor a matrix, so a
+        # CLI process running them never imports scipy.linalg; a QP does
+        out = self.run(VERBS_FOOTPRINT, cwd=tmp_path)  # calibrate prints its best rho2
+        assert out[-2:] == ["[0, 0, 0, 0, 0, 0] False", "True"]

@@ -233,3 +233,59 @@ def test_walk_from_dependent_start_meets_target(monkeypatch):
     assert len(solves) == 2
     cold = rebalance(config, mu, sigma, gamma=gamma)
     assert np.abs(rep.weights - cold.weights).max() <= 1e-9
+
+
+def test_long_short_walk_meets_cold_solves_at_every_breakpoint():
+    """A long-short book with a budget row, one inequality row and a box
+    that is infinite on some sides (lower -inf on the first third of the
+    weights, upper +inf on the last third): at each breakpoint of the walk,
+    and at the end of each piece, the weights are the cold solve's at that
+    gamma.  Weights walk toward their infinite bounds, whose ratios are +inf,
+    and the inequality row joins the working set along the way."""
+    n = 15
+    sigma, mu, _ = universe(31, n, "full")
+    lower, upper = np.full(n, -0.3), np.full(n, 0.4)
+    lower[: n // 3], upper[-(n // 3):] = -np.inf, np.inf
+    g = np.zeros((1, n))
+    g[0, np.argsort(mu)[-5:]] = -1.0  # the five best returns hold at most 0.7
+    rows = {"eq": (np.ones((1, n)), [1.0]), "ineq": (g, [-0.7]), "lower": lower,
+            "upper": upper}
+    problem = qp.QpProblem(Q=sigma, c=np.zeros(n), **rows)
+    walk = list(qp.parametric_path(problem, -mu, qp.solve_qp(problem)))
+    assert len(walk) > 5 and walk[-1][4] == np.inf
+    toward_infinity, slack = False, []
+    for t, x, dx, rate, length in walk:
+        assert rate == 1.0
+        ends = [(t, x)] + ([(t + length, x + length * dx)] if length < np.inf else [])
+        for gamma, weights in ends:
+            cold = qp.solve_qp(qp.QpProblem(Q=sigma, c=-gamma * mu, **rows))
+            assert np.abs(weights - cold.weights).max() <= 1e-9
+        toward_infinity |= bool((dx[np.isinf(lower)] < 0).any() or (dx[np.isinf(upper)] > 0).any())
+        slack.append(g[0] @ x + 0.7)
+    assert toward_infinity and slack[0] > 1e-3 and abs(slack[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", ["vol", "return"])
+def test_calibration_history_is_the_metric_at_each_piece(metric):
+    """``path_root``'s ``meta['calibration']`` holds, bit for bit, the metric
+    at gamma 0 and at each breakpoint of the walk, as recomputed from
+    ``parametric_path``'s pieces."""
+    n = 40
+    sigma, mu, _ = universe(32, n, "full")
+    inputs, cons = MvoInputs(mu=mu, sigma=sigma), constraints(n, False)
+
+    def value(x):
+        return float(mu @ x) if metric == "return" else float(np.sqrt(x @ sigma @ x))
+
+    low, high = (value(solve_gamma_problem(inputs, g, cons).weights) for g in (0.0, 1e5))
+    target = low + 0.6 * (high - low)
+    key = "target_return" if metric == "return" else "target_vol"
+    gamma, rep = calibrate_gamma(inputs, cons, **{key: target})
+    history = rep.meta["calibration"]
+    start = solve_gamma_problem(inputs, 0.0, cons)
+    problem = mvo.exact_problem(sigma, np.zeros(n), None, cons)
+    pieces = qp.parametric_path(problem, -mu, start)
+    walked = [(t, value(x)) for (t, x, _, _, _), _ in zip(pieces, history[:-1])]
+    assert len(history) > 5 and gamma > 0.0
+    assert history[:-1] == [(0.0, value(start.weights))] + walked[1:]
+    assert history[-1] == (gamma, value(rep.weights))

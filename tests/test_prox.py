@@ -273,6 +273,14 @@ class TestProjections:
         v = np.array([np.nan, 2.0])
         assert np.array_equal(Box(0.0, 1.0).project(v), [np.nan, 1.0], equal_nan=True)
 
+    def test_empty_box_raises(self):
+        with pytest.raises(errors.EmptySet):
+            Box([1, 0], [0, 1])
+        with pytest.raises(errors.EmptySet):
+            Box(0.5, 0.2)
+        # within QpProblem's slack of 1e-15 the box is a point, as there
+        assert np.array_equal(Box(1.0, 1.0 - 1e-16).project([0.0, 2.0]), [1.0 - 1e-16] * 2)
+
     def test_simplex_sorted_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
