@@ -200,6 +200,17 @@ def max_te_from_vol(sigma_benchmark: float, correlation: float) -> float:
     return float(np.sqrt(2.0 * (1.0 - correlation)) * sigma_benchmark)
 
 
+def _grades(scores, n_s: int) -> np.ndarray:
+    """``scores`` as a vector of floats, checked to be integer grades (to
+    1e-12, which no NaN meets) in ``[-n_s, n_s]``."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    if not np.all(np.abs(scores - np.round(scores)) <= 1e-12):
+        raise InputError("scores must be integers")
+    if np.any(np.abs(scores) > n_s):
+        raise InputError(f"scores must lie in [-{n_s}, {n_s}]")
+    return scores
+
+
 @dataclass
 class ScoreSet:
     """Integer conviction grades plus the scaling of the tracking-error rule."""
@@ -210,13 +221,9 @@ class ScoreSet:
     n_s: int = 3
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float).ravel()
+        self.scores = _grades(self.scores, self.n_s)
         if self.scores.size < 2:
             raise InputError("need at least two scores")
-        if np.any(np.abs(self.scores - np.round(self.scores)) > 1e-12):
-            raise InputError("scores must be integers")
-        if np.any(np.abs(self.scores) > self.n_s):
-            raise InputError(f"scores must lie in [-{self.n_s}, {self.n_s}]")
         if self.sigma_plus < 0:
             raise InputError("sigma_plus must be nonnegative")
 

@@ -55,6 +55,8 @@ class RoboConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.objective not in ("tracking_error", "mvo"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.gamma is not None and self.te_target is not None:
+            raise ValueError("gamma and te_target exclude each other: a target sets gamma")
         for label, w in (("strategic", self.strategic), ("current", self.current)):
             if not np.isfinite(w).all():
                 raise ValueError(f"{label} portfolio must hold finite weights")

@@ -17,11 +17,10 @@ the rows, as in the zero blocks of ``augment_l1``, which ends in
 ``Unbounded`` if nothing blocks it) one SVD of the same scaled matrix
 gives its minimum-norm least squares (Golub & Van Loan, *Matrix
 Computations*, 5.5): the step, the multipliers, the descent along zero
-curvature and the rows' null directions; zero curvature is flagged in
-``meta['degenerate_hessian']``.  Each solve carries the working rows' gap
-``b - C x`` on its right-hand side, and at a stationary ``x`` the small
-step that closes it is still taken, so the rounding error that a cold
-start can leave in the rows (eps times the entries near 1e6 of the
+curvature and the rows' null directions.  Each solve carries the working
+rows' gap ``b - C x`` on its right-hand side, and at a stationary ``x``
+the small step that closes it is still taken, so the rounding error that a
+cold start can leave in the rows (eps times the entries near 1e6 of the
 minimizer it projects when ``|c|`` is large) does not stay in the answer.
 All iterates stay feasible.  A solve starts at the caller's ``x0`` when it
 is feasible; a cold solve with at most one equality row starts at the
@@ -32,9 +31,11 @@ Ito & Kunisch 2002), which predict the bound set from the multipliers and
 fix many bounds at once.  When neither
 start is feasible, phase 1 minimizes elastic slacks on the general rows
 from a point inside the bounds.  The cold start reads ``Q``, ``c``, the
-rows and the box but not the L1 rows, and ``_StartCache`` keeps the last
-``_START_CACHE`` of them: the accounts of one model, whose L1 rows alone
-differ, share one start, and the answer is the one an empty cache gives.
+rows and the box but not the L1 rows, and ``_start``, a
+``functools.lru_cache``, keeps the last ``_START_CACHE`` of them, keyed by
+a digest of what it reads: the accounts of one model, whose L1 rows alone
+differ, share one start, the answer is the one an empty cache gives, and
+``_start.cache_info()`` counts the hits.
 Multipliers follow the stationarity convention
 
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
@@ -56,10 +57,8 @@ multipliers are read by rank, and ``_pivot`` applies the event at a rank.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -331,7 +330,7 @@ def _bland(neg, m, at, side, kinks=None):
 
 
 def _kkt(q_ff, c_f, g_f, gap=None):
-    """``(p, y, flat, degenerate, null)`` solving the free block's KKT system
+    """``(p, y, flat, null)`` solving the free block's KKT system
     ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when ``None``),
     one solve for all of ``g_F``'s columns.  ``y`` are the rows'
     multipliers at the point ``x + p``, where ``g_F + Q_FF p + C_F'y = 0``.
@@ -350,9 +349,9 @@ def _kkt(q_ff, c_f, g_f, gap=None):
     residual's p-part is minus the gradient's component along the first.
     In a column whose zero-curvature component exceeds 1e-10 of its gradient
     (``flat``, per column), ``p`` is that descent alone and the ratio test
-    sets its length.  ``degenerate`` flags directions of zero curvature, and
-    ``null``'s columns, the y-parts of the null vectors, span the rows' null
-    directions; ``null`` is ``None`` exactly when the LU solved the system.
+    sets its length.  ``null``'s columns, the y-parts of the null vectors,
+    span the rows' null directions; ``null`` is ``None`` exactly when the LU
+    solved the system.
     Where the rows pin the block only the gap moves it: without one, ``p``
     is exactly zero.  With no weight free, ``p`` is empty, ``y`` zero and
     every ``y`` a null direction.
@@ -360,7 +359,7 @@ def _kkt(q_ff, c_f, g_f, gap=None):
     rows, free = c_f.shape
     flat = np.zeros(g_f.shape[1:], dtype=bool)
     if not free:
-        return g_f, np.zeros((rows,) + g_f.shape[1:]), flat, False, np.eye(rows)
+        return g_f, np.zeros((rows,) + g_f.shape[1:]), flat, np.eye(rows)
     top_q, top_c = q_ff.diagonal().max(initial=0.0), np.abs(c_f).max(initial=0.0)
     w = top_q / top_c if top_q > 0.0 and top_c else 1.0
     kkt = np.zeros((free + rows, free + rows), order="F")
@@ -381,7 +380,7 @@ def _kkt(q_ff, c_f, g_f, gap=None):
             if rows == free:  # rows that pin the block: only the gap moves it
                 rhs[:free] = 0.0
                 p = lapack.dgetrs(lu, piv, rhs)[0][:free]
-            return p, w * sol[free:], flat, False, None
+            return p, w * sol[free:], flat, None
     u, s, vt = np.linalg.svd(kkt)
     rank = int(np.sum(s > _SINGULAR * s[0]))
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
@@ -392,11 +391,12 @@ def _kkt(q_ff, c_f, g_f, gap=None):
     p = np.where(flat, descent, p)
     if rank == 2 * free:  # rows that pin the block: only the gap moves it
         p = pinv[:free, free:] @ rhs[free:]
-    return p, w * y, flat, bool((null_p ** 2).sum() > 0.5), null_y
+    return p, w * y, flat, null_y
 
 
-def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
-    """Primal active-set loop from a feasible ``x0``.
+def _active_set(problem: QpProblem, x0, max_iter):
+    """Primal active-set loop from a feasible ``x0``, at most ``max_iter``
+    iterations.
 
     The working set is the per-variable state ``at`` (``_LOWER``,
     ``_FREE``, ``_UPPER``, or ``_KINK`` at a kink of its own L1 rows), the
@@ -417,10 +417,12 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
     the active inequalities' levels less the rows' values.  Where ``x`` is
     stationary that step, a small one that closes the gap, is taken within
     the box before the multiplier test.
-    Returns ``(x, at, act, side, iterations, degenerate, (nu, lam,
-    reduced))``, the last being those multipliers and the reduced gradient
-    ``grad + A'nu - G_act'lam`` at ``x``.
+    Returns ``(x, at, act, side, iterations, (nu, lam, reduced))``, the last
+    being those multipliers and the reduced gradient ``grad + A'nu -
+    G_act'lam`` at ``x``.
     """
+    q, c, kinks = problem.Q, problem.c, problem._kinks
+    (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
     n, m = c.size, h.size
     k = 0 if kinks is None else kinks.d.size
     x = x0.copy()
@@ -437,7 +439,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
     ratios = np.empty(m + 2 * n + k)   # indexed by rank
     mult = np.empty(m + 2 * n + k)     # working-set multipliers by rank, +inf off it
     degenerate_run = 0
-    bland = settled = saw_degenerate = False
+    bland = settled = False
     for it in range(1, max_iter + 1):
         free = at == _FREE
         idx = np.flatnonzero(free)
@@ -454,9 +456,8 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
         if not settled:  # the step after a full one is zero, and y exact: skip it
             g_f, c_f = grad[idx], rows.take(idx, 1)
             gap = np.concatenate([eq_rhs, -h[act]]) - rows @ x
-            p[idx], y, flat, degenerate, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f, gap)
+            p[idx], y, flat, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f, gap)
             residual = np.abs(g_f + c_f.T @ y).max(initial=0.0)
-            saw_degenerate |= degenerate
         if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
                                     or residual <= 1e-13 * np.abs(grad).max()):
             settled = False
@@ -470,7 +471,7 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
             mult[m + 2 * n + kg] = kinks.rho[kg] - np.abs(mu) if k else mu
             neg = np.flatnonzero(mult < -1e-9)
             if neg.size == 0:
-                return x, at, act, side, it, saw_degenerate, (nu, lam, reduced)
+                return x, at, act, side, it, (nu, lam, reduced)
             drop = _bland(neg, m, at, side, kinks) if bland else int(np.argmin(mult))
             leave = [drop]
             if k and not bland and m <= drop < m + 2 * n:
@@ -512,14 +513,142 @@ def _active_set(q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=None, *, b_eq):
     raise MaxIterations(f"active set did not terminate in {max_iter} iterations")
 
 
-def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
-    """Feasible point by minimizing elastic slacks on the violated rows.
+def _cold_start(problem: QpProblem):
+    """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
+    on the equality row (one ``_kkt`` solve from zero), projected exactly
+    onto the box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991) by
+    ``project_hyperplane_intersection``'s breakpoint search.  It lies on
+    most of the optimum's bounds, where phase 1's point lies on none, but it
+    ignores curvature: ``_refine_start`` corrects its bound set.  ``None``
+    with two or more equality rows, for a zero-curvature descent, or when
+    the row is out of the box's reach."""
+    a_eq, b_eq = problem.eq
+    if a_eq.shape[0] > 1:
+        return None
+    v, _, flat, _ = _kkt(problem.Q, a_eq, problem.c, b_eq)
+    if flat:
+        return None
+    box = Box(problem.lower, problem.upper)
+    if not b_eq.size:
+        return box.project(v)
+    try:
+        return project_hyperplane_intersection(v, a_eq[0], b_eq[0], box)
+    except EmptyIntersection:
+        return None
+
+
+def _refine_start(problem: QpProblem, x):
+    """Primal-dual active-set rounds from ``_cold_start``'s point ``x`` on the
+    box and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
+    2002), which fix many bounds at once where the active set fixes one per
+    step.  A round predicts each weight's state from ``x - r / diag(Q)``
+    against its bounds, ``r = Qx + c + A'nu`` the reduced gradient (``nu``
+    the least squares over ``x``'s free weights at first).  Unless that
+    repeats the states of ``x`` (read off the start, then those of the last
+    solve), it fixes the predicted weights at their bounds and solves the
+    free block's KKT system with the row's gap for the next ``x`` and
+    ``nu``.  The rounds end when the prediction repeats, ``_kkt``'s LU is
+    refused, or after ``_REFINE_ROUNDS``.  Inequality rows are not seen:
+    returns the last iterate that is ``_feasible`` against every row, else
+    ``x`` itself."""
+    q, c, (a_eq, b_eq), lo, up = problem.Q, problem.c, problem.eq, problem.lower, problem.upper
+    scale = np.diag(q)
+    scale = np.where(scale > 0.0, scale, 1.0)  # any positive scale predicts
+    state = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
+                     np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
+    grad, free = q @ x + c, state == _FREE
+    a_f = a_eq[:, free]  # at most one row: its least squares is a ratio
+    nu = -(a_f @ grad[free]) / max((a_f * a_f).sum(), np.finfo(float).tiny)
+    best = x
+    for _ in range(_REFINE_ROUNDS):
+        z = x - (grad + a_eq.T @ nu) / scale
+        predicted = np.where(z <= lo, _LOWER, np.where(z >= up, _UPPER, _FREE))
+        if np.array_equal(predicted, state):
+            break
+        state = predicted
+        x = np.where(state == _LOWER, lo, np.where(state == _UPPER, up, x))
+        idx = np.flatnonzero(state == _FREE)
+        a_f = a_eq.take(idx, 1)
+        p, nu, _, null = _kkt(q.take(idx, 0).take(idx, 1), a_f, q[idx] @ x + c[idx],
+                              b_eq - a_eq @ x)
+        if null is not None:
+            break
+        x[idx] += p
+        grad = q @ x + c
+        if _feasible(problem, x):
+            best = x
+    return best
+
+
+class _StartKey:
+    """``_start``'s argument: a problem, hashed and compared by the SHA-256
+    digest of the shapes and bytes of what the start reads, ``Q``, ``c``,
+    the equality and inequality rows, the bounds and phase 1's iteration
+    cap, and not the L1 rows.  ``_start`` lets go of the problem once it
+    has read it, so its table holds digests, never inputs."""
+
+    def __init__(self, problem: QpProblem):
+        digest = hashlib.sha256(str(problem.max_iter).encode())
+        for a in (problem.Q, problem.c, *problem.eq, *problem.ineq, problem.lower,
+                  problem.upper):
+            digest.update(str(a.shape).encode())
+            digest.update(np.ascontiguousarray(a))
+        self.problem, self.digest = problem, digest.digest()
+
+    def __hash__(self):
+        return hash(self.digest)
+
+    def __eq__(self, other):
+        return self.digest == other.digest
+
+
+@lru_cache(maxsize=_START_CACHE)
+def _start(key: _StartKey) -> np.ndarray:
+    """The cold start, read-only: ``_cold_start``'s point refined by
+    ``_refine_start`` when it passes ``_feasible``, else phase 1's point.
+
+    The last ``_START_CACHE`` starts are kept, least recently used first
+    out.  The accounts of one model, which differ only in the L1 rows
+    around their books, share one, and so does the first point of an L1
+    penalty's path; a hit is the start a miss would compute, so the answer
+    is bit-identical.  Two threads that miss on one key both compute it.
+    """
+    problem, key.problem = key.problem, None
+    x0 = _cold_start(problem)
+    if x0 is not None:
+        x0 = _refine_start(problem, x0)
+    if x0 is None or not _feasible(problem, x0):
+        x0 = feasible_point(problem)
+    x0 = x0.copy()
+    x0.setflags(write=False)
+    return x0
+
+
+def _violation(problem: QpProblem, x) -> float:
+    """The largest violation at ``x`` of the equalities, inequalities and
+    bounds."""
+    (a_eq, b_eq), (g, h) = problem.eq, problem.ineq
+    return max(np.abs(a_eq @ x - b_eq).max(initial=0.0), (h - g @ x).max(initial=0.0),
+               (problem.lower - x).max(initial=0.0), (x - problem.upper).max(initial=0.0))
+
+
+def _feasible(problem: QpProblem, x) -> bool:
+    """Whether ``x`` is finite and meets every constraint to ``_FEAS_TOL``."""
+    return x.size == problem.n and np.isfinite(x).all() and _violation(problem, x) <= _FEAS_TOL
+
+
+def feasible_point(problem: QpProblem) -> np.ndarray:
+    """A point of the problem's constraint set, from phase 1, which
+    minimizes elastic slacks on the violated rows; raises ``Infeasible``
+    when the set is empty.  The objective is not read.
 
     The start is the least-squares solution of the equalities clipped into
     the bounds.  Each general row it violates gets one nonnegative slack
     that absorbs the violation, so the bounds hold throughout and the
-    problem is feasible exactly when the slacks can reach zero.
+    problem is feasible exactly when the slacks can reach zero.  The
+    elastic problem's active set stops at the problem's ``max_iter``.
     """
+    (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
     n = lo.size
     if a_eq.shape[0]:
         x0, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
@@ -539,154 +668,15 @@ def _phase1(a_eq, b_eq, g, h, lo, up, max_iter):
     d[bad_eq, np.arange(bad_eq.size)] = np.sign(r_eq[bad_eq])
     e = np.zeros((h.size, k))
     e[bad_in, bad_eq.size + np.arange(bad_in.size)] = 1.0
+    elastic = QpProblem(Q=1e-8 * np.eye(n + k), c=np.concatenate([np.zeros(n), np.ones(k)]),
+                        eq=(np.hstack([a_eq, d]), b_eq), ineq=(np.hstack([g, e]), h),
+                        lower=np.concatenate([lo, np.zeros(k)]),
+                        upper=np.concatenate([up, np.full(k, np.inf)]))
     y0 = np.concatenate([x0, np.abs(r_eq[bad_eq]), r_in[bad_in]])
-    y, *_ = _active_set(1e-8 * np.eye(n + k), np.concatenate([np.zeros(n), np.ones(k)]),
-                        np.hstack([a_eq, d]), np.hstack([g, e]), h,
-                        np.concatenate([lo, np.zeros(k)]),
-                        np.concatenate([up, np.full(k, np.inf)]), y0, max_iter, b_eq=b_eq)
+    y, *_ = _active_set(elastic, y0, problem.max_iter)
     if y[n:].sum() > 1e-7:
         raise Infeasible(f"no feasible point, residual {y[n:].sum():.3e}")
     return y[:n]
-
-
-def _cold_start(q, c, a_eq, b_eq, lo, up):
-    """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
-    on the equality row (one ``_kkt`` solve from zero), projected exactly
-    onto the box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991) by
-    ``project_hyperplane_intersection``'s breakpoint search.  It lies on
-    most of the optimum's bounds, where phase 1's point lies on none, but it
-    ignores curvature: ``_refine_start`` corrects its bound set.  ``None``
-    with two or more equality rows, for a zero-curvature descent, or when
-    the row is out of the box's reach."""
-    if a_eq.shape[0] > 1:
-        return None
-    v, _, flat, _, _ = _kkt(q, a_eq, c, b_eq)
-    if flat:
-        return None
-    if not b_eq.size:
-        return Box(lo, up).project(v)
-    try:
-        return project_hyperplane_intersection(v, a_eq[0], b_eq[0], Box(lo, up))
-    except EmptyIntersection:
-        return None
-
-
-def _refine_start(q, c, x, a_eq, b_eq, g, h, lo, up):
-    """Primal-dual active-set rounds from ``_cold_start``'s point ``x`` on the
-    box and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
-    2002), which fix many bounds at once where the active set fixes one per
-    step.  A round predicts each weight's state from ``x - r / diag(Q)``
-    against its bounds, ``r = Qx + c + A'nu`` the reduced gradient (``nu``
-    the least squares over ``x``'s free weights at first).  Unless that
-    repeats the states of ``x`` (read off the start, then those of the last
-    solve), it fixes the predicted weights at their bounds and solves the
-    free block's KKT system with the row's gap for the next ``x`` and
-    ``nu``.  The rounds end when the prediction repeats, ``_kkt``'s LU is
-    refused, or after ``_REFINE_ROUNDS``.  Inequality rows are not seen:
-    returns the last iterate that is ``_feasible`` against every row, else
-    ``x`` itself."""
-    pieces = (a_eq, b_eq, g, h, lo, up)
-    scale = np.diag(q)
-    scale = np.where(scale > 0.0, scale, 1.0)  # any positive scale predicts
-    state = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
-                     np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
-    grad, free = q @ x + c, state == _FREE
-    a_f = a_eq[:, free]  # at most one row: its least squares is a ratio
-    nu = -(a_f @ grad[free]) / max((a_f * a_f).sum(), np.finfo(float).tiny)
-    best = x
-    for _ in range(_REFINE_ROUNDS):
-        z = x - (grad + a_eq.T @ nu) / scale
-        predicted = np.where(z <= lo, _LOWER, np.where(z >= up, _UPPER, _FREE))
-        if np.array_equal(predicted, state):
-            break
-        state = predicted
-        x = np.where(state == _LOWER, lo, np.where(state == _UPPER, up, x))
-        idx = np.flatnonzero(state == _FREE)
-        a_f = a_eq.take(idx, 1)
-        p, nu, _, _, null = _kkt(q.take(idx, 0).take(idx, 1), a_f, q[idx] @ x + c[idx],
-                                 b_eq - a_eq @ x)
-        if null is not None:
-            break
-        x[idx] += p
-        grad = q @ x + c
-        if _feasible(x, *pieces):
-            best = x
-    return best
-
-
-def _start(q, c, pieces, max_iter):
-    """The cold start: ``_cold_start``'s point refined by ``_refine_start``
-    when it passes ``_feasible``, else phase 1's point."""
-    a_eq, b_eq, _, _, lo, up = pieces
-    x0 = _cold_start(q, c, a_eq, b_eq, lo, up)
-    if x0 is not None:
-        x0 = _refine_start(q, c, x0, *pieces)
-    if x0 is None or not _feasible(x0, *pieces):
-        x0 = _phase1(*pieces, max_iter)
-    return x0
-
-
-class _StartCache:
-    """The last ``_START_CACHE`` cold starts, least recently used first out.
-
-    The start reads ``Q``, ``c``, the equality and inequality rows, the
-    bounds and phase 1's iteration cap, and not the L1 rows: the accounts of
-    one model, which differ only in the L1 rows around their books, share
-    an entry, and so does the first point of an L1 penalty's path.  An
-    entry is keyed by the SHA-256 digest of the shapes and bytes of those
-    inputs and holds the digest and a read-only start of ``n`` floats,
-    never the inputs; a hit is the start a miss would compute, so the
-    answer is bit-identical.  A lock guards the table; two threads that
-    miss on one key both compute it.
-    """
-
-    def __init__(self):
-        self._table = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, q, c, pieces, max_iter):
-        digest = hashlib.sha256(str(max_iter).encode())
-        for a in (q, c, *pieces):
-            digest.update(str(a.shape).encode())
-            digest.update(np.ascontiguousarray(a))
-        key = digest.digest()
-        with self._lock:
-            if key in self._table:
-                self._table.move_to_end(key)
-                return self._table[key]
-        x0 = _start(q, c, pieces, max_iter).copy()
-        x0.setflags(write=False)
-        with self._lock:
-            self._table[key] = x0
-            if len(self._table) > _START_CACHE:
-                self._table.popitem(last=False)
-        return x0
-
-    def clear(self):
-        with self._lock:
-            self._table.clear()
-
-
-_starts = _StartCache()
-
-
-def _violation(x, a_eq, b_eq, g, h, lo, up) -> float:
-    """The largest violation at ``x`` of the equalities, inequalities and
-    bounds."""
-    return max(np.abs(a_eq @ x - b_eq).max(initial=0.0), (h - g @ x).max(initial=0.0),
-               (lo - x).max(initial=0.0), (x - up).max(initial=0.0))
-
-
-def _feasible(x, a_eq, b_eq, g, h, lo, up) -> bool:
-    """Whether ``x`` is finite and meets every constraint to ``_FEAS_TOL``."""
-    return (x.size == lo.size and np.isfinite(x).all()
-            and _violation(x, a_eq, b_eq, g, h, lo, up) <= _FEAS_TOL)
-
-
-def feasible_point(problem: QpProblem) -> np.ndarray:
-    """A point of the problem's constraint set, from phase 1; raises
-    ``Infeasible`` when the set is empty.  The objective is not read."""
-    return _phase1(*problem.eq, *problem.ineq, problem.lower, problem.upper, problem.max_iter)
 
 
 def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
@@ -700,7 +690,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
     2002), when that point passes the same test, and at phase 1's point
     when it does not; the active set then finishes and certifies.  The cold
-    start is taken from ``_StartCache`` when a problem with the same
+    start is taken from ``_start``'s table when a problem with the same
     ``Q``, ``c``, rows and box, whatever its L1 rows, was solved cold
     lately, which gives the same start and so the same answer.
     The L1 rows' states are read off the start as its bound states are.
@@ -714,17 +704,14 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     either norm exceeds ``_FEAS_TOL`` relative to the scale of the data and
     of the answer.
     """
-    q, c, max_iter = problem.Q, problem.c, problem.max_iter
-    (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
-    pieces = (a_eq, b_eq, g, h, lo, up)
+    q, c, kinks = problem.Q, problem.c, problem._kinks
+    (a_eq, _), (_, h) = problem.eq, problem.ineq
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
-    if x0 is None or not _feasible(x0, *pieces):
-        x0 = _starts.get(q, c, pieces, max_iter)
+    if x0 is None or not _feasible(problem, x0):
+        x0 = _start(_StartKey(problem))
 
-    kinks = problem._kinks
-    x, at, act, side, iters, degenerate, (nu, lam_act, reduced) = _active_set(
-        q, c, a_eq, g, h, lo, up, x0, max_iter, kinks=kinks, b_eq=b_eq)
+    x, at, act, side, iters, (nu, lam_act, reduced) = _active_set(problem, x0, problem.max_iter)
     report = SolveReport(weights=x, objective=float(0.5 * x @ q @ x + c @ x),
                          status=CONVERGED, iterations=iters)
     if kinks is None:
@@ -750,8 +737,6 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
             report.status = UNCERTIFIED
         report.duals = {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}
     report.meta["working_set"] = (at, act, side)
-    if degenerate:
-        report.meta["degenerate_hessian"] = True
     return report
 
 
@@ -778,7 +763,7 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     level = max(1.0, np.abs(b_eq).max(initial=0.0), np.abs(h).max(initial=0.0),
                 np.abs(kinks.d).max(initial=0.0))
     tol_p = _CERT_TOL * max(level, np.abs(x).max())
-    r_norm = _violation(x, a_eq, b_eq, g, h, lo, up)
+    r_norm = _violation(problem, x)
     slack = g @ x - h
     off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
     at_kink = np.abs(off) <= tol_p
@@ -854,7 +839,7 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
             grad += kinks.pull @ side
         grads[:, 0], grads[:, 1] = grad, slope
         # one solve: dx, and the multipliers and their slopes
-        p, y, flat, _, null_y = _kkt(q.take(idx, 0).take(idx, 1), c_f, grads[idx])
+        p, y, flat, null_y = _kkt(q.take(idx, 0).take(idx, 1), c_f, grads[idx])
         if null_y is not None:  # the rows' null directions
             basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
             basis = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier

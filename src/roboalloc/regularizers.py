@@ -130,7 +130,7 @@ def _block_solve(block, rhs1, eq):
     ``eq = (A, b)``, or ``block x = rhs1`` without ``eq``, by ``qp._kkt``;
     ``SingularKKT`` where its LU is refused."""
     a2, b2 = (np.zeros((0, rhs1.size)), None) if eq is None else eq
-    x, lam, _, _, null = _kkt(block, a2, -rhs1, b2)
+    x, lam, _, null = _kkt(block, a2, -rhs1, b2)
     if null is not None:
         raise SingularKKT("the block system is singular")
     return x, lam

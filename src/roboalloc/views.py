@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import _grades
 from .errors import InputError, SingularViewCovariance
 from .mvo import implied_returns
 
@@ -59,17 +60,16 @@ def bl_conditional(mu_tilde, sigma_m, views: ViewSet):
 def grades_to_expected_returns(strategic, sigma, r, sharpe, scores,
                                delta: float = 1.0, tau: float = 1.0,
                                n_s: int = 3):
-    """Turn integer conviction grades into blended expected returns.
+    """Turn integer conviction grades in ``[-n_s, n_s]`` into blended
+    expected returns; other grades, NaN included, are an ``InputError``.
 
     Each grade shifts the asset's implied Sharpe ratio by ``delta * s / n_s``;
     the manager returns are then mixed with the implied returns with weight
     ``tau / (tau + 1)`` on the implied side.  Returns
     ``(mu_implied, mu_manager, mu_blended)``.
     """
-    scores = np.asarray(scores, dtype=float).ravel()
+    scores = _grades(scores, n_s)
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(np.abs(scores) > n_s):
-        raise InputError(f"scores must lie in [-{n_s}, {n_s}]")
     if tau <= 0:
         raise InputError("tau must be positive")
     vols = np.sqrt(np.diag(sigma))

@@ -6,9 +6,10 @@ from roboalloc import qp
 
 @pytest.fixture(autouse=True)
 def fresh_start_cache():
-    """Each test starts with no cached cold start, so counts of the start's
-    calls and of phase 1 do not depend on the tests run before it."""
-    qp._starts.clear()
+    """Each test starts with no cached cold start, so the table's hit and
+    miss counts and the calls of phase 1 do not depend on the tests run
+    before it."""
+    qp._start.cache_clear()
 
 
 def cov_from(vols, corr):

@@ -296,6 +296,11 @@ class TestTeRules:
         assert mean_absolute_difference(scores.scores) == 3.0
         assert te_level_rule(scores) == pytest.approx(0.06, abs=1e-15)
 
+    @pytest.mark.parametrize("grade", [0.5, np.nan])
+    def test_score_that_is_not_an_integer_rejected(self, grade):
+        with pytest.raises(errors.InputError, match="integers"):
+            ScoreSet(scores=[grade, 1.0, -1.0], sigma_plus=0.06)
+
     def test_shift_invariance_and_scaling(self):
         rng = np.random.default_rng(12)
         s = rng.integers(-2, 3, size=6)

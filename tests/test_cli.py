@@ -295,8 +295,10 @@ class TestRebalanceDocuments:
         {"constraints": None},
         {"admm": None},
         {"admm": {"max_iter": 1}},
+        {"te_target": 0.01},
     ], ids=["lp_penalty", "same_slot_twice", "anchor_neither_book", "plain_key",
-            "inline_moments_beside_file", "constraints_null", "admm_null", "admm_block"])
+            "inline_moments_beside_file", "constraints_null", "admm_null", "admm_block",
+            "gamma_beside_te_target"])
     def test_rejected(self, four_asset_moments, tmp_path, change):
         problem = tmp_path / "p.json"
         problem.write_text(json.dumps({
@@ -561,14 +563,15 @@ class TestViewsDocumentValues:
         {"grades": {"a1": None}}, {"grades": {"a1": 1}, "sharpe": None},
         {"grades": {"a1": 1}, "r": "x"}, {"grades": {"a1": 1}, "delta": True},
         {"grades": {"a1": 1}, "tau": None}, {"grades": {"a1": 1}, "scale_size": 7.5},
-        {"grades": [1, 0, 0, 0]}, {"grades": {"zz": 1}},
+        {"grades": [1, 0, 0, 0]}, {"grades": {"zz": 1}}, {"grades": {"a1": 1.5}},
         {"grades": {"a1": 1}, "strategic": [0.5, 0.5]},
         {"P": [[1.0, None, 0.0, 0.0]], "Q": [0.02], "sigma_eps": [[1e-4]]},
         {"P": [[1.0, -1.0]], "Q": [0.02], "sigma_eps": [[1e-4]]},
         {"P": [[1.0, -1.0, 0.0, 0.0]], "Q": None, "sigma_eps": [[1e-4]]},
         {"P": [[1.0, -1.0, 0.0, 0.0]], "Q": [0.02], "sigma_eps": "x"},
     ], ids=["grade_null", "sharpe_null", "r_string", "delta_bool", "tau_null",
-            "scale_not_integer", "grades_list", "grade_unknown_asset", "strategic_short",
+            "scale_not_integer", "grades_list", "grade_unknown_asset", "grade_fractional",
+            "strategic_short",
             "P_null_entry", "P_columns", "Q_null", "sigma_eps_string"])
     def test_bad_value_is_input_error(self, four_asset_moments, tmp_path, change):
         views = tmp_path / "v.json"

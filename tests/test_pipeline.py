@@ -279,6 +279,11 @@ class TestTeTargeting:
         with pytest.raises(ValueError, match="target must be finite"):
             te_target_to_gamma(cfg, mu, sigma, float("inf"))
 
+    def test_gamma_beside_a_target_is_rejected(self):
+        # a target sets gamma: a config holding both would drop one of them
+        with pytest.raises(ValueError, match="exclude each other"):
+            RoboConfig(strategic=X0, current=X0, gamma=0.5, te_target=0.01)
+
 
 class TestRegularizationPath:
     def test_ridge_endpoints(self, four_asset_alt):

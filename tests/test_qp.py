@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def record_kkt(monkeypatch):
 
     def recorded(*args):
         out = kkt(*args)
-        svd.append(out[4] is not None)
+        svd.append(out[3] is not None)
         return out
 
     monkeypatch.setattr(qp, "_kkt", recorded)
@@ -397,7 +398,7 @@ class TestFactoredMultipliers:
         grads = np.random.default_rng([seed, 22]).normal(size=(q.shape[0], 2))
         idx = np.flatnonzero(free)
         c_f = rows[:, idx]
-        p, y, _, _, null = qp._kkt(q[np.ix_(idx, idx)], c_f, grads[idx])
+        p, y, _, null = qp._kkt(q[np.ix_(idx, idx)], c_f, grads[idx])
         assert null is None
         # the least squares at the points the steps reach, one per column
         ref = least_squares_multipliers(grads + q[:, idx] @ p, rows, free)
@@ -416,13 +417,13 @@ class TestFactoredMultipliers:
         rng = np.random.default_rng([seed, 25])
         q_ff, g_f = random_spd(rng, free), rng.normal(size=free)
         c_f = np.ones((1, 1)) if free == 1 else rng.normal(size=(3, 3))
-        p, y, flat, degenerate, null = qp._kkt(q_ff, c_f, g_f)
-        assert not p.any() and (flat, degenerate, null) == (False, False, None)
+        p, y, flat, null = qp._kkt(q_ff, c_f, g_f)
+        assert not p.any() and (flat, null) == (False, None)
         ref = least_squares_multipliers(g_f, c_f, np.ones(free, dtype=bool))
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
         assert np.abs(g_f + c_f.T @ y).max() <= 1e-12 * np.abs(g_f).max()
         gap = rng.normal(size=free)
-        p, y, _, _, null = qp._kkt(q_ff, c_f, g_f, gap)
+        p, y, _, null = qp._kkt(q_ff, c_f, g_f, gap)
         np.testing.assert_allclose(c_f @ p, gap, rtol=0.0, atol=1e-12)
         ref = least_squares_multipliers(g_f + q_ff @ p, c_f, np.ones(free, dtype=bool))
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
@@ -431,7 +432,7 @@ class TestFactoredMultipliers:
     def test_one_free_weight_under_the_budget_row_factors(self):
         # the bordered matrix [[q, 1], [1, 0]] is nonsingular: the step is
         # exactly zero and the budget multiplier is -g
-        p, y, _, _, null = qp._kkt(np.array([[0.04]]), np.ones((1, 1)), np.array([0.3]))
+        p, y, _, null = qp._kkt(np.array([[0.04]]), np.ones((1, 1)), np.array([0.3]))
         assert null is None
         assert p.tolist() == [0.0]
         np.testing.assert_allclose(y, [-0.3], rtol=1e-15)
@@ -540,8 +541,11 @@ class TestSingularKkt:
         g_f = {"any": rng.normal(size=free), "curved": curved,
                "two": np.column_stack([rng.normal(size=free), curved])}[gradient]
         gap = rng.normal(size=rows) if gap else None
-        p, y, flat, degenerate, null_y = qp._kkt(q_ff, c_f, g_f, gap)
+        p, y, flat, null_y = qp._kkt(q_ff, c_f, g_f, gap)
         assert null_y is not None
+        # the null vectors (u, v) are orthonormal: their u-parts, the directions
+        # of zero curvature, hold what their v-parts do not
+        degenerate = null_y.shape[1] - (null_y ** 2).sum() > 0.5
         p, y, flat = p.reshape(free, -1), y.reshape(rows, -1), np.atleast_1d(flat)
         for j, g in enumerate(g_f.reshape(free, -1).T):
             ref, ref_flat, ref_degenerate = nullspace_step(q_ff, g, c_f, gap)
@@ -590,8 +594,8 @@ class TestScaledKkt:
         q, rows, free = TestFactoredMultipliers.working_set("inequalities", 0)
         idx = np.flatnonzero(free)
         g_f = np.random.default_rng(23).normal(size=idx.size)
-        p, y, _, _, null = qp._kkt(scale * q[np.ix_(idx, idx)], rows[:, idx], scale * g_f)
-        ref_p, ref_y, _, _, _ = qp._kkt(q[np.ix_(idx, idx)], rows[:, idx], g_f)
+        p, y, _, null = qp._kkt(scale * q[np.ix_(idx, idx)], rows[:, idx], scale * g_f)
+        ref_p, ref_y, _, _ = qp._kkt(q[np.ix_(idx, idx)], rows[:, idx], g_f)
         assert null is None
         np.testing.assert_allclose(p, ref_p, rtol=0.0, atol=1e-12 * np.abs(ref_p).max())
         np.testing.assert_allclose(y, scale * ref_y, rtol=0.0, atol=1e-12 * scale * np.abs(ref_y).max())
@@ -709,7 +713,7 @@ class TestColdStart:
     @pytest.mark.parametrize("kind", ["budget_box", "box_only", "infinite_upper",
                                       "mixed_sign_row", "tracking_error", "rank_deficient"])
     def test_matches_a_phase1_start(self, kind, monkeypatch):
-        calls = count_calls(monkeypatch, "_phase1")
+        calls = count_calls(monkeypatch, "feasible_point")
         for seed in range(20):
             problem = cold_case(kind, seed)
             ref = solve_qp(problem, x0=qp.feasible_point(problem))
@@ -725,10 +729,10 @@ class TestColdStart:
                 assert np.abs(cold.weights - ref.weights).max() <= 1e-10
 
     def test_row_the_start_violates_falls_back_to_phase1(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_phase1")
+        calls = count_calls(monkeypatch, "feasible_point")
         for seed in range(10):
             base = budget_box_problem(np.random.default_rng(seed), 30, 1.0, upper=0.3)
-            start = qp._cold_start(base.Q, base.c, *base.eq, base.lower, base.upper)
+            start = qp._cold_start(base)
             j = int(np.argmin(start))
             problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.3,
                                 ineq=(np.eye(30)[[j]], [start[j] + 0.1]))
@@ -741,7 +745,7 @@ class TestColdStart:
             assert_kkt(problem, cold)
 
     def test_budget_beyond_the_box_is_still_infeasible(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_phase1")
+        calls = count_calls(monkeypatch, "feasible_point")
         problem = budget_box_problem(np.random.default_rng(2), 10, 1.0, upper=0.09)
         with pytest.raises(errors.Infeasible):
             solve_qp(problem)
@@ -802,8 +806,8 @@ class TestRefinedStart:
         rep = solve_qp(problem)
         assert rep.iterations <= 3
         assert_kkt(problem, rep)
-        monkeypatch.setattr(qp, "_refine_start", lambda q, c, x, *pieces: x)
-        qp._starts.clear()
+        monkeypatch.setattr(qp, "_refine_start", lambda problem, x: x)
+        qp._start.cache_clear()
         assert solve_qp(problem).iterations > 3
 
     def test_start_whose_prediction_holds_makes_no_solve(self, monkeypatch):
@@ -812,11 +816,10 @@ class TestRefinedStart:
         rng = np.random.default_rng(27)
         problem = QpProblem(Q=0.04 * np.eye(30), c=rng.normal(0.0, 0.01, 30),
                             eq=(np.ones((1, 30)), [1.0]), lower=0.0, upper=0.2)
-        (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
-        start = qp._cold_start(problem.Q, problem.c, a_eq, b_eq, lo, up)
+        start = qp._cold_start(problem)
         assert ((start > 0.0) & (start < 0.2)).any() and (start == 0.0).any()
         solves = count_calls(monkeypatch, "_kkt")
-        assert qp._refine_start(problem.Q, problem.c, start, a_eq, b_eq, g, h, lo, up) is start
+        assert qp._refine_start(problem, start) is start
         assert not solves
         rep = solve_qp(problem)
         assert rep.iterations == 1
@@ -826,19 +829,18 @@ class TestRefinedStart:
         # a row through the projected start that the refined point breaks:
         # the active set starts at the projected point, with no phase 1
         base = budget_box_problem(np.random.default_rng(28), 30, 1.0, upper=0.3)
-        (a_eq, b_eq), (g, h), lo, up = base.eq, base.ineq, base.lower, base.upper
-        start = qp._cold_start(base.Q, base.c, a_eq, b_eq, lo, up)
-        refined = qp._refine_start(base.Q, base.c, start, a_eq, b_eq, g, h, lo, up)
+        start = qp._cold_start(base)
+        refined = qp._refine_start(base, start)
         j = int(np.argmax(start - refined))
         assert refined[j] < start[j] - 1e-3
         problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.3,
                             ineq=(np.eye(30)[[j]], [start[j]]))
-        phase1, starts = count_calls(monkeypatch, "_phase1"), []
+        phase1, starts = count_calls(monkeypatch, "feasible_point"), []
         active_set = qp._active_set
 
-        def recorded(q, c, a_eq, g, h, lo, up, x0, *args, **kwargs):
+        def recorded(problem, x0, max_iter):
             starts.append(x0)
-            return active_set(q, c, a_eq, g, h, lo, up, x0, *args, **kwargs)
+            return active_set(problem, x0, max_iter)
 
         monkeypatch.setattr(qp, "_active_set", recorded)
         cold = solve_qp(problem)
@@ -860,7 +862,7 @@ def same_answer(a, b):
 
 def fresh(problem):
     """``solve_qp``'s answer with no cached cold start."""
-    qp._starts.clear()
+    qp._start.cache_clear()
     return solve_qp(problem)
 
 
@@ -881,53 +883,63 @@ class TestStartCache:
         rng = np.random.default_rng(5)
         accounts = [with_current(model, rng.dirichlet(np.ones(30))) for _ in range(5)]
         expected = [fresh(problem) for problem in accounts]
-        qp._starts.clear()
+        qp._start.cache_clear()
         refines = count_calls(monkeypatch, "_refine_start")
         reports = [solve_qp(problem) for problem in accounts]
         assert len(refines) == 1
+        info = qp._start.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
         assert all(same_answer(a, b) for a, b in zip(reports, expected))
 
+    def test_the_table_keeps_no_inputs(self):
+        problem = l1_rebalance(2, 20)
+        q = weakref.ref(problem.Q)
+        solve_qp(problem)
+        assert qp._start.cache_info().currsize == 1
+        del problem
+        assert q() is None
+
     @pytest.mark.parametrize("change", ["c", "lower", "upper", "b"])
-    def test_a_changed_input_misses(self, monkeypatch, change):
+    def test_a_changed_input_misses(self, change):
         base = budget_box_problem(np.random.default_rng(3), 20, 1.0)
         c, lower, upper, b = base.c.copy(), np.zeros(20), np.full(20, 0.15), np.ones(1)
         {"c": c, "lower": lower, "upper": upper, "b": b}[change][0] += 0.01
         problem = QpProblem(Q=base.Q, c=c, eq=(base.eq[0], b), lower=lower, upper=upper)
         expected = fresh(problem)
-        qp._starts.clear()
+        qp._start.cache_clear()
         solve_qp(base)
-        starts = count_calls(monkeypatch, "_start")
+        misses = qp._start.cache_info().misses
         assert same_answer(solve_qp(problem), expected)
-        assert len(starts) == 1
+        assert qp._start.cache_info().misses - misses == 1
 
-    def test_mutated_weights_leave_a_later_hit_alone(self, monkeypatch):
+    def test_mutated_weights_leave_a_later_hit_alone(self):
         problem = budget_box_problem(np.random.default_rng(4), 20, 1.0)
         first = solve_qp(problem)
         expected = first.weights.copy()
         first.weights[:] = 0.0
-        starts = count_calls(monkeypatch, "_start")
+        misses = qp._start.cache_info().misses
         again = solve_qp(problem)
-        assert not starts
+        assert qp._start.cache_info().misses == misses
         assert np.array_equal(again.weights, expected)
 
-    def test_one_problem_more_than_the_capacity_evicts_the_oldest(self, monkeypatch):
+    def test_one_problem_more_than_the_capacity_evicts_the_oldest(self):
         problems = [QpProblem(Q=np.eye(3), c=[0.0, 0.0, -1e-3 * i], eq=(np.ones((1, 3)), [1.0]),
                               lower=0.0) for i in range(qp._START_CACHE + 1)]
         for problem in problems:
             solve_qp(problem)
-        starts = count_calls(monkeypatch, "_start")
+        misses = qp._start.cache_info().misses
         solve_qp(problems[-1])
         solve_qp(problems[1])
-        assert not starts
+        assert qp._start.cache_info().misses == misses
         solve_qp(problems[0])
-        assert len(starts) == 1
+        assert qp._start.cache_info().misses - misses == 1
 
     def test_threads_get_the_serial_answers(self):
         models = [l1_rebalance(seed, 20) for seed in range(4)]
         rng = np.random.default_rng(6)
         problems = [with_current(models[i % 4], rng.dirichlet(np.ones(20))) for i in range(24)]
         expected = [fresh(problem) for problem in problems]
-        qp._starts.clear()
+        qp._start.cache_clear()
         answers = [[None] * len(problems) for _ in range(4)]
 
         def work(t):
@@ -1126,7 +1138,6 @@ class TestAugmentL1:
         # both halves of the split strictly positive: Q_FF has zero blocks
         rep = solve_qp(aug, x0=np.concatenate([x0, np.full(4, 0.1), np.full(4, 0.1)]))
         assert any(svd)
-        assert rep.meta["degenerate_hessian"] is True
         assert np.allclose(rep.weights, solve_qp(aug).weights, atol=1e-9)
         assert_kkt(aug, rep)
 

@@ -150,6 +150,12 @@ class TestGradePipeline:
         with pytest.raises(errors.InputError):
             grades_to_expected_returns(EW10, sigma, 0.0, 0.5, np.array([4] + [0] * 9))
 
+    @pytest.mark.parametrize("grade", [1.5, 1.0 + 1e-9, np.nan])
+    def test_score_that_is_not_an_integer_rejected(self, ten_asset, grade):
+        _, _, sigma = ten_asset
+        with pytest.raises(errors.InputError, match="integers"):
+            grades_to_expected_returns(EW10, sigma, 0.0, 0.5, np.array([grade] + [0] * 9))
+
 
 class TestScaleRange:
     def test_seven_grades(self):
