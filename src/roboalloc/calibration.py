@@ -197,6 +197,8 @@ def max_te_from_vol(sigma_benchmark: float, correlation: float) -> float:
     assuming the portfolio's volatility is close to the benchmark's."""
     if not -1.0 <= correlation <= 1.0:
         raise InputError("correlation must lie in [-1, 1]")
+    if not 0.0 <= sigma_benchmark < np.inf:
+        raise InputError("sigma_benchmark must be finite and nonnegative")
     return float(np.sqrt(2.0 * (1.0 - correlation)) * sigma_benchmark)
 
 
@@ -224,8 +226,9 @@ class ScoreSet:
         self.scores = _grades(self.scores, self.n_s)
         if self.scores.size < 2:
             raise InputError("need at least two scores")
-        if self.sigma_plus < 0:
-            raise InputError("sigma_plus must be nonnegative")
+        for name in ("sigma_plus", "c"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and nonnegative")
 
 
 def mean_absolute_difference(scores: np.ndarray) -> float:

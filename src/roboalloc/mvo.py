@@ -128,23 +128,19 @@ def solve_gamma_problem(inputs: MvoInputs, gamma: float,
     return report
 
 
-def _portfolio_stats(x: np.ndarray, inputs: MvoInputs):
-    vol = float(np.sqrt(max(x @ inputs.sigma @ x, 0.0)))
-    ret = float(x @ inputs.mu)
-    return ret, vol
-
-
 def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None, *,
                     target_return: float | None = None,
                     target_vol: float | None = None):
     """Find the trade-off parameter hitting a return or volatility target.
 
     Closed forms cover the unconstrained case; otherwise ``path_root``
-    walks the solution path from gamma 0 and meets the target exactly
-    within its segment, then solves once at that gamma from the walk's
-    point.  A volatility target below the gamma-0 volatility is
-    ``TargetUnreachable`` (``path_root``).  Returns ``(gamma, report)``; the path's
-    ``(gamma, value)`` entries are recorded in ``report.meta['calibration']``.
+    walks the solution path of the QP that the gamma-0 solve built and meets
+    the target exactly within its segment, then solves once at that gamma
+    from the walk's point.  A volatility target below the gamma-0 volatility
+    is ``TargetUnreachable`` (``path_root``), as is, without constraints, a
+    negative one or a positive one where ``e' S^-1 e = 0``.  Returns
+    ``(gamma, report)``; the path's ``(gamma, value)`` entries are recorded
+    in ``report.meta['calibration']``.
     """
     if (target_return is None) == (target_vol is None):
         raise ValueError("specify exactly one of target_return / target_vol")
@@ -152,23 +148,25 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     if constraints is None or constraints.is_empty():
         w = _solve_spd(inputs.sigma, inputs.excess)
         if target_vol is not None:
-            gamma = target_vol / float(np.sqrt(inputs.excess @ w))
+            scale = float(np.sqrt(max(inputs.excess @ w, 0.0)))
+            if target_vol < 0 or (target_vol > 0 and not scale):
+                raise TargetUnreachable(f"volatility target {target_vol} unattainable: the "
+                                        f"volatility is {scale:.6g} * gamma for gamma >= 0")
+            gamma = target_vol / scale if scale else 0.0
         else:
             denom = float(inputs.mu @ w)
             if denom <= 0:
                 raise TargetUnreachable("expected return not increasing in gamma")
             gamma = target_return / denom
-        report = solve_gamma_problem(inputs, gamma)
-        return gamma, report
+        return gamma, solve_gamma_problem(inputs, gamma)
 
-    problem = exact_problem(inputs.sigma, np.zeros(inputs.n), None, constraints)
     if target_vol is None:
         metric, target = (None, inputs.mu), target_return
     else:
         metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
     return path_root(
         lambda gam, x0: solve_gamma_problem(inputs, gam, constraints, x0=x0),
-        problem, -inputs.excess, metric, target, _CAL_TOL)
+        -inputs.excess, metric, target, _CAL_TOL)
 
 
 def _level(metric, x) -> float:
@@ -205,27 +203,28 @@ def _crossing(metric, x, dx, level: float, now: float) -> float:
     return 2.0 * gap / root if root > 0.0 else np.inf
 
 
-def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: float):
+def path_root(solve, slope, metric, target: float, tol: float):
     """Trade-off parameter at which a metric of a QP route's answer meets a
     target, found on the solution path rather than by search.
 
-    ``problem`` is the route's QP at gamma 0, L1 rows included, and
-    ``slope`` the derivative of its linear term in gamma; ``solve(gamma,
-    x0)`` returns the route's report at ``gamma`` started from ``x0``
-    (``None``: the route's own start).  ``metric`` is ``(sigma, anchor)``
-    for the volatility ``sqrt((x - anchor)' sigma (x - anchor))`` or
-    ``(None, mu)`` for the return ``mu'x``.  Gamma 0 is returned when its
-    value already reaches ``target - tol``.  Otherwise ``qp.parametric_path``
-    walks from the gamma-0 answer; on each piece the metric is a quadratic
-    (or linear) function of the step, so the target is met exactly where it
-    first crosses, and one ``solve`` at that gamma from the walk's point gives
-    the report.  A volatility above ``target + tol`` at gamma 0 is
-    ``TargetUnreachable``; so is a crossing beyond ``_GAMMA_CAP``, including
-    a last segment that stays below the target, and a crossing inside a
-    move at fixed gamma (a singular covariance), where the optimum is not
-    unique and no solve at that gamma would answer the target.  The
-    report's ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0,
-    at each breakpoint and at the answer.  Returns ``(gamma, report)``.  A
+    ``solve(gamma, x0)`` returns the route's ``solve_qp`` report at
+    ``gamma`` started from ``x0`` (``None``: the route's own start), and
+    ``slope`` is the derivative in gamma of the linear term of the QP in
+    that report's ``meta['working_set']``, L1 rows included.  ``metric`` is
+    ``(sigma, anchor)`` for the volatility ``sqrt((x - anchor)' sigma (x -
+    anchor))`` or ``(None, mu)`` for the return ``mu'x``.  Gamma 0 is
+    returned when its value already reaches ``target - tol``.  Otherwise
+    ``qp.parametric_path`` walks the gamma-0 report's problem from its
+    answer; on each piece the metric is a quadratic (or linear) function of
+    the step, so the target is met exactly where it first crosses, and one
+    ``solve`` at that gamma from the walk's point gives the report.  A
+    volatility above ``target + tol`` at gamma 0 is ``TargetUnreachable``;
+    so is a crossing beyond ``_GAMMA_CAP``, including a last segment that
+    stays below the target, and a crossing inside a move at fixed gamma (a
+    singular covariance), where the optimum is not unique and no solve at
+    that gamma would answer the target.  The report's
+    ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0, at each
+    breakpoint and at the answer.  Returns ``(gamma, report)``.  A
     non-finite target raises ``ValueError`` before any solve.
     """
     if not np.isfinite(target):
@@ -239,7 +238,7 @@ def path_root(solve, problem: QpProblem, slope, metric, target: float, tol: floa
         rep.meta["calibration"] = history
         return 0.0, rep
     level = target if metric[0] is None else target ** 2
-    for k, (t, x, dx, rate, length) in enumerate(parametric_path(problem, slope, rep)):
+    for k, (t, x, dx, rate, length) in enumerate(parametric_path(rep, slope)):
         now = _level(metric, x)
         if k:  # a breakpoint
             history.append((t, _value(metric, now)))
@@ -267,8 +266,11 @@ def max_sharpe_bound(inputs: MvoInputs) -> float:
 
 
 def sharpe_ratio(x: np.ndarray, inputs: MvoInputs) -> float:
-    ret, vol = _portfolio_stats(np.asarray(x, float), inputs)
-    return (ret - inputs.r) / vol
+    x = np.asarray(x, float)
+    vol = float(np.sqrt(max(x @ inputs.sigma @ x, 0.0)))
+    if vol == 0.0:
+        raise ZeroVolatilityPortfolio("portfolio has zero volatility")
+    return (float(x @ inputs.mu) - inputs.r) / vol
 
 
 def implied_returns(x0: np.ndarray, sigma: np.ndarray, r: float,

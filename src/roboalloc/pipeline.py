@@ -10,7 +10,7 @@ import numpy as np
 
 from .admm import solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
-from .mvo import ConstraintSet, exact_problem, path_root
+from .mvo import ConstraintSet, path_root
 from .regularizers import PenaltySpec, penalty_terms
 from .report import SolveReport, write_csv
 
@@ -87,13 +87,15 @@ class RoboConfig:
 
 def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
               warm=None) -> SolveReport:
-    """Solve the full rebalancing problem for the next-period weights.
+    """Solve the full rebalancing problem for the next-period weights:
+    ``0.5 x'Px - q'x`` plus the L1 slots, as ``penalty_terms`` assembles
+    them, with ``q`` affine in ``gamma`` (slope ``mu``).
 
-    Without an extra set ``qp.solve_qp`` solves it exactly, the L1 slots
-    as its L1 rows; with one, ADMM does.  ``warm``, the weights of a nearby
-    problem's answer, is the start point (``solve_penalized``'s ``x_init``);
-    without it an exact solve starts at ``solve_qp``'s cold start and an
-    ADMM solve at ``z = 0``.
+    Without an extra set ``qp.solve_qp`` solves it exactly, the L1 slots as
+    its L1 rows (its ``meta['working_set']`` holds that ``QpProblem``); with
+    one, ADMM does.  ``warm``, the weights of a nearby problem's answer, is
+    the start point (``solve_penalized``'s ``x_init``); without it an exact
+    solve starts at ``solve_qp``'s cold start and an ADMM solve at ``z = 0``.
     With a tracking-error target and no gamma, the report is the solve at
     the gamma where ``te_target_to_gamma``'s walk meets the target.
     """
@@ -104,17 +106,6 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         gamma = 0.0
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    p_mat, q_vec, l1, blocks, objective = _terms(config, mu, sigma, gamma)
-    report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
-                             x_init=warm, objective=objective)
-    report.gamma = float(gamma)
-    return report
-
-
-def _terms(config: RoboConfig, mu, sigma, gamma: float):
-    """``(P, q, l1, blocks, objective)`` of the rebalancing problem at
-    ``gamma``, as ``admm.solve_penalized`` takes them; ``q`` is affine in
-    ``gamma`` with slope ``mu``."""
     tracking = config.objective == "tracking_error"
     q_vec = gamma * mu
     if tracking:
@@ -125,7 +116,10 @@ def _terms(config: RoboConfig, mu, sigma, gamma: float):
         d = x - config.strategic if tracking else x
         return float(0.5 * d @ sigma @ d - gamma * d @ mu + penalty(x))
 
-    return p_mat, q_vec, l1, blocks, objective
+    report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
+                             x_init=warm, objective=objective)
+    report.gamma = float(gamma)
+    return report
 
 
 def tracking_error(x, strategic, sigma) -> float:
@@ -136,28 +130,25 @@ def tracking_error(x, strategic, sigma) -> float:
 def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     """Trade-off parameter whose solution attains the tracking-error target.
 
-    ``mvo.path_root`` walks the exact QP's solution path from gamma 0 (the
-    L1 slots as its L1 rows), meets the target exactly on the first segment
-    that reaches it and solves once more at that gamma from the walk's
-    point; the tracking error is nondecreasing in gamma without L2
-    penalties.  A target below the gamma-0 tracking error by more than
-    ``_TE_TOL`` is ``TargetUnreachable``: with L2 or turnover anchors the
-    gamma-0 book is not the strategic one.  With extra sets there is no
-    exact path, and a target is a ``ValueError`` before any solve.  Returns
-    ``(gamma, report)``, the report being the solve at that gamma.
+    ``mvo.path_root`` walks the solution path of the exact QP that
+    ``rebalance`` solved at gamma 0 (the L1 slots as its L1 rows), meets the
+    target exactly on the first segment that reaches it and solves once
+    more at that gamma from the walk's point; the tracking error is
+    nondecreasing in gamma without L2 penalties.  A target below the gamma-0
+    tracking error by more than ``_TE_TOL`` is ``TargetUnreachable``: with
+    L2 or turnover anchors the gamma-0 book is not the strategic one.  With
+    extra sets there is no exact path, and a target is a ``ValueError``
+    before any solve.  Returns ``(gamma, report)``, the report being the
+    solve at that gamma.
     """
     if config.extra_sets:
         raise ValueError("a tracking-error target cannot be met with extra sets")
     if te_target < 0:
         raise TargetUnreachable("tracking-error target must be nonnegative")
-    base = replace(config, te_target=None)
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    p_mat, q_vec, l1, _, _ = _terms(base, mu, sigma, 0.0)
-    return path_root(
-        lambda gamma, x0: rebalance(base, mu, sigma, gamma=gamma, warm=x0),
-        exact_problem(p_mat, q_vec, l1, config.constraints), -mu,
-        (sigma, config.strategic), te_target, _TE_TOL)
+    return path_root(lambda gamma, x0: rebalance(config, mu, sigma, gamma=gamma, warm=x0),
+                     -mu, (sigma, config.strategic), te_target, _TE_TOL)
 
 
 @dataclass

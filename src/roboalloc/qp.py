@@ -697,8 +697,8 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     Phase 1 and the active set each stop at the problem's ``max_iter``
     (``MaxIterations``).  Returns a report whose ``duals`` dict carries
     multipliers for every constraint block, with inactive entries at zero,
-    and whose ``meta['working_set']`` is the final ``(states, active
-    inequality rows, L1 row sides)`` that ``parametric_path`` starts from.
+    and whose ``meta['working_set']`` is ``(problem, states, active
+    inequality rows, L1 row sides)`` at the end: ``parametric_path``'s start.
     With L1 rows the objective includes them, and ``duals``, ``r_norm`` and
     ``s_norm`` are ``certificate``'s; the status is ``uncertified`` when
     either norm exceeds ``_FEAS_TOL`` relative to the scale of the data and
@@ -736,7 +736,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         if max(report.r_norm, report.s_norm) > _FEAS_TOL * scale:
             report.status = UNCERTIFIED
         report.duals = {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}
-    report.meta["working_set"] = (at, act, side)
+    report.meta["working_set"] = (problem, at, act, side)
     return report
 
 
@@ -781,9 +781,9 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     return r_norm, s_norm, lam_lo, lam_up
 
 
-def parametric_path(problem: QpProblem, slope, start: SolveReport):
-    """Solution path of ``min 0.5 x'Qx + (c + t slope)'x``, plus the
-    problem's L1 rows, over ``t >= 0``.
+def parametric_path(start: SolveReport, slope):
+    """Solution path of ``min 0.5 x'Qx + (c + t slope)'x``, plus the L1
+    rows, over ``t >= 0``, for the problem in ``start.meta['working_set']``.
 
     Markowitz's critical line (1956), with L1 rows the lasso homotopy
     (Osborne, Presnell & Turlach 2000): on a fixed working set the solution
@@ -813,13 +813,14 @@ def parametric_path(problem: QpProblem, slope, start: SolveReport):
     has infinite length.  Pivots stop at the problem's ``max_iter``
     (``MaxIterations``).
     """
+    problem, *states = start.meta["working_set"]
+    at, act, side = (v.copy() for v in states)
     n = problem.n
     q, c = problem.Q, problem.c
     slope = np.asarray(slope, dtype=float).ravel()
     (a_eq, _), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
     kinks = problem._kinks
     m, k = h.size, 0 if kinks is None else kinks.d.size
-    at, act, side = (v.copy() for v in start.meta["working_set"])
     x, t = start.weights.copy(), 0.0
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
     ratios = np.empty(m + 2 * n + k)   # indexed by rank

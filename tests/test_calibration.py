@@ -296,6 +296,20 @@ class TestTeRules:
         assert mean_absolute_difference(scores.scores) == 3.0
         assert te_level_rule(scores) == pytest.approx(0.06, abs=1e-15)
 
+    @pytest.mark.parametrize("field", ["sigma_plus", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_scaling_not_finite_and_nonnegative_rejected(self, field, value):
+        # a NaN gave a NaN level, and c = -1 the level -0.017 for [1, -1, 0]
+        scaling = {"sigma_plus": 0.02, **{field: value}}
+        with pytest.raises(errors.InputError, match=f"{field} must be finite and nonnegative"):
+            ScoreSet(scores=[1, -1, 0], **scaling)
+
+    @pytest.mark.parametrize("sigma_benchmark", [np.nan, np.inf, -0.1])
+    def test_benchmark_volatility_not_finite_and_nonnegative_rejected(self, sigma_benchmark):
+        # max_te_from_vol(nan, 0.5) was NaN and max_te_from_vol(-0.1, 0.5) -0.1
+        with pytest.raises(errors.InputError, match="sigma_benchmark"):
+            max_te_from_vol(sigma_benchmark, 0.5)
+
     @pytest.mark.parametrize("grade", [0.5, np.nan])
     def test_score_that_is_not_an_integer_rejected(self, grade):
         with pytest.raises(errors.InputError, match="integers"):

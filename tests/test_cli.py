@@ -936,6 +936,22 @@ class TestSmallDocuments:
                          "--out", str(tmp_path / f"{param}.csv")]) == code
 
 
+class TestVolatilityTargetOutOfReach:
+    """Without constraints a volatility target is met in closed form; a
+    target that no gamma >= 0 reaches exits 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("mu,target", [([0.0, 0.0], 0.1), ([0.05, 0.07], -0.1)],
+                             ids=["zero-excess", "negative"])
+    def test_exits_1(self, tmp_path, capsys, mu, target):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"mu": mu, "sigma": [[0.04, 0.0], [0.0, 0.09]],
+                                       "target": {"type": "volatility", "value": target}}))
+        code = main(["optimize", "--problem", str(problem), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and not (tmp_path / "r.json").exists()
+        assert err.startswith("error: TargetUnreachable: ") and err.count("\n") == 1, err
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, four_asset_moments, tmp_path):
         problem = tmp_path / "p.json"

@@ -132,6 +132,20 @@ class TestCalibrateGamma:
         cold = solve_gamma_problem(inp, gamma, cons)
         assert np.allclose(rep.weights, cold.weights, atol=1e-10, rtol=0.0)
 
+    @pytest.mark.parametrize("mu,target", [([0.0, 0.0], 0.1), ([0.05, 0.07], -0.1)])
+    def test_unconstrained_volatility_target_out_of_reach(self, mu, target):
+        # e'S^-1e = 0 divided by zero; a negative target gave gamma -0.29
+        # and weights of volatility +0.1
+        inp = MvoInputs(mu=mu, sigma=np.diag([0.04, 0.09]))
+        with pytest.raises(errors.TargetUnreachable, match="unattainable"):
+            calibrate_gamma(inp, target_vol=target)
+
+    def test_unconstrained_zero_volatility_target_is_gamma_zero(self):
+        for mu in ([0.0, 0.0], [0.05, 0.07]):
+            gamma, rep = calibrate_gamma(MvoInputs(mu=mu, sigma=np.diag([0.04, 0.09])),
+                                         target_vol=0.0)
+            assert gamma == 0.0 and not rep.weights.any()
+
     @pytest.mark.parametrize("kind", ["target_vol", "target_return"])
     def test_non_finite_target_rejected(self, four_asset, kind):
         mu, _, _, sigma = four_asset
@@ -169,6 +183,12 @@ class TestSharpe:
                 if np.abs(rep.weights).max() == 0.0:
                     continue
                 assert sharpe_ratio(rep.weights, inp) <= bound + 1e-8
+
+
+    def test_zero_volatility_rejected(self):
+        inp = MvoInputs(mu=[0.05, 0.06], sigma=np.diag([0.04, 0.09]))
+        with pytest.raises(errors.ZeroVolatilityPortfolio):
+            sharpe_ratio([0.0, 0.0], inp)
 
 
 class TestImpliedReturns:

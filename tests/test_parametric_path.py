@@ -251,7 +251,7 @@ def test_long_short_walk_meets_cold_solves_at_every_breakpoint():
     rows = {"eq": (np.ones((1, n)), [1.0]), "ineq": (g, [-0.7]), "lower": lower,
             "upper": upper}
     problem = qp.QpProblem(Q=sigma, c=np.zeros(n), **rows)
-    walk = list(qp.parametric_path(problem, -mu, qp.solve_qp(problem)))
+    walk = list(qp.parametric_path(qp.solve_qp(problem), -mu))
     assert len(walk) > 5 and walk[-1][4] == np.inf
     toward_infinity, slack = False, []
     for t, x, dx, rate, length in walk:
@@ -263,6 +263,44 @@ def test_long_short_walk_meets_cold_solves_at_every_breakpoint():
         toward_infinity |= bool((dx[np.isinf(lower)] < 0).any() or (dx[np.isinf(upper)] > 0).any())
         slack.append(g[0] @ x + 0.7)
     assert toward_infinity and slack[0] > 1e-3 and abs(slack[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["calibrate_gamma", "te_target_to_gamma"])
+def test_a_target_builds_one_problem_per_solve(route, monkeypatch):
+    """On a budget-box book a target builds two ``QpProblem``s: the gamma-0
+    solve's, whose report the walk reads it off, and the answer's."""
+    n = 20
+    sigma, mu, strategic = universe(33, n, "full")
+    cons = constraints(n, False)
+    if route == "calibrate_gamma":
+        inputs = MvoInputs(mu=mu, sigma=sigma)
+
+        def vol(gamma):
+            x = solve_gamma_problem(inputs, gamma, cons).weights
+            return float(np.sqrt(x @ sigma @ x))
+
+        target = 0.5 * (vol(0.0) + vol(1e4))
+
+        def run():
+            return calibrate_gamma(inputs, cons, target_vol=target)
+    else:
+        config = RoboConfig(strategic=strategic, current=strategic, rho1_turnover=1e-3,
+                            constraints=cons)
+        high = rebalance(config, mu, sigma, gamma=1e4).weights
+        target = 0.5 * tracking_error(high, strategic, sigma)
+
+        def run():
+            return te_target_to_gamma(config, mu, sigma, target)
+    builds, init = [], qp.QpProblem.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        init(self)
+
+    monkeypatch.setattr(qp.QpProblem, "__post_init__", counted)
+    gamma, rep = run()
+    assert gamma > 0.0 and len(rep.meta["calibration"]) > 2
+    assert len(builds) == 2 and rep.meta["working_set"][0] is builds[1]
 
 
 @pytest.mark.parametrize("metric", ["vol", "return"])
@@ -283,8 +321,7 @@ def test_calibration_history_is_the_metric_at_each_piece(metric):
     gamma, rep = calibrate_gamma(inputs, cons, **{key: target})
     history = rep.meta["calibration"]
     start = solve_gamma_problem(inputs, 0.0, cons)
-    problem = mvo.exact_problem(sigma, np.zeros(n), None, cons)
-    pieces = qp.parametric_path(problem, -mu, start)
+    pieces = qp.parametric_path(start, -mu)
     walked = [(t, value(x)) for (t, x, _, _, _), _ in zip(pieces, history[:-1])]
     assert len(history) > 5 and gamma > 0.0
     assert history[:-1] == [(0.0, value(start.weights))] + walked[1:]

@@ -500,7 +500,7 @@ class TestNightlyModels:
         q_vec = 0.5 * mu + sigma @ strategic + 0.02 * strategic
         assert l1_violation(p_mat, q_vec, x, [(strategic, 5e-4), (current, 2e-4)],
                             0.0, upper) <= 1e-7
-        _, _, l1, _, _ = pipeline._terms(cfg, mu, sigma, 0.5)
+        l1 = rep.meta["working_set"][0].l1
         smooth = solve_qp(exact_problem(p_mat, q_vec, None, cfg.constraints))
         exact = oracle(p_mat, q_vec, cfg.constraints, l1, warm=smooth.weights)
         assert np.abs(x - exact).max() <= 1e-9

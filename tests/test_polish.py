@@ -11,7 +11,7 @@ import pytest
 from roboalloc import admm, qp
 from roboalloc.admm import solve_mixed_lp, solve_penalized
 from roboalloc.mvo import ConstraintSet, exact_problem
-from roboalloc.pipeline import RoboConfig, _terms, rebalance
+from roboalloc.pipeline import RoboConfig, rebalance
 from roboalloc.prox import L2Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
 from roboalloc.regularizers import PenaltySpec
@@ -146,7 +146,8 @@ def test_polished_weights_are_exact_and_certified(n, gamma1, anchors, l2, genera
     assert rep.converged and admm_runs == []
     assert rep.duals is not None and set(rep.duals) == {"eq", "ineq", "lower", "upper"}
     assert max(rep.r_norm, rep.s_norm) <= 1e-12
-    p_mat, q_vec, l1, _, _ = _terms(cfg, mu, sigma, cfg.gamma)
+    problem = rep.meta["working_set"][0]  # the QP the route solved
+    p_mat, q_vec, l1 = problem.Q, -problem.c, problem.l1
     assert np.abs(rep.weights - oracle(p_mat, q_vec, cfg.constraints, l1)).max() <= 1e-10
     if gamma1 != "general":
         assert kkt_violation(p_mat, q_vec, cfg.constraints, l1, rep.weights,
@@ -166,18 +167,12 @@ def test_wrong_working_set_is_refused():
     assert max(warm.r_norm, warm.s_norm) <= 1e-12
 
 
-def l1_problem(cfg, mu, sigma):
-    """The ``QpProblem`` with L1 rows that ``solve_penalized`` builds."""
-    p_mat, q_vec, l1, _, _ = _terms(cfg, mu, sigma, cfg.gamma)
-    return exact_problem(p_mat, q_vec, l1, cfg.constraints)
-
-
 def test_certificate_refuses_a_moved_point():
     # the certificate reads only the problem data: the exact answer passes,
     # the same point nudged along the budget does not
     cfg, mu, sigma = config(4, 20, "identity", 2, True, False)
-    problem = l1_problem(cfg, mu, sigma)
     rep = rebalance(cfg, mu, sigma)
+    problem = rep.meta["working_set"][0]  # the QP with L1 rows that the route solved
     args = (rep.duals["eq"], np.zeros(0), rep.duals["ineq"])
     r_norm, s_norm, lower, upper = qp.certificate(problem, rep.weights, *args)
     assert max(r_norm, s_norm) <= 1e-12
@@ -297,8 +292,8 @@ class TestDegenerateWorkingSets:
         cfg = RoboConfig(strategic=strategic, current=current, gamma=0.5,
                          rho1_strategic=rho1[0], rho1_turnover=rho1[1],
                          constraints=ConstraintSet(budget=1.0, lower=0.0, upper=upper))
-        p_mat, q_vec, l1, _, _ = _terms(cfg, rng.normal(0.05, 0.05, n), sigma, 0.5)
-        return p_mat, q_vec, l1, cfg.constraints
+        problem = rebalance(cfg, rng.normal(0.05, 0.05, n), sigma).meta["working_set"][0]
+        return problem.Q, -problem.c, problem.l1, cfg.constraints
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kink_on_a_bound(self, seed):

@@ -652,7 +652,7 @@ class TestKinks:
                             l1=(np.eye(12), anchor, 1e-3))
         builds = count_calls(monkeypatch, "_Kinks")
         rep = solve_qp(problem)
-        pieces = list(qp.parametric_path(problem, base.c, rep))
+        pieces = list(qp.parametric_path(rep, base.c))
         assert len(builds) == 1 and pieces[-1][4] == np.inf
 
     def test_bland_ranks_a_weight_at_a_kink_as_its_kink_row(self):
