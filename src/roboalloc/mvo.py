@@ -68,12 +68,13 @@ def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:
     the L1 rows ``l1 = (G, d, rho)`` (``None`` for none): the one reading of
     a ``ConstraintSet``.  The budget row goes over ``eq``; ``QpProblem``
     checks the blocks and fills in the absent ones."""
-    eq = constraints.eq
-    if constraints.budget is not None:
-        a, b = (np.zeros((0, q_vec.size)), ()) if eq is None else eq
-        a = np.atleast_2d(np.asarray(a, dtype=float))  # a wrong width reaches QpProblem's check
-        b = np.concatenate(([float(constraints.budget)], np.ravel(b)))
-        eq = np.vstack([np.ones(a.shape[1]), a]), b
+    eq, budget = constraints.eq, constraints.budget
+    if budget is not None and eq is None:
+        eq = np.ones((1, q_vec.size)), [float(budget)]
+    elif budget is not None:
+        a = np.atleast_2d(np.asarray(eq[0], float))  # a wrong width reaches QpProblem's check
+        eq = (np.vstack([np.ones(a.shape[1]), a]),
+              np.concatenate(([float(budget)], np.ravel(eq[1]))))
     return QpProblem(Q=p_mat, c=-q_vec, eq=eq, ineq=constraints.ineq, lower=constraints.lower,
                      upper=constraints.upper, l1=l1)
 
@@ -136,8 +137,10 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     Closed forms cover the unconstrained case; otherwise ``path_root``
     walks the solution path of the QP that the gamma-0 solve built and meets
     the target exactly within its segment, then solves once at that gamma
-    from the walk's point.  A volatility target below the gamma-0 volatility
-    is ``TargetUnreachable`` (``path_root``), as is, without constraints, a
+    from the walk's point.  A target met at gamma 0 gives gamma 0 (without
+    constraints, where the weights are zero there, a return target at most
+    ``_CAL_TOL``).  A volatility target below the gamma-0 volatility is
+    ``TargetUnreachable`` (``path_root``), as is, without constraints, a
     negative one or a positive one where ``e' S^-1 e = 0``.  Returns
     ``(gamma, report)``; the path's ``(gamma, value)`` entries are recorded
     in ``report.meta['calibration']``.
@@ -153,6 +156,8 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
                 raise TargetUnreachable(f"volatility target {target_vol} unattainable: the "
                                         f"volatility is {scale:.6g} * gamma for gamma >= 0")
             gamma = target_vol / scale if scale else 0.0
+        elif target_return <= _CAL_TOL:
+            gamma = 0.0
         else:
             denom = float(inputs.mu @ w)
             if denom <= 0:

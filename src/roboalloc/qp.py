@@ -80,6 +80,8 @@ _SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is ze
 # cold starts kept: at least the models a nightly run interleaves, each entry
 # n floats (at most 0.5 MB in all at n = 200)
 _START_CACHE = 256
+# the solves' maxima and minima, one C call each (ndarray.max adds a Python one)
+_largest, _least = np.maximum.reduce, np.minimum.reduce
 
 
 @cache
@@ -93,8 +95,37 @@ def _linalg():
 
 
 def _check_finite(name: str, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError(f"{name} must hold finite numbers only")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must hold finite numbers only")
+
+
+def _rows(block, n: int, name: str, what: str):
+    """A block ``(A, b)`` of ``n`` columns as checked float arrays, zero rows
+    for ``None``."""
+    if block is None:
+        return np.zeros((0, n)), np.zeros(0)
+    a, b = np.atleast_2d(np.asarray(block[0], float)), np.asarray(block[1], float).ravel()
+    if a.shape != (b.size, n):
+        raise ValueError(f"{what} block dimensions disagree")
+    _check_finite(name, a, b)
+    return a, b
+
+
+def _bound(v, n: int, name: str, beyond: float) -> np.ndarray:
+    """A bound as a checked vector of ``n``, infinite for ``None`` and a
+    scalar repeated; a bound at ``beyond`` is ``Infeasible``."""
+    v = np.asarray(-beyond if v is None else v, dtype=float).ravel()
+    v = v.repeat(n) if v.size == 1 else v
+    if v.size != n:
+        raise ValueError(f"{name} bound has wrong length")
+    # the bound nearest ``beyond``, NaN if any is NaN
+    edge = _largest(v, initial=-np.inf) if beyond > 0 else _least(v, initial=np.inf)
+    if np.isnan(edge):
+        raise ValueError(f"{name} bound must not be NaN")
+    if edge == beyond:
+        raise Infeasible(f"{name} bound of {beyond}: no weight lies there")
+    return v
 
 
 @dataclass
@@ -104,13 +135,14 @@ class QpProblem:
 
     Construction checks the data and fills what the caller left out, so
     every reader sees one dense form: ``Q`` is a symmetric ``n x n`` array
-    and ``c`` a vector of ``n``; ``eq`` is ``(A, b)`` and ``ineq`` ``(G,
-    h)``, with zero rows when absent; ``lower`` and ``upper`` are vectors of
-    ``n``, infinite when absent (a scalar bound applies to every weight).
-    ``l1`` is ``(G, d, rho)``, ``rho`` broadcast to the rows, or ``None``:
-    the solves branch on the L1 rows' ``_Kinks`` being ``None`` rather than
-    walk empty L1 arrays.  ``max_iter`` is the cap on phase 1's and the
-    active set's iterations and the path's pivots.
+    (the caller's own when exactly symmetric) and ``c`` a vector of ``n``;
+    ``eq`` is ``(A, b)`` and ``ineq`` ``(G, h)``, with zero rows when
+    absent; ``lower`` and ``upper`` are vectors of ``n``, infinite when
+    absent (a scalar bound applies to every weight).  ``l1`` is ``(G, d,
+    rho)``, ``rho`` repeated to the rows, or ``None``: the solves branch on
+    the L1 rows' ``_Kinks`` being ``None`` rather than walk empty L1 arrays.
+    ``max_iter`` is the cap on phase 1's and the active set's iterations
+    and the path's pivots.
     """
 
     Q: np.ndarray
@@ -122,45 +154,31 @@ class QpProblem:
     l1: tuple | None = None      # (G, d, rho): + sum_l rho_l |G_l x - d_l|
 
     def __post_init__(self):
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        n = self.c.size
-        if self.Q.shape != (n, n):
+        q, c = np.atleast_2d(np.asarray(self.Q, float)), np.asarray(self.c, float).ravel()
+        n = c.size
+        if q.shape != (n, n):
             raise ValueError("Q and c dimensions disagree")
-        _check_finite("Q", self.Q)
-        _check_finite("c", self.c)
-        if np.abs(self.Q - self.Q.T).max() > 1e-12 * max(1.0, np.abs(self.Q).max()):
-            raise ValueError("Q must be symmetric")
-        self.Q = 0.5 * (self.Q + self.Q.T)
-        for name, what in (("eq", "equality"), ("ineq", "inequality")):
-            block = getattr(self, name)
-            a, b = (np.zeros((0, n)), np.zeros(0)) if block is None else block
-            a, b = np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel()
-            if a.shape != (b.size, n):
-                raise ValueError(f"{what} block dimensions disagree")
-            _check_finite(name, a, b)
-            setattr(self, name, (a, b))
+        _check_finite("Q", q)
+        _check_finite("c", c)
+        if not (q == q.T).all():  # 0.5 (Q + Q') is Q itself for a symmetric Q
+            if np.abs(q - q.T).max() > 1e-12 * max(1.0, np.abs(q).max()):
+                raise ValueError("Q must be symmetric")
+            q = 0.5 * (q + q.T)
+        self.Q, self.c = q, c
+        self.eq = _rows(self.eq, n, "eq", "equality")
+        self.ineq = _rows(self.ineq, n, "ineq", "inequality")
         if self.l1 is not None:
-            g, d, rho = self.l1
-            g, d = np.atleast_2d(np.asarray(g, float)), np.asarray(d, float).ravel()
-            self.l1 = (g, d, np.broadcast_to(np.asarray(rho, float), d.shape))
-            if g.shape != (d.size, n):
+            g, d = _rows(self.l1[:2], n, "l1", "l1")
+            rho = np.asarray(self.l1[2], dtype=float).ravel()
+            rho = rho.repeat(d.size) if rho.size == 1 else rho
+            if rho.size != d.size:
                 raise ValueError("l1 block dimensions disagree")
-            _check_finite("l1", *self.l1)
-            if (self.l1[2] < 0).any():
+            _check_finite("l1", rho)
+            if (rho < 0).any():
                 raise ValueError("l1 weights must be nonnegative")
-        for name, beyond in (("lower", np.inf), ("upper", -np.inf)):
-            v = getattr(self, name)
-            v = np.asarray(-beyond if v is None else v, dtype=float).ravel()
-            if v.size == 1:
-                v = np.full(n, v[0])
-            if v.size != n:
-                raise ValueError(f"{name} bound has wrong length")
-            if np.isnan(v).any():
-                raise ValueError(f"{name} bound must not be NaN")
-            if (v == beyond).any():
-                raise Infeasible(f"{name} bound of {beyond}: no weight lies there")
-            setattr(self, name, v)
+            self.l1 = g, d, rho
+        self.lower = _bound(self.lower, n, "lower", np.inf)
+        self.upper = _bound(self.upper, n, "upper", -np.inf)
         if (self.lower > self.upper + 1e-15).any():
             raise Infeasible("lower bound exceeds upper bound")
 
@@ -168,13 +186,13 @@ class QpProblem:
     def n(self) -> int:
         return self.c.size
 
-    @property
+    @cached_property
     def max_iter(self) -> int:
         """100 per variable and per constraint row (each finite bound and L1
         row counts as one) plus 200."""
         rows = self.ineq[1].size + (0 if self.l1 is None else self.l1[1].size)
         bounds = int(np.isfinite(self.lower).sum() + np.isfinite(self.upper).sum())
-        return 100 * (self.n + rows + bounds) + 200
+        return 100 * (self.c.size + rows + bounds) + 200
 
     @cached_property
     def _kinks(self):
@@ -185,24 +203,36 @@ class QpProblem:
         against 208 and 204 (seed 1, 15 s runs, shared 2-vCPU machine)."""
         return None if self.l1 is None else _Kinks(*self.l1)
 
+    @cached_property
+    def _scales(self):
+        """The L1 route's scales, read once: ``max(1, |b|, |h|, |d|)``
+        (``certificate``'s), ``max|Q|`` and ``max(|c|, |pull|)``."""
+        levels = np.abs(np.concatenate([self.eq[1], self.ineq[1], self.l1[1]]))
+        level = _largest(levels, initial=1.0)
+        top = max(_largest(np.abs(self.c)), _largest(np.abs(self._kinks.pull), None, initial=0.0))
+        return level, _largest(np.abs(self.Q), None), top
+
 
 class _Kinks:
     """A problem's L1 rows ``rho_l |g_l'x - d_l|``, split into the rows on
     one weight (``single``: column ``col``, coefficient ``coef``, subgradient
-    half-width ``width = rho_l |coef|``) and the ``general`` rows."""
+    half-width ``width = rho_l |coef|``) and the ``general`` rows;
+    ``pull_single``, the single rows' columns of ``pull``, is the
+    certificate's."""
 
     def __init__(self, g, d, rho):
         self.g, self.d, self.rho = g, d, rho
         self.pull = g.T * rho  # the gradient of the rows at sides s is pull @ s
         nonzero = g != 0.0
         count = nonzero.sum(axis=1)
-        self.single = np.flatnonzero(count == 1)
-        self.col = nonzero[self.single].argmax(axis=1)
+        self.single = (count == 1).nonzero()[0]
+        self.col = nonzero.argmax(axis=1)[self.single]
         self.coef = g[self.single, self.col]
         self.width = rho[self.single] * np.abs(self.coef)
-        self.general = np.flatnonzero(count > 1)
+        self.general = (count > 1).nonzero()[0]
         self.slot = np.full(d.size, -1)  # each single row's place in ``single``
         self.slot[self.single] = np.arange(self.single.size)
+        self.pull_single = self.pull if self.single.size == d.size else self.pull[:, self.single]
 
     def release(self, side, cols, up):
         """Weights ``cols`` leave their kinks, up where ``up`` and down
@@ -360,7 +390,7 @@ def _kkt(q_ff, c_f, g_f, gap=None):
     flat = np.zeros(g_f.shape[1:], dtype=bool)
     if not free:
         return g_f, np.zeros((rows,) + g_f.shape[1:]), flat, np.eye(rows)
-    top_q, top_c = q_ff.diagonal().max(initial=0.0), np.abs(c_f).max(initial=0.0)
+    top_q, top_c = _largest(q_ff.diagonal(), initial=0.0), _largest(np.abs(c_f), None, initial=0.0)
     w = top_q / top_c if top_q > 0.0 and top_c else 1.0
     kkt = np.zeros((free + rows, free + rows), order="F")
     kkt[:free, :free] = q_ff
@@ -374,7 +404,7 @@ def _kkt(q_ff, c_f, g_f, gap=None):
         lapack = _linalg().lapack
         lu, piv, _ = lapack.dgetrf(kkt)
         pivots = np.abs(lu.diagonal())
-        if pivots.min() > _SINGULAR * pivots.max():
+        if _least(pivots) > _SINGULAR * _largest(pivots):
             sol = lapack.dgetrs(lu, piv, rhs)[0]
             p = sol[:free]
             if rows == free:  # rows that pin the block: only the gap moves it
@@ -428,7 +458,7 @@ def _active_set(problem: QpProblem, x0, max_iter):
     x = x0.copy()
     at = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
                   np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
-    act = [int(i) for i in np.flatnonzero(np.abs(g @ x - h) <= _FEAS_TOL)]
+    act = (np.abs(g @ x - h) <= _FEAS_TOL).nonzero()[0].tolist() if m else []
     side = np.zeros(k)
     eq_rows, eq_rhs, kg = a_eq, b_eq, np.zeros(0, dtype=np.intp)
     if k:
@@ -442,37 +472,39 @@ def _active_set(problem: QpProblem, x0, max_iter):
     bland = settled = False
     for it in range(1, max_iter + 1):
         free = at == _FREE
-        idx = np.flatnonzero(free)
-        g_act = g[act]
+        idx = free.nonzero()[0]
         grad = q @ x + c
         if k:
             grad += kinks.pull @ side
         if k and kinks.general.size:
             kg = kinks.general[side[kinks.general] == 0.0]
-            eq_rows = np.vstack([a_eq, kinks.g[kg]])
-            eq_rhs = np.concatenate([b_eq, kinks.d[kg]])
-        me, rows = eq_rows.shape[0], np.vstack([eq_rows, -g_act])  # y = (nu, lam)
+            eq_rows = np.vstack([a_eq, kinks.g[kg]]) if kg.size else a_eq
+            eq_rhs = np.concatenate([b_eq, kinks.d[kg]]) if kg.size else b_eq
+        me = eq_rows.shape[0]
+        rows = np.vstack([eq_rows, -g[act]]) if act else eq_rows  # y = (nu, lam)
         p = np.zeros(n)
         if not settled:  # the step after a full one is zero, and y exact: skip it
             g_f, c_f = grad[idx], rows.take(idx, 1)
-            gap = np.concatenate([eq_rhs, -h[act]]) - rows @ x
+            gap = (np.concatenate([eq_rhs, -h[act]]) if act else eq_rhs) - rows @ x
             p[idx], y, flat, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f, gap)
-            residual = np.abs(g_f + c_f.T @ y).max(initial=0.0)
-        if settled or not flat and (np.abs(p).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max())
-                                    or residual <= 1e-13 * np.abs(grad).max()):
+            residual = _largest(np.abs(g_f + c_f.T @ y), initial=0.0)
+        if settled or not flat and (
+                _largest(np.abs(p), initial=0.0) <= 1e-11 * (1.0 + _largest(np.abs(x)))
+                or residual <= 1e-13 * _largest(np.abs(grad))):
             settled = False
-            x[idx] = np.clip(x[idx] + p[idx], lo[idx], up[idx])  # the rows' gap, if any
+            # the rows' gap, if any, within the box (np.clip's arithmetic)
+            x[idx] = np.minimum(np.maximum(x[idx] + p[idx], lo[idx]), up[idx])
             nu, lam, reduced = y[:me], y[me:], grad + rows.T @ y
-            fixed = np.flatnonzero(~free)
+            fixed = (~free).nonzero()[0]
             mult.fill(np.inf)
             mult[act] = lam
             mult[m + fixed], mult[m + n + fixed] = _rise_fall(at, fixed, reduced, kinks, side)
             mu = nu[a_eq.shape[0]:]
             mult[m + 2 * n + kg] = kinks.rho[kg] - np.abs(mu) if k else mu
-            neg = np.flatnonzero(mult < -1e-9)
+            neg = (mult < -1e-9).nonzero()[0]
             if neg.size == 0:
                 return x, at, act, side, it, (nu, lam, reduced)
-            drop = _bland(neg, m, at, side, kinks) if bland else int(np.argmin(mult))
+            drop = _bland(neg, m, at, side, kinks) if bland else int(mult.argmin())
             leave = [drop]
             if k and not bland and m <= drop < m + 2 * n:
                 # with L1 rows every violating weight leaves at once; its rows at
@@ -488,10 +520,11 @@ def _active_set(problem: QpProblem, x0, max_iter):
         gp = _ratio_test(ratios, x, p, 1e-13, free, g, h, act, lo, up, kinks, side)
         alpha = np.inf if flat else 1.0
         blocking = -1
-        if ratios.size and ratios.min() < alpha - 1e-15:
-            alpha = ratios.min()
+        least = _least(ratios, initial=np.inf)
+        if least < alpha - 1e-15:
+            alpha = least
             tied = ratios <= alpha + 1e-15
-            blocking = int(np.argmax(tied))  # lowest rank among ties
+            blocking = int(tied.argmax())  # lowest rank among ties
         settled = blocking < 0 and not flat
         if blocking >= m + 2 * n:  # a kink first: pass kinks while the objective falls
             alpha, blocking = kinks.cross(side, ratios, m + 2 * n, gp, grad @ p,
@@ -504,7 +537,7 @@ def _active_set(problem: QpProblem, x0, max_iter):
         if alpha == 0.0 and m <= blocking < m + 2 * n:
             # a zero step fixes every free weight it would take out of the box,
             # tied as the blocking one is
-            _pivot(m + np.flatnonzero(tied[m:m + 2 * n]), m, at, act, side, x, lo, up, kinks)
+            _pivot(m + tied[m:m + 2 * n].nonzero()[0], m, at, act, side, x, lo, up, kinks)
         elif blocking >= 0:
             _pivot([blocking], m, at, act, side, x, lo, up, kinks)
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
@@ -580,26 +613,22 @@ def _refine_start(problem: QpProblem, x):
     return best
 
 
-class _StartKey:
-    """``_start``'s argument: a problem, hashed and compared by the SHA-256
-    digest of the shapes and bytes of what the start reads, ``Q``, ``c``,
-    the equality and inequality rows, the bounds and phase 1's iteration
+class _StartKey(bytes):
+    """``_start``'s argument: a problem, hashed and compared as the bytes of
+    the SHA-256 digest of what the start reads, ``Q``, ``c``, the equality
+    and inequality rows, the bounds, their shapes and phase 1's iteration
     cap, and not the L1 rows.  ``_start`` lets go of the problem once it
     has read it, so its table holds digests, never inputs."""
 
-    def __init__(self, problem: QpProblem):
-        digest = hashlib.sha256(str(problem.max_iter).encode())
-        for a in (problem.Q, problem.c, *problem.eq, *problem.ineq, problem.lower,
-                  problem.upper):
-            digest.update(str(a.shape).encode())
-            digest.update(np.ascontiguousarray(a))
-        self.problem, self.digest = problem, digest.digest()
-
-    def __hash__(self):
-        return hash(self.digest)
-
-    def __eq__(self, other):
-        return self.digest == other.digest
+    def __new__(cls, problem: QpProblem):
+        arrays = (problem.Q, problem.c, *problem.eq, *problem.ineq, problem.lower,
+                  problem.upper)
+        digest = hashlib.sha256(repr([problem.max_iter] + [a.shape for a in arrays]).encode())
+        for a in arrays:
+            digest.update(a if a.flags.c_contiguous else np.ascontiguousarray(a))
+        key = super().__new__(cls, digest.digest())
+        key.problem = problem
+        return key
 
 
 @lru_cache(maxsize=_START_CACHE)
@@ -628,8 +657,8 @@ def _violation(problem: QpProblem, x) -> float:
     """The largest violation at ``x`` of the equalities, inequalities and
     bounds."""
     (a_eq, b_eq), (g, h) = problem.eq, problem.ineq
-    return max(np.abs(a_eq @ x - b_eq).max(initial=0.0), (h - g @ x).max(initial=0.0),
-               (problem.lower - x).max(initial=0.0), (x - problem.upper).max(initial=0.0))
+    return _largest(np.concatenate([np.abs(a_eq @ x - b_eq), h - g @ x, problem.lower - x,
+                                    x - problem.upper]), initial=0.0)
 
 
 def _feasible(problem: QpProblem, x) -> bool:
@@ -712,30 +741,27 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
         x0 = _start(_StartKey(problem))
 
     x, at, act, side, iters, (nu, lam_act, reduced) = _active_set(problem, x0, problem.max_iter)
-    report = SolveReport(weights=x, objective=float(0.5 * x @ q @ x + c @ x),
-                         status=CONVERGED, iterations=iters)
+    objective = 0.5 * x @ q @ x + c @ x
+    lam = np.zeros(h.size)
+    lam[act] = np.maximum(lam_act, 0.0)
     if kinks is None:
-        report.duals = {
-            "eq": nu,
-            "ineq": np.zeros(h.size),
-            "lower": np.where(at == _LOWER, np.clip(reduced, 0.0, None), 0.0),
-            "upper": np.where(at == _UPPER, np.clip(-reduced, 0.0, None), 0.0),
-        }
-        report.duals["ineq"][act] = np.clip(lam_act, 0.0, None)
+        report = SolveReport(weights=x, objective=float(objective), iterations=iters, duals={
+            "eq": nu, "ineq": lam,
+            "lower": np.where(at == _LOWER, np.maximum(reduced, 0.0), 0.0),
+            "upper": np.where(at == _UPPER, np.maximum(-reduced, 0.0), 0.0)})
     else:
         me, general = a_eq.shape[0], kinks.general
-        report.objective = float(0.5 * x @ q @ x + c @ x
-                                 + kinks.rho @ np.abs(kinks.g @ x - kinks.d))
         mu = kinks.rho[general] * side[general]
         mu[side[general] == 0.0] = nu[me:]
-        lam = np.zeros(h.size)
-        lam[act] = np.clip(lam_act, 0.0, None)
-        report.r_norm, report.s_norm, lam_lo, lam_up = certificate(problem, x, nu[:me], mu, lam)
-        scale = max(1.0, np.abs(x).max(), np.abs(q).max() * np.abs(x).max(), np.abs(c).max(),
-                    np.abs(kinks.pull).max(initial=0.0))
-        if max(report.r_norm, report.s_norm) > _FEAS_TOL * scale:
-            report.status = UNCERTIFIED
-        report.duals = {"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up}
+        r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu[:me], mu, lam)
+        _, top_q, top = problem._scales
+        top_x = _largest(np.abs(x))
+        failed = max(r_norm, s_norm) > _FEAS_TOL * max(1.0, top_x, top_q * top_x, top)
+        report = SolveReport(
+            weights=x, objective=float(objective + kinks.rho @ np.abs(kinks.g @ x - kinks.d)),
+            status=UNCERTIFIED if failed else CONVERGED, iterations=iters,
+            r_norm=r_norm, s_norm=s_norm,
+            duals={"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up})
     report.meta["working_set"] = (problem, at, act, side)
     return report
 
@@ -757,27 +783,27 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     there, to ``_CERT_TOL`` relative to the scale of the data and of ``x``.
     The bound multipliers are what the normal cone takes up.
     """
-    (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
-    kinks = problem._kinks
-    general = kinks.general
-    level = max(1.0, np.abs(b_eq).max(initial=0.0), np.abs(h).max(initial=0.0),
-                np.abs(kinks.d).max(initial=0.0))
-    tol_p = _CERT_TOL * max(level, np.abs(x).max())
+    (a_eq, _), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
+    kinks, general = problem._kinks, problem._kinks.general
+    tol_p = _CERT_TOL * max(problem._scales[0], _largest(np.abs(x)))
     r_norm = _violation(problem, x)
-    slack = g @ x - h
     off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
     at_kink = np.abs(off) <= tol_p
-    grad = (problem.Q @ x + problem.c + a_eq.T @ nu - g.T @ lam + kinks.g[general].T @ mu
-            + kinks.pull[:, kinks.single] @ np.where(at_kink, 0.0, np.sign(off)))
+    grad, rest = problem.Q @ x + problem.c + a_eq.T @ nu, []
+    if h.size:  # without these rows their terms are zeros, which change no answer
+        grad -= g.T @ lam
+        rest += [-lam, np.abs(lam * (g @ x - h))]
+    if general.size:
+        grad += kinks.g[general].T @ mu
+        off_g, rho = kinks.g[general] @ x - kinks.d[general], kinks.rho[general]
+        rest.append(np.where(np.abs(off_g) <= tol_p, np.abs(mu) - rho,
+                             np.abs(mu - rho * np.sign(off_g))))
+    grad += kinks.pull_single @ np.where(at_kink, 0.0, np.sign(off))
     width = np.bincount(kinks.col, np.where(at_kink, kinks.width, 0.0), x.size)
     excess = np.sign(grad) * np.maximum(np.abs(grad) - width, 0.0)
     lam_lo = np.where(x <= lo + tol_p, np.maximum(excess, 0.0), 0.0)
     lam_up = np.where(x >= up - tol_p, np.maximum(-excess, 0.0), 0.0)
-    off = kinks.g[general] @ x - kinks.d[general]
-    rho = kinks.rho[general]
-    side = np.where(np.abs(off) <= tol_p, np.abs(mu) - rho, np.abs(mu - rho * np.sign(off)))
-    s_norm = max(np.abs(excess - lam_lo + lam_up).max(initial=0.0), side.max(initial=0.0),
-                 (-lam).max(initial=0.0), np.abs(lam * slack).max(initial=0.0))
+    s_norm = _largest(np.concatenate([np.abs(excess - lam_lo + lam_up), *rest]), initial=0.0)
     return r_norm, s_norm, lam_lo, lam_up
 
 

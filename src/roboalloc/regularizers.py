@@ -89,27 +89,34 @@ def penalty_terms(penalties, P, q):
     of ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
     ``rho/(p phi) ||.||_p^p``.  Every penalty is honoured, a zero ``rho``
     included.  Returns ``(P, q, l1, blocks, value)``, where ``value(x)`` is
-    ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.
+    ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.  An unset ``G``
+    takes no product with the identity, whose products are exact: an ``l2``
+    penalty adds ``rho I`` and ``rho a``, an ``l1`` penalty's ``d`` is ``a``,
+    and ``value`` reads ``x - a``.
     """
     n = q.size
     terms, rows, blocks = [], [], []
     for pen in penalties:
-        g = penalty_matrix(pen.gamma_matrix, n)
+        g = pen.gamma_matrix  # a matrix, or None for the identity
         anchor = np.zeros(n) if pen.anchor is None else pen.anchor
+        ga = anchor if g is None else g @ anchor
         terms.append((pen.rho, pen.p, g, anchor))
         if pen.kind == "l2":
-            P = P + pen.rho * g.T @ g
-            q = q + pen.rho * (g.T @ (g @ anchor))
+            P = P + (pen.rho * np.eye(n) if g is None else pen.rho * g.T @ g)
+            q = q + pen.rho * (ga if g is None else g.T @ ga)
         elif pen.kind == "l1":
-            rows.append((g, g @ anchor, np.full(g.shape[0], pen.rho)))
+            rows.append((penalty_matrix(g, n), ga, np.full(ga.size, pen.rho)))
         else:
-            blocks.append((g, g @ anchor,
+            blocks.append((penalty_matrix(g, n), ga,
                            lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
     l1 = tuple(map(np.concatenate, zip(*rows))) if rows else None
 
     def value(x):
-        return sum(rho / p * np.sum(np.abs(g @ (x - anchor)) ** p)
-                   for rho, p, g, anchor in terms)
+        total = 0
+        for rho, p, g, anchor in terms:
+            d = x - anchor
+            total += rho / p * (np.abs(d if g is None else g @ d) ** p).sum()
+        return total
 
     return P, q, l1, blocks, value
 

@@ -952,6 +952,18 @@ class TestVolatilityTargetOutOfReach:
         assert err.startswith("error: TargetUnreachable: ") and err.count("\n") == 1, err
 
 
+class TestReturnTargetMetAtGammaZero:
+    def test_exits_0_with_gamma_zero(self, tmp_path):
+        # a return target the zero book of gamma 0 meets: gamma -0.428 and
+        # weights [-0.53, -0.33] before
+        problem, out = tmp_path / "p.json", tmp_path / "r.json"
+        problem.write_text(json.dumps({"mu": [0.05, 0.07], "sigma": [[0.04, 0.0], [0.0, 0.09]],
+                                       "target": {"type": "return", "value": -0.05}}))
+        assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["gamma"] == 0.0 and doc["weights"] == [0.0, 0.0]
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, four_asset_moments, tmp_path):
         problem = tmp_path / "p.json"

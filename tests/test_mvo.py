@@ -146,6 +146,17 @@ class TestCalibrateGamma:
                                          target_vol=0.0)
             assert gamma == 0.0 and not rep.weights.any()
 
+    @pytest.mark.parametrize("target", [-0.05, 1e-7])
+    def test_unconstrained_return_target_met_at_gamma_zero_is_gamma_zero(self, target):
+        # the closed form gave gamma -0.428 for -0.05 and shorted the book to
+        # meet it; the zero book of gamma 0 already does, as the constrained
+        # route answers
+        inp = MvoInputs(mu=[0.05, 0.07], sigma=np.diag([0.04, 0.09]))
+        gamma, rep = calibrate_gamma(inp, target_return=target)
+        assert gamma == 0.0 and not rep.weights.any()
+        cons = ConstraintSet(budget=1.0, lower=0.0)
+        assert calibrate_gamma(inp, cons, target_return=target)[0] == 0.0
+
     @pytest.mark.parametrize("kind", ["target_vol", "target_return"])
     def test_non_finite_target_rejected(self, four_asset, kind):
         mu, _, _, sigma = four_asset

@@ -212,6 +212,23 @@ class TestPenaltyTerms:
                     + 0.25 * np.sum(np.abs(g @ x) ** 3) + 0.125 * np.abs(x - 2.0 * a).sum())
         assert value(x) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["l1", "l2"])
+    def test_unset_matrix_equals_an_explicit_identity(self, kind):
+        # an unset matrix takes no product with the identity; such products
+        # are exact, so every part is the one an explicit np.eye(n) gives
+        rng = np.random.default_rng(31)
+        n = 6
+        sigma, q0, x = random_spd(rng, n), rng.normal(size=n), rng.normal(size=n)
+        anchors = rng.dirichlet(np.ones(n)), rng.normal(size=n)
+        parts = [penalty_terms([PenaltySpec(kind, rho, gamma_matrix=g, anchor=a)
+                                for rho, a in zip((0.3, 0.05), anchors)], sigma, q0)
+                 for g in (None, np.eye(n))]
+        (p_mat, q_vec, l1, _, value), (p_eye, q_eye, l1_eye, _, value_eye) = parts
+        assert np.array_equal(p_mat, p_eye) and np.array_equal(q_vec, q_eye)
+        assert (l1 is None) == (kind == "l2") == (l1_eye is None)
+        assert l1 is None or all(np.array_equal(a, b) for a, b in zip(l1, l1_eye))
+        assert value(x) == value_eye(x)
+
     def test_no_l1_penalty_gives_no_rows(self):
         specs = [PenaltySpec("l2", 0.25), PenaltySpec("lp", 0.5, p=1.5)]
         _, _, l1, blocks, _ = penalty_terms(specs, np.eye(3), np.zeros(3))

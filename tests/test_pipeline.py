@@ -1,4 +1,6 @@
+import os
 import pathlib
+import sys
 import types
 
 import numpy as np
@@ -504,3 +506,43 @@ class TestNightlyModels:
         smooth = solve_qp(exact_problem(p_mat, q_vec, None, cfg.constraints))
         exact = oracle(p_mat, q_vec, cfg.constraints, l1, warm=smooth.weights)
         assert np.abs(x - exact).max() <= 1e-9
+
+
+class TestExactRouteCallBudget:
+    """The fixed cost of one exact rebalance in Python-level calls: the
+    ``sys.setprofile`` ``call`` and ``c_call`` events made directly from
+    ``roboalloc`` frames during a warmed account of benchmark model 1 at the
+    nightly penalties (a start-cache hit, 3 active-set iterations).  Building,
+    keying, certifying and scoring the QP made 385 such calls, 230 once each
+    of those stages ran with few numpy calls; the budget is 230 plus 10%."""
+
+    BUDGET = 253
+
+    def test_warmed_nightly_account(self):
+        gen = benchmark_generators()
+        n, upper = 50, 0.2
+        sigma, mu, strategic = gen.model_portfolio(
+            roboalloc, np.random.default_rng([1, n]), n, upper)
+        current = gen.drifted_book(np.random.default_rng([1, 0, 1]), strategic)
+        cfg = RoboConfig(strategic=strategic, current=current, gamma=0.5,
+                         rho1_strategic=5e-4, rho1_turnover=2e-4, rho2_strategic=0.02,
+                         constraints=ConstraintSet(budget=1.0, lower=np.zeros(n),
+                                                   upper=np.full(n, upper)))
+        first = rebalance(cfg, mu, sigma)
+        package = os.path.dirname(roboalloc.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, _arg):
+            caller = frame.f_back if event == "call" else frame
+            if event in ("call", "c_call") and caller is not None \
+                    and caller.f_code.co_filename.startswith(package):
+                calls.append(caller.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            rep = rebalance(cfg, mu, sigma)
+        finally:
+            sys.setprofile(None)
+        assert rep.converged and rep.iterations == 3
+        assert np.array_equal(rep.weights, first.weights)
+        assert len(calls) <= self.BUDGET, f"{len(calls)} calls"

@@ -1062,6 +1062,18 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match=f"^{field} must"):
             QpProblem(**self.problem(**change))
 
+    def test_wrong_length_l1_weights(self):
+        # numpy's broadcasting error before
+        with pytest.raises(ValueError, match="^l1 block dimensions disagree$"):
+            QpProblem(Q=np.eye(2), c=np.zeros(2), l1=(np.eye(2), np.zeros(2), [1, 2, 3]))
+
+    def test_q_asymmetric_within_tolerance_stores_its_symmetric_part(self):
+        q = random_spd(np.random.default_rng(32), 5)
+        q[0, 1] += 1e-14
+        problem = QpProblem(Q=q, c=np.zeros(5))
+        assert np.array_equal(problem.Q, 0.5 * (q + q.T))
+        assert np.array_equal(problem.Q, problem.Q.T)
+
     def test_infinite_bounds_allowed(self):
         rep = solve_qp(QpProblem(**self.problem(lower=-np.inf, upper=np.array([np.inf, 1.0]))))
         assert rep.converged
