@@ -8,10 +8,11 @@ the other L1 rows at their kinks.  Fixed variables drop out, so each step
 solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F in
 ``_kkt``.  Its rows are scaled by ``max|Q_FF| / max|C_F|``, so that the
 test for a singular matrix does not depend on the units of the data, and
-the scaled matrix has one LU factor, factored afresh at each iteration
-(Nocedal & Wright, *Numerical Optimization*, 16.2), which also covers rows
-that pin the block and a singular ``Q_FF`` whose null directions the rows
-take up.  A pivot at most ``_SINGULAR`` of the largest refuses the LU.
+the scaled matrix has one LU factor (Nocedal & Wright, *Numerical
+Optimization*, 16.2), factored afresh at each active-set step (the path
+walk updates one inverse per pivot instead); it also covers rows that pin
+the block and a singular ``Q_FF`` whose null directions the rows take up.
+A pivot at most ``_SINGULAR`` of the largest refuses the LU.
 When the KKT matrix is singular (dependent rows, or zero curvature along
 the rows, as in the zero blocks of ``augment_l1``, which ends in
 ``Unbounded`` if nothing blocks it) one SVD of the same scaled matrix
@@ -205,12 +206,13 @@ class QpProblem:
 
     @cached_property
     def _scales(self):
-        """The L1 route's scales, read once: ``max(1, |b|, |h|, |d|)``
-        (``certificate``'s), ``max|Q|`` and ``max(|c|, |pull|)``."""
-        levels = np.abs(np.concatenate([self.eq[1], self.ineq[1], self.l1[1]]))
-        level = _largest(levels, initial=1.0)
-        top = max(_largest(np.abs(self.c)), _largest(np.abs(self._kinks.pull), None, initial=0.0))
-        return level, _largest(np.abs(self.Q), None), top
+        """The certificates' scales, read once: ``max(1, |b|, |h|, |d|)``
+        (``certificate``'s, 1 without L1 rows), ``max|Q|`` and ``max(|c|, |pull|)``."""
+        top_q, top = _largest(np.abs(self.Q), None, initial=0.0), _largest(np.abs(self.c), initial=0.0)
+        if self.l1 is None:
+            return 1.0, top_q, top
+        level = _largest(np.abs(np.concatenate([self.eq[1], self.ineq[1], self.l1[1]])), initial=1.0)
+        return level, top_q, max(top, _largest(np.abs(self._kinks.pull), None, initial=0.0))
 
 
 class _Kinks:
@@ -278,12 +280,12 @@ class _Kinks:
         return limit, int(np.argmax(ratios[:start] <= limit + 1e-15))
 
 
-def _ratio_test(ratios, x, p, tiny, free, g, h, act, lo, up, kinks=None, side=None):
+def _ratio_test(ratios, x, p, tiny, g, h, act, lo, up, kinks=None, side=None):
     """Into ``ratios``, indexed by rank, the step along ``p`` to each
     inactive row, free variable's bound and L1 row's kink that it moves
     toward by more than ``tiny``, at least zero; infinite for the others
-    (an infinite bound's ratio is +inf too).  Returns the L1 rows' ``g p``,
-    ``None`` without L1 rows."""
+    (an infinite bound's ratio is +inf too; ``p`` is 0 at fixed variables).
+    Returns the L1 rows' ``g p``, ``None`` without L1 rows."""
     m, n = h.size, x.size
     ratios.fill(np.inf)
     if m:
@@ -291,8 +293,8 @@ def _ratio_test(ratios, x, p, tiny, free, g, h, act, lo, up, kinks=None, side=No
         hit = gp < -tiny
         hit[act] = False
         np.divide(h - g @ x, gp, out=ratios[:m], where=hit)
-    np.divide(lo - x, p, out=ratios[m:m + n], where=free & (p < -tiny))
-    np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=free & (p > tiny))
+    np.divide(lo - x, p, out=ratios[m:m + n], where=p < -tiny)
+    np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=p > tiny)
     gp = None
     if kinks is not None:
         gp = kinks.g @ p
@@ -301,16 +303,16 @@ def _ratio_test(ratios, x, p, tiny, free, g, h, act, lo, up, kinks=None, side=No
     return gp
 
 
-def _rise_fall(at, fixed, reduced, kinks=None, side=None):
-    """``(rise, fall)``, the objective's one-sided derivatives as the fixed
-    weights ``fixed`` move up and down: the reduced gradient plus the widths
-    of their rows at a kink, infinite out of the box.  A weight leaves to
-    the side whose derivative is negative."""
+def _rise_fall(at, fixed, reduced, rise, fall, kinks=None, side=None):
+    """Into ``rise`` and ``fall`` where the mask ``fixed`` holds, the
+    objective's one-sided derivatives as those weights move up and down: the
+    reduced gradient plus the widths of their rows at a kink, infinite out
+    of the box.  A weight leaves to the side whose derivative is negative."""
     width = 0.0 if kinks is None else np.bincount(
-        kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), at.size)[fixed]
-    state, reduced = at[fixed], reduced[fixed]
-    return (np.where(state == _UPPER, np.inf, reduced + width),
-            np.where(state == _LOWER, np.inf, width - reduced))
+        kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), at.size)
+    np.add(reduced, width, out=rise, where=fixed)
+    np.subtract(width, reduced, out=fall, where=fixed)
+    rise[at == _UPPER], fall[at == _LOWER] = np.inf, np.inf
 
 
 def _pivot(ranks, m, at, act, side, x, lo, up, kinks=None, lean=0.0):
@@ -495,10 +497,9 @@ def _active_set(problem: QpProblem, x0, max_iter):
             # the rows' gap, if any, within the box (np.clip's arithmetic)
             x[idx] = np.minimum(np.maximum(x[idx] + p[idx], lo[idx]), up[idx])
             nu, lam, reduced = y[:me], y[me:], grad + rows.T @ y
-            fixed = (~free).nonzero()[0]
             mult.fill(np.inf)
             mult[act] = lam
-            mult[m + fixed], mult[m + n + fixed] = _rise_fall(at, fixed, reduced, kinks, side)
+            _rise_fall(at, ~free, reduced, mult[m:m + n], mult[m + n:m + 2 * n], kinks, side)
             mu = nu[a_eq.shape[0]:]
             mult[m + 2 * n + kg] = kinks.rho[kg] - np.abs(mu) if k else mu
             neg = (mult < -1e-9).nonzero()[0]
@@ -517,7 +518,7 @@ def _active_set(problem: QpProblem, x0, max_iter):
             lean = np.sign(mu[np.searchsorted(kg, drop - m - 2 * n)]) if drop >= m + 2 * n else 0.0
             _pivot(leave, m, at, act, side, x, lo, up, kinks, lean)
             continue
-        gp = _ratio_test(ratios, x, p, 1e-13, free, g, h, act, lo, up, kinks, side)
+        gp = _ratio_test(ratios, x, p, 1e-13, g, h, act, lo, up, kinks, side)
         alpha = np.inf if flat else 1.0
         blocking = -1
         least = _least(ratios, initial=np.inf)
@@ -729,12 +730,13 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     and whose ``meta['working_set']`` is ``(problem, states, active
     inequality rows, L1 row sides)`` at the end: ``parametric_path``'s start.
     With L1 rows the objective includes them, and ``duals``, ``r_norm`` and
-    ``s_norm`` are ``certificate``'s; the status is ``uncertified`` when
-    either norm exceeds ``_FEAS_TOL`` relative to the scale of the data and
-    of the answer.
+    ``s_norm`` are ``certificate``'s; without, ``r_norm`` is ``_violation`` and
+    ``s_norm`` the largest entry of ``Qx + c + A'nu - G'lam - lam_lo + lam_up``.
+    The status is ``uncertified`` when either norm exceeds ``_FEAS_TOL``
+    relative to the scale of the data and of the answer.
     """
     q, c, kinks = problem.Q, problem.c, problem._kinks
-    (a_eq, _), (_, h) = problem.eq, problem.ineq
+    (a_eq, _), (g, h) = problem.eq, problem.ineq
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
     if x0 is None or not _feasible(problem, x0):
@@ -745,23 +747,21 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     lam = np.zeros(h.size)
     lam[act] = np.maximum(lam_act, 0.0)
     if kinks is None:
-        report = SolveReport(weights=x, objective=float(objective), iterations=iters, duals={
-            "eq": nu, "ineq": lam,
-            "lower": np.where(at == _LOWER, np.maximum(reduced, 0.0), 0.0),
-            "upper": np.where(at == _UPPER, np.maximum(-reduced, 0.0), 0.0)})
+        r_norm, lam_lo = _violation(problem, x), np.where(at == _LOWER, np.maximum(reduced, 0.0), 0.0)
+        lam_up = np.where(at == _UPPER, np.maximum(-reduced, 0.0), 0.0)
+        s_norm = _largest(np.abs(q @ x + c + a_eq.T @ nu - g.T @ lam - lam_lo + lam_up))
     else:
         me, general = a_eq.shape[0], kinks.general
         mu = kinks.rho[general] * side[general]
-        mu[side[general] == 0.0] = nu[me:]
-        r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu[:me], mu, lam)
-        _, top_q, top = problem._scales
-        top_x = _largest(np.abs(x))
-        failed = max(r_norm, s_norm) > _FEAS_TOL * max(1.0, top_x, top_q * top_x, top)
-        report = SolveReport(
-            weights=x, objective=float(objective + kinks.rho @ np.abs(kinks.g @ x - kinks.d)),
-            status=UNCERTIFIED if failed else CONVERGED, iterations=iters,
-            r_norm=r_norm, s_norm=s_norm,
-            duals={"eq": nu[:me], "ineq": lam, "lower": lam_lo, "upper": lam_up})
+        mu[side[general] == 0.0], nu = nu[me:], nu[:me]
+        r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu, mu, lam)
+        objective += kinks.rho @ np.abs(kinks.g @ x - kinks.d)
+    _, top_q, top = problem._scales
+    top_x = _largest(np.abs(x))
+    failed = max(r_norm, s_norm) > _FEAS_TOL * max(1.0, top_x, top_q * top_x, top)
+    report = SolveReport(weights=x, objective=float(objective), r_norm=r_norm, s_norm=s_norm,
+                         status=UNCERTIFIED if failed else CONVERGED, iterations=iters,
+                         duals={"eq": nu, "ineq": lam, "lower": lam_lo, "upper": lam_up})
     report.meta["working_set"] = (problem, at, act, side)
     return report
 
@@ -807,6 +807,61 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     return r_norm, s_norm, lam_lo, lam_up
 
 
+class _WalkFactor:
+    """The inverse of a walk's KKT matrix ``[Q w R'; w R 0]`` over the ``n``
+    weights and every row ``R`` it can hold, ``w`` being ``_kkt``'s row scale.
+    An index off the working set ``on`` is an identity row and column (in the
+    inverse, to rounding in the column), so one that leaves is a Schur
+    downdate and one that joins a bordering update, each of rank one (Nocedal
+    & Wright, 16.5).  A pivot at most ``_SINGULAR`` of the matrix's scale
+    leaves the inverse stale (``None``); the next ``update`` refactors."""
+
+    def __init__(self, q, rows):
+        top_q, top_c = _largest(q.diagonal(), initial=0.0), _largest(np.abs(rows), None, initial=0.0)
+        self.w = top_q / top_c if top_q > 0.0 and top_c else 1.0
+        self.top, wr, self.inv = max(top_q, self.w * top_c), self.w * rows, None
+        self.kkt = np.vstack([np.hstack([q, wr.T]), np.hstack([wr, np.zeros((len(rows),) * 2)])])
+
+    def update(self, on) -> bool:
+        """Bring the inverse to the working set ``on``; whether it holds."""
+        if self.inv is None:
+            return self._factor(on)
+        for i in (on != self.on).nonzero()[0]:
+            if not (self._join if on[i] else self._leave)(i):
+                self.inv = None
+                return False
+        return True
+
+    def _factor(self, on) -> bool:
+        kkt = np.where(on & on[:, None], self.kkt, 0.0)
+        kkt[~on, ~on] = 1.0  # an index off the working set pivots on its 1
+        lu, piv, _ = _linalg().lapack.dgetrf(kkt)
+        pivots = np.abs(lu.diagonal()[on])
+        if _least(pivots, initial=np.inf) > _SINGULAR * _largest(pivots, initial=0.0):
+            self.inv, self.on = _linalg().lapack.dgetri(lu, piv)[0], on.copy()  # Fortran, as dger takes
+        return self.inv is not None
+
+    def _join(self, i) -> bool:
+        v = self.kkt[i] * self.on
+        u = self.inv @ v
+        s = self.kkt[i, i] - v @ u  # the new pivot, the Schur complement of the rest
+        if abs(s) <= _SINGULAR * self.top:
+            return False
+        inv = _linalg().blas.dger(1.0 / s, u, u, a=self.inv, overwrite_a=True)
+        inv[i] = inv[:, i] = -u / s
+        inv[i, i], self.on[i] = 1.0 / s, True
+        return True
+
+    def _leave(self, i) -> bool:
+        b = self.inv[:, i].copy()  # the rest's inverse grows by b b' / b_i
+        if abs(b[i]) <= _SINGULAR * self.top * (b @ b):
+            return False
+        inv = _linalg().blas.dger(-1.0 / b[i], b, b, a=self.inv, overwrite_a=True)
+        inv[i] = 0.0  # its column keeps rounding, which meets only zeros
+        inv[i, i], self.on[i] = 1.0, False
+        return True
+
+
 def parametric_path(start: SolveReport, slope):
     """Solution path of ``min 0.5 x'Qx + (c + t slope)'x``, plus the L1
     rows, over ``t >= 0``, for the problem in ``start.meta['working_set']``.
@@ -815,10 +870,12 @@ def parametric_path(start: SolveReport, slope):
     (Osborne, Presnell & Turlach 2000): on a fixed working set the solution
     and its multipliers are affine in ``t``.  The walk starts from the
     ``solve_qp`` report ``start`` (``t = 0``) and its working set.  Each
-    segment's ``dx``, its multipliers and their slopes come from one
-    ``_kkt`` solve, with the gradient and ``slope`` as its two columns;
-    where its LU is refused, the least squares also gives the rows' null
-    directions.
+    segment's ``dx``, its multipliers and their slopes come from one product
+    of the gradient and ``slope`` with the inverse ``_WalkFactor`` keeps (one
+    LU, one update per pivot: Niedermayer & Niedermayer 2010), refined once.
+    Where an update or the LU is refused, or the reduced gradient drifts by
+    1e-10, the piece goes through ``_kkt`` (whose SVD takes dependent rows,
+    zero curvature and null directions) and the next refactors.
     It ends at the first event, ties going to the lowest rank of the layout
     that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
     reaches a bound, an inequality becomes active, an L1 row reaches its
@@ -847,6 +904,13 @@ def parametric_path(start: SolveReport, slope):
     (a_eq, _), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
     kinks = problem._kinks
     m, k = h.size, 0 if kinks is None else kinks.d.size
+    # the general L1 rows, and those at their kinks: positions in ``general``, rows
+    general = gpos = kg = kinks.general if k else np.zeros(0, dtype=np.intp)
+    a, ge = a_eq.shape[0], a_eq.shape[0] + general.size
+    # every row the walk can hold, y = (nu, mu, lam): equalities, general L1 rows, inequalities
+    rows = np.vstack([a_eq, kinks.g[general], -g]) if k else np.vstack([a_eq, -g])
+    factor, on = _WalkFactor(q, rows), np.ones(n + len(rows), dtype=bool)
+    rhs = np.zeros((on.size, 2))  # the gradient and slope on the free block, zero elsewhere
     x, t = start.weights.copy(), 0.0
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
     ratios = np.empty(m + 2 * n + k)   # indexed by rank
@@ -855,43 +919,57 @@ def parametric_path(start: SolveReport, slope):
     grads = np.empty((n, 2))  # the gradient and its slope in t
     for _ in range(problem.max_iter):
         free = at == _FREE
-        idx, fixed = free.nonzero()[0], (~free).nonzero()[0]
-        kg = kinks.general[side[kinks.general] == 0.0] if k else None
-        eq_rows = np.vstack([a_eq, kinks.g[kg]]) if k and kg.size else a_eq
-        me = eq_rows.shape[0]
-        rows = np.vstack([eq_rows, -g[act]]) if act else eq_rows  # y = (nu, lam)
-        c_f, dx, null = rows.take(idx, 1), np.zeros(n), None
+        fixed = ~free
+        on[:n] = free
+        if k:
+            on[n + a:n + ge] = kinked = side[general] == 0.0
+            gpos = kinked.nonzero()[0]
+            kg = general[gpos]
+        if m:
+            on[n + ge:], on[n + ge:][act] = False, True
         grad = q @ x + c + t * slope
         if k:
             grad += kinks.pull @ side
         grads[:, 0], grads[:, 1] = grad, slope
-        # one solve: dx, and the multipliers and their slopes
-        p, y, flat, null_y = _kkt(q.take(idx, 0).take(idx, 1), c_f, grads[idx])
-        if null_y is not None:  # the rows' null directions
-            basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
-            basis = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier
-            moves = np.abs(np.vstack([basis[a_eq.shape[0]:], rows.T[fixed] @ basis]))
-            moves = moves.max(axis=0, initial=0.0)
-            null = basis[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
-        flat = flat[1] and null is None
-        if null is None:
-            dx[idx] = p[:, 1]
+        null, flat = None, False
+        if factor.update(on):  # one product: minus dx, the multipliers and their slopes
+            np.multiply(grads, free[:, None], out=rhs[:n])
+            sol = factor.inv @ rhs
+            # refined once (an inverse's product is off by cond * eps) unless drifted
+            res = (rhs - factor.kkt @ sol) * on[:, None]
+            if _largest(np.abs(res[:n]), None) > 1e-10 * _largest(np.abs(rhs), None):
+                factor.inv = None
+            else:
+                sol += factor.inv @ res
+                pinned = a + gpos.size + len(act) == np.count_nonzero(free)  # the rows leave it still
+                y, dx = -factor.w * sol[n:], np.zeros(n) if pinned else -sol[:n, 1]
+        if factor.inv is None:  # one _kkt solve of the free block and its rows
+            idx, dx, y = free.nonzero()[0], np.zeros(n), np.zeros((len(rows), 2))
+            pos = np.concatenate([np.arange(a), a + gpos, ge + np.array(act, dtype=np.intp)])
+            p, y[pos], flat, null_y = _kkt(q.take(idx, 0).take(idx, 1), rows[pos][:, idx], grads[idx])
+            if null_y is not None:  # the rows' null directions
+                basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
+                null = np.zeros((len(rows), (sv > 0.5).sum()))
+                null[pos] = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier
+                moves = np.abs(np.vstack([null[a:], rows.T[fixed] @ null])).max(axis=0, initial=0.0)
+                null = null[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
+            flat, dx[idx] = flat[1] and null is None, p[:, 1] if null is None else 0.0
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
-        _ratio_test(ratios, x, dx, tiny, free, g, h, act, lo, up, kinks, side)
+        _ratio_test(ratios, x, dx, tiny, g, h, act, lo, up, kinks, side)
         if not flat:
             grads[:, 1] = q @ dx + slope
-            nu, lam, reduced = y[:me], y[me:], grads + rows.T @ y
+            reduced = grads + rows.T @ y
             for turn in (1.0, -1.0):
                 if null is not None:  # one way or the other along the null direction
-                    nu[:, 1], lam[:, 1] = turn * null[:me], turn * null[me:]
-                    reduced[:, 1] = rows.T @ (turn * null)
+                    y[:, 1] = turn * null
+                    reduced[:, 1] = rows.T @ y[:, 1]
                 mult.fill(0.0)
-                mult[act] = lam
-                rises[fixed, 0], falls[fixed, 0] = _rise_fall(at, fixed, reduced[:, 0], kinks, side)
-                rises[fixed, 1] = reduced[fixed, 1]
-                falls[fixed, 1] = -rises[fixed, 1]
+                mult[:m] = y[ge:]
+                _rise_fall(at, fixed, reduced[:, 0], rises[:, 0], falls[:, 0], kinks, side)
+                np.copyto(rises[:, 1], reduced[:, 1], where=fixed)
+                np.negative(reduced[:, 1], out=falls[:, 1], where=fixed)
                 if k:  # a general kink row's multiplier moves toward +/-rho
-                    mu = nu[a_eq.shape[0]:]
+                    mu = y[a + gpos]
                     mult[m + 2 * n + kg] = (kinks.rho[kg, None] * [1.0, 0.0]
                                             - np.sign(mu[:, 1:]) * mu)
                 np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,

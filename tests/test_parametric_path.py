@@ -7,6 +7,8 @@ bisection search (`monotone_root`, the reference oracle below) finds it
 so.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,119 @@ def test_calibration_history_is_the_metric_at_each_piece(metric):
     assert len(history) > 5 and gamma > 0.0
     assert history[:-1] == [(0.0, value(start.weights))] + walked[1:]
     assert history[-1] == (gamma, value(rep.weights))
+
+
+def walk_events(case, monkeypatch, refuse):
+    """The whole walk from the case's gamma-0 answer, as its pieces
+    ``(t, x, dx, rate, length)`` and its pivots ``('pivot', rank)`` in the
+    order they happen.  With ``refuse`` every update of the walk's factor is
+    refused, so every piece goes through ``_kkt``."""
+    start = case.solve(0.0)
+    slope = -case.mu if case.te else -case.inputs.excess
+    events, pivot = [], qp._pivot
+
+    def recorded(ranks, *args, **kwargs):
+        events.append(("pivot", int(ranks[0])))
+        return pivot(ranks, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qp, "_pivot", recorded)
+        if refuse:
+            patch.setattr(qp._WalkFactor, "update", lambda self, on: False)
+        for piece in qp.parametric_path(start, slope):
+            events.append(piece)
+    return events
+
+
+def close(a, b):
+    """Equal within 1e-10 relative to ``max(1, |b|)``, infinities alike."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    inf = np.isinf(b)
+    if not np.array_equal(np.isinf(a), inf) or (a[inf] != b[inf]).any():
+        return False
+    a, b = a[~inf], b[~inf]
+    return bool(np.abs(a - b).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(b).max(initial=0.0)))
+
+
+@pytest.mark.parametrize("seed,n,kind,general,metric", CASES,
+                         ids=[f"{n}-{kind}-{'general' if g else 'box'}-{m}"
+                              for _, n, kind, g, m in CASES])
+def test_updated_factor_walks_as_kkt_does(seed, n, kind, general, metric, monkeypatch):
+    """The walk on its updated factor and the walk with every piece through
+    ``_kkt`` agree piece by piece: the same pieces, each of ``t``, ``x``,
+    ``dx`` and ``length`` within 1e-10, and the same pivot ranks.  Where
+    two events tie to rounding, the ratio test's choice among them rests on
+    the last bits of ``x``, which the two solves round differently: there
+    the walks agree up to the tie, whose piece ends at the same length in
+    both, and part after it (two of these cases do, with OpenBLAS on
+    x86-64: ``20-tied-box-te_l1_mixed`` and ``20-singular-general-te_l1_mixed``)."""
+    case = Case(seed, n, kind, general, metric)
+    ours, kkt = (walk_events(case, monkeypatch, refuse) for refuse in (False, True))
+    previous = None
+    for a, b in zip(ours, kkt):
+        assert (a[0] == "pivot") == (b[0] == "pivot")
+        if a[0] == "pivot":
+            if a != b:  # a tie: the piece before it agreed, length included
+                assert previous is not None and previous[0] != "pivot" and previous[4] < np.inf
+                return
+        else:
+            assert a[3] == b[3] and all(close(u, v) for u, v in zip(a, b))
+        previous = a
+    assert len(ours) == len(kkt)
+
+
+def test_box_walk_updates_one_factor(monkeypatch):
+    """A 45-piece walk of a 40-weight budget-and-box book factors its
+    matrix once, at the first piece, and then only updates it: weights are
+    fixed (downdates) and freed (bordering updates), and no piece calls
+    ``_kkt``."""
+    sigma, mu, _ = universe(4, 40, "full")
+    start = solve_gamma_problem(MvoInputs(mu=mu, sigma=sigma), 0.0, constraints(40, False))
+    counts = {"_factor": 0, "_join": 0, "_leave": 0, "_kkt": 0}
+
+    def counted(name, function):
+        def call(*args):
+            counts[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(qp, "_kkt", counted("_kkt", qp._kkt))
+    for name in ("_factor", "_join", "_leave"):
+        monkeypatch.setattr(qp._WalkFactor, name, counted(name, getattr(qp._WalkFactor, name)))
+    pieces = []
+    for piece in qp.parametric_path(start, -mu):
+        pieces.append(piece)
+        if len(pieces) == 1:
+            assert counts["_factor"] == 1
+    assert len(pieces) >= 20 and pieces[-1][4] == np.inf
+    assert counts["_factor"] == 1 and counts["_kkt"] == 0
+    assert counts["_join"] >= 1 and counts["_leave"] >= 1
+
+
+def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
+    """On a covariance of rank 20 the walk from gamma 0 first moves at fixed
+    gamma along zero curvature: the walk's factor is refused there (its LU's
+    pivot or its drift), those pieces go through ``_kkt``, whose least squares
+    answers them, and the target is still met with two solves, at the cold
+    solve's weights."""
+    case = Case(7, 40, "singular", False, "vol")
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    target = low + 0.5 * (high - low)
+    kkt, walked, solves = qp._kkt, [], []
+
+    def counted(*args):
+        out = kkt(*args)
+        if sys._getframe(1).f_code.co_name == "parametric_path":
+            walked.append(out[3] is not None)  # whether the LU refused and the SVD answered
+        return out
+
+    def counted_solve(problem, x0=None):
+        solves.append(x0)
+        return qp.solve_qp(problem, x0=x0)
+
+    monkeypatch.setattr(mvo, "solve_qp", counted_solve)
+    monkeypatch.setattr(qp, "_kkt", counted)
+    gamma, rep = case.walk(target)
+    assert gamma > 0.0 and any(walked) and len(solves) == 2
+    assert abs(case.value(rep.weights) - target) <= 1e-12 * target
+    assert np.abs(rep.weights - case.solve(gamma).weights).max() <= 1e-9

@@ -1036,6 +1036,42 @@ class TestCertifiedStatus:
         doc = json.loads(out.read_text())
         assert doc["status"] == "uncertified" and doc["residuals"]["dual"] == 1e-3
 
+    @staticmethod
+    def plain_problem():
+        """A budget-box QP with one active inequality row: its answer has
+        equality, inequality and bound multipliers."""
+        rng = np.random.default_rng([338, 1])
+        n = 8
+        q = random_spd(rng, n, 0.05)
+        g = np.zeros((1, n))
+        g[0, :3] = -1.0  # the first three weights hold at most 0.2
+        return QpProblem(Q=q, c=-0.1 * rng.random(n) - np.eye(n)[0], eq=(np.ones((1, n)), [1.0]),
+                         ineq=(g, [-0.2]), lower=0.0, upper=0.5)
+
+    def test_plain_solve_is_certified(self):
+        rep = solve_qp(self.plain_problem())
+        assert rep.converged and rep.duals["ineq"][0] > 0.0 and rep.duals["upper"].max() > 0.0
+        assert max(rep.r_norm, rep.s_norm) <= 1e-14
+
+    @pytest.mark.parametrize("block", ["eq", "ineq"])
+    def test_plain_solve_with_perturbed_multipliers_is_uncertified(self, block, monkeypatch):
+        """The active set's multipliers, shifted by 1e-3, fail stationarity:
+        the report says so instead of ``converged``."""
+        active_set = qp._active_set
+
+        def perturbed(*args):
+            x, at, act, side, it, (nu, lam, reduced) = active_set(*args)
+            if block == "eq":
+                nu = nu + 1e-3
+            else:
+                lam = lam + 1e-3
+            return x, at, act, side, it, (nu, lam, reduced)
+
+        monkeypatch.setattr(qp, "_active_set", perturbed)
+        rep = solve_qp(self.plain_problem())
+        assert rep.status == "uncertified" and not rep.converged
+        assert rep.s_norm >= 1e-3 - 1e-12 and rep.r_norm <= 1e-14
+
 
 class TestNonFiniteData:
     """A NaN in Q once returned ``converged`` with a NaN objective and a NaN
