@@ -1,10 +1,12 @@
 """Dense convex quadratic programming with exact multipliers.
 
 Solves ``min 0.5 x'Qx + c'x + sum_l rho_l |g_l'x - d_l|`` subject to
-``A x = b``, ``G x >= h`` and bounds, with a primal active-set method.  The
-working set is the variables fixed at a bound or at a kink of their own L1
-rows, plus the general rows: the equalities, the active inequalities and
-the other L1 rows at their kinks.  Fixed variables drop out, so each step
+``A x = b``, ``G x >= h`` and bounds, with a primal active-set method.  An
+inequality row is a one-sided kink, an L1 row at ``h`` whose lower side
+costs without bound (Fletcher's exact penalty).  The working set is the
+variables fixed at a bound or at a kink of their own L1 rows, plus the
+general rows: the equalities and the other rows at their kinks, active
+inequalities among them.  Fixed variables drop out, so each step
 solves the KKT system ``[Q_FF C_F'; C_F 0]`` of the free block F in
 ``_kkt``.  Its rows are scaled by ``max|Q_FF| / max|C_F|``, so that the
 test for a singular matrix does not depend on the units of the data, and
@@ -42,17 +44,18 @@ Multipliers follow the stationarity convention
     Q x + c + A' nu - G' lam_ineq - lam_lo + lam_up = 0,
 
 with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
-``lam_ineq`` are the row multipliers that the KKT solve of the step
+``-lam_ineq`` are the row multipliers that the KKT solve of the step
 returns with it, the bound multipliers read off the reduced gradient at
 the fixed variables.  With L1 rows the report's multipliers and residuals
 come from ``certificate``, which reads the problem data only, and the
 status is ``converged`` only when it passes.
 
-The active set and the path walk share one working set and rank each of
-``m`` inequalities, ``n`` weights and the L1 rows: inequality ``i`` ranks
-``i``, weight ``j``'s lower bound or rise ``m + j``, its upper bound or
-fall ``m + n + j``, L1 row ``l`` ``m + 2n + l``.  Step lengths and
-multipliers are read by rank, and ``_pivot`` applies the event at a rank.
+The active set and the path walk share one working set ``(at, side)``,
+each weight's state and each kink row's side of its kink (0 at it), and
+rank the ``n`` weights and the kink rows (L1 rows, then inequality rows):
+weight ``j``'s lower bound or rise ranks ``j``, its upper bound or fall
+``n + j``, row ``l`` ``2n + l``.  Step lengths and multipliers are read by
+rank, and ``_pivot`` applies the event at a rank.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class QpProblem:
     absent; ``lower`` and ``upper`` are vectors of ``n``, infinite when
     absent (a scalar bound applies to every weight).  ``l1`` is ``(G, d,
     rho)``, ``rho`` repeated to the rows, or ``None``: the solves branch on
-    the L1 rows' ``_Kinks`` being ``None`` rather than walk empty L1 arrays.
+    ``_kinks`` being ``None`` rather than walk empty kink arrays.
     ``max_iter`` is the cap on phase 1's and the active set's iterations
     and the path's pivots.
     """
@@ -197,12 +200,19 @@ class QpProblem:
 
     @cached_property
     def _kinks(self):
-        """The L1 rows' ``_Kinks``, built once and shared by the solve, its
-        certificate and walks (``None`` without L1 rows).  Not an empty
-        ``_Kinks``: the gamma walks' per-pivot numpy calls on empty L1 arrays
-        are not free, and with one target_calibration ran 165 and 167 ops/s
-        against 208 and 204 (seed 1, 15 s runs, shared 2-vCPU machine)."""
-        return None if self.l1 is None else _Kinks(*self.l1)
+        """The ``_Kinks`` of the L1 rows, multipliers in ``[-rho, rho]``, and
+        then the inequality rows, in ``(-inf, 0]``; built once and shared by
+        the solve, its certificate and walks.  ``None`` without either, not
+        an empty ``_Kinks``: the gamma walks' per-pivot numpy calls on empty
+        arrays are not free, and with one target_calibration ran 165 and 167
+        ops/s against 208 and 204 (seed 1, 15 s runs, shared 2-vCPU machine)."""
+        (g, h), l1 = self.ineq, self.l1
+        if l1 is None and not h.size:
+            return None
+        g1, d, rho = (g[:0], h[:0], h[:0]) if l1 is None else l1
+        lo = np.concatenate([-rho, np.full(h.size, -np.inf)])
+        hi = np.concatenate([rho, np.zeros_like(h)])
+        return _Kinks(np.concatenate([g1, g]), np.concatenate([d, h]), lo, hi)
 
     @cached_property
     def _scales(self):
@@ -216,22 +226,27 @@ class QpProblem:
 
 
 class _Kinks:
-    """A problem's L1 rows ``rho_l |g_l'x - d_l|``, split into the rows on
-    one weight (``single``: column ``col``, coefficient ``coef``, subgradient
-    half-width ``width = rho_l |coef|``) and the ``general`` rows;
-    ``pull_single``, the single rows' columns of ``pull``, is the
-    certificate's."""
+    """Rows ``g_l'x`` with a kink at ``d_l`` and a multiplier interval
+    ``[lo_l, hi_l]`` (``mu_l`` is ``hi_l`` above the kink, ``lo_l`` below):
+    ``[-rho_l, rho_l]`` for an L1 row ``rho_l |g_l'x - d_l|``, ``(-inf, 0]``
+    for an inequality row ``g_l'x >= d_l``, ``mu_l = -lam_l``.  Symmetric
+    rows on one weight are ``single`` (column ``col``, coefficient ``coef``,
+    subgradient half-width ``width = hi_l |coef|``), the other nonzero rows
+    ``general``; ``priced`` adds the all-zero inequality rows, and
+    ``pull_single`` is the single rows' columns of ``pull``: the certificate's."""
 
-    def __init__(self, g, d, rho):
-        self.g, self.d, self.rho = g, d, rho
-        self.pull = g.T * rho  # the gradient of the rows at sides s is pull @ s
+    def __init__(self, g, d, lo, hi):
+        self.g, self.d, self.lo, self.hi = g, d, lo, hi
+        self.pull = g.T * hi  # the gradient of the rows at sides s is pull @ s
         nonzero = g != 0.0
         count = nonzero.sum(axis=1)
-        self.single = (count == 1).nonzero()[0]
+        single = (count == 1) & (lo == -hi)
+        self.single = single.nonzero()[0]
         self.col = nonzero.argmax(axis=1)[self.single]
         self.coef = g[self.single, self.col]
-        self.width = rho[self.single] * np.abs(self.coef)
-        self.general = (count > 1).nonzero()[0]
+        self.width = hi[self.single] * np.abs(self.coef)
+        general = (count > 0) & ~single
+        self.general, self.priced = general.nonzero()[0], (general | (lo == -np.inf)).nonzero()[0]
         self.slot = np.full(d.size, -1)  # each single row's place in ``single``
         self.slot[self.single] = np.arange(self.single.size)
         self.pull_single = self.pull if self.single.size == d.size else self.pull[:, self.single]
@@ -259,16 +274,17 @@ class _Kinks:
         """Pass the kinks a step meets, in the order of their step lengths
         ``ratios[start:]`` up to the first other event, while the objective
         falls: along ``x + a p`` its derivative is ``slope + a curv`` plus
-        ``2 rho_l |g_l'p|`` per kink passed.  Returns ``(alpha, blocking)``,
-        ``blocking`` the rank of the constraint the step stops at, -1 between
-        kinks; a descent with no end is ``Unbounded``."""
+        ``(hi_l - lo_l) |g_l'p|`` per kink passed, so an inequality row stops
+        the step.  Returns ``(alpha, blocking)``, ``blocking`` the rank of
+        the constraint the step stops at, -1 between kinks; a descent with no
+        end is ``Unbounded``."""
         limit = ratios[:start].min(initial=np.inf)
         order = np.argsort(ratios[start:], kind="stable")
         for row in order[ratios[start + order] < limit]:
             a = ratios[start + row]
             if curv > 0 and slope + a * curv >= 0:
                 return -slope / curv, -1
-            jump = 2.0 * self.rho[row] * abs(gp[row])
+            jump = (self.hi[row] - self.lo[row]) * abs(gp[row])
             if slope + a * curv + jump >= 0:
                 return a, start + row
             side[row], slope = -side[row], slope + jump
@@ -280,25 +296,20 @@ class _Kinks:
         return limit, int(np.argmax(ratios[:start] <= limit + 1e-15))
 
 
-def _ratio_test(ratios, x, p, tiny, g, h, act, lo, up, kinks=None, side=None):
-    """Into ``ratios``, indexed by rank, the step along ``p`` to each
-    inactive row, free variable's bound and L1 row's kink that it moves
-    toward by more than ``tiny``, at least zero; infinite for the others
-    (an infinite bound's ratio is +inf too; ``p`` is 0 at fixed variables).
-    Returns the L1 rows' ``g p``, ``None`` without L1 rows."""
-    m, n = h.size, x.size
+def _ratio_test(ratios, x, p, tiny, lo, up, kinks=None, side=None):
+    """Into ``ratios``, indexed by rank, the step along ``p`` to each free
+    variable's bound and each kink row's kink that it moves toward by more
+    than ``tiny``, at least zero; infinite for the others (an infinite
+    bound's ratio is +inf too; ``p`` is 0 at fixed variables).  Returns the
+    kink rows' ``g p``, ``None`` without kink rows."""
+    n = x.size
     ratios.fill(np.inf)
-    if m:
-        gp = g @ p
-        hit = gp < -tiny
-        hit[act] = False
-        np.divide(h - g @ x, gp, out=ratios[:m], where=hit)
-    np.divide(lo - x, p, out=ratios[m:m + n], where=p < -tiny)
-    np.divide(up - x, p, out=ratios[m + n:m + 2 * n], where=p > tiny)
+    np.divide(lo - x, p, out=ratios[:n], where=p < -tiny)
+    np.divide(up - x, p, out=ratios[n:2 * n], where=p > tiny)
     gp = None
     if kinks is not None:
         gp = kinks.g @ p
-        np.divide(kinks.d - kinks.g @ x, gp, out=ratios[m + 2 * n:], where=side * gp < -tiny)
+        np.divide(kinks.d - kinks.g @ x, gp, out=ratios[2 * n:], where=side * gp < -tiny)
     np.maximum(ratios, 0.0, out=ratios)
     return gp
 
@@ -308,56 +319,53 @@ def _rise_fall(at, fixed, reduced, rise, fall, kinks=None, side=None):
     objective's one-sided derivatives as those weights move up and down: the
     reduced gradient plus the widths of their rows at a kink, infinite out
     of the box.  A weight leaves to the side whose derivative is negative."""
-    width = 0.0 if kinks is None else np.bincount(
+    width = 0.0 if kinks is None or not kinks.single.size else np.bincount(
         kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), at.size)
     np.add(reduced, width, out=rise, where=fixed)
     np.subtract(width, reduced, out=fall, where=fixed)
     rise[at == _UPPER], fall[at == _LOWER] = np.inf, np.inf
 
 
-def _pivot(ranks, m, at, act, side, x, lo, up, kinks=None, lean=0.0):
-    """Apply the events at ``ranks``, one constraint's or several weights'
-    (all free or all fixed), to the working set ``(at, act, side)`` and
-    ``x``: a constraint outside it joins, one inside leaves.  Free weights
-    are fixed at their bounds, fixed ones freed up at their rise ranks or
-    down at their fall ranks, their rows at kinks updated by one call; an
-    L1 row off its kink reaches it (a row on one weight fixing that weight
+def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
+    """Apply the events at ``ranks``, one kink row's or several weights'
+    (all free or all fixed), to the working set ``(at, side)`` and ``x``.
+    Free weights are fixed at their bounds, fixed ones freed up at their
+    rise ranks or down at their fall ranks, their rows at kinks updated by
+    one call; a row off its kink reaches it (a single row fixing its weight
     there), a general row at its kink leaves to the side ``lean``."""
     n, r = x.size, ranks[0]
-    if r < m:
-        (act.remove if r in act else act.append)(r)
-    elif r < m + 2 * n:
-        cols = [(rank - m) % n for rank in ranks]
+    if r < 2 * n:
+        cols = [rank % n for rank in ranks]
         if at[cols[0]] == _FREE:
             for rank, j in zip(ranks, cols):
-                at[j], x[j] = (_LOWER, lo[j]) if rank < m + n else (_UPPER, up[j])
-            if kinks is not None:
+                at[j], x[j] = (_LOWER, lo[j]) if rank < n else (_UPPER, up[j])
+            if kinks is not None and kinks.single.size:
                 kinks.settle(side, x, cols)
         else:
             at[cols] = _FREE
-            if kinks is not None:
-                kinks.release(side, cols, [rank < m + n for rank in ranks])
-    elif side[r - m - 2 * n]:
-        row = r - m - 2 * n
+            if kinks is not None and kinks.single.size:
+                kinks.release(side, cols, [rank < n for rank in ranks])
+    elif side[r - 2 * n]:
+        row = r - 2 * n
         side[row], i = 0.0, kinks.slot[row]
         if i >= 0:
             j = kinks.col[i]
             at[j], x[j] = _KINK, kinks.d[row] / kinks.coef[i]
             kinks.settle(side, x, j)
     else:
-        side[r - m - 2 * n] = lean
+        side[r - 2 * n] = lean
 
 
-def _bland(neg, m, at, side, kinks=None):
+def _bland(neg, at, side, kinks=None):
     """Bland's rule: the lowest of the violating ranks ``neg``, a weight at
     a kink ranking as its lowest row there, as in the ratio test."""
     key = neg
     if kinks is not None:
         n, there = at.size, side[kinks.single] == 0.0
-        first = np.full(n, m + 2 * n + kinks.d.size)
-        np.minimum.at(first, kinks.col[there], m + 2 * n + kinks.single[there])
-        j = (neg - m) % n
-        key = np.where((neg >= m) & (neg < m + 2 * n) & (at[j] == _KINK), first[j], neg)
+        first = np.full(n, 2 * n + kinks.d.size)
+        np.minimum.at(first, kinks.col[there], 2 * n + kinks.single[there])
+        j = neg % n
+        key = np.where((neg < 2 * n) & (at[j] == _KINK), first[j], neg)
     return int(neg[np.argmin(key)])
 
 
@@ -431,64 +439,59 @@ def _active_set(problem: QpProblem, x0, max_iter):
     iterations.
 
     The working set is the per-variable state ``at`` (``_LOWER``,
-    ``_FREE``, ``_UPPER``, or ``_KINK`` at a kink of its own L1 rows), the
-    list ``act`` of active general inequalities and the general L1 rows at
-    their kinks (equality rows, as the equalities always are).  ``side`` is
-    each L1 row's side of its kink, 0 at it; an L1 row off its kink adds
-    ``rho_l side_l g_l`` to the gradient.  States are read off ``x0`` to
-    ``_FEAS_TOL``.  The multiplier test writes the working set's multipliers
-    by rank, +inf off it: an active inequality's, a fixed variable's
-    one-sided derivatives at its rise and fall ranks (its kinks adding their
-    widths), a general kink row's ``rho_l - |mu_l|``.  It takes ``nu`` and
-    ``lam`` from the KKT solve that made ``x`` stationary: the zero step's
-    at ``x``, or the last full step's, exact at ``x`` since a full step
-    leaves the working set as it was.  ``_pivot`` applies the most negative
-    and the ratio test's blocking constraint, ties going to the lowest rank;
-    after a run of degenerate steps ``_bland`` picks instead.  Each KKT
-    solve carries the working rows' gap at ``x``: ``b_eq``, the kinks and
-    the active inequalities' levels less the rows' values.  Where ``x`` is
-    stationary that step, a small one that closes the gap, is taken within
-    the box before the multiplier test.
-    Returns ``(x, at, act, side, iterations, (nu, lam, reduced))``, the last
-    being those multipliers and the reduced gradient ``grad + A'nu -
-    G_act'lam`` at ``x``.
+    ``_FREE``, ``_UPPER``, or ``_KINK`` at a kink of its own L1 rows) and
+    each kink row's ``side`` of its kink, 0 at it, the general rows there
+    joining the equality rows.  A row off its kink adds ``hi_l side_l g_l``
+    to the gradient.  States are read off ``x0`` to ``_FEAS_TOL``.  The
+    multiplier test writes the working set's multipliers by rank, +inf off
+    it: a fixed variable's one-sided derivatives at its rise and fall ranks
+    (its kinks adding their widths), a general row's ``min(hi_l - mu_l,
+    mu_l - lo_l)`` at its kink.  It takes ``nu`` and ``mu`` from the KKT
+    solve that made ``x`` stationary: the zero step's at ``x``, or the last
+    full step's, exact at ``x`` since a full step leaves the working set as
+    it was.  ``_pivot`` applies the most negative and the ratio test's
+    blocking constraint, ties going to the lowest rank (past L1 rows' kinks
+    while the objective falls); after a run of degenerate steps ``_bland``
+    picks instead.  Each KKT solve carries the working rows' gap at ``x``,
+    ``b_eq`` and the kinks less the rows' values.  Where ``x`` is stationary
+    that step, a small one that closes the gap, is taken within the box
+    before the multiplier test.
+    Returns ``(x, at, side, iterations, (nu, mu, reduced))``: the equality
+    rows' and every kink row's multipliers (its side's end off its kink, 0
+    at a single row's) and the reduced gradient at ``x``.
     """
     q, c, kinks = problem.Q, problem.c, problem._kinks
-    (a_eq, b_eq), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
-    n, m = c.size, h.size
-    k = 0 if kinks is None else kinks.d.size
+    (a_eq, b_eq), lo, up = problem.eq, problem.lower, problem.upper
+    n, k = c.size, 0 if kinks is None else kinks.d.size
     x = x0.copy()
     at = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
                   np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
-    act = (np.abs(g @ x - h) <= _FEAS_TOL).nonzero()[0].tolist() if m else []
     side = np.zeros(k)
-    eq_rows, eq_rhs, kg = a_eq, b_eq, np.zeros(0, dtype=np.intp)
+    rows, rhs, kg = a_eq, b_eq, np.zeros(0, dtype=np.intp)
     if k:
         off = kinks.g @ x - kinks.d
         side = np.where(np.abs(off) <= _FEAS_TOL, 0.0, np.sign(off))
         cols = kinks.col[side[kinks.single] == 0.0]
         at[cols] = np.where(at[cols] == _FREE, _KINK, at[cols])
-    ratios = np.empty(m + 2 * n + k)   # indexed by rank
-    mult = np.empty(m + 2 * n + k)     # working-set multipliers by rank, +inf off it
+    ones = problem.l1 is not None and problem.l1[1].size > 0  # L1 rows, which pull
+    ratios = np.empty(2 * n + k)   # indexed by rank
+    mult = np.empty(2 * n + k)     # working-set multipliers by rank, +inf off it
     degenerate_run = 0
     bland = settled = False
     for it in range(1, max_iter + 1):
         free = at == _FREE
         idx = free.nonzero()[0]
         grad = q @ x + c
-        if k:
+        if ones:
             grad += kinks.pull @ side
         if k and kinks.general.size:
             kg = kinks.general[side[kinks.general] == 0.0]
-            eq_rows = np.vstack([a_eq, kinks.g[kg]]) if kg.size else a_eq
-            eq_rhs = np.concatenate([b_eq, kinks.d[kg]]) if kg.size else b_eq
-        me = eq_rows.shape[0]
-        rows = np.vstack([eq_rows, -g[act]]) if act else eq_rows  # y = (nu, lam)
+            rows = np.vstack([a_eq, kinks.g[kg]]) if kg.size else a_eq
+            rhs = np.concatenate([b_eq, kinks.d[kg]]) if kg.size else b_eq
         p = np.zeros(n)
         if not settled:  # the step after a full one is zero, and y exact: skip it
             g_f, c_f = grad[idx], rows.take(idx, 1)
-            gap = (np.concatenate([eq_rhs, -h[act]]) if act else eq_rhs) - rows @ x
-            p[idx], y, flat, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f, gap)
+            p[idx], y, flat, _ = _kkt(q.take(idx, 0).take(idx, 1), c_f, g_f, rhs - rows @ x)
             residual = _largest(np.abs(g_f + c_f.T @ y), initial=0.0)
         if settled or not flat and (
                 _largest(np.abs(p), initial=0.0) <= 1e-11 * (1.0 + _largest(np.abs(x)))
@@ -496,29 +499,28 @@ def _active_set(problem: QpProblem, x0, max_iter):
             settled = False
             # the rows' gap, if any, within the box (np.clip's arithmetic)
             x[idx] = np.minimum(np.maximum(x[idx] + p[idx], lo[idx]), up[idx])
-            nu, lam, reduced = y[:me], y[me:], grad + rows.T @ y
+            nu, mu, reduced = y[:a_eq.shape[0]], y[a_eq.shape[0]:], grad + rows.T @ y
             mult.fill(np.inf)
-            mult[act] = lam
-            _rise_fall(at, ~free, reduced, mult[m:m + n], mult[m + n:m + 2 * n], kinks, side)
-            mu = nu[a_eq.shape[0]:]
-            mult[m + 2 * n + kg] = kinks.rho[kg] - np.abs(mu) if k else mu
+            _rise_fall(at, ~free, reduced, mult[:n], mult[n:2 * n], kinks, side)
+            if k:
+                mult[2 * n + kg] = np.minimum(kinks.hi[kg] - mu, mu - kinks.lo[kg])
             neg = (mult < -1e-9).nonzero()[0]
             if neg.size == 0:
-                return x, at, act, side, it, (nu, lam, reduced)
-            drop = _bland(neg, m, at, side, kinks) if bland else int(mult.argmin())
-            leave = [drop]
-            if k and not bland and m <= drop < m + 2 * n:
-                # with L1 rows every violating weight leaves at once; its rows at
-                # a kink take the side it leaves to.  Keyed on L1 rows as measured
-                # in summed solve_qp iterations over the benchmark's cycles: on
-                # plain QPs too it raises target_calibration's from 1,176 to 1,443
-                # (17 cycles), and never leaving at once raises nightly_rebalance's
-                # from 345 to 372 and advisor_cli's from 577 to 667 (5 cycles each)
-                leave = neg[(neg >= m) & (neg < m + 2 * n)]
-            lean = np.sign(mu[np.searchsorted(kg, drop - m - 2 * n)]) if drop >= m + 2 * n else 0.0
-            _pivot(leave, m, at, act, side, x, lo, up, kinks, lean)
+                full = kinks.hi * side if k else np.zeros(0)
+                full[kg] = mu
+                return x, at, side, it, (nu, full, reduced)
+            drop = _bland(neg, at, side, kinks) if bland else int(mult.argmin())
+            # with L1 rows every violating weight leaves at once; its rows at a
+            # kink take the side it leaves to.  Keyed on L1 rows as measured in
+            # summed solve_qp iterations over the benchmark's cycles: on plain
+            # QPs too it raises target_calibration's from 1,176 to 1,443 (17
+            # cycles), and never leaving at once raises nightly_rebalance's from
+            # 345 to 372 and advisor_cli's from 577 to 667 (5 cycles each)
+            leave = neg[neg < 2 * n] if ones and not bland and drop < 2 * n else [drop]
+            lean = np.sign(mu[np.searchsorted(kg, drop - 2 * n)]) if drop >= 2 * n else 0.0
+            _pivot(leave, at, side, x, lo, up, kinks, lean)
             continue
-        gp = _ratio_test(ratios, x, p, 1e-13, g, h, act, lo, up, kinks, side)
+        gp = _ratio_test(ratios, x, p, 1e-13, lo, up, kinks, side)
         alpha = np.inf if flat else 1.0
         blocking = -1
         least = _least(ratios, initial=np.inf)
@@ -527,20 +529,22 @@ def _active_set(problem: QpProblem, x0, max_iter):
             tied = ratios <= alpha + 1e-15
             blocking = int(tied.argmax())  # lowest rank among ties
         settled = blocking < 0 and not flat
-        if blocking >= m + 2 * n:  # a kink first: pass kinks while the objective falls
-            alpha, blocking = kinks.cross(side, ratios, m + 2 * n, gp, grad @ p,
+        if blocking >= 2 * n and kinks.lo[blocking - 2 * n] > -np.inf:
+            # an L1 kink first (an inequality stops the step): pass kinks while
+            # the objective falls
+            alpha, blocking = kinks.cross(side, ratios, 2 * n, gp, grad @ p,
                                           0.0 if flat else p @ q @ p)
         if flat and blocking < 0:
             if grad @ p < -1e-12:
                 raise Unbounded("zero-curvature descent with no blocking constraint")
             alpha = 0.0  # numerically flat but not a real descent: stay put
         x = x + alpha * p
-        if alpha == 0.0 and m <= blocking < m + 2 * n:
+        if alpha == 0.0 and 0 <= blocking < 2 * n:
             # a zero step fixes every free weight it would take out of the box,
             # tied as the blocking one is
-            _pivot(m + tied[m:m + 2 * n].nonzero()[0], m, at, act, side, x, lo, up, kinks)
+            _pivot(tied[:2 * n].nonzero()[0], at, side, x, lo, up, kinks)
         elif blocking >= 0:
-            _pivot([blocking], m, at, act, side, x, lo, up, kinks)
+            _pivot([blocking], at, side, x, lo, up, kinks)
         degenerate_run = degenerate_run + 1 if alpha <= 1e-14 else 0
         if degenerate_run > n + 2:
             bland = True
@@ -727,8 +731,8 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     Phase 1 and the active set each stop at the problem's ``max_iter``
     (``MaxIterations``).  Returns a report whose ``duals`` dict carries
     multipliers for every constraint block, with inactive entries at zero,
-    and whose ``meta['working_set']`` is ``(problem, states, active
-    inequality rows, L1 row sides)`` at the end: ``parametric_path``'s start.
+    and whose ``meta['working_set']`` is ``(problem, states, kink row
+    sides)`` at the end: ``parametric_path``'s start.
     With L1 rows the objective includes them, and ``duals``, ``r_norm`` and
     ``s_norm`` are ``certificate``'s; without, ``r_norm`` is ``_violation`` and
     ``s_norm`` the largest entry of ``Qx + c + A'nu - G'lam - lam_lo + lam_up``.
@@ -742,27 +746,24 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     if x0 is None or not _feasible(problem, x0):
         x0 = _start(_StartKey(problem))
 
-    x, at, act, side, iters, (nu, lam_act, reduced) = _active_set(problem, x0, problem.max_iter)
+    x, at, side, iters, (nu, mu, reduced) = _active_set(problem, x0, problem.max_iter)
     objective = 0.5 * x @ q @ x + c @ x
-    lam = np.zeros(h.size)
-    lam[act] = np.maximum(lam_act, 0.0)
-    if kinks is None:
+    lam = np.maximum(0.0 - mu[mu.size - h.size:], 0.0)  # the inequality rows' mu is -lam
+    if problem.l1 is None:
         r_norm, lam_lo = _violation(problem, x), np.where(at == _LOWER, np.maximum(reduced, 0.0), 0.0)
         lam_up = np.where(at == _UPPER, np.maximum(-reduced, 0.0), 0.0)
         s_norm = _largest(np.abs(q @ x + c + a_eq.T @ nu - g.T @ lam - lam_lo + lam_up))
     else:
-        me, general = a_eq.shape[0], kinks.general
-        mu = kinks.rho[general] * side[general]
-        mu[side[general] == 0.0], nu = nu[me:], nu[:me]
-        r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu, mu, lam)
-        objective += kinks.rho @ np.abs(kinks.g @ x - kinks.d)
+        ones = kinks.priced[:kinks.priced.size - h.size]  # the general L1 rows
+        r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu, mu[ones], lam)
+        objective += kinks.hi @ np.abs(kinks.g @ x - kinks.d)  # an inequality row's hi is 0
     _, top_q, top = problem._scales
     top_x = _largest(np.abs(x))
     failed = max(r_norm, s_norm) > _FEAS_TOL * max(1.0, top_x, top_q * top_x, top)
     report = SolveReport(weights=x, objective=float(objective), r_norm=r_norm, s_norm=s_norm,
                          status=UNCERTIFIED if failed else CONVERGED, iterations=iters,
                          duals={"eq": nu, "ineq": lam, "lower": lam_lo, "upper": lam_up})
-    report.meta["working_set"] = (problem, at, act, side)
+    report.meta["working_set"] = (problem, at, side)
     return report
 
 
@@ -773,31 +774,33 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     from the problem data alone.
 
     ``r_norm`` is the largest violation of the equalities, inequalities and
-    bounds.  ``s_norm`` is the largest violation of optimality: a general
-    row off its kink must have ``mu_l = rho_l sign(g_l'x - d_l)``, one at
-    its kink ``|mu_l| <= rho_l``; ``lam`` must be nonnegative and vanish off
-    its row; and for each weight, 0 must lie in its gradient
+    bounds.  ``s_norm`` is the largest violation of optimality: each general
+    L1 row's ``mu_l`` and each inequality row's ``-lam_l`` must lie in the
+    row's interval ``[lo_l, hi_l]`` (``_Kinks``) at its kink and be its
+    side's end off it, and for each weight 0 must lie in its gradient
     ``(Qx + c + A'nu - G'lam + sum_l mu_l g_l)_j`` plus the subdifferential
     of its own L1 rows plus the bounds' normal cone.  A row within the
-    primal tolerance of its kink, or a weight of its bound, counts as
-    there, to ``_CERT_TOL`` relative to the scale of the data and of ``x``.
-    The bound multipliers are what the normal cone takes up.
+    primal tolerance of its kink (or ``_CERT_TOL`` of the size of the terms
+    of ``g_l'x``), or on a side that costs without bound, counts as at its
+    kink, and a weight within it of its bound as there, to ``_CERT_TOL``
+    relative to the scale of the data and of ``x``.  The bound multipliers
+    are what the normal cone takes up.
     """
-    (a_eq, _), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
-    kinks, general = problem._kinks, problem._kinks.general
+    (a_eq, _), lo, up = problem.eq, problem.lower, problem.upper
+    kinks, rows = problem._kinks, problem._kinks.priced
     tol_p = _CERT_TOL * max(problem._scales[0], _largest(np.abs(x)))
     r_norm = _violation(problem, x)
     off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
     at_kink = np.abs(off) <= tol_p
     grad, rest = problem.Q @ x + problem.c + a_eq.T @ nu, []
-    if h.size:  # without these rows their terms are zeros, which change no answer
-        grad -= g.T @ lam
-        rest += [-lam, np.abs(lam * (g @ x - h))]
-    if general.size:
-        grad += kinks.g[general].T @ mu
-        off_g, rho = kinks.g[general] @ x - kinks.d[general], kinks.rho[general]
-        rest.append(np.where(np.abs(off_g) <= tol_p, np.abs(mu) - rho,
-                             np.abs(mu - rho * np.sign(off_g))))
+    if rows.size:  # without these rows their terms are zeros, which change no answer
+        mu, g, low, high = np.concatenate([mu, -lam]), kinks.g[rows], kinks.lo[rows], kinks.hi[rows]
+        grad += g.T @ mu
+        off_g = g @ x - kinks.d[rows]
+        end = np.where(off_g > 0.0, high, low)  # the slope of the row's side
+        there = np.abs(off_g) <= np.maximum(tol_p, _CERT_TOL * (np.abs(g) @ np.abs(x)))
+        rest.append(np.where(there | (end == -np.inf),
+                             np.maximum(mu - high, low - mu), np.abs(mu - end)))
     grad += kinks.pull_single @ np.where(at_kink, 0.0, np.sign(off))
     width = np.bincount(kinks.col, np.where(at_kink, kinks.width, 0.0), x.size)
     excess = np.sign(grad) * np.maximum(np.abs(grad) - width, 0.0)
@@ -878,10 +881,11 @@ def parametric_path(start: SolveReport, slope):
     zero curvature and null directions) and the next refactors.
     It ends at the first event, ties going to the lowest rank of the layout
     that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
-    reaches a bound, an inequality becomes active, an L1 row reaches its
-    kink (fixing its weight there, or joining the equality rows), or a
-    multiplier ends its interval (zero, ``_rise_fall``, ``+/-rho``) and its
-    constraint leaves, to that side.
+    reaches a bound, a kink row reaches its kink (fixing its weight there,
+    or joining the equality rows, as an inequality does when it becomes
+    active), or a multiplier moving toward the end of its interval that its
+    slope points at (``_rise_fall``'s zero, a row's ``lo`` or ``hi``) meets
+    it and its constraint leaves, to that side.
     When ``slope`` pulls along zero curvature, x moves at fixed ``t`` to the
     blocking constraint (``Unbounded`` if none).  Rows dependent on the free
     block (as at a start on a weight's and its general rows' kinks) leave
@@ -897,36 +901,32 @@ def parametric_path(start: SolveReport, slope):
     (``MaxIterations``).
     """
     problem, *states = start.meta["working_set"]
-    at, act, side = (v.copy() for v in states)
+    at, side = (v.copy() for v in states)
     n = problem.n
     q, c = problem.Q, problem.c
     slope = np.asarray(slope, dtype=float).ravel()
-    (a_eq, _), (g, h), lo, up = problem.eq, problem.ineq, problem.lower, problem.upper
-    kinks = problem._kinks
-    m, k = h.size, 0 if kinks is None else kinks.d.size
-    # the general L1 rows, and those at their kinks: positions in ``general``, rows
+    (a_eq, _), lo, up, kinks = problem.eq, problem.lower, problem.upper, problem._kinks
+    a, k = a_eq.shape[0], 0 if kinks is None else kinks.d.size
+    # the general kink rows, and those at their kinks: positions in ``general``, rows
     general = gpos = kg = kinks.general if k else np.zeros(0, dtype=np.intp)
-    a, ge = a_eq.shape[0], a_eq.shape[0] + general.size
-    # every row the walk can hold, y = (nu, mu, lam): equalities, general L1 rows, inequalities
-    rows = np.vstack([a_eq, kinks.g[general], -g]) if k else np.vstack([a_eq, -g])
+    # every row the walk can hold, y = (nu, mu): the equalities and the general kink rows
+    rows = np.vstack([a_eq, kinks.g[general]]) if k else a_eq
     factor, on = _WalkFactor(q, rows), np.ones(n + len(rows), dtype=bool)
     rhs = np.zeros((on.size, 2))  # the gradient and slope on the free block, zero elsewhere
     x, t = start.weights.copy(), 0.0
     dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
-    ratios = np.empty(m + 2 * n + k)   # indexed by rank
-    mult = np.empty((m + 2 * n + k, 2))  # working-set multipliers and their slopes
-    rises, falls = mult[m:m + n], mult[m + n:m + 2 * n]  # the weights' rise and fall ranks
+    ratios = np.empty(2 * n + k)   # indexed by rank
+    mult = np.empty((2 * n + k, 2))  # working-set multipliers and their slopes
+    rises, falls = mult[:n], mult[n:2 * n]  # the weights' rise and fall ranks
     grads = np.empty((n, 2))  # the gradient and its slope in t
     for _ in range(problem.max_iter):
         free = at == _FREE
         fixed = ~free
         on[:n] = free
         if k:
-            on[n + a:n + ge] = kinked = side[general] == 0.0
+            on[n + a:] = kinked = side[general] == 0.0
             gpos = kinked.nonzero()[0]
             kg = general[gpos]
-        if m:
-            on[n + ge:], on[n + ge:][act] = False, True
         grad = q @ x + c + t * slope
         if k:
             grad += kinks.pull @ side
@@ -941,11 +941,11 @@ def parametric_path(start: SolveReport, slope):
                 factor.inv = None
             else:
                 sol += factor.inv @ res
-                pinned = a + gpos.size + len(act) == np.count_nonzero(free)  # the rows leave it still
+                pinned = a + gpos.size == np.count_nonzero(free)  # the rows leave it still
                 y, dx = -factor.w * sol[n:], np.zeros(n) if pinned else -sol[:n, 1]
         if factor.inv is None:  # one _kkt solve of the free block and its rows
             idx, dx, y = free.nonzero()[0], np.zeros(n), np.zeros((len(rows), 2))
-            pos = np.concatenate([np.arange(a), a + gpos, ge + np.array(act, dtype=np.intp)])
+            pos = np.concatenate([np.arange(a), a + gpos])
             p, y[pos], flat, null_y = _kkt(q.take(idx, 0).take(idx, 1), rows[pos][:, idx], grads[idx])
             if null_y is not None:  # the rows' null directions
                 basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
@@ -955,7 +955,7 @@ def parametric_path(start: SolveReport, slope):
                 null = null[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
             flat, dx[idx] = flat[1] and null is None, p[:, 1] if null is None else 0.0
         tiny = 1e-13 * max(1.0, np.abs(dx).max())
-        _ratio_test(ratios, x, dx, tiny, g, h, act, lo, up, kinks, side)
+        _ratio_test(ratios, x, dx, tiny, lo, up, kinks, side)
         if not flat:
             grads[:, 1] = q @ dx + slope
             reduced = grads + rows.T @ y
@@ -964,14 +964,14 @@ def parametric_path(start: SolveReport, slope):
                     y[:, 1] = turn * null
                     reduced[:, 1] = rows.T @ y[:, 1]
                 mult.fill(0.0)
-                mult[:m] = y[ge:]
                 _rise_fall(at, fixed, reduced[:, 0], rises[:, 0], falls[:, 0], kinks, side)
                 np.copyto(rises[:, 1], reduced[:, 1], where=fixed)
                 np.negative(reduced[:, 1], out=falls[:, 1], where=fixed)
-                if k:  # a general kink row's multiplier moves toward +/-rho
+                if k:  # a general kink row's multiplier moves to the end its slope points at
                     mu = y[a + gpos]
-                    mult[m + 2 * n + kg] = (kinks.rho[kg, None] * [1.0, 0.0]
-                                            - np.sign(mu[:, 1:]) * mu)
+                    toward = np.sign(mu[:, 1:])
+                    mult[2 * n + kg] = -toward * mu
+                    mult[2 * n + kg, 0] += np.where(toward[:, 0] > 0.0, kinks.hi[kg], -kinks.lo[kg])
                 np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,
                           where=mult[:, 1] < -dual_tol)
                 if null is None or ratios.min() < np.inf:
@@ -986,9 +986,9 @@ def parametric_path(start: SolveReport, slope):
                 return
             x = x + length * dx
             t += 0.0 if flat else length
-        row = r - m - 2 * n
+        row = r - 2 * n
         lean = np.sign(mu[np.searchsorted(kg, row), 1]) if row >= 0 and not side[row] else 0.0
-        _pivot([r], m, at, act, side, x, lo, up, kinks, lean)
+        _pivot([r], at, side, x, lo, up, kinks, lean)
     raise MaxIterations(f"parametric path did not end in {problem.max_iter} pivots")
 
 

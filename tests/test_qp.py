@@ -375,8 +375,8 @@ class TestFactoredMultipliers:
     @staticmethod
     def working_set(kind, seed):
         """``(Q, rows, free)``: a seeded working set of 12 weights, the rows
-        signed as ``_active_set`` stacks them (equalities, general L1 rows
-        at their kinks, then the active inequalities negated)."""
+        stacked as ``_active_set`` stacks them (equalities, then the general
+        kink rows at their kinks: L1 rows or active inequalities)."""
         rng = np.random.default_rng([seed, 21])
         n = 12
         rows, free = np.ones((1, n)), np.ones(n, dtype=bool)
@@ -626,7 +626,8 @@ class TestKinks:
         g[np.arange(20), cols] = rng.choice([-2.0, -1.0, 0.5, 1.0], 20)
         g[20:] = rng.normal(size=(4, n))
         d = rng.normal(size=24)
-        kinks = qp._Kinks(g, d, rng.uniform(0.1, 1.0, 24))
+        rho = rng.uniform(0.1, 1.0, 24)
+        kinks = qp._Kinks(g, d, -rho, rho)
         x = rng.normal(size=n)
         x[cols[:5]] = d[:5] / g[np.arange(5), cols[:5]]  # weights at a kink of theirs
         side = rng.choice([-1.0, 0.0, 1.0], 24)
@@ -656,23 +657,131 @@ class TestKinks:
         assert len(builds) == 1 and pieces[-1][4] == np.inf
 
     def test_bland_ranks_a_weight_at_a_kink_as_its_kink_row(self):
-        # m = 1, n = 3: weight 0 at the kink of row 0 ranks as row 0's rank 7,
-        # after weight 1's fall rank 5, though its own rise rank 1 is lower
+        # n = 3: weight 0 at the kink of row 0 ranks as row 0's rank 6, after
+        # weight 1's fall rank 4, though its own rise rank 0 is lower
         at = np.array([qp._KINK, qp._LOWER, qp._FREE])
-        kinks = qp._Kinks(np.eye(3)[[0, 1]], np.zeros(2), np.ones(2))
+        kinks = qp._Kinks(np.eye(3)[[0, 1]], np.zeros(2), -np.ones(2), np.ones(2))
         side = np.array([0.0, 1.0])
-        assert qp._bland(np.array([1, 5]), 1, at, side, kinks) == 5
-        assert qp._bland(np.array([1, 5]), 1, at, side) == 1
+        assert qp._bland(np.array([0, 4]), at, side, kinks) == 4
+        assert qp._bland(np.array([0, 4]), at, side) == 0
 
     def test_bland_picks_the_weight_whose_kink_row_ranks_lower(self):
         # rows 1 and 3 hold weight 0 at its kink and row 2 weight 1; row 0 on
         # weight 1 is off its kink and does not count: weight 0 ranks as row 1
-        # (8), weight 1 as row 2 (9), so weight 0's fall rank 4 goes before
-        # weight 1's rise rank 2
+        # (7), weight 1 as row 2 (8), so weight 0's fall rank 3 goes before
+        # weight 1's rise rank 1
         at = np.array([qp._KINK, qp._KINK, qp._FREE])
-        kinks = qp._Kinks(np.eye(3)[[1, 0, 1, 0]], np.zeros(4), np.ones(4))
+        kinks = qp._Kinks(np.eye(3)[[1, 0, 1, 0]], np.zeros(4), -np.ones(4), np.ones(4))
         side = np.array([1.0, 0.0, 0.0, 0.0])
-        assert qp._bland(np.array([2, 4]), 1, at, side, kinks) == 4
+        assert qp._bland(np.array([1, 3]), at, side, kinks) == 3
+
+
+def enumerate_l1(problem):
+    """Brute-force optimum of a problem with L1 rows: each row on one side of
+    its kink (a linear term and an inequality) or at it (an equality), each
+    such smooth problem solved by ``enumerate_active_sets``."""
+    g1, d, rho = problem.l1
+    (a, b), (g, h) = problem.eq, problem.ineq
+    best = None
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=d.size):
+        s = np.array(signs)
+        at, off = s == 0.0, s != 0.0
+        found = enumerate_active_sets(
+            problem.Q, problem.c + g1.T @ (rho * s), np.vstack([a, g1[at]]),
+            np.concatenate([b, d[at]]), np.vstack([g, s[off, None] * g1[off]]),
+            np.concatenate([h, s[off] * d[off]]), problem.lower, problem.upper)
+        if found is not None:
+            x = found[1]
+            value = 0.5 * x @ problem.Q @ x + problem.c @ x + rho @ np.abs(g1 @ x - d)
+            if best is None or value < best[0] - 1e-12:
+                best = (value, x)
+    return best[1]
+
+
+class TestInequalityRowsAtKinks:
+    """An inequality row ``g'x >= h`` meets L1 rows at their kinks: each case
+    is solved cold and warm (from phase 1's point) and checked against an
+    oracle that does not run the L1 active set, with its inequality
+    multipliers nonnegative, complementary and certified."""
+
+    Q = np.array([[0.04, 0.006, 0.0, 0.002], [0.006, 0.09, 0.01, 0.0],
+                  [0.0, 0.01, 0.16, 0.004], [0.002, 0.0, 0.004, 0.05]])
+    BUDGET = (np.ones((1, 4)), [1.0])
+    ANCHOR = np.array([0.3, 0.2, 0.3, 0.2])
+
+    @staticmethod
+    def solve(problem, start):
+        x0 = None if start == "cold" else qp.feasible_point(problem)
+        rep = solve_qp(problem, x0)
+        (g, h), lam = problem.ineq, rep.duals["ineq"]
+        assert rep.converged and max(rep.r_norm, rep.s_norm) <= 1e-12
+        assert lam.min(initial=0.0) >= 0.0
+        assert np.abs(lam * (g @ rep.weights - h)).max(initial=0.0) <= 1e-12
+        return rep
+
+    @staticmethod
+    def lifted(problem, rho, anchor=ANCHOR):
+        """The answer of ``augment_l1``'s lift of ``problem``'s smooth part
+        with L1 rows ``rho |x - anchor|``, solved by ``solve_qp``."""
+        base = QpProblem(Q=problem.Q, c=problem.c, eq=problem.eq, ineq=problem.ineq,
+                         lower=problem.lower, upper=problem.upper)
+        return solve_qp(augment_l1(base, np.eye(problem.n), rho, anchor)).weights[:problem.n]
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_weight_at_its_kink_with_an_active_row_on_it(self, start):
+        # weight 0 is pulled below its anchor 0.3 by more than rho, and the
+        # row x_0 >= 0.3 holds it there: its L1 row and the row both sit at
+        # their kinks, and the row's multiplier takes the rest of the pull
+        rho = 0.002
+        problem = QpProblem(Q=self.Q, c=np.array([0.05, -0.02, -0.03, -0.01]),
+                            eq=self.BUDGET, ineq=(np.eye(4)[:1], [0.3]), lower=0.0,
+                            upper=1.0, l1=(np.eye(4), self.ANCHOR, rho))
+        rep = self.solve(problem, start)
+        assert rep.weights[0] == pytest.approx(0.3, abs=1e-14)
+        assert rep.duals["ineq"][0] > 0.05
+        np.testing.assert_allclose(rep.weights, self.lifted(problem, rho), atol=1e-9)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_row_and_general_l1_row_on_two_weights_at_their_kinks(self, start):
+        # x_0 + x_1 >= 0.6 and 0.01 |x_0 - x_1 - 0.1| pin weights 0 and 1 at
+        # (0.35, 0.25); the row binds and the L1 row's multiplier is inside
+        problem = QpProblem(Q=self.Q, c=np.array([0.03, 0.02, -0.02, -0.02]), eq=self.BUDGET,
+                            ineq=(np.array([[1.0, 1.0, 0.0, 0.0]]), [0.6]), lower=0.0,
+                            l1=(np.array([[1.0, -1.0, 0.0, 0.0]]), [0.1], 0.01))
+        rep = self.solve(problem, start)
+        np.testing.assert_allclose(rep.weights[:2], [0.35, 0.25], atol=1e-14)
+        assert rep.duals["ineq"][0] > 0.04
+        np.testing.assert_allclose(rep.weights, enumerate_l1(problem), atol=1e-9)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_rows_with_large_entries_at_their_kinks_are_certified(self, start):
+        # 1e5 (x_0 - x_1) >= 0 and 1e5 (x_2 - x_3) >= 0 bind, and g'x lands
+        # 1.5e-11 above the first row's kink, rounding at the size of its terms:
+        # both rows count as at their kinks, so the answer is certified
+        rng = np.random.default_rng([38, 5])
+        f = rng.standard_normal((6, 6))
+        g = 1e5 * np.array([[1.0, -1.0, 0, 0, 0, 0], [0, 0, 1.0, -1.0, 0, 0]])
+        c = rng.standard_normal(6) + [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        problem = QpProblem(Q=f @ f.T / 6 + 1e-3 * np.eye(6), c=c, eq=(np.ones((1, 6)), [1.0]),
+                            ineq=(g, [0.0, 0.0]), lower=-1.0, upper=1.0,
+                            l1=(np.eye(6), np.full(6, 1.0 / 6), 0.01))
+        rep = self.solve(problem, start)
+        assert (rep.duals["ineq"] > 1e-6).all()
+        np.testing.assert_allclose(rep.weights, self.lifted(problem, 0.01, np.full(6, 1.0 / 6)),
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("h", [0.0, -0.5])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_all_zero_row_changes_nothing(self, start, h):
+        # 0'x >= h holds everywhere for h <= 0: the answer is the one without
+        # the row, and the row's multiplier is zero
+        rho = 0.005
+        problem = QpProblem(Q=self.Q, c=np.array([0.01, -0.02, -0.03, 0.0]), eq=self.BUDGET,
+                            ineq=(np.zeros((1, 4)), [h]), lower=0.0, upper=0.6,
+                            l1=(np.eye(4), self.ANCHOR, rho))
+        rep = self.solve(problem, start)
+        assert rep.duals["ineq"][0] == 0.0
+        np.testing.assert_allclose(rep.weights, self.lifted(problem, rho), atol=1e-9)
 
 
 def cold_case(kind, seed):
@@ -1060,12 +1169,12 @@ class TestCertifiedStatus:
         active_set = qp._active_set
 
         def perturbed(*args):
-            x, at, act, side, it, (nu, lam, reduced) = active_set(*args)
+            x, at, side, it, (nu, mu, reduced) = active_set(*args)
             if block == "eq":
                 nu = nu + 1e-3
-            else:
-                lam = lam + 1e-3
-            return x, at, act, side, it, (nu, lam, reduced)
+            else:  # every kink row here is an inequality, whose mu is -lam
+                mu = mu - 1e-3
+            return x, at, side, it, (nu, mu, reduced)
 
         monkeypatch.setattr(qp, "_active_set", perturbed)
         rep = solve_qp(self.plain_problem())

@@ -1,11 +1,15 @@
 """The example scripts run end to end against the library as it is."""
 
 import csv
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from roboalloc import qp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWEEPS = ("ridge_anchored", "ridge_unanchored", "lasso_anchored",
@@ -36,3 +40,26 @@ def test_allocation_study_runs():
     for section in ("eigen diagnostics", "volatility-targeted allocation",
                     "nine-asset allocation", "grade blending"):
         assert section in proc.stdout
+
+
+def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatch, capsys):
+    # one cycle per workload, recorded twice at this commit: the same bytes,
+    # and --check passes; a cold start left unrefined changes the answers'
+    # iteration counts, and --check exits 1 naming the first record it moved
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("ledger", os.path.join(ROOT, "scripts", "ledger.py"))
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    first = json.dumps(ledger.record(dict.fromkeys(ledger.CYCLES, 1)))
+    assert json.dumps(ledger.record(dict.fromkeys(ledger.CYCLES, 1))) == first
+    recorded = json.loads(first)
+    assert [s["cycles"] for s in recorded["workloads"].values()] == [1, 1, 1]
+    assert min(recorded["total"].values()) > 0
+    path = tmp_path / "ledger.json"
+    path.write_text(first)
+    assert ledger.check(str(path)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(qp, "_refine_start", lambda problem, x: x)
+    assert ledger.main(["--check", str(path)]) == 1
+    assert "differs: " in capsys.readouterr().out
