@@ -9,7 +9,8 @@ the cycles produce, in order:
 
 - each ``solve_qp`` report: weights, duals, objective, ``r_norm``,
   ``s_norm``, iterations and status;
-- each piece ``parametric_path`` yields;
+- each piece ``parametric_path`` yields, as its five values ``(t, x, dx,
+  rate, length)``, whatever else the walk hands out with them;
 - each op's output; for advisor_cli, the exit codes and the files its verbs
   write (not the input files, which hold the temporary directory's path).
 
@@ -19,8 +20,11 @@ that keeps every answer bit-identical passes ``--check``.
 Run:  python3 scripts/ledger.py --out LEDGER.json
       python3 scripts/ledger.py --check LEDGER.json
 
-``--check`` reruns the cycles the file records, prints the counts, and
-exits 1 naming the first record that differs.
+``--check`` reruns the cycles the file records and aligns the records by
+label.  It prints the counts and, per workload and kind (``solve_qp``,
+``piece``, ``output``), how many records match, moved (same label, another
+digest), or exist on one side only, naming the first of each; it exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ CYCLES = {"nightly_rebalance": 5, "target_calibration": 17, "advisor_cli": 15}
 REPORT_FIELDS = [f.name for f in fields(SolveReport) if f.name != "meta"]
 TOTALS = ("records: %(solve_qp)d solve_qp reports, %(pieces)d walk pieces, %(ops)d op outputs; "
           "%(iterations)d solve_qp iterations")
+KINDS = ("solve_qp", "piece", "output")
+STATES = ("match", "moved", "recorded only", "now only")
 
 
 def _feed(digest, value) -> None:
@@ -114,7 +120,7 @@ class Recorder:
         def parametric_path(*args, **kwargs):
             walk_label = self.label("walk")
             for i, piece in enumerate(walk(*args, **kwargs)):
-                self.records.append([f"{walk_label} piece {i}", sha(piece)])
+                self.records.append([f"{walk_label} piece {i}", sha(tuple(piece[:5]))])
                 yield piece
 
         wrappers = {"solve_qp": (solve, solve_qp), "parametric_path": (walk, parametric_path)}
@@ -188,20 +194,40 @@ def record(cycles) -> dict:
     return {"workloads": summary, "total": total, "records": recorder.records}
 
 
+def compare(recorded, now) -> dict:
+    """The records of two ledgers aligned by label: for each ``(workload,
+    kind)``, the labels in each of ``STATES``, in record order."""
+    digests, table = dict(now), {}
+
+    def put(label, state):
+        kind = next(k for k in KINDS if f" {k} " in label)
+        table.setdefault((label.split()[0], kind), {s: [] for s in STATES})[state].append(label)
+
+    for label, digest in recorded:
+        put(label, "recorded only" if label not in digests else
+            "match" if digests[label] == digest else "moved")
+    known = {label for label, _ in recorded}
+    for label, _ in now:
+        if label not in known:
+            put(label, "now only")
+    return table
+
+
 def check(path) -> int:
     with open(path) as handle:
         want = json.load(handle)
     got = record({name: s["cycles"] for name, s in want["workloads"].items()})
     print(TOTALS % got["total"])
-    for (label, digest), (want_label, want_digest) in zip(got["records"], want["records"]):
-        if label != want_label or digest != want_digest:
-            print(f"differs: {want_label}" + ("" if label == want_label else f" (now {label})"))
-            return 1
-    if len(got["records"]) != len(want["records"]):
-        longer = max(got["records"], want["records"], key=len)
-        extra = longer[min(len(got["records"]), len(want["records"]))][0]
-        side = "now" if longer is got["records"] else "recorded"
-        print(f"differs: {extra} is {side} only")
+    differs = False
+    table = compare(want["records"], got["records"])
+    for workload, kind in sorted(table, key=lambda key: (list(CYCLES).index(key[0]),
+                                                         KINDS.index(key[1]))):
+        states = table[workload, kind]
+        counts = ", ".join(f"{len(states[s])} {s}" for s in STATES)
+        firsts = "".join(f"; first {s}: {states[s][0]}" for s in STATES[1:] if states[s])
+        print(f"{workload} {kind}: {counts}{firsts}")
+        differs |= len(states["match"]) < sum(map(len, states.values()))
+    if differs:
         return 1
     print(f"every record matches {path}")
     return 0

@@ -32,7 +32,7 @@ from .mvo import (
     stevens_decomposition,
 )
 from .pipeline import _PATH_PARAMS, RoboConfig, rebalance, regularization_path
-from .regularizers import FilterSpec, PenaltySpec, penalty_terms, spectral_filter
+from .regularizers import FilterSpec, PenaltySpec, filter_covariance, penalty_terms
 from .report import atomic_write, write_csv
 
 
@@ -177,9 +177,7 @@ def _load_problem(path: str):
         spec = FilterSpec(kind=doc["filter"]["kind"],
                           rho=_number(doc["filter"].get("rho", 0.0), "filter.rho"))
         if spec.kind != "none":
-            vec, lam = market_data.eigen_decompose(sigma)
-            root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
-            _, sigma = spectral_filter(root, spec)
+            sigma = filter_covariance(sigma, spec)
     return doc, mu, sigma, assets
 
 

@@ -135,13 +135,14 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     """Find the trade-off parameter hitting a return or volatility target.
 
     Closed forms cover the unconstrained case; otherwise ``path_root``
-    walks the solution path of the QP that the gamma-0 solve built and meets
-    the target exactly within its segment, then solves once at that gamma
-    from the walk's point.  A target met at gamma 0 gives gamma 0 (without
-    constraints, where the weights are zero there, a return target at most
-    ``_CAL_TOL``).  A volatility target below the gamma-0 volatility is
-    ``TargetUnreachable`` (``path_root``), as is, without constraints, a
-    negative one or a positive one where ``e' S^-1 e = 0``.  Returns
+    walks the solution path of the QP that the gamma-0 solve built, meets
+    the target exactly within its segment and reads the report off that
+    segment, certified: one QP solve in all, at gamma 0.  A target met at
+    gamma 0 gives gamma 0 (without constraints, where the weights are zero
+    there, a return target at most ``_CAL_TOL``).  A volatility target
+    below the gamma-0 volatility is ``TargetUnreachable`` (``path_root``),
+    as is, without constraints, a negative one or a positive one where
+    ``e' S^-1 e = 0``.  Returns
     ``(gamma, report)``; the path's ``(gamma, value)`` entries are recorded
     in ``report.meta['calibration']``.
     """
@@ -169,9 +170,11 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         metric, target = (None, inputs.mu), target_return
     else:
         metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
-    return path_root(
+    gamma, report = path_root(
         lambda gam, x0: solve_gamma_problem(inputs, gam, constraints, x0=x0),
         -inputs.excess, metric, target, _CAL_TOL)
+    report.gamma = float(gamma)
+    return gamma, report
 
 
 def _level(metric, x) -> float:
@@ -190,20 +193,24 @@ def _value(metric, level: float) -> float:
     return level if metric[0] is None else float(np.sqrt(max(level, 0.0)))
 
 
-def _crossing(metric, x, dx, level: float, now: float) -> float:
-    """Least ``s >= 0`` at which the metric's level along ``x + s dx``, a
-    convex quadratic (or linear) function of ``s`` that is ``now`` at ``x``,
-    reaches ``level``; infinite if it never does.  A gap within rounding of
+def _along(metric, x, dx):
+    """The metric's level along ``x + s dx`` as ``(now, b, a)``, the
+    quadratic (or linear) ``now + b s + a s^2`` of ``s``, convex: ``x -
+    anchor`` and ``sigma dx`` taken once."""
+    sigma, vec = metric
+    if sigma is None:
+        return float(vec @ x), float(vec @ dx), 0.0
+    d, sd = x - vec, sigma @ dx
+    return float(d @ sigma @ d), 2.0 * float(d @ sd), max(float(dx @ sd), 0.0)
+
+
+def _crossing(level: float, now: float, b: float, a: float) -> float:
+    """Least ``s >= 0`` at which ``now + b s + a s^2`` (``_along``) reaches
+    ``level``; infinite if it never does.  A gap within rounding of
     ``level`` (a target set at a breakpoint's value) counts as reached."""
     gap = level - now
     if gap <= _LEVEL_RTOL * abs(level):
         return 0.0
-    sigma, vec = metric
-    if sigma is None:
-        a, b = 0.0, float(vec @ dx)
-    else:
-        sd = sigma @ dx
-        a, b = max(float(dx @ sd), 0.0), 2.0 * float((x - vec) @ sd)
     root = b + np.sqrt(b * b + 4.0 * a * gap)
     return 2.0 * gap / root if root > 0.0 else np.inf
 
@@ -221,8 +228,14 @@ def path_root(solve, slope, metric, target: float, tol: float):
     returned when its value already reaches ``target - tol``.  Otherwise
     ``qp.parametric_path`` walks the gamma-0 report's problem from its
     answer; on each piece the metric is a quadratic (or linear) function of
-    the step, so the target is met exactly where it first crosses, and one
-    ``solve`` at that gamma from the walk's point gives the report.  A
+    the step, so the target is met exactly where it first crosses.  The
+    report is read off that piece (``_Piece.report``: the problem at that
+    gamma, its weights, multipliers and reduced gradient moved along the
+    piece, certified as ``solve_qp`` certifies a solve); only a read-off
+    that is not ``converged``, or a crossing at the start of a move at fixed
+    gamma, takes one ``solve`` at that gamma from the walk's point instead.
+    The report's ``gamma`` and, on routes that report another objective
+    than the QP's, its ``objective`` are the route's to set.  A
     volatility above ``target + tol`` at gamma 0 is ``TargetUnreachable``;
     so is a crossing beyond ``_GAMMA_CAP``, including a last segment that
     stays below the target, and a crossing inside a move at fixed gamma (a
@@ -243,11 +256,12 @@ def path_root(solve, slope, metric, target: float, tol: float):
         rep.meta["calibration"] = history
         return 0.0, rep
     level = target if metric[0] is None else target ** 2
-    for k, (t, x, dx, rate, length) in enumerate(parametric_path(rep, slope)):
-        now = _level(metric, x)
+    for k, piece in enumerate(parametric_path(rep, slope)):
+        t, x, dx, rate, length = piece
+        now, b, a = _along(metric, x, dx)
         if k:  # a breakpoint
             history.append((t, _value(metric, now)))
-        s = _crossing(metric, x, dx, level, now)
+        s = _crossing(level, now, b, a)
         if rate and t + length > _GAMMA_CAP and s > _GAMMA_CAP - t:
             reached = _value(metric, _level(metric, x + (_GAMMA_CAP - t) * dx))
             raise TargetUnreachable(f"target {target} not bracketed up to gamma={_GAMMA_CAP:.0e} "
@@ -258,7 +272,9 @@ def path_root(solve, slope, metric, target: float, tol: float):
         raise TargetUnreachable(f"target {target} falls inside a jump of the path at "
                                 f"gamma={t:.6g}, where the optimum is not unique")
     gamma = t + rate * s
-    rep = solve(gamma, x + s * dx)
+    rep = piece.report(s)
+    if rep is None or not rep.converged:
+        rep = solve(gamma, x + s * dx)
     history.append((gamma, _value(metric, _level(metric, rep.weights))))
     rep.meta["calibration"] = history
     return gamma, rep

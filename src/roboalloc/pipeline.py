@@ -11,7 +11,7 @@ import numpy as np
 from .admm import solve_penalized
 from .errors import AllocationError, Infeasible, TargetUnreachable
 from .mvo import ConstraintSet, path_root
-from .regularizers import PenaltySpec, penalty_terms
+from .regularizers import PenaltySpec, penalty_terms, penalty_value
 from .report import SolveReport, write_csv
 
 _TE_TOL = 1e-6
@@ -96,8 +96,8 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
     one, ADMM does.  ``warm``, the weights of a nearby problem's answer, is
     the start point (``solve_penalized``'s ``x_init``); without it an exact
     solve starts at ``solve_qp``'s cold start and an ADMM solve at ``z = 0``.
-    With a tracking-error target and no gamma, the report is the solve at
-    the gamma where ``te_target_to_gamma``'s walk meets the target.
+    With a tracking-error target and no gamma, the report is
+    ``te_target_to_gamma``'s, at the gamma where its walk meets the target.
     """
     gamma = config.gamma if gamma is None else gamma
     if gamma is None:
@@ -106,20 +106,27 @@ def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
         gamma = 0.0
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    tracking = config.objective == "tracking_error"
     q_vec = gamma * mu
-    if tracking:
+    if config.objective == "tracking_error":
         q_vec = q_vec + sigma @ config.strategic
     p_mat, q_vec, l1, blocks, penalty = penalty_terms(config.penalties(), sigma, q_vec)
+    report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
+                             x_init=warm, objective=_objective(config, mu, sigma, gamma, penalty))
+    report.gamma = float(gamma)
+    return report
+
+
+def _objective(config: RoboConfig, mu, sigma, gamma: float, penalty):
+    """The objective a rebalance at ``gamma`` reports, ``0.5 d'Sd - gamma
+    d'mu`` with ``d = x - strategic`` (``x`` for ``mvo``) plus ``penalty(x)``,
+    the penalty slots' value."""
+    tracking = config.objective == "tracking_error"
 
     def objective(x):
         d = x - config.strategic if tracking else x
         return float(0.5 * d @ sigma @ d - gamma * d @ mu + penalty(x))
 
-    report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
-                             x_init=warm, objective=objective)
-    report.gamma = float(gamma)
-    return report
+    return objective
 
 
 def tracking_error(x, strategic, sigma) -> float:
@@ -132,14 +139,15 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
 
     ``mvo.path_root`` walks the solution path of the exact QP that
     ``rebalance`` solved at gamma 0 (the L1 slots as its L1 rows), meets the
-    target exactly on the first segment that reaches it and solves once
-    more at that gamma from the walk's point; the tracking error is
+    target exactly on the first segment that reaches it and reads the
+    report off that segment, certified, with the objective ``rebalance``
+    reports: one ``rebalance`` in all, at gamma 0.  The tracking error is
     nondecreasing in gamma without L2 penalties.  A target below the gamma-0
     tracking error by more than ``_TE_TOL`` is ``TargetUnreachable``: with
     L2 or turnover anchors the gamma-0 book is not the strategic one.  With
     extra sets there is no exact path, and a target is a ``ValueError``
     before any solve.  Returns ``(gamma, report)``, the report being the
-    solve at that gamma.
+    answer at that gamma.
     """
     if config.extra_sets:
         raise ValueError("a tracking-error target cannot be met with extra sets")
@@ -147,8 +155,12 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
         raise TargetUnreachable("tracking-error target must be nonnegative")
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    return path_root(lambda gamma, x0: rebalance(config, mu, sigma, gamma=gamma, warm=x0),
-                     -mu, (sigma, config.strategic), te_target, _TE_TOL)
+    gamma, report = path_root(lambda g, x0: rebalance(config, mu, sigma, gamma=g, warm=x0),
+                              -mu, (sigma, config.strategic), te_target, _TE_TOL)
+    report.gamma = float(gamma)
+    report.objective = _objective(config, mu, sigma, gamma,
+                                  penalty_value(config.penalties(), config.n))(report.weights)
+    return gamma, report
 
 
 @dataclass

@@ -61,7 +61,7 @@ rank, and ``_pivot`` applies the event at a rank.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -729,10 +729,25 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     lately, which gives the same start and so the same answer.
     The L1 rows' states are read off the start as its bound states are.
     Phase 1 and the active set each stop at the problem's ``max_iter``
-    (``MaxIterations``).  Returns a report whose ``duals`` dict carries
-    multipliers for every constraint block, with inactive entries at zero,
-    and whose ``meta['working_set']`` is ``(problem, states, kink row
-    sides)`` at the end: ``parametric_path``'s start.
+    (``MaxIterations``).  The report is ``_report``'s.
+    """
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).ravel()
+    if x0 is None or not _feasible(problem, x0):
+        x0 = _start(_StartKey(problem))
+    x, at, side, iters, (nu, mu, reduced) = _active_set(problem, x0, problem.max_iter)
+    return _report(problem, x, at, side, iters, nu, mu, reduced)
+
+
+def _report(problem: QpProblem, x, at, side, iterations, nu, mu, reduced) -> SolveReport:
+    """The report of the point ``x`` of ``problem`` on the working set ``(at,
+    side)``, with the equality rows' multipliers ``nu``, every kink row's
+    ``mu`` (its side's end off its kink, 0 at a single row's) and the
+    reduced gradient ``reduced``: ``solve_qp``'s, and a walk piece's
+    (``_Piece.report``).  Its ``duals`` dict carries multipliers for every
+    constraint block, with inactive entries at zero, and its
+    ``meta['working_set']`` is ``(problem, at, side)``: ``parametric_path``'s
+    start.
     With L1 rows the objective includes them, and ``duals``, ``r_norm`` and
     ``s_norm`` are ``certificate``'s; without, ``r_norm`` is ``_violation`` and
     ``s_norm`` the largest entry of ``Qx + c + A'nu - G'lam - lam_lo + lam_up``.
@@ -741,12 +756,6 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     """
     q, c, kinks = problem.Q, problem.c, problem._kinks
     (a_eq, _), (g, h) = problem.eq, problem.ineq
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).ravel()
-    if x0 is None or not _feasible(problem, x0):
-        x0 = _start(_StartKey(problem))
-
-    x, at, side, iters, (nu, mu, reduced) = _active_set(problem, x0, problem.max_iter)
     objective = 0.5 * x @ q @ x + c @ x
     lam = np.maximum(0.0 - mu[mu.size - h.size:], 0.0)  # the inequality rows' mu is -lam
     if problem.l1 is None:
@@ -761,7 +770,7 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     top_x = _largest(np.abs(x))
     failed = max(r_norm, s_norm) > _FEAS_TOL * max(1.0, top_x, top_q * top_x, top)
     report = SolveReport(weights=x, objective=float(objective), r_norm=r_norm, s_norm=s_norm,
-                         status=UNCERTIFIED if failed else CONVERGED, iterations=iters,
+                         status=UNCERTIFIED if failed else CONVERGED, iterations=iterations,
                          duals={"eq": nu, "ineq": lam, "lower": lam_lo, "upper": lam_up})
     report.meta["working_set"] = (problem, at, side)
     return report
@@ -865,6 +874,39 @@ class _WalkFactor:
         return True
 
 
+class _Piece(tuple):
+    """A piece ``(t, x, dx, rate, length)`` of ``parametric_path``, which also
+    holds what the walk knows of it: the working set, and the multipliers
+    and reduced gradient with their slopes in ``t``."""
+
+    def __new__(cls, values, walk):
+        piece = super().__new__(cls, values)
+        piece._walk = walk
+        return piece
+
+    def report(self, s):
+        """The solution at ``t + s`` read off the piece, as ``solve_qp``
+        reports it (``_report``, 0 iterations): the problem with ``c + (t +
+        s) slope``, built once, at ``x + s dx`` within the box, its
+        multipliers and reduced gradient moved along their slopes.  ``None``
+        on a move at fixed ``t``, which has no slopes.  It reads the walk's
+        working set, so it holds until the walk moves on."""
+        if self._walk is None:
+            return None
+        problem, slope, at, side, y, reduced, a, gpos = self._walk
+        t, x, dx = self[:3]
+        kinks = problem._kinks
+        moved = replace(problem, c=problem.c + (t + s) * slope)
+        y = y[:, 0] + s * y[:, 1]
+        mu = np.zeros(0)
+        if kinks is not None:
+            mu = kinks.hi * side
+            mu[kinks.general[gpos]] = y[a + gpos]
+        x = np.minimum(np.maximum(x + s * dx, problem.lower), problem.upper)
+        return _report(moved, x, at.copy(), side.copy(), 0, y[:a], mu,
+                       reduced[:, 0] + s * reduced[:, 1])
+
+
 def parametric_path(start: SolveReport, slope):
     """Solution path of ``min 0.5 x'Qx + (c + t slope)'x``, plus the L1
     rows, over ``t >= 0``, for the problem in ``start.meta['working_set']``.
@@ -894,11 +936,14 @@ def parametric_path(start: SolveReport, slope):
     leaves, so pieces have unique multipliers.  Rows that pin the free block
     leave it still.
 
-    Yields ``(t, x, dx, rate, length)`` per piece: the solution at parameter
-    ``t + rate s`` is ``x + s dx`` for ``s`` in ``[0, length]``, ``rate``
-    being 1 on a segment and 0 on a move at fixed ``t``; the last segment
-    has infinite length.  Pivots stop at the problem's ``max_iter``
-    (``MaxIterations``).
+    Yields a ``_Piece`` ``(t, x, dx, rate, length)`` per piece: the solution
+    at parameter ``t + rate s`` is ``x + s dx`` for ``s`` in ``[0,
+    length]``, ``rate`` being 1 on a segment and 0 on a move at fixed ``t``;
+    the last segment has infinite length.  On a segment the multipliers and
+    the reduced gradient that the ratio tests read are affine in ``s`` too,
+    so the piece's ``report(s)`` is the answer at ``t + s`` read off it and
+    certified as ``solve_qp`` certifies its own, with no solve.  Pivots stop
+    at the problem's ``max_iter`` (``MaxIterations``).
     """
     problem, *states = start.meta["working_set"]
     at, side = (v.copy() for v in states)
@@ -981,7 +1026,8 @@ def parametric_path(start: SolveReport, slope):
         if null is None:  # a piece; otherwise a constraint leaves at fixed x and t
             if flat and length == np.inf:
                 raise Unbounded("zero-curvature direction with no blocking constraint")
-            yield t, x, dx, 0.0 if flat else 1.0, length
+            yield _Piece((t, x, dx, 0.0 if flat else 1.0, length),
+                         None if flat else (problem, slope, at, side, y, reduced, a, gpos))
             if length == np.inf:
                 return
             x = x + length * dx

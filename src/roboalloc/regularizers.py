@@ -13,6 +13,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularKKT,
 )
+from .market_data import _check_symmetric
 from .mvo import exact_problem
 from .qp import _check_finite, _kkt, solve_qp
 from .report import CONVERGED, SolveReport
@@ -88,19 +89,17 @@ def penalty_terms(penalties, P, q):
     penalty (``p = 1`` included) becomes the prox block ``(G, G a, step)``
     of ``admm.solve_penalized``, ``step(v, phi)`` being the prox of
     ``rho/(p phi) ||.||_p^p``.  Every penalty is honoured, a zero ``rho``
-    included.  Returns ``(P, q, l1, blocks, value)``, where ``value(x)`` is
-    ``sum rho/p ||G (x - a)||_p^p`` over all the penalties.  An unset ``G``
-    takes no product with the identity, whose products are exact: an ``l2``
-    penalty adds ``rho I`` and ``rho a``, an ``l1`` penalty's ``d`` is ``a``,
-    and ``value`` reads ``x - a``.
+    included.  Returns ``(P, q, l1, blocks, value)``, where ``value`` is
+    ``penalty_value``'s sum over all the penalties.  An unset ``G`` takes no
+    product with the identity, whose products are exact: an ``l2`` penalty
+    adds ``rho I`` and ``rho a``, and an ``l1`` penalty's ``d`` is ``a``.
     """
     n = q.size
-    terms, rows, blocks = [], [], []
+    rows, blocks = [], []
     for pen in penalties:
         g = pen.gamma_matrix  # a matrix, or None for the identity
         anchor = np.zeros(n) if pen.anchor is None else pen.anchor
         ga = anchor if g is None else g @ anchor
-        terms.append((pen.rho, pen.p, g, anchor))
         if pen.kind == "l2":
             P = P + (pen.rho * np.eye(n) if g is None else pen.rho * g.T @ g)
             q = q + pen.rho * (ga if g is None else g.T @ ga)
@@ -110,6 +109,16 @@ def penalty_terms(penalties, P, q):
             blocks.append((penalty_matrix(g, n), ga,
                            lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
     l1 = tuple(map(np.concatenate, zip(*rows))) if rows else None
+    return P, q, l1, blocks, penalty_value(penalties, n)
+
+
+def penalty_value(penalties, n: int):
+    """``value(x) = sum rho/p ||G (x - a)||_p^p`` over the penalties, ``G``
+    the identity and ``a`` zero where unset: the term ``penalty_terms``
+    folds into a problem.  An unset ``G`` takes no product: ``value`` reads
+    ``x - a``."""
+    terms = [(pen.rho, pen.p, pen.gamma_matrix, np.zeros(n) if pen.anchor is None else pen.anchor)
+             for pen in penalties]
 
     def value(x):
         total = 0
@@ -118,7 +127,7 @@ def penalty_terms(penalties, P, q):
             total += rho / p * (np.abs(d if g is None else g @ d) ** p).sum()
         return total
 
-    return P, q, l1, blocks, value
+    return value
 
 
 def _checked(a1, b1, eq):
@@ -231,13 +240,29 @@ def _pinv_comp(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _retained(s):
+    """The singular values ``s`` that count, those above ``_RANK_CUTOFF`` of
+    the largest, as a mask; ``AllSingularValuesFiltered`` for a zero matrix."""
+    top = s.max(initial=0.0)
+    if top <= 0:
+        raise AllSingularValuesFiltered("matrix is zero")
+    return s > _RANK_CUTOFF * top
+
+
 def _svd_retained(a1):
     a1 = np.atleast_2d(np.asarray(a1, dtype=float))
     u, s, vt = np.linalg.svd(a1, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        raise AllSingularValuesFiltered("matrix is zero")
-    keep = s > _RANK_CUTOFF * s[0]
+    keep = _retained(s)
     return u[:, keep], s[keep], vt[keep]
+
+
+def _gains(s, filt):
+    """The filter's gains at the retained singular values ``s``;
+    ``AllSingularValuesFiltered`` if all are zero."""
+    g = _filter_values(s, filt)
+    if not np.any(g != 0):
+        raise AllSingularValuesFiltered("filter removed every singular value")
+    return g
 
 
 def _gram_spectrum(s, g, filt, rule: str):
@@ -258,9 +283,7 @@ def _filtered_spectrum(a1, filt, gram_rule):
     """The retained SVD factors ``u, vt`` of ``a1``, the filter's gains ``g``
     (``AllSingularValuesFiltered`` if all are zero) and the regularized gram."""
     u, s, vt = _svd_retained(a1)
-    g = _filter_values(s, filt)
-    if not np.any(g != 0):
-        raise AllSingularValuesFiltered("filter removed every singular value")
+    g = _gains(s, filt)
     return u, g, vt, (vt.T * _gram_spectrum(s, g, filt, gram_rule)) @ vt
 
 
@@ -274,6 +297,24 @@ def spectral_filter(a1, filt, gram_rule: str = "g_dagger_sq"):
     """
     u, g, vt, gram_reg = _filtered_spectrum(a1, filt, gram_rule)
     return (vt.T * g) @ u.T, gram_reg
+
+
+def filter_covariance(sigma, filt):
+    """The filtered covariance of ``sigma``: ``spectral_filter``'s
+    regularized gram matrix of ``sigma^{1/2}`` (rule ``g_dagger_sq``), from
+    one ``eigh`` of ``sigma`` and no square root or SVD.  The singular
+    values of ``sigma^{1/2}`` are the square roots of the eigenvalues of
+    ``sigma`` (a negative one, rounding, as zero) and its singular vectors
+    are the eigenvectors.  A matrix that is not symmetric is
+    ``NotSymmetric``; a zero one, or a filter that removes every value,
+    ``AllSingularValuesFiltered``."""
+    sigma = np.asarray(sigma, dtype=float)
+    _check_symmetric(sigma)
+    lam, vec = np.linalg.eigh(sigma)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    keep = _retained(s)
+    s, vec = s[keep], vec[:, keep]
+    return (vec * _gram_spectrum(s, _gains(s, filt), filt, "g_dagger_sq")) @ vec.T
 
 
 def filtered_normal_solve(a1, b1, filt, eq=None, gram_rule: str = "g_dagger_sq"):

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from roboalloc.cli import main
+from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma
+from roboalloc.regularizers import FilterSpec
 from roboalloc.market_data import (
     MomentEstimates,
     WeightScheme,
     _read_csv,
     moments_to_dict,
 )
+from tests.test_regularizers import filtered_by_svd
 
 PANEL = """date,aa,bb,cc
 2021-01,0.010,0.020,0.005
@@ -950,6 +953,48 @@ class TestVolatilityTargetOutOfReach:
         err = capsys.readouterr().err
         assert code == 1 and not (tmp_path / "r.json").exists()
         assert err.startswith("error: TargetUnreachable: ") and err.count("\n") == 1, err
+
+
+class TestFilterDocuments:
+    """A ``"filter"`` regularizes the covariance from one ``eigh``: a
+    filtered volatility target answers as the library does on the filtered
+    covariance, and a zero covariance, a threshold above every value or an
+    asymmetric covariance exits 1 with one ``error:`` line."""
+
+    def write(self, tmp_path, sigma, filt):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "mu": [0.05, 0.07, 0.06], "sigma": sigma, "filter": filt,
+            "target": {"type": "volatility", "value": 0.2},
+            "constraints": {"budget": 1.0, "lower": 0.0, "upper": 1.0}}))
+        return problem
+
+    def test_filtered_volatility_target(self, tmp_path):
+        sigma = [[0.04, 0.006, 0.01], [0.006, 0.09, 0.012], [0.01, 0.012, 0.0625]]
+        spec = FilterSpec("ridge", 0.002)
+        problem = self.write(tmp_path, sigma, {"kind": "ridge", "rho": 0.002})
+        out = tmp_path / "r.json"
+        assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        inputs = MvoInputs(mu=[0.05, 0.07, 0.06], sigma=filtered_by_svd(np.array(sigma), spec))
+        gamma, rep = calibrate_gamma(inputs, ConstraintSet(budget=1.0, lower=0.0, upper=1.0),
+                                     target_vol=0.2)
+        assert doc["status"] == "converged" and doc["gamma"] == pytest.approx(gamma, rel=1e-10)
+        assert np.abs(np.array(doc["weights"]) - rep.weights).max() <= 1e-10
+
+    @pytest.mark.parametrize("sigma,filt,error", [
+        ([[0.0] * 3] * 3, {"kind": "ridge", "rho": 0.001}, "AllSingularValuesFiltered"),
+        ([[0.04, 0.0, 0.0], [0.0, 0.09, 0.0], [0.0, 0.0, 0.0625]],
+         {"kind": "hard_threshold", "rho": 0.5}, "AllSingularValuesFiltered"),
+        ([[0.04, 0.01, 0.0], [0.0, 0.09, 0.0], [0.0, 0.0, 0.0625]],
+         {"kind": "ridge", "rho": 0.001}, "NotSymmetric")],
+        ids=["zero", "threshold-above-all", "asymmetric"])
+    def test_exits_1(self, tmp_path, capsys, sigma, filt, error):
+        problem = self.write(tmp_path, sigma, filt)
+        code = main(["optimize", "--problem", str(problem), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and not (tmp_path / "r.json").exists()
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
 
 
 class TestReturnTargetMetAtGammaZero:

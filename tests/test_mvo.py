@@ -123,14 +123,17 @@ class TestCalibrateGamma:
 
         monkeypatch.setattr(mvo, "solve_qp", recording)
         gamma, rep = calibrate_gamma(inp, cons, target_vol=0.07)
-        # the gamma-0 solve, then one certified solve started at the walk's point
-        assert len(starts) == 2 and starts[0] is None and rep is answers[1]
-        assert rep.iterations == 1
-        assert np.abs(starts[1] - answers[0].weights).max() > 0.1
-        assert np.abs(starts[1] - rep.weights).max() <= 1e-12
+        # the gamma-0 solve alone: the answer is read off the walk's piece
+        # and certified, with no active-set iteration
+        assert len(starts) == 1 and starts[0] is None and rep is not answers[0]
+        assert rep.converged and rep.iterations == 0 and rep.gamma == gamma
+        assert np.abs(rep.weights - answers[0].weights).max() > 0.1
         monkeypatch.undo()
         cold = solve_gamma_problem(inp, gamma, cons)
         assert np.allclose(rep.weights, cold.weights, atol=1e-10, rtol=0.0)
+        for key in ("eq", "lower", "upper"):
+            assert np.allclose(rep.duals[key], cold.duals[key], atol=1e-10, rtol=0.0)
+        assert abs(rep.objective - cold.objective) <= 1e-10
 
     @pytest.mark.parametrize("mu,target", [([0.0, 0.0], 0.1), ([0.05, 0.07], -0.1)])
     def test_unconstrained_volatility_target_out_of_reach(self, mu, target):

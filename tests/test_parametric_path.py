@@ -192,9 +192,10 @@ def test_walk_meets_target_like_a_cold_solve(seed, n, kind, general, metric, mon
             patch.setattr(route, "solve_qp", counted)
             gamma, rep = case.walk(target)
         reached = case.value(rep.weights)
-        if gamma > 0.0:  # the gamma-0 solve and one at the walk's point
+        assert len(solves) == 1 and rep.converged
+        if gamma > 0.0:  # the gamma-0 solve, and the answer read off the walk
             assert abs(reached - target) <= 1e-12 * abs(target)
-            assert len(solves) == 2
+            assert rep.iterations == 0 and rep.gamma == gamma
         else:
             assert reached >= target - _TOL
         cold = case.solve(gamma)
@@ -209,7 +210,7 @@ def test_walk_from_dependent_start_meets_target(monkeypatch):
     """A 12-weight book whose gamma-0 answer is its strategic book, on the
     budget row and the kinks of all 24 rows of a strategic L1 slot that
     mixes weights: the walk starts on a dependent working set.  It still
-    meets the target with two solves, at the cold solve's weights."""
+    meets the target with one solve, at the cold solve's weights."""
     n = 12
     sigma, mu, strategic = universe(22, n, "full")
     rng = np.random.default_rng([6, 22])
@@ -232,7 +233,7 @@ def test_walk_from_dependent_start_meets_target(monkeypatch):
         patch.setattr(admm, "solve_qp", counted)
         gamma, rep = te_target_to_gamma(config, mu, sigma, target)
     assert abs(tracking_error(rep.weights, strategic, sigma) - target) <= 1e-12 * target
-    assert len(solves) == 2
+    assert len(solves) == 1 and rep.converged and rep.iterations == 0
     cold = rebalance(config, mu, sigma, gamma=gamma)
     assert np.abs(rep.weights - cold.weights).max() <= 1e-9
 
@@ -421,7 +422,7 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
     """On a covariance of rank 20 the walk from gamma 0 first moves at fixed
     gamma along zero curvature: the walk's factor is refused there (its LU's
     pivot or its drift), those pieces go through ``_kkt``, whose least squares
-    answers them, and the target is still met with two solves, at the cold
+    answers them, and the target is still met with one solve, at the cold
     solve's weights."""
     case = Case(7, 40, "singular", False, "vol")
     low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
@@ -441,6 +442,126 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
     monkeypatch.setattr(mvo, "solve_qp", counted_solve)
     monkeypatch.setattr(qp, "_kkt", counted)
     gamma, rep = case.walk(target)
-    assert gamma > 0.0 and any(walked) and len(solves) == 2
+    assert gamma > 0.0 and any(walked) and len(solves) == 1 and rep.converged
     assert abs(case.value(rep.weights) - target) <= 1e-12 * target
     assert np.abs(rep.weights - case.solve(gamma).weights).max() <= 1e-9
+
+
+def counting(monkeypatch, module):
+    """Patch ``module``'s ``solve_qp`` to record each call's start and
+    report; returns ``(starts, answers)``."""
+    starts, answers = [], []
+
+    def counted(problem, x0=None):
+        starts.append(x0)
+        answers.append(qp.solve_qp(problem, x0=x0))
+        return answers[-1]
+
+    monkeypatch.setattr(module, "solve_qp", counted)
+    return starts, answers
+
+
+def assert_like(rep, cold):
+    """Weights, every dual block and the objective within 1e-10."""
+    assert np.abs(rep.weights - cold.weights).max() <= 1e-10
+    for key in ("eq", "ineq", "lower", "upper"):
+        assert np.abs(rep.duals[key] - cold.duals[key]).max(initial=0.0) <= 1e-10
+    assert abs(rep.objective - cold.objective) <= 1e-10
+
+
+def test_te_read_off_at_kinks_and_an_active_row_is_rebalance(monkeypatch):
+    """A TE target on a book with both L1 slots and the inequality row
+    ``x_a + x_b + x_c <= cap`` over the three best returns: at the crossing
+    three weights sit at their kinks and the row is active.  The answer,
+    read off the walk's piece with no second solve, is certified and
+    carries the weights, duals and objective of ``rebalance`` at its gamma."""
+    n = 12
+    sigma, mu, strategic = universe(41, n, "full")
+    current = np.random.default_rng([7, 41]).dirichlet(np.ones(n))
+    g = np.zeros((1, n))
+    top = np.argsort(mu)[-3:]
+    g[0, top] = -1.0
+    cap = strategic[top].sum() + 0.05
+    config = RoboConfig(strategic=strategic, current=current, rho1_strategic=2e-3,
+                        rho1_turnover=1e-3, constraints=ConstraintSet(
+                            budget=1.0, lower=0.0, upper=0.3, ineq=(g, [-cap])))
+    low, high = (tracking_error(rebalance(config, mu, sigma, gamma=gamma).weights, strategic,
+                                sigma) for gamma in (0.0, 1e3))
+    target = 0.5 * (low + high)
+    with monkeypatch.context() as patch:
+        starts, _ = counting(patch, admm)
+        gamma, rep = te_target_to_gamma(config, mu, sigma, target)
+    _, at, _ = rep.meta["working_set"]
+    assert len(starts) == 1 and rep.converged and rep.iterations == 0 and gamma > 0.0
+    assert (at == qp._KINK).sum() >= 3 and rep.duals["ineq"][0] > 1e-3
+    assert abs(g[0] @ rep.weights + cap) <= 1e-12
+    assert abs(tracking_error(rep.weights, strategic, sigma) - target) <= 1e-12 * target
+    assert_like(rep, rebalance(config, mu, sigma, gamma=gamma))
+
+
+@pytest.mark.parametrize("metric", ["vol", "te_l1"])
+def test_target_at_a_breakpoint_is_read_off(metric, monkeypatch):
+    """A target set at the value of one of the walk's breakpoints is met at
+    that breakpoint's gamma, where two working sets hold, and read off the
+    walk like any other: certified, one solve, the cold solve's answer."""
+    case = Case(9, 20, "full", True, metric)
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    history = case.walk(low + 0.8 * (high - low))[1].meta["calibration"]
+    breakpoint_gamma, target = history[len(history) // 2]
+    assert 0.0 < breakpoint_gamma < history[-1][0]
+    with monkeypatch.context() as patch:
+        starts, _ = counting(patch, admm if case.te else mvo)
+        gamma, rep = case.walk(target)
+    assert len(starts) == 1 and rep.converged and rep.iterations == 0
+    assert gamma == pytest.approx(breakpoint_gamma, rel=1e-9, abs=0.0)
+    assert abs(case.value(rep.weights) - target) <= 1e-12 * target
+    assert_like(rep, case.solve(gamma))
+
+
+def test_walk_from_a_calibrated_report_continues_the_path():
+    """The read-off's ``meta['working_set']`` starts a walk as a solve's
+    does: from a calibrated report, the path onward is the cold solves' at
+    the calibrated gamma plus ``t``, at each piece's ends and read off in
+    its middle."""
+    case = Case(5, 20, "full", True, "vol")
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    gamma, rep = case.walk(low + 0.4 * (high - low))
+    assert rep.iterations == 0 and gamma > 0.0
+    pieces = 0
+    for piece in qp.parametric_path(rep, -case.inputs.excess):
+        t, x, dx, rate, length = piece
+        assert rate == 1.0
+        cold = case.solve(gamma + t)
+        assert np.abs(x - cold.weights).max() <= 1e-10
+        middle = 0.5 * length if length < np.inf else 1.0
+        assert_like(piece.report(middle), case.solve(gamma + t + middle))
+        pieces += 1
+        if pieces == 4 or length == np.inf:
+            break
+    assert pieces == 4
+
+
+def test_uncertified_read_off_takes_the_fallback_solve(monkeypatch):
+    """A read-off whose certificate fails (here its budget multiplier is
+    moved by 1e-3) is not the answer: one solve at the crossing's gamma,
+    started from the walk's point, gives it."""
+    case = Case(3, 20, "full", False, "vol")
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    target = low + 0.5 * (high - low)
+    report, read_off = qp._report, []
+
+    def moved(problem, x, at, side, iterations, nu, mu, reduced):
+        if iterations:
+            return report(problem, x, at, side, iterations, nu, mu, reduced)
+        read_off.append(report(problem, x, at, side, iterations, nu + 1e-3, mu, reduced))
+        return read_off[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qp, "_report", moved)
+        starts, answers = counting(patch, mvo)
+        gamma, rep = case.walk(target)
+    assert [r.status for r in read_off] == ["uncertified"]
+    assert len(starts) == 2 and starts[0] is None and rep is answers[1]
+    assert np.abs(starts[1] - read_off[0].weights).max() <= 1e-15
+    assert rep.converged and abs(case.value(rep.weights) - target) <= 1e-12 * target
+    assert_like(rep, case.solve(gamma))

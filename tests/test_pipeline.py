@@ -35,8 +35,9 @@ def plain_qp_oracle(config, mu, sigma, gamma):
 
 def walks_then_solves_once(ten_asset, monkeypatch, **slots):
     """A TE target is met on the solution path: the gamma-0 solve from the
-    solver's cold start, then one certified solve started at the walk's
-    point, on the target to 1e-12 and within 1e-10 of a cold solve."""
+    solver's cold start is the one solve, and the answer, read off the
+    walk's piece and certified, is on the target to 1e-12 and within 1e-10
+    of a cold solve, weights, duals and objective."""
     _, _, sigma = ten_asset
     scores = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 1])
     _, _, mu = grades_to_expected_returns(EW10, sigma, 0.0, 0.5, scores)
@@ -51,9 +52,8 @@ def walks_then_solves_once(ten_asset, monkeypatch, **slots):
 
     monkeypatch.setattr(admm, "solve_qp", recording)
     gamma, rep = te_target_to_gamma(cfg, mu, sigma, 0.01)
-    assert len(starts) == 2 and starts[0] is None
-    assert rep is answers[1] and rep.iterations == 1 and rep.gamma == gamma
-    assert np.abs(starts[1] - rep.weights).max() <= 1e-12
+    assert len(starts) == 1 and starts[0] is None and rep is not answers[0]
+    assert rep.converged and rep.iterations == 0 and rep.gamma == gamma
     history = rep.meta["calibration"]
     assert all(b[0] >= a[0] and b[1] >= a[1] - 1e-12
                for a, b in zip(history, history[1:]))
@@ -63,6 +63,9 @@ def walks_then_solves_once(ten_asset, monkeypatch, **slots):
         0.01, rel=1e-12, abs=0.0)
     cold = rebalance(cfg, mu, sigma, gamma=gamma)
     assert np.abs(rep.weights - cold.weights).max() <= 1e-10
+    for key in ("eq", "ineq", "lower", "upper"):
+        assert np.abs(rep.duals[key] - cold.duals[key]).max(initial=0.0) <= 1e-10
+    assert abs(rep.objective - cold.objective) <= 1e-10
 
 
 class TestRebalance:

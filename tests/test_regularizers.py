@@ -3,12 +3,13 @@ import pytest
 
 from roboalloc import errors
 from roboalloc.admm import solve_mixed_lp
-from roboalloc.market_data import condition_number
+from roboalloc.market_data import condition_number, eigen_decompose
 from roboalloc.mvo import ConstraintSet
 from roboalloc.qp import QpProblem, solve_qp
 from roboalloc.regularizers import (
     FilterSpec,
     PenaltySpec,
+    filter_covariance,
     filtered_normal_solve,
     ledoit_wolf_to_tikhonov,
     ridge_mvo,
@@ -253,6 +254,45 @@ class TestSpectralFilter:
         for rule in ("g_dagger_sq", "g_of_s_sq", "g_dagger_times_s"):
             _, gram0 = spectral_filter(a1, FilterSpec("ridge", 0.0), gram_rule=rule)
             assert np.abs(gram0 - a1.T @ a1).max() <= 1e-10
+
+
+def filtered_by_svd(sigma, spec):
+    """The filtered covariance as ``spectral_filter``'s gram matrix of the
+    symmetric square root of ``sigma``, from its SVD."""
+    vec, lam = eigen_decompose(sigma)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+    return spectral_filter(root, spec)[1]
+
+
+class TestFilterCovariance:
+    """One ``eigh`` of the covariance gives what the SVD of its square root
+    gives: the gains applied to the square roots of its eigenvalues."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind,rank", [("ridge", 10), ("diag_ridge", 10),
+                                           ("hard_threshold", 10), ("diag_ridge", 4),
+                                           ("hard_threshold", 4)])
+    def test_matches_the_square_root_svd(self, seed, kind, rank):
+        rng = np.random.default_rng([17, seed, rank])
+        b = rng.standard_normal((10, rank)) * 0.1
+        sigma = b @ b.T
+        sigma = 0.5 * (sigma + sigma.T)
+        s = np.sqrt(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))
+        rho = {"ridge": 0.01 * s.mean() ** 2, "diag_ridge": 0.3,
+               "hard_threshold": 0.5 * (s[-3] + s[-4])}[kind]
+        spec = FilterSpec(kind, rho)
+        want, got = filtered_by_svd(sigma, spec), filter_covariance(sigma, spec)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_or_fully_filtered_covariance_raises(self):
+        with pytest.raises(errors.AllSingularValuesFiltered, match="zero"):
+            filter_covariance(np.zeros((3, 3)), FilterSpec("ridge", 0.1))
+        with pytest.raises(errors.AllSingularValuesFiltered, match="every"):
+            filter_covariance(np.diag([0.04, 0.01]), FilterSpec("hard_threshold", 0.3))
+
+    def test_asymmetric_covariance_raises(self):
+        with pytest.raises(errors.NotSymmetric):
+            filter_covariance(np.array([[0.04, 0.01], [0.0, 0.09]]), FilterSpec("ridge", 0.1))
 
 
 class TestFilteredNormalSolve:

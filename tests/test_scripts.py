@@ -44,8 +44,11 @@ def test_allocation_study_runs():
 
 def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatch, capsys):
     # one cycle per workload, recorded twice at this commit: the same bytes,
-    # and --check passes; a cold start left unrefined changes the answers'
-    # iteration counts, and --check exits 1 naming the first record it moved
+    # and --check passes, every record matching; a file with one digest
+    # changed, one record dropped and one added reads as one moved, one now
+    # only and one recorded only, each named; a cold start left unrefined
+    # changes the answers' iteration counts, and --check exits 1 naming the
+    # first record it moved
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     spec = importlib.util.spec_from_file_location("ledger", os.path.join(ROOT, "scripts", "ledger.py"))
@@ -59,7 +62,24 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     path = tmp_path / "ledger.json"
     path.write_text(first)
     assert ledger.check(str(path)) == 0
-    capsys.readouterr()
+    summary = capsys.readouterr().out.splitlines()[1:-1]
+    assert [line.split(":")[0] for line in summary] == [
+        "nightly_rebalance solve_qp", "nightly_rebalance output", "target_calibration solve_qp",
+        "target_calibration piece", "target_calibration output", "advisor_cli solve_qp",
+        "advisor_cli piece", "advisor_cli output"]
+    assert all(line.endswith(" match, 0 moved, 0 recorded only, 0 now only") for line in summary)
+    edited = json.loads(first)
+    records = edited["records"]
+    assert " solve_qp " in records[0][0] and " solve_qp " in records[2][0]
+    moved, dropped, added = records[0][0], records.pop(2)[0], "advisor_cli cycle 9 output 0"
+    records[0][1] = "0" * 64
+    records.append([added, "0" * 64])
+    path.write_text(json.dumps(edited))
+    assert ledger.check(str(path)) == 1
+    out = capsys.readouterr().out
+    assert f", 1 moved, 0 recorded only, 1 now only; first moved: {moved}; first now only: {dropped}\n" in out
+    assert f", 0 moved, 1 recorded only, 0 now only; first recorded only: {added}\n" in out
+    path.write_text(first)
     monkeypatch.setattr(qp, "_refine_start", lambda problem, x: x)
     assert ledger.main(["--check", str(path)]) == 1
-    assert "differs: " in capsys.readouterr().out
+    assert "; first moved: " in capsys.readouterr().out
