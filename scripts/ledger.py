@@ -8,7 +8,8 @@ cold starts cleared before each workload.  It hashes (SHA-256) every answer
 the cycles produce, in order:
 
 - each ``solve_qp`` report: weights, duals, objective, ``r_norm``,
-  ``s_norm``, iterations and status;
+  ``s_norm``, iterations and status, and beside that digest a second one of
+  its weights, status and iterations alone (its answer);
 - each piece ``parametric_path`` yields, as its five values ``(t, x, dx,
   rate, length)``, whatever else the walk hands out with them;
 - each op's output; for advisor_cli, the exit codes and the files its verbs
@@ -23,8 +24,10 @@ Run:  python3 scripts/ledger.py --out LEDGER.json
 ``--check`` reruns the cycles the file records and aligns the records by
 label.  It prints the counts and, per workload and kind (``solve_qp``,
 ``piece``, ``output``), how many records match, moved (same label, another
-digest), or exist on one side only, naming the first of each; it exits 1 on
-any difference.
+digest), or exist on one side only, naming the first of each; of the moved
+``solve_qp`` reports, it counts those whose answer digest still matches (a
+change of duals or residuals alone) and names the first whose answer moved.
+It exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ TOTALS = ("records: %(solve_qp)d solve_qp reports, %(pieces)d walk pieces, %(ops
           "%(iterations)d solve_qp iterations")
 KINDS = ("solve_qp", "piece", "output")
 STATES = ("match", "moved", "recorded only", "now only")
+# moved solve_qp reports whose answer digests match, and those whose do not
+KEPT, LEFT = "answer kept", "answer moved"
 
 
 def _feed(digest, value) -> None:
@@ -105,8 +110,8 @@ class Recorder:
         self.counts[key] = self.counts.get(key, -1) + 1
         return f"{self.where} {kind} {self.counts[key]}"
 
-    def add(self, kind, value):
-        self.records.append([self.label(kind), sha(value)])
+    def add(self, kind, value, *extra):
+        self.records.append([self.label(kind), sha(value), *map(sha, extra)])
 
     def install(self):
         solve, walk = qp.solve_qp, qp.parametric_path
@@ -114,7 +119,7 @@ class Recorder:
         def solve_qp(*args, **kwargs):
             report = solve(*args, **kwargs)
             self.iterations += report.iterations
-            self.add("solve_qp", report)
+            self.add("solve_qp", report, (report.weights, report.status, report.iterations))
             return report
 
         def parametric_path(*args, **kwargs):
@@ -179,7 +184,7 @@ def record(cycles) -> dict:
                     for j, op in enumerate(ops):
                         recorder.where = f"{name} cycle {i} op {j} {op.kind}"
                         recorder.add("output", _output(recorder, workdir, op))
-            labels = [label for label, _ in recorder.records[first:]]
+            labels = [label for label, *_ in recorder.records[first:]]
             summary[name] = {
                 "cycles": count,
                 "solve_qp": sum(" solve_qp " in label for label in labels),
@@ -196,18 +201,28 @@ def record(cycles) -> dict:
 
 def compare(recorded, now) -> dict:
     """The records of two ledgers aligned by label: for each ``(workload,
-    kind)``, the labels in each of ``STATES``, in record order."""
-    digests, table = dict(now), {}
+    kind)``, the labels in each of ``STATES``, in record order, and under
+    ``KEPT`` and ``LEFT`` the moved ones whose answer digests match and do
+    not (a record without one, from a ledger written before they were, is
+    in neither)."""
+    digests, table = {label: rest for label, *rest in now}, {}
 
     def put(label, state):
         kind = next(k for k in KINDS if f" {k} " in label)
-        table.setdefault((label.split()[0], kind), {s: [] for s in STATES})[state].append(label)
+        key = (label.split()[0], kind)
+        table.setdefault(key, {s: [] for s in STATES + (KEPT, LEFT)})[state].append(label)
 
-    for label, digest in recorded:
-        put(label, "recorded only" if label not in digests else
-            "match" if digests[label] == digest else "moved")
-    known = {label for label, _ in recorded}
-    for label, _ in now:
+    for label, digest, *answer in recorded:
+        if label not in digests:
+            put(label, "recorded only")
+        elif digests[label][0] == digest:
+            put(label, "match")
+        else:
+            put(label, "moved")
+            if answer:
+                put(label, KEPT if answer == digests[label][1:] else LEFT)
+    known = {label for label, *_ in recorded}
+    for label, *_ in now:
         if label not in known:
             put(label, "now only")
     return table
@@ -225,8 +240,12 @@ def check(path) -> int:
         states = table[workload, kind]
         counts = ", ".join(f"{len(states[s])} {s}" for s in STATES)
         firsts = "".join(f"; first {s}: {states[s][0]}" for s in STATES[1:] if states[s])
+        if kind == "solve_qp" and states["moved"]:
+            firsts += (f"; of the moved, {len(states[KEPT])} keep their weights, status and "
+                       f"iterations and {len(states[LEFT])} do not")
+            firsts += f", first: {states[LEFT][0]}" if states[LEFT] else ""
         print(f"{workload} {kind}: {counts}{firsts}")
-        differs |= len(states["match"]) < sum(map(len, states.values()))
+        differs |= len(states["match"]) < sum(len(states[s]) for s in STATES)
     if differs:
         return 1
     print(f"every record matches {path}")

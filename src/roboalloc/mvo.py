@@ -230,8 +230,8 @@ def path_root(solve, slope, metric, target: float, tol: float):
     answer; on each piece the metric is a quadratic (or linear) function of
     the step, so the target is met exactly where it first crosses.  The
     report is read off that piece (``_Piece.report``: the problem at that
-    gamma, its weights, multipliers and reduced gradient moved along the
-    piece, certified as ``solve_qp`` certifies a solve); only a read-off
+    gamma, its weights and multipliers moved along the piece, certified as
+    ``solve_qp`` certifies a solve); only a read-off
     that is not ``converged``, or a crossing at the start of a move at fixed
     gamma, takes one ``solve`` at that gamma from the walk's point instead.
     The report's ``gamma`` and, on routes that report another objective

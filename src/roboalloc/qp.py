@@ -45,10 +45,9 @@ Multipliers follow the stationarity convention
 
 with ``lam_ineq``, ``lam_lo`` and ``lam_up`` nonnegative: ``nu`` and
 ``-lam_ineq`` are the row multipliers that the KKT solve of the step
-returns with it, the bound multipliers read off the reduced gradient at
-the fixed variables.  With L1 rows the report's multipliers and residuals
-come from ``certificate``, which reads the problem data only, and the
-status is ``converged`` only when it passes.
+returns with it.  Every report's bound multipliers and residuals come from
+``certificate``, which reads the problem data and those row multipliers
+only, and the status is ``converged`` only when it passes.
 
 The active set and the path walk share one working set ``(at, side)``,
 each weight's state and each kink row's side of its kink (0 at it), and
@@ -203,9 +202,11 @@ class QpProblem:
         """The ``_Kinks`` of the L1 rows, multipliers in ``[-rho, rho]``, and
         then the inequality rows, in ``(-inf, 0]``; built once and shared by
         the solve, its certificate and walks.  ``None`` without either, not
-        an empty ``_Kinks``: the gamma walks' per-pivot numpy calls on empty
-        arrays are not free, and with one target_calibration ran 165 and 167
-        ops/s against 208 and 204 (seed 1, 15 s runs, shared 2-vCPU machine)."""
+        an empty ``_Kinks``: the per-pivot and per-step numpy calls on empty
+        arrays are not free, and with one (every ``None`` branch kept)
+        target_calibration ran 283, 283 and 275 ops/s against 318, 318 and
+        326, p90 5.6-5.8 ms against 5.2-5.4 ms (seeds 501-503, alternating 15 s
+        runs, shared 2-vCPU machine, one BLAS thread)."""
         (g, h), l1 = self.ineq, self.l1
         if l1 is None and not h.size:
             return None
@@ -216,13 +217,13 @@ class QpProblem:
 
     @cached_property
     def _scales(self):
-        """The certificates' scales, read once: ``max(1, |b|, |h|, |d|)``
-        (``certificate``'s, 1 without L1 rows), ``max|Q|`` and ``max(|c|, |pull|)``."""
-        top_q, top = _largest(np.abs(self.Q), None, initial=0.0), _largest(np.abs(self.c), initial=0.0)
-        if self.l1 is None:
-            return 1.0, top_q, top
-        level = _largest(np.abs(np.concatenate([self.eq[1], self.ineq[1], self.l1[1]])), initial=1.0)
-        return level, top_q, max(top, _largest(np.abs(self._kinks.pull), None, initial=0.0))
+        """The certificate's scales, read once: ``max(1, |b|, |kinks.d|)``,
+        ``max|Q|`` and ``max(|c|, |kinks.pull|)``."""
+        kinks = self._kinks
+        d, pull = ((), ()) if kinks is None else (kinks.d, kinks.pull)
+        level = _largest(np.abs(np.concatenate([self.eq[1], d])), initial=1.0)
+        top = max(_largest(np.abs(self.c), initial=0.0), _largest(np.abs(pull), None, initial=0.0))
+        return level, _largest(np.abs(self.Q), None, initial=0.0), top
 
 
 class _Kinks:
@@ -275,12 +276,14 @@ class _Kinks:
         ``ratios[start:]`` up to the first other event, while the objective
         falls: along ``x + a p`` its derivative is ``slope + a curv`` plus
         ``(hi_l - lo_l) |g_l'p|`` per kink passed, so an inequality row stops
-        the step.  Returns ``(alpha, blocking)``, ``blocking`` the rank of
+        the step.  With curvature the step ends by its full length 1, where
+        a step that carries the rows' gap closes it (a longer one would open
+        it again).  Returns ``(alpha, blocking)``, ``blocking`` the rank of
         the constraint the step stops at, -1 between kinks; a descent with no
         end is ``Unbounded``."""
         limit = ratios[:start].min(initial=np.inf)
         order = np.argsort(ratios[start:], kind="stable")
-        for row in order[ratios[start + order] < limit]:
+        for row in order[ratios[start + order] < (min(limit, 1.0) if curv > 0 else limit)]:
             a = ratios[start + row]
             if curv > 0 and slope + a * curv >= 0:
                 return -slope / curv, -1
@@ -288,7 +291,7 @@ class _Kinks:
             if slope + a * curv + jump >= 0:
                 return a, start + row
             side[row], slope = -side[row], slope + jump
-        stop = -slope / curv if curv > 0 else np.inf
+        stop = min(-slope / curv, 1.0) if curv > 0 else np.inf
         if stop < limit:
             return stop, -1
         if limit == np.inf:
@@ -442,7 +445,11 @@ def _active_set(problem: QpProblem, x0, max_iter):
     ``_FREE``, ``_UPPER``, or ``_KINK`` at a kink of its own L1 rows) and
     each kink row's ``side`` of its kink, 0 at it, the general rows there
     joining the equality rows.  A row off its kink adds ``hi_l side_l g_l``
-    to the gradient.  States are read off ``x0`` to ``_FEAS_TOL``.  The
+    to the gradient.  States are read off ``x0`` to ``_FEAS_TOL``, and a
+    weight read at a bound, or at a kink of its own L1 rows, is put exactly
+    there (at the kink where that is nearer than the bound), as ``_pivot``
+    puts one it fixes (its rows' sides then read to ``_CERT_TOL``), so that
+    the answer sits where its multipliers say.  The
     multiplier test writes the working set's multipliers by rank, +inf off
     it: a fixed variable's one-sided derivatives at its rise and fall ranks
     (its kinks adding their widths), a general row's ``min(hi_l - mu_l,
@@ -456,23 +463,28 @@ def _active_set(problem: QpProblem, x0, max_iter):
     ``b_eq`` and the kinks less the rows' values.  Where ``x`` is stationary
     that step, a small one that closes the gap, is taken within the box
     before the multiplier test.
-    Returns ``(x, at, side, iterations, (nu, mu, reduced))``: the equality
-    rows' and every kink row's multipliers (its side's end off its kink, 0
-    at a single row's) and the reduced gradient at ``x``.
+    Returns ``(x, at, side, iterations, (nu, mu))``: the equality rows' and
+    every kink row's multipliers (its side's end off its kink, 0 at a single
+    row's).
     """
     q, c, kinks = problem.Q, problem.c, problem._kinks
     (a_eq, b_eq), lo, up = problem.eq, problem.lower, problem.upper
     n, k = c.size, 0 if kinks is None else kinks.d.size
-    x = x0.copy()
-    at = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
-                  np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
+    below, above = np.abs(x0 - lo), np.abs(up - x0)
+    at = np.where(below <= _FEAS_TOL, _LOWER, np.where(above <= _FEAS_TOL, _UPPER, _FREE))
+    x = np.where(at == _LOWER, lo, np.where(at == _UPPER, up, x0))
     side = np.zeros(k)
     rows, rhs, kg = a_eq, b_eq, np.zeros(0, dtype=np.intp)
     if k:
-        off = kinks.g @ x - kinks.d
+        off = kinks.g @ x0 - kinks.d
         side = np.where(np.abs(off) <= _FEAS_TOL, 0.0, np.sign(off))
-        cols = kinks.col[side[kinks.single] == 0.0]
-        at[cols] = np.where(at[cols] == _FREE, _KINK, at[cols])
+        there = side[kinks.single] == 0.0  # single rows read at their kinks
+        if there.any():  # seldom on a cold start, which does not read the L1 rows
+            near = np.minimum(below, above)[kinks.col]  # each row's weight's nearer bound
+            # those of weights nearer their kinks than their bounds: put there
+            put = there & (np.abs(off[kinks.single]) < np.abs(kinks.coef) * near)
+            at[kinks.col[put]], x[kinks.col[put]] = _KINK, kinks.d[kinks.single[put]] / kinks.coef[put]
+            kinks.settle(side, x, kinks.col[there])
     ones = problem.l1 is not None and problem.l1[1].size > 0  # L1 rows, which pull
     ratios = np.empty(2 * n + k)   # indexed by rank
     mult = np.empty(2 * n + k)     # working-set multipliers by rank, +inf off it
@@ -499,16 +511,16 @@ def _active_set(problem: QpProblem, x0, max_iter):
             settled = False
             # the rows' gap, if any, within the box (np.clip's arithmetic)
             x[idx] = np.minimum(np.maximum(x[idx] + p[idx], lo[idx]), up[idx])
-            nu, mu, reduced = y[:a_eq.shape[0]], y[a_eq.shape[0]:], grad + rows.T @ y
+            nu, mu = y[:a_eq.shape[0]], y[a_eq.shape[0]:]
             mult.fill(np.inf)
-            _rise_fall(at, ~free, reduced, mult[:n], mult[n:2 * n], kinks, side)
+            _rise_fall(at, ~free, grad + rows.T @ y, mult[:n], mult[n:2 * n], kinks, side)
             if k:
                 mult[2 * n + kg] = np.minimum(kinks.hi[kg] - mu, mu - kinks.lo[kg])
             neg = (mult < -1e-9).nonzero()[0]
             if neg.size == 0:
                 full = kinks.hi * side if k else np.zeros(0)
                 full[kg] = mu
-                return x, at, side, it, (nu, full, reduced)
+                return x, at, side, it, (nu, full)
             drop = _bland(neg, at, side, kinks) if bland else int(mult.argmin())
             # with L1 rows every violating weight leaves at once; its rows at a
             # kink take the side it leaves to.  Keyed on L1 rows as measured in
@@ -723,49 +735,45 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     refined by ``_refine_start``'s primal-dual active-set rounds on the box
     and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
     2002), when that point passes the same test, and at phase 1's point
-    when it does not; the active set then finishes and certifies.  The cold
+    when it does not; the active set then finishes.  The cold
     start is taken from ``_start``'s table when a problem with the same
     ``Q``, ``c``, rows and box, whatever its L1 rows, was solved cold
     lately, which gives the same start and so the same answer.
-    The L1 rows' states are read off the start as its bound states are.
-    Phase 1 and the active set each stop at the problem's ``max_iter``
-    (``MaxIterations``).  The report is ``_report``'s.
+    The L1 rows' states are read off the start to ``_FEAS_TOL`` as its
+    bound states are, and a weight read at a bound or a kink is put exactly
+    there (``_active_set``).  Phase 1 and the active set each stop at the
+    problem's ``max_iter`` (``MaxIterations``).  The report is
+    ``_report``'s, plain or L1, certified by ``certificate`` alone.
     """
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
     if x0 is None or not _feasible(problem, x0):
         x0 = _start(_StartKey(problem))
-    x, at, side, iters, (nu, mu, reduced) = _active_set(problem, x0, problem.max_iter)
-    return _report(problem, x, at, side, iters, nu, mu, reduced)
+    x, at, side, iters, (nu, mu) = _active_set(problem, x0, problem.max_iter)
+    return _report(problem, x, at, side, iters, nu, mu)
 
 
-def _report(problem: QpProblem, x, at, side, iterations, nu, mu, reduced) -> SolveReport:
+def _report(problem: QpProblem, x, at, side, iterations, nu, mu) -> SolveReport:
     """The report of the point ``x`` of ``problem`` on the working set ``(at,
-    side)``, with the equality rows' multipliers ``nu``, every kink row's
-    ``mu`` (its side's end off its kink, 0 at a single row's) and the
-    reduced gradient ``reduced``: ``solve_qp``'s, and a walk piece's
-    (``_Piece.report``).  Its ``duals`` dict carries multipliers for every
-    constraint block, with inactive entries at zero, and its
-    ``meta['working_set']`` is ``(problem, at, side)``: ``parametric_path``'s
-    start.
-    With L1 rows the objective includes them, and ``duals``, ``r_norm`` and
-    ``s_norm`` are ``certificate``'s; without, ``r_norm`` is ``_violation`` and
-    ``s_norm`` the largest entry of ``Qx + c + A'nu - G'lam - lam_lo + lam_up``.
-    The status is ``uncertified`` when either norm exceeds ``_FEAS_TOL``
-    relative to the scale of the data and of the answer.
+    side)``, with the equality rows' multipliers ``nu`` and every kink row's
+    ``mu`` (its side's end off its kink, 0 at a single row's):
+    ``solve_qp``'s, and a walk piece's (``_Piece.report``).  The objective
+    includes the L1 rows.  ``duals`` (multipliers for every constraint
+    block, inactive entries at zero), ``r_norm`` and ``s_norm`` are
+    ``certificate``'s, which reads the problem data and ``nu`` and the rows'
+    multipliers only, never the working set, and the status is
+    ``uncertified`` when either norm exceeds ``_FEAS_TOL`` relative to the
+    scale of the data and of the answer.  ``meta['working_set']`` is
+    ``(problem, at, side)``: ``parametric_path``'s start.
     """
-    q, c, kinks = problem.Q, problem.c, problem._kinks
-    (a_eq, _), (g, h) = problem.eq, problem.ineq
+    q, c, kinks, h = problem.Q, problem.c, problem._kinks, problem.ineq[1]
     objective = 0.5 * x @ q @ x + c @ x
     lam = np.maximum(0.0 - mu[mu.size - h.size:], 0.0)  # the inequality rows' mu is -lam
-    if problem.l1 is None:
-        r_norm, lam_lo = _violation(problem, x), np.where(at == _LOWER, np.maximum(reduced, 0.0), 0.0)
-        lam_up = np.where(at == _UPPER, np.maximum(-reduced, 0.0), 0.0)
-        s_norm = _largest(np.abs(q @ x + c + a_eq.T @ nu - g.T @ lam - lam_lo + lam_up))
-    else:
-        ones = kinks.priced[:kinks.priced.size - h.size]  # the general L1 rows
-        r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu, mu[ones], lam)
+    ones = mu[:0]
+    if kinks is not None:
+        ones = mu[kinks.priced[:kinks.priced.size - h.size]]  # the general L1 rows'
         objective += kinks.hi @ np.abs(kinks.g @ x - kinks.d)  # an inequality row's hi is 0
+    r_norm, s_norm, lam_lo, lam_up = certificate(problem, x, nu, ones, lam)
     _, top_q, top = problem._scales
     top_x = _largest(np.abs(x))
     failed = max(r_norm, s_norm) > _FEAS_TOL * max(1.0, top_x, top_q * top_x, top)
@@ -777,10 +785,10 @@ def _report(problem: QpProblem, x, at, side, iterations, nu, mu, reduced) -> Sol
 
 
 def certificate(problem: QpProblem, x, nu, mu, lam):
-    """``(r_norm, s_norm, lam_lo, lam_up)`` of the point ``x`` of a problem
-    with L1 rows, with multipliers ``nu`` (equality rows), ``mu`` (the
-    general L1 rows' terms ``rho_l s_l``) and ``lam`` (inequality rows),
-    from the problem data alone.
+    """``(r_norm, s_norm, lam_lo, lam_up)`` of the point ``x`` of any
+    problem, with multipliers ``nu`` (equality rows), ``mu`` (the general L1
+    rows' terms ``rho_l s_l``) and ``lam`` (inequality rows), from the
+    problem data alone: no working set, no reduced gradient of the solver's.
 
     ``r_norm`` is the largest violation of the equalities, inequalities and
     bounds.  ``s_norm`` is the largest violation of optimality: each general
@@ -793,30 +801,31 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
     of ``g_l'x``), or on a side that costs without bound, counts as at its
     kink, and a weight within it of its bound as there, to ``_CERT_TOL``
     relative to the scale of the data and of ``x``.  The bound multipliers
-    are what the normal cone takes up.
+    are what the normal cone takes up.  A problem without kink rows (box and
+    equality rows only) has no row or single-row terms.
     """
-    (a_eq, _), lo, up = problem.eq, problem.lower, problem.upper
-    kinks, rows = problem._kinks, problem._kinks.priced
+    (a_eq, _), lo, up, kinks = problem.eq, problem.lower, problem.upper, problem._kinks
     tol_p = _CERT_TOL * max(problem._scales[0], _largest(np.abs(x)))
-    r_norm = _violation(problem, x)
-    off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
-    at_kink = np.abs(off) <= tol_p
-    grad, rest = problem.Q @ x + problem.c + a_eq.T @ nu, []
-    if rows.size:  # without these rows their terms are zeros, which change no answer
-        mu, g, low, high = np.concatenate([mu, -lam]), kinks.g[rows], kinks.lo[rows], kinks.hi[rows]
-        grad += g.T @ mu
-        off_g = g @ x - kinks.d[rows]
-        end = np.where(off_g > 0.0, high, low)  # the slope of the row's side
-        there = np.abs(off_g) <= np.maximum(tol_p, _CERT_TOL * (np.abs(g) @ np.abs(x)))
-        rest.append(np.where(there | (end == -np.inf),
-                             np.maximum(mu - high, low - mu), np.abs(mu - end)))
-    grad += kinks.pull_single @ np.where(at_kink, 0.0, np.sign(off))
-    width = np.bincount(kinks.col, np.where(at_kink, kinks.width, 0.0), x.size)
+    grad, rest, width = problem.Q @ x + problem.c + a_eq.T @ nu, [], 0.0
+    if kinks is not None:
+        rows = kinks.priced
+        if rows.size:  # without these rows their terms are zeros, which change no answer
+            mu, g, low, high = np.concatenate([mu, -lam]), kinks.g[rows], kinks.lo[rows], kinks.hi[rows]
+            grad += g.T @ mu
+            off_g = g @ x - kinks.d[rows]
+            end = np.where(off_g > 0.0, high, low)  # the slope of the row's side
+            there = np.abs(off_g) <= np.maximum(tol_p, _CERT_TOL * (np.abs(g) @ np.abs(x)))
+            rest.append(np.where(there | (end == -np.inf),
+                                 np.maximum(mu - high, low - mu), np.abs(mu - end)))
+        off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
+        at_kink = np.abs(off) <= tol_p
+        grad += kinks.pull_single @ np.where(at_kink, 0.0, np.sign(off))
+        width = np.bincount(kinks.col, np.where(at_kink, kinks.width, 0.0), x.size)
     excess = np.sign(grad) * np.maximum(np.abs(grad) - width, 0.0)
     lam_lo = np.where(x <= lo + tol_p, np.maximum(excess, 0.0), 0.0)
     lam_up = np.where(x >= up - tol_p, np.maximum(-excess, 0.0), 0.0)
     s_norm = _largest(np.concatenate([np.abs(excess - lam_lo + lam_up), *rest]), initial=0.0)
-    return r_norm, s_norm, lam_lo, lam_up
+    return _violation(problem, x), s_norm, lam_lo, lam_up
 
 
 class _WalkFactor:
@@ -877,7 +886,7 @@ class _WalkFactor:
 class _Piece(tuple):
     """A piece ``(t, x, dx, rate, length)`` of ``parametric_path``, which also
     holds what the walk knows of it: the working set, and the multipliers
-    and reduced gradient with their slopes in ``t``."""
+    with their slopes in ``t``."""
 
     def __new__(cls, values, walk):
         piece = super().__new__(cls, values)
@@ -888,12 +897,12 @@ class _Piece(tuple):
         """The solution at ``t + s`` read off the piece, as ``solve_qp``
         reports it (``_report``, 0 iterations): the problem with ``c + (t +
         s) slope``, built once, at ``x + s dx`` within the box, its
-        multipliers and reduced gradient moved along their slopes.  ``None``
-        on a move at fixed ``t``, which has no slopes.  It reads the walk's
-        working set, so it holds until the walk moves on."""
+        multipliers moved along their slopes.  ``None`` on a move at fixed
+        ``t``, which has no slopes.  It reads the walk's working set, so it
+        holds until the walk moves on."""
         if self._walk is None:
             return None
-        problem, slope, at, side, y, reduced, a, gpos = self._walk
+        problem, slope, at, side, y, a, gpos = self._walk
         t, x, dx = self[:3]
         kinks = problem._kinks
         moved = replace(problem, c=problem.c + (t + s) * slope)
@@ -903,8 +912,7 @@ class _Piece(tuple):
             mu = kinks.hi * side
             mu[kinks.general[gpos]] = y[a + gpos]
         x = np.minimum(np.maximum(x + s * dx, problem.lower), problem.upper)
-        return _report(moved, x, at.copy(), side.copy(), 0, y[:a], mu,
-                       reduced[:, 0] + s * reduced[:, 1])
+        return _report(moved, x, at.copy(), side.copy(), 0, y[:a], mu)
 
 
 def parametric_path(start: SolveReport, slope):
@@ -939,10 +947,10 @@ def parametric_path(start: SolveReport, slope):
     Yields a ``_Piece`` ``(t, x, dx, rate, length)`` per piece: the solution
     at parameter ``t + rate s`` is ``x + s dx`` for ``s`` in ``[0,
     length]``, ``rate`` being 1 on a segment and 0 on a move at fixed ``t``;
-    the last segment has infinite length.  On a segment the multipliers and
-    the reduced gradient that the ratio tests read are affine in ``s`` too,
-    so the piece's ``report(s)`` is the answer at ``t + s`` read off it and
-    certified as ``solve_qp`` certifies its own, with no solve.  Pivots stop
+    the last segment has infinite length.  On a segment the multipliers that
+    the ratio tests read are affine in ``s`` too, so the piece's
+    ``report(s)`` is the answer at ``t + s`` read off it and certified as
+    ``solve_qp`` certifies its own, with no solve.  Pivots stop
     at the problem's ``max_iter`` (``MaxIterations``).
     """
     problem, *states = start.meta["working_set"]
@@ -1027,7 +1035,7 @@ def parametric_path(start: SolveReport, slope):
             if flat and length == np.inf:
                 raise Unbounded("zero-curvature direction with no blocking constraint")
             yield _Piece((t, x, dx, 0.0 if flat else 1.0, length),
-                         None if flat else (problem, slope, at, side, y, reduced, a, gpos))
+                         None if flat else (problem, slope, at, side, y, a, gpos))
             if length == np.inf:
                 return
             x = x + length * dx

@@ -550,10 +550,10 @@ def test_uncertified_read_off_takes_the_fallback_solve(monkeypatch):
     target = low + 0.5 * (high - low)
     report, read_off = qp._report, []
 
-    def moved(problem, x, at, side, iterations, nu, mu, reduced):
+    def moved(problem, x, at, side, iterations, nu, mu):
         if iterations:
-            return report(problem, x, at, side, iterations, nu, mu, reduced)
-        read_off.append(report(problem, x, at, side, iterations, nu + 1e-3, mu, reduced))
+            return report(problem, x, at, side, iterations, nu, mu)
+        read_off.append(report(problem, x, at, side, iterations, nu + 1e-3, mu))
         return read_off[-1]
 
     with monkeypatch.context() as patch:

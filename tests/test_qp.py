@@ -1102,8 +1102,8 @@ class TestRowGap:
 
 
 class TestCertifiedStatus:
-    """A report on the L1 route is ``converged`` only when its certificate
-    passes; otherwise its status is ``uncertified``."""
+    """A report, plain or on the L1 route, is ``converged`` only when its
+    certificate passes; otherwise its status is ``uncertified``."""
 
     @staticmethod
     def seeded_l1_problem():
@@ -1169,17 +1169,146 @@ class TestCertifiedStatus:
         active_set = qp._active_set
 
         def perturbed(*args):
-            x, at, side, it, (nu, mu, reduced) = active_set(*args)
+            x, at, side, it, (nu, mu) = active_set(*args)
             if block == "eq":
                 nu = nu + 1e-3
             else:  # every kink row here is an inequality, whose mu is -lam
                 mu = mu - 1e-3
-            return x, at, side, it, (nu, mu, reduced)
+            return x, at, side, it, (nu, mu)
 
         monkeypatch.setattr(qp, "_active_set", perturbed)
         rep = solve_qp(self.plain_problem())
         assert rep.status == "uncertified" and not rep.converged
         assert rep.s_norm >= 1e-3 - 1e-12 and rep.r_norm <= 1e-14
+
+
+    def test_report_reads_the_answer_not_the_working_set(self):
+        """A working set that calls a weight at its lower bound while it
+        sits at 0.6 above it: a check that read the bound multipliers off
+        that state found ``Qx + c + A'nu - lam_lo`` zero with ``lam_lo =
+        0.2``; the certificate, which reads ``x``, finds the weight off its
+        bound and the gradient 0.2 there."""
+        problem = QpProblem(Q=np.eye(2), c=np.zeros(2), eq=(np.ones((1, 2)), [1.0]),
+                            lower=0.0, upper=1.0)
+        rep = qp._report(problem, np.array([0.6, 0.4]), np.array([qp._LOWER, qp._FREE]),
+                         np.zeros(0), 1, np.array([-0.4]), np.zeros(0))
+        assert rep.status == "uncertified" and rep.r_norm == 0.0
+        assert rep.s_norm == pytest.approx(0.2, abs=1e-15)
+        assert not rep.duals["lower"].any() and not rep.duals["upper"].any()
+
+    def test_certificate_without_kink_rows_gives_bound_duals(self):
+        """On a budget-box problem (no L1 or inequality rows) the
+        certificate reads the bound multipliers off the data and ``nu``, and
+        they are the report's."""
+        problem = budget_box_problem(np.random.default_rng(339), 12, 2.0, upper=0.2)
+        assert problem._kinks is None
+        rep = solve_qp(problem)
+        r_norm, s_norm, lam_lo, lam_up = qp.certificate(problem, rep.weights, rep.duals["eq"],
+                                                        np.zeros(0), np.zeros(0))
+        assert rep.converged and max(r_norm, s_norm) <= 1e-14
+        assert lam_lo.max() > 0.0 and lam_up.max() > 0.0
+        assert np.array_equal(lam_lo, rep.duals["lower"])
+        assert np.array_equal(lam_up, rep.duals["upper"])
+        assert_kkt(problem, rep)
+
+
+def warm_probe(kind, seed):
+    """A budget-box problem, its cold report and a warm start 5e-10 off it,
+    ``None`` where the cold answer has no weight to move.  ``bound``: box
+    [0, 0.5] and L1 rows ``eye(n)`` anchored at 1/n, rho 0.01; one weight at
+    0 is raised.  ``kink``: box [0, 1], a Dirichlet anchor and rho 0.05; one
+    weight at its anchor is raised.  ``plain``: ``bound`` without L1 rows.
+    One free weight is lowered by as much, so the budget holds.  Returns
+    ``(problem, cold, x0, j, there)``, weight ``j`` raised off ``there``."""
+    rng = np.random.default_rng([seed, 11 if kind == "kink" else 9])
+    n = int(rng.integers(3, 30))
+    f = rng.standard_normal((n, n))
+    q = f @ f.T / n + 1e-3 * np.eye(n)
+    if kind == "kink":
+        c, anchor, upper, rho = 0.05 * rng.standard_normal(n), rng.dirichlet(np.ones(n)), 1.0, 0.05
+    else:
+        c, anchor, upper, rho = 3.0 * rng.standard_normal(n), np.full(n, 1.0 / n), 0.5, 0.01
+    problem = QpProblem(Q=q, c=c, eq=(np.ones((1, n)), [1.0]), lower=0.0, upper=upper,
+                        l1=None if kind == "plain" else (np.eye(n), anchor, rho))
+    cold = solve_qp(problem)
+    x = cold.weights
+    at_kink = np.abs(x - anchor) <= 1e-12 if kind != "plain" else np.zeros(n, dtype=bool)
+    on = at_kink if kind == "kink" else x <= 1e-12
+    free = (x > 1e-12) & (x < upper - 1e-12) & ~at_kink
+    if not on.any() or not free.any():
+        return None
+    x0, j = x.copy(), int(np.argmax(on))
+    x0[j] += 5e-10
+    x0[np.argmax(free)] -= 5e-10
+    return problem, cold, x0, j, anchor[j] if kind == "kink" else 0.0
+
+
+class TestWarmStartOnBoundsAndKinks:
+    """A warm start within the feasibility tolerance of a bound or of a
+    weight's kink is read as there and put exactly there, so the answer
+    sits where its multipliers say and the certificate passes: a warm start
+    5e-10 off the cold answer gives the cold answer, ``converged``.  Left
+    5e-10 off, every L1 case here was ``uncertified``."""
+
+    @pytest.mark.parametrize("kind,seed", [
+        *(("bound", s) for s in (3, 8, 12, 15, 17, 18, 20, 23, 31, 32)),
+        *(("kink", s) for s in range(10)),
+        *(("plain", s) for s in (3, 8, 12, 15, 17, 18, 20, 23, 31, 32)),
+    ])
+    def test_warm_start_gives_the_cold_answer(self, kind, seed):
+        problem, cold, x0, j, there = warm_probe(kind, seed)
+        rep = solve_qp(problem, x0=x0)
+        assert cold.converged and rep.converged and rep.weights[j] == there
+        assert np.abs(rep.weights - cold.weights).max() <= 1e-14
+        assert all(np.abs(rep.duals[k] - cold.duals[k]).max(initial=0.0) <= 1e-12
+                   for k in cold.duals)
+
+    @pytest.mark.parametrize("seed", [4, 8, 9, 17, 20, 101, 164, 176, 185, 208])
+    def test_anchor_just_above_a_bound(self, seed):
+        """One weight's anchor 5e-10 (or 5e-11) above its lower bound, with
+        rho 5 and a linear term pulling that weight up: its optimum is at the
+        anchor.  A cold start has the weight at the bound, its row read as
+        off its kink; a warm start at the anchors has it at its kink, nearer
+        than the bound, and stays there.  Both give one answer, certified
+        (cold solves here were ``uncertified`` when the row was read as at its
+        kink, and warm ones cycled to ``MaxIterations`` when the weight was
+        moved onto its bound)."""
+        rng = np.random.default_rng([seed, 17])
+        n = int(rng.integers(3, 20))
+        f = rng.standard_normal((n, n))
+        anchor, k = rng.dirichlet(np.ones(n)), int(rng.integers(n))
+        eps = [5e-10, 5e-11][seed % 2]
+        anchor[k], anchor[(k + 1) % n] = eps, anchor[(k + 1) % n] - eps
+        c = 3.0 * rng.standard_normal(n)
+        c[k] = -abs(c[k]) - 0.5
+        problem = QpProblem(Q=f @ f.T / n + 1e-3 * np.eye(n), c=c, eq=(np.ones((1, n)), [anchor.sum()]),
+                            lower=0.0, upper=1.0, l1=(np.eye(n), anchor, 5.0))
+        cold, warm = solve_qp(problem), solve_qp(problem, x0=anchor)
+        assert cold.converged and warm.converged
+        assert np.abs(cold.weights - warm.weights).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 13, 17, 33, 37, 45, 49, 59])
+    def test_gap_step_stops_at_its_full_length(self, seed):
+        """Five weights 0.9e-9 above their bounds are put on them, which
+        opens a 4.5e-9 gap in the budget that the one free weight alone
+        closes, passing its kink 3e-9 away.  That step ends at its full
+        length: a kink crossing that let the objective's slope along it set
+        the length carried the weight to its upper bound, 0.98 off the
+        budget, and cycled to ``MaxIterations``."""
+        rng = np.random.default_rng([seed, 31])
+        n = 12
+        f = rng.standard_normal((n, n))
+        anchor = rng.dirichlet(np.ones(n))
+        x0 = anchor.copy()
+        x0[2:7], x0[0] = 0.9e-9, anchor[0] + (-3e-9 if seed % 2 else 3e-9)
+        c = rng.standard_normal(n)
+        c[2:7] = np.abs(c[2:7]) + 1.0
+        c[0] = (-1.0 if seed % 2 else 1.0) * (abs(c[0]) + 1.0)
+        problem = QpProblem(Q=f @ f.T / n + 1e-3 * np.eye(n), c=c, eq=(np.ones((1, n)), [x0.sum()]),
+                            lower=0.0, upper=1.0, l1=(np.eye(n), anchor, float(rng.uniform(0.01, 3))))
+        cold, warm = solve_qp(problem), solve_qp(problem, x0=x0)
+        assert cold.converged and warm.converged and warm.r_norm <= 1e-15
+        assert np.abs(cold.weights - warm.weights).max() <= 1e-12
 
 
 class TestNonFiniteData:

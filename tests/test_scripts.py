@@ -46,9 +46,12 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     # one cycle per workload, recorded twice at this commit: the same bytes,
     # and --check passes, every record matching; a file with one digest
     # changed, one record dropped and one added reads as one moved, one now
-    # only and one recorded only, each named; a cold start left unrefined
-    # changes the answers' iteration counts, and --check exits 1 naming the
-    # first record it moved
+    # only and one recorded only, each named; a solve_qp record that moved
+    # keeps its answer digest (weights, status and iterations) unless that
+    # changed too, and is counted under neither in a ledger written without
+    # answer digests; a cold start left unrefined changes the answers'
+    # iteration counts, and --check exits 1 naming the first record it moved
+    # and the first whose answer moved
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     spec = importlib.util.spec_from_file_location("ledger", os.path.join(ROOT, "scripts", "ledger.py"))
@@ -59,6 +62,8 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     recorded = json.loads(first)
     assert [s["cycles"] for s in recorded["workloads"].values()] == [1, 1, 1]
     assert min(recorded["total"].values()) > 0
+    assert all(len(record) == (3 if " solve_qp " in record[0] else 2)
+               for record in recorded["records"])
     path = tmp_path / "ledger.json"
     path.write_text(first)
     assert ledger.check(str(path)) == 0
@@ -77,9 +82,23 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     path.write_text(json.dumps(edited))
     assert ledger.check(str(path)) == 1
     out = capsys.readouterr().out
-    assert f", 1 moved, 0 recorded only, 1 now only; first moved: {moved}; first now only: {dropped}\n" in out
+    assert (f", 1 moved, 0 recorded only, 1 now only; first moved: {moved}; first now only: "
+            f"{dropped}; of the moved, 1 keep their weights, status and iterations and 0 do not\n"
+            in out)
     assert f", 0 moved, 1 recorded only, 0 now only; first recorded only: {added}\n" in out
+    records[0][2] = "0" * 64
+    path.write_text(json.dumps(edited))
+    assert ledger.check(str(path)) == 1
+    assert (f"; of the moved, 0 keep their weights, status and iterations and 1 do not, "
+            f"first: {moved}\n" in capsys.readouterr().out)
+    for record in records:
+        del record[2:]
+    path.write_text(json.dumps(edited))
+    assert ledger.check(str(path)) == 1
+    assert ("; of the moved, 0 keep their weights, status and iterations and 0 do not\n"
+            in capsys.readouterr().out)
     path.write_text(first)
     monkeypatch.setattr(qp, "_refine_start", lambda problem, x: x)
     assert ledger.main(["--check", str(path)]) == 1
-    assert "; first moved: " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "; first moved: " in out and " do not, first: " in out
