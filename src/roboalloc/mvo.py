@@ -4,7 +4,7 @@ covariance shrinkage."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,13 +108,11 @@ def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_gamma_problem(inputs: MvoInputs, gamma: float,
-                        constraints: ConstraintSet | None = None, *,
-                        x0: np.ndarray | None = None) -> SolveReport:
+                        constraints: ConstraintSet | None = None) -> SolveReport:
     """Minimize ``0.5 x'Sx - gamma x'(mu - r 1)`` over the constraint set.
 
     Without constraints the closed form ``gamma S^-1 (mu - r 1)`` is used;
-    otherwise the QP solver carries the constraints and returns multipliers,
-    starting from ``x0`` when it is a feasible point (a warm start).
+    otherwise the QP solver carries the constraints and returns multipliers.
     """
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
@@ -123,8 +121,7 @@ def solve_gamma_problem(inputs: MvoInputs, gamma: float,
         obj = 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess
         return SolveReport(weights=x, objective=float(obj), status=CONVERGED,
                            iterations=0, gamma=float(gamma))
-    report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, None, constraints),
-                      x0=x0)
+    report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, None, constraints))
     report.gamma = float(gamma)
     return report
 
@@ -134,45 +131,30 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
                     target_vol: float | None = None):
     """Find the trade-off parameter hitting a return or volatility target.
 
-    Closed forms cover the unconstrained case; otherwise ``path_root``
-    walks the solution path of the QP that the gamma-0 solve built, meets
-    the target exactly within its segment and reads the report off that
-    segment, certified: one QP solve in all, at gamma 0.  A target met at
-    gamma 0 gives gamma 0 (without constraints, where the weights are zero
-    there, a return target at most ``_CAL_TOL``).  A volatility target
-    below the gamma-0 volatility is ``TargetUnreachable`` (``path_root``),
-    as is, without constraints, a negative one or a positive one where
-    ``e' S^-1 e = 0``.  Returns
-    ``(gamma, report)``; the path's ``(gamma, value)`` entries are recorded
-    in ``report.meta['calibration']``.
+    ``path_root`` walks the solution path of the QP that the gamma-0 solve
+    built, with or without constraints, meets the target exactly within its
+    segment and reads the report off that segment, certified: one QP solve
+    in all, at gamma 0.  A target met at gamma 0 gives gamma 0 (without
+    constraints, where the weights are zero there, a return target at most
+    ``_CAL_TOL``).  A volatility target below the gamma-0 volatility is
+    ``TargetUnreachable``, as is one that no gamma up to ``_GAMMA_CAP``
+    reaches (``path_root``).  Without constraints a covariance that
+    ``_solve_spd`` finds singular is ``SingularCovariance``, as in
+    ``solve_gamma_problem``.  Returns ``(gamma, report)``; the path's
+    ``(gamma, value)`` entries are recorded in
+    ``report.meta['calibration']``.
     """
     if (target_return is None) == (target_vol is None):
         raise ValueError("specify exactly one of target_return / target_vol")
-
     if constraints is None or constraints.is_empty():
-        w = _solve_spd(inputs.sigma, inputs.excess)
-        if target_vol is not None:
-            scale = float(np.sqrt(max(inputs.excess @ w, 0.0)))
-            if target_vol < 0 or (target_vol > 0 and not scale):
-                raise TargetUnreachable(f"volatility target {target_vol} unattainable: the "
-                                        f"volatility is {scale:.6g} * gamma for gamma >= 0")
-            gamma = target_vol / scale if scale else 0.0
-        elif target_return <= _CAL_TOL:
-            gamma = 0.0
-        else:
-            denom = float(inputs.mu @ w)
-            if denom <= 0:
-                raise TargetUnreachable("expected return not increasing in gamma")
-            gamma = target_return / denom
-        return gamma, solve_gamma_problem(inputs, gamma)
-
+        _solve_spd(inputs.sigma, inputs.excess)  # the refusal only: the walk finds the weights
     if target_vol is None:
         metric, target = (None, inputs.mu), target_return
     else:
         metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
-    gamma, report = path_root(
-        lambda gam, x0: solve_gamma_problem(inputs, gam, constraints, x0=x0),
-        -inputs.excess, metric, target, _CAL_TOL)
+    start = solve_qp(exact_problem(inputs.sigma, 0.0 * inputs.excess, None,
+                                   constraints or ConstraintSet()))
+    gamma, report = path_root(start, -inputs.excess, metric, target, _CAL_TOL)
     report.gamma = float(gamma)
     return gamma, report
 
@@ -215,48 +197,47 @@ def _crossing(level: float, now: float, b: float, a: float) -> float:
     return 2.0 * gap / root if root > 0.0 else np.inf
 
 
-def path_root(solve, slope, metric, target: float, tol: float):
-    """Trade-off parameter at which a metric of a QP route's answer meets a
+def path_root(start: SolveReport, slope, metric, target: float, tol: float):
+    """Trade-off parameter at which a metric of a QP's answer meets a
     target, found on the solution path rather than by search.
 
-    ``solve(gamma, x0)`` returns the route's ``solve_qp`` report at
-    ``gamma`` started from ``x0`` (``None``: the route's own start), and
-    ``slope`` is the derivative in gamma of the linear term of the QP in
-    that report's ``meta['working_set']``, L1 rows included.  ``metric`` is
-    ``(sigma, anchor)`` for the volatility ``sqrt((x - anchor)' sigma (x -
-    anchor))`` or ``(None, mu)`` for the return ``mu'x``.  Gamma 0 is
+    ``start`` is the ``solve_qp`` report at gamma 0, and ``slope`` the
+    derivative in gamma of the linear term of the QP in its
+    ``meta['working_set']``, L1 rows included.  ``metric`` is ``(sigma,
+    anchor)`` for the volatility ``sqrt((x - anchor)' sigma (x - anchor))``
+    or ``(None, mu)`` for the return ``mu'x``.  Gamma 0 and ``start`` are
     returned when its value already reaches ``target - tol``.  Otherwise
-    ``qp.parametric_path`` walks the gamma-0 report's problem from its
-    answer; on each piece the metric is a quadratic (or linear) function of
-    the step, so the target is met exactly where it first crosses.  The
-    report is read off that piece (``_Piece.report``: the problem at that
-    gamma, its weights and multipliers moved along the piece, certified as
-    ``solve_qp`` certifies a solve); only a read-off
-    that is not ``converged``, or a crossing at the start of a move at fixed
-    gamma, takes one ``solve`` at that gamma from the walk's point instead.
-    The report's ``gamma`` and, on routes that report another objective
-    than the QP's, its ``objective`` are the route's to set.  A
-    volatility above ``target + tol`` at gamma 0 is ``TargetUnreachable``;
-    so is a crossing beyond ``_GAMMA_CAP``, including a last segment that
-    stays below the target, and a crossing inside a move at fixed gamma (a
-    singular covariance), where the optimum is not unique and no solve at
-    that gamma would answer the target.  The report's
-    ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0, at each
-    breakpoint and at the answer.  Returns ``(gamma, report)``.  A
-    non-finite target raises ``ValueError`` before any solve.
+    ``qp.parametric_path`` walks that problem from ``start``'s answer; on
+    each piece the metric is a quadratic (or linear) function of the step,
+    so the target is met exactly where it first crosses.  The report is
+    read off that piece (``_Piece.report``: the problem at that gamma, its
+    weights and multipliers moved along the piece, certified as
+    ``solve_qp`` certifies a solve); only a read-off that is not
+    ``converged``, or a crossing at the start of a move at fixed gamma,
+    takes one ``solve_qp`` of the same problem at that gamma, started from
+    the walk's point, instead.  The report's ``gamma`` and, where the
+    caller reports another objective than the QP's, its ``objective`` are
+    the caller's to set.  A value above ``target + tol`` at gamma 0 (a
+    volatility) is ``TargetUnreachable``; so is a crossing beyond
+    ``_GAMMA_CAP``, including a last segment that stays below the target,
+    and a crossing inside a move at fixed gamma (a singular covariance),
+    where the optimum is not unique and no solve at that gamma would answer
+    the target.  The report's ``meta['calibration']`` lists ``(gamma,
+    value)`` at gamma 0, at each breakpoint and at the answer.  Returns
+    ``(gamma, report)``.  A non-finite target raises ``ValueError`` before
+    the walk.
     """
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    rep = solve(0.0, None)
-    history = [(0.0, _value(metric, _level(metric, rep.weights)))]
+    history = [(0.0, _value(metric, _level(metric, start.weights)))]
     if metric[0] is not None and history[0][1] > target + tol:
-        raise TargetUnreachable(f"target {target} below the minimum attainable "
+        raise TargetUnreachable(f"target {target} unattainable: below the minimum attainable "
                                 f"{history[0][1]:.6f}, at gamma 0")
     if history[0][1] >= target - tol:
-        rep.meta["calibration"] = history
-        return 0.0, rep
+        start.meta["calibration"] = history
+        return 0.0, start
     level = target if metric[0] is None else target ** 2
-    for k, piece in enumerate(parametric_path(rep, slope)):
+    for k, piece in enumerate(parametric_path(start, slope)):
         t, x, dx, rate, length = piece
         now, b, a = _along(metric, x, dx)
         if k:  # a breakpoint
@@ -264,8 +245,8 @@ def path_root(solve, slope, metric, target: float, tol: float):
         s = _crossing(level, now, b, a)
         if rate and t + length > _GAMMA_CAP and s > _GAMMA_CAP - t:
             reached = _value(metric, _level(metric, x + (_GAMMA_CAP - t) * dx))
-            raise TargetUnreachable(f"target {target} not bracketed up to gamma={_GAMMA_CAP:.0e} "
-                                    f"(reached {reached:.6g})")
+            raise TargetUnreachable(f"target {target} unattainable: not bracketed up to "
+                                    f"gamma={_GAMMA_CAP:.0e} (reached {reached:.6g})")
         if s <= length:
             break
     if not rate and s > 0.0:
@@ -274,7 +255,8 @@ def path_root(solve, slope, metric, target: float, tol: float):
     gamma = t + rate * s
     rep = piece.report(s)
     if rep is None or not rep.converged:
-        rep = solve(gamma, x + s * dx)
+        problem = start.meta["working_set"][0]
+        rep = solve_qp(replace(problem, c=problem.c + gamma * slope), x0=x + s * dx)
     history.append((gamma, _value(metric, _level(metric, rep.weights))))
     rep.meta["calibration"] = history
     return gamma, rep

@@ -9,12 +9,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .admm import solve_penalized
-from .errors import AllocationError, Infeasible, TargetUnreachable
-from .mvo import ConstraintSet, path_root
+from .errors import AllocationError, Infeasible
+from .mvo import _CAL_TOL, ConstraintSet, path_root
 from .regularizers import PenaltySpec, penalty_terms, penalty_value
 from .report import SolveReport, write_csv
-
-_TE_TOL = 1e-6
 
 
 @dataclass
@@ -85,25 +83,23 @@ class RoboConfig:
                 for k, rho, g, anchor in slots if rho > 0]
 
 
-def rebalance(config: RoboConfig, mu, sigma, gamma: float | None = None,
-              warm=None) -> SolveReport:
+def rebalance(config: RoboConfig, mu, sigma, warm=None) -> SolveReport:
     """Solve the full rebalancing problem for the next-period weights:
     ``0.5 x'Px - q'x`` plus the L1 slots, as ``penalty_terms`` assembles
-    them, with ``q`` affine in ``gamma`` (slope ``mu``).
+    them, with ``q`` affine in ``config.gamma`` (slope ``mu``).
 
     Without an extra set ``qp.solve_qp`` solves it exactly, the L1 slots as
     its L1 rows (its ``meta['working_set']`` holds that ``QpProblem``); with
     one, ADMM does.  ``warm``, the weights of a nearby problem's answer, is
     the start point (``solve_penalized``'s ``x_init``); without it an exact
     solve starts at ``solve_qp``'s cold start and an ADMM solve at ``z = 0``.
-    With a tracking-error target and no gamma, the report is
-    ``te_target_to_gamma``'s, at the gamma where its walk meets the target.
+    With a tracking-error target the report is ``te_target_to_gamma``'s, at
+    the gamma where its walk meets the target; with neither a gamma nor a
+    target the problem is solved at gamma 0.
     """
-    gamma = config.gamma if gamma is None else gamma
-    if gamma is None:
-        if config.te_target is not None:
-            return te_target_to_gamma(config, mu, sigma, config.te_target)[1]
-        gamma = 0.0
+    if config.te_target is not None:
+        return te_target_to_gamma(config, mu, sigma, config.te_target)[1]
+    gamma = 0.0 if config.gamma is None else config.gamma
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     q_vec = gamma * mu
@@ -143,20 +139,18 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     report off that segment, certified, with the objective ``rebalance``
     reports: one ``rebalance`` in all, at gamma 0.  The tracking error is
     nondecreasing in gamma without L2 penalties.  A target below the gamma-0
-    tracking error by more than ``_TE_TOL`` is ``TargetUnreachable``: with
-    L2 or turnover anchors the gamma-0 book is not the strategic one.  With
-    extra sets there is no exact path, and a target is a ``ValueError``
-    before any solve.  Returns ``(gamma, report)``, the report being the
-    answer at that gamma.
+    tracking error by more than ``path_root``'s tolerance, a negative one
+    included, is ``TargetUnreachable``: with L2 or turnover anchors the
+    gamma-0 book is not the strategic one.  With extra sets there is no
+    exact path, and a target is a ``ValueError`` before any solve.  Returns
+    ``(gamma, report)``, the report being the answer at that gamma.
     """
     if config.extra_sets:
         raise ValueError("a tracking-error target cannot be met with extra sets")
-    if te_target < 0:
-        raise TargetUnreachable("tracking-error target must be nonnegative")
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
-    gamma, report = path_root(lambda g, x0: rebalance(config, mu, sigma, gamma=g, warm=x0),
-                              -mu, (sigma, config.strategic), te_target, _TE_TOL)
+    start = rebalance(replace(config, gamma=0.0, te_target=None), mu, sigma)
+    gamma, report = path_root(start, -mu, (sigma, config.strategic), te_target, _CAL_TOL)
     report.gamma = float(gamma)
     report.objective = _objective(config, mu, sigma, gamma,
                                   penalty_value(config.penalties(), config.n))(report.weights)

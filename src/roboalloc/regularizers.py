@@ -241,8 +241,9 @@ def _pinv_comp(v: np.ndarray) -> np.ndarray:
 
 
 def _retained(s):
-    """The singular values ``s`` that count, those above ``_RANK_CUTOFF`` of
-    the largest, as a mask; ``AllSingularValuesFiltered`` for a zero matrix."""
+    """The singular values (or eigenvalues) ``s`` that count, those above
+    ``_RANK_CUTOFF`` of the largest, as a mask; ``AllSingularValuesFiltered``
+    for a zero matrix."""
     top = s.max(initial=0.0)
     if top <= 0:
         raise AllSingularValuesFiltered("matrix is zero")
@@ -305,15 +306,17 @@ def filter_covariance(sigma, filt):
     one ``eigh`` of ``sigma`` and no square root or SVD.  The singular
     values of ``sigma^{1/2}`` are the square roots of the eigenvalues of
     ``sigma`` (a negative one, rounding, as zero) and its singular vectors
-    are the eigenvectors.  A matrix that is not symmetric is
-    ``NotSymmetric``; a zero one, or a filter that removes every value,
-    ``AllSingularValuesFiltered``."""
+    are the eigenvectors.  An eigenvalue at most ``_RANK_CUTOFF`` of the
+    largest counts as zero (the ratio ``mvo._solve_spd`` reads as singular):
+    the cutoff applies to the eigenvalues, not to their square roots, where
+    rounding-level eigenvalues would pass it.  A matrix that is not
+    symmetric is ``NotSymmetric``; a zero one, or a filter that removes
+    every value, ``AllSingularValuesFiltered``."""
     sigma = np.asarray(sigma, dtype=float)
     _check_symmetric(sigma)
     lam, vec = np.linalg.eigh(sigma)
-    s = np.sqrt(np.maximum(lam, 0.0))
-    keep = _retained(s)
-    s, vec = s[keep], vec[:, keep]
+    keep = _retained(lam)
+    s, vec = np.sqrt(lam[keep]), vec[:, keep]
     return (vec * _gram_spectrum(s, _gains(s, filt), filt, "g_dagger_sq")) @ vec.T
 
 

@@ -98,6 +98,37 @@ class TestCalibrateGamma:
         gamma, rep = calibrate_gamma(inp, target_return=0.06)
         assert rep.weights @ mu == pytest.approx(0.06, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(11), ids=["four_asset"] + [f"spd{i}" for i in range(1, 11)])
+    @pytest.mark.parametrize("kind", ["target_vol", "target_return"])
+    def test_unconstrained_target_is_walked_and_certified(self, four_asset, seed, kind):
+        # the weights of the closed form gamma S^-1 e, read off the walk with
+        # duals and both residuals; the closed form carried no duals
+        if seed == 0:
+            mu, _, _, sigma = four_asset
+        else:
+            rng = np.random.default_rng([40, seed])
+            n = int(rng.integers(2, 9))
+            mu, sigma = 0.02 + 0.1 * rng.random(n), random_spd(rng, n, 0.04)
+        inp = MvoInputs(mu=mu, sigma=sigma)
+        target = 0.12 if kind == "target_vol" else 0.09
+        gamma, rep = calibrate_gamma(inp, **{kind: target})
+        closed = gamma * np.linalg.solve(inp.sigma, inp.excess)
+        assert gamma > 0.0 and rep.gamma == gamma and rep.converged
+        assert rep.duals is not None and max(rep.r_norm, rep.s_norm) <= 1e-12
+        assert np.abs(rep.weights - closed).max() <= 1e-12 * np.abs(closed).max()
+        x = rep.weights
+        value = np.sqrt(x @ inp.sigma @ x) if kind == "target_vol" else mu @ x
+        assert value == pytest.approx(target, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [[0.05, 0.06], [0.05, 0.05]])
+    @pytest.mark.parametrize("kind", ["target_vol", "target_return"])
+    def test_unconstrained_singular_covariance_rejected(self, mu, kind):
+        # without the refusal the walk of a rank-1 covariance ends Unbounded
+        # (mu off its range) or at a min-norm optimum (mu on it)
+        sigma = np.outer([1.0, 1.0], [1.0, 1.0]) * 0.01
+        with pytest.raises(errors.SingularCovariance):
+            calibrate_gamma(MvoInputs(mu=mu, sigma=sigma), **{kind: 0.1})
+
     def test_path_metric_monotone_at_breakpoints(self, nine_asset):
         mu, _, _, sigma = nine_asset
         cons = ConstraintSet(budget=1.0, lower=0.0, upper=0.25)
@@ -135,10 +166,12 @@ class TestCalibrateGamma:
             assert np.allclose(rep.duals[key], cold.duals[key], atol=1e-10, rtol=0.0)
         assert abs(rep.objective - cold.objective) <= 1e-10
 
-    @pytest.mark.parametrize("mu,target", [([0.0, 0.0], 0.1), ([0.05, 0.07], -0.1)])
+    @pytest.mark.parametrize("mu,target", [([0.0, 0.0], 0.1), ([0.05, 0.07], -0.1),
+                                           ([1e-9, 1e-9], 0.1)])
     def test_unconstrained_volatility_target_out_of_reach(self, mu, target):
         # e'S^-1e = 0 divided by zero; a negative target gave gamma -0.29
-        # and weights of volatility +0.1
+        # and weights of volatility +0.1; the gamma 0.1 / sqrt(e'S^-1e) of
+        # the last, about 1.7e7, is past the walk's 1e6, as with constraints
         inp = MvoInputs(mu=mu, sigma=np.diag([0.04, 0.09]))
         with pytest.raises(errors.TargetUnreachable, match="unattainable"):
             calibrate_gamma(inp, target_vol=target)

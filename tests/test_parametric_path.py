@@ -8,14 +8,16 @@ so.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from roboalloc import admm, mvo, qp
+from roboalloc import admm, mvo, pipeline, qp
 from roboalloc.errors import TargetUnreachable
 from roboalloc.market_data import clip_psd
-from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma, solve_gamma_problem
+from roboalloc.mvo import (ConstraintSet, MvoInputs, calibrate_gamma, exact_problem,
+                           solve_gamma_problem)
 from roboalloc.pipeline import RoboConfig, rebalance, te_target_to_gamma, tracking_error
 
 _TOL = 1e-6  # gamma 0 answers a target it reaches to within this
@@ -111,8 +113,9 @@ class Case:
         """The route's solve at ``gamma``, started from ``x0`` (``None``: the
         solver's own cold start)."""
         if self.te:
-            return rebalance(self.config, self.mu, self.sigma, gamma=gamma, warm=x0)
-        return solve_gamma_problem(self.inputs, gamma, self.cons, x0=x0)
+            return rebalance(replace(self.config, gamma=gamma), self.mu, self.sigma, warm=x0)
+        excess = self.inputs.excess
+        return qp.solve_qp(exact_problem(self.sigma, gamma * excess, None, self.cons), x0=x0)
 
     def value(self, x):
         if self.metric == "return":
@@ -219,8 +222,8 @@ def test_walk_from_dependent_start_meets_target(monkeypatch):
     config = RoboConfig(strategic=strategic, current=current, rho1_strategic=1e-3,
                         gamma1_strategic=gamma1, rho1_turnover=5e-4,
                         constraints=ConstraintSet(budget=1.0, lower=0.0, upper=2.5 / n))
-    low, high = (tracking_error(rebalance(config, mu, sigma, gamma=g).weights, strategic, sigma)
-                 for g in (0.0, 1e4))
+    low, high = (tracking_error(rebalance(replace(config, gamma=g), mu, sigma).weights,
+                                strategic, sigma) for g in (0.0, 1e4))
     assert low <= 1e-12
     target = low + 0.37 * (high - low)
     solves = []
@@ -234,7 +237,7 @@ def test_walk_from_dependent_start_meets_target(monkeypatch):
         gamma, rep = te_target_to_gamma(config, mu, sigma, target)
     assert abs(tracking_error(rep.weights, strategic, sigma) - target) <= 1e-12 * target
     assert len(solves) == 1 and rep.converged and rep.iterations == 0
-    cold = rebalance(config, mu, sigma, gamma=gamma)
+    cold = rebalance(replace(config, gamma=gamma), mu, sigma)
     assert np.abs(rep.weights - cold.weights).max() <= 1e-9
 
 
@@ -289,7 +292,7 @@ def test_a_target_builds_one_problem_per_solve(route, monkeypatch):
     else:
         config = RoboConfig(strategic=strategic, current=strategic, rho1_turnover=1e-3,
                             constraints=cons)
-        high = rebalance(config, mu, sigma, gamma=1e4).weights
+        high = rebalance(replace(config, gamma=1e4), mu, sigma).weights
         target = 0.5 * tracking_error(high, strategic, sigma)
 
         def run():
@@ -485,8 +488,8 @@ def test_te_read_off_at_kinks_and_an_active_row_is_rebalance(monkeypatch):
     config = RoboConfig(strategic=strategic, current=current, rho1_strategic=2e-3,
                         rho1_turnover=1e-3, constraints=ConstraintSet(
                             budget=1.0, lower=0.0, upper=0.3, ineq=(g, [-cap])))
-    low, high = (tracking_error(rebalance(config, mu, sigma, gamma=gamma).weights, strategic,
-                                sigma) for gamma in (0.0, 1e3))
+    low, high = (tracking_error(rebalance(replace(config, gamma=gamma), mu, sigma).weights,
+                                strategic, sigma) for gamma in (0.0, 1e3))
     target = 0.5 * (low + high)
     with monkeypatch.context() as patch:
         starts, _ = counting(patch, admm)
@@ -496,7 +499,7 @@ def test_te_read_off_at_kinks_and_an_active_row_is_rebalance(monkeypatch):
     assert (at == qp._KINK).sum() >= 3 and rep.duals["ineq"][0] > 1e-3
     assert abs(g[0] @ rep.weights + cap) <= 1e-12
     assert abs(tracking_error(rep.weights, strategic, sigma) - target) <= 1e-12 * target
-    assert_like(rep, rebalance(config, mu, sigma, gamma=gamma))
+    assert_like(rep, rebalance(replace(config, gamma=gamma), mu, sigma))
 
 
 @pytest.mark.parametrize("metric", ["vol", "te_l1"])
@@ -564,4 +567,41 @@ def test_uncertified_read_off_takes_the_fallback_solve(monkeypatch):
     assert len(starts) == 2 and starts[0] is None and rep is answers[1]
     assert np.abs(starts[1] - read_off[0].weights).max() <= 1e-15
     assert rep.converged and abs(case.value(rep.weights) - target) <= 1e-12 * target
+    assert_like(rep, case.solve(gamma))
+
+
+@pytest.mark.parametrize("read_off", ["none", "uncertified"])
+@pytest.mark.parametrize("metric", ["vol", "te_l1"])
+def test_fallback_solves_the_walks_problem_from_its_point(metric, read_off, monkeypatch):
+    """Where the read-off is missing or not ``converged``, ``path_root``
+    solves the walk's own problem at the crossing's gamma once, started
+    from the walk's point, and calls back into no route: on a volatility
+    target and on a TE target with L1 rows the answer is the cold solve's
+    at that gamma, and the TE report's objective is ``rebalance``'s."""
+    case = Case(3, 20, "full", False, metric)
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    target = low + 0.5 * (high - low)
+    report, points = qp._Piece.report, []
+
+    def forced(piece, s):
+        points.append(piece[1] + s * piece[2])
+        if read_off == "none":
+            return None
+        rep = report(piece, s)
+        rep.status = "uncertified"
+        return rep
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qp._Piece, "report", forced)
+        starts, answers = counting(patch, mvo)
+        patch.setattr(admm, "solve_qp", mvo.solve_qp)  # the TE route's gamma-0 solve
+        rebalances = []
+        patch.setattr(pipeline, "rebalance", lambda *a, **k: rebalances.append(a) or
+                      rebalance(*a, **k))
+        gamma, rep = case.walk(target)
+    assert len(points) == 1 and len(starts) == 2 and starts[0] is None
+    assert np.array_equal(starts[1], points[0]) and rep is answers[1]
+    assert len(rebalances) == (1 if case.te else 0)
+    assert rep.converged and gamma > 0.0 and rep.gamma == gamma
+    assert abs(case.value(rep.weights) - target) <= 1e-12 * target
     assert_like(rep, case.solve(gamma))

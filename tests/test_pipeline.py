@@ -2,6 +2,7 @@ import os
 import pathlib
 import sys
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def walks_then_solves_once(ten_asset, monkeypatch, **slots):
     monkeypatch.undo()
     assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
         0.01, rel=1e-12, abs=0.0)
-    cold = rebalance(cfg, mu, sigma, gamma=gamma)
+    cold = rebalance(replace(cfg, gamma=gamma), mu, sigma)
     assert np.abs(rep.weights - cold.weights).max() <= 1e-10
     for key in ("eq", "ineq", "lower", "upper"):
         assert np.abs(rep.duals[key] - cold.duals[key]).max(initial=0.0) <= 1e-10
@@ -75,6 +76,16 @@ class TestRebalance:
         rep = rebalance(cfg, mu, sigma)
         oracle = plain_qp_oracle(cfg, mu, sigma, 0.25)
         assert np.abs(rep.weights - oracle.weights).max() <= 1e-6
+
+    @pytest.mark.parametrize("objective", ["mvo", "tracking_error"])
+    def test_neither_gamma_nor_target_solves_at_gamma_zero(self, four_asset_alt, objective):
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=X0, objective=objective)
+        rep = rebalance(cfg, mu, sigma)
+        assert rep.gamma == 0.0 and rep.converged
+        assert np.array_equal(rep.weights, rebalance(replace(cfg, gamma=0.0), mu, sigma).weights)
+        oracle = plain_qp_oracle(cfg, mu, sigma, 0.0)
+        assert np.abs(rep.weights - oracle.weights).max() <= 1e-10
 
     def test_dominant_turnover_penalty_freezes_book(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
@@ -200,15 +211,22 @@ class TestTeTargeting:
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error")
         gamma, _ = te_target_to_gamma(cfg, mu, sigma, 0.0)
         assert gamma == 0.0
-        rep = rebalance(cfg, mu, sigma, gamma=0.0)
+        rep = rebalance(replace(cfg, gamma=0.0), mu, sigma)
         assert np.abs(rep.weights - X0).max() <= 1e-7
+
+    def test_negative_target_unreachable(self, four_asset_alt):
+        # the walk's gamma-0 check refuses it: no tracking error is negative
+        mu, _, _, sigma = four_asset_alt
+        cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error")
+        with pytest.raises(TargetUnreachable, match="unattainable: below the minimum attainable"):
+            te_target_to_gamma(cfg, mu, sigma, -0.01)
 
     def test_te_monotone_in_gamma(self, four_asset_alt):
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, objective="tracking_error")
         tes = []
         for gamma in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5):
-            rep = rebalance(cfg, mu, sigma, gamma=gamma)
+            rep = rebalance(replace(cfg, gamma=gamma), mu, sigma)
             tes.append(tracking_error(rep.weights, X0, sigma))
         assert all(b >= a - 1e-10 for a, b in zip(tes, tes[1:]))
 
@@ -219,7 +237,7 @@ class TestTeTargeting:
         cfg = RoboConfig(strategic=EW10, current=EW10, objective="tracking_error")
         for target in (0.005, 0.01, 0.02):
             gamma, _ = te_target_to_gamma(cfg, mu, sigma, target)
-            rep = rebalance(cfg, mu, sigma, gamma=gamma)
+            rep = rebalance(replace(cfg, gamma=gamma), mu, sigma)
             assert tracking_error(rep.weights, EW10, sigma) == pytest.approx(
                 target, abs=1e-6)
 

@@ -284,6 +284,18 @@ class TestFilterCovariance:
         want, got = filtered_by_svd(sigma, spec), filter_covariance(sigma, spec)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_rank_deficient_covariance_drops_rounding_eigenvalues(self):
+        # rank 10 of 30: eigenvalues near 1e-16 of the largest have square
+        # roots near 1e-8 of the largest root, which the ridge's (s^2 + rho)^2
+        # / s^2 turned into a filtered eigenvalue of 1.5e11
+        b = 0.1 * np.random.default_rng(0).standard_normal((30, 10))
+        sigma = b @ b.T
+        spec = FilterSpec("ridge", 0.01 * np.linalg.eigvalsh(sigma).mean())
+        got, want = filter_covariance(sigma, spec), spectral_filter(b.T, spec)[1]
+        assert np.linalg.matrix_rank(got) == 10
+        assert np.linalg.eigvalsh(got).max() == pytest.approx(0.687, abs=5e-4)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_zero_or_fully_filtered_covariance_raises(self):
         with pytest.raises(errors.AllSingularValuesFiltered, match="zero"):
             filter_covariance(np.zeros((3, 3)), FilterSpec("ridge", 0.1))
