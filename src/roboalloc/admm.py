@@ -200,8 +200,7 @@ def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None 
         x_init = np.asarray_chkfinite(x_init, dtype=float)
         if x_init.shape != (n,):
             raise ValueError(f"x_init must be a vector of {n} weights, not shape {x_init.shape}")
-    problem = exact_problem(p_mat, q_vec, l1,
-                            ConstraintSet() if constraints is None else constraints)
+    problem = exact_problem(p_mat, q_vec, l1, constraints)
     if not blocks and not extra_sets:
         report = solve_qp(problem, x0=x_init)
     else:
@@ -284,8 +283,7 @@ def solve_cardinality(a1, b1, penalty_l2, gamma1, x0, n1,
     m = g1.shape[0]
     if not 1 <= n1 <= m:
         raise ValueError(f"n1 must be in [1, {m}]")
-    base = exact_problem(p_mat, q_vec, None,
-                         ConstraintSet() if constraints is None else constraints)
+    base = exact_problem(p_mat, q_vec, None, constraints)
     heap, order = [], itertools.count()
 
     def push(pinned, kept, rep=None):

@@ -237,8 +237,7 @@ def _solve_problem(doc: dict, mu: np.ndarray, sigma: np.ndarray):
     unused = [k for k in _REBALANCE_KEYS if k in doc]
     if unused:
         raise InputError(f"keys {unused} need a rebalancing problem (strategic and current)")
-    constraints = (_parse_constraints(doc["constraints"], n) if "constraints" in doc
-                   else ConstraintSet())
+    constraints = _parse_constraints(doc["constraints"], n) if "constraints" in doc else None
     inputs = MvoInputs(mu=mu, sigma=sigma, r=_number(doc.get("r", 0.0), "r"))
     penalties = _parse_penalties(doc, n, sigma)
     admm_params = _parse_admm(doc.get("admm", {}))

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .market_data import clip_psd
 from .qp import QpProblem, parametric_path, solve_qp
-from .report import CONVERGED, SolveReport
+from .report import SolveReport
 
 _CAL_TOL = 1e-6
 _LEVEL_RTOL = 1e-13  # relative rounding of a volatility or return level
@@ -63,11 +63,12 @@ class ConstraintSet:
                                        self.eq, self.ineq))
 
 
-def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet) -> QpProblem:
-    """The ``QpProblem`` of ``0.5 x'Px - q'x`` over the constraint set, with
-    the L1 rows ``l1 = (G, d, rho)`` (``None`` for none): the one reading of
-    a ``ConstraintSet``.  The budget row goes over ``eq``; ``QpProblem``
-    checks the blocks and fills in the absent ones."""
+def exact_problem(p_mat, q_vec, l1, constraints: ConstraintSet | None) -> QpProblem:
+    """The ``QpProblem`` of ``0.5 x'Px - q'x`` over the constraint set
+    (``None`` for none), with the L1 rows ``l1 = (G, d, rho)`` (``None`` for
+    none): the one reading of a ``ConstraintSet``.  The budget row goes over
+    ``eq``; ``QpProblem`` checks the blocks and fills in the absent ones."""
+    constraints = constraints or ConstraintSet()
     eq, budget = constraints.eq, constraints.budget
     if budget is not None and eq is None:
         eq = np.ones((1, q_vec.size)), [float(budget)]
@@ -109,18 +110,14 @@ def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def solve_gamma_problem(inputs: MvoInputs, gamma: float,
                         constraints: ConstraintSet | None = None) -> SolveReport:
-    """Minimize ``0.5 x'Sx - gamma x'(mu - r 1)`` over the constraint set.
-
-    Without constraints the closed form ``gamma S^-1 (mu - r 1)`` is used;
-    otherwise the QP solver carries the constraints and returns multipliers.
-    """
+    """Minimize ``0.5 x'Sx - gamma x'(mu - r 1)`` over the constraint set by
+    one ``solve_qp``, certified and with multipliers.  Without constraints
+    the weights are ``gamma S^-1 (mu - r 1)`` to rounding, and a covariance
+    that ``_solve_spd`` finds singular is ``SingularCovariance``."""
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
     if constraints is None or constraints.is_empty():
-        x = gamma * _solve_spd(inputs.sigma, inputs.excess)
-        obj = 0.5 * x @ inputs.sigma @ x - gamma * x @ inputs.excess
-        return SolveReport(weights=x, objective=float(obj), status=CONVERGED,
-                           iterations=0, gamma=float(gamma))
+        _solve_spd(inputs.sigma, inputs.excess)  # the refusal only: the solve finds the weights
     report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, None, constraints))
     report.gamma = float(gamma)
     return report
@@ -131,29 +128,26 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
                     target_vol: float | None = None):
     """Find the trade-off parameter hitting a return or volatility target.
 
-    ``path_root`` walks the solution path of the QP that the gamma-0 solve
-    built, with or without constraints, meets the target exactly within its
-    segment and reads the report off that segment, certified: one QP solve
-    in all, at gamma 0.  A target met at gamma 0 gives gamma 0 (without
-    constraints, where the weights are zero there, a return target at most
-    ``_CAL_TOL``).  A volatility target below the gamma-0 volatility is
-    ``TargetUnreachable``, as is one that no gamma up to ``_GAMMA_CAP``
-    reaches (``path_root``).  Without constraints a covariance that
-    ``_solve_spd`` finds singular is ``SingularCovariance``, as in
+    ``path_root`` walks the solution path of the QP that the gamma-0
+    ``solve_gamma_problem`` built, with or without constraints, meets the
+    target exactly within its segment and reads the report off that
+    segment, certified: one QP solve in all, at gamma 0.  A target met at
+    gamma 0 gives gamma 0 (without constraints, where the weights are zero
+    there, a return target at most ``_CAL_TOL``).  A volatility target below
+    the gamma-0 volatility is ``TargetUnreachable``, as is one that no gamma
+    up to ``_GAMMA_CAP`` reaches (``path_root``).  Without constraints a
+    singular covariance is ``SingularCovariance``, as in
     ``solve_gamma_problem``.  Returns ``(gamma, report)``; the path's
     ``(gamma, value)`` entries are recorded in
     ``report.meta['calibration']``.
     """
     if (target_return is None) == (target_vol is None):
         raise ValueError("specify exactly one of target_return / target_vol")
-    if constraints is None or constraints.is_empty():
-        _solve_spd(inputs.sigma, inputs.excess)  # the refusal only: the walk finds the weights
     if target_vol is None:
         metric, target = (None, inputs.mu), target_return
     else:
         metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
-    start = solve_qp(exact_problem(inputs.sigma, 0.0 * inputs.excess, None,
-                                   constraints or ConstraintSet()))
+    start = solve_gamma_problem(inputs, 0.0, constraints)
     gamma, report = path_root(start, -inputs.excess, metric, target, _CAL_TOL)
     report.gamma = float(gamma)
     return gamma, report
@@ -345,8 +339,10 @@ def jagannathan_ma_shrinkage(sigma: np.ndarray, constraints: ConstraintSet,
 
     The bound and inequality multipliers of a constrained solve are folded
     into the covariance so that dropping those constraints (keeping budget
-    and any return target) reproduces the constrained optimum.  Returns
-    ``(sigma_tilde, vol_tilde, corr_tilde)``.
+    and any return target) reproduces the constrained optimum; an answer
+    without a binding constraint leaves ``sigma`` unchanged.  Returns
+    ``(sigma_tilde, vol_tilde, corr_tilde)``; an ADMM answer, which carries
+    no multipliers, is ``MissingDuals``.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0]

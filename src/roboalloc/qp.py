@@ -928,7 +928,8 @@ def parametric_path(start: SolveReport, slope):
     LU, one update per pivot: Niedermayer & Niedermayer 2010), refined once.
     Where an update or the LU is refused, or the reduced gradient drifts by
     1e-10, the piece goes through ``_kkt`` (whose SVD takes dependent rows,
-    zero curvature and null directions) and the next refactors.
+    zero curvature and null directions), as do the next until ``_kkt``'s LU
+    solves one; the piece after it refactors.
     It ends at the first event, ties going to the lowest rank of the layout
     that ``_active_set`` uses, and ``_pivot`` applies it: a free variable
     reaches a bound, a kink row reaches its kink (fixing its weight there,
@@ -972,6 +973,7 @@ def parametric_path(start: SolveReport, slope):
     mult = np.empty((2 * n + k, 2))  # working-set multipliers and their slopes
     rises, falls = mult[:n], mult[n:2 * n]  # the weights' rise and fall ranks
     grads = np.empty((n, 2))  # the gradient and its slope in t
+    retry = True  # whether the factor is tried: at the start, and after a piece _kkt's LU solved
     for _ in range(problem.max_iter):
         free = at == _FREE
         fixed = ~free
@@ -985,7 +987,7 @@ def parametric_path(start: SolveReport, slope):
             grad += kinks.pull @ side
         grads[:, 0], grads[:, 1] = grad, slope
         null, flat = None, False
-        if factor.update(on):  # one product: minus dx, the multipliers and their slopes
+        if retry and factor.update(on):  # one product: minus dx, the multipliers and their slopes
             np.multiply(grads, free[:, None], out=rhs[:n])
             sol = factor.inv @ rhs
             # refined once (an inverse's product is off by cond * eps) unless drifted
@@ -1000,6 +1002,7 @@ def parametric_path(start: SolveReport, slope):
             idx, dx, y = free.nonzero()[0], np.zeros(n), np.zeros((len(rows), 2))
             pos = np.concatenate([np.arange(a), a + gpos])
             p, y[pos], flat, null_y = _kkt(q.take(idx, 0).take(idx, 1), rows[pos][:, idx], grads[idx])
+            retry = null_y is None
             if null_y is not None:  # the rows' null directions
                 basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
                 null = np.zeros((len(rows), (sv > 0.5).sum()))

@@ -16,7 +16,7 @@ from .errors import (
 from .market_data import _check_symmetric
 from .mvo import exact_problem
 from .qp import _check_finite, _kkt, solve_qp
-from .report import CONVERGED, SolveReport
+from .report import SolveReport
 
 _RANK_CUTOFF = 1e-12  # singular values below cutoff * s_max count as zero
 
@@ -171,28 +171,23 @@ def tikhonov_solve(a1, b1, penalty: PenaltySpec, eq=None):
 
 
 def ridge_mvo(mu, sigma, gamma, rho2, x0=None, constraints=None) -> SolveReport:
-    """Mean-variance solve with an added ``rho2/2 ||x - x0||^2`` term.
-
-    Unconstrained this blends the raw optimizer with the anchor through the
-    weight matrix ``(I + rho2 S^-1)^-1``; with constraints it becomes a QP on
-    ``S + rho2 I`` and shifted expected returns.  A negative ``rho2`` is a
-    ``ValueError``.
+    """Mean-variance solve with an added ``rho2/2 ||x - x0||^2`` term: one
+    ``solve_qp`` on ``S + rho2 I`` and the shifted expected returns, with or
+    without constraints, certified and with multipliers.  Unconstrained its
+    weights are ``(S + rho2 I)^-1 (gamma mu + rho2 x0)`` to rounding, the raw
+    optimizer blended with the anchor; with ``rho2 = 0`` and a singular
+    ``S`` they are the minimum-norm optimum, or ``Unbounded`` when ``mu``
+    leaves the range of ``S``.  The reported objective includes the penalty.
+    A negative ``rho2`` is a ``ValueError``.
     """
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     q_mat, lin, _, _, penalty = penalty_terms([PenaltySpec(kind="l2", rho=rho2, anchor=x0)],
                                               sigma, gamma * mu)
-
-    def objective(x):
-        return float(0.5 * x @ sigma @ x - gamma * x @ mu + penalty(x))
-
-    if constraints is None or constraints.is_empty():
-        x = np.linalg.solve(q_mat, lin)
-        return SolveReport(weights=x, objective=objective(x), status=CONVERGED,
-                           iterations=0, gamma=float(gamma))
     report = solve_qp(exact_problem(q_mat, lin, None, constraints))
+    x = report.weights
     report.gamma = float(gamma)
-    report.objective = objective(report.weights)
+    report.objective = float(0.5 * x @ sigma @ x - gamma * x @ mu + penalty(x))
     return report
 
 

@@ -22,9 +22,10 @@ class SolveReport:
     """Outcome of one optimization run.
 
     ``duals`` holds per-constraint Lagrange multipliers keyed by
-    ``eq`` / ``ineq`` / ``lower`` / ``upper`` when the solve path
-    produces them, ``None`` otherwise.  ``meta`` carries diagnostics
-    (calibration history, cardinality nodes), not serialized.
+    ``eq`` / ``ineq`` / ``lower`` / ``upper`` on every exact answer
+    (``qp._report``), and is ``None`` on an ADMM answer
+    (``admm.admm_solve``).  ``meta`` carries diagnostics (calibration
+    history, cardinality nodes), not serialized.
     """
 
     weights: np.ndarray

@@ -940,7 +940,7 @@ class TestSmallDocuments:
 
 
 class TestVolatilityTargetOutOfReach:
-    """Without constraints a volatility target is met in closed form; a
+    """Without constraints a volatility target is walked from gamma 0; a
     target that no gamma >= 0 reaches exits 1 with one ``error:`` line."""
 
     @pytest.mark.parametrize("mu,target", [([0.0, 0.0], 0.1), ([0.05, 0.07], -0.1)],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from roboalloc import errors, mvo
+from roboalloc.admm import solve_mixed_lp
 from roboalloc.mvo import (
     ConstraintSet,
     MvoInputs,
@@ -17,6 +18,7 @@ from roboalloc.mvo import (
     te_transform,
 )
 from roboalloc.qp import solve_qp
+from roboalloc.regularizers import PenaltySpec
 from tests.conftest import cov_from, random_spd
 
 BUDGET = ConstraintSet(budget=1.0)
@@ -55,6 +57,21 @@ class TestGammaProblem:
         sigma = np.outer([1.0, 1.0], [1.0, 1.0]) * 0.01
         with pytest.raises(errors.SingularCovariance):
             solve_gamma_problem(MvoInputs(mu=[0.05, 0.06], sigma=sigma), 1.0)
+
+    def test_unconstrained_solve_is_certified_closed_form(self):
+        # solve_qp answers without constraints too: duals, both residuals,
+        # and the weights of the closed form gamma S^-1 (mu - r 1)
+        for seed in range(120):
+            rng = np.random.default_rng([41, seed])
+            n = int(rng.integers(1, 13))
+            inp = MvoInputs(mu=rng.normal(size=n) * 0.05, sigma=random_spd(rng, n, 0.04),
+                            r=float(rng.uniform(0.0, 0.02)))
+            gamma = float(rng.uniform(0.0, 5.0))
+            rep = solve_gamma_problem(inp, gamma)
+            closed = gamma * np.linalg.solve(inp.sigma, inp.excess)
+            assert rep.converged and rep.gamma == gamma and rep.duals is not None
+            assert max(rep.r_norm, rep.s_norm) <= 1e-12
+            assert np.abs(rep.weights - closed).max() <= 1e-12 * max(np.abs(closed).max(), 1e-300)
 
 
     @pytest.mark.parametrize("field,value", [
@@ -447,9 +464,19 @@ class TestJagannathanMa:
         st, _, _ = jagannathan_ma_shrinkage(sigma, cons, rep)
         assert np.array_equal(st, sigma)
 
-    def test_missing_duals(self, four_asset):
+    def test_unconstrained_answer_leaves_covariance_alone(self, four_asset):
+        # no constraint binds, so every multiplier is zero and sigma comes back
         mu, _, _, sigma = four_asset
-        rep = solve_gamma_problem(MvoInputs(mu=mu, sigma=sigma), 0.1)  # analytic path
+        rep = solve_gamma_problem(MvoInputs(mu=mu, sigma=sigma), 0.1)
+        st, _, _ = jagannathan_ma_shrinkage(sigma, ConstraintSet(), rep)
+        assert np.array_equal(st, sigma)
+
+    def test_missing_duals(self, four_asset):
+        _, _, _, sigma = four_asset
+        # an lp penalty is a prox block: the ADMM route, whose answers carry no duals
+        a1, b1 = np.linalg.cholesky(sigma).T, np.full(4, 0.1)
+        rep = solve_mixed_lp(a1, b1, None, PenaltySpec(kind="lp", p=1.5, rho=0.01),
+                             constraints=BUDGET)
         with pytest.raises(errors.MissingDuals):
             jagannathan_ma_shrinkage(sigma, BUDGET, rep)
 

@@ -450,6 +450,32 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
     assert np.abs(rep.weights - case.solve(gamma).weights).max() <= 1e-9
 
 
+def test_singular_walk_refactors_only_after_an_lu_piece(monkeypatch):
+    """On the same rank-20 walk, from gamma 0 to its end, a refused factor
+    is not retried while ``_kkt`` needs its SVD, only after a piece that
+    ``_kkt``'s LU solved: at most 7 factorizations over its 64 pieces, some
+    refused, and the target is still met with one solve, at the cold
+    solve's weights."""
+    case = Case(7, 40, "singular", False, "vol")
+    factor, factors = qp._WalkFactor._factor, []
+
+    def counted(self, on):
+        factors.append(factor(self, on))
+        return factors[-1]
+
+    monkeypatch.setattr(qp._WalkFactor, "_factor", counted)
+    pieces = list(qp.parametric_path(case.solve(0.0), -case.inputs.excess))
+    assert len(pieces) == 64 and pieces[-1][4] == np.inf
+    assert len(factors) <= 7 and not all(factors)
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    target = low + 0.5 * (high - low)
+    starts, _ = counting(monkeypatch, mvo)
+    gamma, rep = case.walk(target)
+    assert gamma > 0.0 and len(starts) == 1 and rep.converged
+    assert abs(case.value(rep.weights) - target) <= 1e-12 * target
+    assert np.abs(rep.weights - case.solve(gamma).weights).max() <= 1e-9
+
+
 def counting(monkeypatch, module):
     """Patch ``module``'s ``solve_qp`` to record each call's start and
     report; returns ``(starts, answers)``."""

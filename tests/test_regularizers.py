@@ -148,6 +148,31 @@ class TestRidgeMvo:
             alt = omega @ markowitz + (np.eye(n) - omega) @ x0
             assert np.abs(rep.weights - alt).max() <= 1e-10
 
+    def test_unconstrained_solve_is_certified_closed_form(self):
+        # one solve_qp with or without constraints: duals, both residuals, and
+        # the weights of the closed form (S + rho2 I)^-1 (gamma mu + rho2 x0)
+        for seed in range(120):
+            rng = np.random.default_rng([42, seed])
+            n = int(rng.integers(1, 13))
+            sigma, mu, x0 = random_spd(rng, n, 0.05), rng.normal(size=n) * 0.05, rng.normal(size=n)
+            gamma, rho = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 0.1))
+            rep = ridge_mvo(mu, sigma, gamma, rho, x0=x0)
+            closed = np.linalg.solve(sigma + rho * np.eye(n), gamma * mu + rho * x0)
+            assert rep.converged and rep.gamma == gamma and rep.duals is not None
+            assert max(rep.r_norm, rep.s_norm) <= 1e-12
+            assert np.abs(rep.weights - closed).max() <= 1e-12 * np.abs(closed).max()
+
+    def test_rank_one_covariance_without_penalty(self):
+        # S = v v' and rho2 = 0: mu off the range of S descends without bound
+        # along zero curvature; mu on it has the minimum-norm optimum
+        v = np.array([1.0, 2.0, 3.0])
+        sigma = np.outer(v, v)
+        with pytest.raises(errors.Unbounded):
+            ridge_mvo([1.0, 0.0, 0.0], sigma, 1.0, 0.0)
+        rep = ridge_mvo(2.0 * v, sigma, 1.0, 0.0)
+        assert rep.converged and max(rep.r_norm, rep.s_norm) <= 1e-12
+        assert np.abs(rep.weights - 2.0 * v / (v @ v)).max() <= 1e-12
+
     def test_weight_matrix_vanishes(self, four_asset):
         _, _, _, sigma = four_asset
         omega = np.linalg.inv(np.eye(4) + 1e8 * np.linalg.inv(sigma))
