@@ -4,7 +4,7 @@ covariance shrinkage."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,14 +98,13 @@ class StevensReport:
     assets: list = field(default_factory=list)
 
 
-def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``sigma^-1 rhs``; ``SingularCovariance`` when the eigenvalue ratio of
-    ``sigma`` is below 1e-12."""
+def _nonsingular(sigma: np.ndarray) -> np.ndarray:
+    """``sigma``, or ``SingularCovariance`` at an eigenvalue ratio below 1e-12."""
     lam = np.linalg.eigvalsh(sigma)
     if lam.min() < 1e-12 * max(lam.max(), 1e-300):
         raise SingularCovariance(f"covariance nearly singular (eig ratio "
                                  f"{lam.min():.2e}/{lam.max():.2e})")
-    return np.linalg.solve(sigma, rhs)
+    return sigma
 
 
 def solve_gamma_problem(inputs: MvoInputs, gamma: float,
@@ -113,11 +112,11 @@ def solve_gamma_problem(inputs: MvoInputs, gamma: float,
     """Minimize ``0.5 x'Sx - gamma x'(mu - r 1)`` over the constraint set by
     one ``solve_qp``, certified and with multipliers.  Without constraints
     the weights are ``gamma S^-1 (mu - r 1)`` to rounding, and a covariance
-    that ``_solve_spd`` finds singular is ``SingularCovariance``."""
+    that ``_nonsingular`` refuses is ``SingularCovariance``."""
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
     if constraints is None or constraints.is_empty():
-        _solve_spd(inputs.sigma, inputs.excess)  # the refusal only: the solve finds the weights
+        _nonsingular(inputs.sigma)  # the refusal only: the solve finds the weights
     report = solve_qp(exact_problem(inputs.sigma, gamma * inputs.excess, None, constraints))
     report.gamma = float(gamma)
     return report
@@ -131,9 +130,10 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     ``path_root`` walks the solution path of the QP that the gamma-0
     ``solve_gamma_problem`` built, with or without constraints, meets the
     target exactly within its segment and reads the report off that
-    segment, certified: one QP solve in all, at gamma 0.  A target met at
-    gamma 0 gives gamma 0 (without constraints, where the weights are zero
-    there, a return target at most ``_CAL_TOL``).  A volatility target below
+    segment, certified: one QP solve in all, at gamma 0.  Its answer,
+    ``gamma`` set, is returned as it is.  A target met at gamma 0 gives
+    gamma 0 (without constraints, where the weights are zero there, a
+    return target at most ``_CAL_TOL``).  A volatility target below
     the gamma-0 volatility is ``TargetUnreachable``, as is one that no gamma
     up to ``_GAMMA_CAP`` reaches (``path_root``).  Without constraints a
     singular covariance is ``SingularCovariance``, as in
@@ -147,10 +147,8 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
         metric, target = (None, inputs.mu), target_return
     else:
         metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
-    start = solve_gamma_problem(inputs, 0.0, constraints)
-    gamma, report = path_root(start, -inputs.excess, metric, target, _CAL_TOL)
-    report.gamma = float(gamma)
-    return gamma, report
+    return path_root(solve_gamma_problem(inputs, 0.0, constraints), -inputs.excess, metric,
+                     target)
 
 
 def _level(metric, x) -> float:
@@ -191,7 +189,7 @@ def _crossing(level: float, now: float, b: float, a: float) -> float:
     return 2.0 * gap / root if root > 0.0 else np.inf
 
 
-def path_root(start: SolveReport, slope, metric, target: float, tol: float):
+def path_root(start: SolveReport, slope, metric, target: float):
     """Trade-off parameter at which a metric of a QP's answer meets a
     target, found on the solution path rather than by search.
 
@@ -200,35 +198,31 @@ def path_root(start: SolveReport, slope, metric, target: float, tol: float):
     ``meta['working_set']``, L1 rows included.  ``metric`` is ``(sigma,
     anchor)`` for the volatility ``sqrt((x - anchor)' sigma (x - anchor))``
     or ``(None, mu)`` for the return ``mu'x``.  Gamma 0 and ``start`` are
-    returned when its value already reaches ``target - tol``.  Otherwise
-    ``qp.parametric_path`` walks that problem from ``start``'s answer; on
-    each piece the metric is a quadratic (or linear) function of the step,
-    so the target is met exactly where it first crosses.  The report is
-    read off that piece (``_Piece.report``: the problem at that gamma, its
-    weights and multipliers moved along the piece, certified as
-    ``solve_qp`` certifies a solve); only a read-off that is not
-    ``converged``, or a crossing at the start of a move at fixed gamma,
-    takes one ``solve_qp`` of the same problem at that gamma, started from
-    the walk's point, instead.  The report's ``gamma`` and, where the
-    caller reports another objective than the QP's, its ``objective`` are
-    the caller's to set.  A value above ``target + tol`` at gamma 0 (a
-    volatility) is ``TargetUnreachable``; so is a crossing beyond
-    ``_GAMMA_CAP``, including a last segment that stays below the target,
-    and a crossing inside a move at fixed gamma (a singular covariance),
-    where the optimum is not unique and no solve at that gamma would answer
-    the target.  The report's ``meta['calibration']`` lists ``(gamma,
-    value)`` at gamma 0, at each breakpoint and at the answer.  Returns
-    ``(gamma, report)``.  A non-finite target raises ``ValueError`` before
-    the walk.
+    returned when its value already reaches ``target - _CAL_TOL``.
+    Otherwise ``qp.parametric_path`` walks that problem from ``start``'s
+    answer; on each piece the metric is a quadratic (or linear) function of
+    the step, so the target is met exactly where it first crosses, and the
+    report is that piece's ``report`` there: certified, read off the piece
+    or, where that fails, solved from the walk's point.  The report's
+    ``gamma`` is set here; where the caller reports another objective than
+    the QP's, its ``objective`` is the caller's to set.  A value above
+    ``target + _CAL_TOL`` at gamma 0 (a volatility) is
+    ``TargetUnreachable``; so is a crossing beyond ``_GAMMA_CAP``, including
+    a last segment that stays below the target, and a crossing inside a
+    move at fixed gamma (a singular covariance), where the optimum is not
+    unique and no solve at that gamma would answer the target.  The report's
+    ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0, at each
+    breakpoint and at the answer.  Returns ``(gamma, report)``.  A
+    non-finite target raises ``ValueError`` before the walk.
     """
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     history = [(0.0, _value(metric, _level(metric, start.weights)))]
-    if metric[0] is not None and history[0][1] > target + tol:
+    if metric[0] is not None and history[0][1] > target + _CAL_TOL:
         raise TargetUnreachable(f"target {target} unattainable: below the minimum attainable "
                                 f"{history[0][1]:.6f}, at gamma 0")
-    if history[0][1] >= target - tol:
-        start.meta["calibration"] = history
+    if history[0][1] >= target - _CAL_TOL:
+        start.gamma, start.meta["calibration"] = 0.0, history
         return 0.0, start
     level = target if metric[0] is None else target ** 2
     for k, piece in enumerate(parametric_path(start, slope)):
@@ -246,20 +240,16 @@ def path_root(start: SolveReport, slope, metric, target: float, tol: float):
     if not rate and s > 0.0:
         raise TargetUnreachable(f"target {target} falls inside a jump of the path at "
                                 f"gamma={t:.6g}, where the optimum is not unique")
-    gamma = t + rate * s
-    rep = piece.report(s)
-    if rep is None or not rep.converged:
-        problem = start.meta["working_set"][0]
-        rep = solve_qp(replace(problem, c=problem.c + gamma * slope), x0=x + s * dx)
+    gamma, rep = t + rate * s, piece.report(s)
     history.append((gamma, _value(metric, _level(metric, rep.weights))))
-    rep.meta["calibration"] = history
+    rep.gamma, rep.meta["calibration"] = float(gamma), history
     return gamma, rep
 
 
 def max_sharpe_bound(inputs: MvoInputs) -> float:
     """Upper bound on any portfolio's Sharpe ratio, ``sqrt(e' S^-1 e)``."""
     e = inputs.excess
-    return float(np.sqrt(e @ _solve_spd(inputs.sigma, e)))
+    return float(np.sqrt(e @ np.linalg.solve(_nonsingular(inputs.sigma), e)))
 
 
 def sharpe_ratio(x: np.ndarray, inputs: MvoInputs) -> float:
@@ -294,7 +284,7 @@ def stevens_decomposition(inputs: MvoInputs, gamma: float,
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
     mu, sigma, n = inputs.mu, inputs.sigma, inputs.n
-    prec = _solve_spd(sigma, np.eye(n))
+    prec = np.linalg.solve(_nonsingular(sigma), np.eye(n))
     b = 0.0 - prec / np.diag(prec)[:, None]  # 0.0 - x, not -x: an exact zero stays +0.0
     np.fill_diagonal(b, 0.0)
     diag = np.diag(sigma)

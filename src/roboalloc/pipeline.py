@@ -10,7 +10,7 @@ import numpy as np
 
 from .admm import solve_penalized
 from .errors import AllocationError, Infeasible
-from .mvo import _CAL_TOL, ConstraintSet, path_root
+from .mvo import ConstraintSet, path_root
 from .regularizers import PenaltySpec, penalty_terms, penalty_value
 from .report import SolveReport, write_csv
 
@@ -136,12 +136,13 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     ``mvo.path_root`` walks the solution path of the exact QP that
     ``rebalance`` solved at gamma 0 (the L1 slots as its L1 rows), meets the
     target exactly on the first segment that reaches it and reads the
-    report off that segment, certified, with the objective ``rebalance``
-    reports: one ``rebalance`` in all, at gamma 0.  The tracking error is
-    nondecreasing in gamma without L2 penalties.  A target below the gamma-0
-    tracking error by more than ``path_root``'s tolerance, a negative one
-    included, is ``TargetUnreachable``: with L2 or turnover anchors the
-    gamma-0 book is not the strategic one.  With extra sets there is no
+    report off that segment, certified and with its gamma; only the
+    objective is set here, to the one ``rebalance`` reports: one
+    ``rebalance`` in all, at gamma 0.  The tracking error is nondecreasing
+    in gamma without L2 penalties.  A target below the gamma-0 tracking
+    error by more than 1e-6 (``mvo._CAL_TOL``), a negative one included, is
+    ``TargetUnreachable``: with L2 or turnover anchors the gamma-0 book is
+    not the strategic one.  With extra sets there is no
     exact path, and a target is a ``ValueError`` before any solve.  Returns
     ``(gamma, report)``, the report being the answer at that gamma.
     """
@@ -150,8 +151,7 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = np.asarray(sigma, dtype=float)
     start = rebalance(replace(config, gamma=0.0, te_target=None), mu, sigma)
-    gamma, report = path_root(start, -mu, (sigma, config.strategic), te_target, _CAL_TOL)
-    report.gamma = float(gamma)
+    gamma, report = path_root(start, -mu, (sigma, config.strategic), te_target)
     report.objective = _objective(config, mu, sigma, gamma,
                                   penalty_value(config.penalties(), config.n))(report.weights)
     return gamma, report

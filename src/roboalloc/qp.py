@@ -885,34 +885,39 @@ class _WalkFactor:
 
 class _Piece(tuple):
     """A piece ``(t, x, dx, rate, length)`` of ``parametric_path``, which also
-    holds what the walk knows of it: the working set, and the multipliers
-    with their slopes in ``t``."""
+    holds all its answer needs: the walk's problem and slope and, on a
+    segment, a copy of the working set with the multipliers and their slopes
+    in ``t``.  So it answers as well after the walk has moved on."""
 
-    def __new__(cls, values, walk):
+    def __new__(cls, values, problem, slope, segment):
         piece = super().__new__(cls, values)
-        piece._walk = walk
+        piece._problem, piece._slope, piece._segment = problem, slope, segment
         return piece
 
+    def problem(self, s):
+        """The walk's problem at ``t + rate s``, its ``c`` moved along the slope."""
+        base = self._problem
+        return replace(base, c=base.c + (self[0] + self[3] * s) * self._slope)
+
     def report(self, s):
-        """The solution at ``t + s`` read off the piece, as ``solve_qp``
-        reports it (``_report``, 0 iterations): the problem with ``c + (t +
-        s) slope``, built once, at ``x + s dx`` within the box, its
-        multipliers moved along their slopes.  ``None`` on a move at fixed
-        ``t``, which has no slopes.  It reads the walk's working set, so it
-        holds until the walk moves on."""
-        if self._walk is None:
-            return None
-        problem, slope, at, side, y, a, gpos = self._walk
-        t, x, dx = self[:3]
-        kinks = problem._kinks
-        moved = replace(problem, c=problem.c + (t + s) * slope)
-        y = y[:, 0] + s * y[:, 1]
-        mu = np.zeros(0)
-        if kinks is not None:
-            mu = kinks.hi * side
-            mu[kinks.general[gpos]] = y[a + gpos]
-        x = np.minimum(np.maximum(x + s * dx, problem.lower), problem.upper)
-        return _report(moved, x, at.copy(), side.copy(), 0, y[:a], mu)
+        """The answer at ``t + rate s``, certified, as ``solve_qp`` reports it.
+        On a segment it is read off the piece (``_report``, 0 iterations):
+        ``problem(s)`` at ``x + s dx`` within the box, its multipliers moved
+        along their slopes.  Where that read-off is not ``converged``, and on
+        a move at fixed ``t``, which has no slopes, it is one ``solve_qp`` of
+        ``problem(s)`` started from ``x + s dx``."""
+        problem, x = self.problem(s), self[1] + s * self[2]
+        if self._segment is not None:
+            at, side, y, a, gpos = self._segment
+            kinks, y, mu = problem._kinks, y[:, 0] + s * y[:, 1], np.zeros(0)
+            if kinks is not None:
+                mu = kinks.hi * side
+                mu[kinks.general[gpos]] = y[a + gpos]
+            inside = np.minimum(np.maximum(x, problem.lower), problem.upper)
+            report = _report(problem, inside, at, side, 0, y[:a], mu)
+            if report.converged:
+                return report
+        return solve_qp(problem, x0=x)
 
 
 def parametric_path(start: SolveReport, slope):
@@ -951,7 +956,11 @@ def parametric_path(start: SolveReport, slope):
     the last segment has infinite length.  On a segment the multipliers that
     the ratio tests read are affine in ``s`` too, so the piece's
     ``report(s)`` is the answer at ``t + s`` read off it and certified as
-    ``solve_qp`` certifies its own, with no solve.  Pivots stop
+    ``solve_qp`` certifies its own, with no solve (one ``solve_qp`` of the
+    piece's ``problem(s)`` where that fails, or on a move at fixed ``t``).
+    A piece keeps its own copy of the working set, so it answers the same
+    after the walk has moved on, and ``_Piece.problem`` is the one place
+    that builds the problem at a point of the walk.  Pivots stop
     at the problem's ``max_iter`` (``MaxIterations``).
     """
     problem, *states = start.meta["working_set"]
@@ -1037,8 +1046,8 @@ def parametric_path(start: SolveReport, slope):
         if null is None:  # a piece; otherwise a constraint leaves at fixed x and t
             if flat and length == np.inf:
                 raise Unbounded("zero-curvature direction with no blocking constraint")
-            yield _Piece((t, x, dx, 0.0 if flat else 1.0, length),
-                         None if flat else (problem, slope, at, side, y, a, gpos))
+            yield _Piece((t, x, dx, 0.0 if flat else 1.0, length), problem, slope,
+                         None if flat else (at.copy(), side.copy(), y, a, gpos))
             if length == np.inf:
                 return
             x = x + length * dx

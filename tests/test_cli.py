@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from roboalloc import qp, report
 from roboalloc.cli import main
+from roboalloc.errors import MaxIterations
 from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma
 from roboalloc.regularizers import FilterSpec
 from roboalloc.market_data import (
@@ -561,6 +563,19 @@ class TestViews:
                            atol=0.01)
 
 
+    def test_document_names_its_moments_file(self, four_asset_moments, tmp_path):
+        # without --moments, the document's moments_file is read, to the same bytes
+        views = {"grades": {"a1": 1, "a4": -1}, "sharpe": 0.4}
+        outs = []
+        for name, doc, flag in (("flag", views, ["--moments", str(four_asset_moments)]),
+                                ("key", {**views, "moments_file": str(four_asset_moments)}, [])):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}_out.json"
+            path.write_text(json.dumps(doc))
+            assert main(["views", "--views", str(path), *flag, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and b"mu_blended" in outs[0]
+
+
 class TestViewsDocumentValues:
     @pytest.mark.parametrize("change", [
         {"grades": {"a1": None}}, {"grades": {"a1": 1}, "sharpe": None},
@@ -653,6 +668,22 @@ class TestSolverFailureExit:
         assert doc["status"] == "max_iter"
         assert len(doc["weights"]) == 4
 
+
+    def test_max_iterations_exits_two_without_a_traceback(self, four_asset_moments,
+                                                          tmp_path, capsys, monkeypatch):
+        # an exact solve that runs out of iterations writes nothing
+        def out_of_iterations(*args):
+            raise MaxIterations("active set did not converge in 3 iterations")
+
+        monkeypatch.setattr(qp, "_active_set", out_of_iterations)
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"moments_file": str(four_asset_moments), "gamma": 0.25,
+                                       "constraints": {"budget": 1.0, "lower": 0.0}}))
+        out = tmp_path / "rep.json"
+        assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MaxIterations: active set did not converge")
+        assert "Traceback" not in err and not out.exists()
 
     def test_infeasible_constraints_exit_one(self, four_asset_moments, tmp_path, capsys):
         problem = tmp_path / "p.json"
@@ -1007,6 +1038,21 @@ class TestReturnTargetMetAtGammaZero:
         assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["gamma"] == 0.0 and doc["weights"] == [0.0, 0.0]
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def full_disk(src, dst):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(report.os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            report.atomic_write(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestDeterminism:

@@ -176,6 +176,18 @@ class TestMomentIO:
         assert np.allclose(back.sigma, m.sigma)
         assert back.scheme.decay == 0.9
 
+    def test_explicit_scheme_round_trip(self, four_asset):
+        # a moments document may carry the explicit observation weights it
+        # was estimated with; they come back as written
+        mu, _, _, sigma = four_asset
+        obj = {"mu": mu.tolist(), "sigma": sigma.ravel().tolist(),
+               "scheme": {"kind": "explicit", "weights": [1.0, 2.0, 0.0, 3.0]}}
+        back = moments_from_dict(obj)
+        assert back.scheme.kind == "explicit"
+        assert back.scheme.values.tolist() == [1.0, 2.0, 0.0, 3.0]
+        assert np.array_equal(back.scheme.resolve(4), [1 / 6, 2 / 6, 0.0, 3 / 6])
+        assert moments_to_dict(back)["scheme"] == obj["scheme"]
+
     def test_csv_parse(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("date,x,y\n2020-01,0.01,0.02\n2020-02,0.03,-0.01\n")

@@ -58,6 +58,26 @@ class TestGammaProblem:
         with pytest.raises(errors.SingularCovariance):
             solve_gamma_problem(MvoInputs(mu=[0.05, 0.06], sigma=sigma), 1.0)
 
+    def test_unconstrained_refusal_makes_no_linear_solve(self, four_asset, monkeypatch):
+        # the unconstrained solve checks the covariance's eigenvalues and
+        # lets solve_qp find the weights; max_sharpe_bound still solves
+        mu, _, _, sigma = four_asset
+        solve, calls = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+        rep = solve_gamma_problem(MvoInputs(mu=mu, sigma=sigma), 0.5)
+        assert rep.converged and calls == []
+        max_sharpe_bound(MvoInputs(mu=mu, sigma=sigma))
+        assert len(calls) == 1
+        singular = MvoInputs(mu=[0.05, 0.06], sigma=np.outer([1.0, 1.0], [1.0, 1.0]) * 0.01)
+        messages = []
+        for call in (lambda: solve_gamma_problem(singular, 1.0),
+                     lambda: max_sharpe_bound(singular)):
+            with pytest.raises(errors.SingularCovariance,
+                               match=r"^covariance nearly singular \(eig ratio ") as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and len(calls) == 1
+
     def test_unconstrained_solve_is_certified_closed_form(self):
         # solve_qp answers without constraints too: duals, both residuals,
         # and the weights of the closed form gamma S^-1 (mu - r 1)

@@ -178,21 +178,14 @@ CASES = [(seed, n, kind, general, metric)
 def test_walk_meets_target_like_a_cold_solve(seed, n, kind, general, metric, monkeypatch):
     case = Case(seed, n, kind, general, metric)
     route = admm if case.te else mvo
-    solves = []
-
-    def counted(problem, x0=None):
-        solves.append(x0)
-        return qp.solve_qp(problem, x0=x0)
-
     for target in case.targets(np.random.default_rng([12, seed, n])):
         expect_raise = case.bisection_raises(target)
         if expect_raise:
             with pytest.raises(TargetUnreachable):
                 case.walk(target)
             continue
-        solves.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(route, "solve_qp", counted)
+            solves, _ = counting(patch, route)
             gamma, rep = case.walk(target)
         reached = case.value(rep.weights)
         assert len(solves) == 1 and rep.converged
@@ -226,14 +219,8 @@ def test_walk_from_dependent_start_meets_target(monkeypatch):
                                 strategic, sigma) for g in (0.0, 1e4))
     assert low <= 1e-12
     target = low + 0.37 * (high - low)
-    solves = []
-
-    def counted(problem, x0=None):
-        solves.append(x0)
-        return qp.solve_qp(problem, x0=x0)
-
     with monkeypatch.context() as patch:
-        patch.setattr(admm, "solve_qp", counted)
+        solves, _ = counting(patch, admm)
         gamma, rep = te_target_to_gamma(config, mu, sigma, target)
     assert abs(tracking_error(rep.weights, strategic, sigma) - target) <= 1e-12 * target
     assert len(solves) == 1 and rep.converged and rep.iterations == 0
@@ -430,7 +417,7 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
     case = Case(7, 40, "singular", False, "vol")
     low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
     target = low + 0.5 * (high - low)
-    kkt, walked, solves = qp._kkt, [], []
+    kkt, walked = qp._kkt, []
 
     def counted(*args):
         out = kkt(*args)
@@ -438,11 +425,7 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
             walked.append(out[3] is not None)  # whether the LU refused and the SVD answered
         return out
 
-    def counted_solve(problem, x0=None):
-        solves.append(x0)
-        return qp.solve_qp(problem, x0=x0)
-
-    monkeypatch.setattr(mvo, "solve_qp", counted_solve)
+    solves, _ = counting(monkeypatch, mvo)
     monkeypatch.setattr(qp, "_kkt", counted)
     gamma, rep = case.walk(target)
     assert gamma > 0.0 and any(walked) and len(solves) == 1 and rep.converged
@@ -476,17 +459,19 @@ def test_singular_walk_refactors_only_after_an_lu_piece(monkeypatch):
     assert np.abs(rep.weights - case.solve(gamma).weights).max() <= 1e-9
 
 
-def counting(monkeypatch, module):
-    """Patch ``module``'s ``solve_qp`` to record each call's start and
-    report; returns ``(starts, answers)``."""
-    starts, answers = [], []
+def counting(monkeypatch, *modules):
+    """Patch the ``solve_qp`` of each of ``modules`` and of ``qp``, where
+    ``_Piece.report`` solves, to record each call's start and report;
+    returns ``(starts, answers)``."""
+    starts, answers, solve = [], [], qp.solve_qp
 
     def counted(problem, x0=None):
         starts.append(x0)
-        answers.append(qp.solve_qp(problem, x0=x0))
+        answers.append(solve(problem, x0=x0))
         return answers[-1]
 
-    monkeypatch.setattr(module, "solve_qp", counted)
+    for module in (*modules, qp):
+        monkeypatch.setattr(module, "solve_qp", counted)
     return starts, answers
 
 
@@ -572,8 +557,8 @@ def test_walk_from_a_calibrated_report_continues_the_path():
 
 def test_uncertified_read_off_takes_the_fallback_solve(monkeypatch):
     """A read-off whose certificate fails (here its budget multiplier is
-    moved by 1e-3) is not the answer: one solve at the crossing's gamma,
-    started from the walk's point, gives it."""
+    moved by 1e-3) is not the answer: ``_Piece.report`` makes one solve at
+    the crossing's gamma, started from the walk's point, and that gives it."""
     case = Case(3, 20, "full", False, "vol")
     low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
     target = low + 0.5 * (high - low)
@@ -599,28 +584,38 @@ def test_uncertified_read_off_takes_the_fallback_solve(monkeypatch):
 @pytest.mark.parametrize("read_off", ["none", "uncertified"])
 @pytest.mark.parametrize("metric", ["vol", "te_l1"])
 def test_fallback_solves_the_walks_problem_from_its_point(metric, read_off, monkeypatch):
-    """Where the read-off is missing or not ``converged``, ``path_root``
-    solves the walk's own problem at the crossing's gamma once, started
-    from the walk's point, and calls back into no route: on a volatility
-    target and on a TE target with L1 rows the answer is the cold solve's
-    at that gamma, and the TE report's objective is ``rebalance``'s."""
+    """Where a piece has no read-off (no multipliers, as on a move at fixed
+    gamma) or its read-off is not ``converged``, ``_Piece.report`` solves
+    the walk's own problem at the crossing's gamma once, started from the
+    walk's point, and calls back into no route: on a volatility target and
+    on a TE target with L1 rows the answer is the cold solve's at that
+    gamma, and the TE report's objective is ``rebalance``'s."""
     case = Case(3, 20, "full", False, metric)
     low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
     target = low + 0.5 * (high - low)
-    report, points = qp._Piece.report, []
+    answer, report, walk, points = qp._Piece.report, qp._report, qp.parametric_path, []
 
-    def forced(piece, s):
+    def spied(piece, s):  # records the walk's point and answers unchanged
         points.append(piece[1] + s * piece[2])
-        if read_off == "none":
-            return None
-        rep = report(piece, s)
-        rep.status = "uncertified"
+        return answer(piece, s)
+
+    def uncertified(*args):
+        rep = report(*args)
+        if not rep.iterations:
+            rep.status = "uncertified"
         return rep
 
+    def without_multipliers(start, slope):
+        for piece in walk(start, slope):
+            yield qp._Piece(piece, piece._problem, piece._slope, None)
+
     with monkeypatch.context() as patch:
-        patch.setattr(qp._Piece, "report", forced)
-        starts, answers = counting(patch, mvo)
-        patch.setattr(admm, "solve_qp", mvo.solve_qp)  # the TE route's gamma-0 solve
+        patch.setattr(qp._Piece, "report", spied)
+        if read_off == "none":
+            patch.setattr(mvo, "parametric_path", without_multipliers)
+        else:
+            patch.setattr(qp, "_report", uncertified)
+        starts, answers = counting(patch, mvo, admm)  # admm: the TE route's gamma-0 solve
         rebalances = []
         patch.setattr(pipeline, "rebalance", lambda *a, **k: rebalances.append(a) or
                       rebalance(*a, **k))
@@ -631,3 +626,78 @@ def test_fallback_solves_the_walks_problem_from_its_point(metric, read_off, monk
     assert rep.converged and gamma > 0.0 and rep.gamma == gamma
     assert abs(case.value(rep.weights) - target) <= 1e-12 * target
     assert_like(rep, case.solve(gamma))
+
+
+def answer_key(rep):
+    """A report's weights, duals, status and working set, as bytes."""
+    problem, at, side = rep.meta["working_set"]
+    arrays = [rep.weights, problem.c, at, side] + [rep.duals[k] for k in sorted(rep.duals)]
+    return rep.status, [a.tobytes() for a in arrays]
+
+
+def test_piece_answers_the_same_after_the_walk_moves_on():
+    """A segment read after the walk has moved on gives the answer it gave
+    on the spot: weights, duals, status and ``meta['working_set']``.  Twenty
+    seeded 12-weight walks on the budget and the box [0, 0.3], with four L1
+    rows ``e_i + e_(i+4)`` at 0.1 (rho 0.002) whose sides change along the
+    way, are read in the middle of each of their first six segments, on the
+    spot and again once the walk has ended."""
+    n, g = 12, np.zeros((4, 12))
+    g[np.arange(4), np.arange(4)] = g[np.arange(4), np.arange(4) + 4] = 1.0
+    checked = 0
+    for seed in range(20):
+        sigma, mu, _ = universe(50 + seed, n, "full")
+        problem = qp.QpProblem(Q=sigma, c=np.zeros(n), eq=(np.ones((1, n)), [1.0]),
+                               lower=0.0, upper=0.3, l1=(g, np.full(4, 0.1), 0.002))
+        segments, on_the_spot = [], []
+        for piece in qp.parametric_path(qp.solve_qp(problem), -mu):  # to its end
+            if piece[3] and piece[4] < np.inf and len(segments) < 6:
+                segments.append((piece, 0.5 * piece[4]))
+                on_the_spot.append(answer_key(piece.report(0.5 * piece[4])))
+        assert len(segments) == 6
+        for (piece, middle), spot in zip(segments, on_the_spot):
+            assert answer_key(piece.report(middle)) == spot
+            checked += 1
+    assert checked == 120
+
+
+def test_refused_factor_update_goes_through_kkt_and_meets_target(monkeypatch):
+    """Where a rank-one update of the walk's factor is refused (here the
+    first ``_join`` or ``_leave`` of the walk), the inverse is dropped, that
+    piece goes through ``_kkt``, the next refactors, and the target is still
+    met, at the cold solve's weights within 1e-10."""
+    case = Case(5, 20, "full", True, "vol")
+    low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
+    target = low + 0.9 * (high - low)
+    events, kkt, factor = [], qp._kkt, qp._WalkFactor._factor
+
+    def refusing(name):
+        update = getattr(qp._WalkFactor, name)
+
+        def call(self, i):
+            if "refused" in events:
+                return update(self, i)
+            events.append("refused")
+            return False
+        return call
+
+    def counted_kkt(*args):
+        if sys._getframe(1).f_code.co_name == "parametric_path":
+            events.append("kkt")
+        return kkt(*args)
+
+    def counted_factor(self, on):
+        events.append("factor")
+        return factor(self, on)
+
+    with monkeypatch.context() as patch:
+        for name in ("_join", "_leave"):
+            patch.setattr(qp._WalkFactor, name, refusing(name))
+        patch.setattr(qp, "_kkt", counted_kkt)
+        patch.setattr(qp._WalkFactor, "_factor", counted_factor)
+        gamma, rep = case.walk(target)
+    refused = events.index("refused")
+    assert events[:refused] == ["factor"] and events[refused + 1:refused + 3] == ["kkt", "factor"]
+    assert rep.converged and gamma > 0.0
+    assert abs(case.value(rep.weights) - target) <= 1e-12 * target
+    assert np.abs(rep.weights - case.solve(gamma).weights).max() <= 1e-10
