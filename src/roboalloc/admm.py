@@ -231,8 +231,7 @@ def _least_squares_parts(a1, b1, penalties, default_anchor=None):
 
 
 def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
-                   constraints: ConstraintSet | None = None, extra_sets=(),
-                   params: AdmmParams | None = None) -> SolveReport:
+                   constraints: ConstraintSet | None = None, extra_sets=()) -> SolveReport:
     """Least squares with an L2 penalty plus an Lp penalty split off through
     ``Gamma_p (x - x0) = z``; the z-step is the componentwise Lp prox.
 
@@ -242,11 +241,11 @@ def solve_mixed_lp(a1, b1, penalty_l2, penalty_lp, x0=None,
     and runs ADMM, which projects onto the constraint set intersected with
     ``extra_sets`` (norm balls and the like).  The penalty matrices may
     carry negative entries, which is what rules out the augmented-QP route.
-    The solve starts cold.
+    The solve starts cold, with the default ``AdmmParams``.
     """
     p_mat, q_vec, l1, blocks, objective = _least_squares_parts(
         a1, b1, [penalty_l2, penalty_lp], x0)
-    return solve_penalized(p_mat, q_vec, l1, blocks, constraints, extra_sets, params,
+    return solve_penalized(p_mat, q_vec, l1, blocks, constraints, extra_sets,
                            objective=objective)
 
 

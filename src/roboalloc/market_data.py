@@ -23,10 +23,17 @@ _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-def _check_symmetric(m: np.ndarray, tol: float = _SYM_TOL) -> None:
+def _check_symmetric(m: np.ndarray) -> None:
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    if np.abs(m - m.T).max() > tol * scale:
+    if np.abs(m - m.T).max() > _SYM_TOL * scale:
         raise NotSymmetric("matrix is not symmetric")
+
+
+def refuse_indefinite(lam: np.ndarray) -> None:
+    """``NotPositiveSemidefinite``, naming the least of the eigenvalues ``lam``,
+    if it is below ``-1e-10`` of the largest (of zero, if none is positive)."""
+    if lam.min() < -_PSD_TOL * max(lam.max(), 1e-300):
+        raise NotPositiveSemidefinite(f"min eigenvalue {lam.min():.3e} below PSD tolerance")
 
 
 def clip_psd(sigma: np.ndarray) -> np.ndarray:
@@ -40,11 +47,7 @@ def clip_psd(sigma: np.ndarray) -> np.ndarray:
         raise ValueError("sigma must hold finite numbers only")
     _check_symmetric(sigma)
     lam, vec = np.linalg.eigh(sigma)
-    lam_max = max(lam.max(), 0.0)
-    if lam.min() < -_PSD_TOL * max(lam_max, 1e-300):
-        raise NotPositiveSemidefinite(
-            f"min eigenvalue {lam.min():.3e} below PSD tolerance"
-        )
+    refuse_indefinite(lam)
     if lam.min() >= 0.0:
         return sigma
     lam = np.clip(lam, 0.0, None)

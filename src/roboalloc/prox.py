@@ -130,21 +130,17 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """``a'x <= b``."""
+    """``a'x <= b``: a point with ``a'v > b`` takes ``Hyperplane(a, b)``'s
+    step, which also refuses a zero normal with ``b < 0`` (``EmptySet``)."""
 
     a: np.ndarray
     b: float
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.a, dtype=float)
         v = np.asarray(v, dtype=float)
-        excess = a @ v - self.b
-        if excess <= 0:
+        if np.asarray(self.a, dtype=float) @ v <= self.b:
             return v.copy()
-        aa = a @ a
-        if aa == 0.0:  # 0'x <= b with b < 0
-            raise EmptySet(f"zero normal with level {self.b}: the set is empty")
-        return v - (excess / aa) * a
+        return Hyperplane(self.a, self.b).project(v)
 
 
 @dataclass(frozen=True)
@@ -186,42 +182,39 @@ class L2Ball:
 
 @dataclass(frozen=True)
 class LinfBall:
+    """``|x_i| <= radius``: the box ``Box(-radius, radius)``."""
+
     radius: float = 1.0
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(v, dtype=float), -_radius(self.radius), self.radius)
-
-
-def _project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
-    """Exact sort-based projection onto ``{x >= 0, 1'x = budget}``."""
-    if _radius(budget) == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - budget
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+        return Box(-_radius(self.radius), self.radius).project(v)
 
 
 @dataclass(frozen=True)
 class Simplex:
+    """``x >= 0, 1'x = budget``: the hyperplane ``1'x = budget`` in the orthant
+    ``Box(0, inf)``, projected by ``project_hyperplane_intersection``."""
+
     budget: float = 1.0
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return _project_simplex(np.asarray(v, dtype=float), self.budget)
+        v = np.asarray(v, dtype=float)
+        return project_hyperplane_intersection(v, np.ones_like(v), _radius(self.budget),
+                                               Box(0.0, np.inf))
 
 
 @dataclass(frozen=True)
 class L1Ball:
+    """``||x||_1 <= radius``: a point outside keeps its signs and takes
+    ``Simplex(radius)``'s projection of its magnitudes."""
+
     radius: float = 1.0
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if np.abs(v).sum() <= _radius(self.radius):
             return v.copy()
-        return np.sign(v) * _project_simplex(np.abs(v), self.radius)
+        return np.sign(v) * Simplex(self.radius).project(np.abs(v))
 
 
 def project_cardinality(v: np.ndarray, n1: int, bounds=(-np.inf, np.inf)) -> np.ndarray:
@@ -297,7 +290,8 @@ def project_hyperplane_intersection(v: np.ndarray, a: np.ndarray, b: float,
     gap changes sign; beyond the outermost ones the slope is ``-sum a_i^2``
     over the weights unbounded on that side.  ``lam`` is then exact, in
     closed form from the segment's free and fixed weights.
-    ``EmptyIntersection`` when the box cannot reach the level."""
+    ``EmptyIntersection`` when the box cannot reach the level.  ``Simplex``,
+    ``L1Ball`` and ``qp``'s cold start project with it."""
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
     if inner is None:

@@ -72,6 +72,7 @@ from .errors import (
     NegativeGammaEntries,
     Unbounded,
 )
+from .market_data import refuse_indefinite
 from .prox import Box, project_hyperplane_intersection
 from .report import CONVERGED, UNCERTIFIED, SolveReport
 
@@ -742,14 +743,19 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
     The L1 rows' states are read off the start to ``_FEAS_TOL`` as its
     bound states are, and a weight read at a bound or a kink is put exactly
     there (``_active_set``).  Phase 1 and the active set each stop at the
-    problem's ``max_iter`` (``MaxIterations``).  The report is
-    ``_report``'s, plain or L1, certified by ``certificate`` alone.
+    problem's ``max_iter`` (``MaxIterations``, or ``NotPositiveSemidefinite``
+    when ``Q``'s ``eigvalsh``, taken then only, fails ``clip_psd``'s rule).
+    The report is ``_report``'s, plain or L1, certified by ``certificate`` alone.
     """
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
-    if x0 is None or not _feasible(problem, x0):
-        x0 = _start(_StartKey(problem))
-    x, at, side, iters, (nu, mu) = _active_set(problem, x0, problem.max_iter)
+    try:
+        if x0 is None or not _feasible(problem, x0):
+            x0 = _start(_StartKey(problem))
+        x, at, side, iters, (nu, mu) = _active_set(problem, x0, problem.max_iter)
+    except MaxIterations:
+        refuse_indefinite(np.linalg.eigvalsh(problem.Q))
+        raise
     return _report(problem, x, at, side, iters, nu, mu)
 
 

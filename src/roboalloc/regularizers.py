@@ -302,10 +302,10 @@ def filter_covariance(sigma, filt):
     values of ``sigma^{1/2}`` are the square roots of the eigenvalues of
     ``sigma`` (a negative one, rounding, as zero) and its singular vectors
     are the eigenvectors.  An eigenvalue at most ``_RANK_CUTOFF`` of the
-    largest counts as zero (the ratio ``mvo._solve_spd`` reads as singular):
-    the cutoff applies to the eigenvalues, not to their square roots, where
-    rounding-level eigenvalues would pass it.  A matrix that is not
-    symmetric is ``NotSymmetric``; a zero one, or a filter that removes
+    largest counts as zero (the ratio ``mvo._nonsingular`` refuses as
+    singular): the cutoff applies to the eigenvalues, not to their square
+    roots, where rounding-level eigenvalues would pass it.  A matrix that is
+    not symmetric is ``NotSymmetric``; a zero one, or a filter that removes
     every value, ``AllSingularValuesFiltered``."""
     sigma = np.asarray(sigma, dtype=float)
     _check_symmetric(sigma)
@@ -315,16 +315,16 @@ def filter_covariance(sigma, filt):
     return (vec * _gram_spectrum(s, _gains(s, filt), filt, "g_dagger_sq")) @ vec.T
 
 
-def filtered_normal_solve(a1, b1, filt, eq=None, gram_rule: str = "g_dagger_sq"):
+def filtered_normal_solve(a1, b1, filt, eq=None):
     """Solve the filtered normal equations, optionally with equalities.
 
-    The (1,1) block is the regularized gram matrix and the right-hand side
-    uses the componentwise reciprocal gains, so a trivial filter recovers
-    the plain least-squares normal equations.  Non-finite data and a
-    singular block system fail as in ``tikhonov_solve``.
+    The (1,1) block is the regularized gram matrix (rule ``g_dagger_sq``) and
+    the right-hand side uses the componentwise reciprocal gains, so a trivial
+    filter recovers the plain least-squares normal equations.  Non-finite
+    data and a singular block system fail as in ``tikhonov_solve``.
     """
     a1, b1, eq = _checked(a1, b1, eq)
-    u, g, vt, block = _filtered_spectrum(a1, filt, gram_rule)
+    u, g, vt, block = _filtered_spectrum(a1, filt, "g_dagger_sq")
     return _block_solve(block, vt.T @ (_pinv_comp(g) * (u.T @ b1)), eq)
 
 

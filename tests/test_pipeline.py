@@ -9,7 +9,12 @@ import pytest
 
 import roboalloc
 from roboalloc import admm, pipeline
-from roboalloc.errors import Infeasible, MaxIterations, TargetUnreachable
+from roboalloc.errors import (
+    Infeasible,
+    MaxIterations,
+    NotPositiveSemidefinite,
+    TargetUnreachable,
+)
 from roboalloc.mvo import ConstraintSet, exact_problem
 from roboalloc.pipeline import (
     RoboConfig,
@@ -122,6 +127,18 @@ class TestRebalance:
                          constraints=ConstraintSet(budget=1.0, lower=0.0, upper=0.2))
         with pytest.raises(Infeasible):
             rebalance(cfg, mu, sigma)
+
+    @pytest.mark.parametrize("constraints", [None, ConstraintSet(budget=1.0, lower=0.0,
+                                                                  upper=1.0)],
+                             ids=["free", "budget_box"])
+    def test_indefinite_covariance_is_refused_on_l1_route(self, constraints):
+        # a negative eigenvalue of sigma: the L1 solve runs to its cap and
+        # then names the least eigenvalue
+        ew = np.full(4, 0.25)
+        cfg = RoboConfig(strategic=ew, current=ew, gamma=0.5, rho1_turnover=1e-3,
+                         constraints=constraints)
+        with pytest.raises(NotPositiveSemidefinite, match="-5.000e-02"):
+            rebalance(cfg, [0.05, 0.06, 0.07, 0.04], np.diag([0.04, 0.09, -0.05, 0.02]))
 
     @pytest.mark.parametrize("slot", ["rho1_strategic", "rho2_strategic"],
                              ids=["l1_route", "qp_route"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,50 @@ from roboalloc.prox import (
 )
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-5, 5, allow_nan=False))
+
+
+def sorted_simplex(v, budget):
+    """The sort-based projection onto ``{x >= 0, 1'x = budget}`` (Duchi et
+    al., ICML 2008): the oracle of ``Simplex`` and ``L1Ball``."""
+    if budget == 0.0:
+        return np.zeros_like(v)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - budget
+    idx = np.arange(1, v.size + 1)
+    rho = idx[u - css / idx > 0][-1]
+    return np.maximum(v - css[rho - 1] / rho, 0.0)
+
+
+def sorted_l1_ball(v, radius):
+    """The sort-based projection onto ``{||x||_1 <= radius}``."""
+    if np.abs(v).sum() <= radius:
+        return v.copy()
+    return np.sign(v) * sorted_simplex(np.abs(v), radius)
+
+
+def halfspace_step(v, a, b):
+    """The projection onto ``{a'x <= b}`` coded by hand: ``Halfspace``'s oracle."""
+    excess = a @ v - b
+    if excess <= 0:
+        return v.copy()
+    aa = a @ a
+    if aa == 0.0:
+        raise errors.EmptySet(f"zero normal with level {b}: the set is empty")
+    return v - (excess / aa) * a
+
+
+def polyhedral_draws(seed, count=250):
+    """``(v, level)`` pairs: ``n`` from 1 to 50, entries over six decades,
+    one draw in five rounded (ties), levels from 0 up to twice ``|v|``'s
+    sum, one in ten exactly 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 51))
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        if rng.random() < 0.2:
+            v = np.round(v)
+        level = 0.0 if rng.random() < 0.1 else float(2.0 * rng.random() * np.abs(v).sum())
+        yield v, level
 
 
 def random_candidate_oracle(v, region, objective=None, draws=100_000, seed=0):
@@ -282,15 +327,52 @@ class TestProjections:
         assert np.array_equal(Box(1.0, 1.0 - 1e-16).project([0.0, 2.0]), [1.0 - 1e-16] * 2)
 
     def test_simplex_sorted_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            v = rng.normal(size=5)
-            out = project(v, Simplex(1.0))
-            assert out.min() >= -1e-15
-            assert out.sum() == pytest.approx(1.0, abs=1e-12)
-            # KKT oracle through the hyperplane-intersection route
-            alt = project_hyperplane_intersection(v, np.ones(5), 1.0, Box(0.0, np.inf))
-            assert np.allclose(out, alt, atol=1e-9)
+        # the breakpoint search matches the sort-based projection to 1e-14 of
+        # the data's size on 250 draws, budget 0 included
+        zeros = 0
+        for v, budget in polyhedral_draws(3):
+            out = project(v, Simplex(budget))
+            assert out.min() >= 0.0
+            assert np.abs(out - sorted_simplex(v, budget)).max() <= \
+                1e-14 * max(np.abs(v).max(), budget)
+            zeros += budget == 0.0
+        assert zeros >= 10
+
+    def test_l1_ball_sorted_oracle(self):
+        # inside the ball a point is kept as it is; outside, the signs of
+        # the sort-based projection of its magnitudes, radius 0 included
+        zeros = outside = 0
+        for v, radius in polyhedral_draws(4):
+            out = project(v, L1Ball(radius))
+            oracle = sorted_l1_ball(v, radius)
+            if np.abs(v).sum() <= radius:
+                assert np.array_equal(out, v)
+            else:
+                outside += 1
+                assert np.abs(out - oracle).max() <= 1e-14 * max(np.abs(v).max(), radius)
+            zeros += radius == 0.0
+        assert zeros >= 10 and outside >= 100
+
+    def test_halfspace_and_linf_ball_match_their_old_steps_bit_for_bit(self):
+        # a halfspace's step is the hyperplane's, an L-infinity ball's is the
+        # box's: the same bits as the steps coded by hand
+        rng = np.random.default_rng(5)
+        for _ in range(250):
+            n = int(rng.integers(1, 51))
+            v, a = rng.normal(size=n), rng.normal(size=n) * (rng.random() < 0.9)
+            b = 0.0 if rng.random() < 0.1 else float(rng.normal())
+            try:
+                old = halfspace_step(v, a, b)
+            except errors.EmptySet as exc:
+                with pytest.raises(errors.EmptySet, match=re.escape(str(exc))):
+                    Halfspace(a, b).project(v)
+            else:
+                assert Halfspace(a, b).project(v).tobytes() == old.tobytes()
+            radius = 0.0 if rng.random() < 0.1 else float(rng.random())
+            old = np.clip(v, -radius, radius)
+            if radius == 0.0:
+                old += 0.0  # np.clip gave -0.0 for a negative entry, the box gives +0.0
+            assert LinfBall(radius).project(v).tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("region", [Simplex, L1Ball, L2Ball, LinfBall])
     def test_zero_and_negative_radius(self, region):
@@ -299,7 +381,8 @@ class TestProjections:
         assert np.array_equal(region(0.0).project(v), np.zeros(3))
         assert np.array_equal(region(0.0).project(np.zeros(3)), np.zeros(3))
         for w in (v, np.zeros(3)):
-            with pytest.raises(errors.EmptySet):
+            with pytest.raises(errors.EmptySet,
+                               match=r"^negative radius or budget -1.0: the set is empty$"):
                 region(-1.0).project(w)
 
     @pytest.mark.parametrize("region,b,holds", [
@@ -313,7 +396,8 @@ class TestProjections:
             out = region(np.zeros(2), b).project(v)
             assert np.array_equal(out, v) and out is not v
         else:
-            with pytest.raises(errors.EmptySet):
+            with pytest.raises(errors.EmptySet,
+                               match=rf"^zero normal with level {b}: the set is empty$"):
                 region(np.zeros(2), b).project(v)
 
     def test_halfspace_inactive_is_identity(self):

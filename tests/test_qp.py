@@ -332,6 +332,43 @@ class TestSolveQp:
             solve_qp(QpProblem(Q=np.zeros((1, 1)), c=np.array([1.0]),
                                upper=np.array([0.0])))
 
+    def test_indefinite_q_is_refused_where_the_solve_stops(self, monkeypatch):
+        # a negative eigenvalue: the active set runs to its cap, and the
+        # failed solve names the least eigenvalue instead of MaxIterations
+        problem = QpProblem(Q=np.diag([0.04, 0.09, -0.05, 0.02]),
+                            c=-np.array([0.05, 0.06, 0.07, 0.04]),
+                            eq=(np.ones((1, 4)), [1.0]), lower=0.0, upper=1.0)
+        calls = count_calls(monkeypatch, "refuse_indefinite")
+        with pytest.raises(errors.NotPositiveSemidefinite, match="-5.000e-02"):
+            solve_qp(problem)
+        assert len(calls) == 1
+
+    def test_convex_problem_at_its_cap_still_raises_max_iterations(self, monkeypatch):
+        # rows 1e6 (x_0 - x_1) >= 0 and 1e6 (x_2 - x_3) >= 0 beside L1 rows at
+        # 1/6: a positive definite Q whose cold solve ends at its cap
+        rng = np.random.default_rng([121, 5])
+        f = rng.standard_normal((6, 6))
+        g = 10.0 ** rng.integers(0, 7) * np.array([[1.0, -1.0, 0, 0, 0, 0],
+                                                   [0, 0, 1.0, -1.0, 0, 0]])
+        c = rng.standard_normal(6) + [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        problem = QpProblem(Q=f @ f.T / 6 + 1e-3 * np.eye(6), c=c, eq=(np.ones((1, 6)), [1.0]),
+                            ineq=(g, [0.0, 0.0]), lower=-1.0, upper=1.0,
+                            l1=(np.eye(6), np.full(6, 1.0 / 6), 0.01))
+        assert np.abs(g).max() == 1e6
+        calls = count_calls(monkeypatch, "refuse_indefinite")
+        with pytest.raises(errors.MaxIterations):
+            solve_qp(problem)
+        assert len(calls) == 1
+
+    def test_finished_solves_take_no_eigendecomposition(self, monkeypatch):
+        calls = count_calls(monkeypatch, "refuse_indefinite")
+        rng = np.random.default_rng(44)
+        for n in (10, 20, 60):
+            problem = budget_box_problem(rng, n, 0.5)
+            assert solve_qp(problem).converged
+            assert solve_qp(augment_l1(problem, np.eye(n), 1e-3, np.full(n, 1.0 / n))).converged
+        assert calls == []
+
     @staticmethod
     def solve_at_degenerate_vertex(seed, n, rows):
         """``rows`` rows ``g x >= g v`` through one vertex ``v`` of ``n``
