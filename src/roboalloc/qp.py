@@ -23,15 +23,15 @@ Computations*, 5.5): the step, the multipliers, the descent along zero
 curvature and the rows' null directions.  Each solve carries the working
 rows' gap ``b - C x`` on its right-hand side, and at a stationary ``x``
 the small step that closes it is still taken, so the rounding error that a
-cold start can leave in the rows (eps times the entries near 1e6 of the
-minimizer it projects when ``|c|`` is large) does not stay in the answer.
-All iterates stay feasible.  A solve starts at the caller's ``x0`` when it
-is feasible; a cold solve with at most one equality row starts at the
-equality-constrained minimizer projected exactly onto the box and the row
-(a breakpoint search), which lies on most of the optimum's bounds, refined
-by a few primal-dual active-set rounds on the box and the row (Hintermüller,
-Ito & Kunisch 2002), which predict the bound set from the multipliers and
-fix many bounds at once.  When neither
+start can leave in the rows (eps times its largest entries) does not stay
+in the answer.  All iterates stay feasible.  A solve starts at the
+caller's ``x0`` when it is feasible; a cold solve with at most one equality
+row starts at the diagonal model's minimizer ``-c / diag(Q)`` projected
+exactly onto the box and the row (a breakpoint search), which factors
+nothing and lies on most of the optimum's bounds, refined by a few
+primal-dual active-set rounds on the box and the row (Hintermüller, Ito &
+Kunisch 2002), which predict the bound set from the multipliers with the
+same diagonal and fix many bounds at once.  When neither
 start is feasible, phase 1 minimizes elastic slacks on the general rows
 from a point inside the bounds.  The cold start reads ``Q``, ``c``, the
 rows and the box but not the L1 rows, and ``_start``, a
@@ -565,27 +565,28 @@ def _active_set(problem: QpProblem, x0, max_iter):
 
 
 def _cold_start(problem: QpProblem):
-    """Projected unconstrained minimizer: the minimizer of ``0.5 x'Qx + c'x``
-    on the equality row (one ``_kkt`` solve from zero), projected exactly
-    onto the box and the row (Moré & Toraldo, *SIAM J. Optim.* 1991) by
-    ``project_hyperplane_intersection``'s breakpoint search.  It lies on
-    most of the optimum's bounds, where phase 1's point lies on none, but it
-    ignores curvature: ``_refine_start`` corrects its bound set.  ``None``
-    with two or more equality rows, for a zero-curvature descent, or when
-    the row is out of the box's reach."""
-    a_eq, b_eq = problem.eq
+    """The diagonal model's minimizer ``-c / _diagonal(Q)``, 0 in a weight
+    with no finite bound (a box-less singular problem steps from 0 to its
+    minimum-norm answer), projected exactly onto the box and the equality
+    row (Moré & Toraldo, *SIAM J. Optim.* 1991) by a breakpoint search.  It
+    factors nothing and lies on most of the optimum's bounds, where phase
+    1's point lies on none; ``_refine_start`` corrects its bound set.
+    ``None`` with two or more equality rows, or a row out of the box's reach."""
+    (a_eq, b_eq), lo, up = problem.eq, problem.lower, problem.upper
     if a_eq.shape[0] > 1:
         return None
-    v, _, flat, _ = _kkt(problem.Q, a_eq, problem.c, b_eq)
-    if flat:
-        return None
-    box = Box(problem.lower, problem.upper)
+    v = np.where(np.isfinite(lo) | np.isfinite(up), -problem.c / _diagonal(problem.Q), 0.0)
     if not b_eq.size:
-        return box.project(v)
+        return Box(lo, up).project(v)
     try:
-        return project_hyperplane_intersection(v, a_eq[0], b_eq[0], box)
+        return project_hyperplane_intersection(v, a_eq[0], b_eq[0], Box(lo, up))
     except EmptyIntersection:
         return None
+
+
+def _diagonal(q) -> np.ndarray:
+    """``Q``'s diagonal where positive, else 1: the start's model curvature."""
+    return np.where(q.diagonal() > 0.0, q.diagonal(), 1.0)
 
 
 def _refine_start(problem: QpProblem, x):
@@ -603,8 +604,7 @@ def _refine_start(problem: QpProblem, x):
     returns the last iterate that is ``_feasible`` against every row, else
     ``x`` itself."""
     q, c, (a_eq, b_eq), lo, up = problem.Q, problem.c, problem.eq, problem.lower, problem.upper
-    scale = np.diag(q)
-    scale = np.where(scale > 0.0, scale, 1.0)  # any positive scale predicts
+    scale = _diagonal(q)  # any positive scale predicts
     state = np.where(np.abs(x - lo) <= _FEAS_TOL, _LOWER,
                      np.where(np.abs(up - x) <= _FEAS_TOL, _UPPER, _FREE))
     grad, free = q @ x + c, state == _FREE
@@ -651,8 +651,8 @@ class _StartKey(bytes):
 
 @lru_cache(maxsize=_START_CACHE)
 def _start(key: _StartKey) -> np.ndarray:
-    """The cold start, read-only: ``_cold_start``'s point refined by
-    ``_refine_start`` when it passes ``_feasible``, else phase 1's point.
+    """The cold start, read-only: ``_cold_start``'s diagonal-model point refined
+    by ``_refine_start`` when it passes ``_feasible``, else phase 1's point.
 
     The last ``_START_CACHE`` starts are kept, least recently used first
     out.  The accounts of one model, which differ only in the L1 rows
@@ -732,12 +732,12 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
 
     ``x0`` is an optional starting point (a warm start); it is used only if
     it is finite and feasible, and as it is.  Otherwise the solve starts
-    cold at ``_cold_start``'s projected minimizer of the smooth part,
-    refined by ``_refine_start``'s primal-dual active-set rounds on the box
-    and the equality row (Hintermüller, Ito & Kunisch, *SIAM J. Optim.*
-    2002), when that point passes the same test, and at phase 1's point
-    when it does not; the active set then finishes.  The cold
-    start is taken from ``_start``'s table when a problem with the same
+    cold at ``_cold_start``'s projected diagonal-model minimizer, which takes
+    no factorization, refined by ``_refine_start``'s primal-dual active-set
+    rounds on the box and the equality row (Hintermüller, Ito & Kunisch,
+    *SIAM J. Optim.* 2002), when that point passes the same test, and at
+    phase 1's point when it does not; the active set then finishes.  The
+    cold start is taken from ``_start``'s table when a problem with the same
     ``Q``, ``c``, rows and box, whatever its L1 rows, was solved cold
     lately, which gives the same start and so the same answer.
     The L1 rows' states are read off the start to ``_FEAS_TOL`` as its

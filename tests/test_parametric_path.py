@@ -436,20 +436,32 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
 def test_singular_walk_refactors_only_after_an_lu_piece(monkeypatch):
     """On the same rank-20 walk, from gamma 0 to its end, a refused factor
     is not retried while ``_kkt`` needs its SVD, only after a piece that
-    ``_kkt``'s LU solved: at most 7 factorizations over its 64 pieces, some
-    refused, and the target is still met with one solve, at the cold
+    ``_kkt``'s LU solved: 8 factorizations over its 66 pieces, 7 of them
+    refused, one more than the 7 pieces of its 28 through ``_kkt`` that the
+    LU solved, and the target is still met with one solve, at the cold
     solve's weights."""
     case = Case(7, 40, "singular", False, "vol")
-    factor, factors = qp._WalkFactor._factor, []
+    factor, factors, kkt, walked = qp._WalkFactor._factor, [], qp._kkt, []
 
     def counted(self, on):
         factors.append(factor(self, on))
         return factors[-1]
 
+    def counted_kkt(*args):
+        out = kkt(*args)
+        if sys._getframe(1).f_code.co_name == "parametric_path":
+            walked.append(out[3] is not None)  # whether the LU refused and the SVD answered
+        return out
+
+    start = case.solve(0.0)
     monkeypatch.setattr(qp._WalkFactor, "_factor", counted)
-    pieces = list(qp.parametric_path(case.solve(0.0), -case.inputs.excess))
-    assert len(pieces) == 64 and pieces[-1][4] == np.inf
-    assert len(factors) <= 7 and not all(factors)
+    monkeypatch.setattr(qp, "_kkt", counted_kkt)
+    pieces = list(qp.parametric_path(start, -case.inputs.excess))
+    assert len(pieces) == 66 and pieces[-1][4] == np.inf
+    assert len(factors) <= 8 and not all(factors)
+    assert factors.count(False) == 7 and (len(walked), sum(walked)) == (28, 21)
+    assert len(factors) <= 1 + walked.count(False)
+    monkeypatch.undo()
     low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))
     target = low + 0.5 * (high - low)
     starts, _ = counting(monkeypatch, mvo)

@@ -129,6 +129,19 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def kkt_widths(monkeypatch):
+    """A list that grows by the width of the free block of each ``qp._kkt``
+    call."""
+    widths, kkt = [], qp._kkt
+
+    def recorded(q_ff, c_f, g_f, gap=None):
+        widths.append(c_f.shape[1])
+        return kkt(q_ff, c_f, g_f, gap)
+
+    monkeypatch.setattr(qp, "_kkt", recorded)
+    return widths
+
+
 def record_kkt(monkeypatch):
     """A list that grows by one entry per ``qp._kkt`` call: ``True`` where
     its LU was refused and an SVD solved the system."""
@@ -343,9 +356,10 @@ class TestSolveQp:
             solve_qp(problem)
         assert len(calls) == 1
 
-    def test_convex_problem_at_its_cap_still_raises_max_iterations(self, monkeypatch):
-        # rows 1e6 (x_0 - x_1) >= 0 and 1e6 (x_2 - x_3) >= 0 beside L1 rows at
-        # 1/6: a positive definite Q whose cold solve ends at its cap
+    @staticmethod
+    def large_entry_rows():
+        """Rows 1e6 (x_0 - x_1) >= 0 and 1e6 (x_2 - x_3) >= 0 beside L1 rows
+        at 1/6, with a positive definite Q."""
         rng = np.random.default_rng([121, 5])
         f = rng.standard_normal((6, 6))
         g = 10.0 ** rng.integers(0, 7) * np.array([[1.0, -1.0, 0, 0, 0, 0],
@@ -355,6 +369,21 @@ class TestSolveQp:
                             ineq=(g, [0.0, 0.0]), lower=-1.0, upper=1.0,
                             l1=(np.eye(6), np.full(6, 1.0 / 6), 0.01))
         assert np.abs(g).max() == 1e6
+        return problem
+
+    def test_large_entry_rows_converge_from_a_cold_start(self):
+        # this cold solve once ran to its cap of 2,800 iterations
+        problem = self.large_entry_rows()
+        rep = solve_qp(problem)
+        assert rep.converged and rep.iterations <= 9
+        assert max(rep.r_norm, rep.s_norm) <= 1e-12
+        ref = solve_qp(problem, x0=qp.feasible_point(problem))
+        assert np.abs(rep.weights - ref.weights).max() <= 1e-10
+
+    def test_convex_problem_at_its_cap_still_raises_max_iterations(self, monkeypatch):
+        # the problem above with its cap below the 9 iterations it needs
+        problem = self.large_entry_rows()
+        problem.max_iter = 5
         calls = count_calls(monkeypatch, "refuse_indefinite")
         with pytest.raises(errors.MaxIterations):
             solve_qp(problem)
@@ -844,17 +873,18 @@ def cold_case(kind, seed):
     if kind == "tracking_error":
         return QpProblem(Q=sigma, c=c - sigma @ rng.dirichlet(np.ones(n)), eq=budget,
                          lower=0.0, upper=cap)
-    # rank-deficient: odd seeds put c in the range of Q (a start exists),
-    # even seeds leave a zero-curvature descent (phase 1 starts); half the
-    # seeds drop the budget row
+    # rank-deficient: odd seeds put c in the range of Q, even seeds leave a
+    # zero-curvature descent that the box stops; half the seeds drop the
+    # budget row
     q = b @ b.T
     c = q @ rng.normal(size=n) if seed % 2 else rng.normal(0.05, 0.03, n)
     return QpProblem(Q=q, c=c, eq=budget if seed % 4 < 2 else None, lower=0.0, upper=cap)
 
 
 class TestColdStart:
-    """A cold solve starts at the projected equality-constrained minimizer
-    and ends at the answer a start from phase 1's point reaches."""
+    """A cold solve starts at the projected minimizer of the diagonal model,
+    with no phase 1 where that point is feasible, and ends at the answer a
+    start from phase 1's point reaches."""
 
     @pytest.mark.parametrize("kind", ["budget_box", "box_only", "infinite_upper",
                                       "mixed_sign_row", "tracking_error", "rank_deficient"])
@@ -865,8 +895,7 @@ class TestColdStart:
             ref = solve_qp(problem, x0=qp.feasible_point(problem))
             del calls[:]
             cold = solve_qp(problem)
-            flat = kind == "rank_deficient" and seed % 2 == 0
-            assert len(calls) == int(flat)
+            assert not calls  # phase 1 runs only when the start fails
             assert_kkt(problem, cold)
             assert_kkt(problem, ref)
             if kind == "rank_deficient":  # the weights need not be unique
@@ -875,18 +904,33 @@ class TestColdStart:
                 assert np.abs(cold.weights - ref.weights).max() <= 1e-10
 
     def test_row_the_start_violates_falls_back_to_phase1(self, monkeypatch):
-        calls = count_calls(monkeypatch, "feasible_point")
+        # a row on the weight that the start and every refined iterate hold
+        # lowest, 0.1 above the highest of them: no point the start tries
+        # meets it
+        calls, feasible, tried = count_calls(monkeypatch, "feasible_point"), qp._feasible, []
+
+        def recorded(problem, x):
+            tried.append(x.copy())
+            return feasible(problem, x)
+
         for seed in range(10):
             base = budget_box_problem(np.random.default_rng(seed), 30, 1.0, upper=0.3)
             start = qp._cold_start(base)
-            j = int(np.argmin(start))
+            del tried[:]
+            with monkeypatch.context() as m:
+                m.setattr(qp, "_feasible", recorded)
+                qp._refine_start(base, start)
+            highest = np.max([start, *tried], axis=0)
+            j = int(np.argmin(highest))
+            level = highest[j] + 0.1
             problem = QpProblem(Q=base.Q, c=base.c, eq=base.eq, lower=0.0, upper=0.3,
-                                ineq=(np.eye(30)[[j]], [start[j] + 0.1]))
+                                ineq=(np.eye(30)[[j]], [level]))
             ref = solve_qp(problem, x0=qp.feasible_point(problem))
             del calls[:]
             cold = solve_qp(problem)
             assert len(calls) == 1
             assert cold.weights[j] >= start[j] + 0.1 - 1e-9
+            assert cold.weights[j] >= level - 1e-9
             assert np.abs(cold.weights - ref.weights).max() <= 1e-10
             assert_kkt(problem, cold)
 
@@ -904,6 +948,17 @@ class TestColdStart:
         rep = solve_qp(problem)
         assert rep.iterations < 100
         assert_kkt(problem, rep)
+
+    def test_n200_factors_no_full_width_block(self, monkeypatch):
+        # the start factors nothing, and no refinement round or active-set
+        # step frees every weight of a boxed budget problem
+        widths = kkt_widths(monkeypatch)
+        for seed in range(5):
+            problem = budget_box_problem(np.random.default_rng(seed), 200, 1.0, upper=0.15)
+            del widths[:]
+            rep = solve_qp(problem)
+            assert widths and max(widths) < 200
+            assert_kkt(problem, rep)
 
 
 def l1_rebalance(seed, n):
