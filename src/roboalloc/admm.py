@@ -22,6 +22,7 @@ import numpy as np
 
 from . import prox
 from .errors import Infeasible, NoConvergence
+from .market_data import refuse_indefinite
 from .mvo import ConstraintSet, exact_problem
 from .qp import QpProblem, _linalg, feasible_point, solve_qp
 from .regularizers import penalty_matrix, penalty_terms
@@ -97,8 +98,10 @@ def admm_solve(problem: QpProblem, blocks=(), extra_sets=(), params: AdmmParams 
     z)``.  In its first ``_BALANCE_ITERATIONS`` iterations the loop doubles
     (halves) the penalty when the squared primal (dual) residual exceeds the
     other by ``_BALANCE_RATIO``, rescaling ``u`` to keep the fixed point;
-    then the penalty is fixed.  A non-finite block offset is a
-    ``ValueError``; what the loop itself produces is guarded by the
+    then the penalty is fixed.  A ``Q`` that ``market_data.refuse_indefinite``
+    refuses, read from the spectrum the penalty starts from, is
+    ``NotPositiveSemidefinite`` before the first iteration.  A non-finite
+    block offset is a ``ValueError``; what the loop itself produces is guarded by the
     divergence test, a non-finite primal residual ending it as
     ``diverged``.  The report holds the last ``x``, the status, the
     iterations and both residual norms; its ``objective`` is NaN.
@@ -123,7 +126,9 @@ def admm_solve(problem: QpProblem, blocks=(), extra_sets=(), params: AdmmParams 
     me = a_eq.shape[0]
     rhs = np.concatenate([q, b_eq])
     rhs_x = rhs[:n]
-    lo, top = np.linalg.eigvalsh(p_mat)[[0, -1]]
+    lam = np.linalg.eigvalsh(p_mat)
+    refuse_indefinite(lam)  # the residuals certify a convex problem only
+    lo, top = lam[[0, -1]]
     phi = math.sqrt(max(lo, _SPECTRAL_FLOOR * top) * top) if top > 0 else 1.0
     factors = {}  # phi -> LU of the x-step's KKT matrix
     alpha, beta = _RELAXATION, 1.0 - _RELAXATION

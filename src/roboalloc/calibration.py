@@ -103,17 +103,6 @@ def best_penalty(grid, curve) -> float:
     return float(grid[np.isclose(curve, curve.min())].min())
 
 
-def ridge_fit(data: RidgeRegressionData, rho2: float) -> np.ndarray:
-    """Coefficients minimizing ``||y - X b||^2 + rho2 ||Gamma2' b||^2``."""
-    rho = float(rho2)
-    _penalties(rho)
-    try:
-        return np.linalg.solve(data.x.T @ data.x + rho * data.penalty_gram,
-                               data.x.T @ data.y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"X'X + rho2 G is singular at rho2={rho!r}") from exc
-
-
 def press(data: RidgeRegressionData, rho2):
     """Leave-one-out squared prediction error without refitting.
 

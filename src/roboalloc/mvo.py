@@ -4,6 +4,7 @@ covariance shrinkage."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,25 +147,26 @@ def calibrate_gamma(inputs: MvoInputs, constraints: ConstraintSet | None = None,
     if target_vol is None:
         metric, target = (None, inputs.mu), target_return
     else:
-        metric, target = (inputs.sigma, np.zeros(inputs.n)), target_vol
+        metric, target = (inputs.sigma, None), target_vol  # the anchor zero
     return path_root(solve_gamma_problem(inputs, 0.0, constraints), -inputs.excess, metric,
                      target)
 
 
 def _level(metric, x) -> float:
     """The metric's level at ``x``: the squared volatility
-    ``(x - anchor)' sigma (x - anchor)`` for ``(sigma, anchor)``, the
-    return ``mu'x`` for ``(None, mu)``."""
+    ``(x - anchor)' sigma (x - anchor)`` for ``(sigma, anchor)`` (``x'
+    sigma x`` for a ``None`` anchor), the return ``mu'x`` for ``(None,
+    mu)``."""
     sigma, vec = metric
     if sigma is None:
         return float(vec @ x)
-    d = x - vec
+    d = x if vec is None else x - vec
     return float(d @ sigma @ d)
 
 
 def _value(metric, level: float) -> float:
     """The metric at the level ``level``: the volatility or the return."""
-    return level if metric[0] is None else float(np.sqrt(max(level, 0.0)))
+    return level if metric[0] is None else math.sqrt(max(level, 0.0))
 
 
 def _along(metric, x, dx):
@@ -174,7 +176,7 @@ def _along(metric, x, dx):
     sigma, vec = metric
     if sigma is None:
         return float(vec @ x), float(vec @ dx), 0.0
-    d, sd = x - vec, sigma @ dx
+    d, sd = x if vec is None else x - vec, sigma @ dx
     return float(d @ sigma @ d), 2.0 * float(d @ sd), max(float(dx @ sd), 0.0)
 
 
@@ -197,7 +199,8 @@ def path_root(start: SolveReport, slope, metric, target: float):
     derivative in gamma of the linear term of the QP in its
     ``meta['working_set']``, L1 rows included.  ``metric`` is ``(sigma,
     anchor)`` for the volatility ``sqrt((x - anchor)' sigma (x - anchor))``
-    or ``(None, mu)`` for the return ``mu'x``.  Gamma 0 and ``start`` are
+    (a ``None`` anchor is zero, with no subtraction) or ``(None, mu)`` for
+    the return ``mu'x``.  Gamma 0 and ``start`` are
     returned when its value already reaches ``target - _CAL_TOL``.
     Otherwise ``qp.parametric_path`` walks that problem from ``start``'s
     answer; on each piece the metric is a quadratic (or linear) function of

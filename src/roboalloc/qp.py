@@ -79,6 +79,11 @@ from .report import CONVERGED, UNCERTIFIED, SolveReport
 _FEAS_TOL = 1e-9
 _CERT_TOL = 1e-12  # certificate tolerance, relative to the scale of the data
 _LOWER, _FREE, _UPPER, _KINK = -1, 0, 1, 2  # per-variable state
+# by state from _LOWER, the signs (s, -s) that a weight's rise (s = 1) and fall (s = -1) ranks
+# take its reduced gradient and its slope with, 0 where it cannot leave that way
+_ENTRY = np.array([[[1.0, -1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+                   [[0.0, 0.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+_TOWARD = np.array([[-1.0], [1.0]])  # the signs of a step toward a lower and an upper bound
 _REFINE_ROUNDS = 8  # cap on the cold start's primal-dual active-set rounds
 _SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is zero
 # cold starts kept: at least the models a nightly run interleaves, each entry
@@ -300,16 +305,15 @@ class _Kinks:
         return limit, int(np.argmax(ratios[:start] <= limit + 1e-15))
 
 
-def _ratio_test(ratios, x, p, tiny, lo, up, kinks=None, side=None):
+def _ratio_test(ratios, x, p, tiny, box, kinks=None, side=None):
     """Into ``ratios``, indexed by rank, the step along ``p`` to each free
-    variable's bound and each kink row's kink that it moves toward by more
-    than ``tiny``, at least zero; infinite for the others (an infinite
-    bound's ratio is +inf too; ``p`` is 0 at fixed variables).  Returns the
-    kink rows' ``g p``, ``None`` without kink rows."""
+    variable's bound (``box``: lower, upper) and each kink row's kink that it
+    moves toward by more than ``tiny``, at least zero; infinite for the others
+    (an infinite bound's ratio is +inf too; ``p`` is 0 at fixed variables).
+    Returns the kink rows' ``g p``, ``None`` without kink rows."""
     n = x.size
     ratios.fill(np.inf)
-    np.divide(lo - x, p, out=ratios[:n], where=p < -tiny)
-    np.divide(up - x, p, out=ratios[n:2 * n], where=p > tiny)
+    np.divide(box - x, p, out=ratios[:2 * n].reshape(2, n), where=_TOWARD * p > tiny)
     gp = None
     if kinks is not None:
         gp = kinks.g @ p
@@ -336,7 +340,8 @@ def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
     Free weights are fixed at their bounds, fixed ones freed up at their
     rise ranks or down at their fall ranks, their rows at kinks updated by
     one call; a row off its kink reaches it (a single row fixing its weight
-    there), a general row at its kink leaves to the side ``lean``."""
+    there), a general row at its kink leaves to the side ``lean``.  Returns
+    the weights whose state it set."""
     n, r = x.size, ranks[0]
     if r < 2 * n:
         cols = [rank % n for rank in ranks]
@@ -349,15 +354,17 @@ def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
             at[cols] = _FREE
             if kinks is not None and kinks.single.size:
                 kinks.release(side, cols, [rank < n for rank in ranks])
-    elif side[r - 2 * n]:
-        row = r - 2 * n
+        return cols
+    row, cols = r - 2 * n, []
+    if side[row]:
         side[row], i = 0.0, kinks.slot[row]
         if i >= 0:
-            j = kinks.col[i]
-            at[j], x[j] = _KINK, kinks.d[row] / kinks.coef[i]
-            kinks.settle(side, x, j)
+            cols = [kinks.col[i]]
+            at[cols[0]], x[cols[0]] = _KINK, kinks.d[row] / kinks.coef[i]
+            kinks.settle(side, x, cols)
     else:
-        side[r - 2 * n] = lean
+        side[row] = lean
+    return cols
 
 
 def _bland(neg, at, side, kinks=None):
@@ -487,6 +494,7 @@ def _active_set(problem: QpProblem, x0, max_iter):
             at[kinks.col[put]], x[kinks.col[put]] = _KINK, kinks.d[kinks.single[put]] / kinks.coef[put]
             kinks.settle(side, x, kinks.col[there])
     ones = problem.l1 is not None and problem.l1[1].size > 0  # L1 rows, which pull
+    box = np.stack([lo, up])
     ratios = np.empty(2 * n + k)   # indexed by rank
     mult = np.empty(2 * n + k)     # working-set multipliers by rank, +inf off it
     degenerate_run = 0
@@ -533,7 +541,7 @@ def _active_set(problem: QpProblem, x0, max_iter):
             lean = np.sign(mu[np.searchsorted(kg, drop - 2 * n)]) if drop >= 2 * n else 0.0
             _pivot(leave, at, side, x, lo, up, kinks, lean)
             continue
-        gp = _ratio_test(ratios, x, p, 1e-13, lo, up, kinks, side)
+        gp = _ratio_test(ratios, x, p, 1e-13, box, kinks, side)
         alpha = np.inf if flat else 1.0
         blocking = -1
         least = _least(ratios, initial=np.inf)
@@ -846,14 +854,15 @@ class _WalkFactor:
     def __init__(self, q, rows):
         top_q, top_c = _largest(q.diagonal(), initial=0.0), _largest(np.abs(rows), None, initial=0.0)
         self.w = top_q / top_c if top_q > 0.0 and top_c else 1.0
-        self.top, wr, self.inv = max(top_q, self.w * top_c), self.w * rows, None
+        self.top, wr, self.inv = float(max(top_q, self.w * top_c)), self.w * rows, None
         self.kkt = np.vstack([np.hstack([q, wr.T]), np.hstack([wr, np.zeros((len(rows),) * 2)])])
+        self.dger = _linalg().blas.dger
 
     def update(self, on) -> bool:
         """Bring the inverse to the working set ``on``; whether it holds."""
         if self.inv is None:
             return self._factor(on)
-        for i in (on != self.on).nonzero()[0]:
+        for i in (on != self.on).nonzero()[0].tolist():
             if not (self._join if on[i] else self._leave)(i):
                 self.inv = None
                 return False
@@ -871,19 +880,20 @@ class _WalkFactor:
     def _join(self, i) -> bool:
         v = self.kkt[i] * self.on
         u = self.inv @ v
-        s = self.kkt[i, i] - v @ u  # the new pivot, the Schur complement of the rest
+        s = self.kkt.item(i, i) - float(v @ u)  # the new pivot, the Schur complement of the rest
         if abs(s) <= _SINGULAR * self.top:
             return False
-        inv = _linalg().blas.dger(1.0 / s, u, u, a=self.inv, overwrite_a=True)
+        inv = self.dger(1.0 / s, u, u, a=self.inv, overwrite_a=True)
         inv[i] = inv[:, i] = -u / s
         inv[i, i], self.on[i] = 1.0 / s, True
         return True
 
     def _leave(self, i) -> bool:
         b = self.inv[:, i].copy()  # the rest's inverse grows by b b' / b_i
-        if abs(b[i]) <= _SINGULAR * self.top * (b @ b):
+        pivot = b.item(i)
+        if abs(pivot) <= _SINGULAR * self.top * float(b @ b):
             return False
-        inv = _linalg().blas.dger(-1.0 / b[i], b, b, a=self.inv, overwrite_a=True)
+        inv = self.dger(-1.0 / pivot, b, b, a=self.inv, overwrite_a=True)
         inv[i] = 0.0  # its column keeps rounding, which meets only zeros
         inv[i, i], self.on[i] = 1.0, False
         return True
@@ -946,8 +956,10 @@ def parametric_path(start: SolveReport, slope):
     reaches a bound, a kink row reaches its kink (fixing its weight there,
     or joining the equality rows, as an inequality does when it becomes
     active), or a multiplier moving toward the end of its interval that its
-    slope points at (``_rise_fall``'s zero, a row's ``lo`` or ``hi``) meets
-    it and its constraint leaves, to that side.
+    slope points at (a fixed weight's one-sided derivative its zero, a
+    row's ``lo`` or ``hi``) meets it and its constraint leaves, to that side.
+    A piece is that product, ``_ratio_test`` and one masked divide for the
+    fixed weights' events, by the signs (``_ENTRY``) that each pivot keeps.
     When ``slope`` pulls along zero curvature, x moves at fixed ``t`` to the
     blocking constraint (``Unbounded`` if none).  Rows dependent on the free
     block (as at a start on a weight's and its general rows' kinks) leave
@@ -982,36 +994,35 @@ def parametric_path(start: SolveReport, slope):
     rows = np.vstack([a_eq, kinks.g[general]]) if k else a_eq
     factor, on = _WalkFactor(q, rows), np.ones(n + len(rows), dtype=bool)
     rhs = np.zeros((on.size, 2))  # the gradient and slope on the free block, zero elsewhere
+    free, signs = on[:n], _ENTRY[at - _LOWER].transpose(1, 0, 2).copy()  # both kept by each pivot
+    free[:] = at == _FREE
+    count, free_col, on_col, rhs_free = int(free.sum()), free[:, None], on[:, None], rhs[:n]
     x, t = start.weights.copy(), 0.0
-    dual_tol = 1e-12 * np.abs(slope).max(initial=0.0)
+    dual_tol, box = 1e-12 * np.abs(slope).max(initial=0.0), np.stack([lo, up])
     ratios = np.empty(2 * n + k)   # indexed by rank
-    mult = np.empty((2 * n + k, 2))  # working-set multipliers and their slopes
-    rises, falls = mult[:n], mult[n:2 * n]  # the weights' rise and fall ranks
+    entries = ratios[:2 * n].reshape(2, n)  # the weights' rise and fall ranks
     grads = np.empty((n, 2))  # the gradient and its slope in t
+    grad, grads[:, 1] = grads[:, 0], slope
     retry = True  # whether the factor is tried: at the start, and after a piece _kkt's LU solved
     for _ in range(problem.max_iter):
-        free = at == _FREE
-        fixed = ~free
-        on[:n] = free
         if k:
             on[n + a:] = kinked = side[general] == 0.0
             gpos = kinked.nonzero()[0]
             kg = general[gpos]
-        grad = q @ x + c + t * slope
+        np.add(q @ x + c, t * slope, out=grad)
         if k:
             grad += kinks.pull @ side
-        grads[:, 0], grads[:, 1] = grad, slope
         null, flat = None, False
         if retry and factor.update(on):  # one product: minus dx, the multipliers and their slopes
-            np.multiply(grads, free[:, None], out=rhs[:n])
+            np.multiply(grads, free_col, out=rhs_free)
             sol = factor.inv @ rhs
             # refined once (an inverse's product is off by cond * eps) unless drifted
-            res = (rhs - factor.kkt @ sol) * on[:, None]
+            res = (rhs - factor.kkt @ sol) * on_col
             if _largest(np.abs(res[:n]), None) > 1e-10 * _largest(np.abs(rhs), None):
                 factor.inv = None
             else:
                 sol += factor.inv @ res
-                pinned = a + gpos.size == np.count_nonzero(free)  # the rows leave it still
+                pinned = a + gpos.size == count  # the rows leave it still
                 y, dx = -factor.w * sol[n:], np.zeros(n) if pinned else -sol[:n, 1]
         if factor.inv is None:  # one _kkt solve of the free block and its rows
             idx, dx, y = free.nonzero()[0], np.zeros(n), np.zeros((len(rows), 2))
@@ -1022,32 +1033,35 @@ def parametric_path(start: SolveReport, slope):
                 basis, sv, _ = np.linalg.svd(null_y, full_matrices=False)
                 null = np.zeros((len(rows), (sv > 0.5).sum()))
                 null[pos] = basis[:, sv > 0.5]  # orthonormal; take one that moves a bounded multiplier
-                moves = np.abs(np.vstack([null[a:], rows.T[fixed] @ null])).max(axis=0, initial=0.0)
+                moves = np.abs(np.vstack([null[a:], rows.T[~free] @ null])).max(axis=0, initial=0.0)
                 null = null[:, np.argmax(moves)] if moves.max(initial=0.0) > 1e-9 else None
             flat, dx[idx] = flat[1] and null is None, p[:, 1] if null is None else 0.0
-        tiny = 1e-13 * max(1.0, np.abs(dx).max())
-        _ratio_test(ratios, x, dx, tiny, lo, up, kinks, side)
+        tiny = 1e-13 * max(1.0, _largest(np.abs(dx)))
+        _ratio_test(ratios, x, dx, tiny, box, kinks, side)
         if not flat:
-            grads[:, 1] = q @ dx + slope
-            reduced = grads + rows.T @ y
+            reduced = rows.T @ y  # the reduced gradient and its slope
+            reduced[:, 0] += grad
+            reduced[:, 1] += q @ dx + slope
             for turn in (1.0, -1.0):
                 if null is not None:  # one way or the other along the null direction
                     y[:, 1] = turn * null
                     reduced[:, 1] = rows.T @ y[:, 1]
-                mult.fill(0.0)
-                _rise_fall(at, fixed, reduced[:, 0], rises[:, 0], falls[:, 0], kinks, side)
-                np.copyto(rises[:, 1], reduced[:, 1], where=fixed)
-                np.negative(reduced[:, 1], out=falls[:, 1], where=fixed)
+                # a fixed weight's one-sided derivatives at its rise and fall ranks and
+                # minus their slopes: it leaves where its derivative falls to zero
+                d = signs * reduced
+                if kinks is not None and kinks.single.size:  # its rows at a kink add their widths
+                    d[..., 0] += np.bincount(kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), n)
+                np.divide(np.maximum(0.0, d[..., 0]), d[..., 1], out=entries, where=d[..., 1] > dual_tol)
                 if k:  # a general kink row's multiplier moves to the end its slope points at
                     mu = y[a + gpos]
                     toward = np.sign(mu[:, 1:])
-                    mult[2 * n + kg] = -toward * mu
-                    mult[2 * n + kg, 0] += np.where(toward[:, 0] > 0.0, kinks.hi[kg], -kinks.lo[kg])
-                np.divide(np.maximum(mult[:, 0], 0.0), -mult[:, 1], out=ratios,
-                          where=mult[:, 1] < -dual_tol)
-                if null is None or ratios.min() < np.inf:
+                    end = -toward * mu
+                    end[:, 0] += np.where(toward[:, 0] > 0.0, kinks.hi[kg], -kinks.lo[kg])
+                    hit = end[:, 1] < -dual_tol
+                    ratios[2 * n + kg[hit]] = np.maximum(end[hit, 0], 0.0) / -end[hit, 1]
+                if null is None or _least(ratios) < np.inf:
                     break
-        length = ratios.min()
+        length = _least(ratios)
         r = int((ratios <= length * (1.0 + 1e-14)).argmax())  # lowest rank among ties
         if null is None:  # a piece; otherwise a constraint leaves at fixed x and t
             if flat and length == np.inf:
@@ -1060,7 +1074,10 @@ def parametric_path(start: SolveReport, slope):
             t += 0.0 if flat else length
         row = r - 2 * n
         lean = np.sign(mu[np.searchsorted(kg, row), 1]) if row >= 0 and not side[row] else 0.0
-        _pivot([r], at, side, x, lo, up, kinks, lean)
+        for j in _pivot([r], at, side, x, lo, up, kinks, lean):
+            state = at.item(j)
+            count += (state == _FREE) - free.item(j)
+            free[j], signs[:, j] = state == _FREE, _ENTRY[state - _LOWER]
     raise MaxIterations(f"parametric path did not end in {problem.max_iter} pivots")
 
 

@@ -12,11 +12,11 @@ from roboalloc.admm import (
     solve_mixed_lp,
     solve_penalized,
 )
-from roboalloc.errors import EmptySet, Infeasible, NoConvergence
+from roboalloc.errors import EmptySet, Infeasible, NoConvergence, NotPositiveSemidefinite
 from roboalloc.mvo import ConstraintSet, exact_problem
 from roboalloc.prox import L1Ball
 from roboalloc.qp import QpProblem, augment_l1, solve_qp
-from roboalloc.regularizers import PenaltySpec, ridge_mvo
+from roboalloc.regularizers import PenaltySpec, penalty_terms, ridge_mvo
 from tests.conftest import random_spd
 
 BUDGET = ConstraintSet(budget=1.0)
@@ -60,13 +60,25 @@ class TestGenericEngine:
 
     @pytest.mark.filterwarnings("ignore")
     def test_divergence_flagged(self):
-        # P = -I with the starting penalty 1 makes the x-step singular
-        # an L1 prox block, not L1 rows, keeps the problem on ADMM
-        rep = solve_penalized(-np.eye(3), np.ones(3), None,
-                              [(np.eye(3), np.zeros(3),
-                                lambda v, phi: prox.prox_l1(v, 0.1 / phi))],
+        # a convex problem whose prox step returns inf: the primal residual
+        # is not finite at the first iteration
+        rep = solve_penalized(np.eye(3), np.ones(3), None,
+                              [(np.eye(3), np.zeros(3), lambda v, phi: np.full(3, np.inf))],
                               params=AdmmParams(max_iter=50))
-        assert rep.status == "diverged"
+        assert rep.status == "diverged" and rep.iterations == 1
+
+    def test_indefinite_p_is_refused_before_the_first_iteration(self, monkeypatch):
+        # a negative eigenvalue of P: the spectrum the starting penalty reads
+        # names it, and no x-step is factored
+        p_mat, q_vec, l1, blocks, _ = penalty_terms(
+            [PenaltySpec("lp", p=1.5, rho=0.01)], np.diag([0.04, 0.09, -0.05, 0.02]),
+            0.5 * np.array([0.05, 0.06, 0.07, 0.04]))
+        factored = []
+        monkeypatch.setattr(admm, "lu_factor", lambda kkt: factored.append(kkt))
+        with pytest.raises(NotPositiveSemidefinite, match="-5.000e-02"):
+            solve_penalized(p_mat, q_vec, l1, blocks,
+                            ConstraintSet(budget=1.0, lower=0.0, upper=1.0))
+        assert not factored
 
     def test_penalty_rescaling_transparent(self, four_asset_alt, monkeypatch):
         # the balancing window changes the penalty and rescales u; the

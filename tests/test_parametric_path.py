@@ -380,6 +380,40 @@ def test_updated_factor_walks_as_kkt_does(seed, n, kind, general, metric, monkey
     assert len(ours) == len(kkt)
 
 
+def test_weights_leave_both_bounds_as_kkt_walks(monkeypatch):
+    """On a walk in which weights leave their lower bound (6, then 2) and
+    their upper bound (3) mid-walk, each by a bordering update (``_join``)
+    of the factor, the walk and the one whose every factor update is
+    refused agree: the same pivot ranks, and each piece's ``t``, ``x``,
+    ``dx`` and ``length`` within 1e-12."""
+    case, n, left, joined = Case(5, 8, "full", False, "vol"), 8, [], []
+    pivot, join = qp._pivot, qp._WalkFactor._join
+
+    def recorded(ranks, at, *args, **kwargs):
+        left.append((int(ranks[0]), int(at[ranks[0] % n])))  # the weight's state before
+        return pivot(ranks, at, *args, **kwargs)
+
+    def counted(self, i):
+        joined.append(i)
+        return join(self, i)
+
+    monkeypatch.setattr(qp, "_pivot", recorded)
+    monkeypatch.setattr(qp._WalkFactor, "_join", counted)
+    ours = walk_events(case, monkeypatch, refuse=False)
+    rises = [r for r, state in left if r < n and state == qp._LOWER]
+    falls = [r - n for r, state in left if n <= r < 2 * n and state == qp._UPPER]
+    assert rises == [6, 2] and falls == [3] and set(rises + falls) <= set(joined)
+    kkt = walk_events(case, monkeypatch, refuse=True)
+    assert len(ours) == len(kkt) and ours[-1][4] == np.inf
+    for a, b in zip(ours, kkt):
+        if a[0] == "pivot":
+            assert a == b
+        else:
+            assert a[3] == b[3]
+            for u, v in zip(a[:5], b[:5]):
+                np.testing.assert_allclose(u, v, rtol=1e-12, atol=1e-12)
+
+
 def test_box_walk_updates_one_factor(monkeypatch):
     """A 45-piece walk of a 40-weight budget-and-box book factors its
     matrix once, at the first piece, and then only updates it: weights are
