@@ -8,12 +8,17 @@ cold starts cleared before each workload.  It hashes (SHA-256) every answer
 the cycles produce, in order:
 
 - each ``solve_qp`` report: weights, duals, objective, ``r_norm``,
-  ``s_norm``, iterations and status, and beside that digest a second one of
-  its weights, status and iterations alone (its answer);
+  ``s_norm``, iterations, status and every ``meta`` entry but the working
+  set (the calibration history, say), and beside that digest a second one
+  of its weights, status and iterations alone (its answer);
 - each piece ``parametric_path`` yields, as its five values ``(t, x, dx,
   rate, length)``, whatever else the walk hands out with them;
-- each op's output; for advisor_cli, the exit codes and the files its verbs
-  write (not the input files, which hold the temporary directory's path).
+- each op's output, a report in it hashed as above; for advisor_cli, the
+  exit codes and the files its verbs write (not the input files, which hold
+  the temporary directory's path).
+
+A float is hashed with its type, so a NumPy float64 and a Python float of
+the same value differ.
 
 Two runs of one commit on one machine write the same file, so a change
 that keeps every answer bit-identical passes ``--check``.
@@ -67,6 +72,7 @@ def _feed(digest, value) -> None:
     if isinstance(value, SolveReport):
         for name in REPORT_FIELDS:
             _feed(digest, getattr(value, name))
+        _feed(digest, {key: v for key, v in value.meta.items() if key != "working_set"})
     elif isinstance(value, np.ndarray):
         digest.update(f"a{value.dtype.str}{value.shape}".encode())
         digest.update(np.ascontiguousarray(value).tobytes())
@@ -79,8 +85,10 @@ def _feed(digest, value) -> None:
         digest.update(b"l%d" % len(value))
         for item in value:
             _feed(digest, item)
-    elif isinstance(value, (float, np.floating)):
-        digest.update(b"f" + float(value).hex().encode())
+    elif isinstance(value, np.floating):  # before float, which np.float64 subclasses
+        digest.update(f"f{value.dtype.str}:{float(value).hex()}".encode())
+    elif isinstance(value, float):
+        digest.update(b"f" + value.hex().encode())
     elif isinstance(value, (bytes, str)):
         data = value if isinstance(value, bytes) else value.encode()
         digest.update(b"s%d:" % len(data) + data)

@@ -149,14 +149,11 @@ def _parse_admm(obj: dict) -> AdmmParams:
     """ADMM parameters from an ``admm`` block.  Only a plain problem with an
     ``lp`` penalty runs ADMM: on any other document the block could change
     nothing, and the callers reject it with ``_NO_ADMM``."""
-    _check_keys(obj, ("eps_primal", "eps_dual", "max_iter"), where="admm")
-
-    def get(key, default, integer=False):
-        return _number(obj[key], f"admm.{key}", integer) if key in obj else default
-
-    return AdmmParams(
-        eps_primal=get("eps_primal", 1e-10), eps_dual=get("eps_dual", 1e-10),
-        max_iter=get("max_iter", 10000, True))
+    keys = ("eps_primal", "eps_dual", "max_iter")
+    _check_keys(obj, keys, where="admm")
+    # only the keys the block holds: the others keep AdmmParams' defaults
+    return AdmmParams(**{key: _number(obj[key], f"admm.{key}", key == "max_iter")
+                         for key in keys if key in obj})
 
 
 def _load_problem(path: str):

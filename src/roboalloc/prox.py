@@ -18,11 +18,19 @@ _SWEEP_TOL = 1e-12  # step and violation at which the sweeps stop
 # --- proximal operators ------------------------------------------------------
 
 
+def _threshold(lam):
+    """``lam``, a scalar or an array, refused (``ValueError``) where an
+    entry is negative or NaN."""
+    if not np.all(np.greater_equal(lam, 0.0)):
+        raise ValueError("thresholds must be nonnegative, not NaN")
+    return lam
+
+
 def prox_l1(v: np.ndarray, lam) -> np.ndarray:
     """Soft thresholding: componentwise shrink toward zero by ``lam``, a
-    scalar or one threshold per component."""
+    nonnegative scalar or one threshold per component."""
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
+    return np.sign(v) * np.maximum(np.abs(v) - _threshold(lam), 0.0)
 
 
 def _power_root(w: np.ndarray, lam: float, p: float) -> np.ndarray:
@@ -59,8 +67,7 @@ def prox_lp(v: np.ndarray, lam: float, p: float) -> np.ndarray:
     """
     if p < 1.0:
         raise NonConvexOrder(f"p={p} < 1 has no single-valued proximal map")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _threshold(lam)
     v = np.asarray(v, dtype=float)
     if p == 1.0:
         return prox_l1(v, lam)
@@ -162,7 +169,9 @@ class AffineSet:
 
 def _radius(radius: float) -> float:
     """A ball's radius or a simplex's budget: zero leaves the set ``{0}``, a
-    negative one leaves it empty (``EmptySet``)."""
+    negative one leaves it empty (``EmptySet``), and NaN is a ``ValueError``."""
+    if np.isnan(radius):
+        raise ValueError("radius or budget must not be NaN")
     if radius < 0.0:
         raise EmptySet(f"negative radius or budget {radius}: the set is empty")
     return radius

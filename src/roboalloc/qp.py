@@ -79,10 +79,10 @@ from .report import CONVERGED, UNCERTIFIED, SolveReport
 _FEAS_TOL = 1e-9
 _CERT_TOL = 1e-12  # certificate tolerance, relative to the scale of the data
 _LOWER, _FREE, _UPPER, _KINK = -1, 0, 1, 2  # per-variable state
-# by state from _LOWER, the signs (s, -s) that a weight's rise (s = 1) and fall (s = -1) ranks
-# take its reduced gradient and its slope with, 0 where it cannot leave that way
-_ENTRY = np.array([[[1.0, -1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
-                   [[0.0, 0.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+# for a weight's rise (s = 1) and fall (s = -1) ranks, indexed by state (_LOWER = -1 the last),
+# the signs (s, -s) they take its reduced gradient and its slope with, 0 where it cannot leave so
+_ENTRY = np.array([[[0.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1.0, -1.0]],
+                   [[0.0, 0.0], [-1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]]])
 _TOWARD = np.array([[-1.0], [1.0]])  # the signs of a step toward a lower and an upper bound
 _REFINE_ROUNDS = 8  # cap on the cold start's primal-dual active-set rounds
 _SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is zero
@@ -258,6 +258,16 @@ class _Kinks:
         self.slot[self.single] = np.arange(self.single.size)
         self.pull_single = self.pull if self.single.size == d.size else self.pull[:, self.single]
 
+    def widths(self, there):
+        """Per weight, the widths of its single rows where the mask ``there`` holds."""
+        return np.bincount(self.col, np.where(there, self.width, 0.0), self.g.shape[1])
+
+    def multipliers(self, side, rows, mu):
+        """Each row's multiplier: its side's end, ``mu`` at ``rows``, 0 at a kink."""
+        full = self.hi * side
+        full[rows] = mu
+        return full
+
     def release(self, side, cols, up):
         """Weights ``cols`` leave their kinks, up where ``up`` and down
         elsewhere: their rows there follow."""
@@ -322,16 +332,16 @@ def _ratio_test(ratios, x, p, tiny, box, kinks=None, side=None):
     return gp
 
 
-def _rise_fall(at, fixed, reduced, rise, fall, kinks=None, side=None):
-    """Into ``rise`` and ``fall`` where the mask ``fixed`` holds, the
-    objective's one-sided derivatives as those weights move up and down: the
-    reduced gradient plus the widths of their rows at a kink, infinite out
-    of the box.  A weight leaves to the side whose derivative is negative."""
-    width = 0.0 if kinks is None or not kinks.single.size else np.bincount(
-        kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), at.size)
-    np.add(reduced, width, out=rise, where=fixed)
-    np.subtract(width, reduced, out=fall, where=fixed)
-    rise[at == _UPPER], fall[at == _LOWER] = np.inf, np.inf
+def _one_sided(at, reduced, kinks=None, side=None):
+    """The weights' one-sided derivatives rising (``[0]``) and falling (``[1]``):
+    ``_ENTRY``'s signs by state times the reduced gradient plus the widths of
+    their single rows at kinks, and minus the slopes in ``reduced``'s second
+    column if any.  A weight that cannot leave so (free, say) has sign 0, so
+    that entry is a width, never negative, with slope 0."""
+    d = _ENTRY.take(at, 1)[..., :reduced.shape[1]] * reduced
+    if kinks is not None and kinks.single.size:
+        d[..., 0] += kinks.widths(side[kinks.single] == 0.0)
+    return d
 
 
 def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
@@ -340,8 +350,7 @@ def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
     Free weights are fixed at their bounds, fixed ones freed up at their
     rise ranks or down at their fall ranks, their rows at kinks updated by
     one call; a row off its kink reaches it (a single row fixing its weight
-    there), a general row at its kink leaves to the side ``lean``.  Returns
-    the weights whose state it set."""
+    there), a general row at its kink leaves to the side ``lean``."""
     n, r = x.size, ranks[0]
     if r < 2 * n:
         cols = [rank % n for rank in ranks]
@@ -354,8 +363,8 @@ def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
             at[cols] = _FREE
             if kinks is not None and kinks.single.size:
                 kinks.release(side, cols, [rank < n for rank in ranks])
-        return cols
-    row, cols = r - 2 * n, []
+        return
+    row = r - 2 * n
     if side[row]:
         side[row], i = 0.0, kinks.slot[row]
         if i >= 0:
@@ -364,7 +373,6 @@ def _pivot(ranks, at, side, x, lo, up, kinks=None, lean=0.0):
             kinks.settle(side, x, cols)
     else:
         side[row] = lean
-    return cols
 
 
 def _bland(neg, at, side, kinks=None):
@@ -380,17 +388,22 @@ def _bland(neg, at, side, kinks=None):
     return int(neg[np.argmin(key)])
 
 
+def _row_scale(q, rows):
+    """The KKT rows' scale ``w = max|Q| / max|rows|`` (1 if either is 0; ``max|Q|``
+    is ``max diag Q``, exact for a PSD ``Q``), then ``max|Q|`` and ``max|rows|``."""
+    top_q, top_c = _largest(q.diagonal(), initial=0.0), _largest(np.abs(rows), None, initial=0.0)
+    return (top_q / top_c if top_q > 0.0 and top_c else 1.0), top_q, top_c
+
+
 def _kkt(q_ff, c_f, g_f, gap=None):
     """``(p, y, flat, null)`` solving the free block's KKT system
     ``[Q_FF C_F'; C_F 0] [p; y] = [-g_F; gap]`` (``gap`` zero when ``None``),
     one solve for all of ``g_F``'s columns.  ``y`` are the rows'
     multipliers at the point ``x + p``, where ``g_F + Q_FF p + C_F'y = 0``.
 
-    The rows are scaled by ``w = max|Q_FF| / max|C_F|`` (1 when either block
-    is zero; ``max|Q_FF|`` is the largest diagonal entry, exact for a
-    positive semidefinite ``Q_FF``), so that both blocks weigh alike
-    whatever the units of the data, and ``y = w y'``.  One LU factors the
-    scaled matrix (Nocedal & Wright, *Numerical Optimization*, 16.2); more
+    The rows are scaled by ``_row_scale``'s ``w = max|Q_FF| / max|C_F|``, so
+    that both blocks weigh alike whatever the units of the data, and ``y = w
+    y'``.  One LU factors the scaled matrix (Nocedal & Wright, 16.2); more
     rows than weights, or a pivot at most ``_SINGULAR`` of the largest,
     refuses it.  Then one SVD of the same matrix gives its minimum-norm
     least squares (Golub & Van Loan, *Matrix Computations*, 5.5), singular
@@ -411,8 +424,7 @@ def _kkt(q_ff, c_f, g_f, gap=None):
     flat = np.zeros(g_f.shape[1:], dtype=bool)
     if not free:
         return g_f, np.zeros((rows,) + g_f.shape[1:]), flat, np.eye(rows)
-    top_q, top_c = _largest(q_ff.diagonal(), initial=0.0), _largest(np.abs(c_f), None, initial=0.0)
-    w = top_q / top_c if top_q > 0.0 and top_c else 1.0
+    w = _row_scale(q_ff, c_f)[0]
     kkt = np.zeros((free + rows, free + rows), order="F")
     kkt[:free, :free] = q_ff
     np.multiply(w, c_f, out=kkt[free:, :free])
@@ -458,10 +470,10 @@ def _active_set(problem: QpProblem, x0, max_iter):
     there (at the kink where that is nearer than the bound), as ``_pivot``
     puts one it fixes (its rows' sides then read to ``_CERT_TOL``), so that
     the answer sits where its multipliers say.  The
-    multiplier test writes the working set's multipliers by rank, +inf off
-    it: a fixed variable's one-sided derivatives at its rise and fall ranks
-    (its kinks adding their widths), a general row's ``min(hi_l - mu_l,
-    mu_l - lo_l)`` at its kink.  It takes ``nu`` and ``mu`` from the KKT
+    multiplier test writes by rank each weight's one-sided derivatives at its
+    rise and fall ranks (``_one_sided``, by the signs its state reads, as the
+    walk's event test), a general row's ``min(hi_l - mu_l, mu_l - lo_l)`` at
+    its kink, +inf off it.  It takes ``nu`` and ``mu`` from the KKT
     solve that made ``x`` stationary: the zero step's at ``x``, or the last
     full step's, exact at ``x`` since a full step leaves the working set as
     it was.  ``_pivot`` applies the most negative and the ratio test's
@@ -472,12 +484,11 @@ def _active_set(problem: QpProblem, x0, max_iter):
     that step, a small one that closes the gap, is taken within the box
     before the multiplier test.
     Returns ``(x, at, side, iterations, (nu, mu))``: the equality rows' and
-    every kink row's multipliers (its side's end off its kink, 0 at a single
-    row's).
+    every kink row's multipliers (``_Kinks.multipliers``).
     """
     q, c, kinks = problem.Q, problem.c, problem._kinks
     (a_eq, b_eq), lo, up = problem.eq, problem.lower, problem.upper
-    n, k = c.size, 0 if kinks is None else kinks.d.size
+    n, k, top_c = c.size, 0 if kinks is None else kinks.d.size, _largest(np.abs(c), initial=0.0)
     below, above = np.abs(x0 - lo), np.abs(up - x0)
     at = np.where(below <= _FEAS_TOL, _LOWER, np.where(above <= _FEAS_TOL, _UPPER, _FREE))
     x = np.where(at == _LOWER, lo, np.where(at == _UPPER, up, x0))
@@ -495,8 +506,8 @@ def _active_set(problem: QpProblem, x0, max_iter):
             kinks.settle(side, x, kinks.col[there])
     ones = problem.l1 is not None and problem.l1[1].size > 0  # L1 rows, which pull
     box = np.stack([lo, up])
-    ratios = np.empty(2 * n + k)   # indexed by rank
-    mult = np.empty(2 * n + k)     # working-set multipliers by rank, +inf off it
+    ratios, mult = np.empty(2 * n + k), np.empty(2 * n + k)  # by rank: steps, multiplier test
+    entries = mult[:2 * n].reshape(2, n, 1)  # the weights' ranks; the rows' are +inf off kinks
     degenerate_run = 0
     bland = settled = False
     for it in range(1, max_iter + 1):
@@ -521,15 +532,14 @@ def _active_set(problem: QpProblem, x0, max_iter):
             # the rows' gap, if any, within the box (np.clip's arithmetic)
             x[idx] = np.minimum(np.maximum(x[idx] + p[idx], lo[idx]), up[idx])
             nu, mu = y[:a_eq.shape[0]], y[a_eq.shape[0]:]
-            mult.fill(np.inf)
-            _rise_fall(at, ~free, grad + rows.T @ y, mult[:n], mult[n:2 * n], kinks, side)
+            entries[:] = _one_sided(at, (grad + rows.T @ y)[:, None], kinks, side)
             if k:
+                mult[2 * n:] = np.inf
                 mult[2 * n + kg] = np.minimum(kinks.hi[kg] - mu, mu - kinks.lo[kg])
-            neg = (mult < -1e-9).nonzero()[0]
+            # judged on the dual scale, so that the units of Q and c change no answer
+            neg = (mult < -1e-9 * min(1.0, _largest(np.abs(grad)) + top_c)).nonzero()[0]
             if neg.size == 0:
-                full = kinks.hi * side if k else np.zeros(0)
-                full[kg] = mu
-                return x, at, side, it, (nu, full)
+                return x, at, side, it, (nu, kinks.multipliers(side, kg, mu) if k else mu)
             drop = _bland(neg, at, side, kinks) if bland else int(mult.argmin())
             # with L1 rows every violating weight leaves at once; its rows at a
             # kink take the side it leaves to.  Keyed on L1 rows as measured in
@@ -770,15 +780,15 @@ def solve_qp(problem: QpProblem, x0: np.ndarray | None = None) -> SolveReport:
 def _report(problem: QpProblem, x, at, side, iterations, nu, mu) -> SolveReport:
     """The report of the point ``x`` of ``problem`` on the working set ``(at,
     side)``, with the equality rows' multipliers ``nu`` and every kink row's
-    ``mu`` (its side's end off its kink, 0 at a single row's):
-    ``solve_qp``'s, and a walk piece's (``_Piece.report``).  The objective
-    includes the L1 rows.  ``duals`` (multipliers for every constraint
-    block, inactive entries at zero), ``r_norm`` and ``s_norm`` are
-    ``certificate``'s, which reads the problem data and ``nu`` and the rows'
-    multipliers only, never the working set, and the status is
-    ``uncertified`` when either norm exceeds ``_FEAS_TOL`` relative to the
-    scale of the data and of the answer.  ``meta['working_set']`` is
-    ``(problem, at, side)``: ``parametric_path``'s start.
+    ``mu`` (``_Kinks.multipliers``): ``solve_qp``'s, and a walk piece's
+    (``_Piece.report``).  The objective includes the L1 rows.  ``duals``
+    (multipliers for every constraint block, inactive entries at zero),
+    ``r_norm`` and ``s_norm`` are ``certificate``'s, which reads the problem
+    data and ``nu`` and the rows' multipliers only, never the working set,
+    and the status is ``uncertified`` when either norm exceeds ``_FEAS_TOL``
+    relative to the scale of the data and of the answer.
+    ``meta['working_set']`` is ``(problem, at, side)``: ``parametric_path``'s
+    start.
     """
     q, c, kinks, h = problem.Q, problem.c, problem._kinks, problem.ineq[1]
     objective = 0.5 * x @ q @ x + c @ x
@@ -834,7 +844,7 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
         off = kinks.coef * x[kinks.col] - kinks.d[kinks.single]
         at_kink = np.abs(off) <= tol_p
         grad += kinks.pull_single @ np.where(at_kink, 0.0, np.sign(off))
-        width = np.bincount(kinks.col, np.where(at_kink, kinks.width, 0.0), x.size)
+        width = kinks.widths(at_kink)
     excess = np.sign(grad) * np.maximum(np.abs(grad) - width, 0.0)
     lam_lo = np.where(x <= lo + tol_p, np.maximum(excess, 0.0), 0.0)
     lam_up = np.where(x >= up - tol_p, np.maximum(-excess, 0.0), 0.0)
@@ -844,7 +854,7 @@ def certificate(problem: QpProblem, x, nu, mu, lam):
 
 class _WalkFactor:
     """The inverse of a walk's KKT matrix ``[Q w R'; w R 0]`` over the ``n``
-    weights and every row ``R`` it can hold, ``w`` being ``_kkt``'s row scale.
+    weights and every row ``R`` it can hold, ``w`` being ``_row_scale``'s.
     An index off the working set ``on`` is an identity row and column (in the
     inverse, to rounding in the column), so one that leaves is a Schur
     downdate and one that joins a bordering update, each of rank one (Nocedal
@@ -852,8 +862,7 @@ class _WalkFactor:
     leaves the inverse stale (``None``); the next ``update`` refactors."""
 
     def __init__(self, q, rows):
-        top_q, top_c = _largest(q.diagonal(), initial=0.0), _largest(np.abs(rows), None, initial=0.0)
-        self.w = top_q / top_c if top_q > 0.0 and top_c else 1.0
+        self.w, top_q, top_c = _row_scale(q, rows)
         self.top, wr, self.inv = float(max(top_q, self.w * top_c)), self.w * rows, None
         self.kkt = np.vstack([np.hstack([q, wr.T]), np.hstack([wr, np.zeros((len(rows),) * 2)])])
         self.dger = _linalg().blas.dger
@@ -925,10 +934,8 @@ class _Piece(tuple):
         problem, x = self.problem(s), self[1] + s * self[2]
         if self._segment is not None:
             at, side, y, a, gpos = self._segment
-            kinks, y, mu = problem._kinks, y[:, 0] + s * y[:, 1], np.zeros(0)
-            if kinks is not None:
-                mu = kinks.hi * side
-                mu[kinks.general[gpos]] = y[a + gpos]
+            kinks, y = problem._kinks, y[:, 0] + s * y[:, 1]
+            mu = np.zeros(0) if kinks is None else kinks.multipliers(side, kinks.general[gpos], y[a + gpos])
             inside = np.minimum(np.maximum(x, problem.lower), problem.upper)
             report = _report(problem, inside, at, side, 0, y[:a], mu)
             if report.converged:
@@ -959,7 +966,8 @@ def parametric_path(start: SolveReport, slope):
     slope points at (a fixed weight's one-sided derivative its zero, a
     row's ``lo`` or ``hi``) meets it and its constraint leaves, to that side.
     A piece is that product, ``_ratio_test`` and one masked divide for the
-    fixed weights' events, by the signs (``_ENTRY``) that each pivot keeps.
+    fixed weights' events, of ``_one_sided``'s derivatives, whose signs are
+    read off each weight's state (not kept per pivot), as the active set's.
     When ``slope`` pulls along zero curvature, x moves at fixed ``t`` to the
     blocking constraint (``Unbounded`` if none).  Rows dependent on the free
     block (as at a start on a weight's and its general rows' kinks) leave
@@ -983,9 +991,7 @@ def parametric_path(start: SolveReport, slope):
     """
     problem, *states = start.meta["working_set"]
     at, side = (v.copy() for v in states)
-    n = problem.n
-    q, c = problem.Q, problem.c
-    slope = np.asarray(slope, dtype=float).ravel()
+    n, q, c, slope = problem.n, problem.Q, problem.c, np.asarray(slope, dtype=float).ravel()
     (a_eq, _), lo, up, kinks = problem.eq, problem.lower, problem.upper, problem._kinks
     a, k = a_eq.shape[0], 0 if kinks is None else kinks.d.size
     # the general kink rows, and those at their kinks: positions in ``general``, rows
@@ -994,9 +1000,7 @@ def parametric_path(start: SolveReport, slope):
     rows = np.vstack([a_eq, kinks.g[general]]) if k else a_eq
     factor, on = _WalkFactor(q, rows), np.ones(n + len(rows), dtype=bool)
     rhs = np.zeros((on.size, 2))  # the gradient and slope on the free block, zero elsewhere
-    free, signs = on[:n], _ENTRY[at - _LOWER].transpose(1, 0, 2).copy()  # both kept by each pivot
-    free[:] = at == _FREE
-    count, free_col, on_col, rhs_free = int(free.sum()), free[:, None], on[:, None], rhs[:n]
+    free, free_col, on_col, rhs_free = on[:n], on[:n, None], on[:, None], rhs[:n]
     x, t = start.weights.copy(), 0.0
     dual_tol, box = 1e-12 * np.abs(slope).max(initial=0.0), np.stack([lo, up])
     ratios = np.empty(2 * n + k)   # indexed by rank
@@ -1005,6 +1009,7 @@ def parametric_path(start: SolveReport, slope):
     grad, grads[:, 1] = grads[:, 0], slope
     retry = True  # whether the factor is tried: at the start, and after a piece _kkt's LU solved
     for _ in range(problem.max_iter):
+        free[:] = at == _FREE
         if k:
             on[n + a:] = kinked = side[general] == 0.0
             gpos = kinked.nonzero()[0]
@@ -1022,7 +1027,7 @@ def parametric_path(start: SolveReport, slope):
                 factor.inv = None
             else:
                 sol += factor.inv @ res
-                pinned = a + gpos.size == count  # the rows leave it still
+                pinned = a + gpos.size == np.count_nonzero(free)  # the rows leave it still
                 y, dx = -factor.w * sol[n:], np.zeros(n) if pinned else -sol[:n, 1]
         if factor.inv is None:  # one _kkt solve of the free block and its rows
             idx, dx, y = free.nonzero()[0], np.zeros(n), np.zeros((len(rows), 2))
@@ -1046,11 +1051,8 @@ def parametric_path(start: SolveReport, slope):
                 if null is not None:  # one way or the other along the null direction
                     y[:, 1] = turn * null
                     reduced[:, 1] = rows.T @ y[:, 1]
-                # a fixed weight's one-sided derivatives at its rise and fall ranks and
-                # minus their slopes: it leaves where its derivative falls to zero
-                d = signs * reduced
-                if kinks is not None and kinks.single.size:  # its rows at a kink add their widths
-                    d[..., 0] += np.bincount(kinks.col, np.where(side[kinks.single] == 0.0, kinks.width, 0.0), n)
+                # a fixed weight leaves where its derivative at its rise or fall rank falls to zero
+                d = _one_sided(at, reduced, kinks, side)
                 np.divide(np.maximum(0.0, d[..., 0]), d[..., 1], out=entries, where=d[..., 1] > dual_tol)
                 if k:  # a general kink row's multiplier moves to the end its slope points at
                     mu = y[a + gpos]
@@ -1074,10 +1076,7 @@ def parametric_path(start: SolveReport, slope):
             t += 0.0 if flat else length
         row = r - 2 * n
         lean = np.sign(mu[np.searchsorted(kg, row), 1]) if row >= 0 and not side[row] else 0.0
-        for j in _pivot([r], at, side, x, lo, up, kinks, lean):
-            state = at.item(j)
-            count += (state == _FREE) - free.item(j)
-            free[j], signs[:, j] = state == _FREE, _ENTRY[state - _LOWER]
+        _pivot([r], at, side, x, lo, up, kinks, lean)
     raise MaxIterations(f"parametric path did not end in {problem.max_iter} pivots")
 
 

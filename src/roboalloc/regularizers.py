@@ -196,8 +196,11 @@ def shrunk_correlation(sigma, rho2, mode: str = "identity"):
 
     ``identity`` adds ``rho2`` to every variance, damping correlations by
     the ratio of old to new volatilities; ``diag_sigma`` divides every
-    off-diagonal correlation by ``1 + rho2`` and keeps volatilities.
+    off-diagonal correlation by ``1 + rho2`` and keeps volatilities.  A
+    negative or non-finite ``rho2`` is a ``ValueError``.
     """
+    if not (math.isfinite(rho2) and rho2 >= 0.0):
+        raise ValueError(f"rho2 must be finite and nonnegative, got {rho2}")
     sigma = np.asarray(sigma, dtype=float)
     var = np.diag(sigma)
     vol = np.sqrt(var)

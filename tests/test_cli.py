@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from roboalloc import qp, report
+from roboalloc import cli, qp, report
+from roboalloc.admm import AdmmParams
 from roboalloc.cli import main
 from roboalloc.errors import MaxIterations
 from roboalloc.mvo import ConstraintSet, MvoInputs, calibrate_gamma
@@ -745,6 +747,21 @@ class TestAdmmDocument:
         out = tmp_path / "rep.json"
         assert main(["optimize", "--problem", str(problem), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_block_keeps_the_defaults_it_does_not_name(self, monkeypatch):
+        # a block with max_iter alone takes AdmmParams' own tolerances, read
+        # from the class (here one with other defaults), not a copy of them
+        assert cli._parse_admm({"max_iter": 7}) == AdmmParams(max_iter=7)
+        assert cli._parse_admm({}) == AdmmParams()
+
+        @dataclasses.dataclass
+        class Other(AdmmParams):
+            eps_primal: float = 1e-7
+            eps_dual: float = 1e-6
+
+        monkeypatch.setattr(cli, "AdmmParams", Other)
+        assert cli._parse_admm({"max_iter": 7}) == Other(max_iter=7)
+        assert cli._parse_admm({"max_iter": 7}).eps_dual == 1e-6
 
     @pytest.mark.parametrize("doc", [
         {"penalties": [{"kind": "l1", "rho": 0.01, "anchor": [0.5, 0.5]}], "gamma": 2.0},

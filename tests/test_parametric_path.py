@@ -470,8 +470,8 @@ def test_singular_walk_refreshes_through_kkt_and_meets_target(monkeypatch):
 def test_singular_walk_refactors_only_after_an_lu_piece(monkeypatch):
     """On the same rank-20 walk, from gamma 0 to its end, a refused factor
     is not retried while ``_kkt`` needs its SVD, only after a piece that
-    ``_kkt``'s LU solved: 8 factorizations over its 66 pieces, 7 of them
-    refused, one more than the 7 pieces of its 28 through ``_kkt`` that the
+    ``_kkt``'s LU solved: 8 factorizations over its 67 pieces, 7 of them
+    refused, one more than the 7 pieces of its 29 through ``_kkt`` that the
     LU solved, and the target is still met with one solve, at the cold
     solve's weights."""
     case = Case(7, 40, "singular", False, "vol")
@@ -491,9 +491,9 @@ def test_singular_walk_refactors_only_after_an_lu_piece(monkeypatch):
     monkeypatch.setattr(qp._WalkFactor, "_factor", counted)
     monkeypatch.setattr(qp, "_kkt", counted_kkt)
     pieces = list(qp.parametric_path(start, -case.inputs.excess))
-    assert len(pieces) == 66 and pieces[-1][4] == np.inf
+    assert len(pieces) == 67 and pieces[-1][4] == np.inf
     assert len(factors) <= 8 and not all(factors)
-    assert factors.count(False) == 7 and (len(walked), sum(walked)) == (28, 21)
+    assert factors.count(False) == 7 and (len(walked), sum(walked)) == (29, 22)
     assert len(factors) <= 1 + walked.count(False)
     monkeypatch.undo()
     low, high = (case.value(case.solve(g).weights) for g in (0.0, 1e5))

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from roboalloc import errors
+from roboalloc.regularizers import shrunk_correlation
 from roboalloc.prox import (
     AffineSet,
     Box,
@@ -652,3 +653,36 @@ def test_beats_random_candidates(region):
     feasible = np.array([region.project(c) for c in candidates[:300]])
     dists = ((feasible - v) ** 2).sum(axis=1)
     assert dist_star <= dists.min() + 1e-6
+
+
+NAN = float("nan")
+SIGMA = np.array([[0.04, 0.01], [0.01, 0.09]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prox_l1(np.array([1.0, -2.0]), -1.0),
+    lambda: prox_l1(np.array([1.0, -2.0]), NAN),
+    lambda: prox_l1(np.array([1.0, -2.0]), np.array([0.5, -0.5])),
+    lambda: prox_l1(np.array([1.0, -2.0]), np.array([0.5, NAN])),
+    lambda: prox_lp(np.array([1.0, -2.0]), -1.0, 1.5),
+    lambda: prox_lp(np.array([1.0, -2.0]), NAN, 1.5),
+    lambda: prox_lp(np.array([1.0, -2.0]), NAN, 1.0),
+    lambda: prox_lp(np.array([1.0, -2.0]), NAN, 2.0),
+    lambda: L2Ball(NAN).project(np.array([3.0, 4.0])),
+    lambda: L1Ball(NAN).project(np.array([3.0, 4.0])),
+    lambda: LinfBall(NAN).project(np.array([3.0, 4.0])),
+    lambda: Simplex(NAN).project(np.array([3.0, 4.0])),
+    lambda: shrunk_correlation(SIGMA, -0.1),
+    lambda: shrunk_correlation(SIGMA, NAN),
+    lambda: shrunk_correlation(SIGMA, np.inf),
+    lambda: shrunk_correlation(SIGMA, -0.1, "diag_sigma"),
+    lambda: shrunk_correlation(SIGMA, NAN, "diag_sigma"),
+], ids=["l1-negative", "l1-nan", "l1-negative-entry", "l1-nan-entry", "lp-negative",
+        "lp-nan", "lp1-nan", "lp2-nan", "l2ball-nan", "l1ball-nan", "linfball-nan",
+        "simplex-nan", "shrunk-negative", "shrunk-nan", "shrunk-inf", "diag-negative",
+        "diag-nan"])
+def test_unchecked_inputs_are_refused(call):
+    # each used to return an answer: |v| + 1 with v's signs, NaN weights or
+    # NaN volatilities; a negative radius stays EmptySet
+    with pytest.raises(ValueError):
+        call()

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from roboalloc import qp
+from roboalloc import mvo, qp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWEEPS = ("ridge_anchored", "ridge_unanchored", "lasso_anchored",
@@ -49,7 +49,9 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     # only and one recorded only, each named; a solve_qp record that moved
     # keeps its answer digest (weights, status and iterations) unless that
     # changed too, and is counted under neither in a ledger written without
-    # answer digests; a cold start left unrefined changes the answers'
+    # answer digests; a gamma returned as a Python float in place of NumPy's,
+    # and a calibration history one entry short, each move an op's output;
+    # a cold start left unrefined changes the answers'
     # iteration counts, and --check exits 1 naming the first record it moved
     # and the first whose answer moved
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -98,6 +100,24 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     assert ("; of the moved, 0 keep their weights, status and iterations and 0 do not\n"
             in capsys.readouterr().out)
     path.write_text(first)
+    root = mvo.path_root
+
+    def python_float(*args):
+        gamma, report = root(*args)
+        return float(gamma), report
+
+    def dropped_entry(*args):
+        gamma, report = root(*args)
+        del report.meta["calibration"][-1]
+        return gamma, report
+
+    for mutant in (python_float, dropped_entry):
+        with monkeypatch.context() as patch:
+            patch.setattr(mvo, "path_root", mutant)
+            assert ledger.check(str(path)) == 1
+        out = capsys.readouterr().out
+        assert "target_calibration output: " in out and "target_calibration output: 0 match" not in out
+        assert "; first moved: target_calibration cycle 0 op " in out
     monkeypatch.setattr(qp, "_refine_start", lambda problem, x: x)
     assert ledger.main(["--check", str(path)]) == 1
     out = capsys.readouterr().out
