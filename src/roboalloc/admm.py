@@ -187,25 +187,35 @@ def solve_penalized(p_mat, q_vec, l1, blocks, constraints: ConstraintSet | None 
     ``l1`` holds the L1 rows ``(G, d, rho)`` as ``qp.QpProblem`` takes them
     (``None`` for none); ``blocks`` holds one ``(G_i, d_i, step_i)`` per
     other non-smooth term, where ``step_i(v, phi)`` is the prox of ``g_i /
-    phi``.  ``x_init`` is the one start point, normally the weights of a
-    nearby problem's answer; it must be a finite vector of ``n`` weights
+    phi``.  The problem is ``mvo.exact_problem``'s, one ``QpProblem`` for
+    both routes, so malformed ``P``, ``q``, L1 rows or constraints are the
+    same ``ValueError`` on either; ``solve_problem`` takes the routes.
+    """
+    return solve_problem(exact_problem(p_mat, q_vec, l1, constraints), blocks, extra_sets,
+                         params, x_init, objective)
+
+
+def solve_problem(problem: QpProblem, blocks=(), extra_sets=(), params: AdmmParams | None = None,
+                  x_init=None, objective=None) -> SolveReport:
+    """Solve an assembled ``problem`` with prox ``blocks`` over its
+    constraint set intersected with ``extra_sets``.
+
+    ``x_init`` is the one start point, normally the weights of a nearby
+    problem's answer; it must be a finite vector of ``n`` weights
     (``ValueError`` otherwise).  Without a block or an extra set the problem
     is solved exactly by ``solve_qp`` on the L1 rows; it starts from
     ``x_init`` if that is feasible, else at ``solve_qp``'s own cold start.
     Otherwise phase 1 of ``solve_qp`` first finds the constraint set
     nonempty (``Infeasible`` if not), and ``admm_solve`` runs from
-    ``x_init``.  ``objective`` evaluates the reported objective at the
-    answer of either route.  Both routes read the one ``QpProblem`` of
-    ``mvo.exact_problem``, so malformed ``P``, ``q``, L1 rows or constraints
-    are the same ``ValueError`` on either; a non-finite block offset is one
-    before ADMM's first iteration.
+    ``x_init``; a non-finite block offset is a ``ValueError`` before its
+    first iteration.  ``objective`` evaluates the reported objective at the
+    answer of either route.
     """
-    n = q_vec.size
+    n = problem.n
     if x_init is not None:
         x_init = np.asarray_chkfinite(x_init, dtype=float)
         if x_init.shape != (n,):
             raise ValueError(f"x_init must be a vector of {n} weights, not shape {x_init.shape}")
-    problem = exact_problem(p_mat, q_vec, l1, constraints)
     if not blocks and not extra_sets:
         report = solve_qp(problem, x0=x_init)
     else:

@@ -273,12 +273,22 @@ def _array(value, where: str, ndim: int | None = None) -> np.ndarray:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
         raise InputError(f"{where} must be a rectangular array of numbers") from exc
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
-            or any(v is True or v is False for v in np.asarray(value, dtype=object).flat):
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() or _holds_bool(value, arr.ndim):
         raise InputError(f"{where} must hold finite numbers only")
     if ndim is not None and arr.ndim != ndim:
         raise InputError(f"{where} must have {ndim} dimension(s), not {arr.ndim}")
     return arr.astype(float)
+
+
+def _holds_bool(value, ndim: int) -> bool:
+    """Whether the nested sequences ``value``, ``ndim`` deep, hold a
+    ``bool``: the set of types of each innermost row is read in C, one
+    Python step per row.  An array holds none (its dtype would be ``b`` or
+    ``O``), and neither does a number."""
+    rows = [] if isinstance(value, np.ndarray) or not ndim else [value]
+    for _ in range(ndim - 1):
+        rows = [inner for row in rows for inner in row]
+    return any(bool in set(map(type, row)) for row in rows)
 
 
 def _vector(value, where: str, n: int) -> np.ndarray:

@@ -215,8 +215,9 @@ def path_root(start: SolveReport, slope, metric, target: float):
     move at fixed gamma (a singular covariance), where the optimum is not
     unique and no solve at that gamma would answer the target.  The report's
     ``meta['calibration']`` lists ``(gamma, value)`` at gamma 0, at each
-    breakpoint and at the answer.  Returns ``(gamma, report)``.  A
-    non-finite target raises ``ValueError`` before the walk.
+    breakpoint and at the answer.  Returns ``(gamma, report)``, ``gamma``
+    the Python float ``report.gamma`` on either branch.  A non-finite target
+    raises ``ValueError`` before the walk.
     """
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
@@ -246,7 +247,7 @@ def path_root(start: SolveReport, slope, metric, target: float):
     gamma, rep = t + rate * s, piece.report(s)
     history.append((gamma, _value(metric, _level(metric, rep.weights))))
     rep.gamma, rep.meta["calibration"] = float(gamma), history
-    return gamma, rep
+    return rep.gamma, rep
 
 
 def max_sharpe_bound(inputs: MvoInputs) -> float:

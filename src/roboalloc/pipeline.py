@@ -8,10 +8,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import solve_penalized
+from .admm import solve_problem
 from .errors import AllocationError, Infeasible
-from .mvo import ConstraintSet, path_root
-from .regularizers import PenaltySpec, penalty_terms, penalty_value
+from .mvo import ConstraintSet, exact_problem, path_root
+from .regularizers import PenaltySpec, l1_rho, penalty_terms, penalty_value, quadratic_terms
 from .report import SolveReport, write_csv
 
 
@@ -91,25 +91,55 @@ def rebalance(config: RoboConfig, mu, sigma, warm=None) -> SolveReport:
     Without an extra set ``qp.solve_qp`` solves it exactly, the L1 slots as
     its L1 rows (its ``meta['working_set']`` holds that ``QpProblem``); with
     one, ADMM does.  ``warm``, the weights of a nearby problem's answer, is
-    the start point (``solve_penalized``'s ``x_init``); without it an exact
+    the start point (``solve_problem``'s ``x_init``); without it an exact
     solve starts at ``solve_qp``'s cold start and an ADMM solve at ``z = 0``.
     With a tracking-error target the report is ``te_target_to_gamma``'s, at
     the gamma where its walk meets the target; with neither a gamma nor a
-    target the problem is solved at gamma 0.
+    target the problem is solved at gamma 0.  ``_assemble`` and ``_solve``
+    are its two halves, which ``regularization_path``'s points share.
     """
     if config.te_target is not None:
         return te_target_to_gamma(config, mu, sigma, config.te_target)[1]
-    gamma = 0.0 if config.gamma is None else config.gamma
-    mu = np.asarray(mu, dtype=float).ravel()
-    sigma = np.asarray(sigma, dtype=float)
-    q_vec = gamma * mu
+    mu, sigma = np.asarray(mu, dtype=float).ravel(), np.asarray(sigma, dtype=float)
+    return _solve(config, mu, sigma, _assemble(config, mu, sigma), warm)
+
+
+def _linear(config: RoboConfig, mu, sigma):
+    """``q`` before the penalties: ``gamma mu`` (gamma 0 when unset, as under
+    a target), plus ``S strategic`` for the tracking-error objective."""
+    q_vec = (0.0 if config.gamma is None else config.gamma) * mu
     if config.objective == "tracking_error":
         q_vec = q_vec + sigma @ config.strategic
-    p_mat, q_vec, l1, blocks, penalty = penalty_terms(config.penalties(), sigma, q_vec)
-    report = solve_penalized(p_mat, q_vec, l1, blocks, config.constraints, config.extra_sets,
-                             x_init=warm, objective=_objective(config, mu, sigma, gamma, penalty))
+    return q_vec
+
+
+def _assemble(config: RoboConfig, mu, sigma):
+    """``rebalance``'s first half: ``(problem, blocks, penalty)``, the exact
+    ``QpProblem`` (``mvo.exact_problem``), the prox blocks and the penalty
+    slots' value, from ``penalty_terms``."""
+    p_mat, q_vec, l1, blocks, penalty = penalty_terms(config.penalties(), sigma,
+                                                      _linear(config, mu, sigma))
+    return exact_problem(p_mat, q_vec, l1, config.constraints), blocks, penalty
+
+
+def _solve(config: RoboConfig, mu, sigma, assembly, warm=None) -> SolveReport:
+    """``rebalance``'s second half: ``_assemble``'s ``assembly`` of ``config``
+    solved by ``admm.solve_problem``, exactly or by ADMM with extra sets,
+    from ``warm``, and reported with its objective and gamma.  Under a
+    target (which ``rebalance`` hands to ``te_target_to_gamma``, and only a
+    path's points bring here) that is the cold gamma-0 solve, walked to the
+    target as ``te_target_to_gamma`` walks it."""
+    problem, blocks, penalty = assembly
+    if config.te_target is not None:
+        _refuse_extra_sets(config)
+        warm = None
+    gamma = 0.0 if config.gamma is None else config.gamma
+    report = solve_problem(problem, blocks, config.extra_sets, x_init=warm,
+                           objective=_objective(config, mu, sigma, gamma, penalty))
     report.gamma = float(gamma)
-    return report
+    if config.te_target is None:
+        return report
+    return _meet(config, mu, sigma, report, config.te_target, penalty)[1]
 
 
 def _objective(config: RoboConfig, mu, sigma, gamma: float, penalty):
@@ -146,14 +176,23 @@ def te_target_to_gamma(config: RoboConfig, mu, sigma, te_target: float):
     exact path, and a target is a ``ValueError`` before any solve.  Returns
     ``(gamma, report)``, the report being the answer at that gamma.
     """
+    _refuse_extra_sets(config)
+    mu, sigma = np.asarray(mu, dtype=float).ravel(), np.asarray(sigma, dtype=float)
+    start = rebalance(replace(config, gamma=0.0, te_target=None), mu, sigma)
+    return _meet(config, mu, sigma, start, te_target, penalty_value(config.penalties(), config.n))
+
+
+def _refuse_extra_sets(config: RoboConfig) -> None:
     if config.extra_sets:
         raise ValueError("a tracking-error target cannot be met with extra sets")
-    mu = np.asarray(mu, dtype=float).ravel()
-    sigma = np.asarray(sigma, dtype=float)
-    start = rebalance(replace(config, gamma=0.0, te_target=None), mu, sigma)
+
+
+def _meet(config: RoboConfig, mu, sigma, start, te_target: float, penalty):
+    """``(gamma, report)`` where the walk from ``start``, the gamma-0 answer,
+    meets ``te_target`` (``mvo.path_root``), the report's objective the one
+    a rebalance at that gamma reports."""
     gamma, report = path_root(start, -mu, (sigma, config.strategic), te_target)
-    report.objective = _objective(config, mu, sigma, gamma,
-                                  penalty_value(config.penalties(), config.n))(report.weights)
+    report.objective = _objective(config, mu, sigma, gamma, penalty)(report.weights)
     return gamma, report
 
 
@@ -190,7 +229,10 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
                         param: str = "rho1", assets=None) -> PathTable:
     """Re-solve along a sorted penalty grid, starting each point from the
     weights of the last converged point (the first cold, as ``rebalance``
-    starts without ``warm``).
+    starts without ``warm``).  The QP is assembled once, as ``rebalance``
+    assembles it (``_assemble``), and each later point's is derived from it
+    (``_point``); each point is solved as ``rebalance`` solves it
+    (``_solve``), a target's points walked as ``te_target_to_gamma`` walks.
     An ``AllocationError`` at one point is recorded in its row and the sweep
     continues.  ``Infeasible`` and any other error (a ``ValueError`` for
     non-finite data, say) would recur at every point, so they are raised.
@@ -204,15 +246,16 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
         raise ValueError("grid must be nonempty and sorted ascending")
     if not np.isfinite(grid).all() or grid[0] < 0:
         raise ValueError("grid values must be finite and nonnegative")
+    mu, sigma = np.asarray(mu, dtype=float).ravel(), np.asarray(sigma, dtype=float)
     n = config.n
     weights = np.full((grid.size, n), np.nan)
     objective = np.full(grid.size, np.nan)
     status = []
-    warm = None
-    for i, value in enumerate(grid):
-        point = replace(config, **{attr: float(value)})
+    warm, made = None, {}
+    for i, value in enumerate(grid.tolist()):
         try:
-            rep = rebalance(point, mu, sigma, warm=warm)
+            point, assembly = _point(made, config, attr, value, mu, sigma)
+            rep = _solve(point, mu, sigma, assembly, warm)
             weights[i] = rep.weights
             objective[i] = rep.objective
             status.append(rep.status)
@@ -225,3 +268,31 @@ def regularization_path(config: RoboConfig, mu, sigma, grid,
     return PathTable(param=param, values=grid, weights=weights,
                      objective=objective, status=status,
                      assets=list(assets) if assets else [])
+
+
+def _point(made: dict, config: RoboConfig, attr: str, value: float, mu, sigma):
+    """``(point, assembly)`` of a path's point, ``config`` with ``attr`` at
+    ``value``.  A zero value drops the slot (``RoboConfig.penalties``), so
+    the points fall in two kinds, zero or not: ``made`` keeps each kind's
+    first point, validated and assembled, and every zero point is that one.
+    A later nonzero point takes the first's config with ``value``, which the
+    grid's check has passed, and its ``QpProblem`` derived from the first's
+    (``QpProblem.derive``): new L1 weights for an L1 slot, new ``Q`` and
+    ``c`` for an L2 slot, in ``penalty_terms``' order."""
+    kind = value > 0
+    if kind not in made:
+        point = replace(config, **{attr: value})
+        made[kind] = point, _assemble(point, mu, sigma)
+        return made[kind]
+    if not kind:
+        return made[kind]
+    first, (problem, blocks, _) = made[kind]
+    point = object.__new__(RoboConfig)
+    point.__dict__.update(first.__dict__, **{attr: value})
+    penalties = point.penalties()
+    if attr.startswith("rho1"):
+        problem = problem.derive(rho=l1_rho(penalties, point.n))
+    else:
+        p_mat, q_vec = quadratic_terms(penalties, sigma, _linear(point, mu, sigma))
+        problem = problem.derive(Q=p_mat, c=-q_vec)
+    return point, (problem, blocks, penalty_value(penalties, point.n))

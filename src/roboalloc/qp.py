@@ -60,7 +60,7 @@ rank, and ``_pivot`` applies the event at a rank.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -89,8 +89,10 @@ _SINGULAR = 1e-11  # a pivot or singular value at most this of the largest is ze
 # cold starts kept: at least the models a nightly run interleaves, each entry
 # n floats (at most 0.5 MB in all at n = 200)
 _START_CACHE = 256
-# the solves' maxima and minima, one C call each (ndarray.max adds a Python one)
+# the solves' maxima and minima, and the checks' "all" and "any", one C call
+# each (ndarray.max and ndarray.all add a Python one)
 _largest, _least = np.maximum.reduce, np.minimum.reduce
+_every, _some = np.logical_and.reduce, np.logical_or.reduce
 
 
 @cache
@@ -105,7 +107,7 @@ def _linalg():
 
 def _check_finite(name: str, *arrays) -> None:
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not _every(np.isfinite(a), None):
             raise ValueError(f"{name} must hold finite numbers only")
 
 
@@ -137,6 +139,42 @@ def _bound(v, n: int, name: str, beyond: float) -> np.ndarray:
     return v
 
 
+def _objective_terms(q, c):
+    """``Q`` and ``c`` as checked float arrays: ``Q`` square in ``c``'s
+    size, both finite, and ``Q`` symmetric to 1e-12 of its largest entry,
+    symmetrized then (the caller's own array when exactly symmetric)."""
+    q, c = np.atleast_2d(np.asarray(q, float)), np.asarray(c, float).ravel()
+    if q.shape != (c.size, c.size):
+        raise ValueError("Q and c dimensions disagree")
+    _check_finite("Q", q)
+    _check_finite("c", c)
+    if not _every(q == q.T, None):  # 0.5 (Q + Q') is Q itself for a symmetric Q
+        if np.abs(q - q.T).max() > 1e-12 * max(1.0, np.abs(q).max()):
+            raise ValueError("Q must be symmetric")
+        q = 0.5 * (q + q.T)
+    return q, c
+
+
+def _l1_weights(rho, rows: int) -> np.ndarray:
+    """The L1 rows' weights as a checked vector of ``rows``, a scalar
+    repeated: finite and nonnegative."""
+    rho = np.asarray(rho, dtype=float).ravel()
+    rho = rho.repeat(rows) if rho.size == 1 else rho
+    if rho.size != rows:
+        raise ValueError("l1 block dimensions disagree")
+    _check_finite("l1", rho)
+    if _some(rho < 0):
+        raise ValueError("l1 weights must be nonnegative")
+    return rho
+
+
+def _intervals(rho, ineq: int):
+    """The kink rows' multiplier intervals ``(lo, hi)``: ``[-rho_l, rho_l]``
+    for the L1 rows, then ``(-inf, 0]`` for ``ineq`` inequality rows."""
+    return (np.concatenate([-rho, np.full(ineq, -np.inf)]),
+            np.concatenate([rho, np.zeros(ineq)]))
+
+
 @dataclass
 class QpProblem:
     """``min 0.5 x'Qx + c'x + sum_l rho_l |G_l x - d_l|`` subject to ``A x =
@@ -163,33 +201,41 @@ class QpProblem:
     l1: tuple | None = None      # (G, d, rho): + sum_l rho_l |G_l x - d_l|
 
     def __post_init__(self):
-        q, c = np.atleast_2d(np.asarray(self.Q, float)), np.asarray(self.c, float).ravel()
-        n = c.size
-        if q.shape != (n, n):
-            raise ValueError("Q and c dimensions disagree")
-        _check_finite("Q", q)
-        _check_finite("c", c)
-        if not (q == q.T).all():  # 0.5 (Q + Q') is Q itself for a symmetric Q
-            if np.abs(q - q.T).max() > 1e-12 * max(1.0, np.abs(q).max()):
-                raise ValueError("Q must be symmetric")
-            q = 0.5 * (q + q.T)
-        self.Q, self.c = q, c
+        self.Q, self.c = _objective_terms(self.Q, self.c)
+        n = self.c.size
         self.eq = _rows(self.eq, n, "eq", "equality")
         self.ineq = _rows(self.ineq, n, "ineq", "inequality")
         if self.l1 is not None:
             g, d = _rows(self.l1[:2], n, "l1", "l1")
-            rho = np.asarray(self.l1[2], dtype=float).ravel()
-            rho = rho.repeat(d.size) if rho.size == 1 else rho
-            if rho.size != d.size:
-                raise ValueError("l1 block dimensions disagree")
-            _check_finite("l1", rho)
-            if (rho < 0).any():
-                raise ValueError("l1 weights must be nonnegative")
-            self.l1 = g, d, rho
+            self.l1 = g, d, _l1_weights(self.l1[2], d.size)
         self.lower = _bound(self.lower, n, "lower", np.inf)
         self.upper = _bound(self.upper, n, "upper", -np.inf)
-        if (self.lower > self.upper + 1e-15).any():
+        if _some(self.lower > self.upper + 1e-15):
             raise Infeasible("lower bound exceeds upper bound")
+
+    def derive(self, *, Q=None, c=None, rho=None) -> QpProblem:
+        """This problem with a new ``c``, a new ``Q`` (and ``c``, this one's
+        if ``None``), or new L1 weights ``rho``, each checked as construction
+        checks it: a point of a penalty path or of a walk without a rebuild.
+        Everything else is shared, not copied or checked again: the rows,
+        the bounds, ``max_iter`` and the L1 rows' ``_Kinks``, whose
+        multiplier intervals alone are new with ``rho`` (``_Kinks.reweighted``).
+        ``_scales`` is read afresh."""
+        new = object.__new__(QpProblem)
+        new.__dict__.update(self.__dict__)
+        new.__dict__.pop("_scales", None)
+        if Q is not None:
+            new.Q, new.c = _objective_terms(Q, self.c if c is None else c)
+        elif c is not None:
+            new.c = np.asarray(c, float).ravel()
+            if new.c.size != self.n:
+                raise ValueError("Q and c dimensions disagree")
+            _check_finite("c", new.c)
+        if rho is not None:
+            g, d, _ = self.l1
+            new.l1 = g, d, _l1_weights(rho, d.size)
+            new._kinks = self._kinks.reweighted(*_intervals(new.l1[2], self.ineq[1].size))
+        return new
 
     @property
     def n(self) -> int:
@@ -200,14 +246,15 @@ class QpProblem:
         """100 per variable and per constraint row (each finite bound and L1
         row counts as one) plus 200."""
         rows = self.ineq[1].size + (0 if self.l1 is None else self.l1[1].size)
-        bounds = int(np.isfinite(self.lower).sum() + np.isfinite(self.upper).sum())
+        bounds = int(np.add.reduce(np.isfinite(np.concatenate([self.lower, self.upper]))))
         return 100 * (self.c.size + rows + bounds) + 200
 
     @cached_property
     def _kinks(self):
         """The ``_Kinks`` of the L1 rows, multipliers in ``[-rho, rho]``, and
         then the inequality rows, in ``(-inf, 0]``; built once and shared by
-        the solve, its certificate and walks.  ``None`` without either, not
+        the solve, its certificate, walks and the problems ``derive`` makes
+        (reweighted with new L1 weights).  ``None`` without either, not
         an empty ``_Kinks``: the per-pivot and per-step numpy calls on empty
         arrays are not free, and with one (every ``None`` branch kept)
         target_calibration ran 283, 283 and 275 ops/s against 318, 318 and
@@ -217,9 +264,7 @@ class QpProblem:
         if l1 is None and not h.size:
             return None
         g1, d, rho = (g[:0], h[:0], h[:0]) if l1 is None else l1
-        lo = np.concatenate([-rho, np.full(h.size, -np.inf)])
-        hi = np.concatenate([rho, np.zeros_like(h)])
-        return _Kinks(np.concatenate([g1, g]), np.concatenate([d, h]), lo, hi)
+        return _Kinks(np.concatenate([g1, g]), np.concatenate([d, h]), *_intervals(rho, h.size))
 
     @cached_property
     def _scales(self):
@@ -243,20 +288,34 @@ class _Kinks:
     ``pull_single`` is the single rows' columns of ``pull``: the certificate's."""
 
     def __init__(self, g, d, lo, hi):
-        self.g, self.d, self.lo, self.hi = g, d, lo, hi
-        self.pull = g.T * hi  # the gradient of the rows at sides s is pull @ s
+        self.g, self.d = g, d
         nonzero = g != 0.0
         count = nonzero.sum(axis=1)
         single = (count == 1) & (lo == -hi)
         self.single = single.nonzero()[0]
         self.col = nonzero.argmax(axis=1)[self.single]
         self.coef = g[self.single, self.col]
-        self.width = hi[self.single] * np.abs(self.coef)
         general = (count > 0) & ~single
         self.general, self.priced = general.nonzero()[0], (general | (lo == -np.inf)).nonzero()[0]
         self.slot = np.full(d.size, -1)  # each single row's place in ``single``
         self.slot[self.single] = np.arange(self.single.size)
-        self.pull_single = self.pull if self.single.size == d.size else self.pull[:, self.single]
+        self._weigh(lo, hi)
+
+    def _weigh(self, lo, hi):
+        """Set the intervals ``[lo, hi]`` and what is read off them."""
+        self.lo, self.hi, single = lo, hi, self.single
+        self.pull = self.g.T * hi  # the gradient of the rows at sides s is pull @ s
+        self.width = hi[single] * np.abs(self.coef)
+        self.pull_single = self.pull if single.size == hi.size else self.pull[:, single]
+
+    def reweighted(self, lo, hi):
+        """These rows with the intervals ``[lo, hi]``, each row of the same
+        kind (symmetric, or with ``lo = -inf``) as here: the rows and what
+        their scan found shared, ``pull`` and ``width`` made anew."""
+        kinks = object.__new__(_Kinks)
+        kinks.__dict__.update(self.__dict__)
+        kinks._weigh(lo, hi)
+        return kinks
 
     def widths(self, there):
         """Per weight, the widths of its single rows where the mask ``there`` holds."""
@@ -699,7 +758,7 @@ def _violation(problem: QpProblem, x) -> float:
 
 def _feasible(problem: QpProblem, x) -> bool:
     """Whether ``x`` is finite and meets every constraint to ``_FEAS_TOL``."""
-    return x.size == problem.n and np.isfinite(x).all() and _violation(problem, x) <= _FEAS_TOL
+    return x.size == problem.n and _every(np.isfinite(x)) and _violation(problem, x) <= _FEAS_TOL
 
 
 def feasible_point(problem: QpProblem) -> np.ndarray:
@@ -920,9 +979,11 @@ class _Piece(tuple):
         return piece
 
     def problem(self, s):
-        """The walk's problem at ``t + rate s``, its ``c`` moved along the slope."""
+        """The walk's problem at ``t + rate s``, its ``c`` moved along the
+        slope: derived from the walk's (``QpProblem.derive``), whose ``Q``,
+        rows and ``_Kinks`` it shares, only the new ``c`` checked."""
         base = self._problem
-        return replace(base, c=base.c + (self[0] + self[3] * s) * self._slope)
+        return base.derive(c=base.c + (self[0] + self[3] * s) * self._slope)
 
     def report(self, s):
         """The answer at ``t + rate s``, certified, as ``solve_qp`` reports it.

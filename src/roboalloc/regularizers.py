@@ -95,21 +95,44 @@ def penalty_terms(penalties, P, q):
     adds ``rho I`` and ``rho a``, and an ``l1`` penalty's ``d`` is ``a``.
     """
     n = q.size
+    P, q = quadratic_terms(penalties, P, q)
     rows, blocks = [], []
     for pen in penalties:
-        g = pen.gamma_matrix  # a matrix, or None for the identity
-        anchor = np.zeros(n) if pen.anchor is None else pen.anchor
-        ga = anchor if g is None else g @ anchor
+        if pen.kind == "l1":
+            rows.append((penalty_matrix(pen.gamma_matrix, n), _offset(pen, n)))
+        elif pen.kind == "lp":
+            blocks.append((penalty_matrix(pen.gamma_matrix, n), _offset(pen, n),
+                           lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
+    l1 = (*map(np.concatenate, zip(*rows)), l1_rho(penalties, n)) if rows else None
+    return P, q, l1, blocks, penalty_value(penalties, n)
+
+
+def _offset(pen: PenaltySpec, n: int) -> np.ndarray:
+    """A penalty's ``G a``: its anchor (zero if unset) when ``G`` is unset."""
+    anchor = np.zeros(n) if pen.anchor is None else pen.anchor
+    return anchor if pen.gamma_matrix is None else pen.gamma_matrix @ anchor
+
+
+def quadratic_terms(penalties, P, q):
+    """``(P, q)`` with the ``l2`` penalties folded in as ``penalty_terms``
+    folds them: ``rho G'G`` added to ``P`` and ``rho G'(G a)`` to ``q``, one
+    penalty at a time in list order (``rho I`` and ``rho a`` for an unset
+    ``G``)."""
+    n = q.size
+    for pen in penalties:
         if pen.kind == "l2":
+            g, ga = pen.gamma_matrix, _offset(pen, n)
             P = P + (pen.rho * np.eye(n) if g is None else pen.rho * g.T @ g)
             q = q + pen.rho * (ga if g is None else g.T @ ga)
-        elif pen.kind == "l1":
-            rows.append((penalty_matrix(g, n), ga, np.full(ga.size, pen.rho)))
-        else:
-            blocks.append((penalty_matrix(g, n), ga,
-                           lambda v, phi, r=pen.rho, p=pen.p: prox.prox_lp(v, r / phi, p)))
-    l1 = tuple(map(np.concatenate, zip(*rows))) if rows else None
-    return P, q, l1, blocks, penalty_value(penalties, n)
+    return P, q
+
+
+def l1_rho(penalties, n: int) -> np.ndarray:
+    """The weights of the L1 rows ``penalty_terms`` stacks: each ``l1``
+    penalty's ``rho`` once per row of its ``G`` (``n`` if unset), in list
+    order."""
+    return np.concatenate([np.full(n if pen.gamma_matrix is None else pen.gamma_matrix.shape[0],
+                                   pen.rho) for pen in penalties if pen.kind == "l1"])
 
 
 def penalty_value(penalties, n: int):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roboalloc import errors
+from roboalloc import errors, market_data
 from roboalloc.market_data import (
     MomentEstimates,
     ReturnPanel,
@@ -258,3 +258,35 @@ def test_moment_forms_agree_property(t, n, seed):
     m = estimate_moments(ReturnPanel(r), WeightScheme.explicit(w))
     dw_form = r.T @ (np.diag(w) - np.outer(w, w)) @ r
     assert np.abs(m.sigma - dw_form).max() <= 1e-12
+
+
+class TestBooleanCells:
+    """A JSON ``true`` beside numbers is refused wherever it sits, though
+    NumPy would read it as 1; the check reads one type set per row."""
+
+    @pytest.mark.parametrize("cell", [(0, 0), (199, 199), (100, 37)],
+                             ids=["first", "last", "middle"])
+    def test_boolean_in_a_large_sigma(self, cell):
+        sigma = np.eye(200).tolist()
+        sigma[cell[0]][cell[1]] = True
+        with pytest.raises(errors.InputError, match="moments sigma must hold finite numbers"):
+            moments_from_dict({"mu": [0.05] * 200, "sigma": sigma})
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_boolean_in_mu(self, where):
+        mu = [0.05] * 200
+        mu[where] = False
+        with pytest.raises(errors.InputError, match="moments mu must hold finite numbers"):
+            moments_from_dict({"mu": mu, "sigma": np.eye(200).tolist()})
+
+    def test_boolean_nested_deeper(self):
+        with pytest.raises(errors.InputError, match="finite numbers"):
+            market_data._array([[[1.0, 2.0], [3.0, True]]], "cube")
+
+    def test_numbers_pass(self):
+        sigma = np.eye(200).tolist()
+        sigma[199][199] = 2  # an int beside floats is a number
+        moments = moments_from_dict({"mu": [0.05] * 199 + [1], "sigma": sigma})
+        assert moments.sigma[199, 199] == 2.0 and moments.mu[-1] == 1.0
+        assert market_data._array(np.arange(3), "ints").dtype == float
+        assert market_data._array(1.5, "scalar") == 1.5

@@ -230,6 +230,16 @@ class TestCalibrateGamma:
         cons = ConstraintSet(budget=1.0, lower=0.0)
         assert calibrate_gamma(inp, cons, target_return=target)[0] == 0.0
 
+    @pytest.mark.parametrize("target", [-0.05, 0.06], ids=["at_gamma_zero", "on_the_walk"])
+    def test_gamma_is_a_python_float_on_either_branch(self, target):
+        # met at gamma 0 the answer is the start; on the walk it is read off
+        # a piece at t + rate s, a NumPy float64 before it was converted
+        inp = MvoInputs(mu=[0.05, 0.07], sigma=np.diag([0.04, 0.09]))
+        gamma, rep = calibrate_gamma(inp, ConstraintSet(budget=1.0, lower=0.0),
+                                     target_return=target)
+        assert type(gamma) is float and type(rep.gamma) is float and gamma == rep.gamma
+        assert (gamma == 0.0) == (target < 0.0)
+
     @pytest.mark.parametrize("kind", ["target_vol", "target_return"])
     def test_non_finite_target_rejected(self, four_asset, kind):
         mu, _, _, sigma = four_asset

@@ -260,8 +260,10 @@ def test_long_short_walk_meets_cold_solves_at_every_breakpoint():
 
 @pytest.mark.parametrize("route", ["calibrate_gamma", "te_target_to_gamma"])
 def test_a_target_builds_one_problem_per_solve(route, monkeypatch):
-    """On a budget-box book a target builds two ``QpProblem``s: the gamma-0
-    solve's, whose report the walk reads it off, and the answer's."""
+    """On a budget-box book a target builds one ``QpProblem``, the gamma-0
+    solve's, whose report the walk reads the answer off; the answer's
+    problem is derived from it (``QpProblem.derive``), sharing its ``Q``,
+    rows and ``_Kinks``."""
     n = 20
     sigma, mu, strategic = universe(33, n, "full")
     cons = constraints(n, False)
@@ -293,7 +295,9 @@ def test_a_target_builds_one_problem_per_solve(route, monkeypatch):
     monkeypatch.setattr(qp.QpProblem, "__post_init__", counted)
     gamma, rep = run()
     assert gamma > 0.0 and len(rep.meta["calibration"]) > 2
-    assert len(builds) == 2 and rep.meta["working_set"][0] is builds[1]
+    answer = rep.meta["working_set"][0]
+    assert len(builds) == 1 and answer is not builds[0]
+    assert answer.Q is builds[0].Q and answer._kinks is builds[0]._kinks
 
 
 @pytest.mark.parametrize("metric", ["vol", "return"])

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import sys
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import roboalloc
-from roboalloc import admm, pipeline
+from roboalloc import admm, cli, pipeline, qp
 from roboalloc.errors import (
+    AllocationError,
     Infeasible,
     MaxIterations,
     NotPositiveSemidefinite,
@@ -411,15 +413,15 @@ class TestRegularizationPath:
         cfg = RoboConfig(strategic=X0, current=np.full(4, 0.25), objective="mvo",
                          gamma=0.25)
         grid = np.geomspace(1e-3, 10.0, 5)
-        starts, solve = [], pipeline.rebalance
+        starts, solve = [], pipeline._solve
 
-        def failing_at_the_third(point, mu, sigma, warm=None):
+        def failing_at_the_third(point, mu, sigma, assembly, warm=None):
             starts.append(warm)
             if point.rho2_strategic == grid[2]:
                 raise MaxIterations("stopped at the cap")
-            return solve(point, mu, sigma, warm=warm)
+            return solve(point, mu, sigma, assembly, warm=warm)
 
-        monkeypatch.setattr(pipeline, "rebalance", failing_at_the_third)
+        monkeypatch.setattr(pipeline, "_solve", failing_at_the_third)
         table = regularization_path(cfg, mu, sigma, grid, param="rho2")
         assert table.status == ["converged"] * 2 + ["error:MaxIterations"] + ["converged"] * 2
         assert np.isnan(table.weights[2]).all() and np.isnan(table.objective[2])
@@ -460,7 +462,8 @@ class TestRegularizationPath:
         mu, _, _, sigma = four_asset_alt
         cfg = RoboConfig(strategic=X0, current=X0, gamma=0.1)
         solves = []
-        monkeypatch.setattr(pipeline, "rebalance", lambda *a, **k: solves.append(a))
+        for seam in ("_assemble", "_solve"):
+            monkeypatch.setattr(pipeline, seam, lambda *a, **k: solves.append(a))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             regularization_path(cfg, mu, sigma, grid, param="rho2")
         assert solves == []
@@ -584,3 +587,137 @@ class TestExactRouteCallBudget:
         assert rep.converged and rep.iterations == 3
         assert np.array_equal(rep.weights, first.weights)
         assert len(calls) <= self.BUDGET, f"{len(calls)} calls"
+
+
+def house_book(n=12, upper=0.3, seed=5):
+    """A benchmark-style model ``(sigma, mu, strategic, current)`` and its box."""
+    gen = benchmark_generators()
+    rng = np.random.default_rng([seed, n])
+    sigma, mu, strategic = gen.model_portfolio(roboalloc, rng, n, upper)
+    return sigma, mu, strategic, gen.drifted_book(rng, strategic)
+
+
+class TestPathPointsAreRebalances:
+    """``regularization_path`` assembles its QP once and derives every later
+    point's problem from it; each row must still be, bit for bit, the
+    ``rebalance`` of ``replace(config, slot=value)`` started from the last
+    converged point's weights, as the path was before it derived."""
+
+    @staticmethod
+    def assert_rebalances(config, mu, sigma, grid, param):
+        table = regularization_path(config, mu, sigma, grid, param=param)
+        attr, warm = pipeline._PATH_PARAMS[param], None
+        for i, value in enumerate(grid):
+            try:
+                rep = rebalance(replace(config, **{attr: float(value)}), mu, sigma, warm=warm)
+            except Infeasible:
+                raise
+            except AllocationError as exc:
+                assert table.status[i] == f"error:{type(exc).__name__}"
+                assert np.isnan(table.weights[i]).all() and np.isnan(table.objective[i])
+                continue
+            assert table.status[i] == rep.status
+            assert table.weights[i].tobytes() == rep.weights.tobytes()
+            assert table.objective[i] == rep.objective
+            warm = rep.weights if rep.converged else warm
+        return table
+
+    @staticmethod
+    def config(**changes):
+        sigma, mu, strategic, current = house_book()
+        n = strategic.size
+        config = RoboConfig(strategic=strategic, current=current, gamma=0.5,
+                            rho1_strategic=5e-4, rho1_turnover=2e-4,
+                            rho2_strategic=0.02, rho2_turnover=0.01,
+                            constraints=ConstraintSet(budget=1.0, lower=np.zeros(n),
+                                                      upper=np.full(n, 0.3)))
+        return replace(config, **changes), mu, sigma
+
+    @pytest.mark.parametrize("param", sorted(pipeline._PATH_PARAMS))
+    def test_every_parameter(self, param):
+        config, mu, sigma = self.config()
+        table = self.assert_rebalances(config, mu, sigma, np.geomspace(1e-5, 1e-1, 9), param)
+        assert table.status == ["converged"] * 9
+
+    @pytest.mark.parametrize("param", ["rho1_strategic", "rho1_turnover", "rho2_strategic",
+                                       "rho2_turnover"])
+    def test_zero_drops_the_slot(self, param):
+        # zero values have no rows or terms of the slot, and the base
+        # config's slot is zero too: its first positive value adds them
+        config, mu, sigma = self.config(**{param: 0.0})
+        grid = [0.0, 0.0, 1e-4, 1e-3, 1e-3, 1e-2]
+        table = self.assert_rebalances(config, mu, sigma, grid, param)
+        assert table.status == ["converged"] * 6
+
+    def test_zero_slot_has_no_rows(self):
+        config, mu, sigma = self.config(rho1_turnover=0.0)
+        made = {}
+        for value in (0.0, 1e-3, 2e-3):
+            point, (problem, _, _) = pipeline._point(made, config, "rho1_strategic", value,
+                                                     mu, sigma)
+            rows = 0 if value == 0.0 else config.n
+            assert (problem.l1 is None) if rows == 0 else problem.l1[1].size == rows
+            assert len(point.penalties()) == 2 + (rows > 0)
+
+    @pytest.mark.parametrize("param", ["rho1_turnover", "rho2_strategic"])
+    def test_tracking_error_target(self, param):
+        # every point walks from its own cold gamma-0 solve to the target
+        config, mu, sigma = self.config(gamma=None)
+        strategic = config.strategic
+        high = rebalance(replace(config, gamma=2.0), mu, sigma).weights
+        config = replace(config, te_target=0.5 * tracking_error(high, strategic, sigma))
+        table = self.assert_rebalances(config, mu, sigma, [0.0, 1e-4, 1e-3, 1e-2], param)
+        assert table.status.count("converged") >= 3
+
+    @pytest.mark.parametrize("param", ["rho1", "rho2"])
+    def test_extra_set_goes_to_admm(self, param, four_asset_alt, monkeypatch):
+        mu, _, _, sigma = four_asset_alt
+        ew = np.full(4, 0.25)
+        config = RoboConfig(strategic=ew, current=X0, gamma=0.25, rho1_strategic=1e-3,
+                            rho2_strategic=1e-3, extra_sets=(L2Ball(0.55),),
+                            constraints=ConstraintSet(budget=1.0, lower=0.0, upper=1.0))
+        solves, admm_solve = [], admm.admm_solve
+
+        def recording(*args, **kwargs):
+            solves.append(args[0])
+            return admm_solve(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "admm_solve", recording)
+        self.assert_rebalances(config, mu, sigma, [0.0, 1e-3, 1e-2], param)
+        assert len(solves) == 6
+
+    def test_one_build_per_path(self, tmp_path, monkeypatch):
+        # named before the change: on advisor_cli's path document (its house
+        # model and book, both L1 slots and the L2 strategic slot, and the
+        # log:1e-5:1e-1:25 grid) a path built 25 QpProblems and 25 _Kinks,
+        # one per point; now it builds one of each and derives the rest
+        gen = benchmark_generators()
+        n, upper = 30, 0.2
+        rng = np.random.default_rng([0, n])
+        sigma, mu, strategic = gen.model_portfolio(roboalloc, rng, n, upper)
+        book = gen.drifted_book(rng, strategic)
+        doc = {"mu": mu.tolist(), "sigma": sigma.ravel().tolist(), "gamma": 0.5,
+               "objective": "tracking_error", "strategic": strategic.tolist(),
+               "current": book.tolist(),
+               "penalties": [{"kind": "l1", "rho": 5e-4, "anchor": "strategic"},
+                             {"kind": "l1", "rho": 2e-4, "anchor": "current"},
+                             {"kind": "l2", "rho": 0.02, "anchor": "strategic"}],
+               "constraints": {"budget": 1.0, "lower": 0.0, "upper": upper}}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        builds = {"QpProblem": 0, "_Kinks": 0}
+        problem_init, kinks_init = QpProblem.__post_init__, qp._Kinks.__init__
+
+        def counted_problem(self):
+            builds["QpProblem"] += 1
+            problem_init(self)
+
+        def counted_kinks(self, *args):
+            builds["_Kinks"] += 1
+            kinks_init(self, *args)
+
+        monkeypatch.setattr(QpProblem, "__post_init__", counted_problem)
+        monkeypatch.setattr(qp._Kinks, "__init__", counted_kinks)
+        code = cli.main(["path", "--problem", str(tmp_path / "doc.json"), "--param", "rho1",
+                         "--grid", "log:1e-5:1e-1:25", "--out", str(tmp_path / "path.csv")])
+        assert code == 0
+        assert builds == {"QpProblem": 1, "_Kinks": 1}

@@ -1622,3 +1622,57 @@ class TestAugmentL1:
         # on the non-sparse components the full gradient must be a budget dual
         vals = grad[active]
         assert np.ptp(vals) <= 1e-8
+
+
+class TestDerive:
+    """``QpProblem.derive`` gives the problem a fresh build gives, sharing
+    what did not change and checking what did."""
+
+    @staticmethod
+    def base(seed=3, n=8):
+        rng = np.random.default_rng(seed)
+        plain = budget_box_problem(rng, n, 0.5, upper=0.4)
+        anchor = rng.dirichlet(np.ones(n))
+        g = np.vstack([np.eye(n), rng.normal(size=(2, n))])  # single rows, then general ones
+        d = np.concatenate([anchor, [0.1, -0.1]])
+        return QpProblem(Q=plain.Q, c=plain.c, eq=plain.eq, ineq=(-np.ones((1, n)), [-1.0]),
+                         lower=0.0, upper=0.4, l1=(g, d, 1e-3)), rng
+
+    @staticmethod
+    def assert_same(derived, built):
+        for name in ("Q", "c", "lower", "upper"):
+            assert np.array_equal(getattr(derived, name), getattr(built, name))
+        for name in ("eq", "ineq", "l1"):
+            assert all(map(np.array_equal, getattr(derived, name), getattr(built, name)))
+        for name in ("g", "d", "lo", "hi", "pull", "single", "col", "coef", "width", "general",
+                     "priced", "slot", "pull_single"):
+            assert np.array_equal(getattr(derived._kinks, name), getattr(built._kinks, name))
+        assert derived._scales == built._scales and derived.max_iter == built.max_iter
+
+    def test_each_form_is_a_fresh_build(self):
+        base, rng = self.base()
+        n, (g, d, _) = base.n, base.l1
+        c, rho = rng.normal(size=n), rng.uniform(0.0, 1e-2, d.size)
+        q = base.Q + 0.3 * np.eye(n)
+        fields = dict(eq=base.eq, ineq=base.ineq, lower=base.lower, upper=base.upper)
+        for derived, built in (
+                (base.derive(c=c), QpProblem(Q=base.Q, c=c, l1=base.l1, **fields)),
+                (base.derive(Q=q, c=c), QpProblem(Q=q, c=c, l1=base.l1, **fields)),
+                (base.derive(rho=rho), QpProblem(Q=base.Q, c=base.c, l1=(g, d, rho), **fields))):
+            self.assert_same(derived, built)
+            assert derived.eq is base.eq and derived.lower is base.lower
+            assert np.array_equal(solve_qp(derived).weights, solve_qp(built).weights)
+        assert base.derive(c=c)._kinks is base._kinks
+        assert base.derive(rho=rho)._kinks.single is base._kinks.single
+
+    @pytest.mark.parametrize("change,message", [
+        ({"c": np.full(8, np.nan)}, "c must hold finite"),
+        ({"c": np.zeros(7)}, "dimensions disagree"),
+        ({"Q": np.triu(np.ones((8, 8))), "c": np.zeros(8)}, "Q must be symmetric"),
+        ({"rho": -1.0}, "nonnegative"),
+        ({"rho": [np.inf] * 10}, "l1 must hold finite"),
+        ({"rho": np.ones(3)}, "l1 block dimensions disagree")])
+    def test_what_changed_is_checked(self, change, message):
+        base, _ = self.base()
+        with pytest.raises(ValueError, match=message):
+            base.derive(**change)

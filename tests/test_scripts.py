@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from roboalloc import mvo, qp
@@ -102,16 +103,16 @@ def test_ledger_repeats_itself_and_catches_a_changed_answer(tmp_path, monkeypatc
     path.write_text(first)
     root = mvo.path_root
 
-    def python_float(*args):
+    def numpy_float(*args):
         gamma, report = root(*args)
-        return float(gamma), report
+        return np.float64(gamma), report
 
     def dropped_entry(*args):
         gamma, report = root(*args)
         del report.meta["calibration"][-1]
         return gamma, report
 
-    for mutant in (python_float, dropped_entry):
+    for mutant in (numpy_float, dropped_entry):
         with monkeypatch.context() as patch:
             patch.setattr(mvo, "path_root", mutant)
             assert ledger.check(str(path)) == 1
